@@ -18,13 +18,13 @@
 
 use super::control::{AutoscaleConfig, ControlState, ScaleState};
 use super::coord::{ResidencyModel, CACHE_AWARE_MAX_IMBALANCE};
-use super::engine::EngineCtx;
+use super::engine::{acquire_prefix, EngineCtx};
 use super::engine::{
     finalize, BladeState, CostTable, Outcome, ReplayTotals, ServingSimulator, SimCore,
 };
 use super::events::{
-    leapfrog_decode, CentralKeyedQueue, DecodeStretch, LeapfrogMember, ReadyWindow, StretchHorizon,
-    TrackedQueue,
+    leapfrog_decode, DecodeStretch, Deque, Discipline, Exhaustive, Fcfs, KeyedQueue,
+    LeapfrogMember, Pool, Resort, StretchHorizon,
 };
 use super::observer::{NoopObserver, SimObserver};
 use super::policy::OrderingContract;
@@ -318,10 +318,11 @@ pub struct BladeLoad {
 }
 
 /// Decode-stretch effectiveness counters, aggregated over every blade
-/// of a cluster replay. Diagnostics for the event core's fast-forward
-/// paths: the per-step core plans no stretches, so its reports carry
-/// zeros here, and [`ClusterReport`]'s equality deliberately ignores
-/// this field (the equivalence suite compares reports across cores).
+/// of a cluster replay. Diagnostics for the event-driven fast-forward
+/// paths: the per-step reference discipline plans no stretches, so its
+/// reports carry zeros here (the equivalence suite asserts it), and
+/// [`ClusterReport`]'s equality deliberately ignores this field (the
+/// suite compares reports across disciplines).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StretchStats {
     /// Closed-form stretch segments planned and advanced (each covers
@@ -413,24 +414,9 @@ pub struct ClusterSimulator<'a> {
 
 impl<'a> ClusterSimulator<'a> {
     /// Wraps a single-blade simulator (per-blade estimator, model, plan
-    /// and serving config) into a cluster of `cluster.blades` copies.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimusError::Serving`] for a zero-blade cluster and
-    /// propagates single-blade validation failures.
-    #[deprecated(
-        since = "0.5.0",
-        note = "build cluster runs through `serving::Scenario` with a `.topology(...)` \
-                (see the README migration table); this shim delegates to the same \
-                validated core the scenario builder compiles into"
-    )]
-    pub fn new(sim: ServingSimulator<'a>, cluster: ClusterConfig) -> Result<Self, OptimusError> {
-        Self::from_parts(sim, cluster)
-    }
-
-    /// The one validated constructor both [`Self::new`] and
-    /// [`Scenario::compile`](super::scenario::Scenario::compile) funnel
+    /// and serving config) into a cluster of `cluster.blades` copies: the
+    /// one validated constructor
+    /// [`Scenario::compile`](super::scenario::Scenario::compile) funnels
     /// into.
     pub(crate) fn from_parts(
         sim: ServingSimulator<'a>,
@@ -638,17 +624,31 @@ impl<'a> ClusterSimulator<'a> {
         obs: &mut dyn SimObserver,
     ) -> Result<ClusterReport, OptimusError> {
         let mut scale = cluster.autoscale.map(ScaleState::new);
-        let (states, outcomes, ctl) = match (cluster.dispatch, self.sim.config().core) {
-            (DispatchMode::PerBlade, _) => self.run_per_blade(cluster, trace, table, parallel, obs),
-            (DispatchMode::Central, SimCore::EventDriven) => {
-                if self.sim.policy().ordering() == OrderingContract::StaticKey {
-                    self.run_central_event_keyed(cluster, trace, table, scale.as_mut(), obs)
-                } else {
-                    self.run_central_event(cluster, trace, table, scale.as_mut(), obs)
+        let (states, outcomes, ctl) = match cluster.dispatch {
+            DispatchMode::PerBlade => self.run_per_blade(cluster, trace, table, parallel, obs),
+            DispatchMode::Central => {
+                let policy = self.sim.policy();
+                let order = ServingSimulator::arrival_queue(trace);
+                let scaler = scale.as_mut();
+                match (self.sim.config().core, policy.ordering()) {
+                    (SimCore::PerStep, _) => {
+                        let pool = Pool::central(trace, order, Exhaustive::new);
+                        self.run_central_dispatch(cluster, trace, table, pool, scaler, obs)
+                    }
+                    (SimCore::EventDriven, OrderingContract::Fcfs) => {
+                        let pool = Pool::central(trace, order, Fcfs::new);
+                        self.run_central_dispatch(cluster, trace, table, pool, scaler, obs)
+                    }
+                    (SimCore::EventDriven, OrderingContract::StaticKey) => {
+                        let pool =
+                            Pool::central(trace, order, |q| KeyedQueue::new(policy, trace, q));
+                        self.run_central_dispatch(cluster, trace, table, pool, scaler, obs)
+                    }
+                    (SimCore::EventDriven, OrderingContract::ClockDependent) => {
+                        let pool = Pool::central(trace, order, Resort::new);
+                        self.run_central_dispatch(cluster, trace, table, pool, scaler, obs)
+                    }
                 }
-            }
-            (DispatchMode::Central, SimCore::PerStep) => {
-                self.run_central(cluster, trace, table, scale.as_mut(), obs)
             }
         };
         let roles = vec![BladeRole::Mixed; cluster.blades as usize];
@@ -705,7 +705,7 @@ impl<'a> ClusterSimulator<'a> {
                 );
             }
             let mut ctl = self.sim.control_state(trace.len());
-            let state = ctx.drive_auto(b as u32, trace, queue, &mut outcomes, ctl.as_mut(), obs);
+            let state = ctx.drive_blade(b as u32, trace, queue, &mut outcomes, ctl.as_mut(), obs);
             (state, outcomes, ctl)
         };
         let indexed: Vec<(usize, VecDeque<usize>)> = queues.into_iter().enumerate().collect();
@@ -746,50 +746,37 @@ impl<'a> ClusterSimulator<'a> {
     ///
     /// Unlike single-blade replay, time is not one clock here, so a
     /// preempted request must not restart on a blade whose clock trails
-    /// the eviction instant: `ready` tracks each request's re-entry time
+    /// the eviction instant: the pool tracks each request's re-entry time
     /// (arrival for fresh requests, the evicting iteration's end for
-    /// victims), gates admission inside [`EngineCtx::step`], and not-yet-
-    /// ready requests are kept behind ready ones so head-of-line blocking
-    /// never wedges the loop.
-    fn run_central(
+    /// victims), which gates admission inside [`EngineCtx::step`], and
+    /// the discipline keeps not-yet-ready requests behind ready ones so
+    /// head-of-line blocking never wedges the loop. Outside the reference
+    /// discipline, each round ends with [`central_decode_stretch`].
+    fn run_central_dispatch<D: Discipline>(
         &self,
         cluster: ClusterConfig,
         trace: &[RequestSpec],
         table: &CostTable,
+        mut pool: Pool<D>,
         mut scale: Option<&mut ScaleState>,
         obs: &mut dyn SimObserver,
     ) -> (Vec<BladeState>, Vec<Outcome>, Option<ControlState>) {
         let blades = cluster.blades as usize;
         let ctx = self.sim.ctx(table);
         let mut ctl = self.sim.control_state(trace.len());
-        let mut queue = ServingSimulator::arrival_queue(trace);
         let mut outcomes = vec![Outcome::default(); trace.len()];
         let mut states: Vec<BladeState> = (0..blades)
             .map(|b| BladeState::new(b as u32, 0.0, self.sim.config().prefix))
             .collect();
-        let mut ready: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
         let mut victims: Vec<usize> = Vec::new();
         let mut served = 0u32;
         while served < trace.len() as u32 {
-            let next_ready = queue.iter().map(|&i| ready[i]).fold(f64::MAX, f64::min);
-            // The blade whose next useful action comes earliest: its own
-            // clock when it has running work, else the next request it
-            // could admit. Under an autoscaler only the active prefix of
-            // the blade pool competes.
+            let next_ready = pool.next_ready();
+            // Under an autoscaler only the active prefix of the blade
+            // pool competes.
             let active = scale.as_deref().map_or(blades, |s| s.active() as usize);
-            let chosen = (0..active)
-                .filter_map(|b| {
-                    let s = &states[b];
-                    if !s.running.is_empty() {
-                        Some((s.clock, b))
-                    } else if !queue.is_empty() {
-                        Some((s.clock.max(next_ready), b))
-                    } else {
-                        None
-                    }
-                })
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let Some((at, b)) = chosen else {
+            let waiting = (!pool.is_empty()).then_some(next_ready);
+            let Some((at, b)) = next_action(&states, 0..active, waiting) else {
                 debug_assert!(false, "cluster idle with work pending");
                 break;
             };
@@ -797,25 +784,11 @@ impl<'a> ClusterSimulator<'a> {
             if blade.running.is_empty() {
                 blade.clock = blade.clock.max(at);
             }
-            self.sim
-                .policy()
-                .order_queue(blade.clock, trace, &mut queue);
-            // Stable-partition: requests not yet ready at this blade's
-            // clock go behind ready ones (policy order preserved within
-            // each side), so the admission scan's head-of-line break
-            // means "nothing more is eligible".
-            let (eligible, waiting): (Vec<usize>, Vec<usize>) = queue
-                .iter()
-                .copied()
-                .partition(|&i| ready[i] <= blade.clock);
-            queue.clear();
-            queue.extend(eligible);
-            queue.extend(waiting);
+            pool.prepare(blade.clock, trace, self.sim.policy());
             victims.clear();
             served += ctx.step(
                 trace,
-                &ready,
-                &mut queue,
+                &mut pool,
                 blade,
                 &mut outcomes,
                 Some(&mut victims),
@@ -823,320 +796,31 @@ impl<'a> ClusterSimulator<'a> {
                 ctl.as_mut(),
                 obs,
             );
+            let now = states[b].clock;
             for &v in &victims {
                 // The victim re-enters once the preempting iteration has
                 // completed; its KV is not free (nor the decision known
                 // elsewhere) any earlier.
-                ready[v] = states[b].clock;
+                pool.ready[v] = now;
             }
-            if let Some(sc) = scale.as_deref_mut() {
-                let now = states[b].clock;
-                let depth = queue.iter().filter(|&&i| ready[i] <= now).count();
+            pool.settle(&victims);
+            let scaler = scale.as_deref_mut().map(|sc| {
+                let depth = pool.ready_depth(now);
                 autoscale_round(sc, &mut states, now, depth, obs);
+                (&*sc, depth)
+            });
+            if !D::EXHAUSTIVE {
+                central_decode_stretch(&ctx, trace, &mut states, b, &mut pool, scaler, obs);
             }
-        }
-        (states, outcomes, ctl)
-    }
-
-    /// Event-driven twin of [`Self::run_central`]: the same round
-    /// structure and bit-identical reports, but the per-round O(queue)
-    /// scans — the next-ready fold, the FCFS no-op re-sort, the
-    /// eligibility partition — are replaced by a lazy ready-time window
-    /// plus membership bookkeeping, each skipped whenever its outcome is
-    /// provably the identity.
-    fn run_central_event(
-        &self,
-        cluster: ClusterConfig,
-        trace: &[RequestSpec],
-        table: &CostTable,
-        mut scale: Option<&mut ScaleState>,
-        obs: &mut dyn SimObserver,
-    ) -> (Vec<BladeState>, Vec<Outcome>, Option<ControlState>) {
-        let blades = cluster.blades as usize;
-        let ctx = self.sim.ctx(table);
-        let fcfs = self.sim.policy().ordering() == OrderingContract::Fcfs;
-        let mut ctl = self.sim.control_state(trace.len());
-        let mut queue = ServingSimulator::arrival_queue(trace);
-        let mut outcomes = vec![Outcome::default(); trace.len()];
-        let mut states: Vec<BladeState> = (0..blades)
-            .map(|b| BladeState::new(b as u32, 0.0, self.sim.config().prefix))
-            .collect();
-        let mut ready: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-        let mut in_queue = vec![true; trace.len()];
-        let mut is_victim = vec![false; trace.len()];
-        let mut victims_in_queue = 0usize;
-        let mut victim_list: Vec<usize> = Vec::new();
-        // The queue starts arrival-ordered: its ready times, in order,
-        // are the sorted arrival axis the stretch horizon binary-searches.
-        let sorted_arrivals: Vec<f64> = queue.iter().map(|&i| ready[i]).collect();
-        let mut window = ReadyWindow::new();
-        for &i in &queue {
-            window.push(ready[i], i);
-        }
-        let mut victims: Vec<usize> = Vec::new();
-        let mut served = 0u32;
-        while served < trace.len() as u32 {
-            let next_ready = window.min(&in_queue, &ready).unwrap_or(f64::MAX);
-            let active = scale.as_deref().map_or(blades, |s| s.active() as usize);
-            let chosen = (0..active)
-                .filter_map(|b| {
-                    let s = &states[b];
-                    if !s.running.is_empty() {
-                        Some((s.clock, b))
-                    } else if !queue.is_empty() {
-                        Some((s.clock.max(next_ready), b))
-                    } else {
-                        None
-                    }
-                })
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let Some((at, b)) = chosen else {
-                debug_assert!(false, "cluster idle with work pending");
-                break;
-            };
-            let blade = &mut states[b];
-            if blade.running.is_empty() {
-                blade.clock = blade.clock.max(at);
-            }
-            if !fcfs {
-                self.sim
-                    .policy()
-                    .order_queue(blade.clock, trace, &mut queue);
-            }
-            let clock = blade.clock;
-            // The eligibility partition is the identity when no victim
-            // re-entry times disturb the FCFS arrival order, when every
-            // member is already eligible, or when none is.
-            let skip_partition = (fcfs && victims_in_queue == 0)
-                || window.max(&in_queue, &ready).is_none_or(|t| t <= clock)
-                || window.min(&in_queue, &ready).is_none_or(|t| t > clock);
-            if !skip_partition {
-                let (eligible, waiting): (Vec<usize>, Vec<usize>) =
-                    queue.iter().copied().partition(|&i| ready[i] <= clock);
-                queue.clear();
-                queue.extend(eligible);
-                queue.extend(waiting);
-            }
-            victims.clear();
-            let mut tracked = TrackedQueue::new(&mut queue);
-            served += ctx.step(
-                trace,
-                &ready,
-                &mut tracked,
-                blade,
-                &mut outcomes,
-                Some(&mut victims),
-                None,
-                ctl.as_mut(),
-                obs,
-            );
-            // Membership bookkeeping: admissions leave the queue before
-            // same-step victims re-enter it (an admit-then-evict round
-            // must end with the victim counted back in).
-            for &i in &tracked.admitted {
-                in_queue[i] = false;
-                if is_victim[i] {
-                    is_victim[i] = false;
-                    victims_in_queue -= 1;
-                }
-            }
-            for &v in &victims {
-                ready[v] = states[b].clock;
-                in_queue[v] = true;
-                if !is_victim[v] {
-                    is_victim[v] = true;
-                    victims_in_queue += 1;
-                    if victim_list.len() >= (2 * victims_in_queue).max(8) {
-                        victim_list.retain(|&i| is_victim[i]);
-                    }
-                    victim_list.push(v);
-                }
-                window.push(ready[v], v);
-            }
-            let mut scaler_depth = 0usize;
-            if let Some(sc) = scale.as_deref_mut() {
-                let now = states[b].clock;
-                scaler_depth = queue.iter().filter(|&&i| ready[i] <= now).count();
-                autoscale_round(sc, &mut states, now, scaler_depth, obs);
-            }
-            // Fast-forward the stepped blade through its pure-decode
-            // future up to the cluster-wide stretch horizon. Only FCFS
-            // rounds with blocked victims partition observably here —
-            // clock-dependent policies re-sort from scratch each round,
-            // erasing any skipped partition (their history-independence
-            // contract), and StaticKey policies use the keyed loop.
-            let next_ready = window.min(&in_queue, &ready).unwrap_or(f64::MAX);
-            central_decode_stretch(
-                &ctx,
-                trace,
-                &mut states,
-                b,
-                queue.is_empty(),
-                next_ready,
-                fcfs && victims_in_queue > 0,
-                scale.as_deref(),
-                scaler_depth,
-                &sorted_arrivals,
-                &victim_list,
-                &is_victim,
-                &ready,
-                obs,
-            );
-        }
-        (states, outcomes, ctl)
-    }
-
-    /// Central-dispatch event loop specialized for
-    /// [`OrderingContract::StaticKey`] policies (SJF, strict priority):
-    /// instead of re-running the policy's O(n log n) stable sort over the
-    /// shared queue every round, arrived requests live in an
-    /// incrementally maintained ordered set keyed by
-    /// `(order_key, insertion seq)` — the single-blade event core's
-    /// [`CentralKeyedQueue`] — extended with the central loop's ready-time
-    /// semantics: victims whose re-entry time is still in the chosen
-    /// blade's future are *extracted* for the round (the per-step loop's
-    /// eligibility partition moves them behind every eligible request,
-    /// where the admission scan never looks) and re-inserted afterwards
-    /// with fresh sequence numbers (the partition demotes a blocked
-    /// victim behind its key-ties, and every later stable sort keeps it
-    /// there). Bit-identical to [`Self::run_central`] by the same
-    /// argument as the single-blade keyed queue, plus: a round's
-    /// admission scan sees exactly the eligible requests in key order,
-    /// and stops at batch/KV limits only — never at a blocked victim
-    /// parked mid-order.
-    fn run_central_event_keyed(
-        &self,
-        cluster: ClusterConfig,
-        trace: &[RequestSpec],
-        table: &CostTable,
-        mut scale: Option<&mut ScaleState>,
-        obs: &mut dyn SimObserver,
-    ) -> (Vec<BladeState>, Vec<Outcome>, Option<ControlState>) {
-        let blades = cluster.blades as usize;
-        let ctx = self.sim.ctx(table);
-        let mut ctl = self.sim.control_state(trace.len());
-        let arrival_order = ServingSimulator::arrival_queue(trace);
-        // Capture the sorted arrival axis before the keyed queue consumes
-        // the arrival-ordered index list (traces themselves may arrive
-        // unsorted; `arrival_queue` is what sorts them).
-        let sorted_arrivals: Vec<f64> = arrival_order.iter().map(|&i| trace[i].arrival_s).collect();
-        let mut queue = CentralKeyedQueue::new(self.sim.policy(), trace, arrival_order);
-        let mut outcomes = vec![Outcome::default(); trace.len()];
-        let mut states: Vec<BladeState> = (0..blades)
-            .map(|b| BladeState::new(b as u32, 0.0, self.sim.config().prefix))
-            .collect();
-        let mut ready: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-        let mut in_queue = vec![true; trace.len()];
-        let mut is_victim = vec![false; trace.len()];
-        let mut victims_in_queue = 0usize;
-        let mut victim_list: Vec<usize> = Vec::new();
-        let mut window = ReadyWindow::new();
-        for (i, &at) in ready.iter().enumerate() {
-            window.push(at, i);
-        }
-        let mut victims: Vec<usize> = Vec::new();
-        let mut served = 0u32;
-        while served < trace.len() as u32 {
-            let next_ready = window.min(&in_queue, &ready).unwrap_or(f64::MAX);
-            let active = scale.as_deref().map_or(blades, |s| s.active() as usize);
-            let chosen = (0..active)
-                .filter_map(|b| {
-                    let s = &states[b];
-                    if !s.running.is_empty() {
-                        Some((s.clock, b))
-                    } else if !queue.is_empty() {
-                        Some((s.clock.max(next_ready), b))
-                    } else {
-                        None
-                    }
-                })
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let Some((at, b)) = chosen else {
-                debug_assert!(false, "cluster idle with work pending");
-                break;
-            };
-            let blade = &mut states[b];
-            if blade.running.is_empty() {
-                blade.clock = blade.clock.max(at);
-            }
-            let clock = blade.clock;
-            queue.prepare(clock, trace);
-            // Only re-queued victims can be arrived-but-not-ready, so the
-            // extraction scan runs only while victims are in the queue.
-            if victims_in_queue > 0 {
-                queue.extract_blocked(clock, &ready);
-            }
-            victims.clear();
-            served += ctx.step(
-                trace,
-                &ready,
-                &mut queue,
-                blade,
-                &mut outcomes,
-                Some(&mut victims),
-                None,
-                ctl.as_mut(),
-                obs,
-            );
-            for &i in &queue.admitted {
-                in_queue[i] = false;
-                if is_victim[i] {
-                    is_victim[i] = false;
-                    victims_in_queue -= 1;
-                }
-            }
-            queue.admitted.clear();
-            for &v in &victims {
-                ready[v] = states[b].clock;
-                in_queue[v] = true;
-                if !is_victim[v] {
-                    is_victim[v] = true;
-                    victims_in_queue += 1;
-                    if victim_list.len() >= (2 * victims_in_queue).max(8) {
-                        victim_list.retain(|&i| is_victim[i]);
-                    }
-                    victim_list.push(v);
-                }
-                window.push(ready[v], v);
-            }
-            queue.restore_blocked();
-            let mut scaler_depth = 0usize;
-            if let Some(sc) = scale.as_deref_mut() {
-                let now = states[b].clock;
-                scaler_depth = queue.ready_depth(&ready, now);
-                autoscale_round(sc, &mut states, now, scaler_depth, obs);
-            }
-            // Any ordering policy may run here (this loop serves
-            // StaticKey dispatch), so blocked victims always partition
-            // observably: their extraction depends on the stepping
-            // blade's clock relative to each victim's re-entry time.
-            let next_ready = window.min(&in_queue, &ready).unwrap_or(f64::MAX);
-            central_decode_stretch(
-                &ctx,
-                trace,
-                &mut states,
-                b,
-                queue.is_empty(),
-                next_ready,
-                victims_in_queue > 0,
-                scale.as_deref(),
-                scaler_depth,
-                &sorted_arrivals,
-                &victim_list,
-                &is_victim,
-                &ready,
-                obs,
-            );
         }
         (states, outcomes, ctl)
     }
 }
 
-/// One end-of-round autoscaler evaluation, shared verbatim by the
-/// per-step and event-driven central loops so the cores stay
-/// bit-identical: watermark check against the ready queue depth at the
-/// stepped blade's clock, scale-down gated on the top active blade being
-/// idle, and a scale-up's fresh blade frozen until `now + warmup`.
+/// One end-of-round autoscaler evaluation of the central-dispatch loop:
+/// watermark check against the ready queue depth at the stepped blade's
+/// clock, scale-down gated on the top active blade being idle, and a
+/// scale-up's fresh blade frozen until `now + warmup`.
 fn autoscale_round(
     scale: &mut ScaleState,
     states: &mut [BladeState],
@@ -1155,33 +839,38 @@ fn autoscale_round(
     }
 }
 
-/// The earliest instant after `clock` at which any queued request's
-/// eligibility can change: the next arrival anywhere in the trace
-/// (requests already departed arrived in the past, so the global
-/// arrival successor is never *later* than the queue's own — an early
-/// bound only truncates stretches, never extends them) or the earliest
-/// future victim re-entry. While the stepped blade's clock stays below
-/// this instant, the eligibility partition and the autoscaler's
-/// ready-depth signal are provably frozen.
-fn next_ready_transition(
-    clock: f64,
-    sorted_arrivals: &[f64],
-    victim_list: &[usize],
-    is_victim: &[bool],
-    ready: &[f64],
-) -> f64 {
-    let p = sorted_arrivals.partition_point(|&a| a <= clock);
-    let mut e = sorted_arrivals.get(p).copied().unwrap_or(f64::INFINITY);
-    for &v in victim_list {
-        if is_victim[v] && ready[v] > clock {
-            e = e.min(ready[v]);
-        }
+/// The instant blade `s` could next act: its own clock while it holds
+/// running work, else — when `waiting` gives the earliest ready time of
+/// its queue — the moment it could admit.
+fn action_at(s: &BladeState, waiting: Option<f64>) -> Option<f64> {
+    if s.running.is_empty() {
+        waiting.map(|t| s.clock.max(t))
+    } else {
+        Some(s.clock)
     }
-    e
 }
 
-/// Fast-forwards blade `b` of a central-dispatch loop through its
-/// pure-decode future, bounded by the cluster-wide stretch horizon:
+/// The blade among `blades` whose next action comes earliest, ties broken
+/// by blade index.
+fn next_action(
+    states: &[BladeState],
+    blades: impl Iterator<Item = usize>,
+    waiting: Option<f64>,
+) -> Option<(f64, usize)> {
+    blades
+        .filter_map(|b| action_at(&states[b], waiting).map(|t| (t, b)))
+        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+}
+
+/// Fast-forwards a central-dispatch round's blades through their
+/// pure-decode future, bounded by the cluster-wide stretch horizon.
+///
+/// Without an autoscaler every blade can leapfrog at once
+/// ([`leapfrog_pool`]): the skipped rounds are replayed in exact per-step
+/// order, so no conservative blade-race gate is needed. With one, only
+/// the just-stepped blade `b` stretches — the frozen depth/idleness
+/// signal is sampled at its clock and does not transfer to blades whose
+/// clocks trail it — under these gates:
 ///
 /// * **Blade race** (start gate): every other active blade's next action
 ///   instant — its clock while it holds running work, else the moment
@@ -1190,11 +879,11 @@ fn next_ready_transition(
 /// * **Own admission** (start gate): with a batch slot open, the
 ///   earliest queued ready time; a full batch admits nothing, so the
 ///   queue only gates through the partition bound below.
-/// * **Eligibility partition** (start gate, `partition_needs_e`): when
-///   skipped rounds would re-partition the queue observably (FCFS with
-///   blocked victims in the deque loop, victim demotion in the keyed
-///   loop), the stretch stops at the next ready-time transition, which
-///   freezes the partition across every skipped round.
+/// * **Eligibility partition** (start gate): when skipped rounds would
+///   re-partition the queue observably
+///   ([`Pool::partition_observable`]), the stretch stops at the next
+///   ready-time transition, which freezes the partition across every
+///   skipped round.
 /// * **Autoscaler** (end gates): evaluations fire at round *end* clocks.
 ///   An armed scaler (watermark branch would fire at the frozen
 ///   depth/idleness) bounds the stretch by its exact cooldown-expiry
@@ -1206,92 +895,56 @@ fn next_ready_transition(
 /// strict-class completions (the stretch plan ends before any
 /// completion) and sheds fire only at admission instants (excluded by
 /// the start gates above).
-#[allow(clippy::too_many_arguments)] // one call site per central loop
-fn central_decode_stretch(
+fn central_decode_stretch<D: Discipline>(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
     states: &mut [BladeState],
     b: usize,
-    queue_empty: bool,
-    next_ready: f64,
-    partition_needs_e: bool,
-    scale: Option<&ScaleState>,
-    scaler_depth: usize,
-    sorted_arrivals: &[f64],
-    victim_list: &[usize],
-    is_victim: &[bool],
-    ready: &[f64],
+    pool: &mut Pool<D>,
+    scaler: Option<(&ScaleState, usize)>,
     obs: &mut dyn SimObserver,
 ) {
-    if scale.is_none() {
-        // Without an autoscaler every blade can leapfrog at once: the
-        // skipped rounds are replayed in exact per-step order, so no
-        // conservative blade-race gate is needed. (The autoscaler path
-        // below stretches only the just-stepped blade: its frozen
-        // depth/idleness signal is sampled at that blade's clock and
-        // does not transfer to members whose clocks trail it.)
-        central_leapfrog(
-            ctx,
-            trace,
-            states,
-            queue_empty,
-            next_ready,
-            partition_needs_e,
-            sorted_arrivals,
-            victim_list,
-            is_victim,
-            ready,
-            obs,
-        );
+    let Some((sc, depth)) = scaler else {
+        let blades = 0..states.len();
+        leapfrog_pool(ctx, trace, states, blades, f64::INFINITY, pool, obs);
         return;
-    }
+    };
+    let next_ready = pool.next_ready();
     if states[b].running.is_empty() {
         return;
     }
+    let waiting = (!pool.is_empty()).then_some(next_ready);
     let clock = states[b].clock;
     let batch_full = states[b].running.len() >= ctx.config.max_batch as usize;
-    let active = scale.map_or(states.len(), |s| s.active() as usize);
     let mut start_gate = f64::INFINITY;
-    for (ob, s) in states.iter().enumerate().take(active) {
-        if ob == b {
-            continue;
+    for (ob, s) in states.iter().enumerate().take(sc.active() as usize) {
+        if ob != b {
+            if let Some(t) = action_at(s, waiting) {
+                start_gate = start_gate.min(t);
+            }
         }
-        let action = if !s.running.is_empty() {
-            s.clock
-        } else if !queue_empty {
-            s.clock.max(next_ready)
-        } else {
-            continue;
-        };
-        start_gate = start_gate.min(action);
     }
-    if !batch_full && !queue_empty {
-        start_gate = start_gate.min(next_ready);
+    if let (false, Some(t)) = (batch_full, waiting) {
+        start_gate = start_gate.min(t);
     }
     if start_gate <= clock {
         return;
     }
     let mut end_gate = f64::INFINITY;
     let mut cooldown = None;
-    let need_partition_e = batch_full && partition_needs_e;
-    let mut scaler_needs_e = false;
-    if let Some(sc) = scale {
-        let top = sc.active() as usize - 1;
-        let top_idle = states[top].running.is_empty();
-        if sc.would_fire(scaler_depth, top_idle) {
-            if sc.in_cooldown(clock) {
-                cooldown = Some(sc.cooldown_guard());
-            } else {
-                // Out of cooldown and armed: the very next round end
-                // fires a scale event. No stretch.
-                return;
-            }
-        } else {
-            scaler_needs_e = true;
+    let need_partition_e = batch_full && pool.partition_observable();
+    let top_idle = states[sc.active() as usize - 1].running.is_empty();
+    let scaler_needs_e = !sc.would_fire(depth, top_idle);
+    if !scaler_needs_e {
+        if !sc.in_cooldown(clock) {
+            // Out of cooldown and armed: the very next round end fires a
+            // scale event. No stretch.
+            return;
         }
+        cooldown = Some(sc.cooldown_guard());
     }
     if need_partition_e || scaler_needs_e {
-        let e = next_ready_transition(clock, sorted_arrivals, victim_list, is_victim, ready);
+        let e = pool.next_transition(clock);
         if need_partition_e {
             start_gate = start_gate.min(e);
         }
@@ -1316,37 +969,39 @@ fn central_decode_stretch(
     }
 }
 
-/// The scale-free central fast-forward: every running blade joins one
-/// [`leapfrog_decode`] call that replays the skipped rounds in exact
-/// per-step order. Shared gate: an idle blade's next admission instant
-/// (it could win the blade race and mutate the queue). Per-member
+/// Replays the pure-decode future of the running blades among `blades`
+/// — the ones sharing `pool` — in one [`leapfrog_decode`] call, in exact
+/// per-step round order.
+///
+/// Shared gate: `shared_gate` (the caller's own decisions, e.g. the
+/// prefill tier's next action) and an idle member's next admission
+/// instant (it could win the blade race and mutate the queue). Per-member
 /// gates: the next queued ready time while a batch slot is open (an
 /// admission round), and — batch full, when skipped partitions are
-/// observable — the next ready-time transition, measured from the
-/// minimal member clock so it lower-bounds every member's own
-/// transition (a member already past it parks, conservatively).
-#[allow(clippy::too_many_arguments)]
-fn central_leapfrog(
+/// observable — the next ready-time transition, measured from the minimal
+/// member clock so it lower-bounds every member's own transition (a
+/// member already past it parks, conservatively). All gates are frozen
+/// across the leapfrog: nothing is admitted or evicted.
+fn leapfrog_pool<D: Discipline>(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
     states: &mut [BladeState],
-    queue_empty: bool,
-    next_ready: f64,
-    partition_needs_e: bool,
-    sorted_arrivals: &[f64],
-    victim_list: &[usize],
-    is_victim: &[bool],
-    ready: &[f64],
+    blades: impl Iterator<Item = usize>,
+    shared_gate: f64,
+    pool: &mut Pool<D>,
     obs: &mut dyn SimObserver,
 ) {
-    let mut idle_gate = f64::INFINITY;
+    let next_ready = pool.next_ready();
+    let waiting = (!pool.is_empty()).then_some(next_ready);
+    let mut idle_gate = shared_gate;
     let mut min_clock = f64::INFINITY;
     let mut any_full = false;
     let mut members: Vec<(usize, bool)> = Vec::with_capacity(states.len());
-    for (b, s) in states.iter().enumerate() {
+    for b in blades {
+        let s = &states[b];
         if s.running.is_empty() {
-            if !queue_empty {
-                idle_gate = idle_gate.min(s.clock.max(next_ready));
+            if let Some(t) = action_at(s, waiting) {
+                idle_gate = idle_gate.min(t);
             }
             continue;
         }
@@ -1358,8 +1013,8 @@ fn central_leapfrog(
     if members.is_empty() || idle_gate <= min_clock {
         return;
     }
-    let e = if any_full && partition_needs_e {
-        next_ready_transition(min_clock, sorted_arrivals, victim_list, is_victim, ready)
+    let e = if any_full && pool.partition_observable() {
+        pool.next_transition(min_clock)
     } else {
         f64::INFINITY
     };
@@ -1369,10 +1024,8 @@ fn central_leapfrog(
             blade,
             start_gate_s: if full {
                 e
-            } else if !queue_empty {
-                next_ready
             } else {
-                f64::INFINITY
+                waiting.unwrap_or(f64::INFINITY)
             },
         })
         .collect();
@@ -1385,7 +1038,6 @@ fn central_leapfrog(
         obs,
     );
 }
-
 /// Merges per-blade states and outcomes into the cluster report
 /// (shared by the classic loops and the disaggregated one).
 pub(crate) fn assemble(
@@ -1461,20 +1113,18 @@ pub(crate) fn assemble(
     }
 }
 
-/// The disaggregated (DistServe-style) event loop: dedicated prefill
-/// blades run whole-prompt passes batch-1 in policy order, stream each
-/// finished prefill's KV to the decode pool over `link`, and the
-/// decode-capable blades pull handed-off sequences from one shared
-/// work-conserving queue (central-dispatch semantics). An evicted
-/// sequence keeps its prefilled status — its KV is re-streamed from the
-/// prefill tier (paying `link` again) instead of being recomputed.
+/// The disaggregated (DistServe-style) replay: dedicated prefill blades
+/// run whole-prompt passes batch-1 in policy order, stream each finished
+/// prefill's KV to the decode pool over `link`, and the decode-capable
+/// blades pull handed-off sequences from one shared work-conserving pool
+/// (central-dispatch semantics). An evicted sequence keeps its prefilled
+/// status — its KV is re-streamed from the prefill tier (paying `link`
+/// again) instead of being recomputed.
 ///
-/// The loop is serial and deterministic: the next action is always the
-/// earliest-clock blade, prefill before decode on ties, lower blade
-/// index last.
-///
-/// Dispatches to the configured replay core; both produce bit-identical
-/// reports (pinned by the equivalence suite).
+/// Picks the queue discipline for the configured [`SimCore`]: the
+/// per-step reference, or FCFS / re-sorting event disciplines (handoff
+/// ready times follow no arrival order, so static-key policies re-sort
+/// here too).
 pub(crate) fn run_disaggregated(
     sim: &ServingSimulator<'_>,
     trace: &[RequestSpec],
@@ -1483,516 +1133,200 @@ pub(crate) fn run_disaggregated(
     link: &HandoffLink,
     obs: &mut dyn SimObserver,
 ) -> ClusterReport {
-    match sim.config().core {
-        SimCore::EventDriven => run_disaggregated_event(sim, trace, table, roles, link, obs),
-        SimCore::PerStep => run_disaggregated_per_step(sim, trace, table, roles, link, obs),
+    match (sim.config().core, sim.policy().ordering()) {
+        (SimCore::PerStep, _) => {
+            disaggregated(sim, trace, table, roles, link, obs, Exhaustive::new)
+        }
+        (SimCore::EventDriven, OrderingContract::Fcfs) => {
+            disaggregated(sim, trace, table, roles, link, obs, Fcfs::new)
+        }
+        (SimCore::EventDriven, _) => {
+            disaggregated(sim, trace, table, roles, link, obs, Resort::new)
+        }
     }
 }
 
-/// The legacy per-step disaggregated loop (the equivalence oracle).
-fn run_disaggregated_per_step(
+/// The disaggregated replay loop over a [`Deque`] discipline, built by
+/// `new` for both the prompt queue and the decode pool.
+///
+/// The loop is serial and deterministic: the next action is always the
+/// earliest-clock blade, prefill before decode on ties, lower blade
+/// index last. Outside the reference discipline, every decode round ends
+/// with a [`leapfrog_pool`] over the decode pool, gated by the prefill
+/// tier's next action (prefill wins clock ties).
+fn disaggregated<const E: bool, const R: bool>(
     sim: &ServingSimulator<'_>,
     trace: &[RequestSpec],
     table: &CostTable,
     roles: &[BladeRole],
     link: &HandoffLink,
     obs: &mut dyn SimObserver,
+    new: fn(VecDeque<usize>) -> Deque<E, R>,
 ) -> ClusterReport {
     let ctx = sim.ctx(table);
-    let prefillers: Vec<usize> = roles
-        .iter()
-        .enumerate()
-        .filter(|&(_, &r)| r == BladeRole::Prefill)
-        .map(|(b, _)| b)
-        .collect();
-    let decoders: Vec<usize> = roles
-        .iter()
-        .enumerate()
-        .filter(|&(_, r)| r.can_decode())
-        .map(|(b, _)| b)
-        .collect();
+    let blades_with = |keep: fn(BladeRole) -> bool| -> Vec<usize> {
+        (0..roles.len()).filter(|&b| keep(roles[b])).collect()
+    };
+    let prefillers = blades_with(|r| r == BladeRole::Prefill);
+    let decoders = blades_with(BladeRole::can_decode);
     let mut states: Vec<BladeState> = (0..roles.len())
         .map(|b| BladeState::new(b as u32, 0.0, sim.config().prefix))
         .collect();
-    let mut prompt_queue = ServingSimulator::arrival_queue(trace);
-    let mut decode_queue: VecDeque<usize> = VecDeque::new();
-    let mut outcomes = vec![Outcome::default(); trace.len()];
+    let mut prompts = new(ServingSimulator::arrival_queue(trace));
     // Re-entry instant per request: the handoff completion for freshly
     // prefilled sequences, eviction + re-stream for preempted ones.
-    let mut ready: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-    let mut prefilled = vec![false; trace.len()];
-    let mut victims: Vec<usize> = Vec::new();
-    let kv_stream_bytes = |r: &RequestSpec| f64::from(r.prompt_tokens) * sim.kv_bytes_per_token();
-    let mut served = 0u32;
-    while served < trace.len() as u32 {
-        // Earliest prefill action: an idle prefill blade and the first
-        // arrival still queued.
-        let prefill_action = if prompt_queue.is_empty() {
-            None
-        } else {
-            let next_arrival = prompt_queue
-                .iter()
-                .map(|&i| trace[i].arrival_s)
-                .fold(f64::MAX, f64::min);
-            prefillers
-                .iter()
-                .map(|&b| (states[b].clock.max(next_arrival), b))
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-        };
-        // Earliest decode action, as in the central loop.
-        let next_ready = decode_queue
-            .iter()
-            .map(|&i| ready[i])
-            .fold(f64::MAX, f64::min);
-        let decode_action = decoders
-            .iter()
-            .filter_map(|&b| {
-                let s = &states[b];
-                if !s.running.is_empty() {
-                    Some((s.clock, b))
-                } else if !decode_queue.is_empty() {
-                    Some((s.clock.max(next_ready), b))
-                } else {
-                    None
-                }
-            })
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let do_prefill = match (prefill_action, decode_action) {
-            (Some((tp, _)), Some((td, _))) => tp <= td,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => {
-                debug_assert!(false, "disaggregated loop idle with work pending");
-                break;
-            }
-        };
-        if do_prefill {
-            let (at, b) = prefill_action.expect("chosen above");
-            let blade = &mut states[b];
-            blade.clock = blade.clock.max(at);
-            sim.policy()
-                .order_queue(blade.clock, trace, &mut prompt_queue);
-            let idx = prompt_queue.pop_front().expect("prompt queue non-empty");
-            let r = &trace[idx];
-            let start = blade.clock.max(r.arrival_s);
-            // Prefix caching on the prefill tier: a cached prefix skips
-            // its prefill compute here. The blade retains no sequence KV
-            // (everything streams to the decode pool), so the cache is
-            // its only occupancy and is bounded by the blade's KV budget;
-            // references are dropped as soon as the handoff is priced.
-            let mut skip = 0u32;
-            if let (Some(pc), Some(prefix)) = (sim.config().prefix, r.prefix) {
-                let (chain, hits, covered) = blade.acquire_prefix(pc, prefix);
-                skip = covered;
-                blade.record_prefix_admission(pc, prefix, chain.len(), hits, skip);
-                if skip > 0 {
-                    obs.on_cache_hit(b as u32, start, r, skip);
-                } else {
-                    obs.on_cache_miss(b as u32, start, r);
-                }
-                let cache = blade.cache.as_mut().expect("cache present when enabled");
-                cache
-                    .insert(&chain, hits)
-                    .expect("suffix absent by acquire");
-                cache
-                    .release(&chain, chain.len())
-                    .expect("acquired/inserted above");
-                let budget = (sim.config().kv_capacity_bytes / sim.kv_bytes_per_token()) as u64;
-                let evicted = cache.evict_to_budget(pc.block_tokens, budget);
-                blade.cache_evictions += evicted;
-                for _ in 0..evicted {
-                    obs.on_cache_evict(b as u32, start, pc.block_tokens);
-                }
-                // The cache is the prefill blade's whole KV occupancy:
-                // fold it into the blade's peak (and its partial tail
-                // blocks into fragmentation) so shared ≤ total holds.
-                let charged = cache.charged_tokens(pc.block_tokens);
-                blade.shared_peak_tokens = blade.shared_peak_tokens.max(charged);
-                blade.kv_peak_tokens = blade.kv_peak_tokens.max(charged);
-                blade.frag_peak_tokens = blade
-                    .frag_peak_tokens
-                    .max(charged - cache.resident_tokens());
-                outcomes[idx].prefix_saved_tokens += u64::from(skip);
-            }
-            // Global-tier race (cluster coordination): when the tier held
-            // more of this prefix than the blade's own cache at arrival,
-            // the remainder streams in over the tier's link iff that
-            // beats recomputing it locally (see [`super::coord`]).
-            let mut tier_transfer_s = 0.0;
-            if let (Some(coord), Some(_)) = (sim.coord(), r.prefix) {
-                let covered = coord.covered[idx].min(r.prompt_tokens);
-                if covered > skip {
-                    let remote = covered - skip;
-                    let transfer = coord
-                        .link
-                        .transfer_s(f64::from(remote) * sim.kv_bytes_per_token());
-                    let recompute = table.prefill_cost(r.prompt_tokens - skip)
-                        - if r.prompt_tokens > covered {
-                            table.prefill_cost(r.prompt_tokens - covered)
-                        } else {
-                            0.0
-                        };
-                    let streams = transfer < recompute;
-                    blade.remote_hits += 1;
-                    obs.on_remote_cache_hit(b as u32, start, r, remote, transfer, streams);
-                    if streams {
-                        blade.remote_streams += 1;
-                        blade.remote_streamed_tokens += u64::from(remote);
-                        outcomes[idx].prefix_saved_tokens += u64::from(remote);
-                        tier_transfer_s = transfer;
-                        skip = covered;
-                    } else {
-                        blade.remote_recomputes += 1;
-                    }
-                }
-            }
-            let cost = tier_transfer_s
-                + if r.prompt_tokens > skip {
-                    table.prefill_cost(r.prompt_tokens - skip)
-                } else {
-                    0.0
-                };
-            blade.clock = start + cost;
-            blade.busy_s += cost;
-            blade.max_step_s = blade.max_step_s.max(cost);
-            let transfer = link.transfer_s(kv_stream_bytes(r));
-            ready[idx] = blade.clock + transfer;
-            prefilled[idx] = true;
-            obs.on_handoff(b as u32, blade.clock, r, transfer);
-            decode_queue.push_back(idx);
-        } else {
-            let (at, b) = decode_action.expect("chosen above");
-            let blade = &mut states[b];
-            if blade.running.is_empty() {
-                blade.clock = blade.clock.max(at);
-            }
-            sim.policy()
-                .order_queue(blade.clock, trace, &mut decode_queue);
-            let clock = blade.clock;
-            let (eligible, waiting): (Vec<usize>, Vec<usize>) = decode_queue
-                .iter()
-                .copied()
-                .partition(|&i| ready[i] <= clock);
-            decode_queue.clear();
-            decode_queue.extend(eligible);
-            decode_queue.extend(waiting);
-            victims.clear();
-            served += ctx.step(
-                trace,
-                &ready,
-                &mut decode_queue,
-                blade,
-                &mut outcomes,
-                Some(&mut victims),
-                Some(&prefilled),
-                None,
-                obs,
-            );
-            for &v in &victims {
-                // The victim's KV must be re-streamed from the prefill
-                // tier before it can restart anywhere.
-                ready[v] = states[b].clock + link.transfer_s(kv_stream_bytes(&trace[v]));
-            }
-        }
-    }
-    assemble(sim, trace, &states, &outcomes, roles, None, None)
-}
-
-/// Event-driven twin of [`run_disaggregated_per_step`]: the same
-/// prefill/decode alternation and bit-identical reports, with the
-/// per-round queue scans made incremental — the prompt queue's next
-/// arrival read off its head under FCFS (it only ever pops, so it stays
-/// arrival-sorted), the decode pool's ready fold replaced by a lazy
-/// ready-time window, the FCFS no-op re-sorts skipped, and the
-/// eligibility partition skipped whenever the window proves it the
-/// identity (handoff ready times are not queue-ordered, so the FCFS
-/// shortcut of the central loop does not apply here).
-fn run_disaggregated_event(
-    sim: &ServingSimulator<'_>,
-    trace: &[RequestSpec],
-    table: &CostTable,
-    roles: &[BladeRole],
-    link: &HandoffLink,
-    obs: &mut dyn SimObserver,
-) -> ClusterReport {
-    let ctx = sim.ctx(table);
-    let fcfs = sim.policy().ordering() == OrderingContract::Fcfs;
-    let prefillers: Vec<usize> = roles
-        .iter()
-        .enumerate()
-        .filter(|&(_, &r)| r == BladeRole::Prefill)
-        .map(|(b, _)| b)
-        .collect();
-    let decoders: Vec<usize> = roles
-        .iter()
-        .enumerate()
-        .filter(|&(_, r)| r.can_decode())
-        .map(|(b, _)| b)
-        .collect();
-    let mut states: Vec<BladeState> = (0..roles.len())
-        .map(|b| BladeState::new(b as u32, 0.0, sim.config().prefix))
-        .collect();
-    let mut prompt_queue = ServingSimulator::arrival_queue(trace);
-    let mut decode_queue: VecDeque<usize> = VecDeque::new();
+    let mut pool = Pool::handoff(trace, new(VecDeque::new()));
     let mut outcomes = vec![Outcome::default(); trace.len()];
-    let mut ready: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
     let mut prefilled = vec![false; trace.len()];
-    let mut in_decode = vec![false; trace.len()];
-    let mut window = ReadyWindow::new();
     let mut victims: Vec<usize> = Vec::new();
-    let kv_stream_bytes = |r: &RequestSpec| f64::from(r.prompt_tokens) * sim.kv_bytes_per_token();
+    let stream_s = |idx: usize| {
+        link.transfer_s(f64::from(trace[idx].prompt_tokens) * sim.kv_bytes_per_token())
+    };
     let mut served = 0u32;
     while served < trace.len() as u32 {
-        let prefill_action = if prompt_queue.is_empty() {
-            None
-        } else {
-            // Under FCFS the head is the earliest arrival (the prompt
-            // queue only pops — victims re-enter the decode pool);
-            // clock-ordering policies keep the legacy fold.
-            let next_arrival = if fcfs {
-                trace[*prompt_queue.front().expect("non-empty")].arrival_s
-            } else {
-                prompt_queue
-                    .iter()
-                    .map(|&i| trace[i].arrival_s)
-                    .fold(f64::MAX, f64::min)
-            };
-            prefillers
-                .iter()
-                .map(|&b| (states[b].clock.max(next_arrival), b))
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-        };
-        let next_ready = window.min(&in_decode, &ready).unwrap_or(f64::MAX);
-        let decode_action = decoders
-            .iter()
-            .filter_map(|&b| {
-                let s = &states[b];
-                if !s.running.is_empty() {
-                    Some((s.clock, b))
-                } else if !decode_queue.is_empty() {
-                    Some((s.clock.max(next_ready), b))
-                } else {
-                    None
-                }
-            })
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let do_prefill = match (prefill_action, decode_action) {
-            (Some((tp, _)), Some((td, _))) => tp <= td,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => {
-                debug_assert!(false, "disaggregated loop idle with work pending");
-                break;
-            }
-        };
-        if do_prefill {
-            let (at, b) = prefill_action.expect("chosen above");
-            let blade = &mut states[b];
-            blade.clock = blade.clock.max(at);
-            if !fcfs {
-                sim.policy()
-                    .order_queue(blade.clock, trace, &mut prompt_queue);
-            }
-            let idx = prompt_queue.pop_front().expect("prompt queue non-empty");
-            let r = &trace[idx];
-            let start = blade.clock.max(r.arrival_s);
-            let mut skip = 0u32;
-            if let (Some(pc), Some(prefix)) = (sim.config().prefix, r.prefix) {
-                let (chain, hits, covered) = blade.acquire_prefix(pc, prefix);
-                skip = covered;
-                blade.record_prefix_admission(pc, prefix, chain.len(), hits, skip);
-                if skip > 0 {
-                    obs.on_cache_hit(b as u32, start, r, skip);
-                } else {
-                    obs.on_cache_miss(b as u32, start, r);
-                }
-                let cache = blade.cache.as_mut().expect("cache present when enabled");
-                cache
-                    .insert(&chain, hits)
-                    .expect("suffix absent by acquire");
-                cache
-                    .release(&chain, chain.len())
-                    .expect("acquired/inserted above");
-                let budget = (sim.config().kv_capacity_bytes / sim.kv_bytes_per_token()) as u64;
-                let evicted = cache.evict_to_budget(pc.block_tokens, budget);
-                blade.cache_evictions += evicted;
-                for _ in 0..evicted {
-                    obs.on_cache_evict(b as u32, start, pc.block_tokens);
-                }
-                let charged = cache.charged_tokens(pc.block_tokens);
-                blade.shared_peak_tokens = blade.shared_peak_tokens.max(charged);
-                blade.kv_peak_tokens = blade.kv_peak_tokens.max(charged);
-                blade.frag_peak_tokens = blade
-                    .frag_peak_tokens
-                    .max(charged - cache.resident_tokens());
-                outcomes[idx].prefix_saved_tokens += u64::from(skip);
-            }
-            // Global-tier race (cluster coordination): when the tier held
-            // more of this prefix than the blade's own cache at arrival,
-            // the remainder streams in over the tier's link iff that
-            // beats recomputing it locally (see [`super::coord`]).
-            let mut tier_transfer_s = 0.0;
-            if let (Some(coord), Some(_)) = (sim.coord(), r.prefix) {
-                let covered = coord.covered[idx].min(r.prompt_tokens);
-                if covered > skip {
-                    let remote = covered - skip;
-                    let transfer = coord
-                        .link
-                        .transfer_s(f64::from(remote) * sim.kv_bytes_per_token());
-                    let recompute = table.prefill_cost(r.prompt_tokens - skip)
-                        - if r.prompt_tokens > covered {
-                            table.prefill_cost(r.prompt_tokens - covered)
-                        } else {
-                            0.0
-                        };
-                    let streams = transfer < recompute;
-                    blade.remote_hits += 1;
-                    obs.on_remote_cache_hit(b as u32, start, r, remote, transfer, streams);
-                    if streams {
-                        blade.remote_streams += 1;
-                        blade.remote_streamed_tokens += u64::from(remote);
-                        outcomes[idx].prefix_saved_tokens += u64::from(remote);
-                        tier_transfer_s = transfer;
-                        skip = covered;
-                    } else {
-                        blade.remote_recomputes += 1;
-                    }
-                }
-            }
-            let cost = tier_transfer_s
-                + if r.prompt_tokens > skip {
-                    table.prefill_cost(r.prompt_tokens - skip)
-                } else {
-                    0.0
+        let prefill_action = next_action(
+            &states,
+            prefillers.iter().copied(),
+            prompts.next_arrival(trace),
+        );
+        let next_ready = pool.next_ready();
+        let waiting = (!pool.is_empty()).then_some(next_ready);
+        let decode_action = next_action(&states, decoders.iter().copied(), waiting);
+        let prefill_first =
+            prefill_action.filter(|&(tp, _)| decode_action.is_none_or(|(td, _)| tp <= td));
+        match (prefill_first, decode_action) {
+            (Some((tp, b)), _) => {
+                let blade = &mut states[b];
+                blade.clock = blade.clock.max(tp);
+                prompts.prepare(blade.clock, trace, sim.policy());
+                let Some(idx) = prompts.pop_front() else {
+                    debug_assert!(false, "a prefill action implies a queued prompt");
+                    break;
                 };
-            blade.clock = start + cost;
-            blade.busy_s += cost;
-            blade.max_step_s = blade.max_step_s.max(cost);
-            let transfer = link.transfer_s(kv_stream_bytes(r));
-            ready[idx] = blade.clock + transfer;
-            prefilled[idx] = true;
-            obs.on_handoff(b as u32, blade.clock, r, transfer);
-            decode_queue.push_back(idx);
-            in_decode[idx] = true;
-            window.push(ready[idx], idx);
-        } else {
-            let (at, b) = decode_action.expect("chosen above");
-            let blade = &mut states[b];
-            if blade.running.is_empty() {
-                blade.clock = blade.clock.max(at);
+                prefill_round(&ctx, trace, idx, blade, &mut outcomes[idx], obs);
+                let transfer = stream_s(idx);
+                pool.ready[idx] = blade.clock + transfer;
+                prefilled[idx] = true;
+                obs.on_handoff(blade.id, blade.clock, &trace[idx], transfer);
+                pool.push(idx);
             }
-            if !fcfs {
-                sim.policy()
-                    .order_queue(blade.clock, trace, &mut decode_queue);
-            }
-            let clock = blade.clock;
-            let skip_partition = window.max(&in_decode, &ready).is_none_or(|t| t <= clock)
-                || window.min(&in_decode, &ready).is_none_or(|t| t > clock);
-            if !skip_partition {
-                let (eligible, waiting): (Vec<usize>, Vec<usize>) = decode_queue
-                    .iter()
-                    .copied()
-                    .partition(|&i| ready[i] <= clock);
-                decode_queue.clear();
-                decode_queue.extend(eligible);
-                decode_queue.extend(waiting);
-            }
-            victims.clear();
-            let mut tracked = TrackedQueue::new(&mut decode_queue);
-            served += ctx.step(
-                trace,
-                &ready,
-                &mut tracked,
-                blade,
-                &mut outcomes,
-                Some(&mut victims),
-                Some(&prefilled),
-                None,
-                obs,
-            );
-            for &i in &tracked.admitted {
-                in_decode[i] = false;
-            }
-            for &v in &victims {
-                ready[v] = states[b].clock + link.transfer_s(kv_stream_bytes(&trace[v]));
-                in_decode[v] = true;
-                window.push(ready[v], v);
-            }
-            // Fast-forward the decode pool through its pure-decode
-            // future with a leapfrog (exact per-step round order across
-            // decoders, ties broken by blade index as in `chosen`).
-            // Shared gates: the prefill tier's next action (prefill
-            // wins clock ties) and any idle decoder's next admission
-            // instant. Per-member gates: the next queued ready time
-            // while a batch slot is open, and — batch full — the next
-            // handoff delivery or victim re-stream, whose arrival
-            // observably re-partitions the pool (handoff ready times
-            // are not queue-ordered, so no policy earns the central
-            // loop's FCFS exemption). All gates are frozen across the
-            // leapfrog: nothing is admitted or evicted, and the prompt
-            // queue only moves on prefill rounds.
-            let queue_empty = decode_queue.is_empty();
-            let next_ready = window.min(&in_decode, &ready).unwrap_or(f64::MAX);
-            let mut shared_gate = f64::INFINITY;
-            if let Some((tp, _)) = prefill_action {
-                shared_gate = tp;
-            }
-            let mut min_clock = f64::INFINITY;
-            let mut any_full = false;
-            let mut pool: Vec<(usize, bool)> = Vec::with_capacity(decoders.len());
-            for &ob in &decoders {
-                let s = &states[ob];
-                if s.running.is_empty() {
-                    if !queue_empty {
-                        shared_gate = shared_gate.min(s.clock.max(next_ready));
-                    }
-                    continue;
+            (None, Some((at, b))) => {
+                let blade = &mut states[b];
+                if blade.running.is_empty() {
+                    blade.clock = blade.clock.max(at);
                 }
-                min_clock = min_clock.min(s.clock);
-                let full = s.running.len() >= ctx.config.max_batch as usize;
-                any_full |= full;
-                pool.push((ob, full));
-            }
-            if !pool.is_empty() && shared_gate > min_clock {
-                // The delivery transition is measured from the minimal
-                // member clock so it lower-bounds every member's own;
-                // a member already past it parks, conservatively.
-                let e = if any_full {
-                    decode_queue
-                        .iter()
-                        .map(|&i| ready[i])
-                        .filter(|&t| t > min_clock)
-                        .fold(f64::INFINITY, f64::min)
-                } else {
-                    f64::INFINITY
-                };
-                let members: Vec<LeapfrogMember> = pool
-                    .into_iter()
-                    .map(|(blade, full)| LeapfrogMember {
-                        blade,
-                        start_gate_s: if full {
-                            e
-                        } else if !queue_empty {
-                            next_ready
-                        } else {
-                            f64::INFINITY
-                        },
-                    })
-                    .collect();
-                leapfrog_decode(
-                    &ctx,
+                pool.prepare(blade.clock, trace, sim.policy());
+                victims.clear();
+                served += ctx.step(
                     trace,
-                    &mut states,
-                    &members,
-                    &StretchHorizon::until(shared_gate),
+                    &mut pool,
+                    blade,
+                    &mut outcomes,
+                    Some(&mut victims),
+                    Some(&prefilled),
+                    None,
                     obs,
                 );
+                for &v in &victims {
+                    // The victim's KV must be re-streamed from the prefill
+                    // tier before it can restart anywhere.
+                    pool.ready[v] = states[b].clock + stream_s(v);
+                }
+                pool.settle(&victims);
+                if !E {
+                    let prefill_gate = prefill_action.map_or(f64::INFINITY, |(tp, _)| tp);
+                    let pool_blades = decoders.iter().copied();
+                    leapfrog_pool(
+                        &ctx,
+                        trace,
+                        &mut states,
+                        pool_blades,
+                        prefill_gate,
+                        &mut pool,
+                        obs,
+                    );
+                }
+            }
+            (None, None) => {
+                debug_assert!(false, "disaggregated loop idle with work pending");
+                break;
             }
         }
     }
     assemble(sim, trace, &states, &outcomes, roles, None, None)
 }
 
+/// One prefill-tier round on `blade` for `trace[idx]`: a whole-prompt
+/// pass, batch-1, starting at the later of the blade clock and the
+/// arrival. A prefix cached on this blade skips its compute, and the
+/// global tier may stream more of it in (see
+/// [`EngineCtx::race_global_tier`]). The blade retains no sequence KV
+/// (everything streams to the decode pool), so its prefix cache is its
+/// only occupancy and is bounded by the blade's KV budget; references are
+/// dropped as soon as the handoff is priced.
+fn prefill_round(
+    ctx: &EngineCtx<'_>,
+    trace: &[RequestSpec],
+    idx: usize,
+    blade: &mut BladeState,
+    outcome: &mut Outcome,
+    obs: &mut dyn SimObserver,
+) {
+    let r = &trace[idx];
+    let start = blade.clock.max(r.arrival_s);
+    let mut skip = 0u32;
+    if let (Some(pc), Some(prefix), Some(cache)) =
+        (ctx.config.prefix, r.prefix, blade.cache.as_mut())
+    {
+        let (chain, hits, covered) = acquire_prefix(cache, pc, prefix);
+        skip = covered;
+        if skip > 0 {
+            obs.on_cache_hit(blade.id, start, r, skip);
+        } else {
+            obs.on_cache_miss(blade.id, start, r);
+        }
+        cache
+            .insert(&chain, hits)
+            .expect("suffix absent by acquire");
+        cache
+            .release(&chain, chain.len())
+            .expect("acquired/inserted above");
+        let budget = (ctx.config.kv_capacity_bytes / ctx.kv_bytes_per_token) as u64;
+        let evicted = cache.evict_to_budget(pc.block_tokens, budget);
+        blade.cache_evictions += evicted;
+        for _ in 0..evicted {
+            obs.on_cache_evict(blade.id, start, pc.block_tokens);
+        }
+        // The cache is the prefill blade's whole KV occupancy: fold it
+        // into the blade's peak (and its partial tail blocks into
+        // fragmentation) so shared ≤ total holds.
+        let charged = cache.charged_tokens(pc.block_tokens);
+        let fragmentation = charged - cache.resident_tokens();
+        blade.shared_peak_tokens = blade.shared_peak_tokens.max(charged);
+        blade.kv_peak_tokens = blade.kv_peak_tokens.max(charged);
+        blade.frag_peak_tokens = blade.frag_peak_tokens.max(fragmentation);
+        blade.record_prefix_admission(pc, prefix, chain.len(), hits, skip);
+        outcome.prefix_saved_tokens += u64::from(skip);
+    }
+    let mut tier_transfer_s = 0.0;
+    if r.prefix.is_some() {
+        if let Some((transfer, covered)) = ctx.race_global_tier(trace, idx, skip, start, blade, obs)
+        {
+            outcome.prefix_saved_tokens += u64::from(covered - skip);
+            tier_transfer_s = transfer;
+            skip = covered;
+        }
+    }
+    let cost = tier_transfer_s
+        + if r.prompt_tokens > skip {
+            ctx.table.prefill_cost(r.prompt_tokens - skip)
+        } else {
+            0.0
+        };
+    blade.clock = start + cost;
+    blade.busy_s += cost;
+    blade.max_step_s = blade.max_step_s.max(cost);
+}
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,14 +10,17 @@
 
 use super::control::{AdmissionControl, ControlState};
 use super::coord::CoordPlan;
-use super::events::{AdmissionQueue, DecodeStretch, Gate, SchedQueue, StretchHorizon};
+use super::events::{
+    AdmissionQueue, DecodeStretch, Discipline, Exhaustive, Fcfs, Gate, KeyedQueue, Resort,
+    StretchHorizon,
+};
 use super::kv::KvLayout;
 use super::observer::{NoopObserver, SimObserver};
-use super::policy::{FcfsPolicy, SchedulerPolicy};
+use super::policy::{OrderingContract, SchedulerPolicy};
 use super::prefix::{CacheEviction, PrefixBlock, PrefixCache, PrefixCachingConfig, SharedPrefix};
-use super::report::{FrontierPoint, Percentiles, ServingReport, SloClass, SloClassReport};
+use super::report::{Percentiles, ServingReport, SloClass, SloClassReport};
 use super::telemetry::profile;
-use super::traces::{RequestSpec, TraceConfig};
+use super::traces::RequestSpec;
 use crate::error::OptimusError;
 use crate::inference::InferenceEstimator;
 use llm_workload::kvcache::{KvCache, KvConvention};
@@ -43,28 +46,27 @@ pub enum DecodePricing {
     ExactPerSequence,
 }
 
-/// Which core drives the replay loops.
+/// Which queue discipline drives the replay loops.
 ///
-/// Both cores are *bit-identical* on every configuration — the
-/// regression pins and the `core_equivalence` proptests enforce it — so
-/// the choice is purely a wall-time one. The event-driven core advances
-/// time only when state can change: O(1) idle fast-forwards, policy
-/// order maintained incrementally, pure-decode stretches batched between
-/// events, and the cluster loops' per-round queue scans replaced by
-/// lazy ready-time heaps.
+/// There is one replay loop per topology (single blade, central
+/// dispatch, disaggregated), generic over a queue discipline; this is the
+/// one switch that picks it. Both choices are *bit-identical* on every
+/// configuration — the regression pins and the `core_equivalence`
+/// proptests enforce it — so the choice is purely a wall-time one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SimCore {
-    /// Heap-scheduled event-driven core (the default).
+    /// Event-driven disciplines (the default): the policy order is kept
+    /// incrementally, ready times come off lazy heaps, eligibility
+    /// partitions that are provably the identity are skipped, idle gaps
+    /// are jumped in O(1), and pure-decode rounds are fast-forwarded in
+    /// closed form (stretches, and leapfrogs across coupled blades).
     #[default]
     EventDriven,
-    /// The legacy iteration-by-iteration loops, kept as the equivalence
-    /// oracle while the event core is the default.
-    ///
-    /// **Deprecation cycle started:** serving as the oracle for the
-    /// `core_equivalence` suite is this core's remaining purpose. New
-    /// code should not select it; a future PR will gate it behind a
-    /// test-only path and then remove it once the equivalence pins have
-    /// accumulated enough history on the event core alone.
+    /// The per-step reference discipline: before every round the queue
+    /// is re-sorted and fully partitioned and the next ready time is
+    /// found by a scan; every decode iteration runs as its own round.
+    /// It is the oracle the event-driven disciplines are checked
+    /// against, not a deployment option.
     PerStep,
 }
 
@@ -399,24 +401,23 @@ pub(crate) struct BladeState {
     pub(crate) remote_recomputes: u64,
 }
 
-impl BladeState {
-    /// Acquires `prefix`'s block chain in this blade's cache, returning
-    /// the chain, the count of leading blocks already resident, and the
-    /// prefill tokens they cover. The hits hold references until
-    /// released; the caller inserts the missing suffix once its capacity
-    /// or budget check passes (or releases the hits to roll back).
-    pub(crate) fn acquire_prefix(
-        &mut self,
-        pc: PrefixCachingConfig,
-        prefix: SharedPrefix,
-    ) -> (Vec<PrefixBlock>, usize, u32) {
-        let cache = self.cache.as_mut().expect("cache present when enabled");
-        let chain = prefix.block_chain(pc.block_tokens);
-        let hits = cache.acquire(&chain);
-        let skip = chain[..hits].iter().map(|b| b.tokens).sum();
-        (chain, hits, skip)
-    }
+/// Acquires `prefix`'s block chain in a blade's `cache`, returning the
+/// chain, the count of leading blocks already resident, and the prefill
+/// tokens they cover. The hits hold references until released; the
+/// caller inserts the missing suffix once its capacity or budget check
+/// passes (or releases the hits to roll back).
+pub(crate) fn acquire_prefix(
+    cache: &mut PrefixCache,
+    pc: PrefixCachingConfig,
+    prefix: SharedPrefix,
+) -> (Vec<PrefixBlock>, usize, u32) {
+    let chain = prefix.block_chain(pc.block_tokens);
+    let hits = cache.acquire(&chain);
+    let skip = chain[..hits].iter().map(|b| b.tokens).sum();
+    (chain, hits, skip)
+}
 
+impl BladeState {
     /// Records a completed prefix admission: one hit (some leading block
     /// was resident) or miss, plus the copy-on-write tail copy a
     /// full-chain hit of a non-block-aligned prefix pays — a shared
@@ -536,15 +537,16 @@ impl EngineCtx<'_> {
     ) -> Option<Admission> {
         let cfg = self.config;
         let r = &trace[idx];
-        if let (Some(pc), Some(prefix), false) = (cfg.prefix, r.prefix, streamed) {
-            let (chain, hits, skip) = blade.acquire_prefix(pc, prefix);
+        if let (Some(pc), Some(prefix), false, Some(cache)) =
+            (cfg.prefix, r.prefix, streamed, blade.cache.as_mut())
+        {
+            let (chain, hits, skip) = acquire_prefix(cache, pc, prefix);
             let shared = prefix.shared_tokens(pc.block_tokens);
             let private = cfg
                 .kv_layout
                 .charged_tokens(u64::from(r.prompt_tokens) + 1 - u64::from(shared));
             let new_blocks = (chain.len() - hits) as u64;
             let block = u64::from(pc.block_tokens);
-            let cache = blade.cache.as_mut().expect("cache present when enabled");
             loop {
                 let total = *projected
                     + private
@@ -591,6 +593,50 @@ impl EngineCtx<'_> {
         }
     }
 
+    /// The global-tier race of admitting `trace[idx]` at `at` with `skip`
+    /// prompt tokens already cached on `blade`: when the cluster tier held
+    /// more of the prefix at arrival, streaming the extra span over the
+    /// tier's link competes with recomputing it locally — the cheaper one
+    /// wins and the choice is recorded (see [`super::coord`]). Returns
+    /// the transfer time and the tokens now covered when streaming wins.
+    pub(crate) fn race_global_tier(
+        &self,
+        trace: &[RequestSpec],
+        idx: usize,
+        skip: u32,
+        at: f64,
+        blade: &mut BladeState,
+        obs: &mut dyn SimObserver,
+    ) -> Option<(f64, u32)> {
+        let coord = self.coord?;
+        let r = &trace[idx];
+        let prompt = r.prompt_tokens;
+        let covered = coord.covered[idx].min(prompt);
+        if covered <= skip {
+            return None;
+        }
+        let remote = covered - skip;
+        let transfer = coord
+            .link
+            .transfer_s(f64::from(remote) * self.kv_bytes_per_token);
+        let recompute = self.table.prefill_cost(prompt - skip)
+            - if prompt > covered {
+                self.table.prefill_cost(prompt - covered)
+            } else {
+                0.0
+            };
+        let streams = transfer < recompute;
+        blade.remote_hits += 1;
+        obs.on_remote_cache_hit(blade.id, at, r, remote, transfer, streams);
+        if !streams {
+            blade.remote_recomputes += 1;
+            return None;
+        }
+        blade.remote_streams += 1;
+        blade.remote_streamed_tokens += u64::from(remote);
+        Some((transfer, covered))
+    }
+
     /// Drops the references sequence `r` holds on its prefix chain (it
     /// acquired/inserted them at admission) when it leaves the blade.
     /// Streamed (handed-off) sequences never touched the cache.
@@ -620,12 +666,12 @@ impl EngineCtx<'_> {
     /// step, emit one token per decoding sequence. Returns the number of
     /// requests completed this step.
     ///
-    /// `ready` gives the instant each request may (re-)enter a batch: its
-    /// arrival for fresh requests, the eviction instant for preempted
-    /// ones (the cluster's central loop maintains this so a victim cannot
-    /// restart on another blade before it was evicted; single-blade
-    /// replay passes plain arrivals — one clock can't violate causality).
-    /// `evicted`, when given, collects the trace indices preempted this
+    /// The queue gives the instant each request may (re-)enter a batch
+    /// ([`AdmissionQueue::ready_at`]): its arrival for fresh requests, the
+    /// eviction instant for preempted ones (a shared queue tracks this so
+    /// a victim cannot restart on another blade before it was evicted;
+    /// single-blade queues report plain arrivals — one clock can't
+    /// violate causality). `evicted`, when given, collects the trace indices preempted this
     /// step so the caller can stamp their re-entry time. `prefilled`,
     /// when given, marks requests whose KV already exists (streamed from
     /// a prefill blade): they enter the decode batch at full prompt
@@ -640,7 +686,6 @@ impl EngineCtx<'_> {
     pub(crate) fn step<Q: AdmissionQueue>(
         &self,
         trace: &[RequestSpec],
-        ready: &[f64],
         queue: &mut Q,
         blade: &mut BladeState,
         outcomes: &mut [Outcome],
@@ -661,7 +706,7 @@ impl EngineCtx<'_> {
         let mut sheds = 0u32;
         let admission_span = profile::span(profile::Phase::Admission);
         while let Some(idx) = queue.peek() {
-            if ready[idx] > blade.clock
+            if queue.ready_at(trace, idx) > blade.clock
                 || blade.running.len() + admitted.len() >= cfg.max_batch as usize
             {
                 break;
@@ -702,44 +747,12 @@ impl EngineCtx<'_> {
                     obs.on_cache_miss(blade.id, blade.clock, r);
                 }
                 outcomes[idx].prefix_saved_tokens += u64::from(skip);
-                // Global-tier race: when the cluster tier held more of
-                // this prefix at arrival than the blade's own cache does
-                // now, streaming the extra span over the interconnect
-                // competes with recomputing it locally — the cheaper one
-                // wins and the choice is recorded (see `super::coord`).
-                if let Some(coord) = self.coord {
-                    let covered = coord.covered[idx].min(prompt);
-                    if covered > skip {
-                        let remote = covered - skip;
-                        let transfer = coord
-                            .link
-                            .transfer_s(f64::from(remote) * self.kv_bytes_per_token);
-                        let recompute = self.table.prefill_cost(prompt - skip)
-                            - if prompt > covered {
-                                self.table.prefill_cost(prompt - covered)
-                            } else {
-                                0.0
-                            };
-                        let streams = transfer < recompute;
-                        blade.remote_hits += 1;
-                        obs.on_remote_cache_hit(
-                            blade.id,
-                            blade.clock,
-                            r,
-                            remote,
-                            transfer,
-                            streams,
-                        );
-                        if streams {
-                            blade.remote_streams += 1;
-                            blade.remote_streamed_tokens += u64::from(remote);
-                            outcomes[idx].prefix_saved_tokens += u64::from(remote);
-                            step_cost += transfer;
-                            skip = covered;
-                        } else {
-                            blade.remote_recomputes += 1;
-                        }
-                    }
+                if let Some((transfer, covered)) =
+                    self.race_global_tier(trace, idx, skip, blade.clock, blade, obs)
+                {
+                    outcomes[idx].prefix_saved_tokens += u64::from(covered - skip);
+                    step_cost += transfer;
+                    skip = covered;
                 }
             }
             if streamed {
@@ -965,51 +978,12 @@ impl EngineCtx<'_> {
         completions + sheds
     }
 
-    /// Drives blade `blade_id` until every request in `queue` has
-    /// completed. `outcomes` spans the whole trace; only the queued
-    /// indices are written.
-    pub(crate) fn drive(
-        &self,
-        blade_id: u32,
-        trace: &[RequestSpec],
-        mut queue: VecDeque<usize>,
-        outcomes: &mut [Outcome],
-        mut ctl: Option<&mut ControlState>,
-        obs: &mut dyn SimObserver,
-    ) -> BladeState {
-        let ready: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-        let expected = queue.len() as u32;
-        let first_arrival = queue
-            .iter()
-            .map(|&i| trace[i].arrival_s)
-            .fold(f64::MAX, f64::min);
-        let mut blade = BladeState::new(blade_id, first_arrival, self.config.prefix);
-        while blade.served < expected {
-            if blade.running.is_empty() && !queue.is_empty() {
-                let next = queue
-                    .iter()
-                    .map(|&i| trace[i].arrival_s)
-                    .fold(f64::MAX, f64::min);
-                blade.clock = blade.clock.max(next);
-            }
-            self.policy.order_queue(blade.clock, trace, &mut queue);
-            self.step(
-                trace,
-                &ready,
-                &mut queue,
-                &mut blade,
-                outcomes,
-                None,
-                None,
-                ctl.as_deref_mut(),
-                obs,
-            );
-        }
-        blade
-    }
-
-    /// Dispatches to the configured replay core.
-    pub(crate) fn drive_auto(
+    /// Drives blade `blade_id` until every request in `queue` (arrival
+    /// ordered) has completed or been shed. `outcomes` spans the whole
+    /// trace; only the queued indices are written. Picks the queue
+    /// discipline for the configured [`SimCore`] and the policy's
+    /// ordering contract.
+    pub(crate) fn drive_blade(
         &self,
         blade_id: u32,
         trace: &[RequestSpec],
@@ -1018,46 +992,52 @@ impl EngineCtx<'_> {
         ctl: Option<&mut ControlState>,
         obs: &mut dyn SimObserver,
     ) -> BladeState {
-        match self.config.core {
-            SimCore::EventDriven => self.drive_event(blade_id, trace, queue, outcomes, ctl, obs),
-            SimCore::PerStep => self.drive(blade_id, trace, queue, outcomes, ctl, obs),
-        }
-    }
-
-    /// Event-driven twin of [`Self::drive`], bit-identical by
-    /// construction: the same `step` body runs over an incrementally
-    /// ordered queue, idle gaps jump to the head's arrival in O(1), and
-    /// pure-decode stretches between events are advanced by
-    /// [`Self::advance_decode_stretch`] instead of one `step` call per
-    /// token.
-    pub(crate) fn drive_event(
-        &self,
-        blade_id: u32,
-        trace: &[RequestSpec],
-        queue: VecDeque<usize>,
-        outcomes: &mut [Outcome],
-        mut ctl: Option<&mut ControlState>,
-        obs: &mut dyn SimObserver,
-    ) -> BladeState {
-        let ready: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-        let expected = queue.len() as u32;
         let first_arrival = queue
             .iter()
             .map(|&i| trace[i].arrival_s)
             .fold(f64::MAX, f64::min);
-        let mut blade = BladeState::new(blade_id, first_arrival, self.config.prefix);
-        let mut sq = SchedQueue::new(self.policy, trace, queue);
-        while blade.served < expected {
-            if blade.running.is_empty() && !sq.is_empty() {
-                if let Some(next) = sq.fast_forward_target(trace) {
+        let blade = BladeState::new(blade_id, first_arrival, self.config.prefix);
+        match (self.config.core, self.policy.ordering()) {
+            (SimCore::PerStep, _) => {
+                self.drive_queue(trace, Exhaustive::new(queue), blade, outcomes, ctl, obs)
+            }
+            (SimCore::EventDriven, OrderingContract::Fcfs) => {
+                self.drive_queue(trace, Fcfs::new(queue), blade, outcomes, ctl, obs)
+            }
+            (SimCore::EventDriven, OrderingContract::StaticKey) => {
+                let queue = KeyedQueue::new(self.policy, trace, queue);
+                self.drive_queue(trace, queue, blade, outcomes, ctl, obs)
+            }
+            (SimCore::EventDriven, OrderingContract::ClockDependent) => {
+                self.drive_queue(trace, Resort::new(queue), blade, outcomes, ctl, obs)
+            }
+        }
+    }
+
+    /// The single-blade replay loop. An idle blade jumps to the next
+    /// arrival; each round brings the queue's order up to date and runs
+    /// one [`Self::step`]. Outside the reference discipline, pure-decode
+    /// iterations up to the next event are then advanced in closed form
+    /// by [`Self::advance_decode_stretch`] instead of one `step` each.
+    fn drive_queue<D: Discipline>(
+        &self,
+        trace: &[RequestSpec],
+        mut queue: D,
+        mut blade: BladeState,
+        outcomes: &mut [Outcome],
+        mut ctl: Option<&mut ControlState>,
+        obs: &mut dyn SimObserver,
+    ) -> BladeState {
+        while !queue.is_empty() || !blade.running.is_empty() {
+            if blade.running.is_empty() {
+                if let Some(next) = queue.idle_target(trace) {
                     blade.clock = blade.clock.max(next);
                 }
             }
-            sq.prepare(blade.clock, trace, self.policy);
+            queue.prepare(blade.clock, trace, self.policy);
             self.step(
                 trace,
-                &ready,
-                &mut sq,
+                &mut queue,
                 &mut blade,
                 outcomes,
                 None,
@@ -1065,16 +1045,19 @@ impl EngineCtx<'_> {
                 ctl.as_deref_mut(),
                 obs,
             );
+            if D::EXHAUSTIVE {
+                continue;
+            }
             // Batch-advance decode-only iterations up to the next event:
             // the head's arrival when a batch slot is open, unbounded
-            // when the batch is full or the queue empty (the per-step
-            // loop would neither admit nor preempt before the stretch's
-            // own capacity/completion bounds end it).
+            // when the batch is full or the queue empty (the reference
+            // would neither admit nor preempt before the stretch's own
+            // capacity/completion bounds end it).
             loop {
                 let gate = if blade.running.len() >= self.config.max_batch as usize {
                     f64::INFINITY
                 } else {
-                    match sq.admission_gate(trace, blade.clock) {
+                    match queue.admission_gate(trace, blade.clock) {
                         Gate::Ready => break,
                         Gate::Empty => f64::INFINITY,
                         Gate::Blocked(at) => at,
@@ -1330,30 +1313,8 @@ pub struct ServingSimulator<'a> {
 }
 
 impl<'a> ServingSimulator<'a> {
-    /// Creates a simulator with the default FCFS policy; validates the
-    /// configuration and model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimusError::Serving`] for invalid configurations and
-    /// propagates model/parallelism validation failures.
-    #[deprecated(
-        since = "0.5.0",
-        note = "build serving runs through `serving::Scenario` (see the README migration \
-                table); this shim delegates to the same validated core the scenario \
-                builder compiles into"
-    )]
-    pub fn new(
-        estimator: &'a InferenceEstimator,
-        model: &'a TransformerConfig,
-        par: &'a Parallelism,
-        config: ServingConfig,
-    ) -> Result<Self, OptimusError> {
-        Self::from_parts(estimator, model, par, config, Box::new(FcfsPolicy), None)
-    }
-
-    /// The one validated constructor both [`Self::new`] and
-    /// [`Scenario::compile`](super::scenario::Scenario::compile) funnel
+    /// The one validated constructor
+    /// [`Scenario::compile`](super::scenario::Scenario::compile) funnels
     /// into. `classes` of `None` installs the single default class
     /// carrying the config's global SLO pair (PR 3 semantics).
     pub(crate) fn from_parts(
@@ -1410,17 +1371,6 @@ impl<'a> ServingSimulator<'a> {
         })
     }
 
-    /// Swaps the scheduling policy (admission order + eviction victim).
-    #[deprecated(
-        since = "0.5.0",
-        note = "set the policy on the builder instead: `serving::Scenario::policy(...)`"
-    )]
-    #[must_use]
-    pub fn with_policy(mut self, policy: impl SchedulerPolicy + 'static) -> Self {
-        self.policy = Box::new(policy);
-        self
-    }
-
     /// The configuration in force.
     #[must_use]
     pub fn config(&self) -> &ServingConfig {
@@ -1448,11 +1398,6 @@ impl<'a> ServingSimulator<'a> {
     /// [`plan_global_tier`](super::coord::plan_global_tier)).
     pub(crate) fn set_coord(&mut self, plan: CoordPlan) {
         self.coord = Some(plan);
-    }
-
-    /// The attached coordination plan, if any.
-    pub(crate) fn coord(&self) -> Option<&CoordPlan> {
-        self.coord.as_ref()
     }
 
     /// Fresh admission-control gate state for a `requests`-long trace, or
@@ -1497,40 +1442,6 @@ impl<'a> ServingSimulator<'a> {
     pub fn replay_serial(&self, trace: &[RequestSpec]) -> Result<ServingReport, OptimusError> {
         let table = self.cost_table(trace, false)?;
         Ok(self.run(trace, &table, &mut NoopObserver))
-    }
-
-    /// Sweeps arrival rates into an SLO-vs-throughput frontier. Each rate
-    /// re-synthesizes `base` with the same seed and replays it; rates are
-    /// replayed concurrently (each replay is independent and
-    /// deterministic, so the frontier is too).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::replay`], plus trace-synthesis failures.
-    #[deprecated(
-        since = "0.5.0",
-        note = "build the scenario with `Scenario::poisson(...)` and sweep with \
-                `CompiledScenario::frontier(...)` instead"
-    )]
-    pub fn slo_frontier(
-        &self,
-        base: &TraceConfig,
-        rates: &[f64],
-    ) -> Result<Vec<FrontierPoint>, OptimusError> {
-        rates
-            .par_iter()
-            .map(|&rate| {
-                let trace = TraceConfig {
-                    arrival_rate_per_s: rate,
-                    ..*base
-                }
-                .synthesize()?;
-                Ok(FrontierPoint {
-                    arrival_rate_per_s: rate,
-                    report: self.replay_serial(&trace)?,
-                })
-            })
-            .collect()
     }
 
     fn kv_bytes(&self, tokens_cached: u64) -> f64 {
@@ -1700,7 +1611,7 @@ impl<'a> ServingSimulator<'a> {
         let ctx = self.ctx(table);
         let mut outcomes = vec![Outcome::default(); trace.len()];
         let mut ctl = self.control_state(trace.len());
-        let blade = ctx.drive_auto(
+        let blade = ctx.drive_blade(
             0,
             trace,
             Self::arrival_queue(trace),

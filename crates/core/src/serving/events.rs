@@ -1,16 +1,19 @@
-//! Event-scheduling primitives for the event-driven simulation core:
-//! a lazy-deletion time-ordered heap ([`EventHeap`]), incremental
-//! policy-ordered queues (`SchedQueue`), and the admission-queue seam
-//! (`AdmissionQueue`, crate-internal) that lets one engine iteration
-//! body serve both the legacy per-step loops and the event-driven ones
-//! bit-identically.
+//! Event-scheduling primitives of the replay loops: a lazy-deletion
+//! time-ordered heap ([`EventHeap`]), the queue disciplines the loops are
+//! generic over (`Discipline`, crate-internal, with the shared-queue
+//! bookkeeping `Pool`), and the closed-form decode fast-forwards
+//! (`DecodeStretch`, `leapfrog_decode`).
 //!
-//! The design constraint throughout is *bit-for-bit* equivalence with
-//! the per-step loops in [`super::engine`] and [`super::cluster`]: every
-//! structure here either reproduces the exact sequence of heads /
-//! minima the legacy O(n)-per-iteration scans would produce, or is only
-//! consulted at points where the legacy loop's answer is provably
-//! unchanged (see the contracts on [`SchedulerPolicy`]).
+//! There is one replay loop per topology — single blade, central
+//! dispatch, disaggregated — in [`super::engine`] and [`super::cluster`].
+//! Each runs either the per-step reference discipline (`Exhaustive`:
+//! plain scans, a full re-sort and partition every round, no
+//! fast-forward) or an event-driven one. The design constraint is
+//! *bit-for-bit* equivalence between the two: every structure here
+//! either reproduces the exact sequence of heads / minima the reference's
+//! O(n)-per-round scans produce, or is only consulted at points where the
+//! reference's answer is provably unchanged (see the contracts on
+//! [`SchedulerPolicy`]).
 
 use super::engine::{BladeState, DecodePricing, EngineCtx};
 use super::kv::KvLayout;
@@ -148,67 +151,23 @@ impl ReadyWindow {
 }
 
 /// The queue operations one engine iteration performs, abstracted so
-/// [`EngineCtx::step`](super::engine::EngineCtx) runs unchanged over a
-/// plain `VecDeque` (legacy loops), an incrementally ordered
-/// [`SchedQueue`], or a [`TrackedQueue`] recording admissions.
+/// [`EngineCtx::step`](super::engine::EngineCtx) runs unchanged over every
+/// [`Discipline`] and over a multi-blade [`Pool`].
 pub(crate) trait AdmissionQueue {
-    /// The next admission candidate (the legacy queue front).
+    /// The next admission candidate (the queue front).
     fn peek(&self) -> Option<usize>;
-    /// Removes the candidate just peeked (it was admitted).
+    /// Removes the candidate just peeked (it was admitted or shed).
     fn pop(&mut self);
-    /// Re-queues a preemption victim at the front (legacy `push_front`).
+    /// Re-queues a preemption victim at the front.
     fn requeue_victim(&mut self, idx: usize);
-}
-
-impl AdmissionQueue for VecDeque<usize> {
-    fn peek(&self) -> Option<usize> {
-        self.front().copied()
-    }
-
-    fn pop(&mut self) {
-        self.pop_front();
-    }
-
-    fn requeue_victim(&mut self, idx: usize) {
-        self.push_front(idx);
+    /// The instant `trace[idx]` may (re-)enter a batch: its arrival, unless
+    /// a shared queue moved it (an eviction, a handoff).
+    fn ready_at(&self, trace: &[RequestSpec], idx: usize) -> f64 {
+        trace[idx].arrival_s
     }
 }
 
-/// A `VecDeque` wrapper recording which indices the engine iteration
-/// admitted, so the cluster event loops can maintain their membership
-/// flags and ready-time heaps incrementally.
-#[derive(Debug)]
-pub(crate) struct TrackedQueue<'a> {
-    queue: &'a mut VecDeque<usize>,
-    pub(crate) admitted: Vec<usize>,
-}
-
-impl<'a> TrackedQueue<'a> {
-    pub(crate) fn new(queue: &'a mut VecDeque<usize>) -> Self {
-        Self {
-            queue,
-            admitted: Vec::new(),
-        }
-    }
-}
-
-impl AdmissionQueue for TrackedQueue<'_> {
-    fn peek(&self) -> Option<usize> {
-        self.queue.front().copied()
-    }
-
-    fn pop(&mut self) {
-        if let Some(idx) = self.queue.pop_front() {
-            self.admitted.push(idx);
-        }
-    }
-
-    fn requeue_victim(&mut self, idx: usize) {
-        self.queue.push_front(idx);
-    }
-}
-
-/// What the single-blade event loop may do at the queue head right now.
+/// What the single-blade loop may do at the queue head right now.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Gate {
     /// The queue is empty: only running work remains.
@@ -220,129 +179,64 @@ pub(crate) enum Gate {
     Blocked(f64),
 }
 
-/// Arrived requests of a [`SchedQueue::Keyed`] queue, ordered exactly as
-/// the legacy loop's repeated stable sorts would order them: by the
-/// policy's clock-independent key, then by an insertion sequence that
-/// keeps new arrivals *behind* key-equals (stable-sort semantics for
-/// appended entries) and re-queued victims *ahead* of them (a victim
-/// re-enters at the queue front, and every later stable sort keeps it
-/// ahead of its ties — most recent victim first).
-#[derive(Debug)]
-pub(crate) struct KeyedQueue {
-    arrived: BTreeSet<(u64, i64, usize)>,
-    /// Not-yet-arrived members, earliest first (the arrival-sorted tail
-    /// the legacy sort leaves untouched).
-    future: VecDeque<usize>,
-    /// `order_key` per trace index, precomputed once.
-    keys: Vec<u64>,
-    next_seq: i64,
-    next_victim_seq: i64,
-}
-
-/// The waiting queue of the single-blade event loop, specialized per
-/// [`OrderingContract`]: FCFS keeps the plain deque untouched, static
-/// keys get an incrementally maintained ordered set, and clock-dependent
-/// policies fall back to re-sorting before each admission-capable
-/// iteration (their contract makes the skipped no-admission sorts
-/// unobservable).
-#[derive(Debug)]
-pub(crate) enum SchedQueue {
-    Fcfs(VecDeque<usize>),
-    Keyed(KeyedQueue),
-    Resort(VecDeque<usize>),
-}
-
-impl SchedQueue {
-    /// Wraps an arrival-ordered queue for `policy`.
-    pub(crate) fn new(
-        policy: &dyn SchedulerPolicy,
-        trace: &[RequestSpec],
-        queue: VecDeque<usize>,
-    ) -> Self {
-        match policy.ordering() {
-            OrderingContract::Fcfs => Self::Fcfs(queue),
-            OrderingContract::StaticKey => {
-                let mut keys = vec![0u64; trace.len()];
-                for &i in &queue {
-                    keys[i] = policy.order_key(&trace[i]);
-                }
-                Self::Keyed(KeyedQueue {
-                    arrived: BTreeSet::new(),
-                    future: queue,
-                    keys,
-                    next_seq: 0,
-                    next_victim_seq: -1,
-                })
-            }
-            OrderingContract::ClockDependent => Self::Resort(queue),
-        }
-    }
-
-    /// Brings the order up to date at `clock` — the moment the legacy
-    /// loop would have called `order_queue` before stepping.
-    pub(crate) fn prepare(
-        &mut self,
-        clock: f64,
-        trace: &[RequestSpec],
-        policy: &dyn SchedulerPolicy,
-    ) {
-        match self {
-            Self::Fcfs(_) => {}
-            Self::Keyed(kq) => {
-                while let Some(&i) = kq.future.front() {
-                    if trace[i].arrival_s > clock {
-                        break;
-                    }
-                    kq.future.pop_front();
-                    kq.arrived.insert((kq.keys[i], kq.next_seq, i));
-                    kq.next_seq += 1;
-                }
-            }
-            Self::Resort(queue) => policy.order_queue(clock, trace, queue),
-        }
-    }
+/// A replay loop's queue discipline: everything the per-step reference
+/// and the event-driven fast paths differ in. Each replay loop — the
+/// single-blade drive, the central-dispatch loop and the disaggregated
+/// loop — exists once, generic over this trait, and
+/// [`SimCore`](super::engine::SimCore) is the only switch that picks a
+/// discipline:
+///
+/// - [`Exhaustive`] (`SimCore::PerStep`) is the per-step reference: it
+///   re-sorts the queue before every round, partitions it by eligibility
+///   in full, finds the next ready time by a fold, and never
+///   fast-forwards. It keeps no incremental state, so the event-driven
+///   disciplines are checked against plain scans.
+/// - [`Fcfs`], [`Resort`] and [`KeyedQueue`] (`SimCore::EventDriven`,
+///   chosen by the policy's [`OrderingContract`]) never re-sort FCFS,
+///   re-sort clock-dependent orders, or keep static keys in an ordered
+///   set; they read ready times off a [`ReadyWindow`], skip partitions
+///   that are provably the identity, and let the loops fast-forward
+///   pure-decode rounds.
+pub(crate) trait Discipline: AdmissionQueue + Sized {
+    /// The per-step reference (see the trait docs).
+    const EXHAUSTIVE: bool;
+    /// Whether [`Self::prepare`] re-sorts from scratch, so the order a
+    /// skipped round's partition would have left is erased anyway.
+    const RESORTS: bool;
 
     /// Whether any request is still waiting.
-    pub(crate) fn is_empty(&self) -> bool {
-        match self {
-            Self::Fcfs(q) | Self::Resort(q) => q.is_empty(),
-            Self::Keyed(kq) => kq.arrived.is_empty() && kq.future.is_empty(),
-        }
+    fn is_empty(&self) -> bool;
+
+    /// Brings the order up to date at `clock` — the moment the per-step
+    /// loop re-sorts before stepping.
+    fn prepare(&mut self, clock: f64, trace: &[RequestSpec], policy: &dyn SchedulerPolicy);
+
+    /// The arrival an idle single blade jumps to, or `None` when the
+    /// jump `clock.max(earliest arrival)` is provably a no-op.
+    fn idle_target(&self, trace: &[RequestSpec]) -> Option<f64>;
+
+    /// Members ready at `now` (the autoscaler's depth signal).
+    fn ready_depth(&self, ready: &[f64], now: f64) -> usize;
+
+    /// The round's eligibility partition at the stepping blade's `clock`:
+    /// afterwards the admission scan meets every eligible member (in
+    /// policy order) before any member still waiting for its ready time.
+    fn partition(pool: &mut Pool<Self>, clock: f64);
+
+    /// Ends the round's partition once the step has run.
+    fn restore(&mut self) {}
+
+    /// The earliest ready time of any member (`f64::MAX` when empty).
+    fn next_ready(pool: &mut Pool<Self>) -> f64 {
+        pool.window
+            .min(&pool.in_queue, &pool.ready)
+            .unwrap_or(f64::MAX)
     }
 
-    /// The arrival the idle-blade fast-forward should jump to, or `None`
-    /// when the legacy `clock.max(min arrival)` is provably a no-op
-    /// (some member already arrived). When `Some(t)` with `t > clock`,
-    /// the head is guaranteed to be the earliest arrival: a front with a
-    /// future arrival implies no re-queued victims (victims arrived in
-    /// the past and sit at the front), so the queue is arrival-sorted.
-    pub(crate) fn fast_forward_target(&self, trace: &[RequestSpec]) -> Option<f64> {
-        match self {
-            Self::Fcfs(q) | Self::Resort(q) => q.front().map(|&i| trace[i].arrival_s),
-            Self::Keyed(kq) => {
-                if kq.arrived.is_empty() {
-                    kq.future.front().map(|&i| trace[i].arrival_s)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Classifies the queue head for the decode-stretch gate at `clock`.
-    /// Must be called after [`Self::prepare`] at the same clock.
-    pub(crate) fn admission_gate(&self, trace: &[RequestSpec], clock: f64) -> Gate {
-        let head = match self {
-            Self::Fcfs(q) | Self::Resort(q) => q.front().copied(),
-            Self::Keyed(kq) => {
-                if let Some(&(_, _, i)) = kq.arrived.first() {
-                    Some(i)
-                } else {
-                    kq.future.front().copied()
-                }
-            }
-        };
-        match head {
+    /// Classifies the queue head for the single-blade stretch gate at
+    /// `clock`. Must be called after [`Self::prepare`] at the same clock.
+    fn admission_gate(&self, trace: &[RequestSpec], clock: f64) -> Gate {
+        match self.peek() {
             None => Gate::Empty,
             Some(i) if trace[i].arrival_s <= clock => Gate::Ready,
             Some(i) => Gate::Blocked(trace[i].arrival_s),
@@ -350,22 +244,152 @@ impl SchedQueue {
     }
 }
 
-/// The shared queue of the cluster's central-dispatch event loop under a
-/// [`OrderingContract::StaticKey`] policy: the incremental
-/// `(key, seq, idx)` ordering of [`KeyedQueue`], extended with the
-/// central loop's ready-time semantics. The legacy loop re-sorts the
-/// whole queue by key every round and then stable-partitions it by
-/// eligibility (`ready <= clock`); here arrivals absorb incrementally,
-/// and the partition's only observable effect — parking blocked victims
+/// A deque-backed discipline, arrival-ordered at construction. The const
+/// parameters are [`Discipline::EXHAUSTIVE`] and [`Discipline::RESORTS`];
+/// use the [`Exhaustive`], [`Fcfs`] and [`Resort`] aliases.
+#[derive(Debug)]
+pub(crate) struct Deque<const EXHAUSTIVE: bool, const RESORTS: bool>(VecDeque<usize>);
+
+/// The per-step reference discipline (`SimCore::PerStep`).
+pub(crate) type Exhaustive = Deque<true, true>;
+/// FCFS: arrival order, never re-sorted.
+pub(crate) type Fcfs = Deque<false, false>;
+/// Clock-dependent orders, re-sorted before every round (their contract
+/// makes the sorts skipped by fast-forwarded rounds unobservable).
+pub(crate) type Resort = Deque<false, true>;
+
+impl<const E: bool, const R: bool> Deque<E, R> {
+    pub(crate) fn new(queue: VecDeque<usize>) -> Self {
+        Self(queue)
+    }
+
+    /// The earliest arrival among members of a queue that only ever pops
+    /// (no victims re-enter it), `None` when empty: the head when the
+    /// queue is never re-sorted (it stays arrival-ordered), else a fold.
+    pub(crate) fn next_arrival(&self, trace: &[RequestSpec]) -> Option<f64> {
+        if R {
+            (!self.0.is_empty()).then(|| {
+                self.0
+                    .iter()
+                    .map(|&i| trace[i].arrival_s)
+                    .fold(f64::MAX, f64::min)
+            })
+        } else {
+            self.0.front().map(|&i| trace[i].arrival_s)
+        }
+    }
+
+    /// Removes and returns the head.
+    pub(crate) fn pop_front(&mut self) -> Option<usize> {
+        self.0.pop_front()
+    }
+}
+
+impl<const E: bool, const R: bool> AdmissionQueue for Deque<E, R> {
+    fn peek(&self) -> Option<usize> {
+        self.0.front().copied()
+    }
+
+    fn pop(&mut self) {
+        self.0.pop_front();
+    }
+
+    fn requeue_victim(&mut self, idx: usize) {
+        self.0.push_front(idx);
+    }
+}
+
+impl<const E: bool, const R: bool> Discipline for Deque<E, R> {
+    const EXHAUSTIVE: bool = E;
+    const RESORTS: bool = R;
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn prepare(&mut self, clock: f64, trace: &[RequestSpec], policy: &dyn SchedulerPolicy) {
+        if R {
+            policy.order_queue(clock, trace, &mut self.0);
+        }
+    }
+
+    /// The reference folds; otherwise the head suffices. When the head
+    /// arrives after `clock` it is the earliest arrival: a front with a
+    /// future arrival implies no re-queued victims (victims arrived in
+    /// the past and sit at the front), so the queue is arrival-sorted.
+    fn idle_target(&self, trace: &[RequestSpec]) -> Option<f64> {
+        if E {
+            self.next_arrival(trace)
+        } else {
+            self.0.front().map(|&i| trace[i].arrival_s)
+        }
+    }
+
+    fn ready_depth(&self, ready: &[f64], now: f64) -> usize {
+        self.0.iter().filter(|&&i| ready[i] <= now).count()
+    }
+
+    /// A stable partition, skipped (outside the reference) when it is the
+    /// identity: every member already eligible, or none; or — central
+    /// dispatch, never re-sorted, no member off the arrival axis — the
+    /// queue is in arrival order and ready times are arrivals.
+    fn partition(pool: &mut Pool<Self>, clock: f64) {
+        let skip = !E
+            && ((!R && !pool.handoff && pool.off_axis_count == 0)
+                || pool
+                    .window
+                    .max(&pool.in_queue, &pool.ready)
+                    .is_none_or(|t| t <= clock)
+                || pool
+                    .window
+                    .min(&pool.in_queue, &pool.ready)
+                    .is_none_or(|t| t > clock));
+        if !skip {
+            let ready = &pool.ready;
+            let queue = &mut pool.queue.0;
+            let (eligible, waiting): (Vec<usize>, Vec<usize>) =
+                queue.iter().copied().partition(|&i| ready[i] <= clock);
+            queue.clear();
+            queue.extend(eligible);
+            queue.extend(waiting);
+        }
+    }
+
+    fn next_ready(pool: &mut Pool<Self>) -> f64 {
+        if E {
+            pool.queue
+                .0
+                .iter()
+                .map(|&i| pool.ready[i])
+                .fold(f64::MAX, f64::min)
+        } else {
+            pool.window
+                .min(&pool.in_queue, &pool.ready)
+                .unwrap_or(f64::MAX)
+        }
+    }
+}
+
+/// The discipline for [`OrderingContract::StaticKey`] policies: arrived
+/// requests live in an ordered set, keyed exactly as the reference's
+/// repeated stable sorts would order them — by the policy's
+/// clock-independent key, then by an insertion sequence that keeps new
+/// arrivals *behind* key-equals (stable-sort semantics for appended
+/// entries) and re-queued victims *ahead* of them (a victim re-enters at
+/// the queue front, and every later stable sort keeps it ahead of its
+/// ties — most recent victim first).
+///
+/// Under central dispatch the reference also partitions by eligibility
+/// every round. Its only observable effect — parking blocked victims
 /// behind every eligible request, demoting them behind their key-ties
 /// for all later rounds — is reproduced by *extracting* blocked victims
-/// for the round and re-inserting them with fresh sequence numbers.
-/// Admitted indices are recorded (as in [`TrackedQueue`]) for the
-/// caller's membership bookkeeping.
+/// for the round ([`Self::extract_blocked`]) and re-inserting them with
+/// fresh sequence numbers ([`Self::restore_blocked`]).
 #[derive(Debug)]
-pub(crate) struct CentralKeyedQueue {
+pub(crate) struct KeyedQueue {
     arrived: BTreeSet<(u64, i64, usize)>,
-    /// Not-yet-arrived members, earliest first.
+    /// Not-yet-arrived members, earliest first (the arrival-sorted tail
+    /// the reference's sort leaves untouched).
     future: VecDeque<usize>,
     /// `order_key` per trace index, precomputed once.
     keys: Vec<u64>,
@@ -375,11 +399,9 @@ pub(crate) struct CentralKeyedQueue {
     /// re-entry time is still in the stepping blade's future), in the
     /// `(key, seq)` order they held.
     blocked: Vec<(u64, i64, usize)>,
-    /// Indices the engine admitted (or shed) this round.
-    pub(crate) admitted: Vec<usize>,
 }
 
-impl CentralKeyedQueue {
+impl KeyedQueue {
     /// Wraps an arrival-ordered queue for a `StaticKey` policy.
     pub(crate) fn new(
         policy: &dyn SchedulerPolicy,
@@ -398,25 +420,6 @@ impl CentralKeyedQueue {
             next_seq: 0,
             next_victim_seq: -1,
             blocked: Vec::new(),
-            admitted: Vec::new(),
-        }
-    }
-
-    /// Whether any request is still waiting.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.arrived.is_empty() && self.future.is_empty() && self.blocked.is_empty()
-    }
-
-    /// Absorbs arrivals up to `clock` — the arrived prefix the legacy
-    /// sort would have ordered this round.
-    pub(crate) fn prepare(&mut self, clock: f64, trace: &[RequestSpec]) {
-        while let Some(&i) = self.future.front() {
-            if trace[i].arrival_s > clock {
-                break;
-            }
-            self.future.pop_front();
-            self.arrived.insert((self.keys[i], self.next_seq, i));
-            self.next_seq += 1;
         }
     }
 
@@ -439,7 +442,7 @@ impl CentralKeyedQueue {
     }
 
     /// Re-inserts the extracted members with fresh sequence numbers: the
-    /// legacy partition moved them behind every eligible request, so
+    /// reference's partition moved them behind every eligible request, so
     /// every later stable sort keeps them behind all of their current
     /// key-ties (but still ahead of ties that arrive later — which get
     /// larger sequence numbers still).
@@ -450,20 +453,9 @@ impl CentralKeyedQueue {
             self.next_seq += 1;
         }
     }
-
-    /// Queue members ready to run at `now` (the autoscaler's depth
-    /// signal; the future tail is arrival-sorted, so the prefix scan is
-    /// exact).
-    pub(crate) fn ready_depth(&self, ready: &[f64], now: f64) -> usize {
-        self.arrived
-            .iter()
-            .filter(|&&(_, _, i)| ready[i] <= now)
-            .count()
-            + self.future.iter().take_while(|&&i| ready[i] <= now).count()
-    }
 }
 
-impl AdmissionQueue for CentralKeyedQueue {
+impl AdmissionQueue for KeyedQueue {
     fn peek(&self) -> Option<usize> {
         if let Some(&(_, _, i)) = self.arrived.first() {
             Some(i)
@@ -473,10 +465,11 @@ impl AdmissionQueue for CentralKeyedQueue {
     }
 
     fn pop(&mut self) {
-        if let Some((_, _, i)) = self.arrived.pop_first() {
-            self.admitted.push(i);
-        } else if let Some(i) = self.future.pop_front() {
-            self.admitted.push(i);
+        // Admission always pops an arrived head: `prepare` ran at this
+        // clock, so every not-yet-absorbed member is in the future and
+        // the engine's ready check would have broken.
+        if self.arrived.pop_first().is_none() {
+            self.future.pop_front();
         }
     }
 
@@ -487,44 +480,255 @@ impl AdmissionQueue for CentralKeyedQueue {
     }
 }
 
-impl AdmissionQueue for SchedQueue {
-    fn peek(&self) -> Option<usize> {
-        match self {
-            Self::Fcfs(q) | Self::Resort(q) => q.front().copied(),
-            Self::Keyed(kq) => {
-                if let Some(&(_, _, i)) = kq.arrived.first() {
-                    Some(i)
-                } else {
-                    kq.future.front().copied()
-                }
+impl Discipline for KeyedQueue {
+    const EXHAUSTIVE: bool = false;
+    const RESORTS: bool = false;
+
+    fn is_empty(&self) -> bool {
+        self.arrived.is_empty() && self.future.is_empty() && self.blocked.is_empty()
+    }
+
+    /// Absorbs arrivals up to `clock` — the arrived prefix the
+    /// reference's sort would have ordered this round.
+    fn prepare(&mut self, clock: f64, trace: &[RequestSpec], _policy: &dyn SchedulerPolicy) {
+        while let Some(&i) = self.future.front() {
+            if trace[i].arrival_s > clock {
+                break;
             }
+            self.future.pop_front();
+            self.arrived.insert((self.keys[i], self.next_seq, i));
+            self.next_seq += 1;
         }
     }
 
-    fn pop(&mut self) {
-        match self {
-            Self::Fcfs(q) | Self::Resort(q) => {
-                q.pop_front();
+    /// Some member already arrived (so the jump is a no-op) unless the
+    /// arrived set is empty; the future tail is arrival-sorted.
+    fn idle_target(&self, trace: &[RequestSpec]) -> Option<f64> {
+        if self.arrived.is_empty() {
+            self.future.front().map(|&i| trace[i].arrival_s)
+        } else {
+            None
+        }
+    }
+
+    /// The future tail is arrival-sorted, so its prefix scan is exact.
+    fn ready_depth(&self, ready: &[f64], now: f64) -> usize {
+        self.arrived
+            .iter()
+            .filter(|&&(_, _, i)| ready[i] <= now)
+            .count()
+            + self.future.iter().take_while(|&&i| ready[i] <= now).count()
+    }
+
+    /// Only members off the arrival axis can be arrived but not ready, so
+    /// the extraction scan runs only while some are queued.
+    fn partition(pool: &mut Pool<Self>, clock: f64) {
+        if pool.off_axis_count > 0 {
+            pool.queue.extract_blocked(clock, &pool.ready);
+        }
+    }
+
+    fn restore(&mut self) {
+        self.restore_blocked();
+    }
+}
+
+/// A queue several blades share — the central-dispatch queue or the
+/// disaggregated decode pool — as a [`Discipline`] plus the ready-time
+/// bookkeeping its fast paths consult.
+///
+/// A member's ready time is the instant it may (re-)enter a batch. It
+/// starts *on the arrival axis* (the request's arrival) and leaves it
+/// when the member re-enters at another instant: a preemption victim's
+/// eviction, or a handoff into the decode pool. The earliest instant at
+/// which any member's eligibility can change is therefore the next
+/// arrival on the axis or the earliest future off-axis ready time
+/// ([`Self::next_transition`]), which bounds every fast-forward.
+#[derive(Debug)]
+pub(crate) struct Pool<D> {
+    pub(crate) queue: D,
+    /// Ready time per trace index.
+    pub(crate) ready: Vec<f64>,
+    /// Indices the current step admitted (or shed).
+    admitted: Vec<usize>,
+    in_queue: Vec<bool>,
+    /// Members whose ready time is off the arrival axis, their count, and
+    /// a lazily compacted list of them.
+    off_axis: Vec<bool>,
+    off_axis_count: usize,
+    off_axis_list: Vec<usize>,
+    /// Ready times of the members (not kept by the reference).
+    window: ReadyWindow,
+    /// The sorted arrival axis (empty for a handoff pool).
+    arrivals: Vec<f64>,
+    /// Members enter by handoff, at instants that follow no queue order.
+    handoff: bool,
+}
+
+impl<D: Discipline> Pool<D> {
+    /// The central-dispatch queue: every request, waiting from its
+    /// arrival on; `order` is the arrival-ordered trace that `queue`
+    /// wraps.
+    pub(crate) fn central(
+        trace: &[RequestSpec],
+        order: VecDeque<usize>,
+        queue: impl FnOnce(VecDeque<usize>) -> D,
+    ) -> Self {
+        let ready: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
+        let arrivals: Vec<f64> = order.iter().map(|&i| ready[i]).collect();
+        let mut window = ReadyWindow::new();
+        if !D::EXHAUSTIVE {
+            for &i in &order {
+                window.push(ready[i], i);
             }
-            Self::Keyed(kq) => {
-                // Admission always pops an arrived head: `prepare` ran at
-                // this clock, so every not-yet-absorbed member is in the
-                // future and the engine's ready check would have broken.
-                if kq.arrived.pop_first().is_none() {
-                    kq.future.pop_front();
+        }
+        Self {
+            queue: queue(order),
+            in_queue: vec![true; trace.len()],
+            off_axis: vec![false; trace.len()],
+            ready,
+            admitted: Vec::new(),
+            off_axis_count: 0,
+            off_axis_list: Vec::new(),
+            window,
+            arrivals,
+            handoff: false,
+        }
+    }
+
+    /// An empty pool that members join by [`Pool::push`].
+    pub(crate) fn handoff(trace: &[RequestSpec], queue: D) -> Self {
+        Self {
+            queue,
+            ready: trace.iter().map(|r| r.arrival_s).collect(),
+            admitted: Vec::new(),
+            in_queue: vec![false; trace.len()],
+            off_axis: vec![false; trace.len()],
+            off_axis_count: 0,
+            off_axis_list: Vec::new(),
+            window: ReadyWindow::new(),
+            arrivals: Vec::new(),
+            handoff: true,
+        }
+    }
+
+    /// Whether any request is still waiting.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    /// The earliest ready time of any member (`f64::MAX` when empty).
+    pub(crate) fn next_ready(&mut self) -> f64 {
+        D::next_ready(self)
+    }
+
+    /// Orders and partitions the queue for a round stepped at `clock`.
+    pub(crate) fn prepare(
+        &mut self,
+        clock: f64,
+        trace: &[RequestSpec],
+        policy: &dyn SchedulerPolicy,
+    ) {
+        self.queue.prepare(clock, trace, policy);
+        D::partition(self, clock);
+    }
+
+    /// Closes a round: the step's admissions leave the pool before its
+    /// `victims` — whose ready times the caller has already moved —
+    /// re-enter it (an admit-then-evict round ends with the victim
+    /// counted back in).
+    pub(crate) fn settle(&mut self, victims: &[usize]) {
+        if !D::EXHAUSTIVE {
+            for &i in &self.admitted {
+                self.in_queue[i] = false;
+                if self.off_axis[i] {
+                    self.off_axis[i] = false;
+                    self.off_axis_count -= 1;
                 }
             }
+            for &v in victims {
+                self.enter(v);
+            }
+        }
+        self.admitted.clear();
+        self.queue.restore();
+    }
+
+    /// Registers member `idx` at its (off-axis) ready time.
+    fn enter(&mut self, idx: usize) {
+        self.in_queue[idx] = true;
+        if !self.off_axis[idx] {
+            self.off_axis[idx] = true;
+            self.off_axis_count += 1;
+            if self.off_axis_list.len() >= (2 * self.off_axis_count).max(8) {
+                let off_axis = &self.off_axis;
+                self.off_axis_list.retain(|&i| off_axis[i]);
+            }
+            self.off_axis_list.push(idx);
+        }
+        self.window.push(self.ready[idx], idx);
+    }
+
+    /// Members ready at `now`.
+    pub(crate) fn ready_depth(&self, now: f64) -> usize {
+        self.queue.ready_depth(&self.ready, now)
+    }
+
+    /// Whether rounds skipped by a fast-forward would have partitioned
+    /// the queue observably: always for a handoff pool (its ready times
+    /// follow no queue order), else while members are off the arrival
+    /// axis and the discipline keeps the order a partition leaves.
+    pub(crate) fn partition_observable(&self) -> bool {
+        self.handoff || (self.off_axis_count > 0 && !D::RESORTS)
+    }
+
+    /// The earliest instant after `clock` at which any member's
+    /// eligibility can change: the next arrival anywhere on the axis
+    /// (requests already departed arrived in the past, so the global
+    /// successor is never *later* than the queue's own — an early bound
+    /// only truncates stretches, never extends them) or the earliest
+    /// future off-axis ready time. While a blade's clock stays below this
+    /// instant, the partition and the ready-depth signal are frozen.
+    pub(crate) fn next_transition(&self, clock: f64) -> f64 {
+        let p = self.arrivals.partition_point(|&a| a <= clock);
+        let mut e = self.arrivals.get(p).copied().unwrap_or(f64::INFINITY);
+        for &v in &self.off_axis_list {
+            if self.off_axis[v] && self.ready[v] > clock {
+                e = e.min(self.ready[v]);
+            }
+        }
+        e
+    }
+}
+
+impl<const E: bool, const R: bool> Pool<Deque<E, R>> {
+    /// Hands `idx` to the pool, ready at `self.ready[idx]`.
+    pub(crate) fn push(&mut self, idx: usize) {
+        self.queue.0.push_back(idx);
+        if !E {
+            self.enter(idx);
+        }
+    }
+}
+
+impl<D: Discipline> AdmissionQueue for Pool<D> {
+    fn peek(&self) -> Option<usize> {
+        self.queue.peek()
+    }
+
+    fn pop(&mut self) {
+        if let Some(i) = self.queue.peek() {
+            self.admitted.push(i);
+            self.queue.pop();
         }
     }
 
     fn requeue_victim(&mut self, idx: usize) {
-        match self {
-            Self::Fcfs(q) | Self::Resort(q) => q.push_front(idx),
-            Self::Keyed(kq) => {
-                kq.arrived.insert((kq.keys[idx], kq.next_victim_seq, idx));
-                kq.next_victim_seq -= 1;
-            }
-        }
+        self.queue.requeue_victim(idx);
+    }
+
+    fn ready_at(&self, _trace: &[RequestSpec], idx: usize) -> f64 {
+        self.ready[idx]
     }
 }
 
@@ -976,7 +1180,7 @@ pub(crate) fn leapfrog_decode(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::policy::{FcfsPolicy, SjfPolicy};
+    use crate::serving::policy::SjfPolicy;
 
     #[test]
     fn heap_pops_in_time_then_index_order() {
@@ -1038,7 +1242,7 @@ mod tests {
             RequestSpec::new(1, 0.0, 10, 5), // key-tied with 0: FCFS
             RequestSpec::new(2, 0.0, 10, 2), // shortest: first
         ];
-        let mut sq = SchedQueue::new(&SjfPolicy, &trace, (0..3).collect());
+        let mut sq = KeyedQueue::new(&SjfPolicy, &trace, (0..3).collect());
         sq.prepare(0.0, &trace, &SjfPolicy);
         assert_eq!(sq.peek(), Some(2));
         sq.pop();
@@ -1061,16 +1265,17 @@ mod tests {
     fn central_keyed_queue_demotes_blocked_victims_like_the_partition() {
         // SJF keys: 2 is shortest, 0 and 1 are key-tied. A victim whose
         // re-entry time is in the future must sit out the round and then
-        // fall behind its key-ties, exactly as the legacy
+        // fall behind its key-ties, exactly as the reference's
         // sort-then-partition sequence would leave it.
         let trace = vec![
             RequestSpec::new(0, 0.0, 10, 5),
             RequestSpec::new(1, 0.0, 10, 5),
             RequestSpec::new(2, 0.0, 10, 2),
         ];
-        let mut q = CentralKeyedQueue::new(&SjfPolicy, &trace, (0..3).collect());
-        q.prepare(0.0, &trace);
-        let mut ready = [0.0f64, 0.0, 0.0];
+        let mut q = Pool::central(&trace, (0..3).collect(), |order| {
+            KeyedQueue::new(&SjfPolicy, &trace, order)
+        });
+        q.queue.prepare(0.0, &trace, &SjfPolicy);
         assert_eq!(q.peek(), Some(2));
         q.pop();
         q.pop(); // admits 0 (stable tie keeps arrival order)
@@ -1078,19 +1283,19 @@ mod tests {
         q.admitted.clear();
         // 0 is evicted; it re-enters at t=5.0, ahead of its tie 1 for now.
         q.requeue_victim(0);
-        ready[0] = 5.0;
+        q.ready[0] = 5.0;
         assert_eq!(q.peek(), Some(0));
         // At t=1.0 the victim is blocked: extraction hides it from the
         // scan, restore demotes it behind tie 1.
-        q.extract_blocked(1.0, &ready);
+        q.queue.extract_blocked(1.0, &q.ready);
         assert_eq!(q.peek(), Some(1));
-        q.restore_blocked();
+        q.queue.restore_blocked();
         assert_eq!(q.peek(), Some(1), "demoted victim stays behind its tie");
-        assert_eq!(q.ready_depth(&ready, 1.0), 1);
-        assert_eq!(q.ready_depth(&ready, 5.0), 2);
+        assert_eq!(q.ready_depth(1.0), 1);
+        assert_eq!(q.ready_depth(5.0), 2);
         // Once ready, nothing is extracted and it runs after the tie.
-        q.extract_blocked(5.0, &ready);
-        q.restore_blocked();
+        q.queue.extract_blocked(5.0, &q.ready);
+        q.queue.restore_blocked();
         q.pop();
         q.pop();
         assert_eq!(q.admitted, vec![1, 0]);
@@ -1103,24 +1308,53 @@ mod tests {
             RequestSpec::new(0, 2.0, 8, 4),
             RequestSpec::new(1, 5.0, 8, 4),
         ];
-        let sq = SchedQueue::new(&FcfsPolicy, &trace, (0..2).collect());
-        assert_eq!(sq.fast_forward_target(&trace), Some(2.0));
+        let sq = Fcfs::new((0..2).collect());
+        assert_eq!(sq.idle_target(&trace), Some(2.0));
         assert_eq!(sq.admission_gate(&trace, 1.0), Gate::Blocked(2.0));
         assert_eq!(sq.admission_gate(&trace, 2.0), Gate::Ready);
-        let empty = SchedQueue::new(&FcfsPolicy, &trace, VecDeque::new());
+        let empty = Fcfs::new(VecDeque::new());
         assert_eq!(empty.admission_gate(&trace, 0.0), Gate::Empty);
-        assert_eq!(empty.fast_forward_target(&trace), None);
+        assert_eq!(empty.idle_target(&trace), None);
     }
 
     #[test]
-    fn tracked_queue_records_admissions_only() {
-        let mut q: VecDeque<usize> = VecDeque::from([4, 7]);
-        let mut tq = TrackedQueue::new(&mut q);
-        assert_eq!(tq.peek(), Some(4));
-        tq.pop();
-        tq.requeue_victim(9);
-        assert_eq!(tq.peek(), Some(9));
-        assert_eq!(tq.admitted, vec![4]);
-        assert_eq!(*tq.queue, VecDeque::from([9, 7]));
+    fn pool_records_admissions_only() {
+        let trace = vec![
+            RequestSpec::new(0, 0.0, 8, 4),
+            RequestSpec::new(1, 0.0, 8, 4),
+        ];
+        let mut pool = Pool::central(&trace, VecDeque::from([0, 1]), Fcfs::new);
+        assert_eq!(pool.peek(), Some(0));
+        pool.pop();
+        pool.requeue_victim(0);
+        assert_eq!(pool.peek(), Some(0));
+        assert_eq!(pool.admitted, vec![0]);
+        assert_eq!(pool.queue.0, VecDeque::from([0, 1]));
+    }
+
+    #[test]
+    fn pool_transitions_follow_the_axis_and_off_axis_members() {
+        // Central dispatch: the next transition is the next arrival until
+        // a victim re-enters off the axis at an earlier instant.
+        let trace = vec![
+            RequestSpec::new(0, 0.0, 8, 4),
+            RequestSpec::new(1, 3.0, 8, 4),
+        ];
+        let mut pool = Pool::central(&trace, VecDeque::from([0, 1]), Fcfs::new);
+        assert_eq!(pool.next_transition(0.0), 3.0);
+        assert!(!pool.partition_observable());
+        pool.pop();
+        pool.requeue_victim(0);
+        pool.ready[0] = 1.5;
+        pool.settle(&[0]);
+        assert_eq!(pool.next_transition(0.0), 1.5);
+        assert!(pool.partition_observable());
+        // A handoff pool has no axis: only its members' ready times count.
+        let mut handoff = Pool::handoff(&trace, Fcfs::new(VecDeque::new()));
+        assert_eq!(handoff.next_transition(0.0), f64::INFINITY);
+        handoff.ready[1] = 4.0;
+        handoff.push(1);
+        assert_eq!(handoff.next_transition(0.0), 4.0);
+        assert_eq!(handoff.next_ready(), 4.0);
     }
 }

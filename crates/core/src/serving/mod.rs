@@ -21,14 +21,16 @@
 //! * [`engine`] — the single-blade replay loop ([`ServingSimulator`]):
 //!   iteration-level admission, recompute-style preemption, chunked
 //!   prefill, and decode pricing from a memoized roofline cost table
-//!   (bucketized-mean fast path or exact per-sequence spans). Two
-//!   [`SimCore`]s drive it: the event-driven default (heap-scheduled
-//!   arrivals, incremental queue order, batched decode stretches) and
-//!   the per-step reference loop, bit-identical by construction.
-//! * [`events`] — the event-driven core's machinery: the lazy-deletion
-//!   [`EventHeap`], incremental ready-time windows, and policy-ordered
-//!   admission queues built on the [`OrderingContract`] each
-//!   [`SchedulerPolicy`] declares.
+//!   (bucketized-mean fast path or exact per-sequence spans). Every
+//!   replay loop is generic over a queue discipline, and [`SimCore`]
+//!   picks it: the event-driven default (incremental queue order,
+//!   heap-tracked ready times, batched decode stretches) or the per-step
+//!   reference, bit-identical by construction.
+//! * [`events`] — the queue disciplines and their machinery: the
+//!   lazy-deletion [`EventHeap`], incremental ready-time windows,
+//!   policy-ordered queues built on the [`OrderingContract`] each
+//!   [`SchedulerPolicy`] declares, and the closed-form decode
+//!   fast-forwards.
 //! * [`cluster`] — N blades ([`ClusterSimulator`]): round-robin /
 //!   join-shortest-queue / least-loaded-KV / cache-aware routing into
 //!   per-blade queues, or one central queue, with per-blade utilization
@@ -58,13 +60,12 @@
 //! one fluent chain describes the system, workload, policy, KV layout,
 //! SLO classes and blade topology, and compiles into a validated
 //! [`CompiledScenario`] that runs on the single-blade engine, the
-//! classic cluster loops, or the DistServe-style disaggregated
-//! prefill→decode loop ([`BladeRole`]-typed blades streaming finished
-//! prefills over the system fabric). The [`SimObserver`] seam exposes
-//! per-iteration events (admission, eviction, chunk dispatch, handoff,
-//! completion) without reaching into engine internals. The PR 3
-//! constructors ([`ServingSimulator::new`], [`ClusterSimulator::new`])
-//! remain as deprecated shims that funnel into the same validated core.
+//! cluster's per-blade or central-dispatch loops, or the DistServe-style
+//! disaggregated prefill→decode loop ([`BladeRole`]-typed blades
+//! streaming finished prefills over the system fabric). The
+//! [`SimObserver`] seam exposes per-iteration events (admission,
+//! eviction, chunk dispatch, handoff, completion) without reaching into
+//! engine internals.
 //!
 //! Replay is exactly reproducible: [`CompiledScenario::run`] builds its
 //! iteration-cost table on rayon workers while

@@ -300,10 +300,10 @@ impl<'a> Scenario<'a> {
         self
     }
 
-    /// Which simulation core drives the replay. The event-driven core
-    /// (the default) is bit-identical to [`SimCore::PerStep`] on every
-    /// workload; the per-step core is retained as the reference
-    /// implementation the equivalence suite checks against.
+    /// Which queue discipline drives the replay loops. The event-driven
+    /// disciplines (the default) are bit-identical to
+    /// [`SimCore::PerStep`] on every workload; the per-step reference is
+    /// what the equivalence suite checks them against.
     #[must_use]
     pub fn core(mut self, core: SimCore) -> Self {
         self.core = core;

@@ -1,11 +1,16 @@
-//! The event-driven simulation core must be *bit-identical* to the
-//! per-step reference loops on every workload: same reports, same
-//! per-blade accounting, same observer event streams. The per-step core
-//! stays in the tree exactly so this suite can replay each scenario on
-//! both and compare to the last bit — across policies (each
-//! `OrderingContract`), KV layouts, pricing modes, chunked prefill,
-//! prefix caching, cluster dispatch modes and the disaggregated
-//! prefill→decode topology.
+//! Each topology has one replay loop, generic over a queue discipline;
+//! `SimCore` picks the discipline. The event-driven disciplines must be
+//! *bit-identical* to the per-step reference discipline on every
+//! workload: same reports, same per-blade accounting, same observer event
+//! streams. The reference re-sorts and partitions the queue in full every
+//! round, scans for ready times and never fast-forwards, so this suite
+//! checks the incremental orders, the skipped partitions, keyed
+//! extraction and the decode stretches and leapfrogs against it — across
+//! policies (each `OrderingContract`), KV layouts, pricing modes, chunked
+//! prefill, prefix caching, cluster dispatch modes and the disaggregated
+//! prefill→decode topology. The reference reports zero stretches, so a
+//! reference that silently fast-forwarded (checking the fast path
+//! against itself) would fail here too.
 
 use llm_workload::kvcache::{KvCache, KvConvention};
 use llm_workload::model::{ModelZoo, TransformerConfig};
@@ -45,6 +50,11 @@ fn assert_cores_agree<'a>(label: &str, build: impl Fn() -> Scenario<'a>) -> Clus
         .run()
         .unwrap();
     assert_eq!(event, per_step, "{label}: cores must be bit-identical");
+    assert!(
+        per_step.stretch.stretches == 0 && per_step.stretch.stretched_iterations == 0,
+        "{label}: the per-step reference must not fast-forward: {:?}",
+        per_step.stretch
+    );
     assert_eq!(
         event.report.makespan_s.to_bits(),
         per_step.report.makespan_s.to_bits(),
@@ -640,6 +650,8 @@ proptest! {
         let (event, event_counts) = run(SimCore::EventDriven);
         let (per_step, step_counts) = run(SimCore::PerStep);
         prop_assert_eq!(&event, &per_step);
+        prop_assert_eq!(per_step.stretch.stretches, 0);
+        prop_assert_eq!(per_step.stretch.stretched_iterations, 0);
         prop_assert_eq!(event_counts, step_counts);
         prop_assert_eq!(
             u64::from(event.report.completed) + event.report.shed_requests,

@@ -1,9 +1,7 @@
 //! Regression anchor for the serving API redesign: the single-blade
 //! FCFS + contiguous-KV configuration must reproduce the PR 2 monolith's
 //! `ServingReport` **bit-for-bit** on the seeded Poisson trace used by
-//! the bench experiments — both through the deprecated PR 3 constructor
-//! shim (`ServingSimulator::new`) and through the `Scenario` builder the
-//! shim now delegates into.
+//! the bench experiments, through the `Scenario` builder.
 //!
 //! The golden bit patterns below were captured from the pre-refactor
 //! `crates/core/src/serving.rs` (commit `bff4d3a`) replaying the
@@ -15,8 +13,8 @@
 use llm_workload::{ModelZoo, Parallelism};
 use optimus::serving::{
     AdmissionControl, AutoscaleConfig, ControlPlane, DispatchMode, RoutingPolicy, Scenario,
-    ServingConfig, ServingReport, ServingSimulator, SharedPrefixTraceConfig, SimCore, SloClass,
-    StrictPriorityPolicy, Topology, TraceConfig, WeightedFairPolicy,
+    ServingReport, SharedPrefixTraceConfig, SimCore, SloClass, StrictPriorityPolicy, Topology,
+    TraceConfig, WeightedFairPolicy,
 };
 use optimus::{MultiBladeSystem, SpeedupStudy};
 
@@ -70,35 +68,8 @@ fn assert_pr2_bits(path: &str, r: &ServingReport) {
     }
 }
 
-/// The deprecated PR 3 constructor shim must keep reproducing the PR 2
-/// float bit patterns exactly.
-#[test]
-fn deprecated_single_blade_fcfs_shim_reproduces_pr2_bits() {
-    let model = ModelZoo::llama_405b();
-    let par = Parallelism::pure_tp(64).unwrap();
-    let est = SpeedupStudy::paper_baseline().scd_inference();
-    let config = ServingConfig::for_system(&est, &model, &par, 32).unwrap();
-    let trace = golden_trace().synthesize().unwrap();
-    #[allow(deprecated)] // the regression anchor pins the shim itself
-    let sim = ServingSimulator::new(&est, &model, &par, config).unwrap();
-
-    for (path, r) in [
-        ("shim/parallel", sim.replay(&trace).unwrap()),
-        ("shim/serial", sim.replay_serial(&trace).unwrap()),
-    ] {
-        assert_pr2_bits(path, &r);
-        // The default SLO class blends to the same goodput bits.
-        assert_eq!(r.per_class.len(), 1);
-        assert_eq!(
-            r.per_class[0].goodput_tok_s.to_bits(),
-            r.goodput_tok_s.to_bits()
-        );
-    }
-}
-
-/// The scenario builder with the equivalent settings (for-system KV,
-/// FCFS, one blade) must produce the same bits as the shim — the shim
-/// and `Scenario` funnel into one validated core.
+/// The scenario builder with the PR 2 settings (for-system KV, FCFS,
+/// one blade) must keep reproducing the PR 2 float bit patterns exactly.
 #[test]
 fn scenario_single_blade_default_reproduces_pr2_bits() {
     let model = ModelZoo::llama_405b();
@@ -116,6 +87,13 @@ fn scenario_single_blade_default_reproduces_pr2_bits() {
     ] {
         assert_eq!(r.blades, 1, "{path}");
         assert_pr2_bits(path, &r.report);
+        // The default SLO class blends to the same goodput bits.
+        assert_eq!(r.report.per_class.len(), 1, "{path}");
+        assert_eq!(
+            r.report.per_class[0].goodput_tok_s.to_bits(),
+            r.report.goodput_tok_s.to_bits(),
+            "{path}"
+        );
     }
 }
 
