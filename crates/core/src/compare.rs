@@ -3,7 +3,9 @@
 
 use crate::error::OptimusError;
 use crate::inference::{InferenceEstimator, InferenceReport, RequestShape};
-use crate::serving::{ClusterConfig, ClusterReport, Scenario, ServingReport, Topology};
+use crate::serving::{
+    ClusterConfig, ClusterReport, ControlPlane, Scenario, ServingReport, Topology,
+};
 use crate::serving::{TraceConfig, TraceSource};
 use crate::training::{TrainingEstimator, TrainingReport};
 use llm_workload::model::TransformerConfig;
@@ -172,7 +174,9 @@ impl SpeedupStudy {
     ///
     /// # Errors
     ///
-    /// Propagates trace/estimation failures.
+    /// Returns [`OptimusError::Serving`] for a cluster the scenario
+    /// builder rejects (e.g. an autoscaler without central dispatch);
+    /// propagates trace/estimation failures.
     pub fn cluster_serving(
         &self,
         model: &TransformerConfig,
@@ -182,16 +186,20 @@ impl SpeedupStudy {
         cluster: ClusterConfig,
     ) -> Result<Comparison<ClusterReport>, OptimusError> {
         let run = |est: InferenceEstimator| -> Result<ClusterReport, OptimusError> {
-            Scenario::on_estimator(est)
+            let scenario = Scenario::on_estimator(est)
                 .model(model)
                 .parallelism(par)
                 .max_batch(max_batch)
                 .trace(trace_source)
                 .topology(Topology::mixed(cluster.blades))
                 .routing(cluster.routing)
-                .dispatch(cluster.dispatch)
-                .compile()?
-                .run()
+                .dispatch(cluster.dispatch);
+            match cluster.autoscale {
+                Some(autoscale) => scenario.control(ControlPlane::new().autoscale(autoscale)),
+                None => scenario,
+            }
+            .compile()?
+            .run()
         };
         let scd = run(self.scd_inference())?;
         let gpu = run(self.gpu_inference())?;
@@ -345,6 +353,48 @@ mod tests {
             "SCD cluster should keep its tail advantage, got {:.2}",
             c.speedup
         );
+    }
+
+    #[test]
+    fn cluster_serving_forwards_the_autoscaler() {
+        use crate::serving::{AutoscaleConfig, DispatchMode, RoutingPolicy};
+        let study = SpeedupStudy::paper_baseline();
+        let par = Parallelism::pure_tp(64).unwrap();
+        let trace = TraceConfig {
+            seed: 5,
+            requests: 12,
+            arrival_rate_per_s: 16.0,
+            prompt_tokens: (150, 250),
+            output_tokens: (20, 40),
+        };
+        let run = |dispatch| {
+            study.cluster_serving(
+                &ModelZoo::llama_405b(),
+                &par,
+                &trace,
+                8,
+                ClusterConfig {
+                    blades: 2,
+                    routing: RoutingPolicy::RoundRobin,
+                    dispatch,
+                    autoscale: Some(AutoscaleConfig::new(1, 2)),
+                },
+            )
+        };
+        // Per-blade routing leaves the autoscaler nothing to act on: the
+        // config is rejected, not silently run without its scaler.
+        assert!(matches!(
+            run(DispatchMode::PerBlade),
+            Err(OptimusError::Serving { .. })
+        ));
+        // Under central dispatch the scaler runs on both sides: it starts
+        // from one active blade, so reaching the second takes a scale
+        // event (a fixed pool reports 2 blades and no events).
+        let c = run(DispatchMode::Central).unwrap();
+        assert_eq!(c.scd.report.completed, 12);
+        for side in [&c.scd, &c.gpu] {
+            assert!(side.peak_blades == 1 || side.scale_events > 0, "{side}");
+        }
     }
 
     #[test]

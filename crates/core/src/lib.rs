@@ -72,9 +72,8 @@ pub use roofline::{Boundedness, KernelTime, Placement, Roofline};
 pub use scaling::{weak_scaling_sweep, MultiBladeSystem, ScalingPoint};
 pub use scheduler::{plan_serving, SchedulerDecision, ServingPoint};
 pub use serving::{
-    BladeRole, ClusterConfig, ClusterReport, ClusterSimulator, CompiledScenario, DispatchMode,
-    FrontierPoint, HandoffLink, Percentiles, RequestSpec, RoutingPolicy, Scenario, SchedulerPolicy,
-    ServingConfig, ServingReport, ServingSimulator, SimObserver, SloClass, SloClassReport,
-    Topology, TraceConfig, TraceSource,
+    BladeRole, ClusterConfig, ClusterReport, CompiledScenario, DispatchMode, FrontierPoint,
+    HandoffLink, Percentiles, RequestSpec, RoutingPolicy, Scenario, SchedulerPolicy, ServingConfig,
+    ServingReport, SimObserver, SloClass, SloClassReport, Topology, TraceConfig, TraceSource,
 };
 pub use training::{TrainingEstimator, TrainingReport};

@@ -94,8 +94,8 @@ impl MultiBladeSystem {
     /// A per-blade inference estimator at the system's operating point:
     /// the view one serving replica sees (model parallelism stays inside
     /// a blade, so the fabric is the on-blade torus). This is the
-    /// estimator a [`crate::serving::ClusterSimulator`] replicates across
-    /// [`Self::blades`] blades.
+    /// estimator a [`crate::serving::Scenario`] over this system replicates
+    /// across [`Self::blades`] blades.
     #[must_use]
     pub fn inference_estimator(&self) -> InferenceEstimator {
         InferenceEstimator::new(

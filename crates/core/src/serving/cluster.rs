@@ -18,9 +18,8 @@
 
 use super::control::{AutoscaleConfig, ControlState, ScaleState};
 use super::coord::{ResidencyModel, CACHE_AWARE_MAX_IMBALANCE};
-use super::engine::{acquire_prefix, EngineCtx};
 use super::engine::{
-    finalize, BladeState, CostTable, Outcome, ReplayTotals, ServingSimulator, SimCore,
+    acquire_prefix, arrival_queue, finalize, BladeState, EngineCtx, Outcome, ReplayTotals, SimCore,
 };
 use super::events::{
     leapfrog_decode, DecodeStretch, Deque, Discipline, Exhaustive, Fcfs, KeyedQueue,
@@ -266,8 +265,10 @@ pub struct ClusterConfig {
     pub autoscale: Option<AutoscaleConfig>,
 }
 
-/// The one validation both the constructor and every per-config sweep
-/// entry funnel through.
+/// The one cluster check, run at compile time and on every
+/// [`run_each`](super::CompiledScenario::run_each) variant: at least one
+/// blade, and an autoscaler only under central dispatch with bounds
+/// inside the blade pool.
 pub(crate) fn validate_cluster(cluster: &ClusterConfig) -> Result<(), OptimusError> {
     if cluster.blades == 0 {
         return Err(OptimusError::Serving {
@@ -277,8 +278,9 @@ pub(crate) fn validate_cluster(cluster: &ClusterConfig) -> Result<(), OptimusErr
     if let Some(autoscale) = &cluster.autoscale {
         if cluster.dispatch != DispatchMode::Central {
             return Err(OptimusError::Serving {
-                reason: "the autoscaler needs central dispatch: per-blade routing fixes each \
-                         request's blade at arrival, so a changing blade count has nothing to act on"
+                reason: "the autoscaler needs .dispatch(DispatchMode::Central): per-blade \
+                         routing fixes each request's blade at arrival, so a changing blade \
+                         count has nothing to act on"
                     .to_owned(),
             });
         }
@@ -405,416 +407,232 @@ impl fmt::Display for ClusterReport {
     }
 }
 
-/// Multi-blade serving simulator: one trace, N identical blades.
-#[derive(Debug)]
-pub struct ClusterSimulator<'a> {
-    sim: ServingSimulator<'a>,
-    cluster: ClusterConfig,
+/// Routes every request to a blade at its arrival instant, using a
+/// deterministic fluid model of blade service: each blade holds the
+/// estimated finish times of its in-flight requests; entries past the
+/// current arrival are drained before the routing decision.
+fn route(ctx: &EngineCtx<'_>, cluster: ClusterConfig, trace: &[RequestSpec]) -> Vec<u32> {
+    let _span = profile::span(profile::Phase::Routing);
+    let blades = cluster.blades as usize;
+    let (cfg, table) = (ctx.config, ctx.table);
+    // Estimated service seconds for one request on an otherwise busy
+    // blade: its prefill plus its share of full-batch decode steps.
+    let batch = cfg.max_batch.min(table.max_batch()).max(1);
+    let service_s = |r: &RequestSpec| -> f64 {
+        let kv = (r.prompt_tokens + r.output_tokens - 1).min(table.max_kv());
+        table.prefill_cost(r.prompt_tokens)
+            + f64::from(r.output_tokens) * table.decode_cost(batch, kv) / f64::from(batch)
+    };
+    // Per blade: (estimated finish time, KV-footprint tokens) of
+    // in-flight requests, plus the latest finish time.
+    let mut in_flight: Vec<VecDeque<(f64, u64)>> = vec![VecDeque::new(); blades];
+    let mut last_finish = vec![0.0f64; blades];
+    // Cache-aware routing models per-blade prefix residency at the
+    // blade's own KV budget; without prefix caching the model is
+    // absent and the policy degenerates to JSQ exactly.
+    let mut residency = match (cluster.routing, cfg.prefix) {
+        (RoutingPolicy::CacheAware, Some(pc)) => Some((
+            ResidencyModel::new(
+                blades,
+                pc,
+                (cfg.kv_capacity_bytes / ctx.kv_bytes_per_token) as u64,
+            ),
+            pc.block_tokens,
+        )),
+        _ => None,
+    };
+    let mut assignment = Vec::with_capacity(trace.len());
+    for (i, r) in trace.iter().enumerate() {
+        for fl in &mut in_flight {
+            while fl.front().is_some_and(|&(t, _)| t <= r.arrival_s) {
+                fl.pop_front();
+            }
+        }
+        let jsq = |in_flight: &[VecDeque<(f64, u64)>]| {
+            (0..blades)
+                .min_by_key(|&b| in_flight[b].len())
+                .expect("blades >= 1")
+        };
+        let blade = match cluster.routing {
+            RoutingPolicy::RoundRobin => i % blades,
+            RoutingPolicy::JoinShortestQueue => jsq(&in_flight),
+            RoutingPolicy::LeastLoadedKv => (0..blades)
+                .min_by_key(|&b| in_flight[b].iter().map(|&(_, kv)| kv).sum::<u64>())
+                .expect("blades >= 1"),
+            RoutingPolicy::CacheAware => {
+                let fallback = jsq(&in_flight);
+                match (&residency, r.prefix) {
+                    (Some((model, block_tokens)), Some(prefix)) => model
+                        .best_blade(&prefix.block_chain(*block_tokens))
+                        .map(|(best, _)| best)
+                        .filter(|&best| {
+                            in_flight[best].len()
+                                <= in_flight[fallback].len() + CACHE_AWARE_MAX_IMBALANCE
+                        })
+                        .unwrap_or(fallback),
+                    _ => fallback,
+                }
+            }
+        };
+        if let (Some((model, block_tokens)), Some(prefix)) = (&mut residency, r.prefix) {
+            model.admit(blade, &prefix.block_chain(*block_tokens));
+        }
+        let start = last_finish[blade].max(r.arrival_s);
+        let finish = start + service_s(r);
+        last_finish[blade] = finish;
+        in_flight[blade].push_back((finish, u64::from(r.prompt_tokens + r.output_tokens)));
+        assignment.push(blade as u32);
+    }
+    assignment
 }
 
-impl<'a> ClusterSimulator<'a> {
-    /// Wraps a single-blade simulator (per-blade estimator, model, plan
-    /// and serving config) into a cluster of `cluster.blades` copies: the
-    /// one validated constructor
-    /// [`Scenario::compile`](super::scenario::Scenario::compile) funnels
-    /// into.
-    pub(crate) fn from_parts(
-        sim: ServingSimulator<'a>,
-        cluster: ClusterConfig,
-    ) -> Result<Self, OptimusError> {
-        validate_cluster(&cluster)?;
-        Ok(Self { sim, cluster })
-    }
-
-    /// The cluster configuration in force.
-    #[must_use]
-    pub fn cluster_config(&self) -> &ClusterConfig {
-        &self.cluster
-    }
-
-    /// The per-blade simulator.
-    #[must_use]
-    pub fn blade_sim(&self) -> &ServingSimulator<'a> {
-        &self.sim
-    }
-
-    /// Replays the trace across the cluster with the cost table built on
-    /// rayon workers and (under per-blade dispatch) blades replayed
-    /// concurrently. Bit-identical to [`Self::replay_serial`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`ServingSimulator::replay`].
-    pub fn replay(&self, trace: &[RequestSpec]) -> Result<ClusterReport, OptimusError> {
-        let table = self.sim.cost_table(trace, true)?;
-        self.run(trace, &table, true, &mut NoopObserver)
-    }
-
-    /// Replays the trace with `obs` receiving every engine event (serial
-    /// cost table, blades driven in index order; the report is
-    /// bit-identical to [`Self::replay`] — observers are read-only).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::replay`].
-    pub(crate) fn replay_observed(
-        &self,
-        trace: &[RequestSpec],
-        obs: &mut dyn SimObserver,
-    ) -> Result<ClusterReport, OptimusError> {
-        let table = self.sim.cost_table(trace, false)?;
-        self.run(trace, &table, false, obs)
-    }
-
-    /// Serial reference implementation of [`Self::replay`], kept as the
-    /// ground truth for the rayon-equivalence test in CI.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::replay`].
-    pub fn replay_serial(&self, trace: &[RequestSpec]) -> Result<ClusterReport, OptimusError> {
-        let table = self.sim.cost_table(trace, false)?;
-        self.run(trace, &table, false, &mut NoopObserver)
-    }
-
-    /// Replays the same trace under several cluster configurations —
-    /// routing/dispatch/blade-count sweeps — building the iteration-cost
-    /// table once (it depends only on the per-blade engine and the trace,
-    /// not on the cluster shape) and replaying the variants on rayon
-    /// workers. Each variant's replay is deterministic and shares no
-    /// mutable state with the others, so each report is bit-identical to
-    /// a standalone [`Self::replay`] with that configuration and to
-    /// [`Self::replay_each_serial`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::replay`], plus [`OptimusError::Serving`] for a
-    /// zero-blade entry.
-    pub fn replay_each(
-        &self,
-        trace: &[RequestSpec],
-        configs: &[ClusterConfig],
-    ) -> Result<Vec<ClusterReport>, OptimusError> {
-        let table = self.sim.cost_table(trace, true)?;
-        configs
-            .par_iter()
-            .map(|&cluster| {
-                validate_cluster(&cluster)?;
-                self.run_with(cluster, trace, &table, true, &mut NoopObserver)
-            })
-            .collect()
-    }
-
-    /// Serial reference implementation of [`Self::replay_each`], kept as
-    /// the ground truth for the rayon-equivalence suite.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::replay_each`].
-    pub fn replay_each_serial(
-        &self,
-        trace: &[RequestSpec],
-        configs: &[ClusterConfig],
-    ) -> Result<Vec<ClusterReport>, OptimusError> {
-        let table = self.sim.cost_table(trace, false)?;
-        configs
-            .iter()
-            .map(|&cluster| {
-                validate_cluster(&cluster)?;
-                self.run_with(cluster, trace, &table, false, &mut NoopObserver)
-            })
-            .collect()
-    }
-
-    /// Routes every request to a blade at its arrival instant, using a
-    /// deterministic fluid model of blade service: each blade holds the
-    /// estimated finish times of its in-flight requests; entries past the
-    /// current arrival are drained before the routing decision.
-    fn route(&self, cluster: ClusterConfig, trace: &[RequestSpec], table: &CostTable) -> Vec<u32> {
-        let _span = profile::span(profile::Phase::Routing);
-        let blades = cluster.blades as usize;
-        let cfg = self.sim.config();
-        // Estimated service seconds for one request on an otherwise busy
-        // blade: its prefill plus its share of full-batch decode steps.
-        let batch = cfg.max_batch.min(table.max_batch()).max(1);
-        let service_s = |r: &RequestSpec| -> f64 {
-            let kv = (r.prompt_tokens + r.output_tokens - 1).min(table.max_kv());
-            table.prefill_cost(r.prompt_tokens)
-                + f64::from(r.output_tokens) * table.decode_cost(batch, kv) / f64::from(batch)
-        };
-        // Per blade: (estimated finish time, KV-footprint tokens) of
-        // in-flight requests, plus the latest finish time.
-        let mut in_flight: Vec<VecDeque<(f64, u64)>> = vec![VecDeque::new(); blades];
-        let mut last_finish = vec![0.0f64; blades];
-        // Cache-aware routing models per-blade prefix residency at the
-        // blade's own KV budget; without prefix caching the model is
-        // absent and the policy degenerates to JSQ exactly.
-        let mut residency = match (cluster.routing, cfg.prefix) {
-            (RoutingPolicy::CacheAware, Some(pc)) => Some((
-                ResidencyModel::new(
-                    blades,
-                    pc,
-                    (cfg.kv_capacity_bytes / self.sim.kv_bytes_per_token()) as u64,
-                ),
-                pc.block_tokens,
-            )),
-            _ => None,
-        };
-        let mut assignment = Vec::with_capacity(trace.len());
-        for (i, r) in trace.iter().enumerate() {
-            for fl in &mut in_flight {
-                while fl.front().is_some_and(|&(t, _)| t <= r.arrival_s) {
-                    fl.pop_front();
-                }
-            }
-            let jsq = |in_flight: &[VecDeque<(f64, u64)>]| {
-                (0..blades)
-                    .min_by_key(|&b| in_flight[b].len())
-                    .expect("blades >= 1")
-            };
-            let blade = match cluster.routing {
-                RoutingPolicy::RoundRobin => i % blades,
-                RoutingPolicy::JoinShortestQueue => jsq(&in_flight),
-                RoutingPolicy::LeastLoadedKv => (0..blades)
-                    .min_by_key(|&b| in_flight[b].iter().map(|&(_, kv)| kv).sum::<u64>())
-                    .expect("blades >= 1"),
-                RoutingPolicy::CacheAware => {
-                    let fallback = jsq(&in_flight);
-                    match (&residency, r.prefix) {
-                        (Some((model, block_tokens)), Some(prefix)) => model
-                            .best_blade(&prefix.block_chain(*block_tokens))
-                            .map(|(best, _)| best)
-                            .filter(|&best| {
-                                in_flight[best].len()
-                                    <= in_flight[fallback].len() + CACHE_AWARE_MAX_IMBALANCE
-                            })
-                            .unwrap_or(fallback),
-                        _ => fallback,
-                    }
-                }
-            };
-            if let (Some((model, block_tokens)), Some(prefix)) = (&mut residency, r.prefix) {
-                model.admit(blade, &prefix.block_chain(*block_tokens));
-            }
-            let start = last_finish[blade].max(r.arrival_s);
-            let finish = start + service_s(r);
-            last_finish[blade] = finish;
-            in_flight[blade].push_back((finish, u64::from(r.prompt_tokens + r.output_tokens)));
-            assignment.push(blade as u32);
-        }
-        assignment
-    }
-
-    fn run(
-        &self,
-        trace: &[RequestSpec],
-        table: &CostTable,
-        parallel: bool,
-        obs: &mut dyn SimObserver,
-    ) -> Result<ClusterReport, OptimusError> {
-        self.run_with(self.cluster, trace, table, parallel, obs)
-    }
-
-    fn run_with(
-        &self,
-        cluster: ClusterConfig,
-        trace: &[RequestSpec],
-        table: &CostTable,
-        parallel: bool,
-        obs: &mut dyn SimObserver,
-    ) -> Result<ClusterReport, OptimusError> {
-        let mut scale = cluster.autoscale.map(ScaleState::new);
-        let (states, outcomes, ctl) = match cluster.dispatch {
-            DispatchMode::PerBlade => self.run_per_blade(cluster, trace, table, parallel, obs),
-            DispatchMode::Central => {
-                let policy = self.sim.policy();
-                let order = ServingSimulator::arrival_queue(trace);
-                let scaler = scale.as_mut();
-                match (self.sim.config().core, policy.ordering()) {
-                    (SimCore::PerStep, _) => {
-                        let pool = Pool::central(trace, order, Exhaustive::new);
-                        self.run_central_dispatch(cluster, trace, table, pool, scaler, obs)
-                    }
-                    (SimCore::EventDriven, OrderingContract::Fcfs) => {
-                        let pool = Pool::central(trace, order, Fcfs::new);
-                        self.run_central_dispatch(cluster, trace, table, pool, scaler, obs)
-                    }
-                    (SimCore::EventDriven, OrderingContract::StaticKey) => {
-                        let pool =
-                            Pool::central(trace, order, |q| KeyedQueue::new(policy, trace, q));
-                        self.run_central_dispatch(cluster, trace, table, pool, scaler, obs)
-                    }
-                    (SimCore::EventDriven, OrderingContract::ClockDependent) => {
-                        let pool = Pool::central(trace, order, Resort::new);
-                        self.run_central_dispatch(cluster, trace, table, pool, scaler, obs)
-                    }
-                }
-            }
-        };
-        let roles = vec![BladeRole::Mixed; cluster.blades as usize];
-        Ok(assemble(
-            &self.sim,
-            trace,
-            &states,
-            &outcomes,
-            &roles,
-            ctl.as_ref(),
-            scale.as_ref(),
-        ))
-    }
-
-    /// Per-blade dispatch: route at arrival, then replay each blade's
-    /// sub-queue independently (concurrently when `parallel`; the blades
-    /// are decoupled, so serial and parallel replays are bit-identical,
-    /// and `obs` — only honored on the serial path, where blades run in
-    /// index order — never perturbs the result). Each blade runs its own
-    /// shedding gate over its own sub-queue (a per-blade front end sees
-    /// only its own strict-class completions); the disjoint shed sets are
-    /// merged for the report.
-    fn run_per_blade(
-        &self,
-        cluster: ClusterConfig,
-        trace: &[RequestSpec],
-        table: &CostTable,
-        parallel: bool,
-        obs: &mut dyn SimObserver,
-    ) -> (Vec<BladeState>, Vec<Outcome>, Option<ControlState>) {
-        let blades = cluster.blades as usize;
-        let assignment = self.route(cluster, trace, table);
-        let arrival_order: Vec<usize> = ServingSimulator::arrival_queue(trace).into();
-        let queues: Vec<VecDeque<usize>> = (0..blades)
-            .map(|b| {
-                arrival_order
-                    .iter()
-                    .copied()
-                    .filter(|&i| assignment[i] as usize == b)
-                    .collect()
-            })
-            .collect();
-        let ctx = self.sim.ctx(table);
-        let drive_one = |b: usize,
-                         queue: VecDeque<usize>,
-                         obs: &mut dyn SimObserver|
-         -> (BladeState, Vec<Outcome>, Option<ControlState>) {
-            let mut outcomes = vec![Outcome::default(); trace.len()];
-            if queue.is_empty() {
-                return (
-                    BladeState::new(b as u32, 0.0, self.sim.config().prefix),
-                    outcomes,
-                    None,
-                );
-            }
-            let mut ctl = self.sim.control_state(trace.len());
-            let state = ctx.drive_blade(b as u32, trace, queue, &mut outcomes, ctl.as_mut(), obs);
-            (state, outcomes, ctl)
-        };
-        let indexed: Vec<(usize, VecDeque<usize>)> = queues.into_iter().enumerate().collect();
-        let per_blade: Vec<(BladeState, Vec<Outcome>, Option<ControlState>)> = if parallel {
-            indexed
-                .into_par_iter()
-                .map(|(b, queue)| drive_one(b, queue, &mut NoopObserver))
+/// Per-blade dispatch: route at arrival, then replay each blade's
+/// sub-queue independently (concurrently when `parallel`; the blades
+/// are decoupled, so serial and parallel replays are bit-identical,
+/// and `obs` — only honored on the serial path, where blades run in
+/// index order — never perturbs the result). Each blade runs its own
+/// shedding gate over its own sub-queue (a per-blade front end sees
+/// only its own strict-class completions); the disjoint shed sets are
+/// merged for the report.
+fn run_per_blade(
+    ctx: &EngineCtx<'_>,
+    cluster: ClusterConfig,
+    trace: &[RequestSpec],
+    parallel: bool,
+    obs: &mut dyn SimObserver,
+) -> (Vec<BladeState>, Vec<Outcome>, Option<ControlState>) {
+    let blades = cluster.blades as usize;
+    let assignment = route(ctx, cluster, trace);
+    let arrival_order: Vec<usize> = arrival_queue(trace).into();
+    let queues: Vec<VecDeque<usize>> = (0..blades)
+        .map(|b| {
+            arrival_order
+                .iter()
+                .copied()
+                .filter(|&i| assignment[i] as usize == b)
                 .collect()
-        } else {
-            indexed
-                .into_iter()
-                .map(|(b, queue)| drive_one(b, queue, obs))
-                .collect()
-        };
+        })
+        .collect();
+    let drive_one = |b: usize,
+                     queue: VecDeque<usize>,
+                     obs: &mut dyn SimObserver|
+     -> (BladeState, Vec<Outcome>, Option<ControlState>) {
         let mut outcomes = vec![Outcome::default(); trace.len()];
-        let mut states = Vec::with_capacity(blades);
-        let mut merged: Option<ControlState> = None;
-        for (b, (state, blade_outcomes, ctl)) in per_blade.into_iter().enumerate() {
-            for (i, o) in blade_outcomes.into_iter().enumerate() {
-                if assignment[i] as usize == b {
-                    outcomes[i] = o;
-                }
-            }
-            if let Some(c) = ctl {
-                match merged.as_mut() {
-                    Some(m) => m.absorb(&c),
-                    None => merged = Some(c),
-                }
-            }
-            states.push(state);
-        }
-        (states, outcomes, merged)
-    }
-
-    /// Central dispatch: one shared queue, blades coupled through it. The
-    /// blade whose next action comes earliest steps next (ties broken by
-    /// blade index), pulling admissions from the shared queue.
-    ///
-    /// Unlike single-blade replay, time is not one clock here, so a
-    /// preempted request must not restart on a blade whose clock trails
-    /// the eviction instant: the pool tracks each request's re-entry time
-    /// (arrival for fresh requests, the evicting iteration's end for
-    /// victims), which gates admission inside [`EngineCtx::step`], and
-    /// the discipline keeps not-yet-ready requests behind ready ones so
-    /// head-of-line blocking never wedges the loop. Outside the reference
-    /// discipline, each round ends with [`central_decode_stretch`].
-    fn run_central_dispatch<D: Discipline>(
-        &self,
-        cluster: ClusterConfig,
-        trace: &[RequestSpec],
-        table: &CostTable,
-        mut pool: Pool<D>,
-        mut scale: Option<&mut ScaleState>,
-        obs: &mut dyn SimObserver,
-    ) -> (Vec<BladeState>, Vec<Outcome>, Option<ControlState>) {
-        let blades = cluster.blades as usize;
-        let ctx = self.sim.ctx(table);
-        let mut ctl = self.sim.control_state(trace.len());
-        let mut outcomes = vec![Outcome::default(); trace.len()];
-        let mut states: Vec<BladeState> = (0..blades)
-            .map(|b| BladeState::new(b as u32, 0.0, self.sim.config().prefix))
-            .collect();
-        let mut victims: Vec<usize> = Vec::new();
-        let mut served = 0u32;
-        while served < trace.len() as u32 {
-            let next_ready = pool.next_ready();
-            // Under an autoscaler only the active prefix of the blade
-            // pool competes.
-            let active = scale.as_deref().map_or(blades, |s| s.active() as usize);
-            let waiting = (!pool.is_empty()).then_some(next_ready);
-            let Some((at, b)) = next_action(&states, 0..active, waiting) else {
-                debug_assert!(false, "cluster idle with work pending");
-                break;
-            };
-            let blade = &mut states[b];
-            if blade.running.is_empty() {
-                blade.clock = blade.clock.max(at);
-            }
-            pool.prepare(blade.clock, trace, self.sim.policy());
-            victims.clear();
-            served += ctx.step(
-                trace,
-                &mut pool,
-                blade,
-                &mut outcomes,
-                Some(&mut victims),
+        if queue.is_empty() {
+            return (
+                BladeState::new(b as u32, 0.0, ctx.config.prefix),
+                outcomes,
                 None,
-                ctl.as_mut(),
-                obs,
             );
-            let now = states[b].clock;
-            for &v in &victims {
-                // The victim re-enters once the preempting iteration has
-                // completed; its KV is not free (nor the decision known
-                // elsewhere) any earlier.
-                pool.ready[v] = now;
-            }
-            pool.settle(&victims);
-            let scaler = scale.as_deref_mut().map(|sc| {
-                let depth = pool.ready_depth(now);
-                autoscale_round(sc, &mut states, now, depth, obs);
-                (&*sc, depth)
-            });
-            if !D::EXHAUSTIVE {
-                central_decode_stretch(&ctx, trace, &mut states, b, &mut pool, scaler, obs);
+        }
+        let mut ctl = ctx.control_state(trace.len());
+        let state = ctx.drive_blade(b as u32, trace, queue, &mut outcomes, ctl.as_mut(), obs);
+        (state, outcomes, ctl)
+    };
+    let indexed: Vec<(usize, VecDeque<usize>)> = queues.into_iter().enumerate().collect();
+    let per_blade: Vec<(BladeState, Vec<Outcome>, Option<ControlState>)> = if parallel {
+        indexed
+            .into_par_iter()
+            .map(|(b, queue)| drive_one(b, queue, &mut NoopObserver))
+            .collect()
+    } else {
+        indexed
+            .into_iter()
+            .map(|(b, queue)| drive_one(b, queue, obs))
+            .collect()
+    };
+    let mut outcomes = vec![Outcome::default(); trace.len()];
+    let mut states = Vec::with_capacity(blades);
+    let mut merged: Option<ControlState> = None;
+    for (b, (state, blade_outcomes, ctl)) in per_blade.into_iter().enumerate() {
+        for (i, o) in blade_outcomes.into_iter().enumerate() {
+            if assignment[i] as usize == b {
+                outcomes[i] = o;
             }
         }
-        (states, outcomes, ctl)
+        if let Some(c) = ctl {
+            match merged.as_mut() {
+                Some(m) => m.absorb(&c),
+                None => merged = Some(c),
+            }
+        }
+        states.push(state);
     }
+    (states, outcomes, merged)
+}
+
+/// Central dispatch: one shared queue, blades coupled through it. The
+/// blade whose next action comes earliest steps next (ties broken by
+/// blade index), pulling admissions from the shared queue.
+///
+/// Unlike single-blade replay, time is not one clock here, so a
+/// preempted request must not restart on a blade whose clock trails
+/// the eviction instant: the pool tracks each request's re-entry time
+/// (arrival for fresh requests, the evicting iteration's end for
+/// victims), which gates admission inside [`EngineCtx::step`], and
+/// the discipline keeps not-yet-ready requests behind ready ones so
+/// head-of-line blocking never wedges the loop. Outside the reference
+/// discipline, each round ends with [`central_decode_stretch`].
+fn run_central_dispatch<D: Discipline>(
+    ctx: &EngineCtx<'_>,
+    cluster: ClusterConfig,
+    trace: &[RequestSpec],
+    mut pool: Pool<D>,
+    mut scale: Option<&mut ScaleState>,
+    obs: &mut dyn SimObserver,
+) -> (Vec<BladeState>, Vec<Outcome>, Option<ControlState>) {
+    let blades = cluster.blades as usize;
+    let mut ctl = ctx.control_state(trace.len());
+    let mut outcomes = vec![Outcome::default(); trace.len()];
+    let mut states: Vec<BladeState> = (0..blades)
+        .map(|b| BladeState::new(b as u32, 0.0, ctx.config.prefix))
+        .collect();
+    let mut victims: Vec<usize> = Vec::new();
+    let mut served = 0u32;
+    while served < trace.len() as u32 {
+        let next_ready = pool.next_ready();
+        // Under an autoscaler only the active prefix of the blade
+        // pool competes.
+        let active = scale.as_deref().map_or(blades, |s| s.active() as usize);
+        let waiting = (!pool.is_empty()).then_some(next_ready);
+        let Some((at, b)) = next_action(&states, 0..active, waiting) else {
+            debug_assert!(false, "cluster idle with work pending");
+            break;
+        };
+        let blade = &mut states[b];
+        if blade.running.is_empty() {
+            blade.clock = blade.clock.max(at);
+        }
+        pool.prepare(blade.clock, trace, ctx.policy);
+        victims.clear();
+        served += ctx.step(
+            trace,
+            &mut pool,
+            blade,
+            &mut outcomes,
+            Some(&mut victims),
+            None,
+            ctl.as_mut(),
+            obs,
+        );
+        let now = states[b].clock;
+        for &v in &victims {
+            // The victim re-enters once the preempting iteration has
+            // completed; its KV is not free (nor the decision known
+            // elsewhere) any earlier.
+            pool.ready[v] = now;
+        }
+        pool.settle(&victims);
+        let scaler = scale.as_deref_mut().map(|sc| {
+            let depth = pool.ready_depth(now);
+            autoscale_round(sc, &mut states, now, depth, obs);
+            (&*sc, depth)
+        });
+        if !D::EXHAUSTIVE {
+            central_decode_stretch(ctx, trace, &mut states, b, &mut pool, scaler, obs);
+        }
+    }
+    (states, outcomes, ctl)
 }
 
 /// One end-of-round autoscaler evaluation of the central-dispatch loop:
@@ -1040,8 +858,8 @@ fn leapfrog_pool<D: Discipline>(
 }
 /// Merges per-blade states and outcomes into the cluster report
 /// (shared by the classic loops and the disaggregated one).
-pub(crate) fn assemble(
-    sim: &ServingSimulator<'_>,
+fn assemble(
+    ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
     states: &[BladeState],
     outcomes: &[Outcome],
@@ -1054,8 +872,8 @@ pub(crate) fn assemble(
         totals.absorb(blade);
     }
     let report = finalize(
-        sim.classes(),
-        sim.kv_bytes_per_token(),
+        ctx.classes,
+        ctx.kv_bytes_per_token,
         trace,
         outcomes,
         &totals,
@@ -1078,7 +896,7 @@ pub(crate) fn assemble(
             evictions: s.evictions,
             prefix_hits: s.prefix_hits,
             remote_hits: s.remote_hits,
-            shared_kv_peak_bytes: s.shared_peak_tokens as f64 * sim.kv_bytes_per_token(),
+            shared_kv_peak_bytes: s.shared_peak_tokens as f64 * ctx.kv_bytes_per_token,
         })
         .collect();
     let max_util = per_blade.iter().map(|b| b.utilization).fold(0.0, f64::max);
@@ -1113,6 +931,56 @@ pub(crate) fn assemble(
     }
 }
 
+/// The mixed-cluster replay: `cluster.blades` interchangeable blades
+/// behind per-blade queues or one central queue (see the module doc).
+/// `parallel` replays per-blade queues concurrently on rayon workers,
+/// bit-identically to the serial blade order, which alone feeds `obs`.
+pub(crate) fn run_mixed(
+    ctx: &EngineCtx<'_>,
+    cluster: ClusterConfig,
+    trace: &[RequestSpec],
+    parallel: bool,
+    obs: &mut dyn SimObserver,
+) -> ClusterReport {
+    let mut scale = cluster.autoscale.map(ScaleState::new);
+    let (states, outcomes, ctl) = match cluster.dispatch {
+        DispatchMode::PerBlade => run_per_blade(ctx, cluster, trace, parallel, obs),
+        DispatchMode::Central => {
+            let order = arrival_queue(trace);
+            let scaler = scale.as_mut();
+            match (ctx.config.core, ctx.policy.ordering()) {
+                (SimCore::PerStep, _) => {
+                    let pool = Pool::central(trace, order, Exhaustive::new);
+                    run_central_dispatch(ctx, cluster, trace, pool, scaler, obs)
+                }
+                (SimCore::EventDriven, OrderingContract::Fcfs) => {
+                    let pool = Pool::central(trace, order, Fcfs::new);
+                    run_central_dispatch(ctx, cluster, trace, pool, scaler, obs)
+                }
+                (SimCore::EventDriven, OrderingContract::StaticKey) => {
+                    let pool =
+                        Pool::central(trace, order, |q| KeyedQueue::new(ctx.policy, trace, q));
+                    run_central_dispatch(ctx, cluster, trace, pool, scaler, obs)
+                }
+                (SimCore::EventDriven, OrderingContract::ClockDependent) => {
+                    let pool = Pool::central(trace, order, Resort::new);
+                    run_central_dispatch(ctx, cluster, trace, pool, scaler, obs)
+                }
+            }
+        }
+    };
+    let roles = vec![BladeRole::Mixed; cluster.blades as usize];
+    assemble(
+        ctx,
+        trace,
+        &states,
+        &outcomes,
+        &roles,
+        ctl.as_ref(),
+        scale.as_ref(),
+    )
+}
+
 /// The disaggregated (DistServe-style) replay: dedicated prefill blades
 /// run whole-prompt passes batch-1 in policy order, stream each finished
 /// prefill's KV to the decode pool over `link`, and the decode-capable
@@ -1126,23 +994,18 @@ pub(crate) fn assemble(
 /// ready times follow no arrival order, so static-key policies re-sort
 /// here too).
 pub(crate) fn run_disaggregated(
-    sim: &ServingSimulator<'_>,
+    ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
-    table: &CostTable,
     roles: &[BladeRole],
     link: &HandoffLink,
     obs: &mut dyn SimObserver,
 ) -> ClusterReport {
-    match (sim.config().core, sim.policy().ordering()) {
-        (SimCore::PerStep, _) => {
-            disaggregated(sim, trace, table, roles, link, obs, Exhaustive::new)
-        }
+    match (ctx.config.core, ctx.policy.ordering()) {
+        (SimCore::PerStep, _) => disaggregated(ctx, trace, roles, link, obs, Exhaustive::new),
         (SimCore::EventDriven, OrderingContract::Fcfs) => {
-            disaggregated(sim, trace, table, roles, link, obs, Fcfs::new)
+            disaggregated(ctx, trace, roles, link, obs, Fcfs::new)
         }
-        (SimCore::EventDriven, _) => {
-            disaggregated(sim, trace, table, roles, link, obs, Resort::new)
-        }
+        (SimCore::EventDriven, _) => disaggregated(ctx, trace, roles, link, obs, Resort::new),
     }
 }
 
@@ -1155,33 +1018,30 @@ pub(crate) fn run_disaggregated(
 /// with a [`leapfrog_pool`] over the decode pool, gated by the prefill
 /// tier's next action (prefill wins clock ties).
 fn disaggregated<const E: bool, const R: bool>(
-    sim: &ServingSimulator<'_>,
+    ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
-    table: &CostTable,
     roles: &[BladeRole],
     link: &HandoffLink,
     obs: &mut dyn SimObserver,
     new: fn(VecDeque<usize>) -> Deque<E, R>,
 ) -> ClusterReport {
-    let ctx = sim.ctx(table);
     let blades_with = |keep: fn(BladeRole) -> bool| -> Vec<usize> {
         (0..roles.len()).filter(|&b| keep(roles[b])).collect()
     };
     let prefillers = blades_with(|r| r == BladeRole::Prefill);
     let decoders = blades_with(BladeRole::can_decode);
     let mut states: Vec<BladeState> = (0..roles.len())
-        .map(|b| BladeState::new(b as u32, 0.0, sim.config().prefix))
+        .map(|b| BladeState::new(b as u32, 0.0, ctx.config.prefix))
         .collect();
-    let mut prompts = new(ServingSimulator::arrival_queue(trace));
+    let mut prompts = new(arrival_queue(trace));
     // Re-entry instant per request: the handoff completion for freshly
     // prefilled sequences, eviction + re-stream for preempted ones.
     let mut pool = Pool::handoff(trace, new(VecDeque::new()));
     let mut outcomes = vec![Outcome::default(); trace.len()];
     let mut prefilled = vec![false; trace.len()];
     let mut victims: Vec<usize> = Vec::new();
-    let stream_s = |idx: usize| {
-        link.transfer_s(f64::from(trace[idx].prompt_tokens) * sim.kv_bytes_per_token())
-    };
+    let stream_s =
+        |idx: usize| link.transfer_s(f64::from(trace[idx].prompt_tokens) * ctx.kv_bytes_per_token);
     let mut served = 0u32;
     while served < trace.len() as u32 {
         let prefill_action = next_action(
@@ -1198,12 +1058,12 @@ fn disaggregated<const E: bool, const R: bool>(
             (Some((tp, b)), _) => {
                 let blade = &mut states[b];
                 blade.clock = blade.clock.max(tp);
-                prompts.prepare(blade.clock, trace, sim.policy());
+                prompts.prepare(blade.clock, trace, ctx.policy);
                 let Some(idx) = prompts.pop_front() else {
                     debug_assert!(false, "a prefill action implies a queued prompt");
                     break;
                 };
-                prefill_round(&ctx, trace, idx, blade, &mut outcomes[idx], obs);
+                prefill_round(ctx, trace, idx, blade, &mut outcomes[idx], obs);
                 let transfer = stream_s(idx);
                 pool.ready[idx] = blade.clock + transfer;
                 prefilled[idx] = true;
@@ -1215,7 +1075,7 @@ fn disaggregated<const E: bool, const R: bool>(
                 if blade.running.is_empty() {
                     blade.clock = blade.clock.max(at);
                 }
-                pool.prepare(blade.clock, trace, sim.policy());
+                pool.prepare(blade.clock, trace, ctx.policy);
                 victims.clear();
                 served += ctx.step(
                     trace,
@@ -1237,7 +1097,7 @@ fn disaggregated<const E: bool, const R: bool>(
                     let prefill_gate = prefill_action.map_or(f64::INFINITY, |(tp, _)| tp);
                     let pool_blades = decoders.iter().copied();
                     leapfrog_pool(
-                        &ctx,
+                        ctx,
                         trace,
                         &mut states,
                         pool_blades,
@@ -1253,7 +1113,7 @@ fn disaggregated<const E: bool, const R: bool>(
             }
         }
     }
-    assemble(sim, trace, &states, &outcomes, roles, None, None)
+    assemble(ctx, trace, &states, &outcomes, roles, None, None)
 }
 
 /// One prefill-tier round on `blade` for `trace[idx]`: a whole-prompt
@@ -1330,17 +1190,13 @@ fn prefill_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inference::InferenceEstimator;
     use crate::scaling::MultiBladeSystem;
-    use crate::serving::policy::FcfsPolicy;
-    use crate::serving::{ServingConfig, TraceConfig};
-    use llm_workload::model::ModelZoo;
+    use crate::serving::{ControlPlane, Scenario, TraceConfig};
+    use llm_workload::model::{ModelZoo, TransformerConfig};
     use llm_workload::parallelism::Parallelism;
 
-    fn cluster_parts() -> (
-        crate::inference::InferenceEstimator,
-        llm_workload::model::TransformerConfig,
-        Parallelism,
-    ) {
+    fn cluster_parts() -> (InferenceEstimator, TransformerConfig, Parallelism) {
         let system = MultiBladeSystem::new(4).unwrap();
         (
             system.inference_estimator(),
@@ -1349,34 +1205,23 @@ mod tests {
         )
     }
 
-    fn mk_sim<'a>(
-        est: &'a crate::inference::InferenceEstimator,
-        model: &'a llm_workload::model::TransformerConfig,
-        par: &'a Parallelism,
-        config: ServingConfig,
-    ) -> ServingSimulator<'a> {
-        ServingSimulator::from_parts(est, model, par, config, Box::new(FcfsPolicy), None).unwrap()
-    }
-
+    /// `blades` FCFS blades of 4 decode slots each, unconstrained KV.
     fn mk_cluster<'a>(
-        est: &'a crate::inference::InferenceEstimator,
-        model: &'a llm_workload::model::TransformerConfig,
+        est: &InferenceEstimator,
+        model: &'a TransformerConfig,
         par: &'a Parallelism,
         blades: u32,
         routing: RoutingPolicy,
         dispatch: DispatchMode,
-    ) -> ClusterSimulator<'a> {
-        let sim = mk_sim(est, model, par, ServingConfig::unconstrained(4));
-        ClusterSimulator::from_parts(
-            sim,
-            ClusterConfig {
-                blades,
-                routing,
-                dispatch,
-                autoscale: None,
-            },
-        )
-        .unwrap()
+    ) -> Scenario<'a> {
+        Scenario::on_estimator(est.clone())
+            .model(model)
+            .parallelism(par)
+            .max_batch(4)
+            .unconstrained_kv()
+            .topology(Topology::mixed(blades))
+            .routing(routing)
+            .dispatch(dispatch)
     }
 
     fn test_trace() -> Vec<RequestSpec> {
@@ -1394,39 +1239,39 @@ mod tests {
     #[test]
     fn zero_blades_rejected() {
         let (est, model, par) = cluster_parts();
-        let sim = mk_sim(&est, &model, &par, ServingConfig::unconstrained(4));
-        assert!(ClusterSimulator::from_parts(
-            sim,
-            ClusterConfig {
-                blades: 0,
-                routing: RoutingPolicy::RoundRobin,
-                dispatch: DispatchMode::PerBlade,
-                autoscale: None,
-            }
+        let zero = mk_cluster(
+            &est,
+            &model,
+            &par,
+            0,
+            RoutingPolicy::RoundRobin,
+            DispatchMode::PerBlade,
         )
-        .is_err());
+        .requests(test_trace())
+        .compile();
+        assert!(matches!(zero, Err(OptimusError::Serving { .. })));
     }
 
     #[test]
     fn autoscale_config_is_validated_at_construction() {
         let (est, model, par) = cluster_parts();
         let mk = |dispatch, autoscale| {
-            let sim = mk_sim(&est, &model, &par, ServingConfig::unconstrained(4));
-            ClusterSimulator::from_parts(
-                sim,
-                ClusterConfig {
-                    blades: 4,
-                    routing: RoutingPolicy::RoundRobin,
-                    dispatch,
-                    autoscale,
-                },
-            )
+            mk_cluster(&est, &model, &par, 4, RoutingPolicy::RoundRobin, dispatch)
+                .control(ControlPlane::new().autoscale(autoscale))
+                .requests(test_trace())
+                .compile()
         };
         // Per-blade routing has no shared queue for the scaler to watch.
-        assert!(mk(DispatchMode::PerBlade, Some(AutoscaleConfig::new(1, 4))).is_err());
-        // Degenerate dials are rejected through the same funnel.
-        assert!(mk(DispatchMode::Central, Some(AutoscaleConfig::new(1, 8))).is_err());
-        assert!(mk(DispatchMode::Central, Some(AutoscaleConfig::new(1, 4))).is_ok());
+        assert!(matches!(
+            mk(DispatchMode::PerBlade, AutoscaleConfig::new(1, 4)),
+            Err(OptimusError::Serving { .. })
+        ));
+        // Degenerate dials are rejected through the same check.
+        assert!(matches!(
+            mk(DispatchMode::Central, AutoscaleConfig::new(1, 8)),
+            Err(OptimusError::Serving { .. })
+        ));
+        assert!(mk(DispatchMode::Central, AutoscaleConfig::new(1, 4)).is_ok());
     }
 
     #[test]
@@ -1438,43 +1283,40 @@ mod tests {
         let (est, model, par) = cluster_parts();
         let trace = TraceConfig::burst(24, 64, 16).synthesize().unwrap();
         let mk = |core: SimCore, autoscale: Option<AutoscaleConfig>| {
-            let sim = mk_sim(
+            let scenario = mk_cluster(
                 &est,
                 &model,
                 &par,
-                ServingConfig {
-                    core,
-                    ..ServingConfig::unconstrained(4)
-                },
-            );
-            ClusterSimulator::from_parts(
-                sim,
-                ClusterConfig {
-                    blades: 4,
-                    routing: RoutingPolicy::RoundRobin,
-                    dispatch: DispatchMode::Central,
-                    autoscale,
-                },
+                4,
+                RoutingPolicy::RoundRobin,
+                DispatchMode::Central,
             )
+            .core(core)
+            .requests(trace.clone());
+            match autoscale {
+                Some(a) => scenario.control(ControlPlane::new().autoscale(a)),
+                None => scenario,
+            }
+            .compile()
+            .unwrap()
+            .run()
             .unwrap()
         };
         let scaler = AutoscaleConfig::new(1, 4)
             .with_watermarks(0, 4)
             .with_warmup(0.05)
             .with_cooldown(0.02);
-        let scaled = mk(SimCore::PerStep, Some(scaler)).replay(&trace).unwrap();
+        let scaled = mk(SimCore::PerStep, Some(scaler));
         assert_eq!(scaled.report.completed, 24);
         assert!(
             scaled.scale_events > 0,
             "burst backlog must trigger scaling"
         );
         assert!(scaled.peak_blades > 1 && scaled.peak_blades <= 4);
-        let scaled_event = mk(SimCore::EventDriven, Some(scaler))
-            .replay(&trace)
-            .unwrap();
+        let scaled_event = mk(SimCore::EventDriven, Some(scaler));
         assert_eq!(scaled, scaled_event, "cores must agree under autoscaling");
         // Without an autoscaler the report pins the fixed-pool shape.
-        let fixed = mk(SimCore::PerStep, None).replay(&trace).unwrap();
+        let fixed = mk(SimCore::PerStep, None);
         assert_eq!(fixed.scale_events, 0);
         assert_eq!(fixed.peak_blades, 4);
         // A warm pool the whole time can only help the makespan.
@@ -1483,18 +1325,21 @@ mod tests {
 
     #[test]
     fn one_blade_round_robin_matches_single_engine() {
-        // A 1-blade cluster is the single-blade engine with extra
-        // bookkeeping: the merged report must match exactly.
+        // On one blade, per-blade and central dispatch are the same
+        // single-blade engine: the merged reports must match exactly.
         let (est, model, par) = cluster_parts();
-        let trace = test_trace();
-        let single = mk_sim(&est, &model, &par, ServingConfig::unconstrained(4))
-            .replay(&trace)
-            .unwrap();
-        for dispatch in [DispatchMode::PerBlade, DispatchMode::Central] {
-            let cluster = mk_cluster(&est, &model, &par, 1, RoutingPolicy::RoundRobin, dispatch)
-                .replay(&trace)
-                .unwrap();
-            assert_eq!(cluster.report, single, "{dispatch:?}");
+        let run = |dispatch| {
+            mk_cluster(&est, &model, &par, 1, RoutingPolicy::RoundRobin, dispatch)
+                .requests(test_trace())
+                .compile()
+                .unwrap()
+                .run()
+                .unwrap()
+        };
+        let per_blade = run(DispatchMode::PerBlade);
+        let central = run(DispatchMode::Central);
+        assert_eq!(central.report, per_blade.report);
+        for cluster in [per_blade, central] {
             assert_eq!(cluster.per_blade.len(), 1);
             assert_eq!(cluster.per_blade[0].requests, 32);
         }
@@ -1503,27 +1348,23 @@ mod tests {
     #[test]
     fn more_blades_cut_tails_and_makespan() {
         let (est, model, par) = cluster_parts();
-        let trace = test_trace();
-        let one = mk_cluster(
-            &est,
-            &model,
-            &par,
-            1,
-            RoutingPolicy::JoinShortestQueue,
-            DispatchMode::PerBlade,
-        )
-        .replay(&trace)
-        .unwrap();
-        let four = mk_cluster(
-            &est,
-            &model,
-            &par,
-            4,
-            RoutingPolicy::JoinShortestQueue,
-            DispatchMode::PerBlade,
-        )
-        .replay(&trace)
-        .unwrap();
+        let run = |blades| {
+            mk_cluster(
+                &est,
+                &model,
+                &par,
+                blades,
+                RoutingPolicy::JoinShortestQueue,
+                DispatchMode::PerBlade,
+            )
+            .requests(test_trace())
+            .compile()
+            .unwrap()
+            .run()
+            .unwrap()
+        };
+        let one = run(1);
+        let four = run(4);
         assert_eq!(four.report.completed, 32);
         assert!(four.report.makespan_s <= one.report.makespan_s + 1e-12);
         assert!(four.report.ttft.p99 <= one.report.ttft.p99 + 1e-12);
@@ -1533,7 +1374,6 @@ mod tests {
     #[test]
     fn routing_policies_spread_load() {
         let (est, model, par) = cluster_parts();
-        let trace = test_trace();
         for routing in [
             RoutingPolicy::RoundRobin,
             RoutingPolicy::JoinShortestQueue,
@@ -1541,7 +1381,10 @@ mod tests {
             RoutingPolicy::CacheAware,
         ] {
             let r = mk_cluster(&est, &model, &par, 4, routing, DispatchMode::PerBlade)
-                .replay(&trace)
+                .requests(test_trace())
+                .compile()
+                .unwrap()
+                .run()
                 .unwrap();
             assert_eq!(r.report.completed, 32, "{routing}");
             assert_eq!(r.per_blade.iter().map(|b| b.requests).sum::<u32>(), 32);
@@ -1570,25 +1413,14 @@ mod tests {
             .map(|(i, r)| r.with_prefix(1 + (i as u64 % 2), 16))
             .collect();
         let mk = |routing| {
-            let sim = mk_sim(
-                &est,
-                &model,
-                &par,
-                ServingConfig::unconstrained(4).with_prefix_caching(16),
-            );
-            ClusterSimulator::from_parts(
-                sim,
-                ClusterConfig {
-                    blades: 4,
-                    routing,
-                    dispatch: DispatchMode::PerBlade,
-                    autoscale: None,
-                },
-            )
-            .unwrap()
+            mk_cluster(&est, &model, &par, 4, routing, DispatchMode::PerBlade)
+                .prefix_caching(16)
+                .requests(trace.clone())
+                .compile()
+                .unwrap()
         };
-        let aware = mk(RoutingPolicy::CacheAware).replay(&trace).unwrap();
-        let jsq = mk(RoutingPolicy::JoinShortestQueue).replay(&trace).unwrap();
+        let aware = mk(RoutingPolicy::CacheAware).run().unwrap();
+        let jsq = mk(RoutingPolicy::JoinShortestQueue).run().unwrap();
         assert_eq!(aware.report.completed, 32);
         assert!(
             aware.report.prefix_hit_rate() > jsq.report.prefix_hit_rate(),
@@ -1598,10 +1430,7 @@ mod tests {
         );
         assert!(aware.cache_residency_skew >= 0.0);
         // Serial and parallel replays agree bit-for-bit for the new policy.
-        assert_eq!(
-            aware,
-            mk(RoutingPolicy::CacheAware).replay_serial(&trace).unwrap()
-        );
+        assert_eq!(aware, mk(RoutingPolicy::CacheAware).run_serial().unwrap());
     }
 
     #[test]
@@ -1620,10 +1449,6 @@ mod tests {
             precision: est.precision(),
         }
         .bytes(&model, KvConvention::Gqa);
-        let config = ServingConfig {
-            kv_capacity_bytes: per_token * f64::from(96 + 32) * 1.5,
-            ..ServingConfig::unconstrained(6)
-        };
         let trace = TraceConfig {
             seed: 13,
             requests: 18,
@@ -1633,23 +1458,23 @@ mod tests {
         }
         .synthesize()
         .unwrap();
-        let mk = || {
-            let sim = mk_sim(&est, &model, &par, config);
-            ClusterSimulator::from_parts(
-                sim,
-                ClusterConfig {
-                    blades: 2,
-                    routing: RoutingPolicy::RoundRobin,
-                    dispatch: DispatchMode::Central,
-                    autoscale: None,
-                },
-            )
-            .unwrap()
-        };
-        let r = mk().replay(&trace).unwrap();
+        let compiled = mk_cluster(
+            &est,
+            &model,
+            &par,
+            2,
+            RoutingPolicy::RoundRobin,
+            DispatchMode::Central,
+        )
+        .max_batch(6)
+        .kv_capacity_bytes(per_token * f64::from(96 + 32) * 1.5)
+        .requests(trace)
+        .compile()
+        .unwrap();
+        let r = compiled.run().unwrap();
         assert_eq!(r.report.completed, 18);
         assert!(r.report.evictions > 0, "capacity this tight must preempt");
-        assert_eq!(r, mk().replay_serial(&trace).unwrap());
+        assert_eq!(r, compiled.run_serial().unwrap());
     }
 
     #[test]
@@ -1659,27 +1484,17 @@ mod tests {
         // backlogged burst it must complete everything too.
         let (est, model, par) = cluster_parts();
         let trace = TraceConfig::burst(24, 64, 16).synthesize().unwrap();
-        let central = mk_cluster(
-            &est,
-            &model,
-            &par,
-            3,
-            RoutingPolicy::RoundRobin,
-            DispatchMode::Central,
-        )
-        .replay(&trace)
-        .unwrap();
+        let run = |dispatch| {
+            mk_cluster(&est, &model, &par, 3, RoutingPolicy::RoundRobin, dispatch)
+                .requests(trace.clone())
+                .compile()
+                .unwrap()
+                .run()
+                .unwrap()
+        };
+        let central = run(DispatchMode::Central);
         assert_eq!(central.report.completed, 24);
-        let rr = mk_cluster(
-            &est,
-            &model,
-            &par,
-            3,
-            RoutingPolicy::RoundRobin,
-            DispatchMode::PerBlade,
-        )
-        .replay(&trace)
-        .unwrap();
+        let rr = run(DispatchMode::PerBlade);
         assert!(central.report.makespan_s <= rr.report.makespan_s * 1.01);
     }
 }

@@ -15,9 +15,9 @@ use super::events::{
     StretchHorizon,
 };
 use super::kv::KvLayout;
-use super::observer::{NoopObserver, SimObserver};
+use super::observer::SimObserver;
 use super::policy::{OrderingContract, SchedulerPolicy};
-use super::prefix::{CacheEviction, PrefixBlock, PrefixCache, PrefixCachingConfig, SharedPrefix};
+use super::prefix::{PrefixBlock, PrefixCache, PrefixCachingConfig, SharedPrefix};
 use super::report::{Percentiles, ServingReport, SloClass, SloClassReport};
 use super::telemetry::profile;
 use super::traces::RequestSpec;
@@ -180,66 +180,6 @@ impl ServingConfig {
             core: SimCore::EventDriven,
             admission: None,
         })
-    }
-
-    /// Switches KV accounting to the block-granular paged layout.
-    #[must_use]
-    pub fn with_paged_kv(mut self, block_tokens: u32) -> Self {
-        self.kv_layout = KvLayout::Paged { block_tokens };
-        self
-    }
-
-    /// Enables chunked prefill with the given chunk size (tokens).
-    #[must_use]
-    pub fn with_chunked_prefill(mut self, chunk_tokens: u32) -> Self {
-        self.prefill_chunk_tokens = chunk_tokens;
-        self
-    }
-
-    /// Switches decode pricing to exact per-sequence attention spans.
-    #[must_use]
-    pub fn with_exact_pricing(mut self) -> Self {
-        self.decode_pricing = DecodePricing::ExactPerSequence;
-        self
-    }
-
-    /// Enables prefix caching with `block_tokens`-token shared blocks
-    /// (LRU reclamation; see [`Self::with_cache_eviction`]).
-    #[must_use]
-    pub fn with_prefix_caching(mut self, block_tokens: u32) -> Self {
-        self.prefix = Some(PrefixCachingConfig {
-            block_tokens,
-            eviction: CacheEviction::default(),
-        });
-        self
-    }
-
-    /// Selects the reclamation order of the prefix caches (requires
-    /// prefix caching to be enabled first; validated at compile time).
-    #[must_use]
-    pub fn with_cache_eviction(mut self, eviction: CacheEviction) -> Self {
-        if let Some(pc) = &mut self.prefix {
-            pc.eviction = eviction;
-        }
-        self
-    }
-
-    /// Selects the replay core ([`SimCore::EventDriven`] by default).
-    #[must_use]
-    pub fn with_core(mut self, core: SimCore) -> Self {
-        self.core = core;
-        self
-    }
-
-    /// Installs the admission-control load-shedding gate (see
-    /// [`AdmissionControl`]). The gate's dials are validated against the
-    /// scenario's SLO classes when the simulator is constructed: the
-    /// strict class must exist and at least one other (sheddable) class
-    /// must be defined.
-    #[must_use]
-    pub fn with_admission_control(mut self, admission: AdmissionControl) -> Self {
-        self.admission = Some(admission);
-        self
     }
 
     pub(crate) fn validate(&self) -> Result<(), OptimusError> {
@@ -471,11 +411,13 @@ impl BladeState {
     }
 }
 
-/// Everything a replay step needs that does not mutate: configuration,
-/// policy, cost table, per-token KV sizing.
+/// Everything a replay needs that does not mutate: configuration,
+/// policy, SLO classes, cost table, per-token KV sizing.
 pub(crate) struct EngineCtx<'a> {
     pub(crate) config: &'a ServingConfig,
     pub(crate) policy: &'a dyn SchedulerPolicy,
+    /// SLO classes indexed by [`RequestSpec::class`].
+    pub(crate) classes: &'a [SloClass],
     pub(crate) table: &'a CostTable,
     pub(crate) kv_bytes_per_token: f64,
     /// The global-tier coordination plan, when the scenario enables one
@@ -497,6 +439,17 @@ struct Admission {
 impl EngineCtx<'_> {
     pub(crate) fn kv_bytes(&self, tokens_charged: u64) -> f64 {
         tokens_charged as f64 * self.kv_bytes_per_token
+    }
+
+    /// Fresh admission-control gate state for a `requests`-long trace, or
+    /// `None` when no gate is configured (the replay then takes no
+    /// control-plane branch anywhere). The gate watches the strict
+    /// class's own TTFT/TPOT targets.
+    pub(crate) fn control_state(&self, requests: usize) -> Option<ControlState> {
+        self.config.admission.map(|ac| {
+            let strict = &self.classes[ac.strict_class as usize];
+            ControlState::new(ac, requests, strict.ttft_slo_s, strict.tpot_slo_s)
+        })
     }
 
     /// Charged-token footprint of `r`'s *private* KV including this
@@ -1290,45 +1243,52 @@ pub(crate) fn finalize(
     }
 }
 
-/// Continuous-batching simulator over one estimator + model + plan.
-///
-/// This is the execution engine behind the serving API; construct it
-/// through [`Scenario`](super::scenario::Scenario), which compiles a
-/// validated configuration and runs it on one blade or a whole topology.
+/// Arrival-sorted queue over the whole trace (stable on ties by trace
+/// order).
+pub(crate) fn arrival_queue(trace: &[RequestSpec]) -> VecDeque<usize> {
+    let mut order: Vec<usize> = (0..trace.len()).collect();
+    order.sort_by(|&a, &b| {
+        trace[a]
+            .arrival_s
+            .total_cmp(&trace[b].arrival_s)
+            .then(a.cmp(&b))
+    });
+    order.into_iter().collect()
+}
+
+/// Continuous-batching simulator over one estimator + model + plan: the
+/// validated engine a [`CompiledScenario`](super::scenario::CompiledScenario)
+/// builds once and every replay borrows through [`Self::ctx`].
 #[derive(Debug)]
-pub struct ServingSimulator<'a> {
-    estimator: &'a InferenceEstimator,
-    model: &'a TransformerConfig,
+pub(crate) struct ServingSimulator<'a> {
+    estimator: InferenceEstimator,
+    pub(crate) model: &'a TransformerConfig,
     par: &'a Parallelism,
-    config: ServingConfig,
+    pub(crate) config: ServingConfig,
+    /// Bound to `classes` once, at construction.
     policy: Box<dyn SchedulerPolicy>,
     /// SLO classes indexed by [`RequestSpec::class`]; entry 0 defaults to
     /// the config's global pair.
-    classes: Vec<SloClass>,
+    pub(crate) classes: Vec<SloClass>,
     /// KV bytes per cached token per sequence, whole system.
     kv_bytes_per_token: f64,
-    /// Global-tier coordination plan, attached per replay by the compiled
-    /// scenario when the tier is enabled (see [`super::coord`]).
-    coord: Option<CoordPlan>,
 }
 
 impl<'a> ServingSimulator<'a> {
-    /// The one validated constructor
-    /// [`Scenario::compile`](super::scenario::Scenario::compile) funnels
-    /// into. `classes` of `None` installs the single default class
-    /// carrying the config's global SLO pair (PR 3 semantics).
+    /// Validates config, model, plan, classes and the admission gate, and
+    /// binds the policy to the class table. `classes` of `None` installs
+    /// the single default class carrying the config's global SLO pair.
     pub(crate) fn from_parts(
-        estimator: &'a InferenceEstimator,
+        estimator: InferenceEstimator,
         model: &'a TransformerConfig,
         par: &'a Parallelism,
         config: ServingConfig,
-        policy: Box<dyn SchedulerPolicy>,
+        mut policy: Box<dyn SchedulerPolicy>,
         classes: Option<Vec<SloClass>>,
     ) -> Result<Self, OptimusError> {
         config.validate()?;
         model.validate().map_err(OptimusError::from)?;
         par.check_model(model).map_err(OptimusError::from)?;
-        let mut policy = policy;
         let classes = match classes {
             None => vec![SloClass::new(
                 "default",
@@ -1367,99 +1327,39 @@ impl<'a> ServingSimulator<'a> {
             policy,
             classes,
             kv_bytes_per_token,
-            coord: None,
         })
     }
 
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &ServingConfig {
-        &self.config
-    }
-
-    /// The active scheduling policy.
-    #[must_use]
-    pub fn policy(&self) -> &dyn SchedulerPolicy {
-        self.policy.as_ref()
-    }
-
-    /// The SLO classes goodput is accounted against.
-    #[must_use]
-    pub fn classes(&self) -> &[SloClass] {
-        &self.classes
-    }
-
-    pub(crate) fn kv_bytes_per_token(&self) -> f64 {
-        self.kv_bytes_per_token
-    }
-
-    /// Attaches the global-tier coordination plan this simulator's
-    /// replays run under (computed per trace; see
-    /// [`plan_global_tier`](super::coord::plan_global_tier)).
-    pub(crate) fn set_coord(&mut self, plan: CoordPlan) {
-        self.coord = Some(plan);
-    }
-
-    /// Fresh admission-control gate state for a `requests`-long trace, or
-    /// `None` when no gate is configured (the replay then takes no
-    /// control-plane branch anywhere). The gate watches the strict
-    /// class's own TTFT/TPOT targets.
-    pub(crate) fn control_state(&self, requests: usize) -> Option<ControlState> {
-        self.config.admission.map(|ac| {
-            let strict = &self.classes[ac.strict_class as usize];
-            ControlState::new(ac, requests, strict.ttft_slo_s, strict.tpot_slo_s)
-        })
-    }
-
-    pub(crate) fn ctx<'t>(&'t self, table: &'t CostTable) -> EngineCtx<'t> {
+    /// The replay context over `table`, under the global-tier plan
+    /// `coord` when the scenario enables one.
+    pub(crate) fn ctx<'t>(
+        &'t self,
+        table: &'t CostTable,
+        coord: Option<&'t CoordPlan>,
+    ) -> EngineCtx<'t> {
         EngineCtx {
             config: &self.config,
             policy: self.policy.as_ref(),
+            classes: &self.classes,
             table,
             kv_bytes_per_token: self.kv_bytes_per_token,
-            coord: self.coord.as_ref(),
+            coord,
         }
     }
 
-    /// Replays the trace with the iteration-cost table built on rayon
-    /// workers. Bit-identical to [`Self::replay_serial`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimusError::Serving`] for an empty trace or a request
-    /// that can never fit the KV capacity; propagates estimation errors.
-    pub fn replay(&self, trace: &[RequestSpec]) -> Result<ServingReport, OptimusError> {
-        let table = self.cost_table(trace, true)?;
-        Ok(self.run(trace, &table, &mut NoopObserver))
-    }
-
-    /// Serial reference implementation of [`Self::replay`], kept as the
-    /// ground truth for the rayon-equivalence test in CI.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::replay`].
-    pub fn replay_serial(&self, trace: &[RequestSpec]) -> Result<ServingReport, OptimusError> {
-        let table = self.cost_table(trace, false)?;
-        Ok(self.run(trace, &table, &mut NoopObserver))
-    }
-
-    fn kv_bytes(&self, tokens_cached: u64) -> f64 {
-        tokens_cached as f64 * self.kv_bytes_per_token
-    }
-
-    /// Builds the iteration-cost table covering every (batch, KV-bucket)
-    /// state the trace can reach.
-    pub(crate) fn cost_table(
-        &self,
-        trace: &[RequestSpec],
-        parallel: bool,
-    ) -> Result<CostTable, OptimusError> {
+    /// The one trace check, run on every trace before it is replayed:
+    /// a non-empty trace of non-degenerate requests whose SLO classes
+    /// and shared prefixes are in range, each fitting the KV capacity at
+    /// full length — with prefix caching also beside its own
+    /// block-rounded prefix chain, so a lone sequence can never livelock.
+    pub(crate) fn check_trace(&self, trace: &[RequestSpec]) -> Result<(), OptimusError> {
         if trace.is_empty() {
             return Err(OptimusError::Serving {
                 reason: "trace is empty".to_owned(),
             });
         }
+        let kv_bytes = |tokens: u64| tokens as f64 * self.kv_bytes_per_token;
+        let capacity = self.config.kv_capacity_bytes;
         for r in trace {
             if r.prompt_tokens == 0 || r.output_tokens == 0 || !r.arrival_s.is_finite() {
                 return Err(OptimusError::Serving {
@@ -1489,59 +1389,59 @@ impl<'a> ServingSimulator<'a> {
                     });
                 }
             }
-            let charged = self
-                .config
-                .kv_layout
-                .charged_tokens(u64::from(r.prompt_tokens + r.output_tokens));
-            let full = self.kv_bytes(charged);
-            if full > self.config.kv_capacity_bytes {
+            let full_tokens = u64::from(r.prompt_tokens + r.output_tokens);
+            let full = kv_bytes(self.config.kv_layout.charged_tokens(full_tokens));
+            if full > capacity {
                 return Err(OptimusError::Serving {
                     reason: format!(
                         "request {} needs {:.1} GB of KV at full length but capacity is {:.1} GB",
                         r.id,
                         full / 1e9,
-                        self.config.kv_capacity_bytes / 1e9
+                        capacity / 1e9
                     ),
                 });
             }
-            // With prefix caching, the no-livelock guarantee must also
-            // cover a lone sequence co-resident with its own chain:
-            // private KV (shared span excluded, tail copy included) plus
+            // Private KV (shared span excluded, tail copy included) plus
             // the chain's block-rounded footprint.
             if let (Some(pc), Some(p)) = (self.config.prefix, r.prefix) {
                 let block = u64::from(pc.block_tokens);
                 let chain_blocks = u64::from(p.tokens).div_ceil(block);
                 let shared = u64::from(p.shared_tokens(pc.block_tokens));
-                let worst = self
-                    .config
-                    .kv_layout
-                    .charged_tokens(u64::from(r.prompt_tokens + r.output_tokens) - shared)
-                    + chain_blocks * block;
-                if self.kv_bytes(worst) > self.config.kv_capacity_bytes {
+                let worst = kv_bytes(
+                    self.config.kv_layout.charged_tokens(full_tokens - shared)
+                        + chain_blocks * block,
+                );
+                if worst > capacity {
                     return Err(OptimusError::Serving {
                         reason: format!(
                             "request {} needs {:.1} GB of KV at full length with its \
                              {chain_blocks}-block prefix chain resident but capacity is \
                              {:.1} GB (prefix caching charges whole blocks)",
                             r.id,
-                            self.kv_bytes(worst) / 1e9,
-                            self.config.kv_capacity_bytes / 1e9
+                            worst / 1e9,
+                            capacity / 1e9
                         ),
                     });
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Builds the iteration-cost table covering every (batch, KV-bucket)
+    /// state a [checked](Self::check_trace) trace can reach.
+    pub(crate) fn cost_table(
+        &self,
+        trace: &[RequestSpec],
+        parallel: bool,
+    ) -> Result<CostTable, OptimusError> {
         let bucket = self.config.kv_bucket_tokens;
-        let max_kv = trace
-            .iter()
-            .map(|r| r.prompt_tokens + r.output_tokens - 1)
-            .max()
-            .expect("trace non-empty");
-        let max_prompt = trace
-            .iter()
-            .map(|r| r.prompt_tokens)
-            .max()
-            .expect("trace non-empty");
+        let (max_kv, max_prompt) = trace.iter().fold((0, 0), |(kv, prompt), r| {
+            (
+                kv.max(r.prompt_tokens + r.output_tokens - 1),
+                prompt.max(r.prompt_tokens),
+            )
+        });
         let max_kv_idx = max_kv.div_ceil(bucket) as usize;
         let max_prompt_idx = max_prompt.div_ceil(bucket) as usize;
         let max_batch = self.config.max_batch.min(trace.len() as u32) as usize;
@@ -1585,49 +1485,5 @@ impl<'a> ServingSimulator<'a> {
             decode,
             prefill,
         })
-    }
-
-    /// Arrival-sorted queue over the whole trace (stable on ties by trace
-    /// order).
-    pub(crate) fn arrival_queue(trace: &[RequestSpec]) -> VecDeque<usize> {
-        let mut order: Vec<usize> = (0..trace.len()).collect();
-        order.sort_by(|&a, &b| {
-            trace[a]
-                .arrival_s
-                .total_cmp(&trace[b].arrival_s)
-                .then(a.cmp(&b))
-        });
-        order.into_iter().collect()
-    }
-
-    /// The simulation loop proper: deterministic, shared by every replay
-    /// path, driven entirely by table lookups.
-    fn run(
-        &self,
-        trace: &[RequestSpec],
-        table: &CostTable,
-        obs: &mut dyn SimObserver,
-    ) -> ServingReport {
-        let ctx = self.ctx(table);
-        let mut outcomes = vec![Outcome::default(); trace.len()];
-        let mut ctl = self.control_state(trace.len());
-        let blade = ctx.drive_blade(
-            0,
-            trace,
-            Self::arrival_queue(trace),
-            &mut outcomes,
-            ctl.as_mut(),
-            obs,
-        );
-        let mut totals = ReplayTotals::default();
-        totals.absorb(&blade);
-        finalize(
-            &self.classes,
-            self.kv_bytes_per_token,
-            trace,
-            &outcomes,
-            &totals,
-            ctl.as_ref(),
-        )
     }
 }

@@ -18,23 +18,26 @@
 //! * [`kv`] — how capacity is charged: contiguous token-granular
 //!   accounting or vLLM-style block-granular paging
 //!   ([`PagedKvAllocator`]) with fragmentation tracking.
-//! * [`engine`] — the single-blade replay loop ([`ServingSimulator`]):
-//!   iteration-level admission, recompute-style preemption, chunked
-//!   prefill, and decode pricing from a memoized roofline cost table
-//!   (bucketized-mean fast path or exact per-sequence spans). Every
-//!   replay loop is generic over a queue discipline, and [`SimCore`]
-//!   picks it: the event-driven default (incremental queue order,
-//!   heap-tracked ready times, batched decode stretches) or the per-step
-//!   reference, bit-identical by construction.
+//! * [`engine`] — the engine step and the single-blade replay loop
+//!   ([`ServingConfig`]): iteration-level admission, recompute-style
+//!   preemption, chunked prefill, and decode pricing from a memoized
+//!   roofline cost table (bucketized-mean fast path or exact
+//!   per-sequence spans). Every replay loop is generic over a queue
+//!   discipline, and [`SimCore`] picks it: the event-driven default
+//!   (incremental queue order, heap-tracked ready times, batched decode
+//!   stretches) or the per-step reference, bit-identical by
+//!   construction.
 //! * [`events`] — the queue disciplines and their machinery: the
 //!   lazy-deletion [`EventHeap`], incremental ready-time windows,
 //!   policy-ordered queues built on the [`OrderingContract`] each
 //!   [`SchedulerPolicy`] declares, and the closed-form decode
 //!   fast-forwards.
-//! * [`cluster`] — N blades ([`ClusterSimulator`]): round-robin /
-//!   join-shortest-queue / least-loaded-KV / cache-aware routing into
-//!   per-blade queues, or one central queue, with per-blade utilization
-//!   skew in the report.
+//! * [`cluster`] — the two multi-blade replays. Mixed clusters
+//!   ([`ClusterConfig`]) route round-robin / join-shortest-queue /
+//!   least-loaded-KV / cache-aware into per-blade queues, or share one
+//!   central queue; role-typed topologies ([`Topology`]) run the
+//!   disaggregated prefill→decode loop. Both return a [`ClusterReport`]
+//!   with per-blade utilization skew.
 //! * [`coord`] — cluster-wide prefix-cache coordination: the
 //!   cache-aware router's per-blade residency model, and the global KV
 //!   cache tier ([`GlobalCacheConfig`]) whose hits stream cached spans
@@ -56,11 +59,12 @@
 //!   feature-gated simulator self-profiling
 //!   ([`telemetry::profile`]). Bit-inert by construction.
 //!
-//! The public entry point is the [`Scenario`] builder in [`scenario`]:
-//! one fluent chain describes the system, workload, policy, KV layout,
-//! SLO classes and blade topology, and compiles into a validated
-//! [`CompiledScenario`] that runs on the single-blade engine, the
-//! cluster's per-blade or central-dispatch loops, or the DistServe-style
+//! The one way to run a scenario is the [`Scenario`] builder in
+//! [`scenario`]: one fluent chain describes the system, workload, policy,
+//! KV layout, SLO classes and blade topology, and compiles into a
+//! validated [`CompiledScenario`] holding the engine it built. Its run
+//! methods replay the mixed cluster's per-blade or central-dispatch loop
+//! (a single blade is a 1-blade cluster) or the DistServe-style
 //! disaggregated prefill→decode loop ([`BladeRole`]-typed blades
 //! streaming finished prefills over the system fabric). The
 //! [`SimObserver`] seam exposes per-iteration events (admission,
@@ -189,12 +193,12 @@ pub mod telemetry;
 pub mod traces;
 
 pub use cluster::{
-    BladeLoad, BladeRole, ClusterConfig, ClusterReport, ClusterSimulator, DispatchMode,
-    HandoffLink, RoutingPolicy, StretchStats, Topology,
+    BladeLoad, BladeRole, ClusterConfig, ClusterReport, DispatchMode, HandoffLink, RoutingPolicy,
+    StretchStats, Topology,
 };
 pub use control::{AdmissionControl, AutoscaleConfig, ControlPlane};
 pub use coord::{GlobalCacheConfig, CACHE_AWARE_MAX_IMBALANCE};
-pub use engine::{DecodePricing, RunningSeq, ServingConfig, ServingSimulator, SimCore};
+pub use engine::{DecodePricing, RunningSeq, ServingConfig, SimCore};
 pub use events::EventHeap;
 pub use kv::{KvLayout, PagedKvAllocator};
 pub use observer::{CallbackCounts, CountingObserver, NoopObserver, SimObserver};
@@ -517,9 +521,8 @@ mod tests {
         let compiled = unconstrained(&est, &model, &par, 4)
             .kv_capacity_bytes(per_token * 100.0)
             .poisson(TraceConfig::burst(2, 96, 32))
-            .compile()
-            .unwrap();
-        assert!(matches!(compiled.run(), Err(OptimusError::Serving { .. })));
+            .compile();
+        assert!(matches!(compiled, Err(OptimusError::Serving { .. })));
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! The scenario builder: the one entry point of the serving API.
+//! The scenario builder: the one way to run the serving simulator.
 //!
-//! PR 2 and PR 3 accreted three overlapping ways to stand up a serving
-//! run — `ServingConfig` + `ServingSimulator`, `ClusterConfig` +
-//! `ClusterSimulator`, and hand-wired bench glue. [`Scenario`] replaces
-//! all of them with one fluent builder: anchor it on a system (or a bare
+//! [`Scenario`] is a fluent builder: anchor it on a system (or a bare
 //! estimator for GPU baselines), describe the workload, policy, KV
-//! layout, SLO classes and blade topology, and [`Scenario::compile`] it
-//! into a validated, immutable [`CompiledScenario`] that runs on the
-//! single-blade engine, the classic cluster loops, or the disaggregated
-//! prefill→decode loop — always returning a [`ClusterReport`] (a
-//! single-blade run is a 1-blade cluster, bit-for-bit).
+//! layout, SLO classes and blade topology, and [`Scenario::compile`] it.
+//! Compiling runs every validation rule once and builds the engine once:
+//! the policy is bound to the SLO-class table and the trace is checked
+//! against the KV capacity. The resulting [`CompiledScenario`] is
+//! immutable; each run borrows its engine and replays either the
+//! mixed-cluster loop (per-blade or central dispatch; a single blade is a
+//! 1-blade cluster, bit-for-bit) or the disaggregated prefill→decode
+//! loop, always returning a [`ClusterReport`].
 //!
 //! ```
 //! use llm_workload::{ModelZoo, Parallelism};
@@ -40,11 +40,11 @@
 //! ```
 
 use super::cluster::{
-    run_disaggregated, ClusterConfig, ClusterReport, ClusterSimulator, DispatchMode, HandoffLink,
-    RoutingPolicy, Topology,
+    run_disaggregated, run_mixed, validate_cluster, ClusterConfig, ClusterReport, DispatchMode,
+    HandoffLink, RoutingPolicy, Topology,
 };
-use super::control::{AutoscaleConfig, ControlPlane};
-use super::coord::{plan_global_tier, GlobalCacheConfig};
+use super::control::ControlPlane;
+use super::coord::{plan_global_tier, CoordPlan, GlobalCacheConfig};
 use super::engine::{DecodePricing, ServingConfig, ServingSimulator, SimCore};
 use super::kv::KvLayout;
 use super::observer::{NoopObserver, SimObserver};
@@ -74,7 +74,6 @@ enum KvSizing {
     Bytes(f64),
 }
 
-type PolicyFactory = Box<dyn Fn() -> Box<dyn SchedulerPolicy> + Send + Sync>;
 type Classifier = Box<dyn Fn(&RequestSpec) -> u32 + Send + Sync>;
 
 /// Fluent description of a serving run: system, workload, scheduling
@@ -111,7 +110,7 @@ pub struct Scenario<'a> {
     tpot_slo_s: f64,
     classes: Option<Vec<SloClass>>,
     classifier: Option<Classifier>,
-    policy: PolicyFactory,
+    policy: Box<dyn SchedulerPolicy>,
     core: SimCore,
     control: Option<ControlPlane>,
     telemetry: Option<TelemetryConfig>,
@@ -182,7 +181,7 @@ impl<'a> Scenario<'a> {
             tpot_slo_s: 0.1,
             classes: None,
             classifier: None,
-            policy: Box::new(|| Box::new(FcfsPolicy)),
+            policy: Box::new(FcfsPolicy),
             core: SimCore::EventDriven,
             control: None,
             telemetry: None,
@@ -233,8 +232,8 @@ impl<'a> Scenario<'a> {
 
     /// The scheduling policy (admission order + eviction victim).
     #[must_use]
-    pub fn policy(mut self, policy: impl SchedulerPolicy + Clone + 'static) -> Self {
-        self.policy = Box::new(move || Box::new(policy.clone()));
+    pub fn policy(mut self, policy: impl SchedulerPolicy + 'static) -> Self {
+        self.policy = Box::new(policy);
         self
     }
 
@@ -387,7 +386,8 @@ impl<'a> Scenario<'a> {
 
     /// Attaches the online control plane: a load-shedding admission gate
     /// ([`AdmissionControl`](super::AdmissionControl)) and/or a
-    /// queue-depth blade autoscaler ([`AutoscaleConfig`]). The gate
+    /// queue-depth blade autoscaler
+    /// ([`AutoscaleConfig`](super::AutoscaleConfig)). The gate
     /// needs an
     /// explicit class table ([`Self::slo_classes`]) with a strict class
     /// to protect; the autoscaler needs central dispatch on a mixed
@@ -449,9 +449,11 @@ impl<'a> Scenario<'a> {
     ///
     /// Returns [`OptimusError::Serving`] for a missing model, plan or
     /// trace, degenerate configuration values, an invalid topology, a
-    /// disaggregated topology without a handoff link, a request naming
-    /// an undefined SLO class, or a control plane the topology cannot
-    /// host (any control on role-typed blades; an autoscaler without
+    /// disaggregated topology without a handoff link, an empty trace, a
+    /// degenerate request, a request naming an undefined SLO class or
+    /// claiming a shared prefix longer than its prompt, a request that
+    /// can never fit the KV capacity, or a control plane the topology
+    /// cannot host (any control on role-typed blades; an autoscaler without
     /// central dispatch, with degenerate watermarks, or bounds exceeding
     /// the blade pool; a shedding gate without a second class to shed);
     /// propagates trace-materialization and model/parallelism validation
@@ -510,40 +512,35 @@ impl<'a> Scenario<'a> {
             .topology
             .unwrap_or_else(|| Topology::mixed(self.default_blades));
         topology.validate()?;
-        let mut autoscale = None;
-        if let Some(cp) = self.control {
-            if topology.is_disaggregated() && (cp.admission.is_some() || cp.autoscale.is_some()) {
-                return Err(OptimusError::Serving {
-                    reason: "the control plane runs on mixed topologies only: the \
-                             disaggregated prefill→decode loop has no shared admission \
-                             boundary to shed at nor a uniform pool to scale"
-                        .to_owned(),
-                });
-            }
-            if let Some(sc) = cp.autoscale {
-                if self.dispatch != DispatchMode::Central {
-                    return Err(OptimusError::Serving {
-                        reason: "the autoscaler needs .dispatch(DispatchMode::Central): \
-                                 per-blade routing fixes each request's blade at arrival, \
-                                 so a changing blade count has nothing to act on"
-                            .to_owned(),
-                    });
-                }
-                sc.validate(topology.blades())?;
-                autoscale = Some(sc);
-            }
-            config.admission = cp.admission;
+        let control = self.control.unwrap_or_default();
+        if topology.is_disaggregated()
+            && (control.admission.is_some() || control.autoscale.is_some())
+        {
+            return Err(OptimusError::Serving {
+                reason: "the control plane runs on mixed topologies only: the \
+                         disaggregated prefill→decode loop has no shared admission \
+                         boundary to shed at nor a uniform pool to scale"
+                    .to_owned(),
+            });
         }
-        let link = if topology.is_disaggregated() {
+        config.admission = control.admission;
+        let layout = if topology.is_disaggregated() {
             let link = self.link.ok_or_else(|| OptimusError::Serving {
                 reason: "a disaggregated topology needs a prefill→decode handoff link \
                          (anchor the scenario on a MultiBladeSystem or set .handoff(...))"
                     .to_owned(),
             })?;
             link.validate()?;
-            Some(link)
+            Layout::Disaggregated(link)
         } else {
-            self.link
+            let cluster = ClusterConfig {
+                blades: topology.blades(),
+                routing: self.routing,
+                dispatch: self.dispatch,
+                autoscale: control.autoscale,
+            };
+            validate_cluster(&cluster)?;
+            Layout::Mixed(cluster)
         };
         let global = match self.global {
             None => None,
@@ -554,103 +551,75 @@ impl<'a> Scenario<'a> {
                         .to_owned(),
                 })?;
                 g.validate(&pc)?;
-                let tier_link = link.ok_or_else(|| OptimusError::Serving {
+                let link = self.link.ok_or_else(|| OptimusError::Serving {
                     reason: "the global KV cache tier streams hits over the cluster \
                              interconnect: anchor the scenario on a MultiBladeSystem or set \
                              .handoff(...)"
                         .to_owned(),
                 })?;
-                tier_link.validate()?;
-                Some(g)
+                link.validate()?;
+                Some((g, link))
             }
         };
 
-        // Validate everything the engine will see once, now: the
-        // simulator construction checks config, model, plan and classes.
-        ServingSimulator::from_parts(
-            &self.estimator,
+        let sim = ServingSimulator::from_parts(
+            self.estimator,
             model,
             par,
             config,
-            (self.policy)(),
-            self.classes.clone(),
+            self.policy,
+            self.classes,
         )?;
-        let class_count = self.classes.as_ref().map_or(1, Vec::len);
-        if let Some(r) = trace.iter().find(|r| r.class as usize >= class_count) {
-            return Err(OptimusError::Serving {
-                reason: format!(
-                    "request {} names SLO class {} but only {class_count} class(es) are defined",
-                    r.id, r.class
-                ),
-            });
-        }
-        if let Some(r) = trace.iter().find(|r| {
-            r.prefix
-                .is_some_and(|p| p.tokens == 0 || p.tokens > r.prompt_tokens)
-        }) {
-            let p = r.prefix.expect("found by prefix");
-            return Err(OptimusError::Serving {
-                reason: format!(
-                    "request {} claims a {}-token shared prefix of a {}-token prompt",
-                    r.id, p.tokens, r.prompt_tokens
-                ),
-            });
-        }
+        sim.check_trace(&trace)?;
         if let Some(tc) = &self.telemetry {
             tc.validate()?;
         }
         Ok(CompiledScenario {
-            estimator: self.estimator,
-            model,
-            par,
-            config,
-            classes: self.classes,
-            policy: self.policy,
+            sim,
             classifier: self.classifier,
             trace,
             base: self.base,
             topology,
-            routing: self.routing,
-            dispatch: self.dispatch,
-            autoscale,
-            link,
+            layout,
             global,
             telemetry: self.telemetry,
         })
     }
 }
 
+/// Which replay loop a compiled topology runs, holding what compile
+/// proved that loop needs.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// Interchangeable blades: routing, dispatch and the autoscaler.
+    Mixed(ClusterConfig),
+    /// Role-typed blades and the prefill→decode handoff link.
+    Disaggregated(HandoffLink),
+}
+
 /// A validated, immutable serving scenario. Every run path returns a
 /// [`ClusterReport`] (single-blade runs are 1-blade clusters); repeated
 /// runs of the same compiled scenario are bit-identical.
 pub struct CompiledScenario<'a> {
-    estimator: InferenceEstimator,
-    model: &'a TransformerConfig,
-    par: &'a Parallelism,
-    config: ServingConfig,
-    classes: Option<Vec<SloClass>>,
-    policy: PolicyFactory,
+    sim: ServingSimulator<'a>,
     classifier: Option<Classifier>,
     trace: Vec<RequestSpec>,
     base: Option<TraceConfig>,
     topology: Topology,
-    routing: RoutingPolicy,
-    dispatch: DispatchMode,
-    autoscale: Option<AutoscaleConfig>,
-    link: Option<HandoffLink>,
-    global: Option<GlobalCacheConfig>,
+    layout: Layout,
+    /// The global KV cache tier and the link its hits stream over.
+    global: Option<(GlobalCacheConfig, HandoffLink)>,
     telemetry: Option<TelemetryConfig>,
 }
 
 impl fmt::Debug for CompiledScenario<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledScenario")
-            .field("model", &self.model.name)
+            .field("model", &self.sim.model.name)
             .field("requests", &self.trace.len())
-            .field("config", &self.config)
+            .field("config", &self.sim.config)
             .field("topology", &self.topology)
-            .field("routing", &self.routing)
-            .field("dispatch", &self.dispatch)
+            .field("layout", &self.layout)
             .finish_non_exhaustive()
     }
 }
@@ -659,7 +628,7 @@ impl CompiledScenario<'_> {
     /// The frozen serving configuration.
     #[must_use]
     pub fn config(&self) -> &ServingConfig {
-        &self.config
+        &self.sim.config
     }
 
     /// The materialized (classified) trace.
@@ -674,58 +643,34 @@ impl CompiledScenario<'_> {
         &self.topology
     }
 
-    fn sim(&self) -> Result<ServingSimulator<'_>, OptimusError> {
-        ServingSimulator::from_parts(
-            &self.estimator,
-            self.model,
-            self.par,
-            self.config,
-            (self.policy)(),
-            self.classes.clone(),
-        )
+    /// The global-tier plan for `trace`, when the tier is enabled. The
+    /// pre-pass walks the trace once in arrival order, so the plan — and
+    /// every transfer-vs-recompute race — is identical across dispatch
+    /// modes, cores, and parallelism.
+    fn coord(&self, trace: &[RequestSpec]) -> Result<Option<CoordPlan>, OptimusError> {
+        match (self.global, self.sim.config.prefix) {
+            (Some((global, link)), Some(pc)) => plan_global_tier(trace, pc, global, link).map(Some),
+            _ => Ok(None),
+        }
     }
 
+    /// Replays a [checked](ServingSimulator::check_trace) `trace` on the
+    /// compiled topology.
     fn run_on(
         &self,
         trace: &[RequestSpec],
         parallel: bool,
         obs: &mut dyn SimObserver,
     ) -> Result<ClusterReport, OptimusError> {
-        let mut sim = self.sim()?;
-        if let (Some(global), Some(pc)) = (self.global, self.config.prefix) {
-            // The coordination pre-pass walks the trace once in arrival
-            // order, so the plan — and every transfer-vs-recompute race —
-            // is identical across dispatch modes, cores, and parallelism.
-            let link = self.link.expect("validated at compile");
-            sim.set_coord(plan_global_tier(trace, pc, global, link)?);
-        }
-        if self.topology.is_disaggregated() {
-            let link = self.link.as_ref().expect("validated at compile");
-            let table = sim.cost_table(trace, parallel)?;
-            Ok(run_disaggregated(
-                &sim,
-                trace,
-                &table,
-                self.topology.roles(),
-                link,
-                obs,
-            ))
-        } else {
-            let cluster = ClusterSimulator::from_parts(
-                sim,
-                ClusterConfig {
-                    blades: self.topology.blades(),
-                    routing: self.routing,
-                    dispatch: self.dispatch,
-                    autoscale: self.autoscale,
-                },
-            )?;
-            if parallel {
-                cluster.replay(trace)
-            } else {
-                cluster.replay_observed(trace, obs)
+        let coord = self.coord(trace)?;
+        let table = self.sim.cost_table(trace, parallel)?;
+        let ctx = self.sim.ctx(&table, coord.as_ref());
+        Ok(match &self.layout {
+            Layout::Mixed(cluster) => run_mixed(&ctx, *cluster, trace, parallel, obs),
+            Layout::Disaggregated(link) => {
+                run_disaggregated(&ctx, trace, self.topology.roles(), link, obs)
             }
-        }
+        })
     }
 
     /// Runs the scenario with the iteration-cost table built on rayon
@@ -734,9 +679,8 @@ impl CompiledScenario<'_> {
     ///
     /// # Errors
     ///
-    /// Returns [`OptimusError::Serving`] for degenerate requests or a
-    /// request that can never fit the KV capacity; propagates estimation
-    /// failures.
+    /// Propagates estimation failures (every trace rule was checked by
+    /// [`Scenario::compile`]).
     pub fn run(&self) -> Result<ClusterReport, OptimusError> {
         self.run_on(&self.trace, true, &mut NoopObserver)
     }
@@ -796,18 +740,14 @@ impl CompiledScenario<'_> {
                      .telemetry(TelemetryConfig { .. })"
                 .to_owned(),
         })?;
-        let classes = self.classes.clone().unwrap_or_else(|| {
-            vec![SloClass::new(
-                "default",
-                self.config.ttft_slo_s,
-                self.config.tpot_slo_s,
-            )]
+        let blades = self.topology.blades();
+        let mut tel = Telemetry::new(&cfg, blades, &self.sim.classes)?;
+        tel.set_active_blades(match self.layout {
+            Layout::Mixed(ClusterConfig {
+                autoscale: Some(a), ..
+            }) => a.min_blades,
+            _ => blades,
         });
-        let mut tel = Telemetry::new(&cfg, self.topology.blades(), &classes)?;
-        tel.set_active_blades(
-            self.autoscale
-                .map_or(self.topology.blades(), |a| a.min_blades),
-        );
         tel.observe_arrivals(&self.trace);
         if tel.wants_profile() {
             profile::start();
@@ -838,14 +778,14 @@ impl CompiledScenario<'_> {
     /// # Errors
     ///
     /// Returns [`OptimusError::Serving`] for a disaggregated topology
-    /// (role-typed blades have no routing/dispatch axis to sweep);
-    /// otherwise as for [`Self::run`].
+    /// (role-typed blades have no routing/dispatch axis to sweep) or a
+    /// variant the scenario's autoscaler cannot run under (per-blade
+    /// dispatch); otherwise as for [`Self::run`].
     pub fn run_each(
         &self,
         variants: &[(RoutingPolicy, DispatchMode)],
     ) -> Result<Vec<ClusterReport>, OptimusError> {
-        let (cluster, configs) = self.sweep_parts(variants)?;
-        cluster.replay_each(&self.trace, &configs)
+        self.sweep(variants, true)
     }
 
     /// Serial reference implementation of [`Self::run_each`], kept as
@@ -858,42 +798,43 @@ impl CompiledScenario<'_> {
         &self,
         variants: &[(RoutingPolicy, DispatchMode)],
     ) -> Result<Vec<ClusterReport>, OptimusError> {
-        let (cluster, configs) = self.sweep_parts(variants)?;
-        cluster.replay_each_serial(&self.trace, &configs)
+        self.sweep(variants, false)
     }
 
-    /// Builds the cluster simulator and the per-variant configurations a
-    /// routing/dispatch sweep replays.
-    fn sweep_parts(
+    fn sweep(
         &self,
         variants: &[(RoutingPolicy, DispatchMode)],
-    ) -> Result<(ClusterSimulator<'_>, Vec<ClusterConfig>), OptimusError> {
-        if self.topology.is_disaggregated() {
+        parallel: bool,
+    ) -> Result<Vec<ClusterReport>, OptimusError> {
+        let Layout::Mixed(base) = self.layout else {
             return Err(OptimusError::Serving {
                 reason: "run_each sweeps routing/dispatch of a mixed topology; role-typed \
                          blades route by role instead"
                     .to_owned(),
             });
-        }
-        let configs: Vec<ClusterConfig> = variants
+        };
+        let clusters = variants
             .iter()
-            .map(|&(routing, dispatch)| ClusterConfig {
-                blades: self.topology.blades(),
-                routing,
-                dispatch,
-                autoscale: self.autoscale,
+            .map(|&(routing, dispatch)| {
+                let cluster = ClusterConfig {
+                    routing,
+                    dispatch,
+                    ..base
+                };
+                validate_cluster(&cluster).map(|()| cluster)
             })
-            .collect();
-        let cluster = ClusterSimulator::from_parts(
-            self.sim()?,
-            ClusterConfig {
-                blades: self.topology.blades(),
-                routing: self.routing,
-                dispatch: self.dispatch,
-                autoscale: self.autoscale,
-            },
-        )?;
-        Ok((cluster, configs))
+            .collect::<Result<Vec<_>, _>>()?;
+        let coord = self.coord(&self.trace)?;
+        let table = self.sim.cost_table(&self.trace, parallel)?;
+        let ctx = self.sim.ctx(&table, coord.as_ref());
+        let replay = |&cluster: &ClusterConfig| {
+            run_mixed(&ctx, cluster, &self.trace, parallel, &mut NoopObserver)
+        };
+        Ok(if parallel {
+            clusters.par_iter().map(replay).collect()
+        } else {
+            clusters.iter().map(replay).collect()
+        })
     }
 
     /// Sweeps arrival rates into an SLO-vs-throughput frontier by
@@ -904,8 +845,9 @@ impl CompiledScenario<'_> {
     /// # Errors
     ///
     /// Returns [`OptimusError::Serving`] when the scenario was not built
-    /// from [`Scenario::poisson`]; otherwise as for [`Self::run`], plus
-    /// trace-synthesis failures.
+    /// from [`Scenario::poisson`] or a re-synthesized trace fails the
+    /// trace check [`Scenario::compile`] applies; otherwise as for
+    /// [`Self::run`], plus trace-synthesis failures.
     pub fn frontier(&self, rates: &[f64]) -> Result<Vec<FrontierPoint>, OptimusError> {
         let base = self.base.ok_or_else(|| OptimusError::Serving {
             reason: "the SLO frontier needs a re-synthesizable Poisson workload \
@@ -925,10 +867,7 @@ impl CompiledScenario<'_> {
                         r.class = assign(r);
                     }
                 }
-                // The classifier ran on a fresh trace (the compile-time
-                // check covered the base trace only); the engine's trace
-                // validation re-checks its class indices with the same
-                // typed error compile() raises.
+                self.sim.check_trace(&trace)?;
                 let report = self.run_on(&trace, false, &mut NoopObserver)?;
                 Ok(FrontierPoint {
                     arrival_rate_per_s: rate,
@@ -1057,7 +996,7 @@ mod tests {
     use super::*;
     use crate::serving::observer::CountingObserver;
     use crate::serving::telemetry::TailMetric;
-    use crate::serving::{BladeRole, SjfPolicy};
+    use crate::serving::{AutoscaleConfig, BladeRole, SjfPolicy};
     use llm_workload::model::ModelZoo;
 
     fn parts() -> (MultiBladeSystem, TransformerConfig, Parallelism) {
@@ -1417,6 +1356,48 @@ mod tests {
         );
     }
 
+    #[test]
+    fn run_each_rejects_a_per_blade_variant_of_an_autoscaled_scenario() {
+        // The scenario compiles (central dispatch), but a per-blade
+        // variant fixes each request's blade at arrival: the per-variant
+        // cluster check rejects it on both sweep paths.
+        let (system, model, par) = parts();
+        let compiled = scenario(&system, &model, &par)
+            .dispatch(DispatchMode::Central)
+            .control(ControlPlane::new().autoscale(AutoscaleConfig::new(1, 4)))
+            .compile()
+            .unwrap();
+        let variants = [
+            (RoutingPolicy::RoundRobin, DispatchMode::Central),
+            (RoutingPolicy::RoundRobin, DispatchMode::PerBlade),
+        ];
+        for err in [
+            compiled.run_each(&variants),
+            compiled.run_each_serial(&variants),
+        ] {
+            assert!(
+                matches!(err, Err(OptimusError::Serving { ref reason }) if reason.contains("Central")),
+                "{err:?}"
+            );
+        }
+        // The central variant alone runs under the autoscaler, exactly
+        // as the scenario's own run does.
+        assert_eq!(
+            compiled.run_each(&variants[..1]).unwrap(),
+            vec![compiled.run().unwrap()]
+        );
+    }
+
+    #[test]
+    fn empty_request_list_fails_at_compile() {
+        let (system, model, par) = parts();
+        let err = scenario(&system, &model, &par).requests(vec![]).compile();
+        assert!(
+            matches!(err, Err(OptimusError::Serving { ref reason }) if reason.contains("empty")),
+            "{err:?}"
+        );
+    }
+
     /// Two hot 256-token prefixes over round-robin routing: each blade
     /// keeps seeing one prefix, so the first arrival per blade is a
     /// local miss the global tier already covers.
@@ -1469,6 +1450,12 @@ mod tests {
         // Bit-identical across cores and serial/parallel replay.
         assert_eq!(event, mk(SimCore::PerStep).run().unwrap());
         assert_eq!(event, mk(SimCore::EventDriven).run_serial().unwrap());
+        // A sweep replays its variants under the same tier plan.
+        let variant = [(RoutingPolicy::RoundRobin, DispatchMode::PerBlade)];
+        assert_eq!(
+            vec![event.clone()],
+            mk(SimCore::EventDriven).run_each(&variant).unwrap()
+        );
         // A pathologically slow link loses every race to recompute — the
         // tier can only ever help, never hurt.
         let slow = Scenario::new(&system)
