@@ -1024,7 +1024,9 @@ fn window_at(rows: &[WindowRow], t: f64) -> &WindowRow {
 /// Panics when the telemetry series fails to resolve the gate or the
 /// autoscaler — the study's acceptance checks.
 pub fn telemetry_study() -> Result<TelemetryStudy, OptimusError> {
-    use crate::timeline::{TimelineEventKind, TimelineObserver};
+    use crate::timeline::TimelineObserver;
+    use optimus::serving::telemetry::profile;
+    use optimus::serving::EventKind;
     let model = ModelZoo::llama_405b();
     let par = Parallelism::pure_tp(64)?;
 
@@ -1059,14 +1061,13 @@ pub fn telemetry_study() -> Result<TelemetryStudy, OptimusError> {
             .telemetry(TelemetryConfig {
                 window_s: 0.25,
                 max_windows: 512,
-                profile: false,
             })
             .compile()?
             .run_observed_with_telemetry(&mut shed_timeline)?;
     let sheds: Vec<f64> = shed_timeline
         .events
         .iter()
-        .filter(|e| e.kind == TimelineEventKind::Shed)
+        .filter(|e| matches!(e.kind, EventKind::Shed { .. }))
         .map(|e| e.clock_s)
         .collect();
     assert!(!sheds.is_empty(), "the overload phase must shed");
@@ -1100,7 +1101,7 @@ pub fn telemetry_study() -> Result<TelemetryStudy, OptimusError> {
         output_tokens: (128, 384),
     };
     let mut scale_timeline = TimelineObserver::default();
-    let (autoscaled, tel) = Scenario::new(&system)
+    let compiled = Scenario::new(&system)
         .model(&model)
         .parallelism(&par)
         .max_batch(4)
@@ -1117,15 +1118,19 @@ pub fn telemetry_study() -> Result<TelemetryStudy, OptimusError> {
         .telemetry(TelemetryConfig {
             window_s: 0.5,
             max_windows: 512,
-            profile: true,
         })
-        .compile()?
-        .run_observed_with_telemetry(&mut scale_timeline)?;
+        .compile()?;
+    profile::start();
+    let replay = compiled.run_observed_with_telemetry(&mut scale_timeline);
+    let profile = profile::stop();
+    let (autoscaled, tel) = replay?;
     assert!(autoscaled.scale_events > 0, "the diurnal peak must scale");
     let scale_up_s = scale_timeline
         .events
         .iter()
-        .find(|e| e.kind == TimelineEventKind::Scale && e.detail > f64::from(e.blade))
+        .find(|e| {
+            matches!(e.kind, EventKind::Scale { active_from, active_to } if active_to > active_from)
+        })
         .map(|e| e.clock_s)
         .expect("the first scale event is a scale-up");
     let windows = tel.cluster_windows();
@@ -1155,7 +1160,6 @@ pub fn telemetry_study() -> Result<TelemetryStudy, OptimusError> {
         (sketch_p99_s - exact_p99_s).abs() <= 0.1 * exact_p99_s,
         "P2 p99 {sketch_p99_s} vs exact {exact_p99_s}: off by more than 10%"
     );
-    let profile = *tel.profile().expect("profiling was requested");
     Ok(TelemetryStudy {
         overload,
         shed_open_s,

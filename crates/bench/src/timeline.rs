@@ -1,12 +1,15 @@
 //! Timeline tooling on top of the [`SimObserver`] seam: record every
-//! engine event of a replay and dump a per-request
+//! [`SimEvent`] of a replay and dump a per-request
 //! admission→prefill-chunk→handoff→completion event CSV — the
-//! observer-driven alternative to growing the report structs (the
-//! ROADMAP's "observer-driven tooling" item).
+//! observer-driven alternative to growing the report structs.
 //!
 //! The CSV is one event per row, sorted by event time (ties keep engine
 //! order), so a per-request lifecycle is the subset of rows sharing a
-//! `request` id and a Gantt lane is the subset sharing a `blade`:
+//! `request` id and a Gantt lane is the subset sharing a `blade`. The
+//! `event` column is the [`EventKind`] in snake case and `detail` its
+//! main payload (see [`TimelineObserver::render_csv`]); a `scale` row's
+//! blade is the one whose round fired the resize, its detail the new
+//! active blade count:
 //!
 //! ```csv
 //! clock_s,event,blade,request,detail
@@ -15,80 +18,8 @@
 //! 0.029418,handoff,0,3,0.000114
 //! ```
 
-use optimus::serving::{RequestSpec, SimObserver};
+use optimus::serving::{EventKind, SimEvent, SimObserver};
 use std::fmt::Write as _;
-
-/// What happened at one instant of a replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimelineEventKind {
-    /// A request joined a blade's running batch.
-    Admission,
-    /// A running request was preempted (detail: wasted tokens).
-    Eviction,
-    /// A chunked-prefill slice was dispatched (detail: chunk tokens).
-    Chunk,
-    /// A prefill blade started streaming finished KV (detail: transfer
-    /// seconds).
-    Handoff,
-    /// A shared prefix hit the blade's cache (detail: tokens skipped).
-    CacheHit,
-    /// A shared prefix missed the blade's cache.
-    CacheMiss,
-    /// An unreferenced shared block was reclaimed (detail: block tokens).
-    CacheEvict,
-    /// The global cache tier held more of a shared prefix than the
-    /// blade's own cache (detail: tokens the tier offered beyond the
-    /// local hit; the stream-vs-recompute outcome shows up as whether a
-    /// `handoff`-style transfer or extra prefill follows).
-    RemoteHit,
-    /// A request emitted its final token.
-    Completion,
-    /// The admission gate dropped a request (the request never runs).
-    Shed,
-    /// The autoscaler changed the active blade count (blade: the count
-    /// before; detail: the count after; no request attribution).
-    Scale,
-    /// A blade finished one engine iteration (detail: step seconds; no
-    /// request attribution).
-    Step,
-}
-
-impl TimelineEventKind {
-    /// Stable CSV label.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Admission => "admission",
-            Self::Eviction => "eviction",
-            Self::Chunk => "chunk",
-            Self::Handoff => "handoff",
-            Self::CacheHit => "cache_hit",
-            Self::CacheMiss => "cache_miss",
-            Self::CacheEvict => "cache_evict",
-            Self::RemoteHit => "remote_hit",
-            Self::Completion => "completion",
-            Self::Shed => "shed",
-            Self::Scale => "scale",
-            Self::Step => "step",
-        }
-    }
-}
-
-/// One recorded engine event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimelineEvent {
-    /// Event kind.
-    pub kind: TimelineEventKind,
-    /// Blade the event happened on.
-    pub blade: u32,
-    /// Blade clock at the event (s).
-    pub clock_s: f64,
-    /// Request id ([`RequestSpec::id`]); `None` for blade-level events
-    /// (steps, cache evictions).
-    pub request: Option<u32>,
-    /// Kind-specific payload (tokens or seconds; 0 when unused).
-    pub detail: f64,
-}
 
 /// A [`SimObserver`] that records the whole replay as an event list.
 ///
@@ -97,62 +28,49 @@ pub struct TimelineEvent {
 #[derive(Debug, Clone, Default)]
 pub struct TimelineObserver {
     /// Recorded events, in engine order.
-    pub events: Vec<TimelineEvent>,
+    pub events: Vec<SimEvent>,
 }
 
 impl TimelineObserver {
-    fn push(
-        &mut self,
-        kind: TimelineEventKind,
-        blade: u32,
-        clock_s: f64,
-        request: Option<u32>,
-        detail: f64,
-    ) {
-        self.events.push(TimelineEvent {
-            kind,
-            blade,
-            clock_s,
-            request,
-            detail,
-        });
-    }
-
     /// Events involving request `id`, in engine order — its lifecycle.
     #[must_use]
-    pub fn request_events(&self, id: u32) -> Vec<TimelineEvent> {
+    pub fn request_events(&self, id: u32) -> Vec<SimEvent> {
         self.events
             .iter()
             .copied()
-            .filter(|e| e.request == Some(id))
+            .filter(|e| e.request().is_some_and(|r| r.id == id))
             .collect()
     }
 
     /// Renders the recorded timeline as CSV, rows sorted by event time
     /// (stable: ties keep engine order). `include_steps` also emits the
     /// per-iteration `step` rows (one per engine iteration — verbose,
-    /// but what a Gantt lane needs).
+    /// but what a Gantt lane needs). The detail column holds the tokens
+    /// an event wasted, chunked, skipped, reclaimed or found in the
+    /// global tier, a transfer or step length in seconds, or the active
+    /// blade count after a resize; it is empty when the kind has none.
     #[must_use]
     pub fn render_csv(&self, include_steps: bool) -> String {
-        let mut rows: Vec<&TimelineEvent> = self
+        let mut rows: Vec<&SimEvent> = self
             .events
             .iter()
-            .filter(|e| include_steps || e.kind != TimelineEventKind::Step)
+            .filter(|e| include_steps || !matches!(e.kind, EventKind::Step { .. }))
             .collect();
         rows.sort_by(|a, b| a.clock_s.total_cmp(&b.clock_s));
         let mut out = String::from("clock_s,event,blade,request,detail\n");
         for e in rows {
-            let request = e.request.map_or(String::new(), |r| r.to_string());
-            let detail = if e.detail == 0.0 {
+            let request = e.request().map_or(String::new(), |r| r.id.to_string());
+            let d = detail(e.kind);
+            let detail = if d == 0.0 {
                 String::new()
             } else {
-                format!("{:.6}", e.detail)
+                format!("{d:.6}")
             };
             let _ = writeln!(
                 out,
                 "{:.6},{},{},{request},{detail}",
                 e.clock_s,
-                e.kind.label(),
+                label(e.kind),
                 e.blade
             );
         }
@@ -161,134 +79,54 @@ impl TimelineObserver {
 }
 
 impl SimObserver for TimelineObserver {
-    fn on_admission(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
-        self.push(
-            TimelineEventKind::Admission,
-            blade,
-            clock_s,
-            Some(request.id),
-            0.0,
-        );
+    fn on_event(&mut self, event: &SimEvent) {
+        self.events.push(*event);
     }
+}
 
-    fn on_eviction(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, wasted_tokens: u32) {
-        self.push(
-            TimelineEventKind::Eviction,
-            blade,
-            clock_s,
-            Some(request.id),
-            f64::from(wasted_tokens),
-        );
+/// Stable CSV label of an event kind.
+fn label(kind: EventKind) -> &'static str {
+    match kind {
+        EventKind::Admission { .. } => "admission",
+        EventKind::Eviction { .. } => "eviction",
+        EventKind::Chunk { .. } => "chunk",
+        EventKind::Handoff { .. } => "handoff",
+        EventKind::Completion { .. } => "completion",
+        EventKind::CacheHit { .. } => "cache_hit",
+        EventKind::CacheMiss { .. } => "cache_miss",
+        EventKind::CacheEvict { .. } => "cache_evict",
+        EventKind::RemoteCacheHit { .. } => "remote_hit",
+        EventKind::Step { .. } => "step",
+        EventKind::Stretch { .. } => "stretch",
+        EventKind::Shed { .. } => "shed",
+        EventKind::Scale { .. } => "scale",
     }
+}
 
-    fn on_chunk(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, chunk_tokens: u32) {
-        self.push(
-            TimelineEventKind::Chunk,
-            blade,
-            clock_s,
-            Some(request.id),
-            f64::from(chunk_tokens),
-        );
-    }
-
-    fn on_handoff(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, transfer_s: f64) {
-        self.push(
-            TimelineEventKind::Handoff,
-            blade,
-            clock_s,
-            Some(request.id),
-            transfer_s,
-        );
-    }
-
-    fn on_cache_hit(
-        &mut self,
-        blade: u32,
-        clock_s: f64,
-        request: &RequestSpec,
-        cached_tokens: u32,
-    ) {
-        self.push(
-            TimelineEventKind::CacheHit,
-            blade,
-            clock_s,
-            Some(request.id),
-            f64::from(cached_tokens),
-        );
-    }
-
-    fn on_cache_miss(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
-        self.push(
-            TimelineEventKind::CacheMiss,
-            blade,
-            clock_s,
-            Some(request.id),
-            0.0,
-        );
-    }
-
-    fn on_cache_evict(&mut self, blade: u32, clock_s: f64, block_tokens: u32) {
-        self.push(
-            TimelineEventKind::CacheEvict,
-            blade,
-            clock_s,
-            None,
-            f64::from(block_tokens),
-        );
-    }
-
-    fn on_remote_cache_hit(
-        &mut self,
-        blade: u32,
-        clock_s: f64,
-        request: &RequestSpec,
-        remote_tokens: u32,
-        _transfer_s: f64,
-        _streamed: bool,
-    ) {
-        self.push(
-            TimelineEventKind::RemoteHit,
-            blade,
-            clock_s,
-            Some(request.id),
-            f64::from(remote_tokens),
-        );
-    }
-
-    fn on_completion(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
-        self.push(
-            TimelineEventKind::Completion,
-            blade,
-            clock_s,
-            Some(request.id),
-            0.0,
-        );
-    }
-
-    fn on_shed(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
-        self.push(
-            TimelineEventKind::Shed,
-            blade,
-            clock_s,
-            Some(request.id),
-            0.0,
-        );
-    }
-
-    fn on_scale(&mut self, clock_s: f64, active_from: u32, active_to: u32) {
-        // No blade owns a fleet-level resize: record the old count in
-        // the blade column and the new count as the detail.
-        self.push(
-            TimelineEventKind::Scale,
-            active_from,
-            clock_s,
-            None,
-            f64::from(active_to),
-        );
-    }
-
-    fn on_step(&mut self, blade: u32, clock_s: f64, step_s: f64, _decoding: u32) {
-        self.push(TimelineEventKind::Step, blade, clock_s, None, step_s);
+/// The CSV detail column (0 renders empty).
+fn detail(kind: EventKind) -> f64 {
+    match kind {
+        EventKind::Eviction {
+            wasted_tokens: n, ..
+        }
+        | EventKind::Chunk {
+            chunk_tokens: n, ..
+        }
+        | EventKind::CacheHit {
+            cached_tokens: n, ..
+        }
+        | EventKind::CacheEvict { block_tokens: n }
+        | EventKind::RemoteCacheHit {
+            remote_tokens: n, ..
+        }
+        | EventKind::Scale { active_to: n, .. } => f64::from(n),
+        EventKind::Handoff { transfer_s: s, .. }
+        | EventKind::Step { step_s: s, .. }
+        | EventKind::Stretch { step_s: s, .. } => s,
+        EventKind::Admission { .. }
+        | EventKind::Completion { .. }
+        | EventKind::CacheMiss { .. }
+        | EventKind::Shed { .. } => 0.0,
     }
 }
 
@@ -343,20 +181,20 @@ mod tests {
         // and completes exactly once.
         for id in 0..24u32 {
             let events = timeline.request_events(id);
-            let count = |kind| events.iter().filter(|e| e.kind == kind).count();
-            assert!(count(TimelineEventKind::Admission) >= 1, "request {id}");
-            assert!(count(TimelineEventKind::Handoff) >= 1, "request {id}");
-            assert_eq!(count(TimelineEventKind::Completion), 1, "request {id}");
+            let count = |l| events.iter().filter(|e| label(e.kind) == l).count();
+            assert!(count("admission") >= 1, "request {id}");
+            assert!(count("handoff") >= 1, "request {id}");
+            assert_eq!(count("completion"), 1, "request {id}");
             // The lifecycle is causally ordered: handoff before the
             // decode admission, completion last.
             let last = events.last().unwrap();
-            assert_eq!(last.kind, TimelineEventKind::Completion);
+            assert_eq!(label(last.kind), "completion");
         }
         // The shared-prefix workload produced cache activity.
         assert!(timeline
             .events
             .iter()
-            .any(|e| e.kind == TimelineEventKind::CacheHit));
+            .any(|e| matches!(e.kind, EventKind::CacheHit { .. })));
 
         let csv = timeline.render_csv(false);
         let mut lines = csv.lines();
@@ -434,25 +272,28 @@ mod tests {
             .unwrap()
             .run_observed(&mut timeline)
             .unwrap();
-        let count = |kind| timeline.events.iter().filter(|e| e.kind == kind).count() as u64;
+        let count = |l| {
+            timeline
+                .events
+                .iter()
+                .filter(|e| label(e.kind) == l)
+                .count() as u64
+        };
         assert!(report.report.shed_requests > 0, "the crowd must overload");
         assert!(report.scale_events > 0, "the autoscaler must react");
-        assert_eq!(count(TimelineEventKind::Shed), report.report.shed_requests);
-        assert_eq!(
-            count(TimelineEventKind::Scale),
-            u64::from(report.scale_events)
-        );
+        assert_eq!(count("shed"), report.report.shed_requests);
+        assert_eq!(count("scale"), u64::from(report.scale_events));
         // Shed rows carry the victim; scale rows carry the new count.
         assert!(timeline
             .events
             .iter()
-            .filter(|e| e.kind == TimelineEventKind::Shed)
-            .all(|e| e.request.is_some()));
+            .filter(|e| label(e.kind) == "shed")
+            .all(|e| e.request().is_some()));
         assert!(timeline
             .events
             .iter()
-            .filter(|e| e.kind == TimelineEventKind::Scale)
-            .all(|e| e.request.is_none() && e.detail >= 1.0));
+            .filter(|e| label(e.kind) == "scale")
+            .all(|e| e.request().is_none() && detail(e.kind) >= 1.0));
         let csv = timeline.render_csv(false);
         assert!(csv.contains(",shed,"));
         assert!(csv.contains(",scale,"));
@@ -494,14 +335,16 @@ mod tests {
             .unwrap()
             .run_observed(&mut timeline)
             .unwrap();
-        let remote: Vec<&TimelineEvent> = timeline
+        let remote: Vec<&SimEvent> = timeline
             .events
             .iter()
-            .filter(|e| e.kind == TimelineEventKind::RemoteHit)
+            .filter(|e| label(e.kind) == "remote_hit")
             .collect();
         assert!(!remote.is_empty(), "cold blades must hit the tier");
         // The tier offers whole blocks beyond the blade's local hit.
-        assert!(remote.iter().all(|e| e.request.is_some() && e.detail > 0.0));
+        assert!(remote
+            .iter()
+            .all(|e| e.request().is_some() && detail(e.kind) > 0.0));
         assert!(timeline.render_csv(false).contains(",remote_hit,"));
     }
 }

@@ -25,7 +25,7 @@ use super::events::{
     leapfrog_decode, DecodeStretch, Deque, Discipline, Exhaustive, Fcfs, KeyedQueue,
     LeapfrogMember, Pool, Resort, StretchHorizon,
 };
-use super::observer::{NoopObserver, SimObserver};
+use super::observer::{EventKind, NoopObserver, SimObserver};
 use super::policy::OrderingContract;
 use super::report::ServingReport;
 use super::telemetry::profile;
@@ -448,17 +448,13 @@ fn route(ctx: &EngineCtx<'_>, cluster: ClusterConfig, trace: &[RequestSpec]) -> 
                 fl.pop_front();
             }
         }
-        let jsq = |in_flight: &[VecDeque<(f64, u64)>]| {
-            (0..blades)
-                .min_by_key(|&b| in_flight[b].len())
-                .expect("blades >= 1")
-        };
+        let jsq = |in_flight: &[VecDeque<(f64, u64)>]| first_min(blades, |b| in_flight[b].len());
         let blade = match cluster.routing {
             RoutingPolicy::RoundRobin => i % blades,
             RoutingPolicy::JoinShortestQueue => jsq(&in_flight),
-            RoutingPolicy::LeastLoadedKv => (0..blades)
-                .min_by_key(|&b| in_flight[b].iter().map(|&(_, kv)| kv).sum::<u64>())
-                .expect("blades >= 1"),
+            RoutingPolicy::LeastLoadedKv => first_min(blades, |b| {
+                in_flight[b].iter().map(|&(_, kv)| kv).sum::<u64>()
+            }),
             RoutingPolicy::CacheAware => {
                 let fallback = jsq(&in_flight);
                 match (&residency, r.prefix) {
@@ -484,6 +480,14 @@ fn route(ctx: &EngineCtx<'_>, cluster: ClusterConfig, trace: &[RequestSpec]) -> 
         assignment.push(blade as u32);
     }
     assignment
+}
+
+/// The lowest index in `0..n` minimizing `key` (0 when `n` is 0).
+fn first_min<K: Ord>(n: usize, key: impl Fn(usize) -> K) -> usize {
+    (0..n)
+        .map(|b| (key(b), b))
+        .reduce(|best, cur| if cur.0 < best.0 { cur } else { best })
+        .map_or(0, |(_, b)| b)
 }
 
 /// Per-blade dispatch: route at arrival, then replay each blade's
@@ -625,7 +629,7 @@ fn run_central_dispatch<D: Discipline>(
         pool.settle(&victims);
         let scaler = scale.as_deref_mut().map(|sc| {
             let depth = pool.ready_depth(now);
-            autoscale_round(sc, &mut states, now, depth, obs);
+            autoscale_round(sc, &mut states, b, now, depth, obs);
             (&*sc, depth)
         });
         if !D::EXHAUSTIVE {
@@ -636,12 +640,13 @@ fn run_central_dispatch<D: Discipline>(
 }
 
 /// One end-of-round autoscaler evaluation of the central-dispatch loop:
-/// watermark check against the ready queue depth at the stepped blade's
+/// watermark check against the ready queue depth at stepped blade `b`'s
 /// clock, scale-down gated on the top active blade being idle, and a
 /// scale-up's fresh blade frozen until `now + warmup`.
 fn autoscale_round(
     scale: &mut ScaleState,
     states: &mut [BladeState],
+    b: usize,
     now: f64,
     ready_depth: usize,
     obs: &mut dyn SimObserver,
@@ -653,7 +658,11 @@ fn autoscale_round(
             let fresh = &mut states[to as usize - 1];
             fresh.clock = fresh.clock.max(now + scale.warmup_s());
         }
-        obs.on_scale(now, from, to);
+        let kind = EventKind::Scale {
+            active_from: from,
+            active_to: to,
+        };
+        obs.emit(states[b].id, now, kind);
     }
 }
 
@@ -1067,7 +1076,11 @@ fn disaggregated<const E: bool, const R: bool>(
                 let transfer = stream_s(idx);
                 pool.ready[idx] = blade.clock + transfer;
                 prefilled[idx] = true;
-                obs.on_handoff(blade.id, blade.clock, &trace[idx], transfer);
+                let kind = EventKind::Handoff {
+                    request: trace[idx],
+                    transfer_s: transfer,
+                };
+                obs.emit(blade.id, blade.clock, kind);
                 pool.push(idx);
             }
             (None, Some((at, b))) => {
@@ -1135,16 +1148,11 @@ fn prefill_round(
     let r = &trace[idx];
     let start = blade.clock.max(r.arrival_s);
     let mut skip = 0u32;
-    if let (Some(pc), Some(prefix), Some(cache)) =
-        (ctx.config.prefix, r.prefix, blade.cache.as_mut())
-    {
+    if let (Some(prefix), Some((pc, cache))) = (r.prefix, blade.cache.as_mut()) {
+        let pc = *pc;
         let (chain, hits, covered) = acquire_prefix(cache, pc, prefix);
         skip = covered;
-        if skip > 0 {
-            obs.on_cache_hit(blade.id, start, r, skip);
-        } else {
-            obs.on_cache_miss(blade.id, start, r);
-        }
+        obs.emit(blade.id, start, EventKind::prefix_lookup(*r, skip));
         cache
             .insert(&chain, hits)
             .expect("suffix absent by acquire");
@@ -1155,7 +1163,8 @@ fn prefill_round(
         let evicted = cache.evict_to_budget(pc.block_tokens, budget);
         blade.cache_evictions += evicted;
         for _ in 0..evicted {
-            obs.on_cache_evict(blade.id, start, pc.block_tokens);
+            let block_tokens = pc.block_tokens;
+            obs.emit(blade.id, start, EventKind::CacheEvict { block_tokens });
         }
         // The cache is the prefill blade's whole KV occupancy: fold it
         // into the blade's peak (and its partial tail blocks into

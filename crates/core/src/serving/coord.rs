@@ -22,8 +22,9 @@
 //!   cached KV span to the target blade over the compiled
 //!   [`HandoffLink`], roofline-priced and *raced against recompute*:
 //!   whichever is cheaper at the compiled link bandwidth wins, and the
-//!   choice is recorded through
-//!   [`SimObserver::on_remote_cache_hit`](super::observer::SimObserver::on_remote_cache_hit).
+//!   choice is recorded in an
+//!   [`EventKind::RemoteCacheHit`](super::observer::EventKind::RemoteCacheHit)
+//!   event.
 //! * **Popularity-weighted eviction**
 //!   ([`CacheEviction::Lfu`](super::prefix::CacheEviction::Lfu)) — both the
 //!   tier and the blade caches can reclaim least-frequently-used first,

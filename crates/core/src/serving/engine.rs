@@ -15,7 +15,7 @@ use super::events::{
     StretchHorizon,
 };
 use super::kv::KvLayout;
-use super::observer::SimObserver;
+use super::observer::{EventKind, SimObserver};
 use super::policy::{OrderingContract, SchedulerPolicy};
 use super::prefix::{PrefixBlock, PrefixCache, PrefixCachingConfig, SharedPrefix};
 use super::report::{Percentiles, ServingReport, SloClass, SloClassReport};
@@ -301,7 +301,7 @@ pub(crate) struct Outcome {
 #[derive(Debug, Clone)]
 pub(crate) struct BladeState {
     /// Blade index within the scenario topology (0 for single-blade
-    /// replays); carried so observer callbacks can attribute events.
+    /// replays); carried so observer events can attribute themselves.
     pub(crate) id: u32,
     pub(crate) running: Vec<RunningSeq>,
     pub(crate) clock: f64,
@@ -315,9 +315,10 @@ pub(crate) struct BladeState {
     pub(crate) served: u32,
     pub(crate) kv_peak_tokens: u64,
     pub(crate) frag_peak_tokens: u64,
-    /// Per-blade shared-block cache (KV is per-blade memory); present iff
-    /// the configuration enables prefix caching.
-    pub(crate) cache: Option<PrefixCache>,
+    /// Per-blade shared-block cache (KV is per-blade memory) with the
+    /// configuration it was built from; present iff the configuration
+    /// enables prefix caching.
+    pub(crate) cache: Option<(PrefixCachingConfig, PrefixCache)>,
     pub(crate) prefix_hits: u64,
     pub(crate) prefix_misses: u64,
     pub(crate) cow_copies: u64,
@@ -395,7 +396,7 @@ impl BladeState {
             served: 0,
             kv_peak_tokens: 0,
             frag_peak_tokens: 0,
-            cache: prefix.map(|pc| PrefixCache::with_eviction(pc.eviction)),
+            cache: prefix.map(|pc| (pc, PrefixCache::with_eviction(pc.eviction))),
             prefix_hits: 0,
             prefix_misses: 0,
             cow_copies: 0,
@@ -468,10 +469,10 @@ impl EngineCtx<'_> {
     /// prefix caching off — keeping every legacy comparison on the exact
     /// integer value it always used).
     pub(crate) fn cache_charged(&self, blade: &BladeState) -> u64 {
-        match (&blade.cache, self.config.prefix) {
-            (Some(cache), Some(pc)) => cache.charged_tokens(pc.block_tokens),
-            _ => 0,
-        }
+        blade
+            .cache
+            .as_ref()
+            .map_or(0, |(pc, cache)| cache.charged_tokens(pc.block_tokens))
     }
 
     /// Decides whether `trace[idx]` fits this iteration, mutating the
@@ -490,9 +491,9 @@ impl EngineCtx<'_> {
     ) -> Option<Admission> {
         let cfg = self.config;
         let r = &trace[idx];
-        if let (Some(pc), Some(prefix), false, Some(cache)) =
-            (cfg.prefix, r.prefix, streamed, blade.cache.as_mut())
+        if let (Some(prefix), false, Some((pc, cache))) = (r.prefix, streamed, blade.cache.as_mut())
         {
+            let pc = *pc;
             let (chain, hits, skip) = acquire_prefix(cache, pc, prefix);
             let shared = prefix.shared_tokens(pc.block_tokens);
             let private = cfg
@@ -514,7 +515,12 @@ impl EngineCtx<'_> {
                     return None;
                 }
                 blade.cache_evictions += 1;
-                obs.on_cache_evict(blade.id, blade.clock, pc.block_tokens);
+                let block_tokens = pc.block_tokens;
+                obs.emit(
+                    blade.id,
+                    blade.clock,
+                    EventKind::CacheEvict { block_tokens },
+                );
             }
             cache
                 .insert(&chain, hits)
@@ -529,12 +535,14 @@ impl EngineCtx<'_> {
                 if self.kv_bytes(total) <= cfg.kv_capacity_bytes {
                     break;
                 }
-                blade.cache.as_mut()?.evict_lru()?;
+                let (pc, cache) = blade.cache.as_mut()?;
+                cache.evict_lru()?;
+                let block_tokens = pc.block_tokens;
                 blade.cache_evictions += 1;
-                obs.on_cache_evict(
+                obs.emit(
                     blade.id,
                     blade.clock,
-                    cfg.prefix.expect("cache implies config").block_tokens,
+                    EventKind::CacheEvict { block_tokens },
                 );
             }
             *projected += candidate;
@@ -580,7 +588,16 @@ impl EngineCtx<'_> {
             };
         let streams = transfer < recompute;
         blade.remote_hits += 1;
-        obs.on_remote_cache_hit(blade.id, at, r, remote, transfer, streams);
+        obs.emit(
+            blade.id,
+            at,
+            EventKind::RemoteCacheHit {
+                request: *r,
+                remote_tokens: remote,
+                transfer_s: transfer,
+                streamed: streams,
+            },
+        );
         if !streams {
             blade.remote_recomputes += 1;
             return None;
@@ -603,12 +620,9 @@ impl EngineCtx<'_> {
         if prefilled.is_some_and(|p| p[r.idx]) {
             return;
         }
-        if let (Some(pc), Some(prefix)) = (self.config.prefix, trace[r.idx].prefix) {
+        if let (Some((pc, cache)), Some(prefix)) = (blade.cache.as_mut(), trace[r.idx].prefix) {
             let chain = prefix.block_chain(pc.block_tokens);
-            blade
-                .cache
-                .as_mut()
-                .expect("cache present when enabled")
+            cache
                 .release(&chain, chain.len())
                 .expect("sequence held its chain since admission");
         }
@@ -657,48 +671,47 @@ impl EngineCtx<'_> {
         let mut projected: u64 = blade.running.iter().map(|r| self.charge(r)).sum();
         let mut admitted: Vec<Admission> = Vec::new();
         let mut sheds = 0u32;
-        let admission_span = profile::span(profile::Phase::Admission);
-        while let Some(idx) = queue.peek() {
-            if queue.ready_at(trace, idx) > blade.clock
-                || blade.running.len() + admitted.len() >= cfg.max_batch as usize
-            {
-                break;
-            }
-            // Load shedding fires exactly where admission would: after
-            // the ready/batch-space gates, before the KV check. Both
-            // cores reach this point at the same blade clock with the
-            // same gate state, so the decision is bit-identical.
-            if let Some(c) = ctl.as_deref_mut() {
-                let class = trace[idx].class;
-                if c.should_shed(class) {
-                    c.mark_shed(idx, class);
-                    obs.on_shed(blade.id, blade.clock, &trace[idx]);
-                    queue.pop();
-                    sheds += 1;
-                    continue;
+        {
+            let _admission_span = profile::span(profile::Phase::Admission);
+            while let Some(idx) = queue.peek() {
+                if queue.ready_at(trace, idx) > blade.clock
+                    || blade.running.len() + admitted.len() >= cfg.max_batch as usize
+                {
+                    break;
                 }
+                // Load shedding fires exactly where admission would: after
+                // the ready/batch-space gates, before the KV check. Both
+                // cores reach this point at the same blade clock with the
+                // same gate state, so the decision is bit-identical.
+                if let Some(c) = ctl.as_deref_mut() {
+                    let class = trace[idx].class;
+                    if c.should_shed(class) {
+                        c.mark_shed(idx, class);
+                        let request = trace[idx];
+                        obs.emit(blade.id, blade.clock, EventKind::Shed { request });
+                        queue.pop();
+                        sheds += 1;
+                        continue;
+                    }
+                }
+                let streamed = prefilled.is_some_and(|p| p[idx]);
+                let Some(adm) = self.try_admit(trace, idx, streamed, &mut projected, blade, obs)
+                else {
+                    break;
+                };
+                admitted.push(adm);
+                queue.pop();
             }
-            let streamed = prefilled.is_some_and(|p| p[idx]);
-            let Some(adm) = self.try_admit(trace, idx, streamed, &mut projected, blade, obs) else {
-                break;
-            };
-            admitted.push(adm);
-            queue.pop();
         }
-        drop(admission_span);
         let mut step_cost = 0.0f64;
         for &Admission { idx, skip, shared } in &admitted {
-            obs.on_admission(blade.id, blade.clock, &trace[idx]);
             let r = &trace[idx];
+            obs.emit(blade.id, blade.clock, EventKind::Admission { request: *r });
             let prompt = r.prompt_tokens;
             let mut skip = skip;
             let streamed = prefilled.is_some_and(|p| p[idx]);
             if cfg.prefix.is_some() && r.prefix.is_some() && !streamed {
-                if skip > 0 {
-                    obs.on_cache_hit(blade.id, blade.clock, r, skip);
-                } else {
-                    obs.on_cache_miss(blade.id, blade.clock, r);
-                }
+                obs.emit(blade.id, blade.clock, EventKind::prefix_lookup(*r, skip));
                 outcomes[idx].prefix_saved_tokens += u64::from(skip);
                 if let Some((transfer, covered)) =
                     self.race_global_tier(trace, idx, skip, blade.clock, blade, obs)
@@ -749,13 +762,14 @@ impl EngineCtx<'_> {
             if self.kv_bytes(grown) <= cfg.kv_capacity_bytes {
                 break;
             }
-            if let Some(cache) = blade.cache.as_mut() {
+            if let Some((pc, cache)) = blade.cache.as_mut() {
                 if cache.evict_lru().is_some() {
+                    let block_tokens = pc.block_tokens;
                     blade.cache_evictions += 1;
-                    obs.on_cache_evict(
+                    obs.emit(
                         blade.id,
                         blade.clock,
-                        cfg.prefix.expect("cache implies config").block_tokens,
+                        EventKind::CacheEvict { block_tokens },
                     );
                     continue;
                 }
@@ -767,7 +781,11 @@ impl EngineCtx<'_> {
             let victim = blade.running.remove(victim_at);
             blade.evictions += 1;
             blade.wasted_tokens += u64::from(victim.produced);
-            obs.on_eviction(blade.id, blade.clock, &trace[victim.idx], victim.produced);
+            let kind = EventKind::Eviction {
+                request: trace[victim.idx],
+                wasted_tokens: victim.produced,
+            };
+            obs.emit(blade.id, blade.clock, kind);
             self.release_chain(trace, &victim, prefilled, blade);
             if let Some(out) = evicted.as_deref_mut() {
                 out.push(victim.idx);
@@ -798,7 +816,11 @@ impl EngineCtx<'_> {
                     let chunk = r.prefill_remaining.min(cfg.prefill_chunk_tokens);
                     chunks.push(chunk);
                     r.prefill_remaining -= chunk;
-                    obs.on_chunk(blade_id, clock, &trace[r.idx], chunk);
+                    let kind = EventKind::Chunk {
+                        request: trace[r.idx],
+                        chunk_tokens: chunk,
+                    };
+                    obs.emit(blade_id, clock, kind);
                 }
             }
         }
@@ -861,7 +883,6 @@ impl EngineCtx<'_> {
         blade.busy_s += step_cost;
         blade.max_step_s = blade.max_step_s.max(step_cost);
         blade.clock += step_cost;
-        obs.on_step(blade.id, blade.clock, step_cost, batch);
 
         // Occupancy + fragmentation peaks at this iteration's resident
         // footprint — post-growth, before finishers release their caches
@@ -876,13 +897,19 @@ impl EngineCtx<'_> {
                     - u64::from(r.shared_tokens)
             })
             .sum::<u64>()
-            + blade.cache.as_ref().map_or(0, PrefixCache::resident_tokens);
+            + blade.cache.as_ref().map_or(0, |(_, c)| c.resident_tokens());
         let shared_now = self.cache_charged(blade);
         let charged: u64 = blade.running.iter().map(|r| self.charge(r)).sum::<u64>() + shared_now;
         blade.kv_peak_tokens = blade.kv_peak_tokens.max(charged);
         blade.frag_peak_tokens = blade.frag_peak_tokens.max(charged - used);
         blade.shared_peak_tokens = blade.shared_peak_tokens.max(shared_now);
-        obs.on_kv_sample(blade.id, blade.clock, charged, shared_now);
+        let kind = EventKind::Step {
+            step_s: step_cost,
+            decoding: batch,
+            kv_tokens: charged,
+            shared_tokens: shared_now,
+        };
+        obs.emit(blade.id, blade.clock, kind);
 
         // Every decoding sequence emits one token; retire finishers.
         let mut completions = 0u32;
@@ -896,14 +923,14 @@ impl EngineCtx<'_> {
             r.produced += 1;
             r.kv_len += 1;
             let out = &mut outcomes[r.idx];
-            if out.first_token_s.is_none() {
-                out.first_token_s = Some(blade.clock);
-            }
+            let first = *out.first_token_s.get_or_insert(blade.clock);
             if r.produced >= trace[r.idx].output_tokens {
                 out.completion_s = Some(blade.clock);
-                obs.on_completion(blade.id, blade.clock, &trace[r.idx]);
-                let first = out.first_token_s.expect("first token precedes completion");
-                obs.on_outcome(blade.id, blade.clock, &trace[r.idx], first);
+                let kind = EventKind::Completion {
+                    request: trace[r.idx],
+                    first_token_s: first,
+                };
+                obs.emit(blade.id, blade.clock, kind);
                 // Strict-class completions feed the shedding gate's
                 // attainment window with the exact TTFT/TPOT arithmetic
                 // `finalize` will apply, so the gate's verdict agrees

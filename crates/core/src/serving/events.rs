@@ -17,9 +17,8 @@
 
 use super::engine::{BladeState, DecodePricing, EngineCtx};
 use super::kv::KvLayout;
-use super::observer::SimObserver;
+use super::observer::{EventKind, SimObserver};
 use super::policy::{OrderingContract, SchedulerPolicy};
-use super::prefix::PrefixCache;
 use super::telemetry::profile;
 use super::traces::RequestSpec;
 use std::cmp::Reverse;
@@ -922,7 +921,7 @@ impl DecodeStretch {
             .iter()
             .map(|r| u64::from(r.kv_len) + 1 - u64::from(r.shared_tokens))
             .sum::<u64>()
-            + blade.cache.as_ref().map_or(0, PrefixCache::resident_tokens);
+            + blade.cache.as_ref().map_or(0, |(_, c)| c.resident_tokens());
         Some(Self {
             cost,
             batch,
@@ -938,15 +937,16 @@ impl DecodeStretch {
     /// replicating the per-step loop's float operations in order: per
     /// iteration `decode_time_s += c; batch_time_weighted += c*b;
     /// busy_s += c; clock += c` (its `step_cost = 0.0 + c` equals `c`
-    /// bitwise for positive costs), then the observer callback. Returns
+    /// bitwise for positive costs), then the observer event. Returns
     /// the iterations advanced; 0 means the caller must fall back to a
     /// full per-round step.
     ///
-    /// Non-passive observers still get one `on_step` per iteration —
-    /// batching changes the loop shape, never the event stream. `on_shed`
-    /// and `on_scale` need no replay here: sheds fire only at round-start
-    /// admission instants and scale events only at round-end evaluation
-    /// instants, both of which the horizon gates exclude by construction.
+    /// Non-passive observers still get one `Step` event per iteration —
+    /// batching changes the loop shape, never the event stream. `Shed`
+    /// and `Scale` events need no replay here: sheds fire only at
+    /// round-start admission instants and scale events only at round-end
+    /// evaluation instants, both of which the horizon gates exclude by
+    /// construction.
     pub(crate) fn advance(
         &self,
         blade: &mut BladeState,
@@ -991,32 +991,42 @@ impl DecodeStretch {
             stretch_loop!();
             self.commit(blade, done);
             // One closed-form summary replaces the skipped per-iteration
-            // stream (telemetry window-buckets it; see `on_stretch`).
+            // stream (telemetry window-buckets it; see `EventKind::Stretch`).
             if done > 0 {
-                obs.on_stretch(blade.id, blade.clock, done, cost, batch, self.kv_end(done));
+                obs.emit(blade.id, blade.clock, self.stretch_event(done));
             }
         } else {
             stretch_loop!({
-                obs.on_step(blade.id, blade.clock, cost, batch);
                 // At notify, `done` completed iterations precede this one,
                 // so the charged footprint matches the per-step loop's
                 // `charged0 + done * growth` exactly.
-                obs.on_kv_sample(
-                    blade.id,
-                    blade.clock,
-                    self.charged0 + done * self.charge_growth,
-                    self.cache_charged,
-                );
+                obs.emit(blade.id, blade.clock, self.step_event(done));
             });
             self.commit(blade, done);
         }
         done
     }
 
-    /// Charged KV tokens at the stretch's last advanced iteration
-    /// (callers guarantee `done > 0`).
-    fn kv_end(&self, done: u64) -> u64 {
-        self.charged0 + (done - 1) * self.charge_growth
+    /// The `Step` event of the iteration advanced after `done` completed
+    /// ones of this plan.
+    fn step_event(&self, done: u64) -> EventKind {
+        EventKind::Step {
+            step_s: self.cost,
+            decoding: self.batch,
+            kv_tokens: self.charged0 + done * self.charge_growth,
+            shared_tokens: self.cache_charged,
+        }
+    }
+
+    /// The `Stretch` summary of `done` iterations advanced under this
+    /// plan (callers guarantee `done > 0`).
+    fn stretch_event(&self, done: u64) -> EventKind {
+        EventKind::Stretch {
+            iterations: done,
+            step_s: self.cost,
+            decoding: self.batch,
+            kv_tokens: self.charged0 + (done - 1) * self.charge_growth,
+        }
     }
 
     /// Applies the end-of-stretch bookkeeping for `done` iterations
@@ -1132,27 +1142,14 @@ pub(crate) fn leapfrog_decode(
         blade.busy_s += plan.cost;
         blade.clock = next;
         if !passive {
-            obs.on_step(blade.id, blade.clock, plan.cost, plan.batch);
             // `done` completed rounds of this plan precede the one just
             // advanced, matching the per-step loop's charged footprint.
-            obs.on_kv_sample(
-                blade.id,
-                blade.clock,
-                plan.charged0 + done * plan.charge_growth,
-                plan.cache_charged,
-            );
+            obs.emit(blade.id, blade.clock, plan.step_event(done));
         }
         if done + 1 == plan.max_iters {
             plan.commit(blade, done + 1);
             if passive {
-                obs.on_stretch(
-                    blade.id,
-                    blade.clock,
-                    done + 1,
-                    plan.cost,
-                    plan.batch,
-                    plan.kv_end(done + 1),
-                );
+                obs.emit(blade.id, blade.clock, plan.stretch_event(done + 1));
             }
             runs[i] = DecodeStretch::plan(ctx, trace, blade).map(|p| (p, 0));
         } else {
@@ -1164,14 +1161,7 @@ pub(crate) fn leapfrog_decode(
             plan.commit(&mut states[m.blade], done);
             if passive && done > 0 {
                 let blade = &states[m.blade];
-                obs.on_stretch(
-                    blade.id,
-                    blade.clock,
-                    done,
-                    plan.cost,
-                    plan.batch,
-                    plan.kv_end(done),
-                );
+                obs.emit(blade.id, blade.clock, plan.stretch_event(done));
             }
         }
     }

@@ -201,7 +201,9 @@ pub use coord::{GlobalCacheConfig, CACHE_AWARE_MAX_IMBALANCE};
 pub use engine::{DecodePricing, RunningSeq, ServingConfig, SimCore};
 pub use events::EventHeap;
 pub use kv::{KvLayout, PagedKvAllocator};
-pub use observer::{CallbackCounts, CountingObserver, NoopObserver, SimObserver};
+pub use observer::{
+    CallbackCounts, CountingObserver, EventKind, NoopObserver, SimEvent, SimObserver,
+};
 pub use policy::{
     FcfsPolicy, MaxWaitGuardPolicy, OrderingContract, SchedulerPolicy, SjfPolicy,
     StrictPriorityPolicy, WeightedFairPolicy,

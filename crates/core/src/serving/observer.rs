@@ -1,177 +1,241 @@
-//! The [`SimObserver`] seam: per-iteration engine callbacks so benches,
-//! tests and tools can watch a replay — admissions, evictions, prefill
-//! chunk dispatches, prefill→decode handoffs, completions and raw steps —
-//! without reaching into engine internals.
+//! The [`SimObserver`] seam: the engine reports every admission,
+//! eviction, prefill chunk, prefill→decode handoff, completion and step
+//! of a replay as one [`SimEvent`], so benches, tests and tools can
+//! watch a replay without reaching into engine internals.
 //!
-//! Observers are strictly read-only: the engine never lets a callback
-//! perturb its float stream, so an observed replay is bit-identical to an
+//! Events are plain `Copy` data: a recorder is a `Vec<SimEvent>`, and
+//! two recorded streams compare element by element. Observers are
+//! strictly read-only: the engine never lets an observer perturb its
+//! float stream, so an observed replay is bit-identical to an
 //! unobserved one (the observed paths run the serial cost table; see
 //! [`CompiledScenario::run_observed`](super::scenario::CompiledScenario::run_observed)).
 //!
-//! Beyond the lifecycle events, three sampling hooks feed the
-//! [`telemetry`](super::telemetry) layer: [`SimObserver::on_outcome`]
-//! (per-completion latency decomposition), [`SimObserver::on_kv_sample`]
-//! (KV/shared-block occupancy gauges) and [`SimObserver::on_stretch`]
-//! (closed-form decode-stretch summaries for passive observers). All
-//! three default to no-ops like every other callback.
+//! Beyond the lifecycle events, the [`EventKind::Completion`] latency
+//! decomposition, the [`EventKind::Step`] KV gauges and the
+//! [`EventKind::Stretch`] summaries feed the
+//! [`telemetry`](super::telemetry) layer.
 
 use super::traces::RequestSpec;
 
-/// Read-only callbacks fired by the serving engine as a replay advances.
-/// Every method has a no-op default, so observers implement only what
-/// they watch. `blade` is the blade index within the scenario's topology
-/// (0 for single-blade replays); `clock_s` is that blade's clock at the
-/// instant the event took effect.
-pub trait SimObserver {
-    /// `request` joined blade `blade`'s running batch (clock is the
+/// One engine event: `kind` took effect on blade `blade` (the blade
+/// index within the scenario's topology; 0 for single-blade replays)
+/// when that blade's clock read `clock_s`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SimEvent {
+    /// Blade the event happened on.
+    pub blade: u32,
+    /// The blade's clock at the instant the event took effect (s).
+    pub clock_s: f64,
+    /// What happened.
+    pub kind: EventKind,
+}
+
+/// What a [`SimEvent`] reports. Requests ride by value, so recorded
+/// events outlive the trace.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EventKind {
+    /// `request` joined the blade's running batch (clock is the
     /// iteration start).
-    fn on_admission(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
-        let _ = (blade, clock_s, request);
-    }
-
-    /// `request` was preempted off blade `blade`, discarding
+    Admission {
+        /// The admitted request.
+        request: RequestSpec,
+    },
+    /// `request` was preempted off the blade, discarding
     /// `wasted_tokens` generated tokens (recompute-style restart).
-    fn on_eviction(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, wasted_tokens: u32) {
-        let _ = (blade, clock_s, request, wasted_tokens);
-    }
-
+    Eviction {
+        /// The preempted request.
+        request: RequestSpec,
+        /// Generated tokens thrown away.
+        wasted_tokens: u32,
+    },
     /// A chunked-prefill slice of `chunk_tokens` tokens of `request` was
-    /// dispatched into blade `blade`'s iteration.
-    fn on_chunk(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, chunk_tokens: u32) {
-        let _ = (blade, clock_s, request, chunk_tokens);
-    }
-
-    /// Blade `blade` (a prefill blade) finished prefilling `request` and
-    /// started streaming its KV to the decode pool; the transfer occupies
-    /// the fabric for `transfer_s` seconds.
-    fn on_handoff(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, transfer_s: f64) {
-        let _ = (blade, clock_s, request, transfer_s);
-    }
-
-    /// `request` emitted its final token on blade `blade`.
-    fn on_completion(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
-        let _ = (blade, clock_s, request);
-    }
-
-    /// `request`'s end-to-end outcome, fired right after
-    /// [`Self::on_completion`]: `first_token_s` is the absolute clock of
-    /// its first token, so TTFT is `first_token_s - request.arrival_s`,
-    /// latency is `clock_s - request.arrival_s`, and TPOT is
+    /// dispatched into the blade's iteration.
+    Chunk {
+        /// The prefilling request.
+        request: RequestSpec,
+        /// Tokens in the slice.
+        chunk_tokens: u32,
+    },
+    /// A prefill blade finished prefilling `request` and started
+    /// streaming its KV to the decode pool; the transfer occupies the
+    /// fabric for `transfer_s` seconds.
+    Handoff {
+        /// The handed-off request.
+        request: RequestSpec,
+        /// Fabric transfer time (s).
+        transfer_s: f64,
+    },
+    /// `request` emitted its final token. `first_token_s` is the
+    /// absolute clock of its first token, so TTFT is
+    /// `first_token_s - request.arrival_s`, latency is
+    /// `clock_s - request.arrival_s`, and TPOT is
     /// `(clock_s - first_token_s) / max(output_tokens - 1, 1)` — the
     /// exact decomposition [`super::report`] aggregates at end of run.
-    fn on_outcome(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, first_token_s: f64) {
-        let _ = (blade, clock_s, request, first_token_s);
-    }
-
-    /// `request`'s shared prefix hit blade `blade`'s prefix cache:
+    Completion {
+        /// The completed request.
+        request: RequestSpec,
+        /// Absolute clock of its first token (s).
+        first_token_s: f64,
+    },
+    /// `request`'s shared prefix hit the blade's prefix cache:
     /// `cached_tokens` prefill tokens were skipped because their KV was
     /// already resident.
-    fn on_cache_hit(
-        &mut self,
-        blade: u32,
-        clock_s: f64,
-        request: &RequestSpec,
+    CacheHit {
+        /// The admitted request.
+        request: RequestSpec,
+        /// Prefill tokens skipped.
         cached_tokens: u32,
-    ) {
-        let _ = (blade, clock_s, request, cached_tokens);
-    }
-
+    },
     /// `request` carried a shared prefix but found none of its blocks
-    /// cached on blade `blade` (its blocks are inserted for the next
+    /// cached on the blade (its blocks are inserted for the next
     /// arrival).
-    fn on_cache_miss(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
-        let _ = (blade, clock_s, request);
-    }
-
-    /// Blade `blade` reclaimed one unreferenced shared block of
+    CacheMiss {
+        /// The admitted request.
+        request: RequestSpec,
+    },
+    /// The blade reclaimed one unreferenced shared block of
     /// `block_tokens` capacity tokens (LRU eviction under pressure).
-    fn on_cache_evict(&mut self, blade: u32, clock_s: f64, block_tokens: u32) {
-        let _ = (blade, clock_s, block_tokens);
-    }
-
+    CacheEvict {
+        /// Capacity of the reclaimed block (tokens).
+        block_tokens: u32,
+    },
     /// The global cache tier held `remote_tokens` more of `request`'s
-    /// prefix than blade `blade`'s own cache: streaming that KV span over
+    /// prefix than the blade's own cache: streaming that KV span over
     /// the interconnect (`transfer_s` seconds) was raced against
     /// recomputing it locally, and `streamed` records which won (see
     /// [`super::coord`]). Fires only when a scenario enables the tier.
-    fn on_remote_cache_hit(
-        &mut self,
-        blade: u32,
-        clock_s: f64,
-        request: &RequestSpec,
+    RemoteCacheHit {
+        /// The admitted request.
+        request: RequestSpec,
+        /// Prefix tokens the tier held beyond the local hit.
         remote_tokens: u32,
+        /// Time to stream them (s).
         transfer_s: f64,
+        /// Whether streaming beat recomputing.
         streamed: bool,
-    ) {
-        let _ = (blade, clock_s, request, remote_tokens, transfer_s, streamed);
-    }
-
-    /// Blade `blade` finished one engine iteration of `step_s` seconds
-    /// with `decoding` sequences in the decode batch (clock is the
-    /// iteration end).
-    fn on_step(&mut self, blade: u32, clock_s: f64, step_s: f64, decoding: u32) {
-        let _ = (blade, clock_s, step_s, decoding);
-    }
-
-    /// Blade `blade`'s KV occupancy after an iteration: `kv_tokens`
-    /// charged tokens in the paged/contiguous layout (the figure
+    },
+    /// The blade finished one engine iteration of `step_s` seconds with
+    /// `decoding` sequences in the decode batch (clock is the iteration
+    /// end). `kv_tokens` is the KV footprint charged in the
+    /// paged/contiguous layout (the figure
     /// [`ServingReport::kv_peak_tokens`](super::report::ServingReport)
-    /// tracks the max of) and `shared_tokens` resident in shared prefix
-    /// blocks. Fires once per dispatched iteration — alongside
-    /// [`Self::on_step`] on every path, so both cores emit the identical
-    /// gauge stream.
-    fn on_kv_sample(&mut self, blade: u32, clock_s: f64, kv_tokens: u64, shared_tokens: u64) {
-        let _ = (blade, clock_s, kv_tokens, shared_tokens);
-    }
-
-    /// The event-driven core advanced blade `blade` through a batched
-    /// decode stretch: `iterations` uniform rounds of `step_s` seconds
-    /// each with `decoding` sequences, ending at `clock_s` with
-    /// `kv_tokens` charged. Fired **only for passive observers**
-    /// ([`Self::is_passive`]) in place of the per-iteration
-    /// [`Self::on_step`]/[`Self::on_kv_sample`] stream the stretch
-    /// skipped — a closed-form summary the [`telemetry`](super::telemetry)
-    /// layer window-buckets without forcing the fast path off.
-    fn on_stretch(
-        &mut self,
-        blade: u32,
-        clock_s: f64,
-        iterations: u64,
+    /// tracks the max of) and `shared_tokens` the part resident in
+    /// shared prefix blocks.
+    Step {
+        /// Iteration length (s).
         step_s: f64,
+        /// Sequences in the decode batch.
         decoding: u32,
+        /// Charged KV tokens after the iteration.
         kv_tokens: u64,
-    ) {
-        let _ = (blade, clock_s, iterations, step_s, decoding, kv_tokens);
-    }
-
-    /// The admission-control gate on blade `blade` dropped `request` at
-    /// the instant it would otherwise have been admitted (best-effort
-    /// load shedding while the strict class is below its attainment
-    /// floor). The request never runs.
-    fn on_shed(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
-        let _ = (blade, clock_s, request);
-    }
-
+        /// Tokens resident in shared prefix blocks.
+        shared_tokens: u64,
+    },
+    /// The event-driven core advanced the blade through a batched decode
+    /// stretch: `iterations` uniform rounds of `step_s` seconds each with
+    /// `decoding` sequences, ending at `clock_s` with `kv_tokens`
+    /// charged. Sent **only to passive observers**
+    /// ([`SimObserver::is_passive`]) in place of the per-iteration
+    /// [`Self::Step`] stream the stretch skipped — a closed-form summary
+    /// the [`telemetry`](super::telemetry) layer window-buckets without
+    /// forcing the fast path off.
+    Stretch {
+        /// Rounds advanced.
+        iterations: u64,
+        /// Length of each round (s).
+        step_s: f64,
+        /// Sequences in the decode batch.
+        decoding: u32,
+        /// Charged KV tokens at the last round.
+        kv_tokens: u64,
+    },
+    /// The admission-control gate dropped `request` at the instant it
+    /// would otherwise have been admitted (best-effort load shedding
+    /// while the strict class is below its attainment floor). The
+    /// request never runs.
+    Shed {
+        /// The dropped request.
+        request: RequestSpec,
+    },
     /// The cluster autoscaler changed the active blade count from
-    /// `active_from` to `active_to` at `clock_s` (a scale-up's new blade
-    /// starts serving after its warm-up delay).
-    fn on_scale(&mut self, clock_s: f64, active_from: u32, active_to: u32) {
-        let _ = (clock_s, active_from, active_to);
+    /// `active_from` to `active_to` (a scale-up's new blade starts
+    /// serving after its warm-up delay). The event's blade is the one
+    /// whose end-of-round evaluation fired it.
+    Scale {
+        /// Active blades before.
+        active_from: u32,
+        /// Active blades after.
+        active_to: u32,
+    },
+}
+
+impl EventKind {
+    /// The outcome of a prefix-cache lookup for `request` that found
+    /// `cached_tokens` prefill tokens resident.
+    pub(crate) fn prefix_lookup(request: RequestSpec, cached_tokens: u32) -> Self {
+        if cached_tokens > 0 {
+            Self::CacheHit {
+                request,
+                cached_tokens,
+            }
+        } else {
+            Self::CacheMiss { request }
+        }
     }
+}
+
+impl SimEvent {
+    /// The request the event concerns; `None` for blade- and
+    /// fleet-level events (cache evictions, steps, stretches, scaling).
+    #[must_use]
+    pub fn request(&self) -> Option<&RequestSpec> {
+        match &self.kind {
+            EventKind::Admission { request }
+            | EventKind::Eviction { request, .. }
+            | EventKind::Chunk { request, .. }
+            | EventKind::Handoff { request, .. }
+            | EventKind::Completion { request, .. }
+            | EventKind::CacheHit { request, .. }
+            | EventKind::CacheMiss { request }
+            | EventKind::RemoteCacheHit { request, .. }
+            | EventKind::Shed { request } => Some(request),
+            EventKind::CacheEvict { .. }
+            | EventKind::Step { .. }
+            | EventKind::Stretch { .. }
+            | EventKind::Scale { .. } => None,
+        }
+    }
+}
+
+/// A read-only listener for the engine's [`SimEvent`] stream.
+pub trait SimObserver {
+    /// Receives one event, in engine order.
+    fn on_event(&mut self, event: &SimEvent);
 
     /// Whether this observer skips the per-iteration stream. The
     /// event-driven core skips per-iteration dispatch inside batched
     /// decode stretches — including the cluster-wide leapfrog's replayed
-    /// rounds — for passive observers, handing them one
-    /// [`Self::on_stretch`] summary per stretch instead; real observers
-    /// (returning `false`, the default) receive the identical event
-    /// stream on both cores, one [`Self::on_step`] (plus
-    /// [`Self::on_kv_sample`]) per decode round in true global order,
-    /// with [`Self::on_shed`] and [`Self::on_scale`] interleaved exactly
-    /// where the per-step loop would fire them (stretches are truncated
-    /// at every control-plane decision instant).
+    /// rounds — for passive observers, sending them one
+    /// [`EventKind::Stretch`] summary per stretch instead; real
+    /// observers (returning `false`, the default) receive the identical
+    /// event stream on both cores, one [`EventKind::Step`] per decode
+    /// round in true global order, with [`EventKind::Shed`] and
+    /// [`EventKind::Scale`] interleaved exactly where the per-step loop
+    /// would send them (stretches are truncated at every control-plane
+    /// decision instant).
     fn is_passive(&self) -> bool {
         false
+    }
+}
+
+impl dyn SimObserver + '_ {
+    /// Sends the event `kind` on blade `blade` at `clock_s`.
+    pub(crate) fn emit(&mut self, blade: u32, clock_s: f64, kind: EventKind) {
+        self.on_event(&SimEvent {
+            blade,
+            clock_s,
+            kind,
+        });
     }
 }
 
@@ -180,14 +244,21 @@ pub trait SimObserver {
 pub struct NoopObserver;
 
 impl SimObserver for NoopObserver {
+    fn on_event(&mut self, _: &SimEvent) {}
+
     fn is_passive(&self) -> bool {
         true
     }
 }
 
-/// A snapshot of every callback count a [`CountingObserver`] has seen.
-/// Subtraction gives the diff between two snapshots, so tests assert on
-/// deltas instead of reaching into individual fields.
+/// The recorder: every event, in engine order.
+impl SimObserver for Vec<SimEvent> {
+    fn on_event(&mut self, event: &SimEvent) {
+        self.push(*event);
+    }
+}
+
+/// How many events of each kind a [`CountingObserver`] has seen.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CallbackCounts {
     /// Admissions seen (re-admissions after eviction count again).
@@ -200,12 +271,8 @@ pub struct CallbackCounts {
     pub handoffs: u64,
     /// Request completions.
     pub completions: u64,
-    /// Per-completion outcome samples.
-    pub outcomes: u64,
     /// Engine iterations.
     pub steps: u64,
-    /// KV-occupancy samples.
-    pub kv_samples: u64,
     /// Batched decode-stretch summaries (passive observers only, so
     /// always 0 for a mounted `CountingObserver`).
     pub stretches: u64,
@@ -223,31 +290,7 @@ pub struct CallbackCounts {
     pub scale_events: u64,
 }
 
-impl std::ops::Sub for CallbackCounts {
-    type Output = Self;
-
-    fn sub(self, rhs: Self) -> Self {
-        Self {
-            admissions: self.admissions - rhs.admissions,
-            evictions: self.evictions - rhs.evictions,
-            chunks: self.chunks - rhs.chunks,
-            handoffs: self.handoffs - rhs.handoffs,
-            completions: self.completions - rhs.completions,
-            outcomes: self.outcomes - rhs.outcomes,
-            steps: self.steps - rhs.steps,
-            kv_samples: self.kv_samples - rhs.kv_samples,
-            stretches: self.stretches - rhs.stretches,
-            cache_hits: self.cache_hits - rhs.cache_hits,
-            cache_misses: self.cache_misses - rhs.cache_misses,
-            cache_evictions: self.cache_evictions - rhs.cache_evictions,
-            remote_hits: self.remote_hits - rhs.remote_hits,
-            sheds: self.sheds - rhs.sheds,
-            scale_events: self.scale_events - rhs.scale_events,
-        }
-    }
-}
-
-/// An observer that counts every event class — the drop-in replacement
+/// An observer that counts every event kind — the drop-in replacement
 /// for the engine-internals peeking that benches and tests used to do.
 /// Read the tallies through [`Self::counts`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -256,8 +299,7 @@ pub struct CountingObserver {
 }
 
 impl CountingObserver {
-    /// A snapshot of every tally so far ([`CallbackCounts`] subtracts,
-    /// for before/after diffs).
+    /// A snapshot of every tally so far.
     #[must_use]
     pub fn counts(&self) -> CallbackCounts {
         self.counts
@@ -265,64 +307,23 @@ impl CountingObserver {
 }
 
 impl SimObserver for CountingObserver {
-    fn on_admission(&mut self, _: u32, _: f64, _: &RequestSpec) {
-        self.counts.admissions += 1;
-    }
-
-    fn on_eviction(&mut self, _: u32, _: f64, _: &RequestSpec, _: u32) {
-        self.counts.evictions += 1;
-    }
-
-    fn on_chunk(&mut self, _: u32, _: f64, _: &RequestSpec, _: u32) {
-        self.counts.chunks += 1;
-    }
-
-    fn on_handoff(&mut self, _: u32, _: f64, _: &RequestSpec, _: f64) {
-        self.counts.handoffs += 1;
-    }
-
-    fn on_completion(&mut self, _: u32, _: f64, _: &RequestSpec) {
-        self.counts.completions += 1;
-    }
-
-    fn on_outcome(&mut self, _: u32, _: f64, _: &RequestSpec, _: f64) {
-        self.counts.outcomes += 1;
-    }
-
-    fn on_step(&mut self, _: u32, _: f64, _: f64, _: u32) {
-        self.counts.steps += 1;
-    }
-
-    fn on_kv_sample(&mut self, _: u32, _: f64, _: u64, _: u64) {
-        self.counts.kv_samples += 1;
-    }
-
-    fn on_stretch(&mut self, _: u32, _: f64, _: u64, _: f64, _: u32, _: u64) {
-        self.counts.stretches += 1;
-    }
-
-    fn on_cache_hit(&mut self, _: u32, _: f64, _: &RequestSpec, _: u32) {
-        self.counts.cache_hits += 1;
-    }
-
-    fn on_cache_miss(&mut self, _: u32, _: f64, _: &RequestSpec) {
-        self.counts.cache_misses += 1;
-    }
-
-    fn on_cache_evict(&mut self, _: u32, _: f64, _: u32) {
-        self.counts.cache_evictions += 1;
-    }
-
-    fn on_remote_cache_hit(&mut self, _: u32, _: f64, _: &RequestSpec, _: u32, _: f64, _: bool) {
-        self.counts.remote_hits += 1;
-    }
-
-    fn on_shed(&mut self, _: u32, _: f64, _: &RequestSpec) {
-        self.counts.sheds += 1;
-    }
-
-    fn on_scale(&mut self, _: f64, _: u32, _: u32) {
-        self.counts.scale_events += 1;
+    fn on_event(&mut self, event: &SimEvent) {
+        let c = &mut self.counts;
+        *match event.kind {
+            EventKind::Admission { .. } => &mut c.admissions,
+            EventKind::Eviction { .. } => &mut c.evictions,
+            EventKind::Chunk { .. } => &mut c.chunks,
+            EventKind::Handoff { .. } => &mut c.handoffs,
+            EventKind::Completion { .. } => &mut c.completions,
+            EventKind::CacheHit { .. } => &mut c.cache_hits,
+            EventKind::CacheMiss { .. } => &mut c.cache_misses,
+            EventKind::CacheEvict { .. } => &mut c.cache_evictions,
+            EventKind::RemoteCacheHit { .. } => &mut c.remote_hits,
+            EventKind::Step { .. } => &mut c.steps,
+            EventKind::Stretch { .. } => &mut c.stretches,
+            EventKind::Shed { .. } => &mut c.sheds,
+            EventKind::Scale { .. } => &mut c.scale_events,
+        } += 1;
     }
 }
 
@@ -331,53 +332,99 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_no_ops_and_counts_accumulate() {
-        let r = RequestSpec::new(0, 0.0, 8, 4);
-        let mut noop = NoopObserver;
-        noop.on_admission(0, 0.0, &r);
-        noop.on_step(0, 1.0, 1.0, 1);
-        noop.on_outcome(0, 1.0, &r, 0.5);
-        noop.on_kv_sample(0, 1.0, 128, 0);
-        noop.on_stretch(0, 1.0, 4, 0.25, 2, 128);
-
+    fn every_kind_bumps_its_own_count() {
+        let request = RequestSpec::new(0, 0.0, 8, 4);
+        let kinds = [
+            EventKind::Admission { request },
+            EventKind::Eviction {
+                request,
+                wasted_tokens: 2,
+            },
+            EventKind::Chunk {
+                request,
+                chunk_tokens: 64,
+            },
+            EventKind::Handoff {
+                request,
+                transfer_s: 1e-6,
+            },
+            EventKind::Completion {
+                request,
+                first_token_s: 0.5,
+            },
+            EventKind::CacheHit {
+                request,
+                cached_tokens: 32,
+            },
+            EventKind::CacheMiss { request },
+            EventKind::CacheEvict { block_tokens: 16 },
+            EventKind::RemoteCacheHit {
+                request,
+                remote_tokens: 32,
+                transfer_s: 1e-6,
+                streamed: true,
+            },
+            EventKind::Step {
+                step_s: 0.4,
+                decoding: 3,
+                kv_tokens: 128,
+                shared_tokens: 16,
+            },
+            EventKind::Stretch {
+                iterations: 4,
+                step_s: 0.25,
+                decoding: 2,
+                kv_tokens: 128,
+            },
+            EventKind::Shed { request },
+            EventKind::Scale {
+                active_from: 1,
+                active_to: 2,
+            },
+        ];
         let mut c = CountingObserver::default();
-        let before = c.counts();
-        assert_eq!(before, CallbackCounts::default());
-        c.on_admission(0, 0.0, &r);
-        c.on_eviction(0, 0.5, &r, 2);
-        c.on_chunk(0, 0.5, &r, 64);
-        c.on_handoff(0, 0.6, &r, 1e-6);
-        c.on_completion(0, 1.0, &r);
-        c.on_outcome(0, 1.0, &r, 0.5);
-        c.on_step(0, 1.0, 0.4, 3);
-        c.on_kv_sample(0, 1.0, 128, 16);
-        c.on_stretch(0, 1.0, 4, 0.25, 2, 128);
-        c.on_cache_hit(0, 1.1, &r, 32);
-        c.on_cache_miss(0, 1.2, &r);
-        c.on_cache_evict(0, 1.3, 16);
-        c.on_remote_cache_hit(0, 1.35, &r, 32, 1e-6, true);
-        c.on_shed(0, 1.4, &r);
-        c.on_scale(1.5, 1, 2);
-        let diff = c.counts() - before;
+        for kind in kinds {
+            let event = SimEvent {
+                blade: 0,
+                clock_s: 1.0,
+                kind,
+            };
+            NoopObserver.on_event(&event);
+            c.on_event(&event);
+        }
+        let ones = CallbackCounts {
+            admissions: 1,
+            evictions: 1,
+            chunks: 1,
+            handoffs: 1,
+            completions: 1,
+            steps: 1,
+            stretches: 1,
+            cache_hits: 1,
+            cache_misses: 1,
+            cache_evictions: 1,
+            remote_hits: 1,
+            sheds: 1,
+            scale_events: 1,
+        };
+        assert_eq!(c.counts(), ones);
+    }
+
+    #[test]
+    fn request_is_attributed_to_request_events_only() {
+        let request = RequestSpec::new(7, 0.0, 8, 4);
+        let at = |kind| SimEvent {
+            blade: 1,
+            clock_s: 2.0,
+            kind,
+        };
         assert_eq!(
-            diff,
-            CallbackCounts {
-                admissions: 1,
-                evictions: 1,
-                chunks: 1,
-                handoffs: 1,
-                completions: 1,
-                outcomes: 1,
-                steps: 1,
-                kv_samples: 1,
-                stretches: 1,
-                cache_hits: 1,
-                cache_misses: 1,
-                cache_evictions: 1,
-                remote_hits: 1,
-                sheds: 1,
-                scale_events: 1,
-            }
+            at(EventKind::Shed { request }).request().map(|r| r.id),
+            Some(7)
+        );
+        assert_eq!(
+            at(EventKind::CacheEvict { block_tokens: 16 }).request(),
+            None
         );
     }
 }

@@ -47,11 +47,11 @@ use super::control::ControlPlane;
 use super::coord::{plan_global_tier, CoordPlan, GlobalCacheConfig};
 use super::engine::{DecodePricing, ServingConfig, ServingSimulator, SimCore};
 use super::kv::KvLayout;
-use super::observer::{NoopObserver, SimObserver};
+use super::observer::{NoopObserver, SimEvent, SimObserver};
 use super::policy::{FcfsPolicy, SchedulerPolicy};
 use super::prefix::{CacheEviction, PrefixCachingConfig};
 use super::report::{FrontierPoint, SloClass};
-use super::telemetry::{profile, Telemetry, TelemetryConfig};
+use super::telemetry::{Telemetry, TelemetryConfig};
 use super::traces::{RequestSpec, TraceConfig, TraceSource};
 use crate::error::OptimusError;
 use crate::inference::InferenceEstimator;
@@ -749,20 +749,11 @@ impl CompiledScenario<'_> {
             _ => blades,
         });
         tel.observe_arrivals(&self.trace);
-        if tel.wants_profile() {
-            profile::start();
-        }
-        let result = {
-            let mut tee = Tee {
-                tel: &mut tel,
-                user: observer,
-            };
-            self.run_on(&self.trace, false, &mut tee)
+        let mut tee = Tee {
+            tel: &mut tel,
+            user: observer,
         };
-        if tel.wants_profile() {
-            tel.set_profile(profile::stop());
-        }
-        let report = result?;
+        let report = self.run_on(&self.trace, false, &mut tee)?;
         tel.finish();
         Ok((report, tel))
     }
@@ -888,102 +879,9 @@ struct Tee<'t, 'o> {
 }
 
 impl SimObserver for Tee<'_, '_> {
-    fn on_admission(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
-        self.tel.on_admission(blade, clock_s, request);
-        self.user.on_admission(blade, clock_s, request);
-    }
-
-    fn on_eviction(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, wasted_tokens: u32) {
-        self.tel.on_eviction(blade, clock_s, request, wasted_tokens);
-        self.user
-            .on_eviction(blade, clock_s, request, wasted_tokens);
-    }
-
-    fn on_chunk(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, chunk_tokens: u32) {
-        self.tel.on_chunk(blade, clock_s, request, chunk_tokens);
-        self.user.on_chunk(blade, clock_s, request, chunk_tokens);
-    }
-
-    fn on_handoff(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, transfer_s: f64) {
-        self.tel.on_handoff(blade, clock_s, request, transfer_s);
-        self.user.on_handoff(blade, clock_s, request, transfer_s);
-    }
-
-    fn on_completion(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
-        self.tel.on_completion(blade, clock_s, request);
-        self.user.on_completion(blade, clock_s, request);
-    }
-
-    fn on_outcome(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, first_token_s: f64) {
-        self.tel.on_outcome(blade, clock_s, request, first_token_s);
-        self.user.on_outcome(blade, clock_s, request, first_token_s);
-    }
-
-    fn on_cache_hit(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, cached: u32) {
-        self.tel.on_cache_hit(blade, clock_s, request, cached);
-        self.user.on_cache_hit(blade, clock_s, request, cached);
-    }
-
-    fn on_cache_miss(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
-        self.tel.on_cache_miss(blade, clock_s, request);
-        self.user.on_cache_miss(blade, clock_s, request);
-    }
-
-    fn on_cache_evict(&mut self, blade: u32, clock_s: f64, block_tokens: u32) {
-        self.tel.on_cache_evict(blade, clock_s, block_tokens);
-        self.user.on_cache_evict(blade, clock_s, block_tokens);
-    }
-
-    fn on_remote_cache_hit(
-        &mut self,
-        blade: u32,
-        clock_s: f64,
-        request: &RequestSpec,
-        remote_tokens: u32,
-        transfer_s: f64,
-        streamed: bool,
-    ) {
-        self.tel
-            .on_remote_cache_hit(blade, clock_s, request, remote_tokens, transfer_s, streamed);
-        self.user
-            .on_remote_cache_hit(blade, clock_s, request, remote_tokens, transfer_s, streamed);
-    }
-
-    fn on_step(&mut self, blade: u32, clock_s: f64, step_s: f64, decoding: u32) {
-        self.tel.on_step(blade, clock_s, step_s, decoding);
-        self.user.on_step(blade, clock_s, step_s, decoding);
-    }
-
-    fn on_kv_sample(&mut self, blade: u32, clock_s: f64, kv_tokens: u64, shared_tokens: u64) {
-        self.tel
-            .on_kv_sample(blade, clock_s, kv_tokens, shared_tokens);
-        self.user
-            .on_kv_sample(blade, clock_s, kv_tokens, shared_tokens);
-    }
-
-    fn on_stretch(
-        &mut self,
-        blade: u32,
-        clock_s: f64,
-        iterations: u64,
-        step_s: f64,
-        decoding: u32,
-        kv_tokens: u64,
-    ) {
-        self.tel
-            .on_stretch(blade, clock_s, iterations, step_s, decoding, kv_tokens);
-        self.user
-            .on_stretch(blade, clock_s, iterations, step_s, decoding, kv_tokens);
-    }
-
-    fn on_shed(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
-        self.tel.on_shed(blade, clock_s, request);
-        self.user.on_shed(blade, clock_s, request);
-    }
-
-    fn on_scale(&mut self, clock_s: f64, active_from: u32, active_to: u32) {
-        self.tel.on_scale(clock_s, active_from, active_to);
-        self.user.on_scale(clock_s, active_from, active_to);
+    fn on_event(&mut self, event: &SimEvent) {
+        self.tel.on_event(event);
+        self.user.on_event(event);
     }
 
     fn is_passive(&self) -> bool {
@@ -1551,7 +1449,6 @@ mod tests {
         let counts = observer.counts();
         assert_eq!(observed, compiled.run().unwrap(), "observers are read-only");
         assert_eq!(counts.completions, 32);
-        assert_eq!(counts.outcomes, counts.completions);
         assert!(
             counts.handoffs >= 32,
             "every request streams through the fabric at least once, got {}",
@@ -1559,10 +1456,6 @@ mod tests {
         );
         assert!(counts.admissions >= 32);
         assert!(counts.steps > 0);
-        assert_eq!(
-            counts.kv_samples, counts.steps,
-            "one occupancy gauge per dispatched iteration"
-        );
         assert_eq!(counts.stretches, 0, "summaries are for passive observers");
     }
 
@@ -1575,7 +1468,6 @@ mod tests {
             .telemetry(TelemetryConfig {
                 window_s: 0.05,
                 max_windows: 128,
-                profile: true,
             })
             .compile()
             .unwrap();
@@ -1592,16 +1484,6 @@ mod tests {
         // it is converged enough to land inside the observed range.
         let p99 = tail.p99.unwrap();
         assert!(p99 > 0.0 && p99 <= report.report.latency.p99 * 1.5);
-        // The profile was captured around the replay (all-zero only
-        // when the self-profile feature is compiled out).
-        let profile = tel.profile().expect("profile requested");
-        #[cfg(feature = "self-profile")]
-        {
-            assert!(profile.admission_rounds > 0, "every step scans admission");
-            assert!(profile.admission_s >= 0.0);
-        }
-        #[cfg(not(feature = "self-profile"))]
-        assert!(profile.is_empty());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Passive observability for serving replays: windowed time-series,
 //! online quantile sketches, and simulator self-profiling.
 //!
-//! A [`Telemetry`] collector is an ordinary [`SimObserver`] — mount it
-//! on a scenario with
+//! A [`Telemetry`] collector is an ordinary [`SimObserver`] folding the
+//! replay's [`SimEvent`] stream — mount it on a scenario with
 //! [`Scenario::telemetry`](super::scenario::Scenario::telemetry) and run
 //! [`CompiledScenario::run_with_telemetry`](super::scenario::CompiledScenario::run_with_telemetry),
 //! or construct one directly and pass it to
@@ -26,14 +26,16 @@
 //!   own hot paths (event-heap ops, stretch planning, leapfrog replay,
 //!   admission, routing) in [`profile`], compiled in behind the
 //!   `self-profile` cargo feature (on by default) and captured at
-//!   runtime only between [`profile::start`] and [`profile::stop`].
+//!   runtime only between [`profile::start`] and [`profile::stop`],
+//!   which the caller wraps around the replay it wants profiled.
 //!
 //! Telemetry is *passive* ([`SimObserver::is_passive`] is `true`): the
 //! event-driven core keeps batching decode stretches with the collector
-//! mounted and feeds it closed-form [`SimObserver::on_stretch`] samples
-//! instead of per-iteration callbacks, so mounting telemetry never
-//! changes the replay — reports stay bit-identical to an unobserved run
-//! (proptested across the policy × topology × core matrix).
+//! mounted and sends it closed-form [`EventKind::Stretch`] summaries
+//! instead of per-iteration [`EventKind::Step`] events, so mounting
+//! telemetry never changes the replay — reports stay bit-identical to
+//! an unobserved run (proptested across the policy × topology × core
+//! matrix).
 //!
 //! Exporters: [`Telemetry::to_csv`] renders one wide row per window (one
 //! column per series, plottable by anything), and
@@ -73,7 +75,7 @@
 //! # }
 //! ```
 
-use super::observer::SimObserver;
+use super::observer::{EventKind, SimEvent, SimObserver};
 use super::report::SloClass;
 use super::traces::RequestSpec;
 use crate::error::OptimusError;
@@ -81,8 +83,8 @@ use std::fmt::Write as _;
 
 pub use profile::ProfileReport;
 
-/// Dials of the [`Telemetry`] collector: sampling resolution, the
-/// memory bound, and whether the run captures a self-profile.
+/// Dials of the [`Telemetry`] collector: sampling resolution and the
+/// memory bound.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
     /// Initial width of one sampling window (seconds of simulated
@@ -91,9 +93,6 @@ pub struct TelemetryConfig {
     /// Maximum windows retained per series before pairwise coalescing
     /// halves the resolution — the memory bound.
     pub max_windows: usize,
-    /// Capture a simulator self-profile ([`profile`]) around the replay
-    /// and attach it to the collector ([`Telemetry::profile`]).
-    pub profile: bool,
 }
 
 impl Default for TelemetryConfig {
@@ -101,7 +100,6 @@ impl Default for TelemetryConfig {
         Self {
             window_s: 1.0,
             max_windows: 512,
-            profile: false,
         }
     }
 }
@@ -424,6 +422,16 @@ impl Frame {
         m
     }
 
+    /// Counts one engine iteration of `step_s` seconds over `decoding`
+    /// decoding sequences.
+    fn step(&mut self, step_s: f64, decoding: u32) {
+        self.steps += 1;
+        if decoding > 0 && step_s > 0.0 {
+            self.decode_time_s += step_s;
+            self.batch_time_s += step_s * f64::from(decoding);
+        }
+    }
+
     fn stamp(&mut self, t: f64, depth: u32, active: u32, kv: u64, shared: u64) {
         if t >= self.gauge_t {
             self.queue_depth = depth;
@@ -612,7 +620,6 @@ pub struct BladeWindowRow {
 pub struct Telemetry {
     window_s: f64,
     cap: usize,
-    capture_profile: bool,
     classes: Vec<SloClass>,
     cluster: Vec<ClusterFrame>,
     blades: Vec<Vec<Frame>>,
@@ -626,7 +633,6 @@ pub struct Telemetry {
     cur_kv: Vec<u64>,
     cur_shared: Vec<u64>,
     t_high: f64,
-    profile: Option<ProfileReport>,
 }
 
 impl Telemetry {
@@ -646,7 +652,6 @@ impl Telemetry {
         Ok(Self {
             window_s: cfg.window_s,
             cap: cfg.max_windows,
-            capture_profile: cfg.profile,
             classes: classes.to_vec(),
             cluster: Vec::new(),
             blades: (0..blades).map(|_| Vec::new()).collect(),
@@ -660,7 +665,6 @@ impl Telemetry {
             cur_kv: vec![0; blades as usize],
             cur_shared: vec![0; blades as usize],
             t_high: f64::NEG_INFINITY,
-            profile: None,
         })
     }
 
@@ -669,26 +673,6 @@ impl Telemetry {
     pub fn set_active_blades(&mut self, active: u32) {
         self.active = active;
         self.initial_active = active;
-    }
-
-    /// Whether this collector wants a self-profile captured around the
-    /// replay ([`TelemetryConfig::profile`]).
-    #[must_use]
-    pub fn wants_profile(&self) -> bool {
-        self.capture_profile
-    }
-
-    /// Attaches a captured self-profile (the scenario seam calls this
-    /// with [`profile::stop`]'s report).
-    pub fn set_profile(&mut self, profile: ProfileReport) {
-        self.profile = Some(profile);
-    }
-
-    /// The self-profile captured around the replay, when
-    /// [`TelemetryConfig::profile`] was set.
-    #[must_use]
-    pub fn profile(&self) -> Option<&ProfileReport> {
-        self.profile.as_ref()
     }
 
     /// Registers the workload so arrivals (and the derived ready-queue
@@ -1118,6 +1102,59 @@ impl Telemetry {
         out
     }
 
+    /// Counts one event in blade `blade`'s and the cluster's window at
+    /// `t`.
+    fn bump(&mut self, blade: u32, t: f64, counter: fn(&mut Frame) -> &mut u64) {
+        *counter(self.blade_at(blade, t)) += 1;
+        *counter(&mut self.cluster_at(t).frame) += 1;
+    }
+
+    /// Folds a completion's TTFT/TPOT/latency decomposition into the
+    /// attainment counters and the quantile sketches.
+    fn record_outcome(&mut self, blade: u32, t: f64, request: &RequestSpec, first_token_s: f64) {
+        let ttft = first_token_s - request.arrival_s;
+        let latency = t - request.arrival_s;
+        let tpot = (t - first_token_s) / f64::from((request.output_tokens - 1).max(1));
+        let cls = request.class as usize;
+        // The exact attainment predicate `finalize` applies.
+        let ok = self
+            .classes
+            .get(cls)
+            .is_some_and(|c| ttft <= c.ttft_slo_s && tpot <= c.tpot_slo_s);
+        if ok {
+            self.blade_at(blade, t).attained += 1;
+        }
+        let frame = self.cluster_at(t);
+        frame.frame.attained += u64::from(ok);
+        if let Some(cw) = frame.classes.get_mut(cls) {
+            cw.completions += 1;
+            cw.attained += u64::from(ok);
+        }
+        frame.ttft.observe(ttft);
+        frame.tpot.observe(tpot);
+        frame.latency.observe(latency);
+        for (m, v) in [(0, ttft), (1, tpot), (2, latency)] {
+            for s in &mut self.run[m] {
+                s.observe(v);
+            }
+        }
+    }
+
+    /// Records blade `blade`'s KV gauges at `t`; the shared-block gauge
+    /// keeps its value when `shared` is `None`.
+    fn gauge_kv(&mut self, blade: u32, t: f64, kv: u64, shared: Option<u64>) {
+        // `blade_at` also sizes the current-value gauges.
+        let f = self.blade_at(blade, t);
+        if t >= f.gauge_t {
+            f.kv_tokens = kv;
+            f.shared_tokens = shared.unwrap_or(f.shared_tokens);
+            f.gauge_t = t;
+        }
+        let b = blade as usize;
+        self.cur_kv[b] = kv;
+        self.cur_shared[b] = shared.unwrap_or(self.cur_shared[b]);
+    }
+
     /// Apportions a closed-form decode-stretch span across the windows
     /// it overlaps (time sums only; the iteration counter lands in the
     /// end window).
@@ -1168,178 +1205,74 @@ fn mean_batch(f: &Frame) -> f64 {
 }
 
 impl SimObserver for Telemetry {
-    fn on_admission(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
-        self.absorb(clock_s);
-        self.leave_queue(request, RUNNING);
-        self.blade_at(blade, clock_s).admissions += 1;
-        self.cluster_at(clock_s).frame.admissions += 1;
-        self.stamp_cluster(clock_s);
-    }
-
-    fn on_eviction(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, _wasted: u32) {
-        self.absorb(clock_s);
-        self.enter_queue(request);
-        self.blade_at(blade, clock_s).evictions += 1;
-        self.cluster_at(clock_s).frame.evictions += 1;
-        self.stamp_cluster(clock_s);
-    }
-
-    fn on_handoff(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, _transfer_s: f64) {
-        self.absorb(clock_s);
-        self.enter_queue(request);
-        self.blade_at(blade, clock_s).handoffs += 1;
-        self.cluster_at(clock_s).frame.handoffs += 1;
-        self.stamp_cluster(clock_s);
-    }
-
-    fn on_completion(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
-        self.absorb(clock_s);
-        self.leave_queue(request, DONE);
-        self.blade_at(blade, clock_s).completions += 1;
-        self.cluster_at(clock_s).frame.completions += 1;
-        self.stamp_cluster(clock_s);
-    }
-
-    fn on_outcome(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, first_token_s: f64) {
-        self.absorb(clock_s);
-        let ttft = first_token_s - request.arrival_s;
-        let latency = clock_s - request.arrival_s;
-        let tpot = (clock_s - first_token_s) / f64::from((request.output_tokens - 1).max(1));
-        let cls = request.class as usize;
-        // The exact attainment predicate `finalize` applies.
-        let ok = self
-            .classes
-            .get(cls)
-            .is_some_and(|c| ttft <= c.ttft_slo_s && tpot <= c.tpot_slo_s);
-        if ok {
-            self.blade_at(blade, clock_s).attained += 1;
-        }
-        let frame = self.cluster_at(clock_s);
-        frame.frame.attained += u64::from(ok);
-        if let Some(cw) = frame.classes.get_mut(cls) {
-            cw.completions += 1;
-            cw.attained += u64::from(ok);
-        }
-        frame.ttft.observe(ttft);
-        frame.tpot.observe(tpot);
-        frame.latency.observe(latency);
-        for (m, v) in [(0, ttft), (1, tpot), (2, latency)] {
-            for s in &mut self.run[m] {
-                s.observe(v);
+    fn on_event(&mut self, event: &SimEvent) {
+        let SimEvent {
+            blade,
+            clock_s: t,
+            kind,
+        } = *event;
+        self.absorb(t);
+        match kind {
+            EventKind::Admission { request } => {
+                self.leave_queue(&request, RUNNING);
+                self.bump(blade, t, |f| &mut f.admissions);
             }
+            EventKind::Eviction { request, .. } => {
+                self.enter_queue(&request);
+                self.bump(blade, t, |f| &mut f.evictions);
+            }
+            EventKind::Handoff { request, .. } => {
+                self.enter_queue(&request);
+                self.bump(blade, t, |f| &mut f.handoffs);
+            }
+            EventKind::Completion {
+                request,
+                first_token_s,
+            } => {
+                self.leave_queue(&request, DONE);
+                self.bump(blade, t, |f| &mut f.completions);
+                self.record_outcome(blade, t, &request, first_token_s);
+            }
+            EventKind::Shed { request } => {
+                self.leave_queue(&request, DONE);
+                self.bump(blade, t, |f| &mut f.sheds);
+            }
+            EventKind::Scale { active_to, .. } => {
+                self.active = active_to;
+                self.cluster_at(t).frame.scale_events += 1;
+            }
+            EventKind::Step {
+                step_s,
+                decoding,
+                kv_tokens,
+                shared_tokens,
+            } => {
+                self.blade_at(blade, t).step(step_s, decoding);
+                self.cluster_at(t).frame.step(step_s, decoding);
+                self.gauge_kv(blade, t, kv_tokens, Some(shared_tokens));
+            }
+            EventKind::Stretch {
+                iterations,
+                step_s,
+                decoding,
+                kv_tokens,
+            } => {
+                self.distribute(blade, t, iterations, step_s, decoding);
+                self.gauge_kv(blade, t, kv_tokens, None);
+            }
+            // Cache activity moves counters only, never a gauge.
+            EventKind::CacheHit { .. } => return self.bump(blade, t, |f| &mut f.cache_hits),
+            EventKind::CacheMiss { .. } => return self.bump(blade, t, |f| &mut f.cache_misses),
+            EventKind::CacheEvict { .. } => return self.bump(blade, t, |f| &mut f.cache_evictions),
+            EventKind::RemoteCacheHit { .. } => return self.bump(blade, t, |f| &mut f.remote_hits),
+            EventKind::Chunk { .. } => return,
         }
-    }
-
-    fn on_cache_hit(&mut self, blade: u32, clock_s: f64, _request: &RequestSpec, _cached: u32) {
-        self.absorb(clock_s);
-        self.blade_at(blade, clock_s).cache_hits += 1;
-        self.cluster_at(clock_s).frame.cache_hits += 1;
-    }
-
-    fn on_cache_miss(&mut self, blade: u32, clock_s: f64, _request: &RequestSpec) {
-        self.absorb(clock_s);
-        self.blade_at(blade, clock_s).cache_misses += 1;
-        self.cluster_at(clock_s).frame.cache_misses += 1;
-    }
-
-    fn on_cache_evict(&mut self, blade: u32, clock_s: f64, _block_tokens: u32) {
-        self.absorb(clock_s);
-        self.blade_at(blade, clock_s).cache_evictions += 1;
-        self.cluster_at(clock_s).frame.cache_evictions += 1;
-    }
-
-    fn on_remote_cache_hit(
-        &mut self,
-        blade: u32,
-        clock_s: f64,
-        _request: &RequestSpec,
-        _remote_tokens: u32,
-        _transfer_s: f64,
-        _streamed: bool,
-    ) {
-        self.absorb(clock_s);
-        self.blade_at(blade, clock_s).remote_hits += 1;
-        self.cluster_at(clock_s).frame.remote_hits += 1;
-    }
-
-    fn on_step(&mut self, blade: u32, clock_s: f64, step_s: f64, decoding: u32) {
-        self.absorb(clock_s);
-        let f = self.blade_at(blade, clock_s);
-        f.steps += 1;
-        if decoding > 0 && step_s > 0.0 {
-            f.decode_time_s += step_s;
-            f.batch_time_s += step_s * f64::from(decoding);
-        }
-        let c = &mut self.cluster_at(clock_s).frame;
-        c.steps += 1;
-        if decoding > 0 && step_s > 0.0 {
-            c.decode_time_s += step_s;
-            c.batch_time_s += step_s * f64::from(decoding);
-        }
-        self.stamp_cluster(clock_s);
-    }
-
-    fn on_shed(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
-        self.absorb(clock_s);
-        self.leave_queue(request, DONE);
-        self.blade_at(blade, clock_s).sheds += 1;
-        self.cluster_at(clock_s).frame.sheds += 1;
-        self.stamp_cluster(clock_s);
-    }
-
-    fn on_scale(&mut self, clock_s: f64, _active_from: u32, active_to: u32) {
-        self.absorb(clock_s);
-        self.active = active_to;
-        self.cluster_at(clock_s).frame.scale_events += 1;
-        self.stamp_cluster(clock_s);
-    }
-
-    fn on_kv_sample(&mut self, blade: u32, clock_s: f64, kv_tokens: u64, shared_tokens: u64) {
-        self.absorb(clock_s);
-        let b = blade as usize;
-        if self.cur_kv.len() <= b {
-            self.cur_kv.resize(b + 1, 0);
-            self.cur_shared.resize(b + 1, 0);
-        }
-        self.cur_kv[b] = kv_tokens;
-        self.cur_shared[b] = shared_tokens;
-        let f = self.blade_at(blade, clock_s);
-        if clock_s >= f.gauge_t {
-            f.kv_tokens = kv_tokens;
-            f.shared_tokens = shared_tokens;
-            f.gauge_t = clock_s;
-        }
-        self.stamp_cluster(clock_s);
-    }
-
-    fn on_stretch(
-        &mut self,
-        blade: u32,
-        clock_s: f64,
-        iterations: u64,
-        step_s: f64,
-        decoding: u32,
-        kv_tokens: u64,
-    ) {
-        self.absorb(clock_s);
-        self.distribute(blade, clock_s, iterations, step_s, decoding);
-        let b = blade as usize;
-        if self.cur_kv.len() <= b {
-            self.cur_kv.resize(b + 1, 0);
-            self.cur_shared.resize(b + 1, 0);
-        }
-        self.cur_kv[b] = kv_tokens;
-        let f = self.blade_at(blade, clock_s);
-        if clock_s >= f.gauge_t {
-            f.kv_tokens = kv_tokens;
-            f.gauge_t = clock_s;
-        }
-        self.stamp_cluster(clock_s);
+        self.stamp_cluster(t);
     }
 
     /// Telemetry never needs the per-iteration stream: the event core
-    /// keeps batching decode stretches and feeds
-    /// [`SimObserver::on_stretch`] samples instead.
+    /// keeps batching decode stretches and sends
+    /// [`EventKind::Stretch`] summaries instead.
     fn is_passive(&self) -> bool {
         true
     }
@@ -1542,8 +1475,16 @@ mod tests {
         TelemetryConfig {
             window_s,
             max_windows,
-            profile: false,
         }
+    }
+
+    /// Sends `kind` to `t` on blade `blade` at `clock_s`.
+    fn send(t: &mut Telemetry, blade: u32, clock_s: f64, kind: EventKind) {
+        t.on_event(&SimEvent {
+            blade,
+            clock_s,
+            kind,
+        });
     }
 
     fn one_class() -> Vec<SloClass> {
@@ -1646,12 +1587,22 @@ mod tests {
             RequestSpec::new(1, 2.6, 16, 4),
         ];
         t.observe_arrivals(&trace);
-        t.on_admission(0, 0.3, &trace[0]);
-        t.on_step(0, 0.5, 0.2, 1);
-        t.on_completion(0, 1.4, &trace[0]);
-        t.on_outcome(0, 1.4, &trace[0], 0.5);
-        t.on_admission(1, 2.7, &trace[1]);
-        t.on_shed(1, 3.2, &trace[1]);
+        let (r0, r1) = (trace[0], trace[1]);
+        send(&mut t, 0, 0.3, EventKind::Admission { request: r0 });
+        let step = EventKind::Step {
+            step_s: 0.2,
+            decoding: 1,
+            kv_tokens: 0,
+            shared_tokens: 0,
+        };
+        send(&mut t, 0, 0.5, step);
+        let done = EventKind::Completion {
+            request: r0,
+            first_token_s: 0.5,
+        };
+        send(&mut t, 0, 1.4, done);
+        send(&mut t, 1, 2.7, EventKind::Admission { request: r1 });
+        send(&mut t, 1, 3.2, EventKind::Shed { request: r1 });
         t.finish();
         let rows = t.cluster_windows();
         assert_eq!(rows[0].arrivals, 1);
@@ -1675,16 +1626,21 @@ mod tests {
             .collect();
         t.observe_arrivals(&trace);
         // All four arrived by t=0.5; one admitted, one shed.
-        t.on_admission(0, 0.5, &trace[0]);
+        let (r0, r1) = (trace[0], trace[1]);
+        send(&mut t, 0, 0.5, EventKind::Admission { request: r0 });
         let rows = t.cluster_windows();
         assert_eq!(rows[0].queue_depth, 3);
-        t.on_shed(0, 0.6, &trace[1]);
+        send(&mut t, 0, 0.6, EventKind::Shed { request: r1 });
         let rows = t.cluster_windows();
         assert_eq!(rows[0].queue_depth, 2);
         // An eviction re-queues.
-        t.on_eviction(0, 0.7, &trace[0], 1);
+        let evict = EventKind::Eviction {
+            request: r0,
+            wasted_tokens: 1,
+        };
+        send(&mut t, 0, 0.7, evict);
         assert_eq!(t.cluster_windows()[0].queue_depth, 3);
-        t.on_admission(0, 0.8, &trace[0]);
+        send(&mut t, 0, 0.8, EventKind::Admission { request: r0 });
         assert_eq!(t.cluster_windows()[0].queue_depth, 2);
     }
 
@@ -1693,8 +1649,12 @@ mod tests {
         let mut t = Telemetry::new(&cfg(1.0, 64), 4, &one_class()).unwrap();
         t.set_active_blades(1);
         t.observe_arrivals(&[RequestSpec::new(0, 0.0, 16, 4)]);
-        t.on_scale(2.5, 1, 2);
-        t.on_scale(5.5, 2, 3);
+        let scale = |active_from, active_to| EventKind::Scale {
+            active_from,
+            active_to,
+        };
+        send(&mut t, 0, 2.5, scale(1, 2));
+        send(&mut t, 0, 5.5, scale(2, 3));
         t.finish();
         let rows = t.cluster_windows();
         assert_eq!(rows[0].active_blades, 1);
@@ -1709,7 +1669,13 @@ mod tests {
         let mut t = Telemetry::new(&cfg(1.0, 64), 1, &one_class()).unwrap();
         t.observe_arrivals(&[]);
         // 30 iterations of 0.1 s ending at t=4.0: spans [1.0, 4.0].
-        t.on_stretch(0, 4.0, 30, 0.1, 4, 1234);
+        let stretch = EventKind::Stretch {
+            iterations: 30,
+            step_s: 0.1,
+            decoding: 4,
+            kv_tokens: 1234,
+        };
+        send(&mut t, 0, 4.0, stretch);
         let rows = t.cluster_windows();
         let total: f64 = rows.iter().map(|w| w.decode_time_s).sum();
         assert!((total - 3.0).abs() < 1e-9, "time conserved, got {total}");
@@ -1736,7 +1702,10 @@ mod tests {
         t.observe_arrivals(&trace);
         // Sprinkle real observer traffic across the whole span too.
         for i in (0..n).step_by(1_000) {
-            t.on_admission(0, f64::from(i) + 0.5, &trace[i as usize]);
+            let admit = EventKind::Admission {
+                request: trace[i as usize],
+            };
+            send(&mut t, 0, f64::from(i) + 0.5, admit);
         }
         t.finish();
         assert!(t.window_count() <= 256, "got {} windows", t.window_count());
@@ -1753,9 +1722,13 @@ mod tests {
         let mut t = Telemetry::new(&cfg(1.0, 64), 2, &one_class()).unwrap();
         let trace = vec![RequestSpec::new(0, 0.1, 16, 4)];
         t.observe_arrivals(&trace);
-        t.on_admission(1, 0.2, &trace[0]);
-        t.on_completion(1, 0.9, &trace[0]);
-        t.on_outcome(1, 0.9, &trace[0], 0.4);
+        let request = trace[0];
+        send(&mut t, 1, 0.2, EventKind::Admission { request });
+        let done = EventKind::Completion {
+            request,
+            first_token_s: 0.4,
+        };
+        send(&mut t, 1, 0.9, done);
         t.finish();
         let csv = t.to_csv();
         let header = csv.lines().next().unwrap();

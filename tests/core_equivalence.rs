@@ -16,9 +16,9 @@ use llm_workload::kvcache::{KvCache, KvConvention};
 use llm_workload::model::{ModelZoo, TransformerConfig};
 use llm_workload::Parallelism;
 use optimus::serving::{
-    AdmissionControl, AutoscaleConfig, ClusterReport, ControlPlane, CountingObserver,
-    DecodePricing, DispatchMode, EventHeap, MaxWaitGuardPolicy, RequestSpec, RoutingPolicy,
-    Scenario, SharedPrefixTraceConfig, SimCore, SjfPolicy, SloClass, StrictPriorityPolicy,
+    AdmissionControl, AutoscaleConfig, ClusterReport, ControlPlane, DecodePricing, DispatchMode,
+    EventHeap, EventKind, MaxWaitGuardPolicy, RequestSpec, RoutingPolicy, Scenario,
+    SharedPrefixTraceConfig, SimCore, SimEvent, SjfPolicy, SloClass, StrictPriorityPolicy,
     Topology, TraceConfig, WeightedFairPolicy,
 };
 use optimus::MultiBladeSystem;
@@ -32,6 +32,27 @@ fn per_token_bytes(system: &MultiBladeSystem, model: &TransformerConfig) -> f64 
         precision: system.inference_estimator().precision(),
     }
     .bytes(model, KvConvention::Gqa)
+}
+
+/// Where two recorded event streams first differ — the index and both
+/// events there (`None` past a stream's end), clocks compared bitwise —
+/// or `None` when they are identical.
+fn first_divergence(a: &[SimEvent], b: &[SimEvent]) -> Option<String> {
+    let same = |x: &SimEvent, y: &SimEvent| x.clock_s.to_bits() == y.clock_s.to_bits() && x == y;
+    (0..a.len().max(b.len()))
+        .find(|&i| !matches!((a.get(i), b.get(i)), (Some(x), Some(y)) if same(x, y)))
+        .map(|i| {
+            format!(
+                "streams diverge at event {i}: {:?} vs {:?}",
+                a.get(i),
+                b.get(i)
+            )
+        })
+}
+
+/// Events of `events` matching `kind`.
+fn count(events: &[SimEvent], kind: fn(&EventKind) -> bool) -> usize {
+    events.iter().filter(|e| kind(&e.kind)).count()
 }
 
 /// Compiles `build()` under both cores, runs each, and asserts the full
@@ -417,7 +438,7 @@ fn coordinated_cluster_cores_agree() {
 #[test]
 fn observer_event_streams_are_identical_between_cores() {
     // A non-passive observer forces the event core's decode stretches
-    // onto their callback-dispatching path: the full event stream (not
+    // onto their per-iteration event path: the full event stream (not
     // just the report) must match the per-step core's.
     let system = MultiBladeSystem::new(1).unwrap();
     let model = ModelZoo::llama2_7b();
@@ -439,24 +460,27 @@ fn observer_event_streams_are_identical_between_cores() {
             .core(core)
             .compile()
             .unwrap();
-        let mut observer = CountingObserver::default();
-        let report = compiled.run_observed(&mut observer).unwrap();
-        (report, observer.counts())
+        let mut events = Vec::new();
+        let report = compiled.run_observed(&mut events).unwrap();
+        (report, events)
     };
-    let (event_report, event_counts) = run(SimCore::EventDriven);
-    let (step_report, step_counts) = run(SimCore::PerStep);
+    let (event_report, event_events) = run(SimCore::EventDriven);
+    let (step_report, step_events) = run(SimCore::PerStep);
     assert_eq!(event_report, step_report);
-    assert_eq!(event_counts, step_counts, "same events, same counts");
-    assert_eq!(event_counts.completions, 24);
-    assert!(event_counts.steps > 0);
+    assert_eq!(first_divergence(&event_events, &step_events), None);
+    assert_eq!(
+        count(&event_events, |k| matches!(k, EventKind::Completion { .. })),
+        24
+    );
+    assert!(count(&event_events, |k| matches!(k, EventKind::Step { .. })) > 0);
 }
 
 #[test]
 fn cluster_observer_event_streams_are_identical_between_cores() {
     // The cluster leapfrog and the disaggregated decoder-pool leapfrog
     // replay skipped rounds in true global order, so even with a
-    // non-passive observer attached the per-step callback stream — one
-    // `on_step` per decode round, in execution order — must be
+    // non-passive observer attached the per-step event stream — one
+    // `Step` event per decode round, in execution order — must be
     // reproduced exactly. Shedding keeps the control plane live on the
     // central variant while the observer watches.
     let system = MultiBladeSystem::new(4).unwrap();
@@ -473,15 +497,22 @@ fn cluster_observer_event_streams_are_identical_between_cores() {
     fn check<'a>(label: &str, build: &dyn Fn() -> Scenario<'a>) {
         let run = |core: SimCore| {
             let compiled = build().core(core).compile().unwrap();
-            let mut observer = CountingObserver::default();
-            let report = compiled.run_observed(&mut observer).unwrap();
-            (report, observer.counts())
+            let mut events = Vec::new();
+            let report = compiled.run_observed(&mut events).unwrap();
+            (report, events)
         };
-        let (event_report, event_counts) = run(SimCore::EventDriven);
-        let (step_report, step_counts) = run(SimCore::PerStep);
+        let (event_report, event_events) = run(SimCore::EventDriven);
+        let (step_report, step_events) = run(SimCore::PerStep);
         assert_eq!(event_report, step_report, "{label}: reports");
-        assert_eq!(event_counts, step_counts, "{label}: event streams");
-        assert!(event_counts.steps > 0, "{label}");
+        assert_eq!(
+            first_divergence(&event_events, &step_events),
+            None,
+            "{label}: event streams"
+        );
+        assert!(
+            count(&event_events, |k| matches!(k, EventKind::Step { .. })) > 0,
+            "{label}"
+        );
     }
     check("central + shedding", &|| {
         Scenario::new(&system)
@@ -639,20 +670,20 @@ proptest! {
         };
         let run = |core: SimCore| {
             let compiled = build().core(core).compile().unwrap();
-            let mut observer = CountingObserver::default();
+            let mut events = Vec::new();
             let report = if observed {
-                compiled.run_observed(&mut observer).unwrap()
+                compiled.run_observed(&mut events).unwrap()
             } else {
                 compiled.run().unwrap()
             };
-            (report, observer.counts())
+            (report, events)
         };
-        let (event, event_counts) = run(SimCore::EventDriven);
-        let (per_step, step_counts) = run(SimCore::PerStep);
+        let (event, event_events) = run(SimCore::EventDriven);
+        let (per_step, step_events) = run(SimCore::PerStep);
         prop_assert_eq!(&event, &per_step);
         prop_assert_eq!(per_step.stretch.stretches, 0);
         prop_assert_eq!(per_step.stretch.stretched_iterations, 0);
-        prop_assert_eq!(event_counts, step_counts);
+        prop_assert_eq!(first_divergence(&event_events, &step_events), None);
         prop_assert_eq!(
             u64::from(event.report.completed) + event.report.shed_requests,
             trace.len() as u64

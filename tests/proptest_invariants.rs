@@ -428,7 +428,7 @@ proptest! {
     }
 
     /// Telemetry inertness: mounting the passive telemetry collector at
-    /// any resolution leaves the report bit-identical AND the callback
+    /// any resolution leaves the report bit-identical AND the event
     /// stream a co-mounted observer sees unchanged, across the
     /// policy × topology × core matrix. The collector itself must agree
     /// with the report on conserved totals and honor its memory bound.
@@ -442,8 +442,8 @@ proptest! {
         event in any::<bool>(),
     ) {
         use optimus::serving::{
-            AutoscaleConfig, ControlPlane, CountingObserver, DispatchMode, Scenario, SimCore,
-            SjfPolicy, TelemetryConfig, Topology, TraceConfig, WeightedFairPolicy,
+            AutoscaleConfig, ControlPlane, DispatchMode, Scenario, SimCore, SjfPolicy,
+            TelemetryConfig, Topology, TraceConfig, WeightedFairPolicy,
         };
         let system =
             optimus::MultiBladeSystem::new(if topology == 0 { 1 } else { 4 }).expect("valid");
@@ -453,7 +453,6 @@ proptest! {
         let cfg = TelemetryConfig {
             window_s: 0.0625 * f64::powi(2.0, window_exp),
             max_windows: 32,
-            profile: false,
         };
         let mk = || {
             let mut s = Scenario::new(&system)
@@ -493,16 +492,16 @@ proptest! {
             .run_with_telemetry()
             .expect("replays");
         prop_assert_eq!(&plain, &mounted);
-        // The callback stream a user observer sees is also untouched.
-        let mut solo = CountingObserver::default();
+        // The event stream a user observer sees is also untouched.
+        let mut solo = Vec::new();
         mk().compile().expect("valid").run_observed(&mut solo).expect("replays");
-        let mut tee = CountingObserver::default();
+        let mut tee = Vec::new();
         mk().telemetry(cfg)
             .compile()
             .expect("valid")
             .run_observed_with_telemetry(&mut tee)
             .expect("replays");
-        prop_assert_eq!(solo.counts(), tee.counts());
+        prop_assert_eq!(solo, tee);
         // Collector consistency: conserved totals and the memory bound.
         let windows = tel.cluster_windows();
         prop_assert!(windows.len() <= 32);
