@@ -22,8 +22,8 @@ use super::engine::{
     acquire_prefix, arrival_queue, finalize, BladeState, EngineCtx, Outcome, ReplayTotals, SimCore,
 };
 use super::events::{
-    leapfrog_decode, DecodeStretch, Deque, Discipline, Exhaustive, Fcfs, KeyedQueue,
-    LeapfrogMember, Pool, Resort, StretchHorizon,
+    leapfrog_decode, round_order, DecodeStretch, Deque, Discipline, Exhaustive, Fcfs, KeyedQueue,
+    Leapfrog, LeapfrogMember, Pool, Resort, RoundKey, StretchHorizon,
 };
 use super::observer::{EventKind, NoopObserver, SimObserver};
 use super::policy::OrderingContract;
@@ -576,7 +576,10 @@ fn run_per_blade(
 /// victims), which gates admission inside [`EngineCtx::step`], and
 /// the discipline keeps not-yet-ready requests behind ready ones so
 /// head-of-line blocking never wedges the loop. Outside the reference
-/// discipline, each round ends with [`central_decode_stretch`].
+/// discipline, each round ends with a [`leapfrog_pool`] over every blade,
+/// whose fleet scan also finds the next round's action, or — under an
+/// autoscaler — with [`central_decode_stretch`], after which the loop
+/// rescans.
 fn run_central_dispatch<D: Discipline>(
     ctx: &EngineCtx<'_>,
     cluster: ClusterConfig,
@@ -592,6 +595,9 @@ fn run_central_dispatch<D: Discipline>(
         .map(|b| BladeState::new(b as u32, 0.0, ctx.config.prefix))
         .collect();
     let mut victims: Vec<usize> = Vec::new();
+    let mut lf = Leapfrog::new(blades);
+    // The next action, when the previous round's leapfrog found it.
+    let mut next: Option<RoundKey> = None;
     let mut served = 0u32;
     while served < trace.len() as u32 {
         let next_ready = pool.next_ready();
@@ -599,7 +605,9 @@ fn run_central_dispatch<D: Discipline>(
         // pool competes.
         let active = scale.as_deref().map_or(blades, |s| s.active() as usize);
         let waiting = (!pool.is_empty()).then_some(next_ready);
-        let Some((at, b)) = next_action(&states, 0..active, waiting) else {
+        let found = next.take();
+        debug_assert!(found.is_none_or(|a| Some(a) == next_action(&states, 0..active, waiting)));
+        let Some((at, b)) = found.or_else(|| next_action(&states, 0..active, waiting)) else {
             debug_assert!(false, "cluster idle with work pending");
             break;
         };
@@ -619,6 +627,7 @@ fn run_central_dispatch<D: Discipline>(
             ctl.as_mut(),
             obs,
         );
+        lf.forget(b);
         let now = states[b].clock;
         for &v in &victims {
             // The victim re-enters once the preempting iteration has
@@ -633,7 +642,22 @@ fn run_central_dispatch<D: Discipline>(
             (&*sc, depth)
         });
         if !D::EXHAUSTIVE {
-            central_decode_stretch(ctx, trace, &mut states, b, &mut pool, scaler, obs);
+            next = match scaler {
+                None => leapfrog_pool(
+                    ctx,
+                    trace,
+                    &mut states,
+                    0..blades,
+                    f64::INFINITY,
+                    &mut pool,
+                    &mut lf,
+                    obs,
+                ),
+                Some(scaler) => {
+                    central_decode_stretch(ctx, trace, &mut states, b, &mut pool, scaler, obs);
+                    None
+                }
+            };
         }
     }
     (states, outcomes, ctl)
@@ -683,21 +707,19 @@ fn next_action(
     states: &[BladeState],
     blades: impl Iterator<Item = usize>,
     waiting: Option<f64>,
-) -> Option<(f64, usize)> {
+) -> Option<RoundKey> {
     blades
         .filter_map(|b| action_at(&states[b], waiting).map(|t| (t, b)))
-        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        .min_by(round_order)
 }
 
-/// Fast-forwards a central-dispatch round's blades through their
-/// pure-decode future, bounded by the cluster-wide stretch horizon.
+/// Fast-forwards the just-stepped blade `b` of an autoscaled
+/// central-dispatch round through its pure-decode future.
 ///
-/// Without an autoscaler every blade can leapfrog at once
-/// ([`leapfrog_pool`]): the skipped rounds are replayed in exact per-step
-/// order, so no conservative blade-race gate is needed. With one, only
-/// the just-stepped blade `b` stretches — the frozen depth/idleness
-/// signal is sampled at its clock and does not transfer to blades whose
-/// clocks trail it — under these gates:
+/// Without an autoscaler the loop leapfrogs every blade at once
+/// ([`leapfrog_pool`]) instead. With one, only `b` stretches — the frozen
+/// depth/idleness signal is sampled at its clock and does not transfer
+/// to blades whose clocks trail it — under these gates:
 ///
 /// * **Blade race** (start gate): every other active blade's next action
 ///   instant — its clock while it holds running work, else the moment
@@ -728,14 +750,9 @@ fn central_decode_stretch<D: Discipline>(
     states: &mut [BladeState],
     b: usize,
     pool: &mut Pool<D>,
-    scaler: Option<(&ScaleState, usize)>,
+    (sc, depth): (&ScaleState, usize),
     obs: &mut dyn SimObserver,
 ) {
-    let Some((sc, depth)) = scaler else {
-        let blades = 0..states.len();
-        leapfrog_pool(ctx, trace, states, blades, f64::INFINITY, pool, obs);
-        return;
-    };
     let next_ready = pool.next_ready();
     if states[b].running.is_empty() {
         return;
@@ -797,8 +814,10 @@ fn central_decode_stretch<D: Discipline>(
 }
 
 /// Replays the pure-decode future of the running blades among `blades`
-/// — the ones sharing `pool` — in one [`leapfrog_decode`] call, in exact
-/// per-step round order.
+/// — the ones sharing `pool` — in one [`leapfrog_decode`] call, and
+/// returns the `(clock, blade)`-minimal next action among `blades`
+/// afterwards: the earlier of the idle blades' admission instants, which
+/// its scan collects, and the leapfrog's cut.
 ///
 /// Shared gate: `shared_gate` (the caller's own decisions, e.g. the
 /// prefill tier's next action) and an idle member's next admission
@@ -809,6 +828,7 @@ fn central_decode_stretch<D: Discipline>(
 /// member clock so it lower-bounds every member's own transition (a
 /// member already past it parks, conservatively). All gates are frozen
 /// across the leapfrog: nothing is admitted or evicted.
+#[allow(clippy::too_many_arguments)] // one call site per replay loop
 fn leapfrog_pool<D: Discipline>(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
@@ -816,55 +836,58 @@ fn leapfrog_pool<D: Discipline>(
     blades: impl Iterator<Item = usize>,
     shared_gate: f64,
     pool: &mut Pool<D>,
+    lf: &mut Leapfrog,
     obs: &mut dyn SimObserver,
-) {
+) -> Option<RoundKey> {
     let next_ready = pool.next_ready();
     let waiting = (!pool.is_empty()).then_some(next_ready);
+    let max_batch = ctx.config.max_batch as usize;
     let mut idle_gate = shared_gate;
-    let mut min_clock = f64::INFINITY;
+    let mut idle_next: Option<RoundKey> = None;
+    let mut member_next: Option<RoundKey> = None;
     let mut any_full = false;
-    let mut members: Vec<(usize, bool)> = Vec::with_capacity(states.len());
+    lf.members.clear();
     for b in blades {
         let s = &states[b];
         if s.running.is_empty() {
             if let Some(t) = action_at(s, waiting) {
                 idle_gate = idle_gate.min(t);
+                idle_next = earlier(idle_next, Some((t, b)));
             }
             continue;
         }
-        min_clock = min_clock.min(s.clock);
-        let full = s.running.len() >= ctx.config.max_batch as usize;
-        any_full |= full;
-        members.push((b, full));
+        member_next = earlier(member_next, Some((s.clock, b)));
+        any_full |= s.running.len() >= max_batch;
+        lf.members.push(LeapfrogMember {
+            blade: b,
+            start_gate_s: waiting.unwrap_or(f64::INFINITY),
+        });
     }
-    if members.is_empty() || idle_gate <= min_clock {
-        return;
+    let Some((min_clock, _)) = member_next else {
+        return idle_next;
+    };
+    if idle_gate <= min_clock {
+        return earlier(idle_next, member_next);
     }
-    let e = if any_full && pool.partition_observable() {
+    let full_gate = if any_full && pool.partition_observable() {
         pool.next_transition(min_clock)
     } else {
         f64::INFINITY
     };
-    let members: Vec<LeapfrogMember> = members
-        .into_iter()
-        .map(|(blade, full)| LeapfrogMember {
-            blade,
-            start_gate_s: if full {
-                e
-            } else {
-                waiting.unwrap_or(f64::INFINITY)
-            },
-        })
-        .collect();
-    leapfrog_decode(
-        ctx,
-        trace,
-        states,
-        &members,
-        &StretchHorizon::until(idle_gate),
-        obs,
-    );
+    for m in &mut lf.members {
+        if states[m.blade].running.len() >= max_batch {
+            m.start_gate_s = full_gate;
+        }
+    }
+    let cut = leapfrog_decode(ctx, trace, states, lf, idle_gate, obs);
+    earlier(idle_next, cut)
 }
+
+/// The earlier of two optional rounds in [`round_order`].
+fn earlier(a: Option<RoundKey>, b: Option<RoundKey>) -> Option<RoundKey> {
+    a.into_iter().chain(b).min_by(round_order)
+}
+
 /// Merges per-blade states and outcomes into the cluster report
 /// (shared by the classic loops and the disaggregated one).
 fn assemble(
@@ -1049,6 +1072,7 @@ fn disaggregated<const E: bool, const R: bool>(
     let mut outcomes = vec![Outcome::default(); trace.len()];
     let mut prefilled = vec![false; trace.len()];
     let mut victims: Vec<usize> = Vec::new();
+    let mut lf = Leapfrog::new(roles.len());
     let stream_s =
         |idx: usize| link.transfer_s(f64::from(trace[idx].prompt_tokens) * ctx.kv_bytes_per_token);
     let mut served = 0u32;
@@ -1100,6 +1124,7 @@ fn disaggregated<const E: bool, const R: bool>(
                     None,
                     obs,
                 );
+                lf.forget(b);
                 for &v in &victims {
                     // The victim's KV must be re-streamed from the prefill
                     // tier before it can restart anywhere.
@@ -1116,6 +1141,7 @@ fn disaggregated<const E: bool, const R: bool>(
                         pool_blades,
                         prefill_gate,
                         &mut pool,
+                        &mut lf,
                         obs,
                     );
                 }

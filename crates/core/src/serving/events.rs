@@ -17,11 +17,11 @@
 
 use super::engine::{BladeState, DecodePricing, EngineCtx};
 use super::kv::KvLayout;
-use super::observer::{EventKind, SimObserver};
+use super::observer::{EventKind, SimEvent, SimObserver};
 use super::policy::{OrderingContract, SchedulerPolicy};
 use super::telemetry::profile;
 use super::traces::RequestSpec;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 /// One pending event: a timestamp ordered by `f64::total_cmp`, with the
@@ -791,7 +791,7 @@ impl StretchHorizon {
 /// a stretch on their own (cheap) horizon gates before paying for the
 /// more expensive ones, and re-plan after a truncated advance (a bucket
 /// crossing changes the cost; the next stretch picks up from there).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct DecodeStretch {
     /// The constant per-iteration decode cost (s).
     cost: f64,
@@ -1007,6 +1007,18 @@ impl DecodeStretch {
         done
     }
 
+    /// This plan after `done` of its iterations were committed: what
+    /// [`Self::plan`] returns for the advanced blade (every bound moved
+    /// `done` iterations closer, the footprints `done` iterations on).
+    fn rebase(&self, done: u64) -> Self {
+        Self {
+            max_iters: self.max_iters - done,
+            charged0: self.charged0 + done * self.charge_growth,
+            used0: self.used0 + done * u64::from(self.batch),
+            ..*self
+        }
+    }
+
     /// The `Step` event of the iteration advanced after `done` completed
     /// ones of this plan.
     fn step_event(&self, done: u64) -> EventKind {
@@ -1059,7 +1071,7 @@ impl DecodeStretch {
 
 /// One blade's membership in a cluster-wide leapfrog fast-forward: the
 /// blade index plus the member-specific round-start gate (own-admission
-/// and partition bounds; `f64::INFINITY` when only the shared horizon
+/// and partition bounds; `f64::INFINITY` when only the shared gate
 /// applies).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LeapfrogMember {
@@ -1067,104 +1079,233 @@ pub(crate) struct LeapfrogMember {
     pub(crate) start_gate_s: f64,
 }
 
-/// Fast-forwards a set of coupled blades through their pure-decode
-/// futures in *exact per-step round order*: repeatedly pick the
-/// `(clock, blade index)`-minimal member — the central loops' `chosen`
-/// tie-break, replicated bit-for-bit — and advance it one planned
-/// iteration. Unlike a single-blade stretch, no conservative blade-race
-/// gate is needed among members: the skipped rounds are executed, in
-/// their real order, with the float operations the per-step loop would
-/// apply (each touching only its own blade's state), so bit-identity
-/// holds even though many rounds across many blades are batched into
-/// one call.
+/// A round's place in the per-step loops' global order: its start clock,
+/// then the blade index (see [`round_order`]).
+pub(crate) type RoundKey = (f64, usize);
+
+/// The per-step loops' round order: start clocks by `f64::total_cmp`,
+/// ties broken by blade index.
+pub(crate) fn round_order(a: &RoundKey, b: &RoundKey) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// One member's progress through a [`leapfrog_decode`] call.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    blade: usize,
+    /// The member's round-start gate merged with the shared one.
+    gate_s: f64,
+    /// The member's plan (`None`: parked, its next round is a real step)
+    /// and the rounds advanced under it; `done == max_iters` means the
+    /// plan ran out and was committed.
+    plan: Option<DecodeStretch>,
+    done: u64,
+}
+
+impl Run {
+    /// Pass 1: the member's first round start from `clock` on that the
+    /// leapfrog may not run — gated, parked, or past the end of its plan
+    /// (`true`: a re-plan may continue from there) — if it precedes
+    /// `bound`; `None` once the walk reaches `bound` first. The walk
+    /// repeats pass 2's clock additions without touching state.
+    fn stop(&self, clock: f64, bound: Option<RoundKey>) -> Option<(RoundKey, bool)> {
+        let before = |c: f64| bound.is_none_or(|b| round_order(&(c, self.blade), &b).is_lt());
+        let mut c = clock;
+        let mut replan = self.plan.is_some();
+        if let Some(plan) = self.plan {
+            for _ in self.done..plan.max_iters {
+                if !before(c) {
+                    return None;
+                }
+                // A round ending at +∞ parks the member (no round may
+                // end there).
+                let next = c + plan.cost;
+                if self.gate_s <= c || next == f64::INFINITY {
+                    replan = false;
+                    break;
+                }
+                c = next;
+            }
+        }
+        before(c).then_some(((c, self.blade), replan))
+    }
+
+    /// Pass 2: advances the member through its rounds before `cut` with
+    /// the per-step loop's float operations, buffering each round's
+    /// events under its key. A plan that runs out commits at once, its
+    /// `Stretch` summary keyed by its last round.
+    fn advance(
+        &mut self,
+        blade: &mut BladeState,
+        cut: RoundKey,
+        passive: bool,
+        events: &mut Vec<(RoundKey, SimEvent)>,
+    ) {
+        let Some(plan) = self.plan else { return };
+        let weighted = plan.cost * f64::from(plan.batch);
+        while self.done < plan.max_iters && round_order(&(blade.clock, self.blade), &cut).is_lt() {
+            let start = blade.clock;
+            blade.decode_time_s += plan.cost;
+            blade.batch_time_weighted += weighted;
+            blade.busy_s += plan.cost;
+            blade.clock = start + plan.cost;
+            let (blade_id, clock_s) = (blade.id, blade.clock);
+            let event = |kind| {
+                let event = SimEvent {
+                    blade: blade_id,
+                    clock_s,
+                    kind,
+                };
+                ((start, self.blade), event)
+            };
+            if !passive {
+                // `done` completed rounds of this plan precede this one,
+                // matching the per-step loop's charged footprint.
+                events.push(event(plan.step_event(self.done)));
+            }
+            self.done += 1;
+            if self.done == plan.max_iters {
+                plan.commit(blade, self.done);
+                if passive {
+                    events.push(event(plan.stretch_event(self.done)));
+                }
+            }
+        }
+    }
+}
+
+/// A replay loop's leapfrog working memory, reused across its
+/// [`leapfrog_decode`] calls so no call allocates: the members the
+/// caller fills in, their runs, the event buffer, and every blade's plan
+/// as the last call left it.
+#[derive(Debug)]
+pub(crate) struct Leapfrog {
+    pub(crate) members: Vec<LeapfrogMember>,
+    runs: Vec<Run>,
+    /// The call's events, keyed by their round.
+    events: Vec<(RoundKey, SimEvent)>,
+    /// Per blade: the plan the last call left it with, rebased past the
+    /// iterations it committed (`Some(None)`: known to have none), or
+    /// `None` when unknown — never planned, or stepped since.
+    plans: Vec<Option<Option<DecodeStretch>>>,
+}
+
+impl Leapfrog {
+    /// Scratch space for a replay over `blades` blades.
+    pub(crate) fn new(blades: usize) -> Self {
+        Self {
+            members: Vec::with_capacity(blades),
+            runs: Vec::with_capacity(blades),
+            events: Vec::new(),
+            plans: vec![None; blades],
+        }
+    }
+
+    /// Drops `blade`'s stored plan: the loop has just stepped it.
+    pub(crate) fn forget(&mut self, blade: usize) {
+        self.plans[blade] = None;
+    }
+}
+
+/// Fast-forwards the coupled blades in `lf.members` through their
+/// pure-decode futures, bit-identical to running the per-step loop's
+/// rounds in their global `(clock, blade index)` order, and returns the
+/// `(clock, blade)`-minimal member after it.
 ///
-/// Gate discipline: the shared `horizon` carries gates common to every
-/// round (idle-blade actions, prefill-tier actions, autoscaler end
-/// gates), while each member's `start_gate_s` carries its own
-/// round-start bounds. Because members are advanced in global round
-/// order, the first gated round in that order breaks the whole loop —
-/// rounds processed before it genuinely preceded it.
+/// Each skipped round touches only its own blade's state, and every gate
+/// is frozen for the call, so the global order decides only where the
+/// fast-forward *stops*. Two passes find and reach that point:
 ///
-/// A member whose plan is exhausted mid-loop commits its bookkeeping
-/// and re-plans in place (a bucket crossing just changes the constant
-/// cost); when no new plan exists (completion, KV or admission event
-/// next) the member parks at its clock and breaks the loop once it
-/// becomes minimal — its real round is the cluster's next action.
+/// 1. Each member walks its clock through its current plan, without
+///    touching state, to its first round start that is gated (the
+///    shared `start_gate_s` or its own), parked (no plan), or past the
+///    end of its plan. The cut is the minimal such stop by [`RoundKey`].
+/// 2. Every member advances, on its own, through its rounds before the
+///    cut.
+///
+/// When the cut is a plan running out, that member re-plans (a bucket
+/// crossing just changes the constant cost) and the passes repeat; a
+/// gate or a park ends the call — the parked member's real round is the
+/// cluster's next action. Plans are reused across calls: each blade's
+/// plan is stored rebased past what it committed, and reused until the
+/// caller [`Leapfrog::forget`]s the blade.
+///
+/// Events are buffered with their round key and sent in key order: a
+/// non-passive observer gets one `Step` per round, in per-step order; a
+/// passive one gets the run-out plans' `Stretch` summaries in key order,
+/// then the remaining plans' in member order as they commit at the end.
 pub(crate) fn leapfrog_decode(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
     states: &mut [BladeState],
-    members: &[LeapfrogMember],
-    horizon: &StretchHorizon,
+    lf: &mut Leapfrog,
+    start_gate_s: f64,
     obs: &mut dyn SimObserver,
-) {
+) -> Option<RoundKey> {
     let _span = profile::span(profile::Phase::Leapfrog);
     let passive = obs.is_passive();
-    let mut runs: Vec<Option<(DecodeStretch, u64)>> = members
-        .iter()
-        .map(|m| DecodeStretch::plan(ctx, trace, &states[m.blade]).map(|p| (p, 0)))
-        .collect();
-    loop {
-        let mut best: Option<(f64, usize)> = None;
-        for (i, m) in members.iter().enumerate() {
-            let c = states[m.blade].clock;
-            let better = match best {
-                None => true,
-                Some((bc, bi)) => c
-                    .total_cmp(&bc)
-                    .then(m.blade.cmp(&members[bi].blade))
-                    .is_lt(),
-            };
-            if better {
-                best = Some((c, i));
-            }
-        }
-        let Some((clock, i)) = best else { break };
-        if horizon.start_gate_s <= clock || members[i].start_gate_s <= clock {
-            break;
-        }
-        let Some((plan, done)) = runs[i] else { break };
-        let next = clock + plan.cost;
-        if next >= horizon.end_gate_s {
-            break;
-        }
-        if let Some((last, cd)) = horizon.cooldown {
-            // As in the per-blade stretch: advance only while the
-            // autoscaler stays in cooldown (NaN parks).
-            let in_cooldown = next - last < cd;
-            if !in_cooldown {
-                break;
-            }
-        }
-        let blade = &mut states[members[i].blade];
-        blade.decode_time_s += plan.cost;
-        blade.batch_time_weighted += plan.cost * f64::from(plan.batch);
-        blade.busy_s += plan.cost;
-        blade.clock = next;
-        if !passive {
-            // `done` completed rounds of this plan precede the one just
-            // advanced, matching the per-step loop's charged footprint.
-            obs.emit(blade.id, blade.clock, plan.step_event(done));
-        }
-        if done + 1 == plan.max_iters {
-            plan.commit(blade, done + 1);
-            if passive {
-                obs.emit(blade.id, blade.clock, plan.stretch_event(done + 1));
-            }
-            runs[i] = DecodeStretch::plan(ctx, trace, blade).map(|p| (p, 0));
-        } else {
-            runs[i] = Some((plan, done + 1));
-        }
+    let Leapfrog {
+        members,
+        runs,
+        events,
+        plans,
+    } = lf;
+    runs.clear();
+    for m in members.iter() {
+        let blade = &states[m.blade];
+        let plan = *plans[m.blade].get_or_insert_with(|| DecodeStretch::plan(ctx, trace, blade));
+        debug_assert_eq!(
+            plan,
+            DecodeStretch::plan(ctx, trace, blade),
+            "blade {}: stored plan is stale",
+            m.blade
+        );
+        runs.push(Run {
+            blade: m.blade,
+            gate_s: start_gate_s.min(m.start_gate_s),
+            plan,
+            done: 0,
+        });
     }
-    for (i, m) in members.iter().enumerate() {
-        if let Some((plan, done)) = runs[i] {
-            plan.commit(&mut states[m.blade], done);
-            if passive && done > 0 {
-                let blade = &states[m.blade];
-                obs.emit(blade.id, blade.clock, plan.stretch_event(done));
+    let cut = loop {
+        let mut cut: Option<(RoundKey, usize, bool)> = None;
+        for (i, run) in runs.iter().enumerate() {
+            if let Some((key, replan)) = run.stop(states[run.blade].clock, cut.map(|c| c.0)) {
+                cut = Some((key, i, replan));
             }
         }
+        let Some((key, i, replan)) = cut else {
+            break None;
+        };
+        for run in runs.iter_mut() {
+            run.advance(&mut states[run.blade], key, passive, events);
+        }
+        if !replan {
+            break Some(key);
+        }
+        let run = &mut runs[i];
+        run.plan = DecodeStretch::plan(ctx, trace, &states[run.blade]);
+        run.done = 0;
+    };
+    events.sort_unstable_by(|a, b| round_order(&a.0, &b.0));
+    for (_, event) in events.drain(..) {
+        obs.on_event(&event);
     }
+    for run in runs.iter() {
+        let blade = &mut states[run.blade];
+        plans[run.blade] = match run.plan {
+            Some(plan) if run.done == plan.max_iters => None,
+            Some(plan) => {
+                plan.commit(blade, run.done);
+                if passive && run.done > 0 {
+                    obs.emit(blade.id, blade.clock, plan.stretch_event(run.done));
+                }
+                Some(Some(plan.rebase(run.done)))
+            }
+            None => Some(None),
+        };
+    }
+    cut
 }
 
 #[cfg(test)]

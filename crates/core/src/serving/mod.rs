@@ -202,7 +202,8 @@ pub use engine::{DecodePricing, RunningSeq, ServingConfig, SimCore};
 pub use events::EventHeap;
 pub use kv::{KvLayout, PagedKvAllocator};
 pub use observer::{
-    CallbackCounts, CountingObserver, EventKind, NoopObserver, SimEvent, SimObserver,
+    first_divergence, CallbackCounts, CountingObserver, Divergence, EventKind, NoopObserver,
+    SimEvent, SimObserver,
 };
 pub use policy::{
     FcfsPolicy, MaxWaitGuardPolicy, OrderingContract, SchedulerPolicy, SjfPolicy,

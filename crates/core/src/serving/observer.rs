@@ -16,6 +16,7 @@
 //! [`telemetry`](super::telemetry) layer.
 
 use super::traces::RequestSpec;
+use std::fmt;
 
 /// One engine event: `kind` took effect on blade `blade` (the blade
 /// index within the scenario's topology; 0 for single-blade replays)
@@ -239,6 +240,54 @@ impl dyn SimObserver + '_ {
     }
 }
 
+/// Where two recorded event streams first differ (see
+/// [`first_divergence`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Divergence {
+    /// Index of the first event the streams disagree on.
+    pub index: usize,
+    /// The first stream's event there (`None` past its end).
+    pub left: Option<SimEvent>,
+    /// The second stream's event there (`None` past its end).
+    pub right: Option<SimEvent>,
+    /// Up to [`Self::CONTEXT`] events both streams share just before
+    /// `index`, oldest first.
+    pub context: Vec<SimEvent>,
+}
+
+impl Divergence {
+    /// Preceding events kept as context.
+    pub const CONTEXT: usize = 3;
+}
+
+impl fmt::Display for Divergence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "event streams diverge at event {}", self.index)?;
+        let first = self.index - self.context.len();
+        for (i, event) in self.context.iter().enumerate() {
+            writeln!(f, "  [{}] {event:?}", first + i)?;
+        }
+        writeln!(f, "  left:  {:?}", self.left)?;
+        write!(f, "  right: {:?}", self.right)
+    }
+}
+
+/// The first event at which recorded streams `a` and `b` differ, with up
+/// to [`Divergence::CONTEXT`] preceding events, or `None` when they are
+/// identical. Clocks compare bitwise.
+#[must_use]
+pub fn first_divergence(a: &[SimEvent], b: &[SimEvent]) -> Option<Divergence> {
+    let same = |x: &SimEvent, y: &SimEvent| x.clock_s.to_bits() == y.clock_s.to_bits() && x == y;
+    let index = (0..a.len().max(b.len()))
+        .find(|&i| !matches!((a.get(i), b.get(i)), (Some(x), Some(y)) if same(x, y)))?;
+    Some(Divergence {
+        index,
+        left: a.get(index).copied(),
+        right: b.get(index).copied(),
+        context: a[index.saturating_sub(Divergence::CONTEXT)..index].to_vec(),
+    })
+}
+
 /// The do-nothing observer the unobserved replay paths run with.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
@@ -408,6 +457,32 @@ mod tests {
             scale_events: 1,
         };
         assert_eq!(c.counts(), ones);
+    }
+
+    #[test]
+    fn first_divergence_reports_index_events_and_context() {
+        let at = |clock_s| SimEvent {
+            blade: 0,
+            clock_s,
+            kind: EventKind::CacheEvict { block_tokens: 16 },
+        };
+        let a: Vec<SimEvent> = (0..6).map(|i| at(f64::from(i))).collect();
+        assert_eq!(first_divergence(&a, &a), None);
+        let mut b = a.clone();
+        b[4].clock_s = 4.0_f64.next_up();
+        let d = first_divergence(&a, &b).expect("clocks differ");
+        assert_eq!((d.index, d.left, d.right), (4, Some(a[4]), Some(b[4])));
+        assert_eq!(d.context, a[1..4]);
+        assert!(d.to_string().contains("  [3] "));
+        // Clocks compare bitwise; context is short at the start.
+        let mut b = a.clone();
+        b[0].clock_s = -0.0;
+        let d = first_divergence(&a, &b).expect("signed zeros differ");
+        assert_eq!(d.index, 0);
+        assert!(d.context.is_empty());
+        // Past one stream's end.
+        let d = first_divergence(&a, &a[..2]).expect("lengths differ");
+        assert_eq!((d.index, d.right), (2, None));
     }
 
     #[test]

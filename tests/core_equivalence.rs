@@ -16,12 +16,12 @@ use llm_workload::kvcache::{KvCache, KvConvention};
 use llm_workload::model::{ModelZoo, TransformerConfig};
 use llm_workload::Parallelism;
 use optimus::serving::{
-    AdmissionControl, AutoscaleConfig, ClusterReport, ControlPlane, DecodePricing, DispatchMode,
-    EventHeap, EventKind, MaxWaitGuardPolicy, RequestSpec, RoutingPolicy, Scenario,
-    SharedPrefixTraceConfig, SimCore, SimEvent, SjfPolicy, SloClass, StrictPriorityPolicy,
-    Topology, TraceConfig, WeightedFairPolicy,
+    first_divergence, AdmissionControl, AutoscaleConfig, ClusterReport, ControlPlane,
+    DecodePricing, DispatchMode, DiurnalTraceConfig, EventHeap, EventKind, KvLayout,
+    MaxWaitGuardPolicy, RequestSpec, RoutingPolicy, Scenario, SharedPrefixTraceConfig, SimCore,
+    SimEvent, SjfPolicy, SloClass, StrictPriorityPolicy, Topology, TraceConfig, WeightedFairPolicy,
 };
-use optimus::MultiBladeSystem;
+use optimus::{MultiBladeSystem, SpeedupStudy};
 use proptest::prelude::*;
 
 /// KV bytes for one token of `model` at the system's serving precision.
@@ -32,22 +32,6 @@ fn per_token_bytes(system: &MultiBladeSystem, model: &TransformerConfig) -> f64 
         precision: system.inference_estimator().precision(),
     }
     .bytes(model, KvConvention::Gqa)
-}
-
-/// Where two recorded event streams first differ — the index and both
-/// events there (`None` past a stream's end), clocks compared bitwise —
-/// or `None` when they are identical.
-fn first_divergence(a: &[SimEvent], b: &[SimEvent]) -> Option<String> {
-    let same = |x: &SimEvent, y: &SimEvent| x.clock_s.to_bits() == y.clock_s.to_bits() && x == y;
-    (0..a.len().max(b.len()))
-        .find(|&i| !matches!((a.get(i), b.get(i)), (Some(x), Some(y)) if same(x, y)))
-        .map(|i| {
-            format!(
-                "streams diverge at event {i}: {:?} vs {:?}",
-                a.get(i),
-                b.get(i)
-            )
-        })
 }
 
 /// Events of `events` matching `kind`.
@@ -538,6 +522,67 @@ fn cluster_observer_event_streams_are_identical_between_cores() {
             .topology(Topology::disaggregated(2, 2))
             .poisson(trace)
     });
+}
+
+#[test]
+fn fleet_scale_central_leapfrog_matches_per_step() {
+    // The serving benchmark's 64-blade system, cut to 16 blades: enough
+    // members that leapfrogs end with partly used plans, which the next
+    // call reuses rebased (and debug builds check against a fresh plan).
+    let model = ModelZoo::llama_405b();
+    let par = Parallelism::pure_tp(64).unwrap();
+    let trace = DiurnalTraceConfig {
+        seed: 5,
+        requests: 1_000,
+        mean_rate_per_s: 32.0,
+        amplitude: 0.9,
+        period_s: 10.0,
+        prompt_tokens: (32, 128),
+        output_tokens: (16, 64),
+    };
+    for layout in [KvLayout::Contiguous, KvLayout::Paged { block_tokens: 16 }] {
+        for pricing in [
+            DecodePricing::BucketizedMean,
+            DecodePricing::ExactPerSequence,
+        ] {
+            let label = format!("{layout:?} {pricing:?}");
+            let build = || {
+                Scenario::on_estimator(SpeedupStudy::paper_baseline().scd_inference())
+                    .model(&model)
+                    .parallelism(&par)
+                    .max_batch(32)
+                    .topology(Topology::mixed(16))
+                    .dispatch(DispatchMode::Central)
+                    .kv_layout(layout)
+                    .pricing(pricing)
+                    .trace(&trace)
+            };
+            let record = |core: SimCore| {
+                let mut events = Vec::new();
+                let report = build()
+                    .core(core)
+                    .compile()
+                    .unwrap()
+                    .run_observed(&mut events);
+                (report.unwrap(), events)
+            };
+            let (step_report, step_events) = record(SimCore::PerStep);
+            assert_eq!(step_report.stretch.stretches, 0, "{label}");
+            assert_eq!(step_report.report.completed, 1_000, "{label}");
+            // Unobserved, stretches take the passive path.
+            let passive = build().core(SimCore::EventDriven).compile().unwrap();
+            let passive = passive.run().unwrap();
+            assert_eq!(passive, step_report, "{label}: reports");
+            assert!(passive.stretch.stretched_iterations > 0, "{label}");
+            let (event_report, event_events) = record(SimCore::EventDriven);
+            assert_eq!(event_report, step_report, "{label}: observed reports");
+            assert_eq!(
+                first_divergence(&event_events, &step_events),
+                None,
+                "{label}: event streams"
+            );
+        }
+    }
 }
 
 /// A random sorted trace over exact (dyadic) arrival times.
