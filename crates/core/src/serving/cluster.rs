@@ -19,7 +19,7 @@
 use super::control::{AutoscaleConfig, ControlState, ScaleState};
 use super::coord::{ResidencyModel, CACHE_AWARE_MAX_IMBALANCE};
 use super::engine::{
-    acquire_prefix, arrival_queue, finalize, BladeState, EngineCtx, Outcome, ReplayTotals, SimCore,
+    arrival_queue, finalize, BladeState, EngineCtx, Outcome, ReplayTotals, SimCore,
 };
 use super::events::{
     leapfrog_decode, round_order, DecodeStretch, Deque, Discipline, Exhaustive, Fcfs, KeyedQueue,
@@ -27,6 +27,7 @@ use super::events::{
 };
 use super::observer::{EventKind, NoopObserver, SimObserver};
 use super::policy::OrderingContract;
+use super::prefix::PrefixCache;
 use super::report::ServingReport;
 use super::telemetry::profile;
 use super::traces::RequestSpec;
@@ -431,13 +432,10 @@ fn route(ctx: &EngineCtx<'_>, cluster: ClusterConfig, trace: &[RequestSpec]) -> 
     // blade's own KV budget; without prefix caching the model is
     // absent and the policy degenerates to JSQ exactly.
     let mut residency = match (cluster.routing, cfg.prefix) {
-        (RoutingPolicy::CacheAware, Some(pc)) => Some((
-            ResidencyModel::new(
-                blades,
-                pc,
-                (cfg.kv_capacity_bytes / ctx.kv_bytes_per_token) as u64,
-            ),
-            pc.block_tokens,
+        (RoutingPolicy::CacheAware, Some(pc)) => Some(ResidencyModel::new(
+            blades,
+            pc,
+            (cfg.kv_capacity_bytes / ctx.kv_bytes_per_token) as u64,
         )),
         _ => None,
     };
@@ -448,6 +446,8 @@ fn route(ctx: &EngineCtx<'_>, cluster: ClusterConfig, trace: &[RequestSpec]) -> 
                 fl.pop_front();
             }
         }
+        // Built once for the residency lookup and the admit.
+        let chain = residency.as_ref().zip(r.prefix).map(|(m, p)| m.chain(p));
         let jsq = |in_flight: &[VecDeque<(f64, u64)>]| first_min(blades, |b| in_flight[b].len());
         let blade = match cluster.routing {
             RoutingPolicy::RoundRobin => i % blades,
@@ -457,9 +457,9 @@ fn route(ctx: &EngineCtx<'_>, cluster: ClusterConfig, trace: &[RequestSpec]) -> 
             }),
             RoutingPolicy::CacheAware => {
                 let fallback = jsq(&in_flight);
-                match (&residency, r.prefix) {
-                    (Some((model, block_tokens)), Some(prefix)) => model
-                        .best_blade(&prefix.block_chain(*block_tokens))
+                match (&residency, &chain) {
+                    (Some(model), Some(chain)) => model
+                        .best_blade(chain)
                         .map(|(best, _)| best)
                         .filter(|&best| {
                             in_flight[best].len()
@@ -470,8 +470,8 @@ fn route(ctx: &EngineCtx<'_>, cluster: ClusterConfig, trace: &[RequestSpec]) -> 
                 }
             }
         };
-        if let (Some((model, block_tokens)), Some(prefix)) = (&mut residency, r.prefix) {
-            model.admit(blade, &prefix.block_chain(*block_tokens));
+        if let (Some(model), Some(chain)) = (&mut residency, &chain) {
+            model.admit(blade, chain);
         }
         let start = last_finish[blade].max(r.arrival_s);
         let finish = start + service_s(r);
@@ -899,6 +899,9 @@ fn assemble(
     ctl: Option<&ControlState>,
     scale: Option<&ScaleState>,
 ) -> ClusterReport {
+    // Every sequence has left its blade: a leaked reference shows here.
+    let mut caches = states.iter().filter_map(|s| s.cache.as_ref());
+    debug_assert!(caches.all(PrefixCache::is_unreferenced));
     let mut totals = ReplayTotals::default();
     for blade in states {
         totals.absorb(blade);
@@ -1174,33 +1177,27 @@ fn prefill_round(
     let r = &trace[idx];
     let start = blade.clock.max(r.arrival_s);
     let mut skip = 0u32;
-    if let (Some(prefix), Some((pc, cache))) = (r.prefix, blade.cache.as_mut()) {
-        let pc = *pc;
-        let (chain, hits, covered) = acquire_prefix(cache, pc, prefix);
-        skip = covered;
+    if let (Some(prefix), Some(cache)) = (r.prefix, blade.cache.as_mut()) {
+        let block_tokens = cache.config().block_tokens;
+        let chain = cache.chain(prefix);
+        let hits = cache.touch(&chain);
+        skip = chain[..hits].iter().map(|b| b.tokens).sum();
         obs.emit(blade.id, start, EventKind::prefix_lookup(*r, skip));
-        cache
-            .insert(&chain, hits)
-            .expect("suffix absent by acquire");
-        cache
-            .release(&chain, chain.len())
-            .expect("acquired/inserted above");
         let budget = (ctx.config.kv_capacity_bytes / ctx.kv_bytes_per_token) as u64;
-        let evicted = cache.evict_to_budget(pc.block_tokens, budget);
+        let evicted = cache.evict_to_budget(budget);
         blade.cache_evictions += evicted;
         for _ in 0..evicted {
-            let block_tokens = pc.block_tokens;
             obs.emit(blade.id, start, EventKind::CacheEvict { block_tokens });
         }
         // The cache is the prefill blade's whole KV occupancy: fold it
         // into the blade's peak (and its partial tail blocks into
         // fragmentation) so shared ≤ total holds.
-        let charged = cache.charged_tokens(pc.block_tokens);
+        let charged = cache.charged_tokens();
         let fragmentation = charged - cache.resident_tokens();
         blade.shared_peak_tokens = blade.shared_peak_tokens.max(charged);
         blade.kv_peak_tokens = blade.kv_peak_tokens.max(charged);
         blade.frag_peak_tokens = blade.frag_peak_tokens.max(fragmentation);
-        blade.record_prefix_admission(pc, prefix, chain.len(), hits, skip);
+        blade.record_prefix_admission(prefix, block_tokens, hits == chain.len(), skip);
         outcome.prefix_saved_tokens += u64::from(skip);
     }
     let mut tier_transfer_s = 0.0;

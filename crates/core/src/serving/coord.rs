@@ -48,7 +48,7 @@
 //! [`HandoffLink`]: super::cluster::HandoffLink
 
 use super::cluster::HandoffLink;
-use super::prefix::{PrefixBlock, PrefixCache, PrefixCachingConfig};
+use super::prefix::{PrefixBlock, PrefixCache, PrefixCachingConfig, SharedPrefix};
 use super::traces::RequestSpec;
 use crate::error::OptimusError;
 use serde::{Deserialize, Serialize};
@@ -106,16 +106,16 @@ pub(crate) struct CoordPlan {
 
 /// Walks the trace in arrival order through a budget-bounded global
 /// [`PrefixCache`], recording per request how many leading prompt tokens
-/// the tier held at its arrival. Every tagged request inserts its chain
-/// through to the tier (insert-through), references are dropped
-/// immediately — the tier holds *copies*, not sequence pins — and the
-/// budget is re-enforced after each arrival.
+/// the tier held at its arrival. Every tagged request
+/// [touches](PrefixCache::touch) its chain into the tier
+/// (insert-through) — the tier holds *copies*, not sequence pins — and
+/// the budget is re-enforced after each arrival.
 pub(crate) fn plan_global_tier(
     trace: &[RequestSpec],
     prefix: PrefixCachingConfig,
     global: GlobalCacheConfig,
     link: HandoffLink,
-) -> Result<CoordPlan, OptimusError> {
+) -> CoordPlan {
     let mut order: Vec<usize> = (0..trace.len()).collect();
     // Same stable (arrival, index) order the engine's arrival queue uses.
     order.sort_by(|&a, &b| {
@@ -124,18 +124,16 @@ pub(crate) fn plan_global_tier(
             .total_cmp(&trace[b].arrival_s)
             .then(a.cmp(&b))
     });
-    let mut tier = PrefixCache::with_eviction(prefix.eviction);
+    let mut tier = PrefixCache::new(prefix);
     let mut covered = vec![0u32; trace.len()];
     for &idx in &order {
         let Some(p) = trace[idx].prefix else { continue };
-        let chain = p.block_chain(prefix.block_tokens);
-        let hits = tier.acquire(&chain);
+        let chain = tier.chain(p);
+        let hits = tier.touch(&chain);
         covered[idx] = chain[..hits].iter().map(|b| b.tokens).sum();
-        tier.insert(&chain, hits)?;
-        tier.release(&chain, chain.len())?;
-        tier.evict_to_budget(prefix.block_tokens, global.budget_tokens);
+        tier.evict_to_budget(global.budget_tokens);
     }
-    Ok(CoordPlan { covered, link })
+    CoordPlan { covered, link }
 }
 
 /// The router's per-blade picture of prefix residency, maintained
@@ -148,6 +146,7 @@ pub(crate) fn plan_global_tier(
 #[derive(Debug)]
 pub(crate) struct ResidencyModel {
     blades: Vec<PrefixCache>,
+    /// Block granularity of the modelled caches.
     block_tokens: u32,
     /// Per-blade KV budget (tokens) the model evicts to.
     budget_tokens: u64,
@@ -156,12 +155,15 @@ pub(crate) struct ResidencyModel {
 impl ResidencyModel {
     pub(crate) fn new(blades: usize, prefix: PrefixCachingConfig, budget_tokens: u64) -> Self {
         Self {
-            blades: (0..blades)
-                .map(|_| PrefixCache::with_eviction(prefix.eviction))
-                .collect(),
+            blades: (0..blades).map(|_| PrefixCache::new(prefix)).collect(),
             block_tokens: prefix.block_tokens,
             budget_tokens,
         }
+    }
+
+    /// `prefix` as a chain of blocks at the modelled caches' granularity.
+    pub(crate) fn chain(&self, prefix: SharedPrefix) -> Vec<PrefixBlock> {
+        prefix.block_chain(self.block_tokens)
     }
 
     /// The blade holding the longest resident prefix of `chain`, with the
@@ -181,14 +183,8 @@ impl ResidencyModel {
     /// back to its KV budget.
     pub(crate) fn admit(&mut self, blade: usize, chain: &[PrefixBlock]) {
         let cache = &mut self.blades[blade];
-        let hits = cache.acquire(chain);
-        cache
-            .insert(chain, hits)
-            .expect("suffix blocks past an acquire are non-resident");
-        cache
-            .release(chain, chain.len())
-            .expect("releasing exactly the references just taken");
-        cache.evict_to_budget(self.block_tokens, self.budget_tokens);
+        cache.touch(chain);
+        cache.evict_to_budget(self.budget_tokens);
     }
 }
 
@@ -230,8 +226,7 @@ mod tests {
                 budget_tokens: 1024,
             },
             link(),
-        )
-        .unwrap();
+        );
         assert_eq!(plan.covered, vec![32, 0, 0]);
     }
 
@@ -250,8 +245,7 @@ mod tests {
             cfg(CacheEviction::Lru),
             GlobalCacheConfig { budget_tokens: 16 },
             link(),
-        )
-        .unwrap();
+        );
         assert_eq!(plan.covered, vec![0, 0, 0]);
         // A budget holding both chains covers the repeat fully.
         let wide = plan_global_tier(
@@ -259,8 +253,7 @@ mod tests {
             cfg(CacheEviction::Lru),
             GlobalCacheConfig { budget_tokens: 128 },
             link(),
-        )
-        .unwrap();
+        );
         assert_eq!(wide.covered, vec![0, 0, 32]);
     }
 
@@ -284,8 +277,7 @@ mod tests {
                 cfg(eviction),
                 GlobalCacheConfig { budget_tokens: 32 },
                 link(),
-            )
-            .unwrap();
+            );
             assert_eq!(plan.covered[1], 32, "{eviction:?}: repeat before pressure");
             assert_eq!(
                 plan.covered[3], expect_final_hit,
@@ -311,6 +303,7 @@ mod tests {
         let mut model = ResidencyModel::new(2, prefix, 1024);
         let a = SharedPrefix { id: 1, tokens: 48 }.block_chain(16);
         let b = SharedPrefix { id: 2, tokens: 48 }.block_chain(16);
+        assert_eq!(model.chain(SharedPrefix { id: 1, tokens: 48 }), a);
         assert_eq!(model.best_blade(&a), None, "cold model has no affinity");
         model.admit(0, &a);
         model.admit(1, &b);

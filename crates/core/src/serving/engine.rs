@@ -17,7 +17,7 @@ use super::events::{
 use super::kv::KvLayout;
 use super::observer::{EventKind, SimObserver};
 use super::policy::{OrderingContract, SchedulerPolicy};
-use super::prefix::{PrefixBlock, PrefixCache, PrefixCachingConfig, SharedPrefix};
+use super::prefix::{Lease, PrefixCache, PrefixCachingConfig, SharedPrefix};
 use super::report::{Percentiles, ServingReport, SloClass, SloClassReport};
 use super::telemetry::profile;
 use super::traces::RequestSpec;
@@ -315,10 +315,9 @@ pub(crate) struct BladeState {
     pub(crate) served: u32,
     pub(crate) kv_peak_tokens: u64,
     pub(crate) frag_peak_tokens: u64,
-    /// Per-blade shared-block cache (KV is per-blade memory) with the
-    /// configuration it was built from; present iff the configuration
-    /// enables prefix caching.
-    pub(crate) cache: Option<(PrefixCachingConfig, PrefixCache)>,
+    /// Per-blade shared-block cache (KV is per-blade memory); present iff
+    /// the configuration enables prefix caching.
+    pub(crate) cache: Option<PrefixCache>,
     pub(crate) prefix_hits: u64,
     pub(crate) prefix_misses: u64,
     pub(crate) cow_copies: u64,
@@ -342,22 +341,6 @@ pub(crate) struct BladeState {
     pub(crate) remote_recomputes: u64,
 }
 
-/// Acquires `prefix`'s block chain in a blade's `cache`, returning the
-/// chain, the count of leading blocks already resident, and the prefill
-/// tokens they cover. The hits hold references until released; the
-/// caller inserts the missing suffix once its capacity or budget check
-/// passes (or releases the hits to roll back).
-pub(crate) fn acquire_prefix(
-    cache: &mut PrefixCache,
-    pc: PrefixCachingConfig,
-    prefix: SharedPrefix,
-) -> (Vec<PrefixBlock>, usize, u32) {
-    let chain = prefix.block_chain(pc.block_tokens);
-    let hits = cache.acquire(&chain);
-    let skip = chain[..hits].iter().map(|b| b.tokens).sum();
-    (chain, hits, skip)
-}
-
 impl BladeState {
     /// Records a completed prefix admission: one hit (some leading block
     /// was resident) or miss, plus the copy-on-write tail copy a
@@ -365,10 +348,9 @@ impl BladeState {
     /// partial tail block cannot be appended to in place.
     pub(crate) fn record_prefix_admission(
         &mut self,
-        pc: PrefixCachingConfig,
         prefix: SharedPrefix,
-        chain_len: usize,
-        hits: usize,
+        block_tokens: u32,
+        full_hit: bool,
         skip: u32,
     ) {
         if skip > 0 {
@@ -376,7 +358,7 @@ impl BladeState {
         } else {
             self.prefix_misses += 1;
         }
-        if hits == chain_len && !prefix.tokens.is_multiple_of(pc.block_tokens) {
+        if full_hit && !prefix.tokens.is_multiple_of(block_tokens) {
             self.cow_copies += 1;
         }
     }
@@ -396,7 +378,7 @@ impl BladeState {
             served: 0,
             kv_peak_tokens: 0,
             frag_peak_tokens: 0,
-            cache: prefix.map(|pc| (pc, PrefixCache::with_eviction(pc.eviction))),
+            cache: prefix.map(PrefixCache::new),
             prefix_hits: 0,
             prefix_misses: 0,
             cow_copies: 0,
@@ -469,15 +451,14 @@ impl EngineCtx<'_> {
     /// prefix caching off — keeping every legacy comparison on the exact
     /// integer value it always used).
     pub(crate) fn cache_charged(&self, blade: &BladeState) -> u64 {
-        blade
-            .cache
-            .as_ref()
-            .map_or(0, |(pc, cache)| cache.charged_tokens(pc.block_tokens))
+        blade.cache.as_ref().map_or(0, PrefixCache::charged_tokens)
     }
 
-    /// Decides whether `trace[idx]` fits this iteration, mutating the
-    /// blade's prefix cache (acquire/insert, LRU reclaim) when caching is
-    /// on. Returns `None` — with the cache state rolled back — when the
+    /// Decides whether `trace[idx]` fits this iteration, leasing its
+    /// prefix chain on the blade's cache (reclaiming cold blocks to make
+    /// room) when caching is on. An untagged or streamed request leases
+    /// the empty chain: it pins nothing but may still reclaim. Returns
+    /// `None` — the dropped lease rolling the cache back — when the
     /// request cannot fit even after reclaiming every unreferenced cached
     /// block.
     fn try_admit(
@@ -491,67 +472,38 @@ impl EngineCtx<'_> {
     ) -> Option<Admission> {
         let cfg = self.config;
         let r = &trace[idx];
-        if let (Some(prefix), false, Some((pc, cache))) = (r.prefix, streamed, blade.cache.as_mut())
-        {
-            let pc = *pc;
-            let (chain, hits, skip) = acquire_prefix(cache, pc, prefix);
-            let shared = prefix.shared_tokens(pc.block_tokens);
-            let private = cfg
-                .kv_layout
-                .charged_tokens(u64::from(r.prompt_tokens) + 1 - u64::from(shared));
-            let new_blocks = (chain.len() - hits) as u64;
-            let block = u64::from(pc.block_tokens);
-            loop {
-                let total = *projected
-                    + private
-                    + cache.charged_tokens(pc.block_tokens)
-                    + new_blocks * block;
-                if self.kv_bytes(total) <= cfg.kv_capacity_bytes {
-                    break;
-                }
-                // Reclaim cold cached blocks before refusing admission.
-                if cache.evict_lru().is_none() {
-                    cache.release(&chain, hits).expect("acquired above");
-                    return None;
-                }
-                blade.cache_evictions += 1;
-                let block_tokens = pc.block_tokens;
-                obs.emit(
-                    blade.id,
-                    blade.clock,
-                    EventKind::CacheEvict { block_tokens },
-                );
+        let block_tokens = blade.cache.as_ref().map_or(0, |c| c.config().block_tokens);
+        let prefix = r.prefix.filter(|_| !streamed && blade.cache.is_some());
+        let chain = prefix.map_or_else(Vec::new, |p| p.block_chain(block_tokens));
+        let shared = prefix.map_or(0, |p| p.shared_tokens(block_tokens));
+        let private = cfg
+            .kv_layout
+            .charged_tokens(u64::from(r.prompt_tokens) + 1 - u64::from(shared));
+        let mut lease = blade.cache.as_mut().map(|cache| cache.lease(&chain));
+        loop {
+            let cached = lease.as_ref().map_or(0, Lease::charged_after_commit);
+            if self.kv_bytes(*projected + private + cached) <= cfg.kv_capacity_bytes {
+                break;
             }
-            cache
-                .insert(&chain, hits)
-                .expect("suffix absent by acquire");
-            blade.record_prefix_admission(pc, prefix, chain.len(), hits, skip);
-            *projected += private;
-            Some(Admission { idx, skip, shared })
-        } else {
-            let candidate = cfg.kv_layout.charged_tokens(u64::from(r.prompt_tokens) + 1);
-            loop {
-                let total = *projected + candidate + self.cache_charged(blade);
-                if self.kv_bytes(total) <= cfg.kv_capacity_bytes {
-                    break;
-                }
-                let (pc, cache) = blade.cache.as_mut()?;
-                cache.evict_lru()?;
-                let block_tokens = pc.block_tokens;
-                blade.cache_evictions += 1;
-                obs.emit(
-                    blade.id,
-                    blade.clock,
-                    EventKind::CacheEvict { block_tokens },
-                );
-            }
-            *projected += candidate;
-            Some(Admission {
-                idx,
-                skip: 0,
-                shared: 0,
-            })
+            // Reclaim cold cached blocks before refusing admission.
+            lease.as_mut()?.evict_lru()?;
+            blade.cache_evictions += 1;
+            obs.emit(
+                blade.id,
+                blade.clock,
+                EventKind::CacheEvict { block_tokens },
+            );
         }
+        let (skip, full_hit) = lease.map_or((0, false), |lease| {
+            let hit = (lease.hit_tokens(), lease.hits() == chain.len());
+            lease.commit();
+            hit
+        });
+        if let Some(prefix) = prefix {
+            blade.record_prefix_admission(prefix, block_tokens, full_hit, skip);
+        }
+        *projected += private;
+        Some(Admission { idx, skip, shared })
     }
 
     /// The global-tier race of admitting `trace[idx]` at `at` with `skip`
@@ -608,7 +560,7 @@ impl EngineCtx<'_> {
     }
 
     /// Drops the references sequence `r` holds on its prefix chain (it
-    /// acquired/inserted them at admission) when it leaves the blade.
+    /// committed a lease on them at admission) when it leaves the blade.
     /// Streamed (handed-off) sequences never touched the cache.
     fn release_chain(
         &self,
@@ -620,10 +572,10 @@ impl EngineCtx<'_> {
         if prefilled.is_some_and(|p| p[r.idx]) {
             return;
         }
-        if let (Some((pc, cache)), Some(prefix)) = (blade.cache.as_mut(), trace[r.idx].prefix) {
-            let chain = prefix.block_chain(pc.block_tokens);
+        if let (Some(cache), Some(prefix)) = (blade.cache.as_mut(), trace[r.idx].prefix) {
+            let chain = cache.chain(prefix);
             cache
-                .release(&chain, chain.len())
+                .release(&chain)
                 .expect("sequence held its chain since admission");
         }
     }
@@ -762,9 +714,9 @@ impl EngineCtx<'_> {
             if self.kv_bytes(grown) <= cfg.kv_capacity_bytes {
                 break;
             }
-            if let Some((pc, cache)) = blade.cache.as_mut() {
+            if let Some(cache) = blade.cache.as_mut() {
                 if cache.evict_lru().is_some() {
-                    let block_tokens = pc.block_tokens;
+                    let block_tokens = cache.config().block_tokens;
                     blade.cache_evictions += 1;
                     obs.emit(
                         blade.id,
@@ -829,26 +781,23 @@ impl EngineCtx<'_> {
             .iter()
             .filter(|r| r.prefill_remaining == 0)
             .count() as u32;
-        if !chunks.is_empty() {
-            let marginal =
-                |c: u32| (self.table.prefill_cost(c) - self.table.prefill_cost(1)).max(0.0);
-            let full_at = if decoding > 0 {
-                usize::MAX // weights already stream for the decode batch
+        // The chunk paying the full pass: none when the decode batch
+        // already streams the weights, else the (last) largest one.
+        let full_at = if decoding > 0 {
+            None
+        } else {
+            chunks
+                .iter()
+                .enumerate()
+                .max_by_key(|&(_, &c)| c)
+                .map(|(at, _)| at)
+        };
+        for (i, &c) in chunks.iter().enumerate() {
+            step_cost += if Some(i) == full_at {
+                self.table.prefill_cost(c)
             } else {
-                let (at, _) = chunks
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|&(_, &c)| c)
-                    .expect("chunks non-empty");
-                at
+                (self.table.prefill_cost(c) - self.table.prefill_cost(1)).max(0.0)
             };
-            for (i, &c) in chunks.iter().enumerate() {
-                step_cost += if i == full_at {
-                    self.table.prefill_cost(c)
-                } else {
-                    marginal(c)
-                };
-            }
         }
 
         // Price the decode iteration over the decoding subset.
@@ -897,7 +846,7 @@ impl EngineCtx<'_> {
                     - u64::from(r.shared_tokens)
             })
             .sum::<u64>()
-            + blade.cache.as_ref().map_or(0, |(_, c)| c.resident_tokens());
+            + blade.cache.as_ref().map_or(0, PrefixCache::resident_tokens);
         let shared_now = self.cache_charged(blade);
         let charged: u64 = blade.running.iter().map(|r| self.charge(r)).sum::<u64>() + shared_now;
         blade.kv_peak_tokens = blade.kv_peak_tokens.max(charged);

@@ -921,7 +921,7 @@ impl DecodeStretch {
             .iter()
             .map(|r| u64::from(r.kv_len) + 1 - u64::from(r.shared_tokens))
             .sum::<u64>()
-            + blade.cache.as_ref().map_or(0, |(_, c)| c.resident_tokens());
+            + blade.cache.as_ref().map_or(0, |c| c.resident_tokens());
         Some(Self {
             cost,
             batch,

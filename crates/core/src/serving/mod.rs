@@ -209,7 +209,9 @@ pub use policy::{
     FcfsPolicy, MaxWaitGuardPolicy, OrderingContract, SchedulerPolicy, SjfPolicy,
     StrictPriorityPolicy, WeightedFairPolicy,
 };
-pub use prefix::{CacheEviction, PrefixBlock, PrefixCache, PrefixCachingConfig, SharedPrefix};
+pub use prefix::{
+    CacheEviction, Lease, PrefixBlock, PrefixCache, PrefixCachingConfig, SharedPrefix,
+};
 pub use report::{FrontierPoint, Percentiles, ServingReport, SloClass, SloClassReport};
 pub use scenario::{CompiledScenario, Scenario};
 pub use telemetry::{

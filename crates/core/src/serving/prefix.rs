@@ -26,9 +26,20 @@
 //!   leaf-first in least-recently-used order only when admission needs
 //!   the capacity back.
 //!
+//! # The reference protocol
+//!
+//! Refcounts move through three operations only. [`PrefixCache::lease`]
+//! pins a chain's resident leading blocks (its hits) in a [`Lease`]; the
+//! holder may reclaim cold blocks through it, then either
+//! [`Lease::commit`]s — inserting the missing suffix and holding the whole
+//! chain — or drops the lease, which releases the hits (their bumped
+//! recency stays). [`PrefixCache::release`] drops a holder's whole chain
+//! when its sequence leaves. [`PrefixCache::touch`] is lease, commit and
+//! release in one call, for writers that hold nothing.
+//!
 //! The cache is deliberately a standalone structure (like
 //! [`PagedKvAllocator`](super::kv::PagedKvAllocator)) so its invariants —
-//! refcounts never underflow, resident blocks never exceed what `insert`
+//! refcounts never underflow, resident blocks never exceed what commits
 //! put there, eviction only touches unreferenced leaves, releasing every
 //! holder drains refcounts to zero — are independently proptestable.
 
@@ -159,9 +170,9 @@ struct Node {
     refcount: u32,
     /// Tokens cached in this block.
     tokens: u32,
-    /// Logical LRU stamp of the last acquire/insert touch.
+    /// Logical LRU stamp of the last lease or commit touching it.
     last_use: u64,
-    /// Times this block was reacquired while resident (the popularity
+    /// Times this block was leased again while resident (the popularity
     /// signal [`CacheEviction::Lfu`] orders reclamation by).
     hits: u64,
 }
@@ -180,9 +191,12 @@ fn free_key(eviction: CacheEviction, node: &Node, hash: u64) -> (u64, u64, u64) 
 /// hashes with LRU reclamation of unreferenced blocks.
 ///
 /// The engine holds one per blade (KV is per-blade memory); the
-/// standalone API is the proptest surface. All bookkeeping is integer,
-/// so cache decisions never perturb the engine's audited float stream.
-#[derive(Debug, Clone, Default)]
+/// standalone API is the proptest surface. The cache owns its
+/// [`PrefixCachingConfig`], and references follow the
+/// [module's protocol](self): lease → commit (or drop), release, touch.
+/// All bookkeeping is integer, so cache decisions never perturb the
+/// engine's audited float stream.
+#[derive(Debug, Clone)]
 pub struct PrefixCache {
     nodes: BTreeMap<u64, Node>,
     /// Unreferenced leaves in reclamation order (see [`free_key`]): the
@@ -192,24 +206,33 @@ pub struct PrefixCache {
     tick: u64,
     /// Tokens actually cached across resident blocks.
     resident_tokens: u64,
-    /// Reclamation order (LRU by default).
-    eviction: CacheEviction,
+    /// Block granularity and reclamation order.
+    config: PrefixCachingConfig,
 }
 
 impl PrefixCache {
-    /// An empty cache.
+    /// An empty cache cutting blocks and reclaiming them as `config` says.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(config: PrefixCachingConfig) -> Self {
+        Self {
+            nodes: BTreeMap::new(),
+            free: BTreeSet::new(),
+            tick: 0,
+            resident_tokens: 0,
+            config,
+        }
     }
 
-    /// An empty cache with the given reclamation order.
+    /// The configuration the cache was built with.
     #[must_use]
-    pub fn with_eviction(eviction: CacheEviction) -> Self {
-        Self {
-            eviction,
-            ..Self::default()
-        }
+    pub fn config(&self) -> PrefixCachingConfig {
+        self.config
+    }
+
+    /// `prefix` as a chain of blocks at this cache's granularity.
+    #[must_use]
+    pub fn chain(&self, prefix: SharedPrefix) -> Vec<PrefixBlock> {
+        prefix.block_chain(self.config.block_tokens)
     }
 
     /// Resident blocks (referenced or LRU-reclaimable).
@@ -225,17 +248,23 @@ impl PrefixCache {
         self.resident_tokens
     }
 
-    /// Capacity charged by resident blocks at `block_tokens` granularity:
-    /// every resident block pins a whole block of KV memory.
+    /// Capacity charged by resident blocks: every resident block pins a
+    /// whole block of KV memory.
     #[must_use]
-    pub fn charged_tokens(&self, block_tokens: u32) -> u64 {
-        self.resident_blocks() * u64::from(block_tokens)
+    pub fn charged_tokens(&self) -> u64 {
+        self.resident_blocks() * u64::from(self.config.block_tokens)
     }
 
     /// Blocks currently reclaimable (resident, unreferenced leaves).
     #[must_use]
     pub fn reclaimable_blocks(&self) -> u64 {
         self.free.len() as u64
+    }
+
+    /// Whether no resident block is referenced (every holder has
+    /// released): the state a drained replay must leave behind.
+    pub(crate) fn is_unreferenced(&self) -> bool {
+        self.nodes.values().all(|n| n.refcount == 0)
     }
 
     /// Leading blocks of `chain` that are resident, without touching
@@ -248,118 +277,44 @@ impl PrefixCache {
             .count()
     }
 
-    /// Takes a reference on every resident leading block of `chain` and
-    /// returns how many blocks hit. Hit blocks are pinned (never evicted)
-    /// until [`Self::release`]d; the caller typically [`Self::insert`]s
-    /// the missing suffix next.
-    pub fn acquire(&mut self, chain: &[PrefixBlock]) -> usize {
-        let hits = self.peek(chain);
-        for b in &chain[..hits] {
-            self.tick += 1;
-            let eviction = self.eviction;
-            let node = self.nodes.get_mut(&b.hash).expect("hit block resident");
-            if node.refcount == 0 && node.children == 0 {
-                // The block stops being an evictable leaf.
-                let key = free_key(eviction, node, b.hash);
-                self.free.remove(&key);
-            }
-            node.last_use = self.tick;
-            node.refcount += 1;
-            node.hits += 1;
+    /// Pins the resident leading blocks of `chain` (the hits) in a
+    /// [`Lease`], to be committed or dropped.
+    pub fn lease<'a>(&'a mut self, chain: &'a [PrefixBlock]) -> Lease<'a> {
+        let hits = self.pin(chain);
+        Lease {
+            cache: self,
+            chain,
+            hits,
         }
+    }
+
+    /// Makes `chain` resident without holding it (lease, commit, release)
+    /// and returns how many leading blocks already were.
+    pub fn touch(&mut self, chain: &[PrefixBlock]) -> usize {
+        let lease = self.lease(chain);
+        let hits = lease.hits;
+        lease.commit();
+        self.unpin(chain);
         hits
     }
 
-    /// Inserts `chain[from..]` as resident blocks referenced once by the
-    /// caller (who must already hold references on `chain[..from]`, i.e.
-    /// `from` is an [`Self::acquire`] result for this chain).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimusError::Serving`] if `chain[from]`'s parent is not
-    /// resident (the chain property would break) or a block to insert is
-    /// already resident (double insert).
-    pub fn insert(&mut self, chain: &[PrefixBlock], from: usize) -> Result<(), OptimusError> {
-        for (i, b) in chain.iter().enumerate().skip(from) {
-            let parent = if i == 0 {
-                None
-            } else {
-                Some(chain[i - 1].hash)
-            };
-            if self.nodes.contains_key(&b.hash) {
-                return Err(OptimusError::Serving {
-                    reason: format!("prefix block {:#018x} is already resident", b.hash),
-                });
-            }
-            if let Some(p) = parent {
-                let eviction = self.eviction;
-                let Some(pn) = self.nodes.get_mut(&p) else {
-                    return Err(OptimusError::Serving {
-                        reason: format!(
-                            "prefix block {:#018x} inserted before its parent {p:#018x}",
-                            b.hash
-                        ),
-                    });
-                };
-                if pn.refcount == 0 && pn.children == 0 {
-                    // The parent stops being an evictable leaf.
-                    let key = free_key(eviction, pn, p);
-                    self.free.remove(&key);
-                }
-                pn.children += 1;
-            }
-            self.tick += 1;
-            self.nodes.insert(
-                b.hash,
-                Node {
-                    parent,
-                    children: 0,
-                    refcount: 1,
-                    tokens: b.tokens,
-                    last_use: self.tick,
-                    hits: 0,
-                },
-            );
-            self.resident_tokens += u64::from(b.tokens);
-        }
-        Ok(())
-    }
-
-    /// Releases one reference on each of `chain[..count]` (the blocks a
-    /// sequence acquired or inserted). Blocks stay resident; those that
-    /// drop to zero references become LRU-reclaimable leaves.
+    /// Releases the reference a holder took on each block of `chain` by
+    /// committing a lease on it. Blocks stay resident; those that drop
+    /// to zero references become LRU-reclaimable leaves.
     ///
     /// # Errors
     ///
     /// Returns [`OptimusError::Serving`] for a block that is not resident
     /// or already unreferenced (refcount underflow) — the state is left
     /// untouched in that case.
-    pub fn release(&mut self, chain: &[PrefixBlock], count: usize) -> Result<(), OptimusError> {
-        let blocks = &chain[..count];
-        for b in blocks {
-            match self.nodes.get(&b.hash) {
-                None => {
-                    return Err(OptimusError::Serving {
-                        reason: format!("released prefix block {:#018x} is not resident", b.hash),
-                    })
-                }
-                Some(node) if node.refcount == 0 => {
-                    return Err(OptimusError::Serving {
-                        reason: format!("prefix block {:#018x} refcount would underflow", b.hash),
-                    })
-                }
-                Some(_) => {}
-            }
+    pub fn release(&mut self, chain: &[PrefixBlock]) -> Result<(), OptimusError> {
+        let unheld = |b: &&PrefixBlock| self.nodes.get(&b.hash).is_none_or(|n| n.refcount == 0);
+        if let Some(b) = chain.iter().find(unheld) {
+            return Err(OptimusError::Serving {
+                reason: format!("released prefix block {:#018x} is not held", b.hash),
+            });
         }
-        for b in blocks {
-            let eviction = self.eviction;
-            let node = self.nodes.get_mut(&b.hash).expect("checked resident");
-            node.refcount -= 1;
-            if node.refcount == 0 && node.children == 0 {
-                let key = free_key(eviction, node, b.hash);
-                self.free.insert(key);
-            }
-        }
+        self.unpin(chain);
         Ok(())
     }
 
@@ -377,7 +332,7 @@ impl PrefixCache {
         debug_assert_eq!(node.children, 0);
         self.resident_tokens -= u64::from(node.tokens);
         if let Some(p) = node.parent {
-            let eviction = self.eviction;
+            let eviction = self.config.eviction;
             let pn = self.nodes.get_mut(&p).expect("parent resident");
             pn.children -= 1;
             if pn.refcount == 0 && pn.children == 0 {
@@ -389,14 +344,136 @@ impl PrefixCache {
     }
 
     /// Reclaims LRU blocks until the cache charges at most
-    /// `budget_tokens` at `block_tokens` granularity (or nothing more is
-    /// reclaimable). Returns the number of blocks evicted.
-    pub fn evict_to_budget(&mut self, block_tokens: u32, budget_tokens: u64) -> u64 {
+    /// `budget_tokens` (or nothing more is reclaimable). Returns the
+    /// number of blocks evicted.
+    pub fn evict_to_budget(&mut self, budget_tokens: u64) -> u64 {
         let mut evicted = 0;
-        while self.charged_tokens(block_tokens) > budget_tokens && self.evict_lru().is_some() {
+        while self.charged_tokens() > budget_tokens && self.evict_lru().is_some() {
             evicted += 1;
         }
         evicted
+    }
+
+    /// Takes a reference on every resident leading block of `chain`,
+    /// stamping each with a fresh tick and counting the reuse; returns
+    /// how many blocks hit.
+    fn pin(&mut self, chain: &[PrefixBlock]) -> usize {
+        let mut hits = 0;
+        for b in chain {
+            let Some(node) = self.nodes.get_mut(&b.hash) else {
+                break;
+            };
+            if node.refcount == 0 && node.children == 0 {
+                // The block stops being an evictable leaf.
+                self.free
+                    .remove(&free_key(self.config.eviction, node, b.hash));
+            }
+            self.tick += 1;
+            node.last_use = self.tick;
+            node.refcount += 1;
+            node.hits += 1;
+            hits += 1;
+        }
+        hits
+    }
+
+    /// Inserts `chain[from..]`, each block referenced once, below the
+    /// pinned `chain[..from]`. The suffix is absent: `from` is where
+    /// [`Self::pin`] stopped, and a block is never resident without its
+    /// parent.
+    fn insert_suffix(&mut self, chain: &[PrefixBlock], from: usize) {
+        for (i, b) in chain.iter().enumerate().skip(from) {
+            let parent = i.checked_sub(1).map(|p| chain[p].hash);
+            // The parent is held (a pinned hit or the block just
+            // inserted), so it is never on the free list.
+            if let Some(pn) = parent.and_then(|p| self.nodes.get_mut(&p)) {
+                pn.children += 1;
+            }
+            self.tick += 1;
+            let prev = self.nodes.insert(
+                b.hash,
+                Node {
+                    parent,
+                    children: 0,
+                    refcount: 1,
+                    tokens: b.tokens,
+                    last_use: self.tick,
+                    hits: 0,
+                },
+            );
+            debug_assert!(prev.is_none(), "inserted block was already resident");
+            self.resident_tokens += u64::from(b.tokens);
+        }
+    }
+
+    /// Drops one reference on each of `blocks`, all of them held; blocks
+    /// left unreferenced with no resident children become reclaimable.
+    fn unpin(&mut self, blocks: &[PrefixBlock]) {
+        for b in blocks {
+            // Held blocks are never evicted, so every one is resident.
+            if let Some(node) = self.nodes.get_mut(&b.hash) {
+                node.refcount -= 1;
+                if node.refcount == 0 && node.children == 0 {
+                    self.free
+                        .insert(free_key(self.config.eviction, node, b.hash));
+                }
+            }
+        }
+    }
+}
+
+/// A pin on the resident leading blocks (the hits) of one chain, borrowing
+/// its cache. [`Self::commit`] hands the holder the whole chain, to
+/// [`PrefixCache::release`] later; dropping the lease uncommitted
+/// releases the hits, keeping the recency the lookup gave them.
+#[derive(Debug)]
+#[must_use = "dropping a lease releases its hits at once"]
+pub struct Lease<'a> {
+    cache: &'a mut PrefixCache,
+    chain: &'a [PrefixBlock],
+    /// Leading blocks of `chain` this lease pins.
+    hits: usize,
+}
+
+impl Lease<'_> {
+    /// Leading blocks of the chain that were resident (now pinned).
+    #[must_use]
+    pub fn hits(&self) -> usize {
+        self.hits
+    }
+
+    /// Prompt tokens the hit blocks cover (prefill a hit lets the holder
+    /// skip).
+    #[must_use]
+    pub fn hit_tokens(&self) -> u32 {
+        self.chain[..self.hits].iter().map(|b| b.tokens).sum()
+    }
+
+    /// Capacity the cache will charge once this lease commits: its
+    /// resident blocks plus the missing suffix, a whole block each.
+    #[must_use]
+    pub fn charged_after_commit(&self) -> u64 {
+        let missing = (self.chain.len() - self.hits) as u64;
+        self.cache.charged_tokens() + missing * u64::from(self.cache.config.block_tokens)
+    }
+
+    /// Reclaims a cold block to make room ([`PrefixCache::evict_lru`]);
+    /// the pinned hits are never the victim.
+    pub fn evict_lru(&mut self) -> Option<u32> {
+        self.cache.evict_lru()
+    }
+
+    /// Inserts the missing suffix: the holder now references the whole
+    /// chain and must [`PrefixCache::release`] it when done.
+    pub fn commit(mut self) {
+        self.cache.insert_suffix(self.chain, self.hits);
+        self.hits = 0; // the references are the holder's: nothing to roll back
+    }
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        self.cache.unpin(&self.chain[..self.hits]);
     }
 }
 
@@ -406,6 +483,13 @@ mod tests {
 
     fn chain(id: u64, tokens: u32, block: u32) -> Vec<PrefixBlock> {
         SharedPrefix { id, tokens }.block_chain(block)
+    }
+
+    fn cache(eviction: CacheEviction) -> PrefixCache {
+        PrefixCache::new(PrefixCachingConfig {
+            block_tokens: 16,
+            eviction,
+        })
     }
 
     #[test]
@@ -418,6 +502,11 @@ mod tests {
         assert_eq!(c[2].tokens, 8);
         assert_eq!(p.shared_tokens(16), 32);
         assert_eq!(c, p.block_chain(16), "chains are pure functions");
+        assert_eq!(
+            c,
+            cache(CacheEviction::Lru).chain(p),
+            "cut at the cache's block size"
+        );
         // Distinct ids and distinct depths never alias.
         let other = chain(8, 40, 16);
         assert!(c.iter().all(|b| other.iter().all(|o| o.hash != b.hash)));
@@ -427,24 +516,30 @@ mod tests {
     }
 
     #[test]
-    fn acquire_insert_release_lifecycle() {
-        let mut cache = PrefixCache::new();
+    fn lease_commit_release_lifecycle() {
+        let mut cache = cache(CacheEviction::Lru);
         let c = chain(1, 40, 16); // 3 blocks (16+16+8 tokens)
         assert_eq!(cache.peek(&c), 0);
-        let hits = cache.acquire(&c);
-        assert_eq!(hits, 0, "cold cache misses");
-        cache.insert(&c, hits).unwrap();
+        let lease = cache.lease(&c);
+        assert_eq!(lease.hits(), 0, "cold cache misses");
+        assert_eq!(lease.charged_after_commit(), 48);
+        lease.commit();
         assert_eq!(cache.resident_blocks(), 3);
         assert_eq!(cache.resident_tokens(), 40);
-        assert_eq!(cache.charged_tokens(16), 48);
+        assert_eq!(cache.charged_tokens(), 48);
         assert_eq!(cache.reclaimable_blocks(), 0, "all blocks referenced");
 
         // A second holder of the same prefix hits everything.
-        let hits2 = cache.acquire(&c);
-        assert_eq!(hits2, 3);
-        cache.release(&c, 3).unwrap();
+        let lease = cache.lease(&c);
+        assert_eq!(lease.hits(), 3);
+        assert_eq!(lease.hit_tokens(), 40);
+        assert_eq!(lease.charged_after_commit(), 48, "nothing to insert");
+        lease.commit();
+        cache.release(&c).unwrap();
         assert_eq!(cache.reclaimable_blocks(), 0, "first holder remains");
-        cache.release(&c, 3).unwrap();
+        assert!(!cache.is_unreferenced());
+        cache.release(&c).unwrap();
+        assert!(cache.is_unreferenced());
         assert_eq!(
             cache.reclaimable_blocks(),
             1,
@@ -461,68 +556,92 @@ mod tests {
     }
 
     #[test]
-    fn partial_hit_acquires_prefix_only() {
-        let mut cache = PrefixCache::new();
+    fn partial_hit_leases_prefix_only() {
+        let mut cache = cache(CacheEviction::Lru);
         let long = chain(3, 64, 16); // 4 full blocks
-        let hits_long = cache.acquire(&long);
-        cache.insert(&long, hits_long).unwrap();
-        cache.release(&long, 4).unwrap();
+        assert_eq!(cache.touch(&long), 0);
         // A shorter prefix of the same id shares the leading blocks.
         let short = chain(3, 32, 16);
         assert_eq!(cache.peek(&short), 2);
-        let hits = cache.acquire(&short);
-        assert_eq!(hits, 2);
-        // Nothing left to insert: the whole short chain hit, and the
-        // full-chain insert is a no-op...
-        cache.insert(&short, hits).unwrap();
-        // ...while re-inserting resident blocks is a typed error.
-        assert!(matches!(
-            cache.insert(&short, 0),
-            Err(OptimusError::Serving { .. })
-        ));
-        cache.release(&short, hits).unwrap();
+        let lease = cache.lease(&short);
+        assert_eq!(lease.hits(), 2);
+        // Nothing left to insert: the whole short chain hit.
+        assert_eq!(lease.charged_after_commit(), 64);
+        lease.commit();
+        assert_eq!(cache.resident_blocks(), 4);
+        cache.release(&short).unwrap();
+        assert!(cache.is_unreferenced());
+    }
+
+    #[test]
+    fn dropped_lease_leaves_its_chain_reclaimable() {
+        let mut cache = cache(CacheEviction::Lru);
+        let a = chain(1, 32, 16);
+        let b = chain(2, 16, 16);
+        cache.touch(&a);
+        cache.touch(&b);
+        {
+            let mut lease = cache.lease(&a);
+            assert_eq!(lease.hits(), 2);
+            // The pinned hits are never reclaimed through the lease: only
+            // the other chain's block goes.
+            assert_eq!(lease.evict_lru(), Some(16));
+            assert_eq!(lease.evict_lru(), None);
+        }
+        assert!(cache.is_unreferenced(), "the drop released the hits");
+        assert_eq!(cache.peek(&b), 0);
+        assert_eq!(cache.evict_to_budget(0), 2, "the chain is reclaimable");
+
+        // A rollback keeps the recency the lookup gave: the leased chain
+        // outlives an older one.
+        cache.touch(&a);
+        cache.touch(&b);
+        drop(cache.lease(&a));
+        assert_eq!(cache.evict_to_budget(32), 1);
+        assert_eq!(cache.peek(&a), 2, "the leased chain was used last");
+        assert_eq!(cache.peek(&b), 0);
     }
 
     #[test]
     fn release_misuse_is_typed_and_state_preserving() {
-        let mut cache = PrefixCache::new();
+        let mut cache = cache(CacheEviction::Lru);
         let c = chain(5, 32, 16);
-        cache.insert(&c, 0).unwrap();
-        cache.release(&c, 2).unwrap();
+        cache.lease(&c).commit();
+        cache.release(&c).unwrap();
         // Underflow: every block already at refcount 0.
         assert!(matches!(
-            cache.release(&c, 2),
+            cache.release(&c),
             Err(OptimusError::Serving { .. })
         ));
         assert_eq!(cache.resident_blocks(), 2, "failed release changed nothing");
         // Releasing a never-resident chain is typed too.
         let other = chain(6, 16, 16);
         assert!(matches!(
-            cache.release(&other, 1),
+            cache.release(&other),
             Err(OptimusError::Serving { .. })
         ));
-        // Inserting a child before its parent is typed.
+        // A partly resident chain fails before touching its resident
+        // blocks.
+        let held = chain(7, 16, 16);
+        cache.lease(&held).commit();
         let deep = chain(7, 48, 16);
         assert!(matches!(
-            cache.insert(&deep, 1),
+            cache.release(&deep),
             Err(OptimusError::Serving { .. })
         ));
+        cache.release(&held).unwrap();
+        assert!(cache.is_unreferenced());
     }
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
-        let mut cache = PrefixCache::new();
+        let mut cache = cache(CacheEviction::Lru);
         let a = chain(10, 16, 16);
         let b = chain(11, 16, 16);
-        let hits_a = cache.acquire(&a);
-        cache.insert(&a, hits_a).unwrap();
-        let hits_b = cache.acquire(&b);
-        cache.insert(&b, hits_b).unwrap();
-        cache.release(&a, 1).unwrap();
-        cache.release(&b, 1).unwrap();
+        cache.touch(&a);
+        cache.touch(&b);
         // Touch `a` again: `b` becomes the LRU victim.
-        cache.acquire(&a);
-        cache.release(&a, 1).unwrap();
+        assert_eq!(cache.touch(&a), 1);
         let victim_tokens = cache.evict_lru().unwrap();
         assert_eq!(victim_tokens, 16);
         assert_eq!(cache.peek(&b), 0, "b was evicted");
@@ -531,18 +650,15 @@ mod tests {
 
     #[test]
     fn evict_to_budget_stops_at_referenced_blocks() {
-        let mut cache = PrefixCache::new();
+        let mut cache = cache(CacheEviction::Lru);
         let a = chain(20, 48, 16); // 3 blocks, stays referenced
         let b = chain(21, 48, 16); // 3 blocks, released
-        let hits_a = cache.acquire(&a);
-        cache.insert(&a, hits_a).unwrap();
-        let hits_b = cache.acquire(&b);
-        cache.insert(&b, hits_b).unwrap();
-        cache.release(&b, 3).unwrap();
-        let evicted = cache.evict_to_budget(16, 0);
+        cache.lease(&a).commit();
+        cache.touch(&b);
+        let evicted = cache.evict_to_budget(0);
         assert_eq!(evicted, 3, "only the unreferenced chain is reclaimable");
         assert_eq!(cache.resident_blocks(), 3);
-        assert_eq!(cache.charged_tokens(16), 48);
+        assert_eq!(cache.charged_tokens(), 48);
     }
 
     #[test]
@@ -570,21 +686,15 @@ mod tests {
         for (eviction, expect_hot_survives) in
             [(CacheEviction::Lru, false), (CacheEviction::Lfu, true)]
         {
-            let mut cache = PrefixCache::with_eviction(eviction);
+            let mut cache = cache(eviction);
             let hot = chain(1, 16, 16);
             let cold = chain(2, 16, 16);
-            let from = cache.acquire(&hot);
-            cache.insert(&hot, from).unwrap();
-            cache.release(&hot, 1).unwrap();
+            assert_eq!(cache.touch(&hot), 0);
             for _ in 0..5 {
-                let hits = cache.acquire(&hot);
-                assert_eq!(hits, 1);
-                cache.release(&hot, 1).unwrap();
+                assert_eq!(cache.touch(&hot), 1);
             }
-            let from = cache.acquire(&cold);
-            cache.insert(&cold, from).unwrap();
-            cache.release(&cold, 1).unwrap();
-            let evicted = cache.evict_to_budget(16, 16);
+            assert_eq!(cache.touch(&cold), 0);
+            let evicted = cache.evict_to_budget(16);
             assert_eq!(evicted, 1);
             assert_eq!(
                 cache.peek(&hot),

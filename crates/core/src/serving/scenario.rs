@@ -647,10 +647,10 @@ impl CompiledScenario<'_> {
     /// pre-pass walks the trace once in arrival order, so the plan — and
     /// every transfer-vs-recompute race — is identical across dispatch
     /// modes, cores, and parallelism.
-    fn coord(&self, trace: &[RequestSpec]) -> Result<Option<CoordPlan>, OptimusError> {
+    fn coord(&self, trace: &[RequestSpec]) -> Option<CoordPlan> {
         match (self.global, self.sim.config.prefix) {
-            (Some((global, link)), Some(pc)) => plan_global_tier(trace, pc, global, link).map(Some),
-            _ => Ok(None),
+            (Some((global, link)), Some(pc)) => Some(plan_global_tier(trace, pc, global, link)),
+            _ => None,
         }
     }
 
@@ -662,7 +662,7 @@ impl CompiledScenario<'_> {
         parallel: bool,
         obs: &mut dyn SimObserver,
     ) -> Result<ClusterReport, OptimusError> {
-        let coord = self.coord(trace)?;
+        let coord = self.coord(trace);
         let table = self.sim.cost_table(trace, parallel)?;
         let ctx = self.sim.ctx(&table, coord.as_ref());
         Ok(match &self.layout {
@@ -815,7 +815,7 @@ impl CompiledScenario<'_> {
                 validate_cluster(&cluster).map(|()| cluster)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let coord = self.coord(&self.trace)?;
+        let coord = self.coord(&self.trace);
         let table = self.sim.cost_table(&self.trace, parallel)?;
         let ctx = self.sim.ctx(&table, coord.as_ref());
         let replay = |&cluster: &ClusterConfig| {

@@ -620,43 +620,76 @@ proptest! {
     /// Prefix-cache invariants under random workloads: refcounts never
     /// underflow (misuse is a typed error, not a panic), LRU eviction
     /// never touches a referenced block, and releasing every holder
-    /// drains the cache to zero.
+    /// drains the cache to zero. Between holders, writers `touch` random
+    /// chains and uncommitted leases are dropped (after reclaiming through
+    /// them): neither may leave a reference behind or disturb a holder.
     #[test]
     fn prefix_cache_refcounts_never_underflow_and_drain(
-        holders in prop::collection::vec((0u64..6, 1u32..200, any::<bool>()), 1..20),
+        holders in prop::collection::vec(
+            (0u64..6, 1u32..200, any::<bool>(), 0u64..8, 0u32..200, any::<bool>()),
+            1..20,
+        ),
         block_pow in 2u32..7,
     ) {
-        use optimus::serving::{PrefixCache, SharedPrefix};
+        use optimus::serving::{CacheEviction, PrefixCache, PrefixCachingConfig, SharedPrefix};
         let block = 1u32 << block_pow;
-        let mut cache = PrefixCache::new();
-        let mut held: Vec<(Vec<optimus::serving::PrefixBlock>, usize)> = Vec::new();
-        for &(id, tokens, evict) in &holders {
+        let mut cache = PrefixCache::new(PrefixCachingConfig {
+            block_tokens: block,
+            eviction: CacheEviction::Lru,
+        });
+        let mut held: Vec<Vec<optimus::serving::PrefixBlock>> = Vec::new();
+        for &(id, tokens, evict, other_id, other_tokens, touch) in &holders {
             let chain = SharedPrefix { id, tokens }.block_chain(block);
-            let hits = cache.acquire(&chain);
-            prop_assert!(hits <= chain.len());
-            cache.insert(&chain, hits).expect("suffix absent after acquire");
-            held.push((chain, 0));
+            let charged = cache.charged_tokens();
+            let lease = cache.lease(&chain);
+            prop_assert!(lease.hits() <= chain.len());
+            // Committing charges exactly the missing suffix, whole blocks.
+            let promised = lease.charged_after_commit();
+            let missing = (chain.len() - lease.hits()) as u64;
+            prop_assert_eq!(promised, charged + missing * u64::from(block));
+            lease.commit();
+            prop_assert_eq!(cache.charged_tokens(), promised);
+            held.push(chain);
+            // A writer holding nothing (`other_tokens == 0`: none).
+            if other_tokens > 0 {
+                let other = SharedPrefix { id: other_id, tokens: other_tokens }.block_chain(block);
+                if touch {
+                    prop_assert!(cache.touch(&other) <= other.len());
+                    prop_assert_eq!(cache.peek(&other), other.len());
+                } else {
+                    let before = cache.resident_blocks();
+                    let mut lease = cache.lease(&other);
+                    let hits = lease.hits();
+                    let reclaimed = u64::from(lease.evict_lru().is_some());
+                    drop(lease);
+                    // A dropped lease inserts nothing.
+                    prop_assert_eq!(cache.peek(&other), hits);
+                    prop_assert_eq!(cache.resident_blocks(), before - reclaimed);
+                }
+            }
             if evict {
-                // Everything resident is referenced right now, so LRU
-                // reclamation must find nothing.
+                // Reclaim whatever the writers left unreferenced: then
+                // everything resident is referenced, so LRU reclamation
+                // must find nothing more.
+                while cache.evict_lru().is_some() {}
                 prop_assert_eq!(cache.reclaimable_blocks(), 0);
                 prop_assert!(cache.evict_lru().is_none());
             }
             // Every held chain stays fully resident.
-            for (chain, _) in &held {
+            for chain in &held {
                 prop_assert_eq!(cache.peek(chain), chain.len());
             }
-            prop_assert!(cache.resident_tokens() <= cache.charged_tokens(block));
+            prop_assert!(cache.resident_tokens() <= cache.charged_tokens());
         }
         // Release every holder once: blocks become reclaimable but stay
         // resident (warm cache) until evicted.
-        for (chain, _) in &held {
-            cache.release(chain, chain.len()).expect("holder releases once");
+        for chain in &held {
+            cache.release(chain).expect("holder releases once");
         }
         // A second release of any chain is a typed underflow error.
-        let (first, _) = &held[0];
+        let first = &held[0];
         prop_assert!(matches!(
-            cache.release(first, first.len()),
+            cache.release(first),
             Err(optimus::OptimusError::Serving { .. })
         ));
         let resident = cache.resident_blocks();
