@@ -420,7 +420,7 @@ fn route(ctx: &EngineCtx<'_>, cluster: ClusterConfig, trace: &[RequestSpec]) -> 
     // blade: its prefill plus its share of full-batch decode steps.
     let batch = cfg.max_batch.min(table.max_batch()).max(1);
     let service_s = |r: &RequestSpec| -> f64 {
-        let kv = (r.prompt_tokens + r.output_tokens - 1).min(table.max_kv());
+        let kv = (r.full_tokens() - 1).min(u64::from(table.max_kv())) as u32;
         table.prefill_cost(r.prompt_tokens)
             + f64::from(r.output_tokens) * table.decode_cost(batch, kv) / f64::from(batch)
     };
@@ -476,7 +476,7 @@ fn route(ctx: &EngineCtx<'_>, cluster: ClusterConfig, trace: &[RequestSpec]) -> 
         let start = last_finish[blade].max(r.arrival_s);
         let finish = start + service_s(r);
         last_finish[blade] = finish;
-        in_flight[blade].push_back((finish, u64::from(r.prompt_tokens + r.output_tokens)));
+        in_flight[blade].push_back((finish, r.full_tokens()));
         assignment.push(blade as u32);
     }
     assignment
@@ -992,7 +992,10 @@ pub(crate) fn run_mixed(
                     let pool = Pool::central(trace, order, Fcfs::new);
                     run_central_dispatch(ctx, cluster, trace, pool, scaler, obs)
                 }
-                (SimCore::EventDriven, OrderingContract::StaticKey) => {
+                (
+                    SimCore::EventDriven,
+                    OrderingContract::StaticKey | OrderingContract::TraceRank,
+                ) => {
                     let pool =
                         Pool::central(trace, order, |q| KeyedQueue::new(ctx.policy, trace, q));
                     run_central_dispatch(ctx, cluster, trace, pool, scaler, obs)
@@ -1026,8 +1029,8 @@ pub(crate) fn run_mixed(
 ///
 /// Picks the queue discipline for the configured [`SimCore`]: the
 /// per-step reference, or FCFS / re-sorting event disciplines (handoff
-/// ready times follow no arrival order, so static-key policies re-sort
-/// here too).
+/// ready times follow no arrival order, so static-key and trace-rank
+/// policies re-sort here too).
 pub(crate) fn run_disaggregated(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],

@@ -933,7 +933,7 @@ impl EngineCtx<'_> {
             (SimCore::EventDriven, OrderingContract::Fcfs) => {
                 self.drive_queue(trace, Fcfs::new(queue), blade, outcomes, ctl, obs)
             }
-            (SimCore::EventDriven, OrderingContract::StaticKey) => {
+            (SimCore::EventDriven, OrderingContract::StaticKey | OrderingContract::TraceRank) => {
                 let queue = KeyedQueue::new(self.policy, trace, queue);
                 self.drive_queue(trace, queue, blade, outcomes, ctl, obs)
             }
@@ -1365,7 +1365,7 @@ impl<'a> ServingSimulator<'a> {
                     });
                 }
             }
-            let full_tokens = u64::from(r.prompt_tokens + r.output_tokens);
+            let full_tokens = r.full_tokens();
             let full = kv_bytes(self.config.kv_layout.charged_tokens(full_tokens));
             if full > capacity {
                 return Err(OptimusError::Serving {
@@ -1413,12 +1413,9 @@ impl<'a> ServingSimulator<'a> {
     ) -> Result<CostTable, OptimusError> {
         let bucket = self.config.kv_bucket_tokens;
         let (max_kv, max_prompt) = trace.iter().fold((0, 0), |(kv, prompt), r| {
-            (
-                kv.max(r.prompt_tokens + r.output_tokens - 1),
-                prompt.max(r.prompt_tokens),
-            )
+            (kv.max(r.full_tokens() - 1), prompt.max(r.prompt_tokens))
         });
-        let max_kv_idx = max_kv.div_ceil(bucket) as usize;
+        let max_kv_idx = max_kv.div_ceil(u64::from(bucket)) as usize;
         let max_prompt_idx = max_prompt.div_ceil(bucket) as usize;
         let max_batch = self.config.max_batch.min(trace.len() as u32) as usize;
 

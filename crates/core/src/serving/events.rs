@@ -192,10 +192,10 @@ pub(crate) enum Gate {
 ///   disciplines are checked against plain scans.
 /// - [`Fcfs`], [`Resort`] and [`KeyedQueue`] (`SimCore::EventDriven`,
 ///   chosen by the policy's [`OrderingContract`]) never re-sort FCFS,
-///   re-sort clock-dependent orders, or keep static keys in an ordered
-///   set; they read ready times off a [`ReadyWindow`], skip partitions
-///   that are provably the identity, and let the loops fast-forward
-///   pure-decode rounds.
+///   re-sort clock-dependent orders, or keep static keys and trace
+///   ranks in an ordered set; they read ready times off a
+///   [`ReadyWindow`], skip partitions that are provably the identity,
+///   and let the loops fast-forward pure-decode rounds.
 pub(crate) trait Discipline: AdmissionQueue + Sized {
     /// The per-step reference (see the trait docs).
     const EXHAUSTIVE: bool;
@@ -369,14 +369,17 @@ impl<const E: bool, const R: bool> Discipline for Deque<E, R> {
     }
 }
 
-/// The discipline for [`OrderingContract::StaticKey`] policies: arrived
-/// requests live in an ordered set, keyed exactly as the reference's
-/// repeated stable sorts would order them — by the policy's
-/// clock-independent key, then by an insertion sequence that keeps new
-/// arrivals *behind* key-equals (stable-sort semantics for appended
-/// entries) and re-queued victims *ahead* of them (a victim re-enters at
-/// the queue front, and every later stable sort keeps it ahead of its
-/// ties — most recent victim first).
+/// The discipline for [`OrderingContract::StaticKey`] and
+/// [`OrderingContract::TraceRank`] policies: arrived requests live in an
+/// ordered set, keyed exactly as the reference's repeated sorts would
+/// order them. A trace-rank policy's key is its rank, unique per member,
+/// so the insertion sequence below never decides anything for it. A
+/// static-key policy's key is its clock-independent `order_key`, then an
+/// insertion sequence that keeps new arrivals *behind* key-equals
+/// (stable-sort semantics for appended entries) and re-queued victims
+/// *ahead* of them (a victim re-enters at the queue front, and every
+/// later stable sort keeps it ahead of its ties — most recent victim
+/// first).
 ///
 /// Under central dispatch the reference also partitions by eligibility
 /// every round. Its only observable effect — parking blocked victims
@@ -390,7 +393,7 @@ pub(crate) struct KeyedQueue {
     /// Not-yet-arrived members, earliest first (the arrival-sorted tail
     /// the reference's sort leaves untouched).
     future: VecDeque<usize>,
-    /// `order_key` per trace index, precomputed once.
+    /// `order_key` (or trace rank) per trace index, precomputed once.
     keys: Vec<u64>,
     next_seq: i64,
     next_victim_seq: i64,
@@ -401,16 +404,34 @@ pub(crate) struct KeyedQueue {
 }
 
 impl KeyedQueue {
-    /// Wraps an arrival-ordered queue for a `StaticKey` policy.
+    /// Wraps an arrival-ordered queue for a `StaticKey` or `TraceRank`
+    /// policy. A trace rank costs one `order_queue` call with every
+    /// member arrived; each member's key is its position in the result.
     pub(crate) fn new(
         policy: &dyn SchedulerPolicy,
         trace: &[RequestSpec],
         queue: VecDeque<usize>,
     ) -> Self {
-        debug_assert_eq!(policy.ordering(), OrderingContract::StaticKey);
         let mut keys = vec![0u64; trace.len()];
-        for &i in &queue {
-            keys[i] = policy.order_key(&trace[i]);
+        if policy.ordering() == OrderingContract::TraceRank {
+            let rank = |mut members: VecDeque<usize>| {
+                policy.order_queue(f64::INFINITY, trace, &mut members);
+                members
+            };
+            let ranked = rank(queue.clone());
+            debug_assert_eq!(
+                ranked,
+                rank(queue.iter().rev().copied().collect()),
+                "a trace rank must not depend on the queue's prior order"
+            );
+            for (key, &i) in (0u64..).zip(&ranked) {
+                keys[i] = key;
+            }
+        } else {
+            debug_assert_eq!(policy.ordering(), OrderingContract::StaticKey);
+            for &i in &queue {
+                keys[i] = policy.order_key(&trace[i]);
+            }
         }
         Self {
             arrived: BTreeSet::new(),

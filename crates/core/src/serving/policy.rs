@@ -36,6 +36,17 @@ pub enum OrderingContract {
     /// which is provably the same sequence of heads the repeated sort
     /// would produce.
     StaticKey,
+    /// `order_queue(clock, ..)` orders the arrived prefix by one *strict*
+    /// total order over trace indices that is fixed for the trace — no
+    /// two members compare equal, and the clock only splits arrived
+    /// requests from future ones. The engine then ranks the whole queue
+    /// once, with a single `order_queue(f64::INFINITY, ..)` call, and
+    /// serves the ranks from the same ordered set as
+    /// [`StaticKey`](Self::StaticKey). Because ranks are unique, the
+    /// insertion sequence never decides an order: re-queued victims and
+    /// the central-dispatch partition cannot reorder ties, since there
+    /// are none.
+    TraceRank,
     /// The order depends on the clock (e.g. aging promotions), so the
     /// engine re-runs `order_queue` before every admission-capable
     /// iteration. Policies under this contract must additionally be
@@ -72,10 +83,10 @@ pub trait SchedulerPolicy: fmt::Debug + Send + Sync {
     /// simulator construction (before any replay). This is the seam that
     /// lets `RequestSpec::class` flow into *decisions*: class-aware
     /// policies capture what they need here — [`StrictPriorityPolicy`]
-    /// derives priority ranks from class weights,
-    /// [`WeightedFairPolicy`] captures the weights themselves — while
-    /// class-blind policies keep the no-op default and stay byte-for-byte
-    /// identical to their pre-control-plane behavior.
+    /// derives priority ranks from class weights (a static key),
+    /// [`WeightedFairPolicy`] captures the weights themselves (a trace
+    /// rank) — while class-blind policies keep the no-op default and stay
+    /// byte-for-byte identical to their pre-control-plane behavior.
     fn bind_classes(&mut self, classes: &[SloClass]) {
         let _ = classes;
     }
@@ -319,12 +330,14 @@ impl SchedulerPolicy for StrictPriorityPolicy {
 /// weight-1 class under contention instead of starving it outright
 /// (contrast [`StrictPriorityPolicy`]).
 ///
-/// The virtual-finish walk accumulates over the trace in arrival order,
-/// so the order is a pure function of the trace: the sort is
-/// history-independent and clock-free (the clock only gates which
-/// requests have arrived), satisfying [`OrderingContract::ClockDependent`]'s
-/// contract. With one class (or unbound), every weight is equal and the
-/// order degenerates to FCFS.
+/// The virtual-finish walk accumulates over the trace in arrival order
+/// (Demers, Keshav and Shenker's weighted fair queueing), and ties break
+/// by trace index, so the order is one strict total order fixed by the
+/// trace: the clock only gates which requests have arrived. The policy
+/// therefore declares [`OrderingContract::TraceRank`], and the
+/// event-driven core ranks the trace once per replay instead of
+/// re-sorting every admission round. With one class (or unbound), every
+/// weight is equal and the order degenerates to FCFS.
 #[derive(Debug, Clone, Default)]
 pub struct WeightedFairPolicy {
     /// `weights[class]` = goodput weight, captured from the class table.
@@ -362,7 +375,7 @@ impl WeightedFairPolicy {
         let mut vf = vec![0u64; trace.len()];
         for &i in &order {
             let r = &trace[i];
-            let service = f64::from(r.prompt_tokens + r.output_tokens);
+            let service = f64::from(r.prompt_tokens) + f64::from(r.output_tokens);
             cum[r.class as usize] += service / self.weight(r.class);
             vf[i] = cum[r.class as usize].to_bits();
         }
@@ -377,6 +390,10 @@ impl SchedulerPolicy for WeightedFairPolicy {
 
     fn bind_classes(&mut self, classes: &[SloClass]) {
         self.weights = classes.iter().map(|c| c.weight).collect();
+    }
+
+    fn ordering(&self) -> OrderingContract {
+        OrderingContract::TraceRank
     }
 
     fn order_queue(&self, clock: f64, trace: &[RequestSpec], queue: &mut VecDeque<usize>) {
@@ -470,6 +487,10 @@ mod tests {
             MaxWaitGuardPolicy::new(1.0).ordering(),
             OrderingContract::ClockDependent
         );
+        assert_eq!(
+            WeightedFairPolicy::new().ordering(),
+            OrderingContract::TraceRank
+        );
         // SJF's packed key must agree with its stable-sort key on both
         // components, including the prompt tie-break.
         let a = req(0, 0.0, 7, 3);
@@ -549,6 +570,52 @@ mod tests {
         let mut lq = VecDeque::from([0, 1]);
         policy.order_queue(1.0, &late, &mut lq);
         assert_eq!(lq, VecDeque::from([0, 1]));
+    }
+
+    #[test]
+    fn weighted_fair_orders_arrived_members_by_one_trace_rank() {
+        let mut policy = WeightedFairPolicy::new();
+        policy.bind_classes(&[SloClass::interactive(), SloClass::batch()]);
+        // Trace indices disagree with arrival order, service demands
+        // differ, and two cross-class pairs tie on virtual finish
+        // (requests 2 and 3 at 8, 4 and 0 at 18): the index breaks them.
+        let trace = [
+            req(0, 0.4, 5, 5).in_class(1),
+            req(1, 0.0, 5, 5).in_class(0),
+            req(2, 0.1, 3, 3).in_class(0),
+            req(3, 0.3, 4, 4).in_class(1),
+            req(4, 0.2, 10, 10).in_class(0),
+            req(5, 0.6, 5, 5).in_class(0),
+            req(6, 0.5, 2, 8).in_class(1),
+        ];
+        let by_arrival = VecDeque::from([1, 2, 4, 3, 0, 6, 5]);
+        let mut ranked = by_arrival.clone();
+        policy.order_queue(f64::INFINITY, &trace, &mut ranked);
+        assert_eq!(ranked, VecDeque::from([1, 2, 3, 0, 4, 5, 6]));
+        let mut rank = [0usize; 7];
+        for (r, &i) in ranked.iter().enumerate() {
+            rank[i] = r;
+        }
+        for clock in [-1.0, 0.0, 0.15, 0.3, 0.45, 0.6, 10.0] {
+            let (mut arrived, future): (Vec<usize>, Vec<usize>) = by_arrival
+                .iter()
+                .partition(|&&i| trace[i].arrival_s <= clock);
+            for shift in 0..arrived.len().max(1) {
+                // Scramble the arrived members; interleave the future
+                // ones, which keep their arrival order among themselves.
+                arrived.rotate_left(shift);
+                arrived.reverse();
+                let mut queue: VecDeque<usize> = arrived.iter().copied().collect();
+                for (k, &i) in future.iter().enumerate() {
+                    queue.insert((2 * k + 1).min(queue.len()), i);
+                }
+                policy.order_queue(clock, &trace, &mut queue);
+                let mut want = arrived.clone();
+                want.sort_by_key(|&i| rank[i]);
+                want.extend(&future);
+                assert_eq!(queue, VecDeque::from(want), "clock {clock}, shift {shift}");
+            }
+        }
     }
 
     #[test]

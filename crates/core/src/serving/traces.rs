@@ -53,6 +53,12 @@ impl RequestSpec {
         }
     }
 
+    /// Prompt plus output tokens: the request's KV length at completion.
+    /// Widened before adding, so no pair of `u32` lengths overflows.
+    pub(crate) fn full_tokens(&self) -> u64 {
+        u64::from(self.prompt_tokens) + u64::from(self.output_tokens)
+    }
+
     /// The same request reassigned to SLO class `class`.
     #[must_use]
     pub fn in_class(mut self, class: u32) -> Self {

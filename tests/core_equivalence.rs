@@ -331,6 +331,76 @@ fn class_aware_policies_and_control_plane_cores_agree() {
 }
 
 #[test]
+fn weighted_fair_ties_under_preemption_agree_between_cores() {
+    // The event-driven core serves weighted-fair order from ranks taken
+    // once per replay, and breaks virtual-finish ties by trace index. A
+    // cross-class tie plus preempted victims re-entering the queue is
+    // where an insertion-order tie-break would show.
+    let system = MultiBladeSystem::new(2).unwrap();
+    let model = ModelZoo::llama2_7b();
+    let par = Parallelism::new(1, 1, 1).unwrap();
+    let classes = vec![SloClass::interactive(), SloClass::batch()];
+    // Equal 120-token demands alternating between the weight-2 and the
+    // weight-1 class, 2 ms apart: a saturating burst.
+    let requests: Vec<RequestSpec> = (0..24u32)
+        .map(|i| RequestSpec::new(i, f64::from(i) * 0.002, 90, 30).in_class(i % 2))
+        .collect();
+    let mut cum = [0.0f64; 2];
+    let virtual_finish: Vec<(u32, f64)> = requests
+        .iter()
+        .map(|r| {
+            let c = r.class as usize;
+            cum[c] += f64::from(r.prompt_tokens + r.output_tokens) / classes[c].weight;
+            (r.class, cum[c])
+        })
+        .collect();
+    assert!(
+        virtual_finish
+            .iter()
+            .any(|a| virtual_finish.iter().any(|b| a.0 != b.0 && a.1 == b.1)),
+        "the trace must tie virtual finishes across classes"
+    );
+    let tight = per_token_bytes(&system, &model) * 120.0 * 2.5;
+    let base = || {
+        Scenario::new(&system)
+            .model(&model)
+            .parallelism(&par)
+            .max_batch(6)
+            .kv_capacity_bytes(tight)
+            .slo_classes(classes.clone())
+            .policy(WeightedFairPolicy::new())
+            .requests(requests.clone())
+    };
+    fn check<'a>(label: &str, build: &dyn Fn() -> Scenario<'a>) {
+        let record = |core: SimCore| {
+            let mut events = Vec::new();
+            let report = build()
+                .core(core)
+                .compile()
+                .unwrap()
+                .run_observed(&mut events)
+                .unwrap();
+            (report, events)
+        };
+        let (step_report, step_events) = record(SimCore::PerStep);
+        let (event_report, event_events) = record(SimCore::EventDriven);
+        assert_eq!(
+            first_divergence(&event_events, &step_events),
+            None,
+            "{label}: event streams"
+        );
+        assert_eq!(event_report, step_report, "{label}: reports");
+        assert_eq!(step_report.report.completed, 24, "{label}");
+        assert!(step_report.report.evictions > 0, "{label}: must preempt");
+    }
+    check("single blade", &|| base().topology(Topology::mixed(1)));
+    check("central", &|| base().dispatch(DispatchMode::Central));
+    check("per-blade jsq", &|| {
+        base().routing(RoutingPolicy::JoinShortestQueue)
+    });
+}
+
+#[test]
 fn prefix_cached_cores_agree() {
     let system = MultiBladeSystem::new(4).unwrap();
     let model = ModelZoo::llama2_7b();

@@ -12,9 +12,9 @@
 
 use llm_workload::{ModelZoo, Parallelism};
 use optimus::serving::{
-    AdmissionControl, AutoscaleConfig, ControlPlane, DispatchMode, RoutingPolicy, Scenario,
-    ServingReport, SharedPrefixTraceConfig, SimCore, SloClass, StrictPriorityPolicy, Topology,
-    TraceConfig, WeightedFairPolicy,
+    AdmissionControl, AutoscaleConfig, ControlPlane, DispatchMode, RequestSpec, RoutingPolicy,
+    Scenario, ServingReport, SharedPrefixTraceConfig, SimCore, SloClass, StrictPriorityPolicy,
+    Topology, TraceConfig, WeightedFairPolicy,
 };
 use optimus::{MultiBladeSystem, SpeedupStudy};
 
@@ -446,4 +446,23 @@ fn control_plane_pins_hold_on_both_cores() {
             }
         }
     }
+}
+
+/// A request whose prompt plus output overflows `u32` is rejected with a
+/// typed error: the trace check widens before adding, so the sum can
+/// neither panic nor wrap to a length that fits the KV capacity.
+#[test]
+fn overflowing_token_sum_is_a_typed_error() {
+    let system = MultiBladeSystem::new(1).unwrap();
+    let model = ModelZoo::llama2_7b();
+    let par = Parallelism::new(1, 1, 1).unwrap();
+    let compiled = Scenario::new(&system)
+        .model(&model)
+        .parallelism(&par)
+        .requests(vec![RequestSpec::new(0, 0.0, u32::MAX, 1)])
+        .compile();
+    assert!(
+        matches!(compiled, Err(optimus::OptimusError::Serving { .. })),
+        "{compiled:?}"
+    );
 }
