@@ -446,8 +446,7 @@ fn route(ctx: &EngineCtx<'_>, cluster: ClusterConfig, trace: &[RequestSpec]) -> 
                 fl.pop_front();
             }
         }
-        // Built once for the residency lookup and the admit.
-        let chain = residency.as_ref().zip(r.prefix).map(|(m, p)| m.chain(p));
+        let chain = residency.as_ref().and(ctx.chains.get(i));
         let jsq = |in_flight: &[VecDeque<(f64, u64)>]| first_min(blades, |b| in_flight[b].len());
         let blade = match cluster.routing {
             RoutingPolicy::RoundRobin => i % blades,
@@ -457,7 +456,7 @@ fn route(ctx: &EngineCtx<'_>, cluster: ClusterConfig, trace: &[RequestSpec]) -> 
             }),
             RoutingPolicy::CacheAware => {
                 let fallback = jsq(&in_flight);
-                match (&residency, &chain) {
+                match (&residency, chain) {
                     (Some(model), Some(chain)) => model
                         .best_blade(chain)
                         .map(|(best, _)| best)
@@ -470,7 +469,7 @@ fn route(ctx: &EngineCtx<'_>, cluster: ClusterConfig, trace: &[RequestSpec]) -> 
                 }
             }
         };
-        if let (Some(model), Some(chain)) = (&mut residency, &chain) {
+        if let (Some(model), Some(chain)) = (&mut residency, chain) {
             model.admit(blade, chain);
         }
         let start = last_finish[blade].max(r.arrival_s);
@@ -1180,10 +1179,11 @@ fn prefill_round(
     let r = &trace[idx];
     let start = blade.clock.max(r.arrival_s);
     let mut skip = 0u32;
-    if let (Some(prefix), Some(cache)) = (r.prefix, blade.cache.as_mut()) {
+    if let (Some(prefix), Some(chain), Some(cache)) =
+        (r.prefix, ctx.chains.get(idx), blade.cache.as_mut())
+    {
         let block_tokens = cache.config().block_tokens;
-        let chain = cache.chain(prefix);
-        let hits = cache.touch(&chain);
+        let hits = cache.touch(chain);
         skip = chain[..hits].iter().map(|b| b.tokens).sum();
         obs.emit(blade.id, start, EventKind::prefix_lookup(*r, skip));
         let budget = (ctx.config.kv_capacity_bytes / ctx.kv_bytes_per_token) as u64;

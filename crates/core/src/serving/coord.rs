@@ -48,7 +48,7 @@
 //! [`HandoffLink`]: super::cluster::HandoffLink
 
 use super::cluster::HandoffLink;
-use super::prefix::{PrefixBlock, PrefixCache, PrefixCachingConfig, SharedPrefix};
+use super::prefix::{ChainTable, PrefixBlock, PrefixCache, PrefixCachingConfig};
 use super::traces::RequestSpec;
 use crate::error::OptimusError;
 use serde::{Deserialize, Serialize};
@@ -107,11 +107,12 @@ pub(crate) struct CoordPlan {
 /// Walks the trace in arrival order through a budget-bounded global
 /// [`PrefixCache`], recording per request how many leading prompt tokens
 /// the tier held at its arrival. Every tagged request
-/// [touches](PrefixCache::touch) its chain into the tier
+/// [touches](PrefixCache::touch) its chain (from `chains`) into the tier
 /// (insert-through) — the tier holds *copies*, not sequence pins — and
 /// the budget is re-enforced after each arrival.
 pub(crate) fn plan_global_tier(
     trace: &[RequestSpec],
+    chains: &ChainTable,
     prefix: PrefixCachingConfig,
     global: GlobalCacheConfig,
     link: HandoffLink,
@@ -127,9 +128,10 @@ pub(crate) fn plan_global_tier(
     let mut tier = PrefixCache::new(prefix);
     let mut covered = vec![0u32; trace.len()];
     for &idx in &order {
-        let Some(p) = trace[idx].prefix else { continue };
-        let chain = tier.chain(p);
-        let hits = tier.touch(&chain);
+        let Some(chain) = chains.get(idx) else {
+            continue;
+        };
+        let hits = tier.touch(chain);
         covered[idx] = chain[..hits].iter().map(|b| b.tokens).sum();
         tier.evict_to_budget(global.budget_tokens);
     }
@@ -146,8 +148,6 @@ pub(crate) fn plan_global_tier(
 #[derive(Debug)]
 pub(crate) struct ResidencyModel {
     blades: Vec<PrefixCache>,
-    /// Block granularity of the modelled caches.
-    block_tokens: u32,
     /// Per-blade KV budget (tokens) the model evicts to.
     budget_tokens: u64,
 }
@@ -156,14 +156,8 @@ impl ResidencyModel {
     pub(crate) fn new(blades: usize, prefix: PrefixCachingConfig, budget_tokens: u64) -> Self {
         Self {
             blades: (0..blades).map(|_| PrefixCache::new(prefix)).collect(),
-            block_tokens: prefix.block_tokens,
             budget_tokens,
         }
-    }
-
-    /// `prefix` as a chain of blocks at the modelled caches' granularity.
-    pub(crate) fn chain(&self, prefix: SharedPrefix) -> Vec<PrefixBlock> {
-        prefix.block_chain(self.block_tokens)
     }
 
     /// The blade holding the longest resident prefix of `chain`, with the
@@ -209,6 +203,12 @@ mod tests {
         }
     }
 
+    /// The trace's chains at [`cfg`]'s block size (either eviction order
+    /// cuts the same blocks).
+    fn chains(trace: &[RequestSpec]) -> ChainTable {
+        ChainTable::new(trace, Some(cfg(CacheEviction::Lru)))
+    }
+
     #[test]
     fn plan_covers_repeat_prefixes_in_arrival_order() {
         // Trace indices deliberately disagree with arrival order: the
@@ -221,6 +221,7 @@ mod tests {
         ];
         let plan = plan_global_tier(
             &trace,
+            &chains(&trace),
             cfg(CacheEviction::Lru),
             GlobalCacheConfig {
                 budget_tokens: 1024,
@@ -242,6 +243,7 @@ mod tests {
         ];
         let plan = plan_global_tier(
             &trace,
+            &chains(&trace),
             cfg(CacheEviction::Lru),
             GlobalCacheConfig { budget_tokens: 16 },
             link(),
@@ -250,6 +252,7 @@ mod tests {
         // A budget holding both chains covers the repeat fully.
         let wide = plan_global_tier(
             &trace,
+            &chains(&trace),
             cfg(CacheEviction::Lru),
             GlobalCacheConfig { budget_tokens: 128 },
             link(),
@@ -274,6 +277,7 @@ mod tests {
         {
             let plan = plan_global_tier(
                 &trace,
+                &chains(&trace),
                 cfg(eviction),
                 GlobalCacheConfig { budget_tokens: 32 },
                 link(),
@@ -303,7 +307,6 @@ mod tests {
         let mut model = ResidencyModel::new(2, prefix, 1024);
         let a = SharedPrefix { id: 1, tokens: 48 }.block_chain(16);
         let b = SharedPrefix { id: 2, tokens: 48 }.block_chain(16);
-        assert_eq!(model.chain(SharedPrefix { id: 1, tokens: 48 }), a);
         assert_eq!(model.best_blade(&a), None, "cold model has no affinity");
         model.admit(0, &a);
         model.admit(1, &b);

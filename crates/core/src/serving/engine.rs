@@ -17,7 +17,7 @@ use super::events::{
 use super::kv::KvLayout;
 use super::observer::{EventKind, SimObserver};
 use super::policy::{OrderingContract, SchedulerPolicy};
-use super::prefix::{Lease, PrefixCache, PrefixCachingConfig, SharedPrefix};
+use super::prefix::{ChainTable, Lease, PrefixCache, PrefixCachingConfig, SharedPrefix};
 use super::report::{Percentiles, ServingReport, SloClass, SloClassReport};
 use super::telemetry::profile;
 use super::traces::RequestSpec;
@@ -403,6 +403,9 @@ pub(crate) struct EngineCtx<'a> {
     pub(crate) classes: &'a [SloClass],
     pub(crate) table: &'a CostTable,
     pub(crate) kv_bytes_per_token: f64,
+    /// The trace's prefix chains, cut once per replay (empty with prefix
+    /// caching off).
+    pub(crate) chains: &'a ChainTable,
     /// The global-tier coordination plan, when the scenario enables one
     /// (see [`super::coord`]); `None` keeps every replay byte-identical
     /// to the uncoordinated engine.
@@ -474,12 +477,14 @@ impl EngineCtx<'_> {
         let r = &trace[idx];
         let block_tokens = blade.cache.as_ref().map_or(0, |c| c.config().block_tokens);
         let prefix = r.prefix.filter(|_| !streamed && blade.cache.is_some());
-        let chain = prefix.map_or_else(Vec::new, |p| p.block_chain(block_tokens));
+        let chain = prefix
+            .and_then(|_| self.chains.get(idx))
+            .unwrap_or_default();
         let shared = prefix.map_or(0, |p| p.shared_tokens(block_tokens));
         let private = cfg
             .kv_layout
             .charged_tokens(u64::from(r.prompt_tokens) + 1 - u64::from(shared));
-        let mut lease = blade.cache.as_mut().map(|cache| cache.lease(&chain));
+        let mut lease = blade.cache.as_mut().map(|cache| cache.lease(chain));
         loop {
             let cached = lease.as_ref().map_or(0, Lease::charged_after_commit);
             if self.kv_bytes(*projected + private + cached) <= cfg.kv_capacity_bytes {
@@ -562,21 +567,12 @@ impl EngineCtx<'_> {
     /// Drops the references sequence `r` holds on its prefix chain (it
     /// committed a lease on them at admission) when it leaves the blade.
     /// Streamed (handed-off) sequences never touched the cache.
-    fn release_chain(
-        &self,
-        trace: &[RequestSpec],
-        r: &RunningSeq,
-        prefilled: Option<&[bool]>,
-        blade: &mut BladeState,
-    ) {
+    fn release_chain(&self, r: &RunningSeq, prefilled: Option<&[bool]>, blade: &mut BladeState) {
         if prefilled.is_some_and(|p| p[r.idx]) {
             return;
         }
-        if let (Some(cache), Some(prefix)) = (blade.cache.as_mut(), trace[r.idx].prefix) {
-            let chain = cache.chain(prefix);
-            cache
-                .release(&chain)
-                .expect("sequence held its chain since admission");
+        if let (Some(cache), Some(chain)) = (blade.cache.as_mut(), self.chains.get(r.idx)) {
+            cache.release_committed(chain);
         }
     }
 
@@ -738,7 +734,7 @@ impl EngineCtx<'_> {
                 wasted_tokens: victim.produced,
             };
             obs.emit(blade.id, blade.clock, kind);
-            self.release_chain(trace, &victim, prefilled, blade);
+            self.release_chain(&victim, prefilled, blade);
             if let Some(out) = evicted.as_deref_mut() {
                 out.push(victim.idx);
             }
@@ -895,7 +891,7 @@ impl EngineCtx<'_> {
                 }
                 // The finisher's shared blocks stay resident (warm for
                 // the next arrival) but lose its references.
-                self.release_chain(trace, &r, prefilled, blade);
+                self.release_chain(&r, prefilled, blade);
                 completions += 1;
             } else {
                 still_running.push(r);
@@ -1306,11 +1302,12 @@ impl<'a> ServingSimulator<'a> {
         })
     }
 
-    /// The replay context over `table`, under the global-tier plan
-    /// `coord` when the scenario enables one.
+    /// The replay context over `table` and the trace's prefix `chains`,
+    /// under the global-tier plan `coord` when the scenario enables one.
     pub(crate) fn ctx<'t>(
         &'t self,
         table: &'t CostTable,
+        chains: &'t ChainTable,
         coord: Option<&'t CoordPlan>,
     ) -> EngineCtx<'t> {
         EngineCtx {
@@ -1319,6 +1316,7 @@ impl<'a> ServingSimulator<'a> {
             classes: &self.classes,
             table,
             kv_bytes_per_token: self.kv_bytes_per_token,
+            chains,
             coord,
         }
     }

@@ -8,8 +8,16 @@
 //! common prefix **once**: the prefix is cut into fixed-size token blocks,
 //! each block is named by a deterministic hash chained through its
 //! ancestors (so equal hashes imply equal *positions within equal
-//! prefixes*, and the cache is a radix tree over block hashes), and
-//! resident blocks carry a reference count of the sequences using them.
+//! prefixes*), and resident blocks carry a reference count of the
+//! sequences using them. The cache is a radix tree over block hashes, but
+//! a logical one: each resident block records its parent's hash and its
+//! count of resident children, and the blocks themselves live in a flat
+//! hash index keyed by block hash, so every probe costs O(1) per block.
+//! The index folds a per-cache random key into its bucket hash (see
+//! `BlockHasher`): block hashes are an invertible function of
+//! trace-supplied prefix ids, so an unkeyed index could be driven into
+//! one bucket by a crafted trace. Nothing iterates the index in an order
+//! that reaches a result; reclamation runs off an ordered free list.
 //!
 //! Three mechanisms follow:
 //!
@@ -43,9 +51,12 @@
 //! put there, eviction only touches unreferenced leaves, releasing every
 //! holder drains refcounts to zero — are independently proptestable.
 
+use super::traces::RequestSpec;
 use crate::error::OptimusError;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::{HashMap, RandomState};
+use std::collections::BTreeSet;
+use std::hash::{BuildHasher, Hasher};
 
 /// Reclamation order for unreferenced cache blocks.
 ///
@@ -90,8 +101,10 @@ impl PrefixCachingConfig {
 
 /// The shared-prefix tag a request may carry: which system prompt its
 /// first `tokens` prompt tokens are, identified by a stable id. Two
-/// requests with the same id share identical leading tokens (the trace
-/// generator guarantees equal lengths per id; recorded traces must too).
+/// requests with the same id share identical leading tokens up to the
+/// shorter tag's length (the trace generator keeps one length per id; a
+/// recorded trace may reuse an id at another length, and the two chains
+/// then share their common full blocks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SharedPrefix {
     /// Stable identity of the shared prefix (e.g. a hash of the system
@@ -159,6 +172,121 @@ impl SharedPrefix {
     }
 }
 
+/// Every prefix chain one replay needs, cut once: one interned chain per
+/// distinct `(id, tokens)` tag of the trace, stored back to back in one
+/// flat block list, plus each request's slot in it. Routing, the global
+/// tier's plan, admission, release and the prefill tier all borrow from
+/// here instead of re-cutting a request's chain at every use.
+///
+/// Keyed by length as well as id: a recorded trace may reuse an id with
+/// another prefix length, and the two chains share only their leading
+/// full blocks.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ChainTable {
+    /// Every distinct chain, back to back.
+    blocks: Vec<PrefixBlock>,
+    /// Chain `c` is `blocks[bounds[c]..bounds[c + 1]]`.
+    bounds: Vec<usize>,
+    /// Per trace index: its chain, or [`Self::UNTAGGED`].
+    slot: Vec<u32>,
+}
+
+impl ChainTable {
+    const UNTAGGED: u32 = u32::MAX;
+
+    /// Cuts the chains of `trace` at the configured block size; an empty
+    /// table (every lookup `None`) when prefix caching is off.
+    pub(crate) fn new(trace: &[RequestSpec], config: Option<PrefixCachingConfig>) -> Self {
+        let Some(config) = config else {
+            return Self::default();
+        };
+        let mut blocks = Vec::new();
+        let mut bounds = vec![0];
+        let mut interned: HashMap<(u64, u32), u32> = HashMap::new();
+        let slot = trace
+            .iter()
+            .map(|r| {
+                r.prefix.map_or(Self::UNTAGGED, |p| {
+                    *interned.entry((p.id, p.tokens)).or_insert_with(|| {
+                        blocks.extend(p.block_chain(config.block_tokens));
+                        bounds.push(blocks.len());
+                        // At most one chain per request, and no trace
+                        // in memory nears 2^32 requests.
+                        (bounds.len() - 2) as u32
+                    })
+                })
+            })
+            .collect();
+        Self {
+            blocks,
+            bounds,
+            slot,
+        }
+    }
+
+    /// The chain of `trace[idx]`'s prefix; `None` when the request is
+    /// untagged or prefix caching is off.
+    pub(crate) fn get(&self, idx: usize) -> Option<&[PrefixBlock]> {
+        let c = *self.slot.get(idx)? as usize;
+        let (&start, &end) = (self.bounds.get(c)?, self.bounds.get(c + 1)?);
+        self.blocks.get(start..end)
+    }
+}
+
+/// Builds the hashers of a [`PrefixCache`]'s block index: each cache
+/// draws one random key from [`RandomState`] and buckets a block hash `h`
+/// by `mix(h ^ key)`. Without the key, bucket positions would be a public
+/// function of the trace's prefix ids; with it, they are unpredictable,
+/// while a probe still costs one multiply-xorshift round instead of a
+/// full SipHash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BlockHasher {
+    key: u64,
+}
+
+impl BlockHasher {
+    fn new() -> Self {
+        Self {
+            key: RandomState::new().hash_one(0x5eed_u64),
+        }
+    }
+}
+
+impl BuildHasher for BlockHasher {
+    type Hasher = KeyedMix;
+
+    fn build_hasher(&self) -> KeyedMix {
+        KeyedMix {
+            key: self.key,
+            state: 0,
+        }
+    }
+}
+
+/// The [`BlockHasher`]'s per-probe state: one `mix` round per written
+/// word, each keyed.
+#[derive(Debug)]
+struct KeyedMix {
+    key: u64,
+    state: u64,
+}
+
+impl Hasher for KeyedMix {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.state = mix(self.state ^ x ^ self.key);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
 /// One resident block of the cache's radix index.
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -187,8 +315,9 @@ fn free_key(eviction: CacheEviction, node: &Node, hash: u64) -> (u64, u64, u64) 
     }
 }
 
-/// Ref-counted shared-block cache: a radix tree over chained block
-/// hashes with LRU reclamation of unreferenced blocks.
+/// Ref-counted shared-block cache: a logical radix tree over chained
+/// block hashes (parent links in a keyed hash index) with LRU reclamation
+/// of unreferenced blocks.
 ///
 /// The engine holds one per blade (KV is per-blade memory); the
 /// standalone API is the proptest surface. The cache owns its
@@ -198,7 +327,9 @@ fn free_key(eviction: CacheEviction, node: &Node, hash: u64) -> (u64, u64, u64) 
 /// engine's audited float stream.
 #[derive(Debug, Clone)]
 pub struct PrefixCache {
-    nodes: BTreeMap<u64, Node>,
+    /// Resident blocks by block hash. Probed only, never iterated in an
+    /// order that reaches a result.
+    nodes: HashMap<u64, Node, BlockHasher>,
     /// Unreferenced leaves in reclamation order (see [`free_key`]): the
     /// next victim is always `free.first()`.
     free: BTreeSet<(u64, u64, u64)>,
@@ -215,7 +346,7 @@ impl PrefixCache {
     #[must_use]
     pub fn new(config: PrefixCachingConfig) -> Self {
         Self {
-            nodes: BTreeMap::new(),
+            nodes: HashMap::with_hasher(BlockHasher::new()),
             free: BTreeSet::new(),
             tick: 0,
             resident_tokens: 0,
@@ -227,12 +358,6 @@ impl PrefixCache {
     #[must_use]
     pub fn config(&self) -> PrefixCachingConfig {
         self.config
-    }
-
-    /// `prefix` as a chain of blocks at this cache's granularity.
-    #[must_use]
-    pub fn chain(&self, prefix: SharedPrefix) -> Vec<PrefixBlock> {
-        prefix.block_chain(self.config.block_tokens)
     }
 
     /// Resident blocks (referenced or LRU-reclaimable).
@@ -308,8 +433,7 @@ impl PrefixCache {
     /// or already unreferenced (refcount underflow) — the state is left
     /// untouched in that case.
     pub fn release(&mut self, chain: &[PrefixBlock]) -> Result<(), OptimusError> {
-        let unheld = |b: &&PrefixBlock| self.nodes.get(&b.hash).is_none_or(|n| n.refcount == 0);
-        if let Some(b) = chain.iter().find(unheld) {
+        if let Some(b) = chain.iter().find(|b| !self.is_held(b)) {
             return Err(OptimusError::Serving {
                 reason: format!("released prefix block {:#018x} is not held", b.hash),
             });
@@ -318,26 +442,50 @@ impl PrefixCache {
         Ok(())
     }
 
+    /// Releases a chain its holder committed a lease on: the engine's
+    /// release of a leaving sequence, which cannot be unheld (the public
+    /// [`Self::release`] checks the same thing and returns a typed
+    /// error instead).
+    pub(crate) fn release_committed(&mut self, chain: &[PrefixBlock]) {
+        debug_assert!(
+            chain.iter().all(|b| self.is_held(b)),
+            "released a chain that was not committed"
+        );
+        self.unpin(chain);
+    }
+
+    /// Whether `block` is resident and referenced.
+    fn is_held(&self, block: &PrefixBlock) -> bool {
+        self.nodes.get(&block.hash).is_some_and(|n| n.refcount > 0)
+    }
+
     /// Reclaims the first unreferenced leaf block in the configured
     /// reclamation order (LRU by default, LFU under
     /// [`CacheEviction::Lfu`]), if any, returning the tokens it cached.
     /// Its parent may become reclaimable in turn, so repeated calls peel
     /// a dead chain back to front.
     pub fn evict_lru(&mut self) -> Option<u32> {
-        let &key = self.free.first()?;
-        self.free.remove(&key);
-        let hash = key.2;
-        let node = self.nodes.remove(&hash).expect("free block resident");
-        debug_assert_eq!(node.refcount, 0);
-        debug_assert_eq!(node.children, 0);
+        // Free entries name resident, unreferenced leaves, and a resident
+        // block's parent is resident: `pin`, `insert_suffix`, `unpin` and
+        // this function keep the list and the index in step.
+        let (_, _, hash) = self.free.pop_first()?;
+        let node = self.nodes.remove(&hash);
+        debug_assert!(
+            node.is_some_and(|n| n.refcount == 0 && n.children == 0),
+            "free entry {hash:#018x} is not a resident unreferenced leaf"
+        );
+        let node = node?;
         self.resident_tokens -= u64::from(node.tokens);
-        if let Some(p) = node.parent {
-            let eviction = self.config.eviction;
-            let pn = self.nodes.get_mut(&p).expect("parent resident");
+        let parent = node.parent.and_then(|p| Some((p, self.nodes.get_mut(&p)?)));
+        debug_assert_eq!(
+            parent.is_some(),
+            node.parent.is_some(),
+            "an evicted block's parent is resident"
+        );
+        if let Some((p, pn)) = parent {
             pn.children -= 1;
             if pn.refcount == 0 && pn.children == 0 {
-                let parent_key = free_key(eviction, pn, p);
-                self.free.insert(parent_key);
+                self.free.insert(free_key(self.config.eviction, pn, p));
             }
         }
         Some(node.tokens)
@@ -412,6 +560,7 @@ impl PrefixCache {
         for b in blocks {
             // Held blocks are never evicted, so every one is resident.
             if let Some(node) = self.nodes.get_mut(&b.hash) {
+                debug_assert!(node.refcount > 0, "unpinned an unheld block");
                 node.refcount -= 1;
                 if node.refcount == 0 && node.children == 0 {
                     self.free
@@ -502,11 +651,6 @@ mod tests {
         assert_eq!(c[2].tokens, 8);
         assert_eq!(p.shared_tokens(16), 32);
         assert_eq!(c, p.block_chain(16), "chains are pure functions");
-        assert_eq!(
-            c,
-            cache(CacheEviction::Lru).chain(p),
-            "cut at the cache's block size"
-        );
         // Distinct ids and distinct depths never alias.
         let other = chain(8, 40, 16);
         assert!(c.iter().all(|b| other.iter().all(|o| o.hash != b.hash)));
@@ -702,6 +846,107 @@ mod tests {
                 "{eviction:?}: hot chain residency"
             );
             assert_eq!(cache.peek(&cold), usize::from(!expect_hot_survives));
+        }
+    }
+
+    #[test]
+    fn chain_table_interns_each_id_and_length_once() {
+        // Id 7 recurs at two lengths: the chains share their two leading
+        // full blocks, then diverge.
+        let tags = [
+            Some((7, 40)),
+            Some((7, 64)),
+            None,
+            Some((9, 16)),
+            Some((7, 40)),
+            Some((7, 64)),
+            Some((9, 16)),
+        ];
+        let trace: Vec<RequestSpec> = tags
+            .iter()
+            .enumerate()
+            .map(|(i, tag)| {
+                let r = RequestSpec::new(i as u32, i as f64, 80, 4);
+                tag.map_or(r, |(id, tokens)| r.with_prefix(id, tokens))
+            })
+            .collect();
+        let config = cache(CacheEviction::Lfu).config();
+        let table = ChainTable::new(&trace, Some(config));
+        for (i, r) in trace.iter().enumerate() {
+            let want = r.prefix.map(|p| p.block_chain(config.block_tokens));
+            assert_eq!(table.get(i), want.as_deref(), "request {i}");
+        }
+        assert_eq!(table.get(trace.len()), None, "past the trace");
+        assert_eq!(table.blocks.len(), 3 + 4 + 1, "one copy per distinct tag");
+        assert_eq!(table.get(0).unwrap()[..2], table.get(1).unwrap()[..2]);
+        assert_ne!(table.get(0).unwrap()[2], table.get(1).unwrap()[2]);
+        let off = ChainTable::new(&trace, None);
+        assert!((0..trace.len()).all(|i| off.get(i).is_none()));
+    }
+
+    #[test]
+    fn the_index_key_never_reaches_a_result() {
+        // Two caches draw different index keys; one random workload of
+        // leases (committed or dropped), touches, releases and evictions
+        // must leave them indistinguishable at every step.
+        let chains: Vec<Vec<PrefixBlock>> = (0..12u64)
+            .map(|i| chain(i % 5, 8 + 13 * (i as u32 % 7), 8))
+            .collect();
+        for eviction in [CacheEviction::Lru, CacheEviction::Lfu] {
+            let config = PrefixCachingConfig {
+                block_tokens: 8,
+                eviction,
+            };
+            let mut a = PrefixCache::new(config);
+            let mut b = PrefixCache::new(config);
+            assert_ne!(a.nodes.hasher(), b.nodes.hasher(), "independent keys");
+            let mut held: Vec<usize> = Vec::new();
+            let mut victims = 0;
+            let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+            for step in 0..4000 {
+                rng = mix(rng);
+                let c = (rng >> 8) as usize % chains.len();
+                let chain = &chains[c];
+                match rng % 5 {
+                    op @ (0 | 1) => {
+                        let (la, lb) = (a.lease(chain), b.lease(chain));
+                        assert_eq!(la.hits(), lb.hits(), "step {step}: lease hits");
+                        if op == 0 {
+                            la.commit();
+                            lb.commit();
+                            held.push(c);
+                        }
+                    }
+                    2 => assert_eq!(a.touch(chain), b.touch(chain), "step {step}: touch"),
+                    3 if !held.is_empty() => {
+                        let c = held.swap_remove((rng >> 32) as usize % held.len());
+                        a.release(&chains[c]).unwrap();
+                        b.release(&chains[c]).unwrap();
+                    }
+                    _ => {
+                        for _ in 0..(rng >> 40) % 4 {
+                            let victim = a.evict_lru();
+                            assert_eq!(victim, b.evict_lru(), "step {step}: victim");
+                            victims += usize::from(victim.is_some());
+                        }
+                    }
+                }
+                assert_eq!(a.charged_tokens(), b.charged_tokens(), "step {step}");
+                assert_eq!(
+                    a.reclaimable_blocks(),
+                    b.reclaimable_blocks(),
+                    "step {step}"
+                );
+                for other in &chains {
+                    assert_eq!(a.peek(other), b.peek(other), "step {step}: peek");
+                }
+            }
+            assert!(victims > 100, "{eviction:?}: the workload reclaims");
+            for c in held {
+                a.release(&chains[c]).unwrap();
+                b.release(&chains[c]).unwrap();
+            }
+            assert!(a.is_unreferenced() && b.is_unreferenced());
         }
     }
 }

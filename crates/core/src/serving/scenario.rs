@@ -49,7 +49,7 @@ use super::engine::{DecodePricing, ServingConfig, ServingSimulator, SimCore};
 use super::kv::KvLayout;
 use super::observer::{NoopObserver, SimEvent, SimObserver};
 use super::policy::{FcfsPolicy, SchedulerPolicy};
-use super::prefix::{CacheEviction, PrefixCachingConfig};
+use super::prefix::{CacheEviction, ChainTable, PrefixCachingConfig};
 use super::report::{FrontierPoint, SloClass};
 use super::telemetry::{Telemetry, TelemetryConfig};
 use super::traces::{RequestSpec, TraceConfig, TraceSource};
@@ -647,9 +647,11 @@ impl CompiledScenario<'_> {
     /// pre-pass walks the trace once in arrival order, so the plan — and
     /// every transfer-vs-recompute race — is identical across dispatch
     /// modes, cores, and parallelism.
-    fn coord(&self, trace: &[RequestSpec]) -> Option<CoordPlan> {
+    fn coord(&self, trace: &[RequestSpec], chains: &ChainTable) -> Option<CoordPlan> {
         match (self.global, self.sim.config.prefix) {
-            (Some((global, link)), Some(pc)) => Some(plan_global_tier(trace, pc, global, link)),
+            (Some((global, link)), Some(pc)) => {
+                Some(plan_global_tier(trace, chains, pc, global, link))
+            }
             _ => None,
         }
     }
@@ -662,9 +664,10 @@ impl CompiledScenario<'_> {
         parallel: bool,
         obs: &mut dyn SimObserver,
     ) -> Result<ClusterReport, OptimusError> {
-        let coord = self.coord(trace);
+        let chains = ChainTable::new(trace, self.sim.config.prefix);
+        let coord = self.coord(trace, &chains);
         let table = self.sim.cost_table(trace, parallel)?;
-        let ctx = self.sim.ctx(&table, coord.as_ref());
+        let ctx = self.sim.ctx(&table, &chains, coord.as_ref());
         Ok(match &self.layout {
             Layout::Mixed(cluster) => run_mixed(&ctx, *cluster, trace, parallel, obs),
             Layout::Disaggregated(link) => {
@@ -815,9 +818,10 @@ impl CompiledScenario<'_> {
                 validate_cluster(&cluster).map(|()| cluster)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let coord = self.coord(&self.trace);
+        let chains = ChainTable::new(&self.trace, self.sim.config.prefix);
+        let coord = self.coord(&self.trace, &chains);
         let table = self.sim.cost_table(&self.trace, parallel)?;
-        let ctx = self.sim.ctx(&table, coord.as_ref());
+        let ctx = self.sim.ctx(&table, &chains, coord.as_ref());
         let replay = |&cluster: &ClusterConfig| {
             run_mixed(&ctx, cluster, &self.trace, parallel, &mut NoopObserver)
         };

@@ -12,9 +12,9 @@
 
 use llm_workload::{ModelZoo, Parallelism};
 use optimus::serving::{
-    AdmissionControl, AutoscaleConfig, ControlPlane, DispatchMode, RequestSpec, RoutingPolicy,
-    Scenario, ServingReport, SharedPrefixTraceConfig, SimCore, SloClass, StrictPriorityPolicy,
-    Topology, TraceConfig, WeightedFairPolicy,
+    AdmissionControl, AutoscaleConfig, CacheEviction, ClusterReport, ControlPlane, DispatchMode,
+    RequestSpec, RoutingPolicy, Scenario, ServingReport, SharedPrefixTraceConfig, SimCore,
+    SloClass, StrictPriorityPolicy, Topology, TraceConfig, WeightedFairPolicy,
 };
 use optimus::{MultiBladeSystem, SpeedupStudy};
 
@@ -465,4 +465,79 @@ fn overflowing_token_sum_is_a_typed_error() {
         matches!(compiled, Err(optimus::OptimusError::Serving { .. })),
         "{compiled:?}"
     );
+}
+
+/// FNV-1a digest of a report's simulated output: every field but the
+/// `stretch` diagnostics, through `Debug`, which prints each float in
+/// shortest round-trip form (equal digests mean bit-equal floats).
+fn report_digest(report: &ClusterReport) -> u64 {
+    let mut simulated = report.clone();
+    simulated.stretch = Default::default();
+    format!("{simulated:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// A recorded trace may reuse one prefix id at two lengths: id 7 tags
+/// 40-token and 64-token prefixes, which share two 16-token blocks and
+/// then diverge (a partial tail against two more full blocks). Prefix
+/// chains are keyed by id *and* length, so both shapes replay as they
+/// always did under cache-aware routing, central dispatch and the
+/// disaggregated prefill tier, each with the global tier and blade
+/// caches small enough to evict.
+#[test]
+fn prefix_id_reused_at_two_lengths_keeps_its_pins() {
+    let system = MultiBladeSystem::new(4).unwrap();
+    let model = ModelZoo::llama2_7b();
+    let par = Parallelism::new(1, 1, 1).unwrap();
+    let requests: Vec<RequestSpec> = (0..48u32)
+        .map(|i| {
+            let r = RequestSpec::new(
+                i,
+                f64::from(i) * 0.004,
+                72 + (i * 13) % 40,
+                8 + (i * 7) % 24,
+            );
+            match i % 6 {
+                0 | 3 => r.with_prefix(7, 40),
+                1 | 4 => r.with_prefix(7, 64),
+                2 => r.with_prefix(9, 48),
+                _ => r,
+            }
+        })
+        .collect();
+    let base = || {
+        Scenario::new(&system)
+            .model(&model)
+            .parallelism(&par)
+            .max_batch(4)
+            .kv_capacity_bytes(200.0 * 524_288.0)
+            .prefix_caching(16)
+            .cache_eviction(CacheEviction::Lfu)
+            .global_kv_cache(96)
+            .requests(requests.clone())
+    };
+    let pins = [
+        ("cache-aware", 0xeaf5_63a9_35b9_c178u64),
+        ("central", 0xca04_e3a5_4979_8f0d),
+        ("disaggregated", 0x93d2_8807_24c2_ad34),
+    ];
+    for core in [SimCore::EventDriven, SimCore::PerStep] {
+        let runs = [
+            base().routing(RoutingPolicy::CacheAware),
+            base().dispatch(DispatchMode::Central),
+            base().topology(Topology::disaggregated(2, 2)),
+        ];
+        for (scenario, (name, want)) in runs.into_iter().zip(pins) {
+            let r = scenario.core(core).compile().unwrap().run().unwrap();
+            assert_eq!(r.report.completed, 48, "{name}/{core:?}");
+            let got = report_digest(&r);
+            assert_eq!(
+                got, want,
+                "{name}/{core:?}: report digest drifted ({got:#018x} vs {want:#018x})"
+            );
+        }
+    }
 }
