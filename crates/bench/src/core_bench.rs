@@ -400,26 +400,6 @@ fn row_json(r: &CoreBenchRow) -> String {
     obj
 }
 
-/// Serializes one study run to the legacy single-snapshot
-/// `BENCH_serving_core.json` schema:
-/// `{study, git_rev, rows: [{scenario, requests, wall_ms, req_per_s}]}`.
-/// Kept as the writer for the fallback format [`parse_trajectory_json`]
-/// still accepts; new baselines are written by [`append_snapshot`].
-#[must_use]
-pub fn to_bench_json(rows: &[CoreBenchRow], git_rev: &str) -> String {
-    let mut out = String::from("{\n  \"study\": \"serving_core_scaling\",\n");
-    out.push_str(&format!("  \"git_rev\": \"{git_rev}\",\n  \"rows\": [\n"));
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {}{}\n",
-            row_json(r),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Serializes a trajectory to the multi-snapshot
 /// `BENCH_serving_core.json` schema:
 /// `{study, trajectory: [{git_rev, rows: [...]}, ...]}`, oldest first.
@@ -499,7 +479,8 @@ impl std::error::Error for BenchParseError {}
 
 /// Parses a trajectory baseline, accepting both the multi-snapshot
 /// schema of [`to_trajectory_json`] and the legacy single-snapshot
-/// schema of [`to_bench_json`] (which yields a one-entry trajectory).
+/// schema `{study, git_rev, rows: [...]}` (which yields a one-entry
+/// trajectory).
 ///
 /// Snapshots may carry different row sets: the measured scenario/size
 /// matrix has grown over the repo's history (per-step points stop at
@@ -567,9 +548,9 @@ pub fn append_snapshot(
     to_trajectory_json(&trajectory)
 }
 
-/// Parses rows back out of [`to_bench_json`] output (or any JSON that
-/// keeps each row object on one line with the same four keys),
-/// reporting the first broken row as a typed error.
+/// Parses the rows of one snapshot (any JSON that keeps each row object
+/// on one line with the same four keys, plus the optional profile
+/// block), reporting the first broken row as a typed error.
 fn try_parse_bench_rows(json: &str, git_rev: &str) -> Result<Vec<CoreBenchRow>, BenchParseError> {
     fn str_field(obj: &str, key: &str) -> Option<String> {
         let tail = &obj[obj.find(&format!("\"{key}\""))? + key.len() + 2..];
@@ -628,50 +609,12 @@ fn try_parse_bench_rows(json: &str, git_rev: &str) -> Result<Vec<CoreBenchRow>, 
     }
 }
 
-/// Parses the rows of a standalone single-snapshot document, with any
-/// parse error collapsed to `None` — the legacy entry point
-/// ([`try_parse_trajectory_json`] reports *which* field broke).
-#[must_use]
-pub fn parse_bench_json(json: &str) -> Option<Vec<CoreBenchRow>> {
-    try_parse_bench_rows(json, "unknown").ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn bench_json_round_trips() {
-        let rows = vec![
-            CoreBenchRow {
-                scenario: "event".to_owned(),
-                requests: 10_000,
-                wall_ms: 12.5,
-                req_per_s: 800_000.0,
-                profile: None,
-            },
-            CoreBenchRow {
-                scenario: "per_step".to_owned(),
-                requests: 10_000,
-                wall_ms: 125.0,
-                req_per_s: 80_000.0,
-                profile: None,
-            },
-        ];
-        let json = to_bench_json(&rows, "deadbeef");
-        assert!(json.contains("\"git_rev\": \"deadbeef\""));
-        let parsed = parse_bench_json(&json).expect("round-trip parse");
-        assert_eq!(parsed, rows);
-    }
-
-    #[test]
     fn parse_rejects_malformed_baselines() {
-        assert_eq!(parse_bench_json(""), None);
-        assert_eq!(parse_bench_json("{\"study\": \"x\"}"), None);
-        assert_eq!(
-            parse_bench_json("{\"rows\": [{\"scenario\": \"event\"}]}"),
-            None
-        );
         assert_eq!(parse_trajectory_json(""), None);
         assert_eq!(parse_trajectory_json("{\"study\": \"x\"}"), None);
     }
@@ -797,13 +740,15 @@ mod tests {
 
     #[test]
     fn legacy_single_snapshot_baselines_still_parse() {
-        let legacy = to_bench_json(&sample_rows(5e5), "cafe");
-        let parsed = parse_trajectory_json(&legacy).expect("legacy parse");
+        let legacy = "{\n  \"study\": \"serving_core_scaling\",\n  \"git_rev\": \"cafe\",\n  \
+             \"rows\": [\n    {\"scenario\": \"event\", \"requests\": 10000, \
+             \"wall_ms\": 10.000, \"req_per_s\": 500000.0}\n  ]\n}\n";
+        let parsed = parse_trajectory_json(legacy).expect("legacy parse");
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].git_rev, "cafe");
         assert_eq!(parsed[0].rows, sample_rows(5e5));
         // Appending to a legacy baseline preserves it as entry zero.
-        let grown = append_snapshot(Some(&legacy), sample_rows(6e5), "f00d");
+        let grown = append_snapshot(Some(legacy), sample_rows(6e5), "f00d");
         let parsed = parse_trajectory_json(&grown).expect("grown parse");
         assert_eq!(
             parsed

@@ -16,11 +16,9 @@
 //! The report carries the merged tail percentiles plus per-blade load and
 //! the utilization skew that separates good routing from bad.
 
-use super::control::{AutoscaleConfig, ControlState, ScaleState};
+use super::control::{AutoscaleConfig, ScaleState};
 use super::coord::{ResidencyModel, CACHE_AWARE_MAX_IMBALANCE};
-use super::engine::{
-    arrival_queue, finalize, BladeState, EngineCtx, Outcome, ReplayTotals, SimCore,
-};
+use super::engine::{arrival_queue, finalize, BladeState, EngineCtx, Outcome, SimCore};
 use super::events::{
     leapfrog_decode, round_order, DecodeStretch, Deque, Discipline, Exhaustive, Fcfs, KeyedQueue,
     Leapfrog, LeapfrogMember, Pool, Resort, RoundKey, StretchHorizon,
@@ -170,13 +168,10 @@ impl HandoffLink {
     }
 
     /// Derives the link from a system fabric's slowest (blade-to-blade)
-    /// tier.
+    /// tier: the one a group larger than every tier's bound falls to.
     #[must_use]
     pub fn from_fabric(fabric: &Fabric) -> Self {
-        let tier = fabric
-            .tiers()
-            .last()
-            .expect("a fabric has at least one tier");
+        let tier = fabric.tier_for(usize::MAX);
         Self {
             bytes_per_s: tier.link_bandwidth.bytes_per_s(),
             latency_s: tier.per_hop_latency.seconds(),
@@ -298,8 +293,9 @@ pub struct BladeLoad {
     /// The blade's role in the topology ([`BladeRole::Mixed`] for the
     /// classic interchangeable-blade cluster).
     pub role: BladeRole,
-    /// Requests completed on this blade (0 for dedicated prefill blades,
-    /// which hand every sequence off before its first token).
+    /// Requests served on this blade: completed, or shed by its
+    /// admission gate (0 for dedicated prefill blades, which hand every
+    /// sequence off before its first token).
     pub requests: u32,
     /// Time the blade spent stepping (prefill + decode), s.
     pub busy_s: f64,
@@ -495,15 +491,15 @@ fn first_min<K: Ord>(n: usize, key: impl Fn(usize) -> K) -> usize {
 /// and `obs` — only honored on the serial path, where blades run in
 /// index order — never perturbs the result). Each blade runs its own
 /// shedding gate over its own sub-queue (a per-blade front end sees
-/// only its own strict-class completions); the disjoint shed sets are
-/// merged for the report.
+/// only its own strict-class completions); each request's outcome comes
+/// from the blade it was routed to.
 fn run_per_blade(
     ctx: &EngineCtx<'_>,
     cluster: ClusterConfig,
     trace: &[RequestSpec],
     parallel: bool,
     obs: &mut dyn SimObserver,
-) -> (Vec<BladeState>, Vec<Outcome>, Option<ControlState>) {
+) -> (Vec<BladeState>, Vec<Outcome>) {
     let blades = cluster.blades as usize;
     let assignment = route(ctx, cluster, trace);
     let arrival_order: Vec<usize> = arrival_queue(trace).into();
@@ -519,21 +515,16 @@ fn run_per_blade(
     let drive_one = |b: usize,
                      queue: VecDeque<usize>,
                      obs: &mut dyn SimObserver|
-     -> (BladeState, Vec<Outcome>, Option<ControlState>) {
+     -> (BladeState, Vec<Outcome>) {
         let mut outcomes = vec![Outcome::default(); trace.len()];
         if queue.is_empty() {
-            return (
-                BladeState::new(b as u32, 0.0, ctx.config.prefix),
-                outcomes,
-                None,
-            );
+            return (BladeState::new(b as u32, 0.0, ctx.config.prefix), outcomes);
         }
-        let mut ctl = ctx.control_state(trace.len());
-        let state = ctx.drive_blade(b as u32, trace, queue, &mut outcomes, ctl.as_mut(), obs);
-        (state, outcomes, ctl)
+        let state = ctx.drive_blade(b as u32, trace, queue, &mut outcomes, obs);
+        (state, outcomes)
     };
     let indexed: Vec<(usize, VecDeque<usize>)> = queues.into_iter().enumerate().collect();
-    let per_blade: Vec<(BladeState, Vec<Outcome>, Option<ControlState>)> = if parallel {
+    let per_blade: Vec<(BladeState, Vec<Outcome>)> = if parallel {
         indexed
             .into_par_iter()
             .map(|(b, queue)| drive_one(b, queue, &mut NoopObserver))
@@ -546,22 +537,15 @@ fn run_per_blade(
     };
     let mut outcomes = vec![Outcome::default(); trace.len()];
     let mut states = Vec::with_capacity(blades);
-    let mut merged: Option<ControlState> = None;
-    for (b, (state, blade_outcomes, ctl)) in per_blade.into_iter().enumerate() {
+    for (b, (state, blade_outcomes)) in per_blade.into_iter().enumerate() {
         for (i, o) in blade_outcomes.into_iter().enumerate() {
             if assignment[i] as usize == b {
                 outcomes[i] = o;
             }
         }
-        if let Some(c) = ctl {
-            match merged.as_mut() {
-                Some(m) => m.absorb(&c),
-                None => merged = Some(c),
-            }
-        }
         states.push(state);
     }
-    (states, outcomes, merged)
+    (states, outcomes)
 }
 
 /// Central dispatch: one shared queue, blades coupled through it. The
@@ -586,9 +570,9 @@ fn run_central_dispatch<D: Discipline>(
     mut pool: Pool<D>,
     mut scale: Option<&mut ScaleState>,
     obs: &mut dyn SimObserver,
-) -> (Vec<BladeState>, Vec<Outcome>, Option<ControlState>) {
+) -> (Vec<BladeState>, Vec<Outcome>) {
     let blades = cluster.blades as usize;
-    let mut ctl = ctx.control_state(trace.len());
+    let mut ctl = ctx.control_state();
     let mut outcomes = vec![Outcome::default(); trace.len()];
     let mut states: Vec<BladeState> = (0..blades)
         .map(|b| BladeState::new(b as u32, 0.0, ctx.config.prefix))
@@ -622,7 +606,6 @@ fn run_central_dispatch<D: Discipline>(
             blade,
             &mut outcomes,
             Some(&mut victims),
-            None,
             ctl.as_mut(),
             obs,
         );
@@ -659,7 +642,7 @@ fn run_central_dispatch<D: Discipline>(
             };
         }
     }
-    (states, outcomes, ctl)
+    (states, outcomes)
 }
 
 /// One end-of-round autoscaler evaluation of the central-dispatch loop:
@@ -887,32 +870,20 @@ fn earlier(a: Option<RoundKey>, b: Option<RoundKey>) -> Option<RoundKey> {
     a.into_iter().chain(b).min_by(round_order)
 }
 
-/// Merges per-blade states and outcomes into the cluster report
-/// (shared by the classic loops and the disaggregated one).
+/// Scores the outcomes and merges per-blade states into the cluster
+/// report (shared by the classic loops and the disaggregated one).
 fn assemble(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
     states: &[BladeState],
     outcomes: &[Outcome],
     roles: &[BladeRole],
-    ctl: Option<&ControlState>,
     scale: Option<&ScaleState>,
 ) -> ClusterReport {
     // Every sequence has left its blade: a leaked reference shows here.
     let mut caches = states.iter().filter_map(|s| s.cache.as_ref());
     debug_assert!(caches.all(PrefixCache::is_unreferenced));
-    let mut totals = ReplayTotals::default();
-    for blade in states {
-        totals.absorb(blade);
-    }
-    let report = finalize(
-        ctx.classes,
-        ctx.kv_bytes_per_token,
-        trace,
-        outcomes,
-        &totals,
-        ctl,
-    );
+    let report = finalize(ctx.classes, ctx.kv_bytes_per_token, trace, outcomes, states);
     let per_blade: Vec<BladeLoad> = states
         .iter()
         .enumerate()
@@ -977,7 +948,7 @@ pub(crate) fn run_mixed(
     obs: &mut dyn SimObserver,
 ) -> ClusterReport {
     let mut scale = cluster.autoscale.map(ScaleState::new);
-    let (states, outcomes, ctl) = match cluster.dispatch {
+    let (states, outcomes) = match cluster.dispatch {
         DispatchMode::PerBlade => run_per_blade(ctx, cluster, trace, parallel, obs),
         DispatchMode::Central => {
             let order = arrival_queue(trace);
@@ -1007,15 +978,7 @@ pub(crate) fn run_mixed(
         }
     };
     let roles = vec![BladeRole::Mixed; cluster.blades as usize];
-    assemble(
-        ctx,
-        trace,
-        &states,
-        &outcomes,
-        &roles,
-        ctl.as_ref(),
-        scale.as_ref(),
-    )
+    assemble(ctx, trace, &states, &outcomes, &roles, scale.as_ref())
 }
 
 /// The disaggregated (DistServe-style) replay: dedicated prefill blades
@@ -1075,7 +1038,6 @@ fn disaggregated<const E: bool, const R: bool>(
     // prefilled sequences, eviction + re-stream for preempted ones.
     let mut pool = Pool::handoff(trace, new(VecDeque::new()));
     let mut outcomes = vec![Outcome::default(); trace.len()];
-    let mut prefilled = vec![false; trace.len()];
     let mut victims: Vec<usize> = Vec::new();
     let mut lf = Leapfrog::new(roles.len());
     let stream_s =
@@ -1104,7 +1066,7 @@ fn disaggregated<const E: bool, const R: bool>(
                 prefill_round(ctx, trace, idx, blade, &mut outcomes[idx], obs);
                 let transfer = stream_s(idx);
                 pool.ready[idx] = blade.clock + transfer;
-                prefilled[idx] = true;
+                outcomes[idx].streamed = true;
                 let kind = EventKind::Handoff {
                     request: trace[idx],
                     transfer_s: transfer,
@@ -1125,7 +1087,6 @@ fn disaggregated<const E: bool, const R: bool>(
                     blade,
                     &mut outcomes,
                     Some(&mut victims),
-                    Some(&prefilled),
                     None,
                     obs,
                 );
@@ -1157,7 +1118,7 @@ fn disaggregated<const E: bool, const R: bool>(
             }
         }
     }
-    assemble(ctx, trace, &states, &outcomes, roles, None, None)
+    assemble(ctx, trace, &states, &outcomes, roles, None)
 }
 
 /// One prefill-tier round on `blade` for `trace[idx]`: a whole-prompt

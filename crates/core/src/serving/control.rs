@@ -267,39 +267,28 @@ impl ControlPlane {
 }
 
 /// Runtime state of one shedding gate: the sliding strict-class
-/// attainment window, the hysteresis latch, and the per-request shed
-/// flags the report is assembled from. Carries the strict class's SLO
-/// targets so the engine can feed it the same raw `(t_first, t_rest)`
-/// pair the final report is scored on — the online predicate and
-/// [`finalize`](super::engine)'s are bit-identical by construction.
+/// attainment window and the hysteresis latch. It holds no per-request
+/// record; which requests were shed lives in the replay's outcomes. The
+/// window is scored with the strict class's own
+/// [`SloClass::met`], the predicate the report applies, so the online
+/// verdict and the report's agree by construction.
 #[derive(Debug, Clone)]
 pub(crate) struct ControlState {
     cfg: AdmissionControl,
-    ttft_slo_s: f64,
-    tpot_slo_s: f64,
+    strict: SloClass,
     shedding: bool,
     recent: VecDeque<bool>,
     met: u32,
-    shed: Vec<bool>,
-    shed_count: u64,
 }
 
 impl ControlState {
-    pub(crate) fn new(
-        cfg: AdmissionControl,
-        requests: usize,
-        ttft_slo_s: f64,
-        tpot_slo_s: f64,
-    ) -> Self {
+    pub(crate) fn new(cfg: AdmissionControl, strict: SloClass) -> Self {
         Self {
             cfg,
-            ttft_slo_s,
-            tpot_slo_s,
+            strict,
             shedding: false,
             recent: VecDeque::with_capacity(cfg.window as usize + 1),
             met: 0,
-            shed: vec![false; requests],
-            shed_count: 0,
         }
     }
 
@@ -314,22 +303,10 @@ impl ControlState {
         self.shedding && class != self.cfg.strict_class
     }
 
-    /// Records that the queue member `idx` (of class `class`) was shed.
-    pub(crate) fn mark_shed(&mut self, idx: usize, class: u32) {
-        debug_assert!(
-            class != self.cfg.strict_class,
-            "never shed the strict class"
-        );
-        debug_assert!(!self.shed[idx], "request shed twice");
-        let _ = class;
-        self.shed[idx] = true;
-        self.shed_count += 1;
-    }
-
     /// Feeds one strict-class completion (its TTFT and per-token time)
     /// into the sliding window and moves the hysteresis latch.
-    pub(crate) fn observe_strict(&mut self, t_first: f64, t_rest: f64) {
-        let met_slo = t_first <= self.ttft_slo_s && t_rest <= self.tpot_slo_s;
+    pub(crate) fn observe_strict(&mut self, ttft: f64, tpot: f64) {
+        let met_slo = self.strict.met(ttft, tpot);
         self.recent.push_back(met_slo);
         if met_slo {
             self.met += 1;
@@ -348,24 +325,6 @@ impl ControlState {
         } else if attainment < self.cfg.floor {
             self.shedding = true;
         }
-    }
-
-    pub(crate) fn is_shed(&self, idx: usize) -> bool {
-        self.shed[idx]
-    }
-
-    pub(crate) fn shed_count(&self) -> u64 {
-        self.shed_count
-    }
-
-    /// Merges another gate's shed flags into this one (per-blade
-    /// dispatch runs one gate per blade over disjoint request subsets).
-    pub(crate) fn absorb(&mut self, other: &ControlState) {
-        for (mine, theirs) in self.shed.iter_mut().zip(&other.shed) {
-            debug_assert!(!(*mine && *theirs), "blades shed disjoint requests");
-            *mine |= *theirs;
-        }
-        self.shed_count += other.shed_count;
     }
 }
 
@@ -482,8 +441,7 @@ mod tests {
             .with_resume_margin(0.25)
             .with_window(4, 2);
         cfg.validate(&two_classes()).unwrap();
-        // Targets: TTFT 1.0 s, TPOT 0.1 s.
-        let mut st = ControlState::new(cfg, 8, 1.0, 0.1);
+        let mut st = ControlState::new(cfg, SloClass::new("strict", 1.0, 0.1));
         assert_eq!(st.strict_class(), 0);
         let (hit, miss) = ((0.5, 0.05), (2.0, 0.05));
         // Too few observations: one miss cannot trip the gate.
@@ -503,21 +461,6 @@ mod tests {
         // Window slides: the two early misses age out entirely.
         st.observe_strict(hit.0, hit.1);
         assert!(!st.should_shed(1));
-        st.mark_shed(3, 1);
-        assert!(st.is_shed(3) && !st.is_shed(2));
-        assert_eq!(st.shed_count(), 1);
-    }
-
-    #[test]
-    fn control_state_absorb_merges_disjoint_sheds() {
-        let cfg = AdmissionControl::new(0, 0.5);
-        let mut a = ControlState::new(cfg, 4, 1.0, 0.1);
-        let mut b = ControlState::new(cfg, 4, 1.0, 0.1);
-        a.mark_shed(0, 1);
-        b.mark_shed(3, 1);
-        a.absorb(&b);
-        assert!(a.is_shed(0) && a.is_shed(3) && !a.is_shed(1));
-        assert_eq!(a.shed_count(), 2);
     }
 
     #[test]

@@ -286,13 +286,44 @@ impl RunningSeq {
     }
 }
 
-/// Per-request replay outcome (first token + completion instants, plus
-/// prefill work avoided by prefix-cache hits, summed across attempts).
+/// Where a request stands in a replay. Written only on transitions.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) enum Fate {
+    /// Queued or running, no token emitted yet.
+    #[default]
+    Waiting,
+    /// First token emitted at this instant (s); it survives preemption.
+    FirstToken(f64),
+    /// First and last token instants (s).
+    Completed(f64, f64),
+    /// Dropped by the admission-control gate; it never ran.
+    Shed,
+}
+
+/// The replay's one per-request ledger: the request's fate, whether its
+/// KV was streamed in from a prefill blade (disaggregated replays only),
+/// and the prefill work prefix-cache hits avoided, summed across
+/// attempts.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Outcome {
-    pub(crate) first_token_s: Option<f64>,
-    pub(crate) completion_s: Option<f64>,
+    pub(crate) fate: Fate,
+    pub(crate) streamed: bool,
     pub(crate) prefix_saved_tokens: u64,
+}
+
+impl Outcome {
+    /// The instant of the request's first token, recording `at` as that
+    /// instant if none was emitted before.
+    fn first_token(&mut self, at: f64) -> f64 {
+        match self.fate {
+            Fate::FirstToken(first) => first,
+            _ => {
+                debug_assert_eq!(self.fate, Fate::Waiting, "a served request emits again");
+                self.fate = Fate::FirstToken(at);
+                at
+            }
+        }
+    }
 }
 
 /// Mutable per-blade replay state: the running batch, the blade clock and
@@ -427,15 +458,13 @@ impl EngineCtx<'_> {
         tokens_charged as f64 * self.kv_bytes_per_token
     }
 
-    /// Fresh admission-control gate state for a `requests`-long trace, or
-    /// `None` when no gate is configured (the replay then takes no
-    /// control-plane branch anywhere). The gate watches the strict
-    /// class's own TTFT/TPOT targets.
-    pub(crate) fn control_state(&self, requests: usize) -> Option<ControlState> {
-        self.config.admission.map(|ac| {
-            let strict = &self.classes[ac.strict_class as usize];
-            ControlState::new(ac, requests, strict.ttft_slo_s, strict.tpot_slo_s)
-        })
+    /// Fresh admission-control gate state, or `None` when no gate is
+    /// configured (the replay then takes no control-plane branch
+    /// anywhere). The gate watches the strict class's own targets.
+    pub(crate) fn control_state(&self) -> Option<ControlState> {
+        self.config
+            .admission
+            .map(|ac| ControlState::new(ac, self.classes[ac.strict_class as usize].clone()))
     }
 
     /// Charged-token footprint of `r`'s *private* KV including this
@@ -566,9 +595,9 @@ impl EngineCtx<'_> {
 
     /// Drops the references sequence `r` holds on its prefix chain (it
     /// committed a lease on them at admission) when it leaves the blade.
-    /// Streamed (handed-off) sequences never touched the cache.
-    fn release_chain(&self, r: &RunningSeq, prefilled: Option<&[bool]>, blade: &mut BladeState) {
-        if prefilled.is_some_and(|p| p[r.idx]) {
+    /// `streamed` (handed-off) sequences never touched the cache.
+    fn release_chain(&self, r: &RunningSeq, streamed: bool, blade: &mut BladeState) {
+        if streamed {
             return;
         }
         if let (Some(cache), Some(chain)) = (blade.cache.as_mut(), self.chains.get(r.idx)) {
@@ -586,11 +615,12 @@ impl EngineCtx<'_> {
     /// eviction instant for preempted ones (a shared queue tracks this so
     /// a victim cannot restart on another blade before it was evicted;
     /// single-blade queues report plain arrivals — one clock can't
-    /// violate causality). `evicted`, when given, collects the trace indices preempted this
-    /// step so the caller can stamp their re-entry time. `prefilled`,
-    /// when given, marks requests whose KV already exists (streamed from
-    /// a prefill blade): they enter the decode batch at full prompt
-    /// length with no prefill cost. `ctl`, when given, is the
+    /// violate causality). `outcomes` is the ledger the step writes fates
+    /// to; a request it marks [`Outcome::streamed`] already has its KV
+    /// (streamed from a prefill blade) and enters the decode batch at
+    /// full prompt length with no prefill cost. `evicted`, when given,
+    /// collects the trace indices preempted this step so the caller can
+    /// stamp their re-entry time. `ctl`, when given, is the
     /// admission-control gate: best-effort requests are shed at the
     /// instant they would otherwise be admitted, and strict-class
     /// completions feed the gate's attainment window (shed requests count
@@ -605,7 +635,6 @@ impl EngineCtx<'_> {
         blade: &mut BladeState,
         outcomes: &mut [Outcome],
         mut evicted: Option<&mut Vec<usize>>,
-        prefilled: Option<&[bool]>,
         mut ctl: Option<&mut ControlState>,
         obs: &mut dyn SimObserver,
     ) -> u32 {
@@ -631,18 +660,18 @@ impl EngineCtx<'_> {
                 // the ready/batch-space gates, before the KV check. Both
                 // cores reach this point at the same blade clock with the
                 // same gate state, so the decision is bit-identical.
-                if let Some(c) = ctl.as_deref_mut() {
-                    let class = trace[idx].class;
-                    if c.should_shed(class) {
-                        c.mark_shed(idx, class);
-                        let request = trace[idx];
-                        obs.emit(blade.id, blade.clock, EventKind::Shed { request });
-                        queue.pop();
-                        sheds += 1;
-                        continue;
-                    }
+                if ctl
+                    .as_deref()
+                    .is_some_and(|c| c.should_shed(trace[idx].class))
+                {
+                    outcomes[idx].fate = Fate::Shed;
+                    let request = trace[idx];
+                    obs.emit(blade.id, blade.clock, EventKind::Shed { request });
+                    queue.pop();
+                    sheds += 1;
+                    continue;
                 }
-                let streamed = prefilled.is_some_and(|p| p[idx]);
+                let streamed = outcomes[idx].streamed;
                 let Some(adm) = self.try_admit(trace, idx, streamed, &mut projected, blade, obs)
                 else {
                     break;
@@ -657,7 +686,7 @@ impl EngineCtx<'_> {
             obs.emit(blade.id, blade.clock, EventKind::Admission { request: *r });
             let prompt = r.prompt_tokens;
             let mut skip = skip;
-            let streamed = prefilled.is_some_and(|p| p[idx]);
+            let streamed = outcomes[idx].streamed;
             if cfg.prefix.is_some() && r.prefix.is_some() && !streamed {
                 obs.emit(blade.id, blade.clock, EventKind::prefix_lookup(*r, skip));
                 outcomes[idx].prefix_saved_tokens += u64::from(skip);
@@ -734,7 +763,7 @@ impl EngineCtx<'_> {
                 wasted_tokens: victim.produced,
             };
             obs.emit(blade.id, blade.clock, kind);
-            self.release_chain(&victim, prefilled, blade);
+            self.release_chain(&victim, outcomes[victim.idx].streamed, blade);
             if let Some(out) = evicted.as_deref_mut() {
                 out.push(victim.idx);
             }
@@ -868,30 +897,26 @@ impl EngineCtx<'_> {
             r.produced += 1;
             r.kv_len += 1;
             let out = &mut outcomes[r.idx];
-            let first = *out.first_token_s.get_or_insert(blade.clock);
-            if r.produced >= trace[r.idx].output_tokens {
-                out.completion_s = Some(blade.clock);
+            let first = out.first_token(blade.clock);
+            let spec = &trace[r.idx];
+            if r.produced >= spec.output_tokens {
+                out.fate = Fate::Completed(first, blade.clock);
                 let kind = EventKind::Completion {
-                    request: trace[r.idx],
+                    request: *spec,
                     first_token_s: first,
                 };
                 obs.emit(blade.id, blade.clock, kind);
                 // Strict-class completions feed the shedding gate's
-                // attainment window with the exact TTFT/TPOT arithmetic
-                // `finalize` will apply, so the gate's verdict agrees
-                // with the report's.
+                // attainment window, scored as `finalize` scores them.
                 if let Some(c) = ctl.as_deref_mut() {
-                    let spec = &trace[r.idx];
                     if spec.class == c.strict_class() {
-                        let t_first = first - spec.arrival_s;
-                        let t_rest =
-                            (blade.clock - first) / f64::from((spec.output_tokens - 1).max(1));
-                        c.observe_strict(t_first, t_rest);
+                        let (ttft, tpot) = spec.slo_times(first, blade.clock);
+                        c.observe_strict(ttft, tpot);
                     }
                 }
                 // The finisher's shared blocks stay resident (warm for
                 // the next arrival) but lose its references.
-                self.release_chain(&r, prefilled, blade);
+                self.release_chain(&r, out.streamed, blade);
                 completions += 1;
             } else {
                 still_running.push(r);
@@ -904,7 +929,8 @@ impl EngineCtx<'_> {
     }
 
     /// Drives blade `blade_id` until every request in `queue` (arrival
-    /// ordered) has completed or been shed. `outcomes` spans the whole
+    /// ordered) has completed or been shed, behind the blade's own
+    /// shedding gate when one is configured. `outcomes` spans the whole
     /// trace; only the queued indices are written. Picks the queue
     /// discipline for the configured [`SimCore`] and the policy's
     /// ordering contract.
@@ -914,7 +940,6 @@ impl EngineCtx<'_> {
         trace: &[RequestSpec],
         queue: VecDeque<usize>,
         outcomes: &mut [Outcome],
-        ctl: Option<&mut ControlState>,
         obs: &mut dyn SimObserver,
     ) -> BladeState {
         let first_arrival = queue
@@ -924,17 +949,17 @@ impl EngineCtx<'_> {
         let blade = BladeState::new(blade_id, first_arrival, self.config.prefix);
         match (self.config.core, self.policy.ordering()) {
             (SimCore::PerStep, _) => {
-                self.drive_queue(trace, Exhaustive::new(queue), blade, outcomes, ctl, obs)
+                self.drive_queue(trace, Exhaustive::new(queue), blade, outcomes, obs)
             }
             (SimCore::EventDriven, OrderingContract::Fcfs) => {
-                self.drive_queue(trace, Fcfs::new(queue), blade, outcomes, ctl, obs)
+                self.drive_queue(trace, Fcfs::new(queue), blade, outcomes, obs)
             }
             (SimCore::EventDriven, OrderingContract::StaticKey | OrderingContract::TraceRank) => {
                 let queue = KeyedQueue::new(self.policy, trace, queue);
-                self.drive_queue(trace, queue, blade, outcomes, ctl, obs)
+                self.drive_queue(trace, queue, blade, outcomes, obs)
             }
             (SimCore::EventDriven, OrderingContract::ClockDependent) => {
-                self.drive_queue(trace, Resort::new(queue), blade, outcomes, ctl, obs)
+                self.drive_queue(trace, Resort::new(queue), blade, outcomes, obs)
             }
         }
     }
@@ -950,9 +975,9 @@ impl EngineCtx<'_> {
         mut queue: D,
         mut blade: BladeState,
         outcomes: &mut [Outcome],
-        mut ctl: Option<&mut ControlState>,
         obs: &mut dyn SimObserver,
     ) -> BladeState {
+        let mut ctl = self.control_state();
         while !queue.is_empty() || !blade.running.is_empty() {
             if blade.running.is_empty() {
                 if let Some(next) = queue.idle_target(trace) {
@@ -966,8 +991,7 @@ impl EngineCtx<'_> {
                 &mut blade,
                 outcomes,
                 None,
-                None,
-                ctl.as_deref_mut(),
+                ctl.as_mut(),
                 obs,
             );
             if D::EXHAUSTIVE {
@@ -1024,75 +1048,28 @@ impl EngineCtx<'_> {
     }
 }
 
-/// Summed replay totals used to assemble a [`ServingReport`] (one blade's
-/// counters, or several blades' merged).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ReplayTotals {
-    pub(crate) evictions: u32,
-    pub(crate) wasted_tokens: u64,
-    pub(crate) decode_time_s: f64,
-    pub(crate) decode_iterations: u64,
-    pub(crate) batch_time_weighted: f64,
-    pub(crate) max_step_s: f64,
-    pub(crate) kv_peak_tokens: u64,
-    pub(crate) frag_peak_tokens: u64,
-    pub(crate) prefix_hits: u64,
-    pub(crate) prefix_misses: u64,
-    pub(crate) cow_copies: u64,
-    pub(crate) cache_evictions: u64,
-    pub(crate) shared_peak_tokens: u64,
-    pub(crate) remote_hits: u64,
-    pub(crate) remote_streams: u64,
-    pub(crate) remote_streamed_tokens: u64,
-    pub(crate) remote_recomputes: u64,
-}
-
-impl ReplayTotals {
-    pub(crate) fn absorb(&mut self, blade: &BladeState) {
-        self.evictions += blade.evictions;
-        self.wasted_tokens += blade.wasted_tokens;
-        self.decode_time_s += blade.decode_time_s;
-        self.decode_iterations += blade.decode_iterations;
-        self.batch_time_weighted += blade.batch_time_weighted;
-        self.max_step_s = self.max_step_s.max(blade.max_step_s);
-        self.kv_peak_tokens = self.kv_peak_tokens.max(blade.kv_peak_tokens);
-        self.frag_peak_tokens = self.frag_peak_tokens.max(blade.frag_peak_tokens);
-        self.prefix_hits += blade.prefix_hits;
-        self.prefix_misses += blade.prefix_misses;
-        self.cow_copies += blade.cow_copies;
-        self.cache_evictions += blade.cache_evictions;
-        // KV (and its shared pool) is per-blade memory: the cluster-wide
-        // peak is the worst single blade, mirroring `kv_peak_tokens`.
-        self.shared_peak_tokens = self.shared_peak_tokens.max(blade.shared_peak_tokens);
-        self.remote_hits += blade.remote_hits;
-        self.remote_streams += blade.remote_streams;
-        self.remote_streamed_tokens += blade.remote_streamed_tokens;
-        self.remote_recomputes += blade.remote_recomputes;
-    }
-}
-
-/// Assembles the population metrics once every outcome is filled. Each
-/// request is held to its own SLO class's targets (`classes[r.class]`);
-/// the single-default-class case reproduces the global-pair accounting
-/// bit-for-bit. `ctl`, when given, marks the requests the shedding gate
-/// dropped: they have no outcome, count as SLO misses in their class's
-/// attainment, and contribute nothing to throughput or the latency
-/// populations.
+/// Scores the ledger into the population metrics, folding the blades'
+/// counters in blade order. Each request is held to its own SLO class's
+/// targets (`classes[r.class]`); the single-default-class case
+/// reproduces the global-pair accounting bit-for-bit. Shed requests
+/// count as SLO misses in their class's attainment and contribute
+/// nothing to throughput or the latency populations. The replay loops
+/// stop only once every request is completed or shed, so no outcome is
+/// still open here.
 pub(crate) fn finalize(
     classes: &[SloClass],
     kv_bytes_per_token: f64,
     trace: &[RequestSpec],
     outcomes: &[Outcome],
-    totals: &ReplayTotals,
-    ctl: Option<&ControlState>,
+    blades: &[BladeState],
 ) -> ServingReport {
-    let was_shed = |idx: usize| ctl.is_some_and(|c| c.is_shed(idx));
     let first_arrival = trace.iter().map(|r| r.arrival_s).fold(f64::MAX, f64::min);
     let last_completion = outcomes
         .iter()
-        .enumerate()
-        .filter(|&(i, _)| !was_shed(i))
-        .map(|(_, o)| o.completion_s.expect("completed"))
+        .filter_map(|o| match o.fate {
+            Fate::Completed(_, done) => Some(done),
+            _ => None,
+        })
         .fold(f64::MIN, f64::max);
     let makespan_s = (last_completion - first_arrival).max(f64::MIN_POSITIVE);
     let mut ttft = Vec::with_capacity(trace.len());
@@ -1101,6 +1078,7 @@ pub(crate) fn finalize(
     let mut useful_tokens = 0u64;
     let mut good_tokens = 0u64;
     let mut slo_met = 0u32;
+    let mut completed = 0u32;
     let mut shed_requests = 0u64;
     let mut prefix_tokens_saved = 0u64;
     struct ClassAcc {
@@ -1124,30 +1102,32 @@ pub(crate) fn finalize(
             prefix_tokens_saved: 0,
         })
         .collect();
-    for (i, (r, out)) in trace.iter().zip(outcomes).enumerate() {
-        if was_shed(i) {
-            shed_requests += 1;
-            let a = &mut acc[r.class as usize];
-            a.requests += 1;
-            a.shed += 1;
-            continue;
-        }
-        let first = out.first_token_s.expect("completed");
-        let done = out.completion_s.expect("completed");
-        let t_first = first - r.arrival_s;
-        let t_rest = (done - first) / f64::from((r.output_tokens - 1).max(1));
+    for (r, out) in trace.iter().zip(outcomes) {
+        let a = &mut acc[r.class as usize];
+        a.requests += 1;
+        let (first, done) = match out.fate {
+            Fate::Completed(first, done) => (first, done),
+            Fate::Shed => {
+                shed_requests += 1;
+                a.shed += 1;
+                continue;
+            }
+            Fate::Waiting | Fate::FirstToken(_) => {
+                debug_assert!(false, "request {} was never served", r.id);
+                continue;
+            }
+        };
+        let (t_first, t_rest) = r.slo_times(first, done);
+        completed += 1;
         ttft.push(t_first);
         tpot.push(t_rest);
         latency.push(done - r.arrival_s);
         useful_tokens += u64::from(r.output_tokens);
         prefix_tokens_saved += out.prefix_saved_tokens;
-        let cls = &classes[r.class as usize];
-        let a = &mut acc[r.class as usize];
         a.ttft.push(t_first);
         a.tpot.push(t_rest);
-        a.requests += 1;
         a.prefix_tokens_saved += out.prefix_saved_tokens;
-        if t_first <= cls.ttft_slo_s && t_rest <= cls.tpot_slo_s {
+        if classes[r.class as usize].met(t_first, t_rest) {
             slo_met += 1;
             good_tokens += u64::from(r.output_tokens);
             a.met += 1;
@@ -1173,41 +1153,43 @@ pub(crate) fn finalize(
             tpot: Percentiles::of(&mut a.tpot),
         })
         .collect();
-    debug_assert_eq!(
-        shed_requests,
-        ctl.map_or(0, ControlState::shed_count),
-        "the gate's shed tally must match the per-request marks"
-    );
+    // Counters add up across blades; KV (and its shared pool) is
+    // per-blade memory, so its cluster-wide peaks are the worst blade's.
+    let sum = |count: fn(&BladeState) -> u64| blades.iter().map(count).sum::<u64>();
+    let peak = |tokens: fn(&BladeState) -> u64| blades.iter().map(tokens).fold(0, u64::max);
+    let seconds = |time: fn(&BladeState) -> f64| blades.iter().fold(0.0, |t, b| t + time(b));
+    let decode_time_s = seconds(|b| b.decode_time_s);
+    let batch_time_weighted = seconds(|b| b.batch_time_weighted);
     ServingReport {
         requests: trace.len() as u32,
-        completed: trace.len() as u32 - shed_requests as u32,
+        completed,
         shed_requests,
-        evictions: totals.evictions,
-        wasted_tokens: totals.wasted_tokens,
+        evictions: blades.iter().map(|b| b.evictions).sum(),
+        wasted_tokens: sum(|b| b.wasted_tokens),
         makespan_s,
         throughput_tok_s: useful_tokens as f64 / makespan_s,
         goodput_tok_s: good_tokens as f64 / makespan_s,
         slo_attainment: f64::from(slo_met) / trace.len() as f64,
-        mean_batch: if totals.decode_time_s > 0.0 {
-            totals.batch_time_weighted / totals.decode_time_s
+        mean_batch: if decode_time_s > 0.0 {
+            batch_time_weighted / decode_time_s
         } else {
             0.0
         },
-        decode_time_s: totals.decode_time_s,
-        decode_iterations: totals.decode_iterations,
-        max_step_s: totals.max_step_s,
-        kv_peak_bytes: totals.kv_peak_tokens as f64 * kv_bytes_per_token,
-        kv_fragmentation_peak_bytes: totals.frag_peak_tokens as f64 * kv_bytes_per_token,
-        prefix_hits: totals.prefix_hits,
-        prefix_misses: totals.prefix_misses,
+        decode_time_s,
+        decode_iterations: sum(|b| b.decode_iterations),
+        max_step_s: blades.iter().map(|b| b.max_step_s).fold(0.0, f64::max),
+        kv_peak_bytes: peak(|b| b.kv_peak_tokens) as f64 * kv_bytes_per_token,
+        kv_fragmentation_peak_bytes: peak(|b| b.frag_peak_tokens) as f64 * kv_bytes_per_token,
+        prefix_hits: sum(|b| b.prefix_hits),
+        prefix_misses: sum(|b| b.prefix_misses),
         prefix_tokens_saved,
-        prefix_cow_copies: totals.cow_copies,
-        prefix_cache_evictions: totals.cache_evictions,
-        kv_shared_peak_bytes: totals.shared_peak_tokens as f64 * kv_bytes_per_token,
-        remote_prefix_hits: totals.remote_hits,
-        remote_prefix_streams: totals.remote_streams,
-        remote_prefix_recomputes: totals.remote_recomputes,
-        remote_kv_streamed_bytes: totals.remote_streamed_tokens as f64 * kv_bytes_per_token,
+        prefix_cow_copies: sum(|b| b.cow_copies),
+        prefix_cache_evictions: sum(|b| b.cache_evictions),
+        kv_shared_peak_bytes: peak(|b| b.shared_peak_tokens) as f64 * kv_bytes_per_token,
+        remote_prefix_hits: sum(|b| b.remote_hits),
+        remote_prefix_streams: sum(|b| b.remote_streams),
+        remote_prefix_recomputes: sum(|b| b.remote_recomputes),
+        remote_kv_streamed_bytes: sum(|b| b.remote_streamed_tokens) as f64 * kv_bytes_per_token,
         ttft: Percentiles::of(&mut ttft),
         tpot: Percentiles::of(&mut tpot),
         latency: Percentiles::of(&mut latency),

@@ -178,6 +178,14 @@
 //! # }
 //! ```
 
+// Replays must not panic: an impossible state is unrepresentable or a
+// debug-asserted invariant. The few `expect`s left carry an
+// `#[expect(..)]` with the reason they cannot fire.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod cluster;
 pub mod control;
 pub mod coord;

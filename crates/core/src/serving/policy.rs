@@ -310,6 +310,10 @@ impl SchedulerPolicy for StrictPriorityPolicy {
         sort_arrived_by(clock, trace, queue, |r| self.rank(r));
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine evicts only while more than one sequence runs"
+    )]
     fn evict_victim(&self, trace: &[RequestSpec], running: &[RunningSeq]) -> usize {
         // Lowest priority first; among ties the youngest (largest batch
         // position — the default recompute order) is cheapest to redo.
@@ -411,6 +415,10 @@ impl SchedulerPolicy for WeightedFairPolicy {
         queue.extend(future);
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine evicts only while more than one sequence runs"
+    )]
     fn evict_victim(&self, trace: &[RequestSpec], running: &[RunningSeq]) -> usize {
         // Preemption mirrors the admission share: the lightest-weight
         // class gives up KV capacity first, and among equal weights the

@@ -57,6 +57,13 @@ impl SloClass {
         Self::new("batch", 30.0, 0.5)
     }
 
+    /// Whether a request scored `(ttft, tpot)` by
+    /// [`RequestSpec::slo_times`](super::traces::RequestSpec::slo_times)
+    /// met both of this class's targets: the one attainment predicate.
+    pub(crate) fn met(&self, ttft: f64, tpot: f64) -> bool {
+        ttft <= self.ttft_slo_s && tpot <= self.tpot_slo_s
+    }
+
     pub(crate) fn validate(&self) -> Result<(), OptimusError> {
         let positive = |v: f64| v.is_finite() && v > 0.0;
         if !positive(self.ttft_slo_s) || !positive(self.tpot_slo_s) || !positive(self.weight) {

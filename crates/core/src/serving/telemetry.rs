@@ -1112,15 +1112,10 @@ impl Telemetry {
     /// Folds a completion's TTFT/TPOT/latency decomposition into the
     /// attainment counters and the quantile sketches.
     fn record_outcome(&mut self, blade: u32, t: f64, request: &RequestSpec, first_token_s: f64) {
-        let ttft = first_token_s - request.arrival_s;
+        let (ttft, tpot) = request.slo_times(first_token_s, t);
         let latency = t - request.arrival_s;
-        let tpot = (t - first_token_s) / f64::from((request.output_tokens - 1).max(1));
         let cls = request.class as usize;
-        // The exact attainment predicate `finalize` applies.
-        let ok = self
-            .classes
-            .get(cls)
-            .is_some_and(|c| ttft <= c.ttft_slo_s && tpot <= c.tpot_slo_s);
+        let ok = self.classes.get(cls).is_some_and(|c| c.met(ttft, tpot));
         if ok {
             self.blade_at(blade, t).attained += 1;
         }

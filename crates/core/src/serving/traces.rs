@@ -59,6 +59,14 @@ impl RequestSpec {
         u64::from(self.prompt_tokens) + u64::from(self.output_tokens)
     }
 
+    /// `(ttft, tpot)` of this request given the absolute instants of its
+    /// `first` and last (`done`) tokens: the one scoring rule the report,
+    /// the shedding gate and telemetry all apply.
+    pub(crate) fn slo_times(&self, first: f64, done: f64) -> (f64, f64) {
+        let tpot = (done - first) / f64::from((self.output_tokens - 1).max(1));
+        (first - self.arrival_s, tpot)
+    }
+
     /// The same request reassigned to SLO class `class`.
     #[must_use]
     pub fn in_class(mut self, class: u32) -> Self {

@@ -517,16 +517,23 @@ proptest! {
 
     /// The shedding gate never drops a strict-class request, sheds are
     /// conserved (completed + shed == requests, globally and per class),
-    /// and both cores agree on every shed decision.
+    /// and both cores agree on every shed decision: on 1–3 blades behind
+    /// per-blade queues (one gate per blade) and under central dispatch
+    /// (one gate). The report's shed tally is the recorded `Shed`
+    /// events, and no request is both shed and completed.
     #[test]
     fn shedding_never_drops_the_strict_class(
         seed in 0u64..24,
         floor_pct in 50u32..101,
         rate in 100.0f64..500.0,
+        blades in 1u32..4,
+        central in any::<bool>(),
     ) {
         use optimus::serving::{
-            AdmissionControl, ControlPlane, Scenario, SimCore, SloClass, TraceConfig,
+            AdmissionControl, ControlPlane, DispatchMode, EventKind, RoutingPolicy, Scenario,
+            SimCore, SimEvent, SloClass, Topology, TraceConfig,
         };
+        use std::collections::BTreeSet;
         let blade = Blade::baseline();
         let est = optimus::InferenceEstimator::new(
             blade.accelerator().with_dram_bandwidth(Bandwidth::from_tbps(16.0)),
@@ -535,6 +542,7 @@ proptest! {
         let model = ModelZoo::llama2_7b();
         let par = Parallelism::new(1, 1, 1).expect("valid");
         let floor = f64::from(floor_pct) / 100.0;
+        let dispatch = if central { DispatchMode::Central } else { DispatchMode::PerBlade };
         let mk = |core: SimCore| {
             Scenario::on_estimator(est.clone())
                 .model(&model)
@@ -542,6 +550,9 @@ proptest! {
                 .max_batch(4)
                 .unconstrained_kv()
                 .core(core)
+                .topology(Topology::mixed(blades))
+                .routing(RoutingPolicy::JoinShortestQueue)
+                .dispatch(dispatch)
                 .slo_classes(vec![
                     // Unattainable strict target: the gate latches as soon
                     // as its window fills.
@@ -572,6 +583,30 @@ proptest! {
             u64::from(r.requests)
         );
         prop_assert_eq!(strict.requests + batch.requests, r.requests);
+        // The recorded stream agrees with the report's shed tally.
+        let mut events: Vec<SimEvent> = Vec::new();
+        let observed = mk(SimCore::EventDriven)
+            .compile()
+            .expect("valid")
+            .run_observed(&mut events)
+            .expect("replays");
+        prop_assert_eq!(&observed, &run);
+        let shed: Vec<u32> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Shed { request } => Some(request.id),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(shed.len() as u64, r.shed_requests);
+        let shed: BTreeSet<u32> = shed.into_iter().collect();
+        // No request was shed twice.
+        prop_assert_eq!(shed.len() as u64, r.shed_requests);
+        for e in &events {
+            if let EventKind::Completion { request, .. } = e.kind {
+                prop_assert!(!shed.contains(&request.id), "request {} shed and completed", request.id);
+            }
+        }
     }
 
     /// Paged-KV allocator invariants: no double allocation, blocks in use
