@@ -131,6 +131,11 @@ pub enum CoreScenario {
     /// 4-blade central-dispatch cluster on the event core (one shared
     /// queue, blades coupled through it).
     ClusterEvent,
+    /// [`Self::ClusterEvent`] at 16 blades, its 2 req/s per blade kept.
+    ClusterEvent16,
+    /// [`Self::ClusterEvent`] at 64 blades, its 2 req/s per blade kept:
+    /// the fleet of perfbench's `fleet64_central`.
+    ClusterEvent64,
     /// 2-prefill + 2-decode disaggregated topology on the event core.
     DisaggEvent,
     /// 4-blade cluster with the full cache-coordination stack on the
@@ -148,8 +153,21 @@ impl CoreScenario {
             Self::Event => "event",
             Self::PerStep => "per_step",
             Self::ClusterEvent => "cluster_event",
+            Self::ClusterEvent16 => "cluster_event_16",
+            Self::ClusterEvent64 => "cluster_event_64",
             Self::DisaggEvent => "disagg_event",
             Self::ClusterCache => "cluster_cache",
+        }
+    }
+
+    /// The scenario's blade count.
+    #[must_use]
+    pub fn blades(self) -> u32 {
+        match self {
+            Self::Event | Self::PerStep => 1,
+            Self::ClusterEvent | Self::DisaggEvent | Self::ClusterCache => 4,
+            Self::ClusterEvent16 => 16,
+            Self::ClusterEvent64 => 64,
         }
     }
 }
@@ -174,7 +192,8 @@ pub fn shared_prefix_workload(requests: u32) -> SharedPrefixTraceConfig {
 }
 
 /// Replays the diurnal workload (the shared-prefix one for
-/// [`CoreScenario::ClusterCache`]) once through `scenario` and returns
+/// [`CoreScenario::ClusterCache`], and for the 16- and 64-blade central
+/// fleets one scaled to their blades) once through `scenario` and returns
 /// the wall-clock milliseconds of the replay alone (trace synthesis and
 /// scenario compilation excluded).
 ///
@@ -197,9 +216,11 @@ pub fn scenario_wall_ms(scenario: CoreScenario, requests: u32) -> Result<f64, Op
     builder = match scenario {
         CoreScenario::Event => builder.core(SimCore::EventDriven),
         CoreScenario::PerStep => builder.core(SimCore::PerStep),
-        CoreScenario::ClusterEvent => builder
+        CoreScenario::ClusterEvent
+        | CoreScenario::ClusterEvent16
+        | CoreScenario::ClusterEvent64 => builder
             .core(SimCore::EventDriven)
-            .topology(Topology::mixed(4))
+            .topology(Topology::mixed(scenario.blades()))
             .dispatch(DispatchMode::Central),
         CoreScenario::DisaggEvent => builder
             .core(SimCore::EventDriven)
@@ -214,10 +235,18 @@ pub fn scenario_wall_ms(scenario: CoreScenario, requests: u32) -> Result<f64, Op
             .global_kv_cache(1 << 20)
             .handoff(link),
     };
+    let mut diurnal = diurnal_workload(requests);
+    if matches!(
+        scenario,
+        CoreScenario::ClusterEvent16 | CoreScenario::ClusterEvent64
+    ) {
+        // The 4-blade cluster's 2 req/s per blade, scaled to the fleet.
+        diurnal.mean_rate_per_s *= f64::from(scenario.blades()) / 4.0;
+    }
     let compiled = if scenario == CoreScenario::ClusterCache {
         builder.trace(&shared_prefix_workload(requests)).compile()?
     } else {
-        builder.trace(&diurnal_workload(requests)).compile()?
+        builder.trace(&diurnal).compile()?
     };
     let started = Instant::now();
     let report = compiled.run()?;
@@ -289,9 +318,12 @@ pub fn measure_point(core: SimCore, requests: u32) -> Result<CoreBenchRow, Optim
     )
 }
 
-/// The full scaling study: the event core — single-blade, 4-blade
-/// central, 2P+2D disaggregated and the cache-coordinated cluster — at
-/// 10k/100k/1M requests and the per-step reference at 10k/100k. The per-step loop is left out of
+/// The full scaling study: the event core — single-blade, central
+/// dispatch at 4, 16 and 64 blades, 2P+2D disaggregated and the
+/// cache-coordinated cluster — at 10k/100k/1M requests and the per-step
+/// reference at 10k/100k. The central fleets carry 2 req/s per blade, so
+/// their rows read how the per-request cost grows with the fleet. The
+/// per-step loop is left out of
 /// the million-request point on purpose — its idle-gap scan is
 /// quadratic in trace length, which is precisely the behaviour the
 /// event core removes; the 10k/100k pairs pin the speedup trend (the
@@ -301,10 +333,12 @@ pub fn measure_point(core: SimCore, requests: u32) -> Result<CoreBenchRow, Optim
 ///
 /// Propagates simulation failures.
 pub fn core_scaling_study() -> Result<Vec<CoreBenchRow>, OptimusError> {
-    let points: [(CoreScenario, &[u32]); 5] = [
+    let points: [(CoreScenario, &[u32]); 7] = [
         (CoreScenario::Event, &[10_000, 100_000, 1_000_000]),
         (CoreScenario::PerStep, &[10_000, 100_000]),
         (CoreScenario::ClusterEvent, &[10_000, 100_000, 1_000_000]),
+        (CoreScenario::ClusterEvent16, &[10_000, 100_000, 1_000_000]),
+        (CoreScenario::ClusterEvent64, &[10_000, 100_000, 1_000_000]),
         (CoreScenario::DisaggEvent, &[10_000, 100_000, 1_000_000]),
         (CoreScenario::ClusterCache, &[10_000, 100_000, 1_000_000]),
     ];
@@ -810,6 +844,15 @@ mod tests {
         }
         assert_eq!(event.scenario, "event");
         assert_eq!(per_step.scenario, "per_step");
+    }
+
+    #[test]
+    fn central_fleets_replay_their_scaled_load() {
+        // `scenario_wall_ms` asserts every request completed.
+        for scenario in [CoreScenario::ClusterEvent16, CoreScenario::ClusterEvent64] {
+            assert!(scenario_wall_ms(scenario, 300).unwrap() > 0.0);
+        }
+        assert_eq!(CoreScenario::ClusterEvent64.label(), "cluster_event_64");
     }
 
     #[test]

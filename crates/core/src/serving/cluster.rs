@@ -21,7 +21,7 @@ use super::coord::{ResidencyModel, CACHE_AWARE_MAX_IMBALANCE};
 use super::engine::{arrival_queue, finalize, BladeState, EngineCtx, Outcome, SimCore};
 use super::events::{
     leapfrog_decode, round_order, DecodeStretch, Deque, Discipline, Exhaustive, Fcfs, KeyedQueue,
-    Leapfrog, LeapfrogMember, Pool, Resort, RoundKey, StretchHorizon,
+    Leapfrog, Pool, Resort, RoundKey, StretchHorizon,
 };
 use super::observer::{EventKind, NoopObserver, SimObserver};
 use super::policy::OrderingContract;
@@ -559,10 +559,12 @@ fn run_per_blade(
 /// victims), which gates admission inside [`EngineCtx::step`], and
 /// the discipline keeps not-yet-ready requests behind ready ones so
 /// head-of-line blocking never wedges the loop. Outside the reference
-/// discipline, each round ends with a [`leapfrog_pool`] over every blade,
-/// whose fleet scan also finds the next round's action, or — under an
-/// autoscaler — with [`central_decode_stretch`], after which the loop
-/// rescans.
+/// discipline, each round ends with a [`leapfrog_pool`], which also finds
+/// the next round's action: the loop files the stepped blade in a
+/// [`FleetIndex`] of the idle blades and in the [`Leapfrog`] members, so
+/// no round scans the fleet. Under an autoscaler a round ends with
+/// [`central_decode_stretch`] instead, after which the loop rescans the
+/// active blades.
 fn run_central_dispatch<D: Discipline>(
     ctx: &EngineCtx<'_>,
     cluster: ClusterConfig,
@@ -578,6 +580,7 @@ fn run_central_dispatch<D: Discipline>(
         .map(|b| BladeState::new(b as u32, 0.0, ctx.config.prefix))
         .collect();
     let mut victims: Vec<usize> = Vec::new();
+    let mut idle = FleetIndex::new(&states, 0..blades);
     let mut lf = Leapfrog::new(blades);
     // The next action, when the previous round's leapfrog found it.
     let mut next: Option<RoundKey> = None;
@@ -609,7 +612,6 @@ fn run_central_dispatch<D: Discipline>(
             ctl.as_mut(),
             obs,
         );
-        lf.forget(b);
         let now = states[b].clock;
         for &v in &victims {
             // The victim re-enters once the preempting iteration has
@@ -625,16 +627,20 @@ fn run_central_dispatch<D: Discipline>(
         });
         if !D::EXHAUSTIVE {
             next = match scaler {
-                None => leapfrog_pool(
-                    ctx,
-                    trace,
-                    &mut states,
-                    0..blades,
-                    f64::INFINITY,
-                    &mut pool,
-                    &mut lf,
-                    obs,
-                ),
+                None => {
+                    idle.stepped(b, &states[b]);
+                    lf.stepped(b, &states[b]);
+                    leapfrog_pool(
+                        ctx,
+                        trace,
+                        &mut states,
+                        &idle,
+                        &mut lf,
+                        f64::INFINITY,
+                        &mut pool,
+                        obs,
+                    )
+                }
                 Some(scaler) => {
                     central_decode_stretch(ctx, trace, &mut states, b, &mut pool, scaler, obs);
                     None
@@ -693,6 +699,91 @@ fn next_action(
     blades
         .filter_map(|b| action_at(&states[b], waiting).map(|t| (t, b)))
         .min_by(round_order)
+}
+
+/// The idle blades of one blade pool, as a min tournament tree over
+/// their `(clock, blade)` in [`round_order`]. A replay loop keeps it
+/// beside its [`Leapfrog`] and files only the blade it just stepped
+/// ([`Self::stepped`]); running blades, and blades outside the pool, sit
+/// at a sentinel leaf that sorts after every idle one. It answers the
+/// pool's next idle admission in O(log n), bit-identical to
+/// [`next_action`] over the idle blades.
+#[derive(Debug)]
+struct FleetIndex {
+    /// The pool's blades, ascending.
+    pool: Vec<usize>,
+    /// Leaves per level: the replay's blade count, rounded up to a power
+    /// of two.
+    width: usize,
+    /// Node `k` holds the minimum of nodes `2k` and `2k + 1`; blade `b`'s
+    /// leaf is node `width + b` (node 0 is unused).
+    tree: Vec<RoundKey>,
+}
+
+/// A [`FleetIndex`] leaf with no idle blade.
+const NOT_IDLE: RoundKey = (f64::INFINITY, usize::MAX);
+
+impl FleetIndex {
+    /// The index over the blades of `pool` among `states`.
+    fn new(states: &[BladeState], pool: impl Iterator<Item = usize>) -> Self {
+        let width = states.len().next_power_of_two();
+        let mut index = Self {
+            pool: Vec::new(),
+            width,
+            tree: vec![NOT_IDLE; 2 * width],
+        };
+        for b in pool {
+            index.stepped(b, &states[b]);
+            index.pool.push(b);
+        }
+        index
+    }
+
+    /// Files pool blade `b` after the loop stepped it: its leaf is its
+    /// clock while it is idle, else the sentinel.
+    fn stepped(&mut self, b: usize, s: &BladeState) {
+        let mut k = self.width + b;
+        let leaf = if s.running.is_empty() {
+            (s.clock, b)
+        } else {
+            NOT_IDLE
+        };
+        if round_order(&leaf, &self.tree[k]).is_eq() {
+            return;
+        }
+        self.tree[k] = leaf;
+        while k > 1 {
+            k /= 2;
+            let (l, r) = (self.tree[2 * k], self.tree[2 * k + 1]);
+            self.tree[k] = if round_order(&r, &l).is_lt() { r } else { l };
+        }
+    }
+
+    /// The `(clock, blade)`-minimal idle admission when `waiting` gives
+    /// the queue's earliest ready time `t`: `t` and the leftmost idle
+    /// blade whose clock is at most `t`, or else the earliest idle blade.
+    fn idle_action(&self, waiting: Option<f64>) -> Option<RoundKey> {
+        let t = waiting?;
+        let (clock, b) = self.tree[1];
+        if b == NOT_IDLE.1 {
+            return None;
+        }
+        if clock > t {
+            return Some((clock, b));
+        }
+        // Descend to the leftmost leaf with an idle clock at most `t`:
+        // every such blade admits at `t`, so the lowest index wins.
+        let mut k = 1;
+        while k < self.width {
+            k *= 2;
+            let (c, b) = self.tree[k];
+            if b == NOT_IDLE.1 || c > t {
+                k += 1;
+            }
+        }
+        let (c, b) = self.tree[k];
+        Some((c.max(t), b))
+    }
 }
 
 /// Fast-forwards the just-stepped blade `b` of an autoscaled
@@ -795,14 +886,16 @@ fn central_decode_stretch<D: Discipline>(
     }
 }
 
-/// Replays the pure-decode future of the running blades among `blades`
-/// — the ones sharing `pool` — in one [`leapfrog_decode`] call, and
-/// returns the `(clock, blade)`-minimal next action among `blades`
-/// afterwards: the earlier of the idle blades' admission instants, which
-/// its scan collects, and the leapfrog's cut.
+/// Replays the pure-decode future of the pool's running blades — the
+/// members of `lf` — in one [`leapfrog_decode`] call, and returns the
+/// `(clock, blade)`-minimal next action among the pool's blades
+/// afterwards: the earlier of the idle blades' next admission, which
+/// `idle` answers, and the leapfrog's cut. Neither takes a scan of the
+/// pool: the caller files each blade it steps in both, and debug builds
+/// check them against a fresh scan.
 ///
 /// Shared gate: `shared_gate` (the caller's own decisions, e.g. the
-/// prefill tier's next action) and an idle member's next admission
+/// prefill tier's next action) and an idle blade's next admission
 /// instant (it could win the blade race and mutate the queue). Per-member
 /// gates: the next queued ready time while a batch slot is open (an
 /// admission round), and — batch full, when skipped partitions are
@@ -815,54 +908,58 @@ fn leapfrog_pool<D: Discipline>(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
     states: &mut [BladeState],
-    blades: impl Iterator<Item = usize>,
+    idle: &FleetIndex,
+    lf: &mut Leapfrog,
     shared_gate: f64,
     pool: &mut Pool<D>,
-    lf: &mut Leapfrog,
     obs: &mut dyn SimObserver,
 ) -> Option<RoundKey> {
     let next_ready = pool.next_ready();
     let waiting = (!pool.is_empty()).then_some(next_ready);
-    let max_batch = ctx.config.max_batch as usize;
-    let mut idle_gate = shared_gate;
-    let mut idle_next: Option<RoundKey> = None;
-    let mut member_next: Option<RoundKey> = None;
-    let mut any_full = false;
-    lf.members.clear();
-    for b in blades {
-        let s = &states[b];
-        if s.running.is_empty() {
-            if let Some(t) = action_at(s, waiting) {
-                idle_gate = idle_gate.min(t);
-                idle_next = earlier(idle_next, Some((t, b)));
-            }
-            continue;
-        }
-        member_next = earlier(member_next, Some((s.clock, b)));
-        any_full |= s.running.len() >= max_batch;
-        lf.members.push(LeapfrogMember {
-            blade: b,
-            start_gate_s: waiting.unwrap_or(f64::INFINITY),
-        });
-    }
-    let Some((min_clock, _)) = member_next else {
+    let idle_next = idle.idle_action(waiting);
+    let scan = || idle.pool.iter().copied();
+    debug_assert_eq!(
+        idle_next,
+        next_action(
+            states,
+            scan().filter(|&b| states[b].running.is_empty()),
+            waiting
+        ),
+        "the idle index is stale"
+    );
+    debug_assert!(
+        scan()
+            .filter(|&b| !states[b].running.is_empty())
+            .eq(lf.members().iter().copied()),
+        "the leapfrog members are stale"
+    );
+    let Some(member_next) = earliest_member(states, lf.members()) else {
         return idle_next;
     };
-    if idle_gate <= min_clock {
-        return earlier(idle_next, member_next);
+    let idle_gate = idle_next.map_or(shared_gate, |(t, _)| shared_gate.min(t));
+    if idle_gate <= member_next.0 {
+        return earlier(idle_next, Some(member_next));
     }
-    let full_gate = if any_full && pool.partition_observable() {
-        pool.next_transition(min_clock)
+    let max_batch = ctx.config.max_batch as usize;
+    let full = |s: &BladeState| s.running.len() >= max_batch;
+    let any_full = || lf.members().iter().any(|&b| full(&states[b]));
+    let full_gate = if pool.partition_observable() && any_full() {
+        pool.next_transition(member_next.0)
     } else {
         f64::INFINITY
     };
-    for m in &mut lf.members {
-        if states[m.blade].running.len() >= max_batch {
-            m.start_gate_s = full_gate;
-        }
-    }
-    let cut = leapfrog_decode(ctx, trace, states, lf, idle_gate, obs);
+    let open_gate = waiting.unwrap_or(f64::INFINITY);
+    let member_gate = |s: &BladeState| if full(s) { full_gate } else { open_gate };
+    let cut = leapfrog_decode(ctx, trace, states, lf, idle_gate, member_gate, obs);
     earlier(idle_next, cut)
+}
+
+/// The `(clock, blade)`-minimal next round among the running `members`.
+fn earliest_member(states: &[BladeState], members: &[usize]) -> Option<RoundKey> {
+    members
+        .iter()
+        .map(|&b| (states[b].clock, b))
+        .min_by(round_order)
 }
 
 /// The earlier of two optional rounds in [`round_order`].
@@ -1016,7 +1113,9 @@ pub(crate) fn run_disaggregated(
 /// earliest-clock blade, prefill before decode on ties, lower blade
 /// index last. Outside the reference discipline, every decode round ends
 /// with a [`leapfrog_pool`] over the decode pool, gated by the prefill
-/// tier's next action (prefill wins clock ties).
+/// tier's next action (prefill wins clock ties), and the decode pool's
+/// next action comes from the same [`FleetIndex`] and [`Leapfrog`]
+/// members rather than a scan of the decoders.
 fn disaggregated<const E: bool, const R: bool>(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
@@ -1039,6 +1138,7 @@ fn disaggregated<const E: bool, const R: bool>(
     let mut pool = Pool::handoff(trace, new(VecDeque::new()));
     let mut outcomes = vec![Outcome::default(); trace.len()];
     let mut victims: Vec<usize> = Vec::new();
+    let mut idle = FleetIndex::new(&states, decoders.iter().copied());
     let mut lf = Leapfrog::new(roles.len());
     let stream_s =
         |idx: usize| link.transfer_s(f64::from(trace[idx].prompt_tokens) * ctx.kv_bytes_per_token);
@@ -1051,7 +1151,19 @@ fn disaggregated<const E: bool, const R: bool>(
         );
         let next_ready = pool.next_ready();
         let waiting = (!pool.is_empty()).then_some(next_ready);
-        let decode_action = next_action(&states, decoders.iter().copied(), waiting);
+        let decode_action = if E {
+            next_action(&states, decoders.iter().copied(), waiting)
+        } else {
+            earlier(
+                idle.idle_action(waiting),
+                earliest_member(&states, lf.members()),
+            )
+        };
+        debug_assert_eq!(
+            decode_action,
+            next_action(&states, decoders.iter().copied(), waiting),
+            "the decode pool's index or members are stale"
+        );
         let prefill_first =
             prefill_action.filter(|&(tp, _)| decode_action.is_none_or(|(td, _)| tp <= td));
         match (prefill_first, decode_action) {
@@ -1090,7 +1202,6 @@ fn disaggregated<const E: bool, const R: bool>(
                     None,
                     obs,
                 );
-                lf.forget(b);
                 for &v in &victims {
                     // The victim's KV must be re-streamed from the prefill
                     // tier before it can restart anywhere.
@@ -1098,16 +1209,17 @@ fn disaggregated<const E: bool, const R: bool>(
                 }
                 pool.settle(&victims);
                 if !E {
+                    idle.stepped(b, &states[b]);
+                    lf.stepped(b, &states[b]);
                     let prefill_gate = prefill_action.map_or(f64::INFINITY, |(tp, _)| tp);
-                    let pool_blades = decoders.iter().copied();
                     leapfrog_pool(
                         ctx,
                         trace,
                         &mut states,
-                        pool_blades,
+                        &idle,
+                        &mut lf,
                         prefill_gate,
                         &mut pool,
-                        &mut lf,
                         obs,
                     );
                 }
@@ -1188,6 +1300,7 @@ mod tests {
     use super::*;
     use crate::inference::InferenceEstimator;
     use crate::scaling::MultiBladeSystem;
+    use crate::serving::engine::RunningSeq;
     use crate::serving::{ControlPlane, Scenario, TraceConfig};
     use llm_workload::model::{ModelZoo, TransformerConfig};
     use llm_workload::parallelism::Parallelism;
@@ -1471,6 +1584,111 @@ mod tests {
         assert_eq!(r.report.completed, 18);
         assert!(r.report.evictions > 0, "capacity this tight must preempt");
         assert_eq!(r, compiled.run_serial().unwrap());
+    }
+
+    /// Blades whose clocks are `clocks`: `None` is a running blade.
+    fn blades_at(clocks: &[Option<f64>]) -> Vec<BladeState> {
+        clocks
+            .iter()
+            .enumerate()
+            .map(|(b, &clock)| {
+                let mut s = BladeState::new(b as u32, clock.unwrap_or(0.5), None);
+                if clock.is_none() {
+                    s.running.push(RunningSeq::admitted(b, 8));
+                }
+                s
+            })
+            .collect()
+    }
+
+    /// Checks `index`'s idle answer against `next_action` folded over the
+    /// pool's idle blades, at every idle clock, between them, and beyond.
+    fn assert_index_matches_scan(states: &[BladeState], pool: &[usize], index: &FleetIndex) {
+        let idle = || {
+            pool.iter()
+                .copied()
+                .filter(|&b| states[b].running.is_empty())
+        };
+        let mut waits = vec![None, Some(0.0), Some(f64::INFINITY)];
+        for b in idle() {
+            let c = states[b].clock;
+            waits.extend([Some(c), Some(c - 0.25), Some(c + 0.25)]);
+        }
+        for waiting in waits {
+            assert_eq!(
+                index.idle_action(waiting),
+                next_action(states, idle(), waiting),
+                "pool {pool:?}, waiting {waiting:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn fleet_index_answers_like_a_scan_of_the_idle_blades() {
+        // Each case's idle answers at `probe`, beside the scan comparison.
+        let check = |clocks: &[Option<f64>], pool: &[usize], probe: f64| {
+            let states = blades_at(clocks);
+            let index = FleetIndex::new(&states, pool.iter().copied());
+            assert_index_matches_scan(&states, pool, &index);
+            index.idle_action(Some(probe))
+        };
+        let idle = Some;
+        // A 5-blade pool: blade 3's clock equals `t`, and blades 1 and 4
+        // tie below it, so the lowest index admits at `t`.
+        let five = [idle(3.0), idle(1.0), None, idle(2.0), idle(1.0)];
+        assert_eq!(check(&five, &[0, 1, 2, 3, 4], 2.0), Some((2.0, 1)));
+        // Every idle clock above `t`: the earliest idle blade.
+        assert_eq!(
+            check(&[None, idle(4.0), idle(6.0)], &[0, 1, 2], 1.0),
+            Some((4.0, 1))
+        );
+        // No idle blade.
+        assert_eq!(check(&[None; 4], &[0, 1, 2, 3], 1.0), None);
+        // An idle clock of +inf trails every finite one, and admits only
+        // at a +inf `t`.
+        let inf = f64::INFINITY;
+        assert_eq!(
+            check(&[idle(inf), None, idle(5.0)], &[0, 1, 2], 1.0),
+            Some((5.0, 2))
+        );
+        assert_eq!(check(&[None, idle(inf)], &[0, 1], 1.0), Some((inf, 1)));
+        assert_eq!(
+            check(&[idle(inf), None, idle(5.0)], &[0, 1, 2], inf),
+            Some((inf, 0))
+        );
+        // A sub-pool, like the disaggregated decoders: idle blades outside
+        // it never answer.
+        let mixed = [idle(0.0), idle(0.0), idle(2.0), None, idle(0.0), idle(1.0)];
+        assert_eq!(check(&mixed, &[2, 3, 5], 1.5), Some((1.5, 5)));
+    }
+
+    #[test]
+    fn fleet_index_follows_the_stepped_blades() {
+        // A pseudo-random walk of steps over a 7-blade pool (and a 3-blade
+        // sub-pool of it): each step sets one blade's clock and whether it
+        // runs, then files it.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 33) % n
+        };
+        for pool in [(0..7).collect::<Vec<usize>>(), vec![1, 4, 6]] {
+            let mut states = blades_at(&[Some(0.0); 7]);
+            let mut index = FleetIndex::new(&states, pool.iter().copied());
+            for _ in 0..300 {
+                let b = pool[next(pool.len() as u64) as usize];
+                let s = &mut states[b];
+                s.clock = next(8) as f64 * 0.5;
+                s.running.clear();
+                if next(3) == 0 {
+                    s.running.push(RunningSeq::admitted(b, 8));
+                }
+                index.stepped(b, &states[b]);
+                assert_index_matches_scan(&states, &pool, &index);
+            }
+        }
     }
 
     #[test]

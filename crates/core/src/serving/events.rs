@@ -1090,16 +1090,6 @@ impl DecodeStretch {
     }
 }
 
-/// One blade's membership in a cluster-wide leapfrog fast-forward: the
-/// blade index plus the member-specific round-start gate (own-admission
-/// and partition bounds; `f64::INFINITY` when only the shared gate
-/// applies).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LeapfrogMember {
-    pub(crate) blade: usize,
-    pub(crate) start_gate_s: f64,
-}
-
 /// A round's place in the per-step loops' global order: its start clock,
 /// then the blade index (see [`round_order`]).
 pub(crate) type RoundKey = (f64, usize);
@@ -1110,45 +1100,97 @@ pub(crate) fn round_order(a: &RoundKey, b: &RoundKey) -> Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
-/// One member's progress through a [`leapfrog_decode`] call.
+/// Where a member's pass-1 walk stops: the round it may not run, and
+/// whether that round is past the end of its plan (so a re-plan may
+/// continue from there).
+type Stop = (RoundKey, bool);
+
+/// One running blade's membership in a cluster-wide leapfrog: its plan,
+/// kept across [`leapfrog_decode`] calls, and its progress through the
+/// current call.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     blade: usize,
-    /// The member's round-start gate merged with the shared one.
-    gate_s: f64,
-    /// The member's plan (`None`: parked, its next round is a real step)
-    /// and the rounds advanced under it; `done == max_iters` means the
-    /// plan ran out and was committed.
+    /// The member's plan (`None`: parked, its next round is a real step),
+    /// rebased past the rounds earlier calls committed.
     plan: Option<DecodeStretch>,
+    /// The plan is out of date: the loop stepped the blade, or the plan
+    /// ran out. The next call plans afresh.
+    stale: bool,
+    /// This call's round-start gate: the member's own merged with the
+    /// shared one.
+    gate_s: f64,
+    /// Rounds this call advanced under `plan`; `done == max_iters` means
+    /// the plan ran out and was committed.
     done: u64,
+    /// Pass 1's walk: the rounds of `plan` it has cleared and the start
+    /// clock of the next one. It runs ahead of the blade's clock, which
+    /// pass 2 moves only up to each cut.
+    walked: u64,
+    walk_s: f64,
+    /// Whether the walk has ended at its stop, round `walk_s`, and if so
+    /// whether that round is past the end of the plan.
+    stopped: Option<bool>,
 }
 
 impl Run {
-    /// Pass 1: the member's first round start from `clock` on that the
-    /// leapfrog may not run — gated, parked, or past the end of its plan
-    /// (`true`: a re-plan may continue from there) — if it precedes
-    /// `bound`; `None` once the walk reaches `bound` first. The walk
-    /// repeats pass 2's clock additions without touching state.
-    fn stop(&self, clock: f64, bound: Option<RoundKey>) -> Option<(RoundKey, bool)> {
-        let before = |c: f64| bound.is_none_or(|b| round_order(&(c, self.blade), &b).is_lt());
-        let mut c = clock;
-        let mut replan = self.plan.is_some();
-        if let Some(plan) = self.plan {
-            for _ in self.done..plan.max_iters {
-                if !before(c) {
-                    return None;
-                }
-                // A round ending at +∞ parks the member (no round may
-                // end there).
-                let next = c + plan.cost;
-                if self.gate_s <= c || next == f64::INFINITY {
-                    replan = false;
-                    break;
-                }
-                c = next;
-            }
+    /// A blade's run before it first joins.
+    fn new(blade: usize) -> Self {
+        Self {
+            blade,
+            plan: None,
+            stale: true,
+            gate_s: f64::INFINITY,
+            done: 0,
+            walked: 0,
+            walk_s: 0.0,
+            stopped: None,
         }
-        before(c).then_some(((c, self.blade), replan))
+    }
+
+    /// Restarts pass 1's walk at `clock`, the blade's clock after `done`
+    /// rounds of `plan`.
+    fn rewalk(&mut self, clock: f64) {
+        self.walked = self.done;
+        self.walk_s = clock;
+        self.stopped = None;
+    }
+
+    /// Pass 1: the earlier of `cut`, the earliest stop among the members
+    /// walked so far, and this member's stop — its first round start from
+    /// its clock on that the leapfrog may not run: gated, parked, or past
+    /// the end of its plan. The walk quits once it reaches `cut`. It
+    /// repeats pass 2's clock additions without touching state, and
+    /// resumes where it last ended, since the gates are frozen for the
+    /// whole [`leapfrog_decode`] call; only a re-plan restarts it.
+    fn stop(&mut self, cut: Option<Stop>) -> Option<Stop> {
+        let blade = self.blade;
+        let before = |c: f64| cut.is_none_or(|(key, _)| round_order(&(c, blade), &key).is_lt());
+        if self.stopped.is_none() {
+            let mut replan = self.plan.is_some();
+            if let Some(plan) = self.plan {
+                while self.walked < plan.max_iters {
+                    let c = self.walk_s;
+                    if !before(c) {
+                        return cut;
+                    }
+                    // A round ending at +∞ parks the member (no round may
+                    // end there).
+                    let next = c + plan.cost;
+                    if self.gate_s <= c || next == f64::INFINITY {
+                        replan = false;
+                        break;
+                    }
+                    self.walk_s = next;
+                    self.walked += 1;
+                }
+            }
+            self.stopped = Some(replan);
+        }
+        match self.stopped {
+            Some(replan) if before(self.walk_s) => Some(((self.walk_s, blade), replan)),
+            _ => cut,
+        }
     }
 
     /// Pass 2: advances the member through its rounds before `cut` with
@@ -1195,47 +1237,63 @@ impl Run {
     }
 }
 
-/// A replay loop's leapfrog working memory, reused across its
-/// [`leapfrog_decode`] calls so no call allocates: the members the
-/// caller fills in, their runs, the event buffer, and every blade's plan
-/// as the last call left it.
+/// A replay loop's leapfrog state over one blade pool, reused across its
+/// [`leapfrog_decode`] calls so no call allocates: one run per running
+/// blade of the pool (the members), each holding its blade's plan, and
+/// the event buffer. A run joins, re-plans or leaves only when the loop
+/// steps its blade ([`Self::stepped`]).
 #[derive(Debug)]
 pub(crate) struct Leapfrog {
-    pub(crate) members: Vec<LeapfrogMember>,
+    /// Per blade of the replay: its run, live while the blade is a member.
     runs: Vec<Run>,
+    /// The members' blades, ascending.
+    members: Vec<usize>,
     /// The call's events, keyed by their round.
     events: Vec<(RoundKey, SimEvent)>,
-    /// Per blade: the plan the last call left it with, rebased past the
-    /// iterations it committed (`Some(None)`: known to have none), or
-    /// `None` when unknown — never planned, or stepped since.
-    plans: Vec<Option<Option<DecodeStretch>>>,
 }
 
 impl Leapfrog {
-    /// Scratch space for a replay over `blades` blades.
+    /// No members yet, for a replay over `blades` blades.
     pub(crate) fn new(blades: usize) -> Self {
         Self {
+            runs: (0..blades).map(Run::new).collect(),
             members: Vec::with_capacity(blades),
-            runs: Vec::with_capacity(blades),
             events: Vec::new(),
-            plans: vec![None; blades],
         }
     }
 
-    /// Drops `blade`'s stored plan: the loop has just stepped it.
-    pub(crate) fn forget(&mut self, blade: usize) {
-        self.plans[blade] = None;
+    /// Files `blade` of the pool after the loop stepped it: a member, to
+    /// plan afresh, while it holds running work; otherwise not one.
+    pub(crate) fn stepped(&mut self, blade: usize, state: &BladeState) {
+        let at = self.members.binary_search(&blade);
+        if state.running.is_empty() {
+            if let Ok(at) = at {
+                self.members.remove(at);
+            }
+            return;
+        }
+        if let Err(at) = at {
+            self.members.insert(at, blade);
+        }
+        self.runs[blade].stale = true;
+    }
+
+    /// The members' blades, ascending: the pool's running blades.
+    pub(crate) fn members(&self) -> &[usize] {
+        &self.members
     }
 }
 
-/// Fast-forwards the coupled blades in `lf.members` through their
-/// pure-decode futures, bit-identical to running the per-step loop's
-/// rounds in their global `(clock, blade index)` order, and returns the
-/// `(clock, blade)`-minimal member after it.
+/// Fast-forwards the members of `lf` — the pool's running blades —
+/// through their pure-decode futures, bit-identical to running the
+/// per-step loop's rounds in their global `(clock, blade index)` order,
+/// and returns the `(clock, blade)`-minimal member after it.
 ///
-/// Each skipped round touches only its own blade's state, and every gate
-/// is frozen for the call, so the global order decides only where the
-/// fast-forward *stops*. Two passes find and reach that point:
+/// Each member's round-start gate is `start_gate_s` merged with its own,
+/// `member_gate` of its blade. Each skipped round touches only its own
+/// blade's state, and every gate is frozen for the call, so the global
+/// order decides only where the fast-forward *stops*. Two passes find
+/// and reach that point:
 ///
 /// 1. Each member walks its clock through its current plan, without
 ///    touching state, to its first round start that is gated (the
@@ -1244,12 +1302,15 @@ impl Leapfrog {
 /// 2. Every member advances, on its own, through its rounds before the
 ///    cut.
 ///
-/// When the cut is a plan running out, that member re-plans (a bucket
-/// crossing just changes the constant cost) and the passes repeat; a
-/// gate or a park ends the call — the parked member's real round is the
-/// cluster's next action. Plans are reused across calls: each blade's
-/// plan is stored rebased past what it committed, and reused until the
-/// caller [`Leapfrog::forget`]s the blade.
+/// When the cut is a plan running out, that member alone advances to it
+/// and re-plans (a bucket crossing just changes the constant cost), and
+/// pass 1 repeats: every other walk resumes where it ended, and only the
+/// re-planned member walks from its clock again. Cuts only grow, so the
+/// other members advance once, to the last cut. A gate or a park ends
+/// the call — the parked member's real round is the cluster's next
+/// action. Plans persist across calls in their runs, rebased past what
+/// each call committed, until the loop steps the blade or the plan runs
+/// out.
 ///
 /// Events are buffered with their round key and sent in key order: a
 /// non-passive observer gets one `Step` per round, in per-step order; a
@@ -1261,70 +1322,76 @@ pub(crate) fn leapfrog_decode(
     states: &mut [BladeState],
     lf: &mut Leapfrog,
     start_gate_s: f64,
+    member_gate: impl Fn(&BladeState) -> f64,
     obs: &mut dyn SimObserver,
 ) -> Option<RoundKey> {
     let _span = profile::span(profile::Phase::Leapfrog);
     let passive = obs.is_passive();
     let Leapfrog {
-        members,
         runs,
+        members,
         events,
-        plans,
     } = lf;
-    runs.clear();
-    for m in members.iter() {
-        let blade = &states[m.blade];
-        let plan = *plans[m.blade].get_or_insert_with(|| DecodeStretch::plan(ctx, trace, blade));
+    // Set up each member for the call, and fold it into the first pass 1.
+    let mut stop = None;
+    for &b in members.iter() {
+        let (run, blade) = (&mut runs[b], &states[b]);
+        if run.stale {
+            run.plan = DecodeStretch::plan(ctx, trace, blade);
+            run.stale = false;
+        }
         debug_assert_eq!(
-            plan,
+            run.plan,
             DecodeStretch::plan(ctx, trace, blade),
-            "blade {}: stored plan is stale",
-            m.blade
+            "blade {b}: stored plan is stale"
         );
-        runs.push(Run {
-            blade: m.blade,
-            gate_s: start_gate_s.min(m.start_gate_s),
-            plan,
-            done: 0,
-        });
+        run.gate_s = start_gate_s.min(member_gate(blade));
+        run.done = 0;
+        run.rewalk(blade.clock);
+        stop = run.stop(stop);
     }
     let cut = loop {
-        let mut cut: Option<(RoundKey, usize, bool)> = None;
-        for (i, run) in runs.iter().enumerate() {
-            if let Some((key, replan)) = run.stop(states[run.blade].clock, cut.map(|c| c.0)) {
-                cut = Some((key, i, replan));
-            }
-        }
-        let Some((key, i, replan)) = cut else {
+        let Some((key, replan)) = stop else {
             break None;
         };
-        for run in runs.iter_mut() {
-            run.advance(&mut states[run.blade], key, passive, events);
-        }
         if !replan {
             break Some(key);
         }
-        let run = &mut runs[i];
-        run.plan = DecodeStretch::plan(ctx, trace, &states[run.blade]);
+        let b = key.1;
+        let (run, blade) = (&mut runs[b], &mut states[b]);
+        run.advance(blade, key, passive, events);
+        run.plan = DecodeStretch::plan(ctx, trace, blade);
         run.done = 0;
+        run.rewalk(blade.clock);
+        stop = members.iter().fold(None, |cut, &m| runs[m].stop(cut));
     };
-    events.sort_unstable_by(|a, b| round_order(&a.0, &b.0));
-    for (_, event) in events.drain(..) {
-        obs.on_event(&event);
-    }
-    for run in runs.iter() {
-        let blade = &mut states[run.blade];
-        plans[run.blade] = match run.plan {
-            Some(plan) if run.done == plan.max_iters => None,
+    for &b in members.iter() {
+        let (run, blade) = (&mut runs[b], &mut states[b]);
+        if let Some(cut) = cut {
+            run.advance(blade, cut, passive, events);
+        }
+        match run.plan {
+            Some(plan) if run.done == plan.max_iters => run.stale = true,
             Some(plan) => {
                 plan.commit(blade, run.done);
                 if passive && run.done > 0 {
-                    obs.emit(blade.id, blade.clock, plan.stretch_event(run.done));
+                    // No round starts at +∞, so the summary follows every
+                    // round's event, in member order.
+                    let event = SimEvent {
+                        blade: blade.id,
+                        clock_s: blade.clock,
+                        kind: plan.stretch_event(run.done),
+                    };
+                    events.push(((f64::INFINITY, b), event));
                 }
-                Some(Some(plan.rebase(run.done)))
+                run.plan = Some(plan.rebase(run.done));
             }
-            None => Some(None),
-        };
+            None => {}
+        }
+    }
+    events.sort_unstable_by(|a, b| round_order(&a.0, &b.0));
+    for (_, event) in events.drain(..) {
+        obs.on_event(&event);
     }
     cut
 }

@@ -594,65 +594,93 @@ fn cluster_observer_event_streams_are_identical_between_cores() {
     });
 }
 
-#[test]
-fn fleet_scale_central_leapfrog_matches_per_step() {
-    // The serving benchmark's 64-blade system, cut to 16 blades: enough
-    // members that leapfrogs end with partly used plans, which the next
-    // call reuses rebased (and debug builds check against a fresh plan).
+/// Replays a central-dispatch fleet of `blades` blades under both cores,
+/// at 2 req/s per blade on a fast diurnal cycle, and checks the reports
+/// and the recorded event streams agree for each `(layout, pricing)`.
+fn assert_central_fleet_matches_per_step(
+    blades: u32,
+    requests: u32,
+    variants: &[(KvLayout, DecodePricing)],
+) {
     let model = ModelZoo::llama_405b();
     let par = Parallelism::pure_tp(64).unwrap();
     let trace = DiurnalTraceConfig {
         seed: 5,
-        requests: 1_000,
-        mean_rate_per_s: 32.0,
+        requests,
+        mean_rate_per_s: 2.0 * f64::from(blades),
         amplitude: 0.9,
         period_s: 10.0,
         prompt_tokens: (32, 128),
         output_tokens: (16, 64),
     };
+    for &(layout, pricing) in variants {
+        let label = format!("{blades} blades, {layout:?} {pricing:?}");
+        let build = || {
+            Scenario::on_estimator(SpeedupStudy::paper_baseline().scd_inference())
+                .model(&model)
+                .parallelism(&par)
+                .max_batch(32)
+                .topology(Topology::mixed(blades))
+                .dispatch(DispatchMode::Central)
+                .kv_layout(layout)
+                .pricing(pricing)
+                .trace(&trace)
+        };
+        let record = |core: SimCore| {
+            let mut events = Vec::new();
+            let report = build()
+                .core(core)
+                .compile()
+                .unwrap()
+                .run_observed(&mut events);
+            (report.unwrap(), events)
+        };
+        let (step_report, step_events) = record(SimCore::PerStep);
+        assert_eq!(step_report.stretch.stretches, 0, "{label}");
+        assert_eq!(step_report.report.completed, requests, "{label}");
+        // Unobserved, stretches take the passive path.
+        let passive = build().core(SimCore::EventDriven).compile().unwrap();
+        let passive = passive.run().unwrap();
+        assert_eq!(passive, step_report, "{label}: reports");
+        assert!(passive.stretch.stretched_iterations > 0, "{label}");
+        let (event_report, event_events) = record(SimCore::EventDriven);
+        assert_eq!(event_report, step_report, "{label}: observed reports");
+        assert_eq!(
+            first_divergence(&event_events, &step_events),
+            None,
+            "{label}: event streams"
+        );
+    }
+}
+
+#[test]
+fn fleet_scale_central_leapfrog_matches_per_step() {
+    // The serving benchmark's 64-blade system, cut to 16 blades: enough
+    // members that leapfrogs end with partly used plans, which the next
+    // call reuses rebased (and debug builds check against a fresh plan).
+    let mut variants = Vec::new();
     for layout in [KvLayout::Contiguous, KvLayout::Paged { block_tokens: 16 }] {
         for pricing in [
             DecodePricing::BucketizedMean,
             DecodePricing::ExactPerSequence,
         ] {
-            let label = format!("{layout:?} {pricing:?}");
-            let build = || {
-                Scenario::on_estimator(SpeedupStudy::paper_baseline().scd_inference())
-                    .model(&model)
-                    .parallelism(&par)
-                    .max_batch(32)
-                    .topology(Topology::mixed(16))
-                    .dispatch(DispatchMode::Central)
-                    .kv_layout(layout)
-                    .pricing(pricing)
-                    .trace(&trace)
-            };
-            let record = |core: SimCore| {
-                let mut events = Vec::new();
-                let report = build()
-                    .core(core)
-                    .compile()
-                    .unwrap()
-                    .run_observed(&mut events);
-                (report.unwrap(), events)
-            };
-            let (step_report, step_events) = record(SimCore::PerStep);
-            assert_eq!(step_report.stretch.stretches, 0, "{label}");
-            assert_eq!(step_report.report.completed, 1_000, "{label}");
-            // Unobserved, stretches take the passive path.
-            let passive = build().core(SimCore::EventDriven).compile().unwrap();
-            let passive = passive.run().unwrap();
-            assert_eq!(passive, step_report, "{label}: reports");
-            assert!(passive.stretch.stretched_iterations > 0, "{label}");
-            let (event_report, event_events) = record(SimCore::EventDriven);
-            assert_eq!(event_report, step_report, "{label}: observed reports");
-            assert_eq!(
-                first_divergence(&event_events, &step_events),
-                None,
-                "{label}: event streams"
-            );
+            variants.push((layout, pricing));
         }
     }
+    assert_central_fleet_matches_per_step(16, 1_000, &variants);
+}
+
+#[test]
+fn fleet64_central_leapfrog_matches_per_step() {
+    // The serving benchmark's full 64-blade fleet: a dozen running
+    // members per leapfrog, whose cut loop repeats after re-plans while
+    // the other members' walks resume (debug builds also check the idle
+    // index and the members against a fresh fleet scan every round).
+    let variants = [(
+        KvLayout::Paged { block_tokens: 16 },
+        DecodePricing::ExactPerSequence,
+    )];
+    assert_central_fleet_matches_per_step(64, 2_000, &variants);
 }
 
 /// A random sorted trace over exact (dyadic) arrival times.
