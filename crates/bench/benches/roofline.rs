@@ -2,8 +2,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use llm_workload::kernel::{Kernel, KernelClass};
-use llm_workload::model::Precision;
-use optimus::Roofline;
+use llm_workload::model::{ModelZoo, Precision};
+use llm_workload::parallelism::Parallelism;
+use optimus::{InferenceEstimator, Roofline};
 use scd_arch::Blade;
 use std::hint::black_box;
 
@@ -29,5 +30,32 @@ fn bench_roofline(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_roofline);
+/// One 256-cell row of a serving cost table (batch 8, KV 1..=256),
+/// priced per cell and by the row pricer: divide by 256 for per cell.
+fn bench_cost_row(c: &mut Criterion) {
+    let blade = Blade::baseline();
+    let estimator = InferenceEstimator::new(blade.accelerator(), blade.interconnect());
+    let model = ModelZoo::llama_405b();
+    let par = Parallelism::pure_tp(64).expect("valid");
+    let kv = |i: usize| i as u32 + 1;
+    let mut row = vec![0.0; 256];
+    c.bench_function("pricing/decode_step_time_x256", |b| {
+        b.iter(|| {
+            for (i, cell) in row.iter_mut().enumerate() {
+                *cell = estimator
+                    .decode_step_time(black_box(&model), &par, 8, kv(i))
+                    .expect("valid");
+            }
+        })
+    });
+    c.bench_function("pricing/decode_row_x256", |b| {
+        b.iter(|| {
+            estimator
+                .decode_row(black_box(&model), &par, 8, kv, &mut row)
+                .expect("valid")
+        })
+    });
+}
+
+criterion_group!(benches, bench_roofline, bench_cost_row);
 criterion_main!(benches);

@@ -1218,6 +1218,7 @@ pub fn render_telemetry(study: &TelemetryStudy) -> String {
              routing     {:>10}{:>12.1}\n\
              stretch-plan{:>10}{:>12.1}\n\
              leapfrog    {:>10}{:>12.1}\n\
+             cost-table  {:>10}{:>12.1}\n\
              heap-ops    {:>10}\n",
             p.admission_rounds,
             p.admission_s * 1e3,
@@ -1227,6 +1228,8 @@ pub fn render_telemetry(study: &TelemetryStudy) -> String {
             p.stretch_plan_s * 1e3,
             p.leapfrogs,
             p.leapfrog_s * 1e3,
+            p.cost_table_builds,
+            p.cost_table_s * 1e3,
             p.heap_ops,
         ));
     }

@@ -7,11 +7,11 @@
 
 use crate::error::OptimusError;
 use crate::roofline::{Placement, Roofline};
-use llm_workload::kernel::CommScope;
+use llm_workload::kernel::{CommOp, CommScope, Kernel};
 use llm_workload::kvcache::{KvCache, KvConvention};
 use llm_workload::model::{Precision, TransformerConfig};
 use llm_workload::parallelism::Parallelism;
-use llm_workload::taskgraph::{decode_step, prefill, TaskGraph};
+use llm_workload::taskgraph::{decode_step, decode_step_into, prefill, prefill_into};
 use rayon::prelude::*;
 use scd_arch::{Accelerator, Fabric};
 use serde::{Deserialize, Serialize};
@@ -153,7 +153,7 @@ impl InferenceEstimator {
     ) -> Result<f64, OptimusError> {
         self.accel.validate()?;
         let g = prefill(model, par, batch, input_tokens, self.precision)?;
-        let (c, m) = self.graph_time(&g, par.tp() as usize);
+        let (c, m) = self.graph_time(&g.kernels, &g.comms, par.tp() as usize);
         Ok(c + m)
     }
 
@@ -175,29 +175,112 @@ impl InferenceEstimator {
     ) -> Result<f64, OptimusError> {
         self.accel.validate()?;
         let g = decode_step(model, par, batch, kv_len, self.precision)?;
-        let (c, m) = self.graph_time(&g, par.tp() as usize);
+        let (c, m) = self.graph_time(&g.kernels, &g.comms, par.tp() as usize);
         Ok(c + m)
     }
 
-    fn graph_time(&self, graph: &TaskGraph, tp: usize) -> (f64, f64) {
-        let roofline = Roofline::new(&self.accel).with_placement(self.placement);
-        let compute: f64 = graph
-            .kernels
-            .iter()
-            .map(|k| roofline.time_all(k).seconds())
-            .sum();
-        let comm: f64 = graph
-            .comms
-            .iter()
-            .map(|c| {
-                let t = match c.scope {
-                    CommScope::TensorParallel => self.fabric.all_reduce_time(c.bytes, tp),
-                    CommScope::DataParallel => self.fabric.all_reduce_time(c.bytes, tp),
-                    CommScope::PipelineNeighbor => self.fabric.p2p_time(c.bytes),
-                };
-                t.seconds() * c.invocations
-            })
-            .sum();
+    /// Prices a row of decode iterations at one batch: `row[i]` becomes
+    /// [`Self::decode_step_time`] at cache length `kv_len(i)`, bit for
+    /// bit, and the row fails with the error that call would return.
+    ///
+    /// The first cell is one full `decode_step_time` call, which runs
+    /// every check; the later cells refill one pair of kernel buffers
+    /// and re-time only the kernels whose shape changed from the
+    /// previous cell (at a fixed batch, the three attention kernels).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::decode_step_time`].
+    pub fn decode_row(
+        &self,
+        model: &TransformerConfig,
+        par: &Parallelism,
+        batch: u32,
+        kv_len: impl Fn(usize) -> u32,
+        row: &mut [f64],
+    ) -> Result<(), OptimusError> {
+        self.price_row(
+            par,
+            row,
+            kv_len,
+            |kv| self.decode_step_time(model, par, batch, kv),
+            |kv, kernels, comms| {
+                decode_step_into(model, par, batch, kv, self.precision, kernels, comms);
+            },
+        )
+    }
+
+    /// Prices a row of prefill passes at one batch: `row[i]` becomes
+    /// [`Self::prefill_time`] at prompt length `input_tokens(i)`, bit for
+    /// bit, from reused buffers like [`Self::decode_row`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::prefill_time`].
+    pub fn prefill_row(
+        &self,
+        model: &TransformerConfig,
+        par: &Parallelism,
+        batch: u32,
+        input_tokens: impl Fn(usize) -> u32,
+        row: &mut [f64],
+    ) -> Result<(), OptimusError> {
+        self.price_row(
+            par,
+            row,
+            input_tokens,
+            |tokens| self.prefill_time(model, par, batch, tokens),
+            |tokens, kernels, comms| {
+                prefill_into(model, par, batch, tokens, self.precision, kernels, comms);
+            },
+        )
+    }
+
+    /// The row pricer behind [`Self::decode_row`] and
+    /// [`Self::prefill_row`]. Cell `i` is `full(len(i))`, the checked
+    /// per-cell call, for the first cell and for a zero length, so a
+    /// failing row fails with that call's error. Every other cell
+    /// appends its graph to reused buffers with `fill`.
+    fn price_row(
+        &self,
+        par: &Parallelism,
+        row: &mut [f64],
+        len: impl Fn(usize) -> u32,
+        full: impl Fn(u32) -> Result<f64, OptimusError>,
+        fill: impl Fn(u32, &mut Vec<Kernel>, &mut Vec<CommOp>),
+    ) -> Result<(), OptimusError> {
+        let mut pricer = GraphPricer::new(self, par.tp() as usize);
+        for (i, cell) in row.iter_mut().enumerate() {
+            let n = len(i);
+            *cell = if i == 0 || n == 0 {
+                full(n)?
+            } else {
+                pricer.price(|kernels, comms| fill(n, kernels, comms))
+            };
+        }
+        Ok(())
+    }
+
+    fn roofline(&self) -> Roofline<'_> {
+        Roofline::new(&self.accel).with_placement(self.placement)
+    }
+
+    /// Seconds of all invocations of one communication op in a
+    /// `tp`-wide tensor-parallel group.
+    fn comm_time(&self, c: &CommOp, tp: usize) -> f64 {
+        let t = match c.scope {
+            CommScope::TensorParallel => self.fabric.all_reduce_time(c.bytes, tp),
+            CommScope::DataParallel => self.fabric.all_reduce_time(c.bytes, tp),
+            CommScope::PipelineNeighbor => self.fabric.p2p_time(c.bytes),
+        };
+        t.seconds() * c.invocations
+    }
+
+    /// (compute s, communication s) of one graph, summed in op order.
+    fn graph_time(&self, kernels: &[Kernel], comms: &[CommOp], tp: usize) -> (f64, f64) {
+        let roofline = self.roofline();
+        let compute: f64 = kernels.iter().map(|k| roofline.time_all(k).seconds()).sum();
+        let comm: f64 = comms.iter().map(|c| self.comm_time(c, tp)).sum();
         (compute, comm)
     }
 
@@ -213,7 +296,7 @@ impl InferenceEstimator {
     ) -> Result<(f64, f64, f64), OptimusError> {
         let kv_len = shape.input_tokens + t;
         let g = decode_step(model, par, shape.batch, kv_len, self.precision)?;
-        let (c, m) = self.graph_time(&g, tp);
+        let (c, m) = self.graph_time(&g.kernels, &g.comms, tp);
         Ok((c, m, g.total_flops()))
     }
 
@@ -283,7 +366,8 @@ impl InferenceEstimator {
         let tp = par.tp() as usize;
 
         let prefill_graph = prefill(model, par, shape.batch, shape.input_tokens, self.precision)?;
-        let (prefill_comp, prefill_comm) = self.graph_time(&prefill_graph, tp);
+        let (prefill_comp, prefill_comm) =
+            self.graph_time(&prefill_graph.kernels, &prefill_graph.comms, tp);
 
         let per_token: Vec<Result<(f64, f64, f64), OptimusError>> = (0..shape.output_tokens)
             .into_par_iter()
@@ -315,7 +399,8 @@ impl InferenceEstimator {
         let tp = par.tp() as usize;
 
         let prefill_graph = prefill(model, par, shape.batch, shape.input_tokens, self.precision)?;
-        let (prefill_comp, prefill_comm) = self.graph_time(&prefill_graph, tp);
+        let (prefill_comp, prefill_comm) =
+            self.graph_time(&prefill_graph.kernels, &prefill_graph.comms, tp);
 
         let per_token =
             (0..shape.output_tokens).map(|t| self.decode_token(model, par, shape, tp, t));
@@ -327,6 +412,89 @@ impl InferenceEstimator {
             prefill_graph.total_flops(),
             per_token,
         )
+    }
+}
+
+/// Prices a sequence of graphs refilled into the same buffers. A kernel
+/// or communication op is re-timed only when its timing inputs differ in
+/// bits from the op at the same position of the previous graph, and the
+/// times are summed in op order, so every price equals
+/// [`InferenceEstimator::graph_time`] on the same graph, bit for bit.
+struct GraphPricer<'e> {
+    estimator: &'e InferenceEstimator,
+    roofline: Roofline<'e>,
+    tp: usize,
+    kernels: Vec<Kernel>,
+    comms: Vec<CommOp>,
+    kernel_s: Vec<(KernelShape, f64)>,
+    comm_s: Vec<(CommShape, f64)>,
+}
+
+/// What the roofline reads of a kernel: flops, weight bytes, activation
+/// bytes and invocations (as bits), and whether it streams the KV cache.
+type KernelShape = ([u64; 4], bool);
+
+/// What [`InferenceEstimator::comm_time`] reads of a communication op:
+/// bytes and invocations (as bits), and its scope.
+type CommShape = ([u64; 2], CommScope);
+
+impl<'e> GraphPricer<'e> {
+    fn new(estimator: &'e InferenceEstimator, tp: usize) -> Self {
+        Self {
+            estimator,
+            roofline: estimator.roofline(),
+            tp,
+            kernels: Vec::new(),
+            comms: Vec::new(),
+            kernel_s: Vec::new(),
+            comm_s: Vec::new(),
+        }
+    }
+
+    /// Refills the buffers with `fill` and prices the graph it built:
+    /// compute plus communication, in seconds.
+    fn price(&mut self, fill: impl FnOnce(&mut Vec<Kernel>, &mut Vec<CommOp>)) -> f64 {
+        self.kernels.clear();
+        self.comms.clear();
+        fill(&mut self.kernels, &mut self.comms);
+        let (roofline, estimator, tp) = (&self.roofline, self.estimator, self.tp);
+        retime(
+            &mut self.kernel_s,
+            &self.kernels,
+            |k| {
+                let bits = [k.flops, k.weight_bytes, k.activation_bytes, k.invocations];
+                (bits.map(f64::to_bits), k.kv_stream)
+            },
+            |k| roofline.time_all(k).seconds(),
+        );
+        retime(
+            &mut self.comm_s,
+            &self.comms,
+            |c| ([c.bytes, c.invocations].map(f64::to_bits), c.scope),
+            |c| estimator.comm_time(c, tp),
+        );
+        let compute: f64 = self.kernel_s.iter().map(|&(_, t)| t).sum();
+        let comm: f64 = self.comm_s.iter().map(|&(_, t)| t).sum();
+        compute + comm
+    }
+}
+
+/// Brings `times` in line with `ops`, position by position, re-timing an
+/// op only when its `shape` changed.
+fn retime<T, S: PartialEq>(
+    times: &mut Vec<(S, f64)>,
+    ops: &[T],
+    shape: impl Fn(&T) -> S,
+    time: impl Fn(&T) -> f64,
+) {
+    times.truncate(ops.len());
+    for (i, op) in ops.iter().enumerate() {
+        let s = shape(op);
+        match times.get_mut(i) {
+            Some(cached) if cached.0 == s => {}
+            Some(cached) => *cached = (s, time(op)),
+            None => times.push((s, time(op))),
+        }
     }
 }
 
@@ -349,6 +517,112 @@ mod tests {
     fn gpu_estimator() -> InferenceEstimator {
         let gpus = GpuSystem::h100_cluster(64);
         InferenceEstimator::new(gpus.accelerator().clone(), gpus.fabric().clone())
+    }
+
+    /// KV lengths a row visits: steady runs, jumps back and repeats, so
+    /// the pricer both reuses and re-times its cached kernels.
+    fn lengths(i: usize) -> u32 {
+        [1, 2, 3, 200, 200, 199, 4096, 17, 17, 1][i % 10] + (i / 10) as u32 * 16
+    }
+
+    /// Every (estimator, model, plan) the row pricer must match exactly.
+    fn pricing_cases() -> Vec<(InferenceEstimator, TransformerConfig, Parallelism)> {
+        let tp64 = Parallelism::pure_tp(64).unwrap();
+        vec![
+            (spu_estimator(16.0, 30.0), ModelZoo::llama_405b(), tp64),
+            (gpu_estimator(), ModelZoo::llama_405b(), tp64),
+            (
+                spu_estimator(16.0, 30.0).with_placement(Placement::kv_in_l2()),
+                ModelZoo::llama_70b(),
+                tp64,
+            ),
+            // Ungated MLP.
+            (
+                spu_estimator(4.0, 30.0),
+                ModelZoo::gpt3_175b(),
+                Parallelism::pure_tp(8).unwrap(),
+            ),
+            // MoE on a pipelined (PP = 4) plan.
+            (
+                spu_estimator(16.0, 30.0),
+                ModelZoo::moe_132b(),
+                Parallelism::new(16, 4, 1).unwrap(),
+            ),
+            // TP = 1: no communication op at all.
+            (
+                spu_estimator(16.0, 30.0),
+                ModelZoo::llama2_7b(),
+                Parallelism::new(1, 1, 1).unwrap(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn row_priced_cells_equal_per_cell_calls_bit_for_bit() {
+        for (est, model, par) in pricing_cases() {
+            for batch in [1, 3, 64] {
+                let mut row = vec![f64::NAN; 60];
+                est.decode_row(&model, &par, batch, lengths, &mut row)
+                    .unwrap();
+                for (i, &cell) in row.iter().enumerate() {
+                    let want = est
+                        .decode_step_time(&model, &par, batch, lengths(i))
+                        .unwrap();
+                    assert_eq!(
+                        cell.to_bits(),
+                        want.to_bits(),
+                        "{} {par} decode B={batch} kv={}",
+                        model.name,
+                        lengths(i)
+                    );
+                }
+                est.prefill_row(&model, &par, batch, lengths, &mut row)
+                    .unwrap();
+                for (i, &cell) in row.iter().enumerate() {
+                    let want = est.prefill_time(&model, &par, batch, lengths(i)).unwrap();
+                    assert_eq!(
+                        cell.to_bits(),
+                        want.to_bits(),
+                        "{} {par} prefill B={batch} in={}",
+                        model.name,
+                        lengths(i)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_pricing_fails_like_the_per_cell_call() {
+        let est = spu_estimator(16.0, 30.0);
+        let par = Parallelism::pure_tp(64).unwrap();
+        let mut row = [0.0; 4];
+        // An invalid model fails on the first cell.
+        let mut broken = ModelZoo::llama_405b();
+        broken.hidden = 0;
+        let want = est.decode_step_time(&broken, &par, 8, 1).unwrap_err();
+        let got = est.decode_row(&broken, &par, 8, lengths, &mut row);
+        assert_eq!(got.unwrap_err(), want);
+        let want = est.prefill_time(&broken, &par, 8, 1).unwrap_err();
+        let got = est.prefill_row(&broken, &par, 8, lengths, &mut row);
+        assert_eq!(got.unwrap_err(), want);
+        // A plan the model does not divide by fails the same way.
+        let model = ModelZoo::moe_132b();
+        let want = est.decode_step_time(&model, &par, 8, 1).unwrap_err();
+        let got = est.decode_row(&model, &par, 8, lengths, &mut row);
+        assert_eq!(got.unwrap_err(), want);
+        // A degenerate shape past the first cell still takes the
+        // checked path and its typed error.
+        let model = ModelZoo::llama_405b();
+        let zero_at_2 = |i: usize| if i == 2 { 0 } else { 100 };
+        let want = est.decode_step_time(&model, &par, 8, 0).unwrap_err();
+        let got = est.decode_row(&model, &par, 8, zero_at_2, &mut row);
+        assert_eq!(got.unwrap_err(), want);
+        let want = est.prefill_time(&model, &par, 8, 0).unwrap_err();
+        let got = est.prefill_row(&model, &par, 8, zero_at_2, &mut row);
+        assert_eq!(got.unwrap_err(), want);
+        // An empty row prices nothing and checks nothing.
+        assert!(est.decode_row(&broken, &par, 8, lengths, &mut []).is_ok());
     }
 
     #[test]

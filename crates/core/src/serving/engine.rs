@@ -213,9 +213,11 @@ impl ServingConfig {
 }
 
 /// Iteration-cost lookup: decode cost per (batch, bucketized KV length)
-/// and batch-1 prefill cost per bucketized prompt length. Built once per
-/// replay — in parallel or serially, bit-identically — so the simulation
-/// loop itself is pure table lookups.
+/// and batch-1 prefill cost per bucketized prompt length. Rebuilt on
+/// every replay, one batch row at a time from reused kernel buffers
+/// ([`InferenceEstimator::decode_row`]) — rows in parallel or serially,
+/// bit-identically — so the simulation loop itself is pure table
+/// lookups.
 #[derive(Debug)]
 pub(crate) struct CostTable {
     bucket: u32,
@@ -1385,12 +1387,18 @@ impl<'a> ServingSimulator<'a> {
     }
 
     /// Builds the iteration-cost table covering every (batch, KV-bucket)
-    /// state a [checked](Self::check_trace) trace can reach.
+    /// state a [checked](Self::check_trace) trace can reach. Each batch
+    /// is one row priced by [`InferenceEstimator::decode_row`] into its
+    /// slice of the one preallocated table (rows on rayon workers when
+    /// `parallel`), and prefill is one more row; every cell equals the
+    /// per-cell estimator call bit for bit, and a failing table returns
+    /// that call's error.
     pub(crate) fn cost_table(
         &self,
         trace: &[RequestSpec],
         parallel: bool,
     ) -> Result<CostTable, OptimusError> {
+        let _span = profile::span(profile::Phase::CostTable);
         let bucket = self.config.kv_bucket_tokens;
         let (max_kv, max_prompt) = trace.iter().fold((0, 0), |(kv, prompt), r| {
             (kv.max(r.full_tokens() - 1), prompt.max(r.prompt_tokens))
@@ -1399,44 +1407,105 @@ impl<'a> ServingSimulator<'a> {
         let max_prompt_idx = max_prompt.div_ceil(bucket) as usize;
         let max_batch = self.config.max_batch.min(trace.len() as u32) as usize;
 
-        let decode_cell = |cell: usize| -> Result<f64, OptimusError> {
-            let batch = (cell / max_kv_idx) as u32 + 1;
-            let kv = (cell % max_kv_idx + 1) as u32 * bucket;
+        // Row-major: one row per batch, priced from reused kernel buffers.
+        let mut decode = vec![0.0; max_batch * max_kv_idx];
+        let mut prefill = vec![0.0; max_prompt_idx];
+        let length = |idx: usize| (idx + 1) as u32 * bucket;
+        let decode_row = |(b, row): (usize, &mut [f64])| {
             self.estimator
-                .decode_step_time(self.model, self.par, batch, kv)
+                .decode_row(self.model, self.par, b as u32 + 1, length, row)
         };
-        let prefill_cell = |idx: usize| -> Result<f64, OptimusError> {
-            self.estimator
-                .prefill_time(self.model, self.par, 1, (idx + 1) as u32 * bucket)
-        };
-
-        let decode_cells = max_batch * max_kv_idx;
-        let (decode, prefill) = if parallel {
-            (
-                (0..decode_cells)
-                    .into_par_iter()
-                    .map(decode_cell)
-                    .collect::<Result<Vec<_>, _>>()?,
-                (0..max_prompt_idx)
-                    .into_par_iter()
-                    .map(prefill_cell)
-                    .collect::<Result<Vec<_>, _>>()?,
-            )
+        let mut rows = decode.chunks_mut(max_kv_idx.max(1)).enumerate();
+        if parallel {
+            rows.collect::<Vec<_>>()
+                .into_par_iter()
+                .map(decode_row)
+                .collect::<Result<(), _>>()?;
         } else {
-            (
-                (0..decode_cells)
-                    .map(decode_cell)
-                    .collect::<Result<Vec<_>, _>>()?,
-                (0..max_prompt_idx)
-                    .map(prefill_cell)
-                    .collect::<Result<Vec<_>, _>>()?,
-            )
-        };
+            rows.try_for_each(decode_row)?;
+        }
+        self.estimator
+            .prefill_row(self.model, self.par, 1, length, &mut prefill)?;
         Ok(CostTable {
             bucket,
             max_kv_idx,
             decode,
             prefill,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serving::policy::FcfsPolicy;
+    use llm_workload::model::ModelZoo;
+    use scd_arch::Blade;
+
+    fn simulator<'a>(
+        estimator: &InferenceEstimator,
+        model: &'a TransformerConfig,
+        par: &'a Parallelism,
+        bucket: u32,
+    ) -> ServingSimulator<'a> {
+        let config = ServingConfig {
+            kv_bucket_tokens: bucket,
+            ..ServingConfig::unconstrained(3)
+        };
+        let policy = Box::new(FcfsPolicy);
+        ServingSimulator::from_parts(estimator.clone(), model, par, config, policy, None).unwrap()
+    }
+
+    #[test]
+    fn cost_table_rows_equal_per_cell_estimator_calls() {
+        let blade = Blade::baseline();
+        let estimator = InferenceEstimator::new(blade.accelerator(), blade.interconnect());
+        let model = ModelZoo::llama_70b();
+        let par = Parallelism::pure_tp(64).unwrap();
+        let trace = [
+            RequestSpec::new(0, 0.0, 300, 40),
+            RequestSpec::new(1, 0.1, 90, 200),
+            RequestSpec::new(2, 0.2, 7, 3),
+            RequestSpec::new(3, 0.3, 12, 9),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for bucket in [1, 16] {
+            let sim = simulator(&estimator, &model, &par, bucket);
+            sim.check_trace(&trace).unwrap();
+            let parallel = sim.cost_table(&trace, true).unwrap();
+            let serial = sim.cost_table(&trace, false).unwrap();
+            assert_eq!(bits(&parallel.decode), bits(&serial.decode));
+            assert_eq!(bits(&parallel.prefill), bits(&serial.prefill));
+            assert_eq!(serial.max_batch(), 3);
+            assert_eq!(serial.max_kv(), 339u32.div_ceil(bucket) * bucket);
+            assert_eq!(serial.prefill.len(), 300usize.div_ceil(bucket as usize));
+            for batch in 1..=serial.max_batch() {
+                for kv in (bucket..=serial.max_kv()).step_by(bucket as usize) {
+                    let want = estimator.decode_step_time(&model, &par, batch, kv).unwrap();
+                    assert_eq!(serial.decode_cost(batch, kv).to_bits(), want.to_bits());
+                }
+            }
+            for (idx, &cell) in serial.prefill.iter().enumerate() {
+                let prompt = (idx as u32 + 1) * bucket;
+                let want = estimator.prefill_time(&model, &par, 1, prompt).unwrap();
+                assert_eq!(cell.to_bits(), want.to_bits(), "prompt {prompt}");
+            }
+        }
+    }
+
+    #[test]
+    fn cost_table_fails_with_the_estimators_error() {
+        let blade = Blade::baseline();
+        let mut accel = blade.accelerator();
+        accel.peak_flops = 0.0;
+        let estimator = InferenceEstimator::new(accel, blade.interconnect());
+        let model = ModelZoo::llama_70b();
+        let par = Parallelism::pure_tp(64).unwrap();
+        let trace = [RequestSpec::new(0, 0.0, 30, 4)];
+        let want = estimator.decode_step_time(&model, &par, 1, 1).unwrap_err();
+        for parallel in [true, false] {
+            let sim = simulator(&estimator, &model, &par, 1);
+            assert_eq!(sim.cost_table(&trace, parallel).unwrap_err(), want);
+        }
     }
 }

@@ -20,9 +20,10 @@
 //!   ([`PagedKvAllocator`]) with fragmentation tracking.
 //! * [`engine`] — the engine step and the single-blade replay loop
 //!   ([`ServingConfig`]): iteration-level admission, recompute-style
-//!   preemption, chunked prefill, and decode pricing from a memoized
-//!   roofline cost table (bucketized-mean fast path or exact
-//!   per-sequence spans). Every replay loop is generic over a queue
+//!   preemption, chunked prefill, and decode pricing from a roofline
+//!   cost table rebuilt on every replay, priced row by row from reused
+//!   kernel buffers (bucketized-mean fast path or exact per-sequence
+//!   spans). Every replay loop is generic over a queue
 //!   discipline, and [`SimCore`] picks it: the event-driven default
 //!   (incremental queue order, heap-tracked ready times, batched decode
 //!   stretches) or the per-step reference, bit-identical by
@@ -71,10 +72,13 @@
 //! eviction, chunk dispatch, handoff, completion) without reaching into
 //! engine internals.
 //!
-//! Replay is exactly reproducible: [`CompiledScenario::run`] builds its
-//! iteration-cost table on rayon workers while
-//! [`CompiledScenario::run_serial`] builds the identical table on one
-//! thread, and the two reports are bit-identical (enforced by the
+//! Replay is exactly reproducible. Every replay rebuilds its
+//! iteration-cost table, one batch row at a time from reused kernel
+//! buffers, each cell bit-identical to a per-cell
+//! [`InferenceEstimator::decode_step_time`](crate::InferenceEstimator::decode_step_time)
+//! call. [`CompiledScenario::run`] prices the rows on rayon workers
+//! while [`CompiledScenario::run_serial`] prices them on one thread,
+//! and the two reports are bit-identical (enforced by the
 //! `parallel_equivalence` suite, like every other parallel path in this
 //! workspace). The default configuration — FCFS, contiguous KV,
 //! whole-prompt prefill, bucketized-mean pricing, one default SLO class

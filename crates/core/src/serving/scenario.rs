@@ -676,9 +676,10 @@ impl CompiledScenario<'_> {
         })
     }
 
-    /// Runs the scenario with the iteration-cost table built on rayon
-    /// workers (and, for mixed per-blade topologies, blades replayed
-    /// concurrently). Bit-identical to [`Self::run_serial`].
+    /// Runs the scenario with the iteration-cost table's batch rows
+    /// priced on rayon workers (and, for mixed per-blade topologies,
+    /// blades replayed concurrently). Bit-identical to
+    /// [`Self::run_serial`].
     ///
     /// # Errors
     ///
@@ -1488,6 +1489,43 @@ mod tests {
         // it is converged enough to land inside the observed range.
         let p99 = tail.p99.unwrap();
         assert!(p99 > 0.0 && p99 <= report.report.latency.p99 * 1.5);
+    }
+
+    #[test]
+    fn telemetry_follows_requests_whatever_their_ids() {
+        let (system, model, par) = parts();
+        let cfg = TelemetryConfig {
+            window_s: 0.05,
+            max_windows: 128,
+        };
+        let run = |requests: Vec<RequestSpec>| {
+            scenario(&system, &model, &par)
+                .requests(requests)
+                .telemetry(cfg)
+                .compile()
+                .unwrap()
+                .run_with_telemetry()
+                .unwrap()
+        };
+        // One request with the largest id.
+        let (report, tel) = run(vec![RequestSpec::new(u32::MAX, 0.0, 16, 4)]);
+        assert_eq!(report.report.completed, 1);
+        let windows = tel.cluster_windows();
+        assert_eq!(windows.iter().map(|w| w.completions).sum::<u64>(), 1);
+        assert_eq!(windows.last().unwrap().queue_depth, 0);
+        // Sparse ids replay exactly like the same trace numbered 0..n.
+        let dense = prefill_heavy_trace().synthesize().unwrap();
+        let sparse = dense
+            .iter()
+            .map(|r| RequestSpec {
+                id: u32::MAX - 7 * r.id,
+                ..*r
+            })
+            .collect();
+        let (dense_report, dense_tel) = run(dense);
+        let (sparse_report, sparse_tel) = run(sparse);
+        assert_eq!(sparse_report, dense_report);
+        assert_eq!(sparse_tel.to_csv(), dense_tel.to_csv());
     }
 
     #[test]

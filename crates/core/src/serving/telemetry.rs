@@ -24,7 +24,8 @@
 //!   authoritative; the sketch is validated against them.
 //! * **Self-profiling** — wall-clock phase counters over the simulator's
 //!   own hot paths (event-heap ops, stretch planning, leapfrog replay,
-//!   admission, routing) in [`profile`], compiled in behind the
+//!   admission, routing, the iteration-cost table build) in
+//!   [`profile`], compiled in behind the
 //!   `self-profile` cargo feature (on by default) and captured at
 //!   runtime only between [`profile::start`] and [`profile::stop`],
 //!   which the caller wraps around the replay it wants profiled.
@@ -79,6 +80,7 @@ use super::observer::{EventKind, SimEvent, SimObserver};
 use super::report::SloClass;
 use super::traces::RequestSpec;
 use crate::error::OptimusError;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 pub use profile::ProfileReport;
@@ -626,7 +628,11 @@ pub struct Telemetry {
     run: [[P2Sketch; 3]; 3],
     arrivals: Vec<f64>,
     next_arrival: usize,
+    /// Request lifecycle states indexed by id, sized by the trace when
+    /// its ids are the dense `0..n` and empty otherwise.
     state: Vec<u8>,
+    /// Lifecycle states of the requests `state` does not index.
+    sparse_state: HashMap<u32, u8>,
     waiting: u64,
     active: u32,
     initial_active: u32,
@@ -659,6 +665,7 @@ impl Telemetry {
             arrivals: Vec::new(),
             next_arrival: 0,
             state: Vec::new(),
+            sparse_state: HashMap::new(),
             waiting: 0,
             active: blades,
             initial_active: blades,
@@ -682,8 +689,14 @@ impl Telemetry {
         self.arrivals = trace.iter().map(|r| r.arrival_s).collect();
         self.arrivals.sort_by(f64::total_cmp);
         self.next_arrival = 0;
-        let max_id = trace.iter().map(|r| r.id).max().map_or(0, |id| id + 1);
-        self.state = vec![WAITING; max_id as usize];
+        // Sized by the trace, not by its largest id.
+        let dense = trace.iter().all(|r| (r.id as usize) < trace.len());
+        self.state = if dense {
+            vec![WAITING; trace.len()]
+        } else {
+            Vec::new()
+        };
+        self.sparse_state.clear();
     }
 
     /// Absorbs every arrival not yet passed by the replay clock and
@@ -819,11 +832,10 @@ impl Telemetry {
     }
 
     fn state_mut(&mut self, r: &RequestSpec) -> &mut u8 {
-        let id = r.id as usize;
-        if self.state.len() <= id {
-            self.state.resize(id + 1, WAITING);
+        match self.state.get_mut(r.id as usize) {
+            Some(s) => s,
+            None => self.sparse_state.entry(r.id).or_insert(WAITING),
         }
-        &mut self.state[id]
     }
 
     fn leave_queue(&mut self, r: &RequestSpec, next: u8) {
@@ -1276,7 +1288,9 @@ impl SimObserver for Telemetry {
 pub mod profile {
     //! Simulator self-profiling: wall-clock phase counters over the
     //! event core's hot paths — event-heap operations, decode-stretch
-    //! planning, leapfrog replay, admission rounds and arrival routing.
+    //! planning, leapfrog replay, admission rounds and arrival routing —
+    //! and over the iteration-cost table each replay builds before its
+    //! loop starts.
     //!
     //! The instrumentation is compiled in behind the `self-profile`
     //! cargo feature (on by default; disable it for an
@@ -1312,6 +1326,10 @@ pub mod profile {
         pub routing_calls: u64,
         /// Wall-clock seconds routing arrivals.
         pub routing_s: f64,
+        /// Iteration-cost table builds (one per replay).
+        pub cost_table_builds: u64,
+        /// Wall-clock seconds building iteration-cost tables.
+        pub cost_table_s: f64,
     }
 
     impl ProfileReport {
@@ -1330,6 +1348,7 @@ pub mod profile {
         Leapfrog,
         Admission,
         Routing,
+        CostTable,
     }
 
     #[cfg(feature = "self-profile")]
@@ -1348,6 +1367,8 @@ pub mod profile {
         static ADM_NS: AtomicU64 = AtomicU64::new(0);
         static ROUTE_CALLS: AtomicU64 = AtomicU64::new(0);
         static ROUTE_NS: AtomicU64 = AtomicU64::new(0);
+        static TABLE_CALLS: AtomicU64 = AtomicU64::new(0);
+        static TABLE_NS: AtomicU64 = AtomicU64::new(0);
 
         fn cells(phase: Phase) -> (&'static AtomicU64, &'static AtomicU64) {
             match phase {
@@ -1355,6 +1376,7 @@ pub mod profile {
                 Phase::Leapfrog => (&LEAP_CALLS, &LEAP_NS),
                 Phase::Admission => (&ADM_CALLS, &ADM_NS),
                 Phase::Routing => (&ROUTE_CALLS, &ROUTE_NS),
+                Phase::CostTable => (&TABLE_CALLS, &TABLE_NS),
             }
         }
 
@@ -1400,6 +1422,8 @@ pub mod profile {
                 &ADM_NS,
                 &ROUTE_CALLS,
                 &ROUTE_NS,
+                &TABLE_CALLS,
+                &TABLE_NS,
             ] {
                 c.store(0, Relaxed);
             }
@@ -1419,6 +1443,8 @@ pub mod profile {
                 admission_s: s(&ADM_NS),
                 routing_calls: ROUTE_CALLS.load(Relaxed),
                 routing_s: s(&ROUTE_NS),
+                cost_table_builds: TABLE_CALLS.load(Relaxed),
+                cost_table_s: s(&TABLE_NS),
             }
         }
     }
@@ -1740,6 +1766,41 @@ mod tests {
         assert!(prom.contains("sim_blade_completions_total{blade=\"1\"} 1"));
         assert!(prom.contains("sim_ttft_seconds{quantile=\"0.99\"}"));
         assert!(prom.contains("sim_ttft_seconds_count 1"));
+    }
+
+    #[test]
+    fn request_state_is_sized_by_the_trace_not_its_largest_id() {
+        // One request with the largest id: sizing by id would overflow
+        // `id + 1` (a debug-build panic) or allocate 4 GiB.
+        let mut t = Telemetry::new(&cfg(1.0, 64), 1, &one_class()).unwrap();
+        let request = RequestSpec::new(u32::MAX, 0.0, 16, 4);
+        t.observe_arrivals(&[request]);
+        send(&mut t, 0, 0.1, EventKind::Admission { request });
+        send(
+            &mut t,
+            0,
+            0.5,
+            EventKind::Eviction {
+                request,
+                wasted_tokens: 0,
+            },
+        );
+        send(&mut t, 0, 0.6, EventKind::Admission { request });
+        let done = EventKind::Completion {
+            request,
+            first_token_s: 0.7,
+        };
+        send(&mut t, 0, 0.9, done);
+        // A request the trace never listed is tracked on the side.
+        let stray = RequestSpec::new(5, 0.0, 16, 4);
+        send(&mut t, 0, 0.9, EventKind::Admission { request: stray });
+        t.finish();
+        assert!(t.state.is_empty());
+        assert_eq!(t.sparse_state.len(), 2);
+        let w = t.cluster_windows();
+        assert_eq!(w.iter().map(|w| w.arrivals).sum::<u64>(), 1);
+        assert_eq!(w.iter().map(|w| w.completions).sum::<u64>(), 1);
+        assert_eq!(w.last().unwrap().queue_depth, 0);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::model::Precision;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// What kind of operation a kernel is (affects reporting only).
@@ -41,8 +42,9 @@ impl fmt::Display for KernelClass {
 /// One kernel invocation pattern (already sharded to a single unit).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Kernel {
-    /// Kernel name for reports ("qkv_proj", "mlp_up", ...).
-    pub name: String,
+    /// Kernel name for reports ("qkv_proj", "mlp_up", ...). Literal
+    /// names borrow, so building a graph of them allocates no strings.
+    pub name: Cow<'static, str>,
     /// Classification.
     pub class: KernelClass,
     /// Floating-point operations per invocation.
@@ -64,7 +66,7 @@ impl Kernel {
     /// weights, with every tensor in `precision`.
     #[must_use]
     pub fn gemm(
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         class: KernelClass,
         m: f64,
         n: f64,
@@ -88,7 +90,7 @@ impl Kernel {
     /// both operands are activations.
     #[must_use]
     pub fn activation_gemm(
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         m: f64,
         n: f64,
         k: f64,
@@ -112,7 +114,7 @@ impl Kernel {
     /// `ops_per_elem` FLOPs each, reading and writing once.
     #[must_use]
     pub fn elementwise(
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         elems: f64,
         ops_per_elem: f64,
         precision: Precision,
@@ -170,8 +172,8 @@ impl fmt::Display for Kernel {
 /// A communication operation attached to the task graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CommOp {
-    /// Descriptive name ("tp_allreduce_fwd", ...).
-    pub name: String,
+    /// Descriptive name ("tp_allreduce_fwd", ...); literal names borrow.
+    pub name: Cow<'static, str>,
     /// Collective type.
     pub kind: CommKind,
     /// Bytes per member per invocation.
@@ -281,7 +283,7 @@ mod tests {
     #[test]
     fn zero_byte_kernel_has_infinite_intensity() {
         let k = Kernel {
-            name: "noop".to_owned(),
+            name: "noop".into(),
             class: KernelClass::Gemm,
             flops: 10.0,
             weight_bytes: 0.0,

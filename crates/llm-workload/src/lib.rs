@@ -48,4 +48,6 @@ pub use kvcache::{KvCache, KvConvention};
 pub use memory::{inference_footprint, training_footprint, ActivationPolicy, MemoryFootprint};
 pub use model::{ModelZoo, Precision, TransformerConfig};
 pub use parallelism::Parallelism;
-pub use taskgraph::{decode_step, prefill, training_step, TaskGraph};
+pub use taskgraph::{
+    decode_step, decode_step_into, prefill, prefill_into, training_step, TaskGraph,
+};

@@ -272,7 +272,7 @@ pub fn training_step(
     let backward: Vec<Kernel> = kernels
         .iter()
         .map(|k| Kernel {
-            name: format!("{}_bwd", k.name),
+            name: format!("{}_bwd", k.name).into(),
             class: k.class,
             flops: 2.0 * k.flops,
             weight_bytes: 2.0 * k.weight_bytes,
@@ -300,7 +300,7 @@ pub fn training_step(
     // state + gradient + weight per step.
     let params_per_unit = model.total_params() / f64::from(par.tp() * par.pp());
     kernels.push(Kernel {
-        name: "adam_update".to_owned(),
+        name: "adam_update".into(),
         class: KernelClass::WeightUpdate,
         flops: 8.0 * params_per_unit,
         weight_bytes: 12.0 * params_per_unit,
@@ -314,7 +314,7 @@ pub fn training_step(
         // 2 all-reduces fwd + 2 bwd per layer per microbatch over the TP
         // group, each of one microbatch's activations.
         comms.push(CommOp {
-            name: "tp_allreduce".to_owned(),
+            name: "tp_allreduce".into(),
             kind: CommKind::AllReduce,
             bytes: s * h * b,
             scope: CommScope::TensorParallel,
@@ -325,7 +325,7 @@ pub fn training_step(
     if par.pp() > 1 {
         // Activation hand-off per microbatch per boundary, fwd + bwd.
         comms.push(CommOp {
-            name: "pp_sendrecv".to_owned(),
+            name: "pp_sendrecv".into(),
             kind: CommKind::P2p,
             bytes: s * h * b,
             scope: CommScope::PipelineNeighbor,
@@ -334,7 +334,7 @@ pub fn training_step(
     }
     if par.dp() > 1 {
         comms.push(CommOp {
-            name: "dp_grad_allreduce".to_owned(),
+            name: "dp_grad_allreduce".into(),
             kind: CommKind::AllReduce,
             bytes: params_per_unit * b,
             scope: CommScope::DataParallel,
@@ -373,15 +373,45 @@ pub fn prefill(
             ),
         });
     }
+    let (mut kernels, mut comms) = (Vec::new(), Vec::new());
+    prefill_into(
+        model,
+        par,
+        batch,
+        input_tokens,
+        precision,
+        &mut kernels,
+        &mut comms,
+    );
+    Ok(TaskGraph {
+        name: format!("{} prefill B={batch} in={input_tokens}", model.name),
+        kernels,
+        comms,
+    })
+}
+
+/// Appends the kernels and communication ops of [`prefill`]'s graph to
+/// `kernels` and `comms`, without its checks: the caller has validated
+/// the model, the plan and a nonzero shape (one [`prefill`] call does).
+/// Lets a caller pricing many shapes refill the same buffers.
+pub fn prefill_into(
+    model: &TransformerConfig,
+    par: &Parallelism,
+    batch: u32,
+    input_tokens: u32,
+    precision: Precision,
+    kernels: &mut Vec<Kernel>,
+    comms: &mut Vec<CommOp>,
+) {
     let s = f64::from(input_tokens);
     let bsz = f64::from(batch);
     let h = f64::from(model.hidden);
     let layers = f64::from(model.layers) / f64::from(par.pp());
     let b = precision.bytes();
 
-    let mut kernels = Vec::new();
-    layer_forward_kernels(model, par, bsz * s, bsz, s, precision, layers, &mut kernels);
-    for k in &mut kernels {
+    let first = kernels.len();
+    layer_forward_kernels(model, par, bsz * s, bsz, s, precision, layers, kernels);
+    for k in &mut kernels[first..] {
         if k.class == KernelClass::Attention {
             k.kv_stream = true;
         }
@@ -398,7 +428,7 @@ pub fn prefill(
     // Writing the fresh K/V entries out to the cache level.
     let kv_dim = f64::from(model.kv_heads) * f64::from(model.head_dim());
     kernels.push(Kernel {
-        name: "kv_write".to_owned(),
+        name: "kv_write".into(),
         class: KernelClass::Attention,
         flops: 0.0,
         weight_bytes: 0.0,
@@ -406,21 +436,15 @@ pub fn prefill(
         invocations: layers,
         kv_stream: true,
     });
-    let mut comms = Vec::new();
     if par.tp() > 1 {
         comms.push(CommOp {
-            name: "tp_allreduce".to_owned(),
+            name: "tp_allreduce".into(),
             kind: CommKind::AllReduce,
             bytes: bsz * s * h * b,
             scope: CommScope::TensorParallel,
             invocations: 2.0 * layers,
         });
     }
-    Ok(TaskGraph {
-        name: format!("{} prefill B={batch} in={input_tokens}", model.name),
-        kernels,
-        comms,
-    })
 }
 
 /// Builds one decode step at cache length `kv_len` (one new token per
@@ -443,12 +467,43 @@ pub fn decode_step(
             reason: format!("decode needs batch ≥ 1 and kv ≥ 1, got B={batch} kv={kv_len}"),
         });
     }
+    let (mut kernels, mut comms) = (Vec::new(), Vec::new());
+    decode_step_into(
+        model,
+        par,
+        batch,
+        kv_len,
+        precision,
+        &mut kernels,
+        &mut comms,
+    );
+    Ok(TaskGraph {
+        name: format!("{} decode B={batch} kv={kv_len}", model.name),
+        kernels,
+        comms,
+    })
+}
+
+/// Appends the kernels and communication ops of [`decode_step`]'s graph
+/// to `kernels` and `comms`, without its checks: the caller has
+/// validated the model, the plan and a nonzero shape (one
+/// [`decode_step`] call does). Lets a caller pricing many shapes refill
+/// the same buffers.
+pub fn decode_step_into(
+    model: &TransformerConfig,
+    par: &Parallelism,
+    batch: u32,
+    kv_len: u32,
+    precision: Precision,
+    kernels: &mut Vec<Kernel>,
+    comms: &mut Vec<CommOp>,
+) {
     let bsz = f64::from(batch);
     let h = f64::from(model.hidden);
     let layers = f64::from(model.layers) / f64::from(par.pp());
     let b = precision.bytes();
 
-    let mut kernels = Vec::new();
+    let first = kernels.len();
     layer_forward_kernels(
         model,
         par,
@@ -457,10 +512,10 @@ pub fn decode_step(
         f64::from(kv_len),
         precision,
         layers,
-        &mut kernels,
+        kernels,
     );
     // Decode attention reads the persistent KV cache each step.
-    for k in &mut kernels {
+    for k in &mut kernels[first..] {
         if k.class == KernelClass::Attention {
             k.kv_stream = true;
         }
@@ -474,21 +529,15 @@ pub fn decode_step(
         precision,
         1.0,
     ));
-    let mut comms = Vec::new();
     if par.tp() > 1 {
         comms.push(CommOp {
-            name: "tp_allreduce".to_owned(),
+            name: "tp_allreduce".into(),
             kind: CommKind::AllReduce,
             bytes: bsz * h * b,
             scope: CommScope::TensorParallel,
             invocations: 2.0 * layers,
         });
     }
-    Ok(TaskGraph {
-        name: format!("{} decode B={batch} kv={kv_len}", model.name),
-        kernels,
-        comms,
-    })
 }
 
 #[cfg(test)]
