@@ -1,13 +1,14 @@
 //! Criterion bench: scenario-compiled serving replays — single blade,
 //! the cluster loop at 1/4/16 blades, the disaggregated prefill→decode
 //! loop, the prefix-cached shared-prompt replay, and the simulation-core
-//! scaling trend (event-driven vs per-step on the diurnal trace).
+//! scaling trend (event-driven vs per-step on the diurnal trace) — plus
+//! the per-block cost of a prefix-cache touch under eviction pressure.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use llm_workload::{ModelZoo, Parallelism};
 use optimus::serving::{
-    DispatchMode, HandoffLink, RoutingPolicy, Scenario, SharedPrefixTraceConfig, SimCore, Topology,
-    TraceConfig,
+    CacheEviction, DispatchMode, HandoffLink, PrefixBlock, PrefixCache, PrefixCachingConfig,
+    RoutingPolicy, Scenario, SharedPrefix, SharedPrefixTraceConfig, SimCore, Topology, TraceConfig,
 };
 use optimus::{InferenceEstimator, MultiBladeSystem, SpeedupStudy};
 use scd_arch::Blade;
@@ -126,6 +127,59 @@ fn bench_prefix_caching(c: &mut Criterion) {
     }
 }
 
+/// One `PrefixCache::touch` plus `evict_to_budget` per iteration, the
+/// step the global tier's plan and the routing residency model take per
+/// request: a Zipf(1.1) sequence over 64 system prompts of 256–1023
+/// tokens in 16-token blocks, on an LFU cache whose 8192-token budget
+/// holds about a fifth of the catalogue, so most touches evict.
+fn bench_prefix_touch(c: &mut Criterion) {
+    const PROMPTS: usize = 64;
+    const BUDGET_TOKENS: u64 = 8192;
+    let chains: Vec<Vec<PrefixBlock>> = (0..PROMPTS as u64)
+        .map(|id| {
+            let spread = ((id + 1) as f64 * 0.618_033_988_749_895).fract();
+            let tokens = 256 + (spread * 768.0) as u32;
+            SharedPrefix { id, tokens }.block_chain(16)
+        })
+        .collect();
+    // Zipf picks by inverse CDF over a xorshift stream.
+    let cdf: Vec<f64> = (1..=PROMPTS)
+        .scan(0.0, |acc, rank| {
+            *acc += (rank as f64).powf(-1.1);
+            Some(*acc)
+        })
+        .collect();
+    let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+    let picks: Vec<usize> = (0..4096)
+        .map(|_| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let u = (rng >> 11) as f64 / (1u64 << 53) as f64 * cdf[PROMPTS - 1];
+            cdf.partition_point(|&c| c < u).min(PROMPTS - 1)
+        })
+        .collect();
+    let mut cache = PrefixCache::new(PrefixCachingConfig {
+        block_tokens: 16,
+        eviction: CacheEviction::Lfu,
+    });
+    let mut touch = |i: usize| {
+        let hits = cache.touch(&chains[picks[i % picks.len()]]);
+        hits as u64 + cache.evict_to_budget(BUDGET_TOKENS)
+    };
+    // Start from the steady state, not from a cold cache.
+    (0..picks.len()).for_each(|i| {
+        touch(i);
+    });
+    let mut next = 0;
+    c.bench_function("serving/prefix_touch_zipf", |b| {
+        b.iter(|| {
+            next += 1;
+            touch(next)
+        })
+    });
+}
+
 /// The core-scaling trend behind `BENCH_serving_core.json`: the event
 /// core at 10k/100k/1M diurnal requests against the per-step reference
 /// at 10k/100k, plus the leapfrogged multi-blade event loops — 4-blade
@@ -201,6 +255,7 @@ criterion_group!(
     bench_serving,
     bench_cluster,
     bench_prefix_caching,
+    bench_prefix_touch,
     bench_core_trend
 );
 criterion_main!(benches);

@@ -502,29 +502,33 @@ fn run_per_blade(
 ) -> (Vec<BladeState>, Vec<Outcome>) {
     let blades = cluster.blades as usize;
     let assignment = route(ctx, cluster, trace);
-    let arrival_order: Vec<usize> = arrival_queue(trace).into();
-    let queues: Vec<VecDeque<usize>> = (0..blades)
-        .map(|b| {
-            arrival_order
-                .iter()
-                .copied()
-                .filter(|&i| assignment[i] as usize == b)
-                .collect()
-        })
-        .collect();
+    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); blades];
+    for i in arrival_queue(trace) {
+        queues[assignment[i] as usize].push_back(i);
+    }
+    // Each blade replays into a whole-trace scratch ledger (the engine
+    // indexes outcomes by trace index) and hands back only its own
+    // requests' outcomes, so a ledger lives only while its blade runs.
     let drive_one = |b: usize,
                      queue: VecDeque<usize>,
                      obs: &mut dyn SimObserver|
-     -> (BladeState, Vec<Outcome>) {
-        let mut outcomes = vec![Outcome::default(); trace.len()];
+     -> (BladeState, Vec<(usize, Outcome)>) {
         if queue.is_empty() {
-            return (BladeState::new(b as u32, 0.0, ctx.config.prefix), outcomes);
+            return (
+                BladeState::new(b as u32, 0.0, ctx.config.prefix),
+                Vec::new(),
+            );
         }
+        let members: Vec<usize> = queue.iter().copied().collect();
+        let mut outcomes = vec![Outcome::default(); trace.len()];
         let state = ctx.drive_blade(b as u32, trace, queue, &mut outcomes, obs);
-        (state, outcomes)
+        (
+            state,
+            members.into_iter().map(|i| (i, outcomes[i])).collect(),
+        )
     };
     let indexed: Vec<(usize, VecDeque<usize>)> = queues.into_iter().enumerate().collect();
-    let per_blade: Vec<(BladeState, Vec<Outcome>)> = if parallel {
+    let per_blade: Vec<(BladeState, Vec<(usize, Outcome)>)> = if parallel {
         indexed
             .into_par_iter()
             .map(|(b, queue)| drive_one(b, queue, &mut NoopObserver))
@@ -537,11 +541,9 @@ fn run_per_blade(
     };
     let mut outcomes = vec![Outcome::default(); trace.len()];
     let mut states = Vec::with_capacity(blades);
-    for (b, (state, blade_outcomes)) in per_blade.into_iter().enumerate() {
-        for (i, o) in blade_outcomes.into_iter().enumerate() {
-            if assignment[i] as usize == b {
-                outcomes[i] = o;
-            }
+    for (state, blade_outcomes) in per_blade {
+        for (i, o) in blade_outcomes {
+            outcomes[i] = o;
         }
         states.push(state);
     }

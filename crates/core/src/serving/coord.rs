@@ -48,6 +48,7 @@
 //! [`HandoffLink`]: super::cluster::HandoffLink
 
 use super::cluster::HandoffLink;
+use super::engine::arrival_queue;
 use super::prefix::{ChainTable, PrefixBlock, PrefixCache, PrefixCachingConfig};
 use super::traces::RequestSpec;
 use crate::error::OptimusError;
@@ -117,17 +118,10 @@ pub(crate) fn plan_global_tier(
     global: GlobalCacheConfig,
     link: HandoffLink,
 ) -> CoordPlan {
-    let mut order: Vec<usize> = (0..trace.len()).collect();
-    // Same stable (arrival, index) order the engine's arrival queue uses.
-    order.sort_by(|&a, &b| {
-        trace[a]
-            .arrival_s
-            .total_cmp(&trace[b].arrival_s)
-            .then(a.cmp(&b))
-    });
     let mut tier = PrefixCache::new(prefix);
     let mut covered = vec![0u32; trace.len()];
-    for &idx in &order {
+    // The engine's own stable (arrival, index) order.
+    for idx in arrival_queue(trace) {
         let Some(chain) = chains.get(idx) else {
             continue;
         };
@@ -163,13 +157,32 @@ impl ResidencyModel {
     /// The blade holding the longest resident prefix of `chain`, with the
     /// match length in blocks. `None` when no blade holds any block
     /// (ties break toward the lowest blade index).
+    ///
+    /// One probe rules out a losing blade. With `floor` the best match so
+    /// far, a later blade wins only with a strictly longer one, and its
+    /// leading run of resident blocks passes `floor` only if
+    /// `chain[floor]` is resident there. A blade that passes the probe is
+    /// then matched in full from block 0 ([`PrefixCache::peek`]), so the
+    /// result is exact even where `chain[floor]` is resident without its
+    /// ancestors: block hashes are an invertible function of trace ids,
+    /// and a crafted trace can make two chains collide.
     pub(crate) fn best_blade(&self, chain: &[PrefixBlock]) -> Option<(usize, usize)> {
-        self.blades
-            .iter()
-            .map(|c| c.peek(chain))
-            .enumerate()
-            .max_by(|(i, a), (j, b)| a.cmp(b).then(j.cmp(i)))
-            .filter(|&(_, blocks)| blocks > 0)
+        let mut best = None;
+        let mut floor = 0;
+        for (blade, cache) in self.blades.iter().enumerate() {
+            let Some(probe) = chain.get(floor) else {
+                break; // a full match cannot be beaten
+            };
+            if !cache.holds(probe) {
+                continue;
+            }
+            let blocks = cache.peek(chain);
+            if blocks > floor {
+                floor = blocks;
+                best = Some((blade, blocks));
+            }
+        }
+        best
     }
 
     /// Records that a request carrying `chain` was routed to `blade`:
@@ -321,5 +334,95 @@ mod tests {
         tight.admit(0, &b);
         assert_eq!(tight.best_blade(&b), Some((0, 3)));
         assert_eq!(tight.best_blade(&a), None, "evicted to budget");
+    }
+
+    /// The definition `best_blade` must equal: every blade's full match,
+    /// the longest winning, ties to the lowest index, no match `None`.
+    fn best_by_brute_force(
+        model: &ResidencyModel,
+        chain: &[PrefixBlock],
+    ) -> Option<(usize, usize)> {
+        model
+            .blades
+            .iter()
+            .map(|c| c.peek(chain))
+            .enumerate()
+            .max_by(|(i, a), (j, b)| a.cmp(b).then(j.cmp(i)))
+            .filter(|&(_, blocks)| blocks > 0)
+    }
+
+    #[test]
+    fn best_blade_equals_a_brute_force_fold_of_peek() {
+        // Ids recur at several lengths, so chains of one id share their
+        // leading blocks and some are shorter than the best match so far;
+        // a tight budget leaves partial chains and empty models; six
+        // blades at few ids make ties common.
+        let chains: Vec<Vec<PrefixBlock>> = (0..24u64)
+            .map(|i| {
+                SharedPrefix {
+                    id: i % 4,
+                    tokens: 8 + 16 * (i as u32 % 6),
+                }
+                .block_chain(16)
+            })
+            .chain([Vec::new()])
+            .collect();
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let (mut ties, mut nones, mut wins) = (0, 0, 0);
+        for eviction in [CacheEviction::Lru, CacheEviction::Lfu] {
+            for budget in [16, 64, 160, 1024] {
+                let mut model = ResidencyModel::new(6, cfg(eviction), budget);
+                for step in 0..400 {
+                    let chain = &chains[next() as usize % chains.len()];
+                    let want = best_by_brute_force(&model, chain);
+                    assert_eq!(
+                        model.best_blade(chain),
+                        want,
+                        "{eviction:?} budget {budget} step {step}"
+                    );
+                    match want {
+                        None => nones += 1,
+                        Some((best, blocks)) => {
+                            wins += 1;
+                            let tied = model.blades[best + 1..]
+                                .iter()
+                                .any(|c| c.peek(chain) == blocks);
+                            ties += usize::from(tied);
+                        }
+                    }
+                    // Admit to a random blade, sparing the last one so
+                    // one model stays empty throughout.
+                    model.admit(next() as usize % 5, chain);
+                }
+                assert!(model.blades[5].resident_blocks() == 0);
+            }
+        }
+        assert!(
+            ties > 100 && nones > 100 && wins > 100,
+            "{ties} {nones} {wins}"
+        );
+    }
+
+    #[test]
+    fn best_blade_walks_a_probed_blade_from_block_zero() {
+        // Colliding hashes: blade 1 holds the query's second block under
+        // another parent, so it passes the probe at `floor` = 1 but
+        // matches nothing from block 0.
+        let block = |hash| PrefixBlock { hash, tokens: 16 };
+        let mut model = ResidencyModel::new(2, cfg(CacheEviction::Lru), 1024);
+        model.admit(0, &[block(1)]);
+        model.admit(1, &[block(9), block(2)]);
+        let query = [block(1), block(2), block(3)];
+        assert_eq!(model.best_blade(&query), Some((0, 1)));
+        assert_eq!(
+            model.best_blade(&query),
+            best_by_brute_force(&model, &query)
+        );
     }
 }

@@ -43,7 +43,7 @@
 //! chain — or drops the lease, which releases the hits (their bumped
 //! recency stays). [`PrefixCache::release`] drops a holder's whole chain
 //! when its sequence leaves. [`PrefixCache::touch`] is lease, commit and
-//! release in one call, for writers that hold nothing.
+//! release in one pass, for writers that hold nothing.
 //!
 //! The cache is deliberately a standalone structure (like
 //! [`PagedKvAllocator`](super::kv::PagedKvAllocator)) so its invariants —
@@ -402,6 +402,11 @@ impl PrefixCache {
             .count()
     }
 
+    /// Whether `block` is resident: one index probe.
+    pub(crate) fn holds(&self, block: &PrefixBlock) -> bool {
+        self.nodes.contains_key(&block.hash)
+    }
+
     /// Pins the resident leading blocks of `chain` (the hits) in a
     /// [`Lease`], to be committed or dropped.
     pub fn lease<'a>(&'a mut self, chain: &'a [PrefixBlock]) -> Lease<'a> {
@@ -413,13 +418,78 @@ impl PrefixCache {
         }
     }
 
-    /// Makes `chain` resident without holding it (lease, commit, release)
-    /// and returns how many leading blocks already were.
+    /// Makes `chain` resident without holding it and returns how many
+    /// leading blocks already were.
+    ///
+    /// In effect this is a lease, its commit and a release of the chain,
+    /// done in one pass: every block's stamp, hit count, refcount and
+    /// free-list position end as those three calls leave them. A hit is
+    /// stamped and counted but keeps its refcount (the pin and the
+    /// release cancel); a miss is inserted unreferenced under its
+    /// parent. The free list loses a hit that was an unreferenced leaf
+    /// and regains it, re-stamped, unless the next block is inserted
+    /// below it; of the inserted blocks only the chain's last is a leaf.
     pub fn touch(&mut self, chain: &[PrefixBlock]) -> usize {
-        let lease = self.lease(chain);
-        let hits = lease.hits;
-        lease.commit();
-        self.unpin(chain);
+        let eviction = self.config.eviction;
+        // The previous hit's new free-list key, when it left the list as
+        // an unreferenced leaf and no child has been inserted below it.
+        let mut unfiled = None;
+        let mut hits = 0;
+        for b in chain {
+            let Some(node) = self.nodes.get_mut(&b.hash) else {
+                break;
+            };
+            // A resident next block leaves the previous hit's children
+            // as they were: it is a leaf again.
+            if let Some(key) = unfiled.take() {
+                self.free.insert(key);
+            }
+            let leaf = node.refcount == 0 && node.children == 0;
+            if leaf {
+                self.free.remove(&free_key(eviction, node, b.hash));
+            }
+            self.tick += 1;
+            node.last_use = self.tick;
+            node.hits += 1;
+            if leaf {
+                unfiled = Some(free_key(eviction, node, b.hash));
+            }
+            hits += 1;
+        }
+        let Some(last) = chain.len().checked_sub(1).filter(|&l| l >= hits) else {
+            // Every block hit (or the chain is empty).
+            if let Some(key) = unfiled {
+                self.free.insert(key);
+            }
+            return hits;
+        };
+        // The suffix hangs below the last hit, which leaves the free list
+        // for good: it gains a child.
+        if let Some(pn) = hits
+            .checked_sub(1)
+            .and_then(|p| self.nodes.get_mut(&chain[p].hash))
+        {
+            pn.children += 1;
+        }
+        for (i, b) in chain.iter().enumerate().skip(hits) {
+            self.tick += 1;
+            let node = Node {
+                parent: i.checked_sub(1).map(|p| chain[p].hash),
+                // Every inserted block but the last has the next one
+                // inserted below it.
+                children: u32::from(i < last),
+                refcount: 0,
+                tokens: b.tokens,
+                last_use: self.tick,
+                hits: 0,
+            };
+            if i == last {
+                self.free.insert(free_key(eviction, &node, b.hash));
+            }
+            let prev = self.nodes.insert(b.hash, node);
+            debug_assert!(prev.is_none(), "inserted block was already resident");
+            self.resident_tokens += u64::from(b.tokens);
+        }
         hits
     }
 
@@ -466,8 +536,8 @@ impl PrefixCache {
     /// a dead chain back to front.
     pub fn evict_lru(&mut self) -> Option<u32> {
         // Free entries name resident, unreferenced leaves, and a resident
-        // block's parent is resident: `pin`, `insert_suffix`, `unpin` and
-        // this function keep the list and the index in step.
+        // block's parent is resident: `pin`, `insert_suffix`, `unpin`,
+        // `touch` and this function keep the list and the index in step.
         let (_, _, hash) = self.free.pop_first()?;
         let node = self.nodes.remove(&hash);
         debug_assert!(

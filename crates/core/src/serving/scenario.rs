@@ -286,6 +286,9 @@ impl<'a> Scenario<'a> {
     }
 
     /// Enables chunked prefill with `chunk_tokens`-token chunks.
+    ///
+    /// `0` means whole-prompt prefill, the default: each prompt runs in
+    /// its admission iteration, exactly as if this were never called.
     #[must_use]
     pub fn chunked_prefill(mut self, chunk_tokens: u32) -> Self {
         self.chunk_tokens = chunk_tokens;
@@ -952,6 +955,29 @@ mod tests {
             disagg.run_serial().unwrap(),
             "disaggregated serial == parallel"
         );
+    }
+
+    #[test]
+    fn zero_chunk_prefill_is_the_whole_prompt_default() {
+        let (system, model, par) = parts();
+        for topology in [
+            Topology::mixed(1),
+            Topology::mixed(4),
+            Topology::disaggregated(2, 2),
+        ] {
+            let run = |s: Scenario<'_>| {
+                s.topology(topology.clone())
+                    .compile()
+                    .unwrap()
+                    .run()
+                    .unwrap()
+            };
+            assert_eq!(
+                run(scenario(&system, &model, &par).chunked_prefill(0)),
+                run(scenario(&system, &model, &par)),
+                "{topology:?}"
+            );
+        }
     }
 
     #[test]

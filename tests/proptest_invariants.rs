@@ -742,6 +742,75 @@ proptest! {
         prop_assert_eq!(cache.reclaimable_blocks(), 0);
     }
 
+    /// `touch` is lease → commit → release in one pass: twin caches run
+    /// one random op sequence, one writing through `touch`, the other
+    /// through the three public calls, and must agree on every hit, on
+    /// every size after each op, and on the order blocks are evicted in.
+    /// Ids recur at different lengths, budget evictions interleave, and
+    /// holders keep committed leases across touches.
+    #[test]
+    fn touch_equals_lease_commit_release(
+        ops in prop::collection::vec((0u8..6, 0u64..4, 1u32..160, 0u64..256), 1..80),
+        lfu in any::<bool>(),
+        block_pow in 2u32..6,
+    ) {
+        use optimus::serving::{CacheEviction, PrefixCache, PrefixCachingConfig, SharedPrefix};
+        let block = 1u32 << block_pow;
+        let config = PrefixCachingConfig {
+            block_tokens: block,
+            eviction: if lfu { CacheEviction::Lfu } else { CacheEviction::Lru },
+        };
+        let (mut one_pass, mut three_calls) = (PrefixCache::new(config), PrefixCache::new(config));
+        let mut held: Vec<Vec<optimus::serving::PrefixBlock>> = Vec::new();
+        fn sizes(c: &PrefixCache) -> [u64; 4] {
+            [c.resident_blocks(), c.resident_tokens(), c.charged_tokens(), c.reclaimable_blocks()]
+        }
+        fn drain(c: &mut PrefixCache) -> Vec<u32> {
+            std::iter::from_fn(|| c.evict_lru()).collect()
+        }
+        for (step, &(op, id, tokens, arg)) in ops.iter().enumerate() {
+            let chain = SharedPrefix { id, tokens }.block_chain(block);
+            match op {
+                0..=2 => {
+                    let hits = one_pass.touch(&chain);
+                    let lease = three_calls.lease(&chain);
+                    prop_assert_eq!((step, hits), (step, lease.hits()));
+                    lease.commit();
+                    three_calls.release(&chain).expect("a committed chain is held");
+                }
+                3 => {
+                    let (a, b) = (one_pass.lease(&chain), three_calls.lease(&chain));
+                    prop_assert_eq!((step, a.hits()), (step, b.hits()));
+                    a.commit();
+                    b.commit();
+                    held.push(chain.clone());
+                }
+                4 if !held.is_empty() => {
+                    let chain = held.swap_remove(arg as usize % held.len());
+                    one_pass.release(&chain).expect("held");
+                    three_calls.release(&chain).expect("held");
+                }
+                _ => {
+                    let budget = arg * u64::from(block);
+                    let evicted = one_pass.evict_to_budget(budget);
+                    prop_assert_eq!((step, evicted), (step, three_calls.evict_to_budget(budget)));
+                }
+            }
+            // Tagged with the step, so a failure names where the twins
+            // first diverged.
+            prop_assert_eq!((step, sizes(&one_pass)), (step, sizes(&three_calls)));
+            prop_assert_eq!((step, one_pass.peek(&chain)), (step, three_calls.peek(&chain)));
+        }
+        // What the holders leave reclaimable, then everything.
+        prop_assert_eq!(drain(&mut one_pass), drain(&mut three_calls));
+        for chain in &held {
+            one_pass.release(chain).expect("held");
+            three_calls.release(chain).expect("held");
+        }
+        prop_assert_eq!(drain(&mut one_pass), drain(&mut three_calls));
+        prop_assert_eq!(one_pass.resident_blocks(), 0);
+    }
+
     /// Cache-aware accounting stays within capacity and agrees with the
     /// observer event stream: shared + private blocks never exceed the
     /// KV budget, the shared pool is bounded by the whole-KV peak, and
