@@ -2,19 +2,22 @@
 //! the cluster loop at 1/4/16 blades, the disaggregated prefill→decode
 //! loop, the prefix-cached shared-prompt replay, and the simulation-core
 //! scaling trend (event-driven vs per-step on the diurnal trace) — plus
-//! the per-block cost of a prefix-cache touch under eviction pressure.
+//! the per-block cost of a prefix-cache touch under eviction pressure and
+//! the per-event cost of folding a replay into the telemetry collector.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use llm_workload::{ModelZoo, Parallelism};
 use optimus::serving::{
     CacheEviction, DispatchMode, HandoffLink, PrefixBlock, PrefixCache, PrefixCachingConfig,
-    RoutingPolicy, Scenario, SharedPrefix, SharedPrefixTraceConfig, SimCore, Topology, TraceConfig,
+    RoutingPolicy, Scenario, SharedPrefix, SharedPrefixTraceConfig, SimCore, SimEvent, SimObserver,
+    SloClass, Telemetry, TelemetryConfig, Topology, TraceConfig,
 };
 use optimus::{InferenceEstimator, MultiBladeSystem, SpeedupStudy};
 use scd_arch::Blade;
 use scd_bench::core_bench::diurnal_workload;
 use scd_tech::units::Bandwidth;
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn bench_serving(c: &mut Criterion) {
     let blade = Blade::baseline();
@@ -180,6 +183,88 @@ fn bench_prefix_touch(c: &mut Criterion) {
     });
 }
 
+/// Records the event stream a passive observer receives — the stream
+/// the telemetry collector folds.
+struct PassiveRecorder(Vec<SimEvent>);
+
+impl SimObserver for PassiveRecorder {
+    fn on_event(&mut self, event: &SimEvent) {
+        self.0.push(*event);
+    }
+
+    fn is_passive(&self) -> bool {
+        true
+    }
+}
+
+/// The telemetry fold alone, without the replay: one passive event
+/// stream of a 2P+2D replay (2000 Poisson requests, two SLO classes,
+/// 0.1 s windows) is recorded once, then folded into a fresh collector
+/// per iteration — arrivals registered, every event folded, finished.
+/// Prints ns per iteration and, on a second line, ns per event.
+fn bench_telemetry_fold(c: &mut Criterion) {
+    let system = MultiBladeSystem::new(4).unwrap();
+    let model = ModelZoo::llama2_7b();
+    let par = Parallelism::new(1, 1, 1).unwrap();
+    let classes = vec![SloClass::interactive(), SloClass::batch()];
+    let cfg = TelemetryConfig {
+        window_s: 0.1,
+        ..TelemetryConfig::default()
+    };
+    let compiled = Scenario::new(&system)
+        .model(&model)
+        .parallelism(&par)
+        .max_batch(16)
+        .unconstrained_kv()
+        .topology(Topology::disaggregated(2, 2))
+        .slo_classes(classes.clone())
+        .classify(|r| u32::from(r.output_tokens > 64))
+        .telemetry(cfg)
+        .poisson(TraceConfig {
+            seed: 5,
+            requests: 2000,
+            arrival_rate_per_s: 200.0,
+            prompt_tokens: (64, 512),
+            output_tokens: (16, 256),
+        })
+        .compile()
+        .unwrap();
+    let mut recorder = PassiveRecorder(Vec::new());
+    compiled.run_observed(&mut recorder).unwrap();
+    let events = recorder.0;
+    let fold = || {
+        let mut telemetry = Telemetry::new(&cfg, 4, &classes).unwrap();
+        telemetry.observe_arrivals(compiled.trace());
+        for event in &events {
+            telemetry.on_event(event);
+        }
+        telemetry.finish();
+        telemetry
+    };
+    let (_, mounted) = compiled.run_with_telemetry().unwrap();
+    assert_eq!(
+        fold().to_csv(),
+        mounted.to_csv(),
+        "the fold is the mounted collector's"
+    );
+    let (mut folds, mut spent) = (0u32, Duration::ZERO);
+    c.bench_function("serving/telemetry_fold", |b| {
+        b.iter(|| {
+            let started = Instant::now();
+            let telemetry = fold();
+            spent += started.elapsed();
+            folds += 1;
+            telemetry
+        })
+    });
+    println!(
+        "bench {:<40} {:>12.1} ns/event ({} events)",
+        "serving/telemetry_fold",
+        spent.as_secs_f64() * 1e9 / (f64::from(folds) * events.len() as f64),
+        events.len()
+    );
+}
+
 /// The core-scaling trend behind `BENCH_serving_core.json`: the event
 /// core at 10k/100k/1M diurnal requests against the per-step reference
 /// at 10k/100k, plus the leapfrogged multi-blade event loops — 4-blade
@@ -256,6 +341,7 @@ criterion_group!(
     bench_cluster,
     bench_prefix_caching,
     bench_prefix_touch,
+    bench_telemetry_fold,
     bench_core_trend
 );
 criterion_main!(benches);

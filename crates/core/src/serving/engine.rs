@@ -890,41 +890,39 @@ impl EngineCtx<'_> {
         // Every decoding sequence emits one token; retire finishers.
         let mut completions = 0u32;
         let mut running = std::mem::take(&mut blade.running);
-        let mut still_running = Vec::with_capacity(running.len());
-        for mut r in running.drain(..) {
+        running.retain_mut(|r| {
             if r.prefill_remaining > 0 {
-                still_running.push(r);
-                continue;
+                return true;
             }
             r.produced += 1;
             r.kv_len += 1;
             let out = &mut outcomes[r.idx];
             let first = out.first_token(blade.clock);
             let spec = &trace[r.idx];
-            if r.produced >= spec.output_tokens {
-                out.fate = Fate::Completed(first, blade.clock);
-                let kind = EventKind::Completion {
-                    request: *spec,
-                    first_token_s: first,
-                };
-                obs.emit(blade.id, blade.clock, kind);
-                // Strict-class completions feed the shedding gate's
-                // attainment window, scored as `finalize` scores them.
-                if let Some(c) = ctl.as_deref_mut() {
-                    if spec.class == c.strict_class() {
-                        let (ttft, tpot) = spec.slo_times(first, blade.clock);
-                        c.observe_strict(ttft, tpot);
-                    }
-                }
-                // The finisher's shared blocks stay resident (warm for
-                // the next arrival) but lose its references.
-                self.release_chain(&r, out.streamed, blade);
-                completions += 1;
-            } else {
-                still_running.push(r);
+            if r.produced < spec.output_tokens {
+                return true;
             }
-        }
-        blade.running = still_running;
+            out.fate = Fate::Completed(first, blade.clock);
+            let kind = EventKind::Completion {
+                request: *spec,
+                first_token_s: first,
+            };
+            obs.emit(blade.id, blade.clock, kind);
+            // Strict-class completions feed the shedding gate's
+            // attainment window, scored as `finalize` scores them.
+            if let Some(c) = ctl.as_deref_mut() {
+                if spec.class == c.strict_class() {
+                    let (ttft, tpot) = spec.slo_times(first, blade.clock);
+                    c.observe_strict(ttft, tpot);
+                }
+            }
+            // The finisher's shared blocks stay resident (warm for
+            // the next arrival) but lose its references.
+            self.release_chain(r, out.streamed, blade);
+            completions += 1;
+            false
+        });
+        blade.running = running;
         blade.served += completions + sheds;
 
         completions + sheds

@@ -345,12 +345,16 @@ impl<const E: bool, const R: bool> Discipline for Deque<E, R> {
                     .is_none_or(|t| t > clock));
         if !skip {
             let ready = &pool.ready;
+            let waiting = &mut pool.scratch;
             let queue = &mut pool.queue.0;
-            let (eligible, waiting): (Vec<usize>, Vec<usize>) =
-                queue.iter().copied().partition(|&i| ready[i] <= clock);
-            queue.clear();
-            queue.extend(eligible);
-            queue.extend(waiting);
+            queue.retain(|&i| {
+                let eligible = ready[i] <= clock;
+                if !eligible {
+                    waiting.push(i);
+                }
+                eligible
+            });
+            queue.extend(waiting.drain(..));
         }
     }
 
@@ -583,6 +587,9 @@ pub(crate) struct Pool<D> {
     arrivals: Vec<f64>,
     /// Members enter by handoff, at instants that follow no queue order.
     handoff: bool,
+    /// Reused buffer for the members a deque partition moves behind the
+    /// eligible ones (empty between rounds).
+    scratch: Vec<usize>,
 }
 
 impl<D: Discipline> Pool<D> {
@@ -613,6 +620,7 @@ impl<D: Discipline> Pool<D> {
             window,
             arrivals,
             handoff: false,
+            scratch: Vec::new(),
         }
     }
 
@@ -629,6 +637,7 @@ impl<D: Discipline> Pool<D> {
             window: ReadyWindow::new(),
             arrivals: Vec::new(),
             handoff: true,
+            scratch: Vec::new(),
         }
     }
 

@@ -122,25 +122,33 @@ pub struct Percentiles {
 }
 
 impl Percentiles {
-    /// Exact nearest-rank percentiles of `values` (sorted in place;
+    /// Exact nearest-rank percentiles of `values` (reordered in place;
     /// all-zero for an empty slice). These are the authoritative
     /// end-of-run figures the streaming sketches in
     /// [`telemetry`](super::telemetry) are validated against.
+    ///
+    /// Each rank is found by selection under [`f64::total_cmp`], highest
+    /// first, each within the prefix the previous one left below it: a
+    /// total order puts the same bits at every rank a full sort would.
     #[must_use]
     pub fn of(values: &mut [f64]) -> Self {
-        values.sort_by(f64::total_cmp);
-        let at = |q: f64| -> f64 {
-            if values.is_empty() {
-                return 0.0;
-            }
-            let rank = (q * values.len() as f64).ceil() as usize;
-            values[rank.clamp(1, values.len()) - 1]
-        };
-        Self {
-            p50: at(0.50),
-            p95: at(0.95),
-            p99: at(0.99),
+        let n = values.len();
+        if n == 0 {
+            return Self {
+                p50: 0.0,
+                p95: 0.0,
+                p99: 0.0,
+            };
         }
+        let rank = |q: f64| ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
+        let mut at = |k: usize, below: usize| -> f64 {
+            *values[..below].select_nth_unstable_by(k, f64::total_cmp).1
+        };
+        let (k99, k95, k50) = (rank(0.99), rank(0.95), rank(0.50));
+        let p99 = at(k99, n);
+        let p95 = at(k95, k99 + 1);
+        let p50 = at(k50, k95 + 1);
+        Self { p50, p95, p99 }
     }
 }
 

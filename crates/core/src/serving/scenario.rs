@@ -720,15 +720,16 @@ impl CompiledScenario<'_> {
     /// Runs the scenario with the mounted [`Telemetry`] layer
     /// ([`Scenario::telemetry`]) collecting windowed series and tail
     /// sketches, returning the report alongside the finished collector.
-    /// Telemetry is passive, so the report is bit-identical to
-    /// [`Self::run`] / [`Self::run_serial`].
+    /// The collector is the replay's only observer, and it is passive,
+    /// so the report is bit-identical to [`Self::run`] /
+    /// [`Self::run_serial`].
     ///
     /// # Errors
     ///
     /// Returns [`OptimusError::Serving`] when no telemetry was mounted;
     /// otherwise as for [`Self::run`].
     pub fn run_with_telemetry(&self) -> Result<(ClusterReport, Telemetry), OptimusError> {
-        self.run_observed_with_telemetry(&mut NoopObserver)
+        self.replay_with_telemetry(|tel| self.run_on(&self.trace, false, tel))
     }
 
     /// [`Self::run_with_telemetry`] with an additional user observer
@@ -741,6 +742,21 @@ impl CompiledScenario<'_> {
     pub fn run_observed_with_telemetry(
         &self,
         observer: &mut dyn SimObserver,
+    ) -> Result<(ClusterReport, Telemetry), OptimusError> {
+        self.replay_with_telemetry(|tel| {
+            let mut tee = Tee {
+                tel,
+                user: observer,
+            };
+            self.run_on(&self.trace, false, &mut tee)
+        })
+    }
+
+    /// Builds the mounted collector, lets `replay` drive it, and
+    /// finishes it.
+    fn replay_with_telemetry(
+        &self,
+        replay: impl FnOnce(&mut Telemetry) -> Result<ClusterReport, OptimusError>,
     ) -> Result<(ClusterReport, Telemetry), OptimusError> {
         let cfg = self.telemetry.ok_or_else(|| OptimusError::Serving {
             reason: "no telemetry mounted: build the scenario with \
@@ -756,11 +772,7 @@ impl CompiledScenario<'_> {
             _ => blades,
         });
         tel.observe_arrivals(&self.trace);
-        let mut tee = Tee {
-            tel: &mut tel,
-            user: observer,
-        };
-        let report = self.run_on(&self.trace, false, &mut tee)?;
+        let report = replay(&mut tel)?;
         tel.finish();
         Ok((report, tel))
     }
@@ -879,7 +891,7 @@ impl CompiledScenario<'_> {
 
 /// Forwards every engine event to the telemetry collector and a user
 /// observer riding the same replay. Passive only when the user side is
-/// (telemetry itself always is), so mounting telemetry alone keeps the
+/// (telemetry itself always is), so a passive user observer keeps the
 /// event core's batched fast paths.
 struct Tee<'t, 'o> {
     tel: &'t mut Telemetry,

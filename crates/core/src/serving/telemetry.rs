@@ -638,6 +638,9 @@ pub struct Telemetry {
     initial_active: u32,
     cur_kv: Vec<u64>,
     cur_shared: Vec<u64>,
+    /// Running sums of `cur_kv` and `cur_shared`: the cluster gauges.
+    kv_total: u64,
+    shared_total: u64,
     t_high: f64,
 }
 
@@ -671,6 +674,8 @@ impl Telemetry {
             initial_active: blades,
             cur_kv: vec![0; blades as usize],
             cur_shared: vec![0; blades as usize],
+            kv_total: 0,
+            shared_total: 0,
             t_high: f64::NEG_INFINITY,
         })
     }
@@ -738,6 +743,10 @@ impl Telemetry {
         }
     }
 
+    /// The index of the window holding `t`, downsampling first when `t`
+    /// lies past the last window the bound allows. Every event and every
+    /// share of a stretch is filed by this index, so each lands in window
+    /// `floor(t / window_s)`.
     fn window_index(&mut self, t: f64) -> usize {
         let t = if t.is_finite() && t > 0.0 { t } else { 0.0 };
         loop {
@@ -780,8 +789,8 @@ impl Telemetry {
             .collect();
     }
 
-    fn cluster_at(&mut self, t: f64) -> &mut ClusterFrame {
-        let i = self.window_index(t);
+    /// Cluster window `i`, materialized on first touch.
+    fn cluster_mut(&mut self, i: usize) -> &mut ClusterFrame {
         if self.cluster.len() <= i {
             let n = self.classes.len();
             self.cluster.resize_with(i + 1, || ClusterFrame::new(n));
@@ -789,8 +798,8 @@ impl Telemetry {
         &mut self.cluster[i]
     }
 
-    fn blade_at(&mut self, blade: u32, t: f64) -> &mut Frame {
-        let i = self.window_index(t);
+    /// Window `i` of blade `blade`, materialized on first touch.
+    fn blade_mut(&mut self, blade: u32, i: usize) -> &mut Frame {
         let b = blade as usize;
         if self.blades.len() <= b {
             self.blades.resize_with(b + 1, Vec::new);
@@ -804,13 +813,14 @@ impl Telemetry {
         &mut v[i]
     }
 
-    /// Writes the current gauge values into the cluster window at `t`.
-    fn stamp_cluster(&mut self, t: f64) {
+    /// Writes the current gauge values, sampled at `t`, into cluster
+    /// window `i`.
+    fn stamp_cluster(&mut self, i: usize, t: f64) {
         let depth = u32::try_from(self.waiting).unwrap_or(u32::MAX);
-        let active = self.active;
-        let kv: u64 = self.cur_kv.iter().sum();
-        let shared: u64 = self.cur_shared.iter().sum();
-        self.cluster_at(t).frame.stamp(t, depth, active, kv, shared);
+        let (active, kv, shared) = (self.active, self.kv_total, self.shared_total);
+        self.cluster_mut(i)
+            .frame
+            .stamp(t, depth, active, kv, shared);
     }
 
     /// Advances the arrival high-water mark to `t`, bucketing every
@@ -826,8 +836,9 @@ impl Telemetry {
             let ta = self.arrivals[self.next_arrival];
             self.next_arrival += 1;
             self.waiting += 1;
-            self.cluster_at(ta).frame.arrivals += 1;
-            self.stamp_cluster(ta);
+            let i = self.window_index(ta);
+            self.cluster_mut(i).frame.arrivals += 1;
+            self.stamp_cluster(i, ta);
         }
     }
 
@@ -1114,24 +1125,31 @@ impl Telemetry {
         out
     }
 
-    /// Counts one event in blade `blade`'s and the cluster's window at
-    /// `t`.
-    fn bump(&mut self, blade: u32, t: f64, counter: fn(&mut Frame) -> &mut u64) {
-        *counter(self.blade_at(blade, t)) += 1;
-        *counter(&mut self.cluster_at(t).frame) += 1;
+    /// Counts one event in window `i` of blade `blade` and of the
+    /// cluster.
+    fn bump(&mut self, blade: u32, i: usize, counter: fn(&mut Frame) -> &mut u64) {
+        *counter(self.blade_mut(blade, i)) += 1;
+        *counter(&mut self.cluster_mut(i).frame) += 1;
     }
 
     /// Folds a completion's TTFT/TPOT/latency decomposition into the
-    /// attainment counters and the quantile sketches.
-    fn record_outcome(&mut self, blade: u32, t: f64, request: &RequestSpec, first_token_s: f64) {
+    /// attainment counters and the quantile sketches of window `i`.
+    fn record_outcome(
+        &mut self,
+        blade: u32,
+        i: usize,
+        t: f64,
+        request: &RequestSpec,
+        first_token_s: f64,
+    ) {
         let (ttft, tpot) = request.slo_times(first_token_s, t);
         let latency = t - request.arrival_s;
         let cls = request.class as usize;
         let ok = self.classes.get(cls).is_some_and(|c| c.met(ttft, tpot));
         if ok {
-            self.blade_at(blade, t).attained += 1;
+            self.blade_mut(blade, i).attained += 1;
         }
-        let frame = self.cluster_at(t);
+        let frame = self.cluster_mut(i);
         frame.frame.attained += u64::from(ok);
         if let Some(cw) = frame.classes.get_mut(cls) {
             cw.completions += 1;
@@ -1147,51 +1165,66 @@ impl Telemetry {
         }
     }
 
-    /// Records blade `blade`'s KV gauges at `t`; the shared-block gauge
-    /// keeps its value when `shared` is `None`.
-    fn gauge_kv(&mut self, blade: u32, t: f64, kv: u64, shared: Option<u64>) {
-        // `blade_at` also sizes the current-value gauges.
-        let f = self.blade_at(blade, t);
+    /// Records blade `blade`'s KV gauges, sampled at `t`, in its window
+    /// `i`; the shared-block gauge keeps its value when `shared` is
+    /// `None`.
+    fn gauge_kv(&mut self, blade: u32, i: usize, t: f64, kv: u64, shared: Option<u64>) {
+        // `blade_mut` also sizes the current-value gauges.
+        let f = self.blade_mut(blade, i);
         if t >= f.gauge_t {
             f.kv_tokens = kv;
             f.shared_tokens = shared.unwrap_or(f.shared_tokens);
             f.gauge_t = t;
         }
         let b = blade as usize;
+        self.kv_total = self.kv_total - self.cur_kv[b] + kv;
         self.cur_kv[b] = kv;
-        self.cur_shared[b] = shared.unwrap_or(self.cur_shared[b]);
+        if let Some(shared) = shared {
+            self.shared_total = self.shared_total - self.cur_shared[b] + shared;
+            self.cur_shared[b] = shared;
+        }
     }
 
-    /// Apportions a closed-form decode-stretch span across the windows
-    /// it overlaps (time sums only; the iteration counter lands in the
-    /// end window).
-    fn distribute(&mut self, blade: u32, end_s: f64, iters: u64, step_s: f64, decoding: u32) {
+    /// Apportions a closed-form decode-stretch span ending at `end_s`, in
+    /// window `i1`, across the windows it overlaps (time sums only; the
+    /// iteration counter lands in the end window). Each share is filed by
+    /// its window's index, never by re-dividing the window's start.
+    fn distribute(
+        &mut self,
+        blade: u32,
+        i1: usize,
+        end_s: f64,
+        iters: u64,
+        step_s: f64,
+        decoding: u32,
+    ) {
         let span = iters as f64 * step_s;
         let start_s = (end_s - span).max(0.0);
         let decode = span;
         let weighted = span * f64::from(decoding);
-        // Ensure the end index first: any downsampling happens now, so
-        // the window geometry is stable while we walk the overlap.
-        let i1 = self.window_index(end_s);
+        // The end index came first, so any downsampling has happened and
+        // the window geometry is stable while we walk the overlap; sizing
+        // both series to it covers every window below.
         let i0 = self.window_index(start_s);
-        for i in i0..=i1 {
+        self.blade_mut(blade, i1).stretch_iters += iters;
+        self.cluster_mut(i1).frame.stretch_iters += iters;
+        let (first, end) = (i0.min(i1 + 1), i1 + 1);
+        let frames = &mut self.blades[blade as usize][first..end];
+        let windows = frames.iter_mut().zip(&mut self.cluster[first..end]);
+        for (i, (f, c)) in (first..).zip(windows) {
             let w0 = i as f64 * self.window_s;
             let w1 = w0 + self.window_s;
             let overlap = (end_s.min(w1) - start_s.max(w0)).max(0.0);
             let frac = if span > 0.0 { overlap / span } else { 1.0 };
             let (d, b) = (decode * frac, weighted * frac);
-            let f = self.blade_at(blade, w0);
             f.decode_time_s += d;
             f.batch_time_s += b;
-            let c = &mut self.cluster_at(w0).frame;
-            c.decode_time_s += d;
-            c.batch_time_s += b;
+            c.frame.decode_time_s += d;
+            c.frame.batch_time_s += b;
             if span <= 0.0 {
                 break;
             }
         }
-        self.blade_at(blade, end_s).stretch_iters += iters;
-        self.cluster_at(end_s).frame.stretch_iters += iters;
     }
 }
 
@@ -1219,34 +1252,39 @@ impl SimObserver for Telemetry {
             kind,
         } = *event;
         self.absorb(t);
+        let i = match kind {
+            // Prefill chunks move no series, so they never downsample.
+            EventKind::Chunk { .. } => return,
+            _ => self.window_index(t),
+        };
         match kind {
             EventKind::Admission { request } => {
                 self.leave_queue(&request, RUNNING);
-                self.bump(blade, t, |f| &mut f.admissions);
+                self.bump(blade, i, |f| &mut f.admissions);
             }
             EventKind::Eviction { request, .. } => {
                 self.enter_queue(&request);
-                self.bump(blade, t, |f| &mut f.evictions);
+                self.bump(blade, i, |f| &mut f.evictions);
             }
             EventKind::Handoff { request, .. } => {
                 self.enter_queue(&request);
-                self.bump(blade, t, |f| &mut f.handoffs);
+                self.bump(blade, i, |f| &mut f.handoffs);
             }
             EventKind::Completion {
                 request,
                 first_token_s,
             } => {
                 self.leave_queue(&request, DONE);
-                self.bump(blade, t, |f| &mut f.completions);
-                self.record_outcome(blade, t, &request, first_token_s);
+                self.bump(blade, i, |f| &mut f.completions);
+                self.record_outcome(blade, i, t, &request, first_token_s);
             }
             EventKind::Shed { request } => {
                 self.leave_queue(&request, DONE);
-                self.bump(blade, t, |f| &mut f.sheds);
+                self.bump(blade, i, |f| &mut f.sheds);
             }
             EventKind::Scale { active_to, .. } => {
                 self.active = active_to;
-                self.cluster_at(t).frame.scale_events += 1;
+                self.cluster_mut(i).frame.scale_events += 1;
             }
             EventKind::Step {
                 step_s,
@@ -1254,9 +1292,9 @@ impl SimObserver for Telemetry {
                 kv_tokens,
                 shared_tokens,
             } => {
-                self.blade_at(blade, t).step(step_s, decoding);
-                self.cluster_at(t).frame.step(step_s, decoding);
-                self.gauge_kv(blade, t, kv_tokens, Some(shared_tokens));
+                self.blade_mut(blade, i).step(step_s, decoding);
+                self.cluster_mut(i).frame.step(step_s, decoding);
+                self.gauge_kv(blade, i, t, kv_tokens, Some(shared_tokens));
             }
             EventKind::Stretch {
                 iterations,
@@ -1264,17 +1302,17 @@ impl SimObserver for Telemetry {
                 decoding,
                 kv_tokens,
             } => {
-                self.distribute(blade, t, iterations, step_s, decoding);
-                self.gauge_kv(blade, t, kv_tokens, None);
+                self.distribute(blade, i, t, iterations, step_s, decoding);
+                self.gauge_kv(blade, i, t, kv_tokens, None);
             }
             // Cache activity moves counters only, never a gauge.
-            EventKind::CacheHit { .. } => return self.bump(blade, t, |f| &mut f.cache_hits),
-            EventKind::CacheMiss { .. } => return self.bump(blade, t, |f| &mut f.cache_misses),
-            EventKind::CacheEvict { .. } => return self.bump(blade, t, |f| &mut f.cache_evictions),
-            EventKind::RemoteCacheHit { .. } => return self.bump(blade, t, |f| &mut f.remote_hits),
+            EventKind::CacheHit { .. } => return self.bump(blade, i, |f| &mut f.cache_hits),
+            EventKind::CacheMiss { .. } => return self.bump(blade, i, |f| &mut f.cache_misses),
+            EventKind::CacheEvict { .. } => return self.bump(blade, i, |f| &mut f.cache_evictions),
+            EventKind::RemoteCacheHit { .. } => return self.bump(blade, i, |f| &mut f.remote_hits),
             EventKind::Chunk { .. } => return,
         }
-        self.stamp_cluster(t);
+        self.stamp_cluster(i, t);
     }
 
     /// Telemetry never needs the per-iteration stream: the event core
@@ -1709,6 +1747,73 @@ mod tests {
             }
         }
         assert_eq!(rows[4].kv_tokens, 1234);
+    }
+
+    #[test]
+    fn cluster_kv_gauges_sum_each_blades_latest_sample() {
+        let mut t = Telemetry::new(&cfg(1.0, 64), 2, &one_class()).unwrap();
+        t.observe_arrivals(&[]);
+        let step = |kv_tokens, shared_tokens| EventKind::Step {
+            step_s: 0.01,
+            decoding: 1,
+            kv_tokens,
+            shared_tokens,
+        };
+        send(&mut t, 0, 0.5, step(100, 10));
+        send(&mut t, 1, 0.6, step(50, 5));
+        send(&mut t, 0, 1.5, step(70, 20));
+        // A stretch moves the KV gauge and keeps the shared one.
+        let stretch = EventKind::Stretch {
+            iterations: 2,
+            step_s: 0.01,
+            decoding: 1,
+            kv_tokens: 80,
+        };
+        send(&mut t, 1, 2.5, stretch);
+        // A blade past the constructor's count joins the sums.
+        send(&mut t, 2, 3.5, step(5, 1));
+        t.finish();
+        let gauges: Vec<(u64, u64)> = t
+            .cluster_windows()
+            .iter()
+            .map(|w| (w.kv_tokens, w.shared_tokens))
+            .collect();
+        assert_eq!(gauges, [(150, 15), (120, 25), (150, 25), (155, 26)]);
+    }
+
+    #[test]
+    fn stretch_shares_land_in_their_own_window_at_inexact_widths() {
+        // At 0.1 s, window 43 starts at 43 * 0.1 = 4.3, and 4.3 / 0.1
+        // truncates to 42: re-deriving a window's index from its start
+        // would file its share one window early.
+        assert_eq!((43.0 * 0.1 / 0.1) as usize, 42);
+        let mut t = Telemetry::new(&cfg(0.1, 4096), 1, &one_class()).unwrap();
+        t.observe_arrivals(&[]);
+        // 22 iterations of 10 ms ending at t=4.46: spans [4.24, 4.46],
+        // windows 42 to 44.
+        let stretch = EventKind::Stretch {
+            iterations: 22,
+            step_s: 0.01,
+            decoding: 2,
+            kv_tokens: 64,
+        };
+        send(&mut t, 0, 4.46, stretch);
+        t.finish();
+        let rows = t.cluster_windows();
+        let blade = t.blade_windows(0);
+        assert_eq!(rows.len(), 45);
+        for (i, want) in [(41, 0.0), (42, 0.06), (43, 0.1), (44, 0.06)] {
+            let got = rows[i].decode_time_s;
+            assert!(
+                (got - want).abs() < 1e-9,
+                "window {i}: {got} s, want {want} s"
+            );
+            assert_eq!(blade[i].decode_time_s.to_bits(), got.to_bits());
+            if want > 0.0 {
+                assert!((rows[i].mean_batch - 2.0).abs() < 1e-9);
+            }
+        }
+        assert_eq!(rows[44].stretch_iters, 22);
     }
 
     #[test]

@@ -1153,3 +1153,72 @@ proptest! {
         prop_assert!(worse.bytes_per_s() <= achieved.bytes_per_s() + 1.0);
     }
 }
+
+/// Strategy: any `f64`, weighted towards the values a sort has to get
+/// right: NaNs of both signs and several payloads, signed zeros and
+/// infinities, the extremes, subnormals, and a small pool of repeats.
+fn arb_sample() -> impl Strategy<Value = f64> {
+    const SPECIAL: [f64; 12] = [
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        f64::from_bits(0xfff8_0000_0000_0002),
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        f64::from_bits(1),
+    ];
+    const REPEATS: [f64; 5] = [-1.0, -0.0, 0.0, 0.25, 3.5];
+    (0u8..4, any::<u64>()).prop_map(|(kind, bits)| match kind {
+        0 => SPECIAL[(bits % SPECIAL.len() as u64) as usize],
+        1 => f64::from_bits(bits),
+        2 => REPEATS[(bits % REPEATS.len() as u64) as usize],
+        _ => (bits >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0,
+    })
+}
+
+/// Checks `Percentiles::of` against nearest ranks read off a full
+/// `total_cmp` sort, bit for bit, and that it only reorders its input.
+fn percentiles_match_sorted_reference(values: &[f64]) -> Result<(), TestCaseError> {
+    use optimus::serving::Percentiles;
+    let bits = |v: &[f64]| -> Vec<u64> {
+        let mut v = v.to_vec();
+        v.sort_by(f64::total_cmp);
+        v.iter().map(|x| x.to_bits()).collect()
+    };
+    let sorted = bits(values);
+    let at = |q: f64| -> u64 {
+        if sorted.is_empty() {
+            return 0.0f64.to_bits();
+        }
+        let rank = (q * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
+    };
+    let mut reordered = values.to_vec();
+    let p = Percentiles::of(&mut reordered);
+    prop_assert_eq!(p.p50.to_bits(), at(0.50));
+    prop_assert_eq!(p.p95.to_bits(), at(0.95));
+    prop_assert_eq!(p.p99.to_bits(), at(0.99));
+    prop_assert_eq!(bits(&reordered), sorted);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Selection percentiles equal the sort-based nearest-rank reference
+    /// bit for bit, on any `f64` input of 0 to 300 values (and on the
+    /// shortest inputs, drawn separately so each length is hit).
+    #[test]
+    fn selection_percentiles_equal_sorted_nearest_rank(
+        values in prop::collection::vec(arb_sample(), 0..=300),
+        short in prop::collection::vec(arb_sample(), 0..=3),
+    ) {
+        percentiles_match_sorted_reference(&values)?;
+        percentiles_match_sorted_reference(&short)?;
+    }
+}

@@ -13,8 +13,9 @@
 use llm_workload::{ModelZoo, Parallelism};
 use optimus::serving::{
     AdmissionControl, AutoscaleConfig, CacheEviction, ClusterReport, ControlPlane, DispatchMode,
-    RequestSpec, RoutingPolicy, Scenario, ServingReport, SharedPrefixTraceConfig, SimCore,
-    SloClass, StrictPriorityPolicy, Topology, TraceConfig, WeightedFairPolicy,
+    NoopObserver, RequestSpec, RoutingPolicy, Scenario, ServingReport, SharedPrefixTraceConfig,
+    SimCore, SloClass, StrictPriorityPolicy, TelemetryConfig, Topology, TraceConfig,
+    WeightedFairPolicy,
 };
 use optimus::{MultiBladeSystem, SpeedupStudy};
 
@@ -539,5 +540,58 @@ fn prefix_id_reused_at_two_lengths_keeps_its_pins() {
                 "{name}/{core:?}: report digest drifted ({got:#018x} vs {want:#018x})"
             );
         }
+    }
+}
+
+/// FNV-1a digest of an exported text.
+fn text_digest(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The telemetry CSV of a small 2P+2D replay with a 1.0 s window,
+/// pinned by digest: once at full resolution and once with the window
+/// bound at 2, so the series is downsampled twice on the way. Mounting
+/// the collector alone and teeing it with a passive observer must
+/// export the same CSV.
+#[test]
+fn disaggregated_telemetry_csv_keeps_its_pin() {
+    let system = MultiBladeSystem::new(4).unwrap();
+    let model = ModelZoo::llama2_7b();
+    let par = Parallelism::new(1, 1, 1).unwrap();
+    let pins = [(512, 0x4775_6b66_90d0_8f31u64), (2, 0x6595_9095_c466_735d)];
+    for (max_windows, want) in pins {
+        let compiled = Scenario::new(&system)
+            .model(&model)
+            .parallelism(&par)
+            .max_batch(6)
+            .unconstrained_kv()
+            .topology(Topology::disaggregated(2, 2))
+            .telemetry(TelemetryConfig {
+                window_s: 1.0,
+                max_windows,
+            })
+            .poisson(TraceConfig {
+                seed: 47,
+                requests: 64,
+                arrival_rate_per_s: 10.0,
+                prompt_tokens: (64, 384),
+                output_tokens: (16, 256),
+            })
+            .compile()
+            .unwrap();
+        let (report, telemetry) = compiled.run_with_telemetry().unwrap();
+        assert_eq!(report.report.completed, 64);
+        let csv = telemetry.to_csv();
+        let (_, teed) = compiled
+            .run_observed_with_telemetry(&mut NoopObserver)
+            .unwrap();
+        assert_eq!(csv, teed.to_csv(), "max_windows {max_windows}");
+        let got = text_digest(&csv);
+        assert_eq!(
+            got, want,
+            "max_windows {max_windows}: telemetry CSV digest drifted ({got:#018x} vs {want:#018x})\n{csv}"
+        );
     }
 }
