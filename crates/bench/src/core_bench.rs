@@ -25,8 +25,8 @@ use std::time::Instant;
 use llm_workload::model::ModelZoo;
 use llm_workload::parallelism::Parallelism;
 use optimus::serving::{
-    CacheEviction, DispatchMode, DiurnalTraceConfig, HandoffLink, RoutingPolicy, Scenario,
-    SharedPrefixTraceConfig, Topology,
+    AutoscaleConfig, CacheEviction, ControlPlane, DispatchMode, DiurnalTraceConfig, HandoffLink,
+    RoutingPolicy, Scenario, SharedPrefixTraceConfig, Topology,
 };
 use optimus::{OptimusError, SpeedupStudy};
 
@@ -136,6 +136,10 @@ pub enum CoreScenario {
     /// [`Self::ClusterEvent`] at 64 blades, its 2 req/s per blade kept:
     /// the fleet of perfbench's `fleet64_central`.
     ClusterEvent64,
+    /// [`Self::ClusterEvent64`] under an autoscaler that scales between
+    /// 1 and 64 blades (watermarks 0 and 2, default warm-up and
+    /// cooldown), so its rows read what scaling adds per request.
+    ClusterAutoscaled64,
     /// 2-prefill + 2-decode disaggregated topology on the event core.
     DisaggEvent,
     /// 4-blade cluster with the full cache-coordination stack on the
@@ -155,6 +159,7 @@ impl CoreScenario {
             Self::ClusterEvent => "cluster_event",
             Self::ClusterEvent16 => "cluster_event_16",
             Self::ClusterEvent64 => "cluster_event_64",
+            Self::ClusterAutoscaled64 => "cluster_autoscaled_64",
             Self::DisaggEvent => "disagg_event",
             Self::ClusterCache => "cluster_cache",
         }
@@ -167,7 +172,7 @@ impl CoreScenario {
             Self::Event | Self::PerStep => 1,
             Self::ClusterEvent | Self::DisaggEvent | Self::ClusterCache => 4,
             Self::ClusterEvent16 => 16,
-            Self::ClusterEvent64 => 64,
+            Self::ClusterEvent64 | Self::ClusterAutoscaled64 => 64,
         }
     }
 }
@@ -193,7 +198,8 @@ pub fn shared_prefix_workload(requests: u32) -> SharedPrefixTraceConfig {
 
 /// Replays the diurnal workload (the shared-prefix one for
 /// [`CoreScenario::ClusterCache`], and for the 16- and 64-blade central
-/// fleets one scaled to their blades) once through `scenario` and returns
+/// fleets, autoscaled or not, one scaled to their blades) once through
+/// `scenario` and returns
 /// the wall-clock milliseconds of the replay alone (trace synthesis and
 /// scenario compilation excluded).
 ///
@@ -222,6 +228,14 @@ pub fn scenario_wall_ms(scenario: CoreScenario, requests: u32) -> Result<f64, Op
             .core(SimCore::EventDriven)
             .topology(Topology::mixed(scenario.blades()))
             .dispatch(DispatchMode::Central),
+        CoreScenario::ClusterAutoscaled64 => builder
+            .core(SimCore::EventDriven)
+            .topology(Topology::mixed(scenario.blades()))
+            .dispatch(DispatchMode::Central)
+            .control(
+                ControlPlane::new()
+                    .autoscale(AutoscaleConfig::new(1, scenario.blades()).with_watermarks(0, 2)),
+            ),
         CoreScenario::DisaggEvent => builder
             .core(SimCore::EventDriven)
             .topology(Topology::disaggregated(2, 2))
@@ -238,7 +252,9 @@ pub fn scenario_wall_ms(scenario: CoreScenario, requests: u32) -> Result<f64, Op
     let mut diurnal = diurnal_workload(requests);
     if matches!(
         scenario,
-        CoreScenario::ClusterEvent16 | CoreScenario::ClusterEvent64
+        CoreScenario::ClusterEvent16
+            | CoreScenario::ClusterEvent64
+            | CoreScenario::ClusterAutoscaled64
     ) {
         // The 4-blade cluster's 2 req/s per blade, scaled to the fleet.
         diurnal.mean_rate_per_s *= f64::from(scenario.blades()) / 4.0;
@@ -319,8 +335,9 @@ pub fn measure_point(core: SimCore, requests: u32) -> Result<CoreBenchRow, Optim
 }
 
 /// The full scaling study: the event core — single-blade, central
-/// dispatch at 4, 16 and 64 blades, 2P+2D disaggregated and the
-/// cache-coordinated cluster — at 10k/100k/1M requests and the per-step
+/// dispatch at 4, 16 and 64 blades and autoscaled at 64, 2P+2D
+/// disaggregated and the cache-coordinated cluster — at 10k/100k/1M
+/// requests and the per-step
 /// reference at 10k/100k. The central fleets carry 2 req/s per blade, so
 /// their rows read how the per-request cost grows with the fleet. The
 /// per-step loop is left out of
@@ -333,12 +350,16 @@ pub fn measure_point(core: SimCore, requests: u32) -> Result<CoreBenchRow, Optim
 ///
 /// Propagates simulation failures.
 pub fn core_scaling_study() -> Result<Vec<CoreBenchRow>, OptimusError> {
-    let points: [(CoreScenario, &[u32]); 7] = [
+    let points: [(CoreScenario, &[u32]); 8] = [
         (CoreScenario::Event, &[10_000, 100_000, 1_000_000]),
         (CoreScenario::PerStep, &[10_000, 100_000]),
         (CoreScenario::ClusterEvent, &[10_000, 100_000, 1_000_000]),
         (CoreScenario::ClusterEvent16, &[10_000, 100_000, 1_000_000]),
         (CoreScenario::ClusterEvent64, &[10_000, 100_000, 1_000_000]),
+        (
+            CoreScenario::ClusterAutoscaled64,
+            &[10_000, 100_000, 1_000_000],
+        ),
         (CoreScenario::DisaggEvent, &[10_000, 100_000, 1_000_000]),
         (CoreScenario::ClusterCache, &[10_000, 100_000, 1_000_000]),
     ];
@@ -849,10 +870,18 @@ mod tests {
     #[test]
     fn central_fleets_replay_their_scaled_load() {
         // `scenario_wall_ms` asserts every request completed.
-        for scenario in [CoreScenario::ClusterEvent16, CoreScenario::ClusterEvent64] {
+        for scenario in [
+            CoreScenario::ClusterEvent16,
+            CoreScenario::ClusterEvent64,
+            CoreScenario::ClusterAutoscaled64,
+        ] {
             assert!(scenario_wall_ms(scenario, 300).unwrap() > 0.0);
         }
         assert_eq!(CoreScenario::ClusterEvent64.label(), "cluster_event_64");
+        assert_eq!(
+            CoreScenario::ClusterAutoscaled64.label(),
+            "cluster_autoscaled_64"
+        );
     }
 
     #[test]

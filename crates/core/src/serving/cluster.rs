@@ -20,8 +20,8 @@ use super::control::{AutoscaleConfig, ScaleState};
 use super::coord::{ResidencyModel, CACHE_AWARE_MAX_IMBALANCE};
 use super::engine::{arrival_queue, finalize, BladeState, EngineCtx, Outcome, SimCore};
 use super::events::{
-    leapfrog_decode, round_order, DecodeStretch, Deque, Discipline, Exhaustive, Fcfs, KeyedQueue,
-    Leapfrog, Pool, Resort, RoundKey, StretchHorizon,
+    leapfrog_decode, round_order, Deque, Discipline, Exhaustive, Fcfs, KeyedQueue, Leapfrog, Pool,
+    Resort, RoundKey,
 };
 use super::observer::{EventKind, NoopObserver, SimObserver};
 use super::policy::OrderingContract;
@@ -552,7 +552,9 @@ fn run_per_blade(
 
 /// Central dispatch: one shared queue, blades coupled through it. The
 /// blade whose next action comes earliest steps next (ties broken by
-/// blade index), pulling admissions from the shared queue.
+/// blade index), pulling admissions from the shared queue. Under an
+/// autoscaler only the active prefix of the blades competes, and the
+/// scaler is evaluated at the end of every round.
 ///
 /// Unlike single-blade replay, time is not one clock here, so a
 /// preempted request must not restart on a blade whose clock trails
@@ -560,13 +562,13 @@ fn run_per_blade(
 /// (arrival for fresh requests, the evicting iteration's end for
 /// victims), which gates admission inside [`EngineCtx::step`], and
 /// the discipline keeps not-yet-ready requests behind ready ones so
-/// head-of-line blocking never wedges the loop. Outside the reference
-/// discipline, each round ends with a [`leapfrog_pool`], which also finds
-/// the next round's action: the loop files the stepped blade in a
-/// [`FleetIndex`] of the idle blades and in the [`Leapfrog`] members, so
-/// no round scans the fleet. Under an autoscaler a round ends with
-/// [`central_decode_stretch`] instead, after which the loop rescans the
-/// active blades.
+/// head-of-line blocking never wedges the loop. The reference
+/// discipline rescans the active blades for every round's action.
+/// Every other one ends each round with a [`leapfrog_pool`], which also
+/// finds the next round's action: the loop files the stepped blade, and
+/// the blade a scale event adds or retires, in the [`FleetIndex`], so no
+/// round scans the fleet. The scaler's round-end evaluations bound the
+/// leapfrog through [`ScaleState::end_gate`].
 fn run_central_dispatch<D: Discipline>(
     ctx: &EngineCtx<'_>,
     cluster: ClusterConfig,
@@ -576,26 +578,30 @@ fn run_central_dispatch<D: Discipline>(
     obs: &mut dyn SimObserver,
 ) -> (Vec<BladeState>, Vec<Outcome>) {
     let blades = cluster.blades as usize;
+    let active = |scale: Option<&ScaleState>| scale.map_or(blades, |s| s.active() as usize);
     let mut ctl = ctx.control_state();
     let mut outcomes = vec![Outcome::default(); trace.len()];
     let mut states: Vec<BladeState> = (0..blades)
         .map(|b| BladeState::new(b as u32, 0.0, ctx.config.prefix))
         .collect();
     let mut victims: Vec<usize> = Vec::new();
-    let mut idle = FleetIndex::new(&states, 0..blades);
-    let mut lf = Leapfrog::new(blades);
-    // The next action, when the previous round's leapfrog found it.
+    let mut fleet = FleetIndex::new(&states, 0..active(scale.as_deref()));
+    // The next action, once the previous round's leapfrog found it.
     let mut next: Option<RoundKey> = None;
     let mut served = 0u32;
     while served < trace.len() as u32 {
         let next_ready = pool.next_ready();
-        // Under an autoscaler only the active prefix of the blade
-        // pool competes.
-        let active = scale.as_deref().map_or(blades, |s| s.active() as usize);
         let waiting = (!pool.is_empty()).then_some(next_ready);
-        let found = next.take();
-        debug_assert!(found.is_none_or(|a| Some(a) == next_action(&states, 0..active, waiting)));
-        let Some((at, b)) = found.or_else(|| next_action(&states, 0..active, waiting)) else {
+        let scan = || next_action(&states, 0..active(scale.as_deref()), waiting);
+        let found = if D::EXHAUSTIVE {
+            scan()
+        } else {
+            // Only the first round finds no leapfrog answer: every blade
+            // is idle then.
+            next.take().or_else(|| fleet.next_action(&states, waiting))
+        };
+        debug_assert_eq!(found, scan(), "the next action is stale");
+        let Some((at, b)) = found else {
             debug_assert!(false, "cluster idle with work pending");
             break;
         };
@@ -622,32 +628,17 @@ fn run_central_dispatch<D: Discipline>(
             pool.ready[v] = now;
         }
         pool.settle(&victims);
-        let scaler = scale.as_deref_mut().map(|sc| {
-            let depth = pool.ready_depth(now);
-            autoscale_round(sc, &mut states, b, now, depth, obs);
-            (&*sc, depth)
+        let scaled = scale.as_deref_mut().is_some_and(|sc| {
+            let depth = pool.scaler_depth(now);
+            autoscale_round(sc, &mut states, b, now, depth, obs)
         });
         if !D::EXHAUSTIVE {
-            next = match scaler {
-                None => {
-                    idle.stepped(b, &states[b]);
-                    lf.stepped(b, &states[b]);
-                    leapfrog_pool(
-                        ctx,
-                        trace,
-                        &mut states,
-                        &idle,
-                        &mut lf,
-                        f64::INFINITY,
-                        &mut pool,
-                        obs,
-                    )
-                }
-                Some(scaler) => {
-                    central_decode_stretch(ctx, trace, &mut states, b, &mut pool, scaler, obs);
-                    None
-                }
-            };
+            fleet.stepped(b, &states[b]);
+            if scaled {
+                fleet.rescale(&states, active(scale.as_deref()));
+            }
+            let gate = LoopGate::Scaler(scale.as_deref());
+            next = leapfrog_pool(ctx, trace, &mut states, &mut fleet, gate, &mut pool, obs);
         }
     }
     (states, outcomes)
@@ -656,7 +647,8 @@ fn run_central_dispatch<D: Discipline>(
 /// One end-of-round autoscaler evaluation of the central-dispatch loop:
 /// watermark check against the ready queue depth at stepped blade `b`'s
 /// clock, scale-down gated on the top active blade being idle, and a
-/// scale-up's fresh blade frozen until `now + warmup`.
+/// scale-up's fresh blade frozen until `now + warmup`. Returns whether a
+/// scale event fired.
 fn autoscale_round(
     scale: &mut ScaleState,
     states: &mut [BladeState],
@@ -664,10 +656,11 @@ fn autoscale_round(
     now: f64,
     ready_depth: usize,
     obs: &mut dyn SimObserver,
-) {
+) -> bool {
     let top = scale.active() as usize - 1;
     let top_idle = states[top].running.is_empty();
-    if let Some((from, to)) = scale.evaluate(now, ready_depth, top_idle) {
+    let scaled = scale.evaluate(now, ready_depth, top_idle);
+    if let Some((from, to)) = scaled {
         if to > from {
             let fresh = &mut states[to as usize - 1];
             fresh.clock = fresh.clock.max(now + scale.warmup_s());
@@ -678,6 +671,7 @@ fn autoscale_round(
         };
         obs.emit(states[b].id, now, kind);
     }
+    scaled.is_some()
 }
 
 /// The instant blade `s` could next act: its own clock while it holds
@@ -703,13 +697,15 @@ fn next_action(
         .min_by(round_order)
 }
 
-/// The idle blades of one blade pool, as a min tournament tree over
-/// their `(clock, blade)` in [`round_order`]. A replay loop keeps it
-/// beside its [`Leapfrog`] and files only the blade it just stepped
-/// ([`Self::stepped`]); running blades, and blades outside the pool, sit
-/// at a sentinel leaf that sorts after every idle one. It answers the
-/// pool's next idle admission in O(log n), bit-identical to
-/// [`next_action`] over the idle blades.
+/// One blade pool of an event-core replay loop, indexed so that no round
+/// scans it: its idle blades as a min tournament tree over their
+/// `(clock, blade)` in [`round_order`], and its running blades as the
+/// members of its [`Leapfrog`]. The loop files only the blade it just
+/// stepped ([`Self::stepped`]), and the blade a scale event adds to or
+/// retires from an autoscaled pool ([`Self::rescale`]). Running blades,
+/// and blades outside the pool, sit at a sentinel leaf that sorts after
+/// every idle one. The tree answers the pool's next idle admission in
+/// O(log n), bit-identical to [`next_action`] over the idle blades.
 #[derive(Debug)]
 struct FleetIndex {
     /// The pool's blades, ascending.
@@ -720,6 +716,8 @@ struct FleetIndex {
     /// Node `k` holds the minimum of nodes `2k` and `2k + 1`; blade `b`'s
     /// leaf is node `width + b` (node 0 is unused).
     tree: Vec<RoundKey>,
+    /// The pool's running blades, whose runs persist across leapfrogs.
+    lf: Leapfrog,
 }
 
 /// A [`FleetIndex`] leaf with no idle blade.
@@ -733,6 +731,7 @@ impl FleetIndex {
             pool: Vec::new(),
             width,
             tree: vec![NOT_IDLE; 2 * width],
+            lf: Leapfrog::new(states.len()),
         };
         for b in pool {
             index.stepped(b, &states[b]);
@@ -742,14 +741,37 @@ impl FleetIndex {
     }
 
     /// Files pool blade `b` after the loop stepped it: its leaf is its
-    /// clock while it is idle, else the sentinel.
+    /// clock while it is idle, else the sentinel, and it is a leapfrog
+    /// member, to plan afresh, while it holds running work.
     fn stepped(&mut self, b: usize, s: &BladeState) {
-        let mut k = self.width + b;
         let leaf = if s.running.is_empty() {
             (s.clock, b)
         } else {
             NOT_IDLE
         };
+        self.file(b, leaf);
+        self.lf.stepped(b, s);
+    }
+
+    /// Files a scale event of an autoscaled pool, whose blades are the
+    /// first `active`: a scale-up adds the next blade, idle at its warm-up
+    /// clock; a scale-down retires the last, which is idle (scale-down
+    /// requires it) and so no leapfrog member.
+    fn rescale(&mut self, states: &[BladeState], active: usize) {
+        if active > self.pool.len() {
+            let b = self.pool.len();
+            self.pool.push(b);
+            self.stepped(b, &states[b]);
+        } else if let Some(b) = self.pool.pop() {
+            debug_assert!(states[b].running.is_empty(), "a retired blade is idle");
+            self.file(b, NOT_IDLE);
+        }
+        debug_assert_eq!(self.pool.len(), active);
+    }
+
+    /// Sets blade `b`'s leaf and the minima above it.
+    fn file(&mut self, b: usize, leaf: RoundKey) {
+        let mut k = self.width + b;
         if round_order(&leaf, &self.tree[k]).is_eq() {
             return;
         }
@@ -786,140 +808,61 @@ impl FleetIndex {
         let (c, b) = self.tree[k];
         Some((c.max(t), b))
     }
+
+    /// The pool's next action: the earlier of its next idle admission
+    /// and its earliest running blade's round.
+    fn next_action(&self, states: &[BladeState], waiting: Option<f64>) -> Option<RoundKey> {
+        earlier(
+            self.idle_action(waiting),
+            earliest_member(states, self.lf.members()),
+        )
+    }
 }
 
-/// Fast-forwards the just-stepped blade `b` of an autoscaled
-/// central-dispatch round through its pure-decode future.
-///
-/// Without an autoscaler the loop leapfrogs every blade at once
-/// ([`leapfrog_pool`]) instead. With one, only `b` stretches — the frozen
-/// depth/idleness signal is sampled at its clock and does not transfer
-/// to blades whose clocks trail it — under these gates:
-///
-/// * **Blade race** (start gate): every other active blade's next action
-///   instant — its clock while it holds running work, else the moment
-///   the shared queue could hand it an admission. Ties break the stretch
-///   (the round loop resolves them by blade index).
-/// * **Own admission** (start gate): with a batch slot open, the
-///   earliest queued ready time; a full batch admits nothing, so the
-///   queue only gates through the partition bound below.
-/// * **Eligibility partition** (start gate): when skipped rounds would
-///   re-partition the queue observably
-///   ([`Pool::partition_observable`]), the stretch stops at the next
-///   ready-time transition, which freezes the partition across every
-///   skipped round.
-/// * **Autoscaler** (end gates): evaluations fire at round *end* clocks.
-///   An armed scaler (watermark branch would fire at the frozen
-///   depth/idleness) bounds the stretch by its exact cooldown-expiry
-///   predicate — or forbids it entirely when already out of cooldown;
-///   a disarmed one is a no-op until the depth can change, i.e. until
-///   the same ready-time transition.
-///
-/// Shedding needs no bound of its own: the gate's state moves only on
-/// strict-class completions (the stretch plan ends before any
-/// completion) and sheds fire only at admission instants (excluded by
-/// the start gates above).
-fn central_decode_stretch<D: Discipline>(
-    ctx: &EngineCtx<'_>,
-    trace: &[RequestSpec],
-    states: &mut [BladeState],
-    b: usize,
-    pool: &mut Pool<D>,
-    (sc, depth): (&ScaleState, usize),
-    obs: &mut dyn SimObserver,
-) {
-    let next_ready = pool.next_ready();
-    if states[b].running.is_empty() {
-        return;
-    }
-    let waiting = (!pool.is_empty()).then_some(next_ready);
-    let clock = states[b].clock;
-    let batch_full = states[b].running.len() >= ctx.config.max_batch as usize;
-    let mut start_gate = f64::INFINITY;
-    for (ob, s) in states.iter().enumerate().take(sc.active() as usize) {
-        if ob != b {
-            if let Some(t) = action_at(s, waiting) {
-                start_gate = start_gate.min(t);
-            }
-        }
-    }
-    if let (false, Some(t)) = (batch_full, waiting) {
-        start_gate = start_gate.min(t);
-    }
-    if start_gate <= clock {
-        return;
-    }
-    let mut end_gate = f64::INFINITY;
-    let mut cooldown = None;
-    let need_partition_e = batch_full && pool.partition_observable();
-    let top_idle = states[sc.active() as usize - 1].running.is_empty();
-    let scaler_needs_e = !sc.would_fire(depth, top_idle);
-    if !scaler_needs_e {
-        if !sc.in_cooldown(clock) {
-            // Out of cooldown and armed: the very next round end fires a
-            // scale event. No stretch.
-            return;
-        }
-        cooldown = Some(sc.cooldown_guard());
-    }
-    if need_partition_e || scaler_needs_e {
-        let e = pool.next_transition(clock);
-        if need_partition_e {
-            start_gate = start_gate.min(e);
-        }
-        if scaler_needs_e {
-            end_gate = e;
-        }
-        if start_gate <= clock {
-            return;
-        }
-    }
-    let horizon = StretchHorizon {
-        start_gate_s: start_gate,
-        end_gate_s: end_gate,
-        cooldown,
-    };
-    // Re-plan after each truncated advance: a bucket crossing changes
-    // the constant cost, and the next stretch picks up from there.
-    while let Some(stretch) = DecodeStretch::plan(ctx, trace, &states[b]) {
-        if stretch.advance(&mut states[b], &horizon, obs) == 0 {
-            break;
-        }
-    }
+/// The decisions the loop around a blade pool takes between the pool's
+/// rounds, which a [`leapfrog_pool`] over it must not skip.
+#[derive(Debug, Clone, Copy)]
+enum LoopGate<'a> {
+    /// The loop's next round outside the pool (the disaggregated prefill
+    /// tier's) starts at this instant: a start gate for every member.
+    Start(f64),
+    /// The central loop's autoscaler, when one is mounted, evaluated at
+    /// every round's end: an end gate for every member.
+    Scaler(Option<&'a ScaleState>),
 }
 
 /// Replays the pure-decode future of the pool's running blades — the
-/// members of `lf` — in one [`leapfrog_decode`] call, and returns the
-/// `(clock, blade)`-minimal next action among the pool's blades
-/// afterwards: the earlier of the idle blades' next admission, which
-/// `idle` answers, and the leapfrog's cut. Neither takes a scan of the
-/// pool: the caller files each blade it steps in both, and debug builds
-/// check them against a fresh scan.
+/// members of `fleet`'s leapfrog — in one [`leapfrog_decode`] call, and
+/// returns the `(clock, blade)`-minimal next action among the pool's
+/// blades afterwards: the earlier of the idle blades' next admission,
+/// which `fleet` answers, and the leapfrog's cut. Neither takes a scan of
+/// the pool: the caller files each blade it steps, and debug builds
+/// check `fleet` against a fresh scan.
 ///
-/// Shared gate: `shared_gate` (the caller's own decisions, e.g. the
-/// prefill tier's next action) and an idle blade's next admission
-/// instant (it could win the blade race and mutate the queue). Per-member
-/// gates: the next queued ready time while a batch slot is open (an
-/// admission round), and — batch full, when skipped partitions are
-/// observable — the next ready-time transition, measured from the minimal
-/// member clock so it lower-bounds every member's own transition (a
-/// member already past it parks, conservatively). All gates are frozen
-/// across the leapfrog: nothing is admitted or evicted.
-#[allow(clippy::too_many_arguments)] // one call site per replay loop
+/// Start gates: an idle blade's next admission instant (it could win
+/// the blade race and mutate the queue) and `gate`'s own. Per member, the
+/// next queued ready time while a batch slot is open (an admission
+/// round), and — batch full, when skipped partitions are observable — the
+/// next ready-time transition, before which every skipped round takes
+/// the same partition; the loop takes it once after the leapfrog. End
+/// gate: `gate`'s autoscaler (see [`ScaleState::end_gate`]). Transitions
+/// are measured from the minimal member clock, so they lower-bound every
+/// member's own (a member already past one parks, conservatively). All
+/// gates are frozen across the leapfrog: nothing is admitted, evicted or
+/// scaled.
 fn leapfrog_pool<D: Discipline>(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
     states: &mut [BladeState],
-    idle: &FleetIndex,
-    lf: &mut Leapfrog,
-    shared_gate: f64,
+    fleet: &mut FleetIndex,
+    gate: LoopGate<'_>,
     pool: &mut Pool<D>,
     obs: &mut dyn SimObserver,
 ) -> Option<RoundKey> {
     let next_ready = pool.next_ready();
     let waiting = (!pool.is_empty()).then_some(next_ready);
-    let idle_next = idle.idle_action(waiting);
-    let scan = || idle.pool.iter().copied();
+    let idle_next = fleet.idle_action(waiting);
+    let scan = || fleet.pool.iter().copied();
     debug_assert_eq!(
         idle_next,
         next_action(
@@ -932,28 +875,72 @@ fn leapfrog_pool<D: Discipline>(
     debug_assert!(
         scan()
             .filter(|&b| !states[b].running.is_empty())
-            .eq(lf.members().iter().copied()),
+            .eq(fleet.lf.members().iter().copied()),
         "the leapfrog members are stale"
     );
-    let Some(member_next) = earliest_member(states, lf.members()) else {
+    let Some(member_next) = earliest_member(states, fleet.lf.members()) else {
         return idle_next;
     };
-    let idle_gate = idle_next.map_or(shared_gate, |(t, _)| shared_gate.min(t));
+    let (loop_gate, scale) = match gate {
+        LoopGate::Start(t) => (t, None),
+        LoopGate::Scaler(scale) => (f64::INFINITY, scale),
+    };
+    let idle_gate = idle_next.map_or(loop_gate, |(t, _)| loop_gate.min(t));
     if idle_gate <= member_next.0 {
         return earlier(idle_next, Some(member_next));
     }
+    let x = member_next.0;
     let max_batch = ctx.config.max_batch as usize;
     let full = |s: &BladeState| s.running.len() >= max_batch;
-    let any_full = || lf.members().iter().any(|&b| full(&states[b]));
-    let full_gate = if pool.partition_observable() && any_full() {
-        pool.next_transition(member_next.0)
-    } else {
-        f64::INFINITY
-    };
+    let observed_full_rounds = pool
+        .partition_observable()
+        .then(|| full_rounds(states, fleet.lf.members(), max_batch))
+        .flatten();
+    let full_gate = observed_full_rounds.map_or(f64::INFINITY, |_| pool.next_transition(x));
     let open_gate = waiting.unwrap_or(f64::INFINITY);
-    let member_gate = |s: &BladeState| if full(s) { full_gate } else { open_gate };
-    let cut = leapfrog_decode(ctx, trace, states, lf, idle_gate, member_gate, obs);
+    let member_gate = |s: &BladeState| idle_gate.min(if full(s) { full_gate } else { open_gate });
+    let lf = &mut fleet.lf;
+    let cut = match scale {
+        None => leapfrog_decode(
+            ctx,
+            trace,
+            states,
+            lf,
+            member_gate,
+            |t| t < f64::INFINITY,
+            obs,
+        ),
+        Some(sc) => {
+            let top_idle = states[sc.active() as usize - 1].running.is_empty();
+            let end_gate = sc.end_gate(pool.scaler_depth(x), top_idle, pool.next_transition(x));
+            leapfrog_decode(ctx, trace, states, lf, member_gate, end_gate, obs)
+        }
+    };
+    let skipped_full = observed_full_rounds
+        .is_some_and(|r| full_rounds(states, fleet.lf.members(), max_batch) != Some(r));
+    if skipped_full && cut.is_none_or(|(c, _)| c >= full_gate) {
+        // Each round a full member skipped partitioned the queue at a
+        // clock before the next ready-time transition after `x`, just as
+        // one at `x` would. The per-step loop took that partition before
+        // the next real round. A real round before the transition takes
+        // the same one itself, but this cut may start past it. Take it
+        // once, in a round that admits nothing.
+        pool.prepare(x, trace, ctx.policy);
+        pool.settle(&[]);
+    }
     earlier(idle_next, cut)
+}
+
+/// The decode rounds run so far by the blades among `members` whose
+/// batch is full, or `None` when none is.
+fn full_rounds(states: &[BladeState], members: &[usize], max_batch: usize) -> Option<u64> {
+    let mut full = members
+        .iter()
+        .map(|&b| &states[b])
+        .filter(|s| s.running.len() >= max_batch)
+        .peekable();
+    full.peek()?;
+    Some(full.map(|s| s.decode_iterations).sum())
 }
 
 /// The `(clock, blade)`-minimal next round among the running `members`.
@@ -1116,8 +1103,8 @@ pub(crate) fn run_disaggregated(
 /// index last. Outside the reference discipline, every decode round ends
 /// with a [`leapfrog_pool`] over the decode pool, gated by the prefill
 /// tier's next action (prefill wins clock ties), and the decode pool's
-/// next action comes from the same [`FleetIndex`] and [`Leapfrog`]
-/// members rather than a scan of the decoders.
+/// next action comes from the same [`FleetIndex`] rather than a scan of
+/// the decoders.
 fn disaggregated<const E: bool, const R: bool>(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
@@ -1140,8 +1127,7 @@ fn disaggregated<const E: bool, const R: bool>(
     let mut pool = Pool::handoff(trace, new(VecDeque::new()));
     let mut outcomes = vec![Outcome::default(); trace.len()];
     let mut victims: Vec<usize> = Vec::new();
-    let mut idle = FleetIndex::new(&states, decoders.iter().copied());
-    let mut lf = Leapfrog::new(roles.len());
+    let mut fleet = FleetIndex::new(&states, decoders.iter().copied());
     let stream_s =
         |idx: usize| link.transfer_s(f64::from(trace[idx].prompt_tokens) * ctx.kv_bytes_per_token);
     let mut served = 0u32;
@@ -1156,10 +1142,7 @@ fn disaggregated<const E: bool, const R: bool>(
         let decode_action = if E {
             next_action(&states, decoders.iter().copied(), waiting)
         } else {
-            earlier(
-                idle.idle_action(waiting),
-                earliest_member(&states, lf.members()),
-            )
+            fleet.next_action(&states, waiting)
         };
         debug_assert_eq!(
             decode_action,
@@ -1211,19 +1194,10 @@ fn disaggregated<const E: bool, const R: bool>(
                 }
                 pool.settle(&victims);
                 if !E {
-                    idle.stepped(b, &states[b]);
-                    lf.stepped(b, &states[b]);
+                    fleet.stepped(b, &states[b]);
                     let prefill_gate = prefill_action.map_or(f64::INFINITY, |(tp, _)| tp);
-                    leapfrog_pool(
-                        ctx,
-                        trace,
-                        &mut states,
-                        &idle,
-                        &mut lf,
-                        prefill_gate,
-                        &mut pool,
-                        obs,
-                    );
+                    let gate = LoopGate::Start(prefill_gate);
+                    leapfrog_pool(ctx, trace, &mut states, &mut fleet, gate, &mut pool, obs);
                 }
             }
             (None, None) => {

@@ -368,30 +368,42 @@ impl ScaleState {
 
     /// The exact cooldown predicate [`Self::evaluate`] opens with: while
     /// it holds, an evaluation at `now` returns `None` with no side
-    /// effects. The decode-stretch planner uses it to prove skipped
-    /// end-of-round evaluations unobservable.
-    pub(crate) fn in_cooldown(&self, now: f64) -> bool {
+    /// effects. [`Self::end_gate`] re-applies it at every skipped round's
+    /// end.
+    fn in_cooldown(&self, now: f64) -> bool {
         now - self.last_event_s < self.cfg.cooldown_s
     }
 
-    /// The `(last_event_s, cooldown_s)` pair behind
-    /// [`Self::in_cooldown`], exported so a decode stretch can re-apply
-    /// the predicate per iteration without holding `&self`.
-    pub(crate) fn cooldown_guard(&self) -> (f64, f64) {
-        (self.last_event_s, self.cfg.cooldown_s)
-    }
-
-    /// Whether an out-of-cooldown evaluation with this depth/idleness
-    /// would change the active count — the watermark branches of
-    /// [`Self::evaluate`] verbatim, without the side effects. While this
-    /// is `false` and `(ready_depth, top_blade_idle, active)` provably
-    /// cannot change, evaluations are no-ops regardless of cooldown.
-    pub(crate) fn would_fire(&self, ready_depth: usize, top_blade_idle: bool) -> bool {
+    /// The round-end gate of a leapfrog over the active blades, whose
+    /// earliest member clock is `x`: whether an evaluation at a skipped
+    /// round's end `t` is provably a no-op. The top active blade's
+    /// idleness `top_blade_idle` is frozen for the whole leapfrog (no
+    /// skipped round completes a sequence or admits one), and until the
+    /// pool's next ready-time transition `transition_s` after `x` the
+    /// ready depth stays `ready_depth`, its value at `x`. So a round may
+    /// end at `t` while the scaler is [in cooldown](Self::in_cooldown) at
+    /// `t`, or while `t < transition_s` and those signals fire no
+    /// watermark branch of [`Self::evaluate`] — or at any `t` when no
+    /// depth could fire one.
+    pub(crate) fn end_gate(
+        &self,
+        ready_depth: usize,
+        top_blade_idle: bool,
+        transition_s: f64,
+    ) -> impl Fn(f64) -> bool + '_ {
         let depth = ready_depth as u64;
-        (depth >= u64::from(self.cfg.high_watermark) && self.active < self.cfg.max_blades)
-            || (depth <= u64::from(self.cfg.low_watermark)
-                && self.active > self.cfg.min_blades
-                && top_blade_idle)
+        let can_grow = self.active < self.cfg.max_blades;
+        let can_shrink = self.active > self.cfg.min_blades && top_blade_idle;
+        let quiet_until_s = if !can_grow && !can_shrink {
+            f64::INFINITY
+        } else if (can_grow && depth >= u64::from(self.cfg.high_watermark))
+            || (can_shrink && depth <= u64::from(self.cfg.low_watermark))
+        {
+            f64::NEG_INFINITY
+        } else {
+            transition_s
+        };
+        move |t| t < quiet_until_s || self.in_cooldown(t)
     }
 
     /// One watermark evaluation at time `now` with `ready_depth` queued
@@ -405,7 +417,7 @@ impl ScaleState {
         ready_depth: usize,
         top_blade_idle: bool,
     ) -> Option<(u32, u32)> {
-        if now - self.last_event_s < self.cfg.cooldown_s {
+        if self.in_cooldown(now) {
             return None;
         }
         let depth = ready_depth as u64;

@@ -12,7 +12,6 @@ use super::control::{AdmissionControl, ControlState};
 use super::coord::CoordPlan;
 use super::events::{
     AdmissionQueue, DecodeStretch, Discipline, Exhaustive, Fcfs, Gate, KeyedQueue, Resort,
-    StretchHorizon,
 };
 use super::kv::KvLayout;
 use super::observer::{EventKind, SimObserver};
@@ -1027,10 +1026,9 @@ impl EngineCtx<'_> {
     /// loop's float operations exactly. Returns the iterations advanced;
     /// 0 means the caller must fall back to a full `step`.
     ///
-    /// Thin wrapper over the reusable planner in [`super::events`]: the
-    /// single-blade loop's only horizon is its own admission gate; the
-    /// cluster loops assemble richer [`StretchHorizon`]s from the same
-    /// [`DecodeStretch`].
+    /// Thin wrapper over the planner in [`super::events`]: the
+    /// single-blade loop's only decision point is its own admission gate;
+    /// the cluster loops leapfrog the same [`DecodeStretch`] plans.
     fn advance_decode_stretch(
         &self,
         trace: &[RequestSpec],
@@ -1042,7 +1040,7 @@ impl EngineCtx<'_> {
             return 0;
         }
         match DecodeStretch::plan(self, trace, blade) {
-            Some(stretch) => stretch.advance(blade, &StretchHorizon::until(gate_s), obs),
+            Some(stretch) => stretch.advance(blade, gate_s, obs),
             None => 0,
         }
     }
@@ -1304,10 +1302,11 @@ impl<'a> ServingSimulator<'a> {
     }
 
     /// The one trace check, run on every trace before it is replayed:
-    /// a non-empty trace of non-degenerate requests whose SLO classes
-    /// and shared prefixes are in range, each fitting the KV capacity at
-    /// full length — with prefix caching also beside its own
-    /// block-rounded prefix chain, so a lone sequence can never livelock.
+    /// a non-empty trace of non-degenerate requests (tokens in and out,
+    /// a finite non-negative arrival) whose SLO classes and shared
+    /// prefixes are in range, each fitting the KV capacity at full
+    /// length — with prefix caching also beside its own block-rounded
+    /// prefix chain, so a lone sequence can never livelock.
     pub(crate) fn check_trace(&self, trace: &[RequestSpec]) -> Result<(), OptimusError> {
         if trace.is_empty() {
             return Err(OptimusError::Serving {
@@ -1317,7 +1316,8 @@ impl<'a> ServingSimulator<'a> {
         let kv_bytes = |tokens: u64| tokens as f64 * self.kv_bytes_per_token;
         let capacity = self.config.kv_capacity_bytes;
         for r in trace {
-            if r.prompt_tokens == 0 || r.output_tokens == 0 || !r.arrival_s.is_finite() {
+            let arrival_ok = (0.0..f64::INFINITY).contains(&r.arrival_s);
+            if r.prompt_tokens == 0 || r.output_tokens == 0 || !arrival_ok {
                 return Err(OptimusError::Serving {
                     reason: format!(
                         "request {} is degenerate (prompt {}, output {}, arrival {})",

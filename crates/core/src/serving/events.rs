@@ -334,7 +334,7 @@ impl<const E: bool, const R: bool> Discipline for Deque<E, R> {
     /// queue is in arrival order and ready times are arrivals.
     fn partition(pool: &mut Pool<Self>, clock: f64) {
         let skip = !E
-            && ((!R && !pool.handoff && pool.off_axis_count == 0)
+            && ((!R && !pool.handoff && pool.off_axis_list.is_empty())
                 || pool
                     .window
                     .max(&pool.in_queue, &pool.ready)
@@ -547,7 +547,7 @@ impl Discipline for KeyedQueue {
     /// Only members off the arrival axis can be arrived but not ready, so
     /// the extraction scan runs only while some are queued.
     fn partition(pool: &mut Pool<Self>, clock: f64) {
-        if pool.off_axis_count > 0 {
+        if !pool.off_axis_list.is_empty() {
             pool.queue.extract_blocked(clock, &pool.ready);
         }
     }
@@ -576,11 +576,13 @@ pub(crate) struct Pool<D> {
     /// Indices the current step admitted (or shed).
     admitted: Vec<usize>,
     in_queue: Vec<bool>,
-    /// Members whose ready time is off the arrival axis, their count, and
-    /// a lazily compacted list of them.
-    off_axis: Vec<bool>,
-    off_axis_count: usize,
+    /// Members whose ready time is off the arrival axis, listed, and each
+    /// one's place in the list by trace index (`NOT_LISTED` for others).
     off_axis_list: Vec<usize>,
+    off_axis_at: Vec<u32>,
+    /// Requests that left the arrival axis: admitted or shed from it,
+    /// whether or not they re-entered off it since.
+    left_axis: usize,
     /// Ready times of the members (not kept by the reference).
     window: ReadyWindow,
     /// The sorted arrival axis (empty for a handoff pool).
@@ -591,6 +593,9 @@ pub(crate) struct Pool<D> {
     /// eligible ones (empty between rounds).
     scratch: Vec<usize>,
 }
+
+/// The [`Pool::off_axis_at`] entry of a request not off the axis.
+const NOT_LISTED: u32 = u32::MAX;
 
 impl<D: Discipline> Pool<D> {
     /// The central-dispatch queue: every request, waiting from its
@@ -612,11 +617,11 @@ impl<D: Discipline> Pool<D> {
         Self {
             queue: queue(order),
             in_queue: vec![true; trace.len()],
-            off_axis: vec![false; trace.len()],
+            off_axis_at: vec![NOT_LISTED; trace.len()],
             ready,
             admitted: Vec::new(),
-            off_axis_count: 0,
             off_axis_list: Vec::new(),
+            left_axis: 0,
             window,
             arrivals,
             handoff: false,
@@ -631,9 +636,9 @@ impl<D: Discipline> Pool<D> {
             ready: trace.iter().map(|r| r.arrival_s).collect(),
             admitted: Vec::new(),
             in_queue: vec![false; trace.len()],
-            off_axis: vec![false; trace.len()],
-            off_axis_count: 0,
+            off_axis_at: vec![NOT_LISTED; trace.len()],
             off_axis_list: Vec::new(),
+            left_axis: 0,
             window: ReadyWindow::new(),
             arrivals: Vec::new(),
             handoff: true,
@@ -670,9 +675,14 @@ impl<D: Discipline> Pool<D> {
         if !D::EXHAUSTIVE {
             for &i in &self.admitted {
                 self.in_queue[i] = false;
-                if self.off_axis[i] {
-                    self.off_axis[i] = false;
-                    self.off_axis_count -= 1;
+                let at = std::mem::replace(&mut self.off_axis_at[i], NOT_LISTED);
+                if at != NOT_LISTED {
+                    self.off_axis_list.swap_remove(at as usize);
+                    if let Some(&moved) = self.off_axis_list.get(at as usize) {
+                        self.off_axis_at[moved] = at;
+                    }
+                } else {
+                    self.left_axis += 1;
                 }
             }
             for &v in victims {
@@ -686,21 +696,34 @@ impl<D: Discipline> Pool<D> {
     /// Registers member `idx` at its (off-axis) ready time.
     fn enter(&mut self, idx: usize) {
         self.in_queue[idx] = true;
-        if !self.off_axis[idx] {
-            self.off_axis[idx] = true;
-            self.off_axis_count += 1;
-            if self.off_axis_list.len() >= (2 * self.off_axis_count).max(8) {
-                let off_axis = &self.off_axis;
-                self.off_axis_list.retain(|&i| off_axis[i]);
-            }
+        if self.off_axis_at[idx] == NOT_LISTED {
+            self.off_axis_at[idx] = self.off_axis_list.len() as u32;
             self.off_axis_list.push(idx);
         }
         self.window.push(self.ready[idx], idx);
     }
 
-    /// Members ready at `now`.
+    /// Members ready at `now`, by a scan of the queue.
     pub(crate) fn ready_depth(&self, now: f64) -> usize {
         self.queue.ready_depth(&self.ready, now)
+    }
+
+    /// The autoscaler's depth signal at `now`: [`Self::ready_depth`],
+    /// which the reference scans for, read off the pool's bookkeeping
+    /// otherwise. `now` may not precede any round that admitted or shed a
+    /// request, as holds from the central loop's current round start on:
+    /// then every request that left the arrival axis arrived by `now`, so
+    /// the members on the axis ready at `now` are its arrivals up to `now`
+    /// less those that left.
+    pub(crate) fn scaler_depth(&self, now: f64) -> usize {
+        if D::EXHAUSTIVE {
+            return self.ready_depth(now);
+        }
+        let arrived = self.arrivals.partition_point(|&a| a <= now);
+        let off_axis = self.off_axis_list.iter().filter(|&&v| self.ready[v] <= now);
+        let depth = arrived - self.left_axis + off_axis.count();
+        debug_assert_eq!(depth, self.ready_depth(now), "the ready depth is stale");
+        depth
     }
 
     /// Whether rounds skipped by a fast-forward would have partitioned
@@ -708,7 +731,7 @@ impl<D: Discipline> Pool<D> {
     /// follow no queue order), else while members are off the arrival
     /// axis and the discipline keeps the order a partition leaves.
     pub(crate) fn partition_observable(&self) -> bool {
-        self.handoff || (self.off_axis_count > 0 && !D::RESORTS)
+        self.handoff || (!self.off_axis_list.is_empty() && !D::RESORTS)
     }
 
     /// The earliest instant after `clock` at which any member's
@@ -722,7 +745,7 @@ impl<D: Discipline> Pool<D> {
         let p = self.arrivals.partition_point(|&a| a <= clock);
         let mut e = self.arrivals.get(p).copied().unwrap_or(f64::INFINITY);
         for &v in &self.off_axis_list {
-            if self.off_axis[v] && self.ready[v] > clock {
+            if self.ready[v] > clock {
                 e = e.min(self.ready[v]);
             }
         }
@@ -758,56 +781,6 @@ impl<D: Discipline> AdmissionQueue for Pool<D> {
 
     fn ready_at(&self, _trace: &[RequestSpec], idx: usize) -> f64 {
         self.ready[idx]
-    }
-}
-
-/// The horizon one decode stretch must respect: the instants at which
-/// the surrounding replay loop could make a decision the stretch would
-/// otherwise skip. Truncating a stretch early is always safe — the
-/// caller falls back to the full per-round path — so every bound here is
-/// conservative; only over-stretching could break bit-identity.
-///
-/// Two gate flavors encode *when* a decision fires relative to a round:
-///
-/// - **Start gates** (`start_gate_s`) cover decisions taken at a round's
-///   *start* clock — admissions, sheds, another blade winning the
-///   next-action race, queue re-sorts and eligibility partitions. A
-///   stretched iteration may *end* past a start gate (its hypothetical
-///   round started strictly before it), but no iteration may *begin* at
-///   or past one: `start_gate_s <= clock` breaks before iterating. The
-///   `<=` also covers the loops' deterministic tie-breaks (another blade
-///   tied on time may win by index, prefill wins prefill/decode ties).
-/// - **End gates** (`end_gate_s`, `cooldown`) cover decisions taken at a
-///   round's *end* clock — the central loops evaluate the autoscaler
-///   after each step at the stepped blade's new clock. An iteration
-///   whose end clock would trigger (or could trigger) such a decision
-///   must instead run as a real round, so the stretch breaks *before*
-///   advancing to that clock.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StretchHorizon {
-    /// Break before any iteration *starting* at or after this instant.
-    pub(crate) start_gate_s: f64,
-    /// Break before any iteration *ending* at or after this instant
-    /// (`f64::INFINITY` when no end-of-round decision is pending).
-    pub(crate) end_gate_s: f64,
-    /// `(last_event_s, cooldown_s)` of an autoscaler that *would* fire
-    /// as soon as its cooldown expires: break before any iteration whose
-    /// end clock satisfies the exact per-round expiry predicate
-    /// `!(now - last_event_s < cooldown_s)`. `None` when no autoscaler
-    /// is armed (absent, or provably returning `None` until `end_gate_s`).
-    pub(crate) cooldown: Option<(f64, f64)>,
-}
-
-impl StretchHorizon {
-    /// A horizon bounded only by a round-start gate — the single-blade
-    /// event loop, where the one blade's admission gate is the only
-    /// decision point.
-    pub(crate) fn until(start_gate_s: f64) -> Self {
-        Self {
-            start_gate_s,
-            end_gate_s: f64::INFINITY,
-            cooldown: None,
-        }
     }
 }
 
@@ -963,24 +936,27 @@ impl DecodeStretch {
         })
     }
 
-    /// Advances `blade` through the planned stretch up to `horizon`,
-    /// replicating the per-step loop's float operations in order: per
-    /// iteration `decode_time_s += c; batch_time_weighted += c*b;
-    /// busy_s += c; clock += c` (its `step_cost = 0.0 + c` equals `c`
-    /// bitwise for positive costs), then the observer event. Returns
-    /// the iterations advanced; 0 means the caller must fall back to a
-    /// full per-round step.
+    /// Advances the single blade `blade` through the planned stretch,
+    /// starting no iteration at or after `start_gate_s` — the instant of
+    /// the loop's next admission decision; the `<=` also leaves a tie to
+    /// the real round. Replicates the per-step loop's float operations in
+    /// order: per iteration `decode_time_s += c; batch_time_weighted +=
+    /// c*b; busy_s += c; clock += c` (its `step_cost = 0.0 + c` equals `c`
+    /// bitwise for positive costs), then the observer event. Returns the
+    /// iterations advanced; 0 means the caller must fall back to a full
+    /// per-round step. Truncating early is always safe; only
+    /// over-stretching could break bit-identity.
     ///
     /// Non-passive observers still get one `Step` event per iteration —
     /// batching changes the loop shape, never the event stream. `Shed`
-    /// and `Scale` events need no replay here: sheds fire only at
-    /// round-start admission instants and scale events only at round-end
-    /// evaluation instants, both of which the horizon gates exclude by
-    /// construction.
+    /// events need no replay here: sheds fire only at round-start
+    /// admission instants, which the gate excludes. The multi-blade
+    /// loops, whose gates also cover round-end decisions, advance through
+    /// [`leapfrog_decode`] instead.
     pub(crate) fn advance(
         &self,
         blade: &mut BladeState,
-        horizon: &StretchHorizon,
+        start_gate_s: f64,
         obs: &mut dyn SimObserver,
     ) -> u64 {
         let Self { cost, batch, .. } = *self;
@@ -989,29 +965,13 @@ impl DecodeStretch {
         macro_rules! stretch_loop {
             ($($notify:expr)?) => {
                 for _ in 0..self.max_iters {
-                    if horizon.start_gate_s <= blade.clock {
+                    if start_gate_s <= blade.clock {
                         break;
-                    }
-                    // `clock + cost` is the value `clock += cost` would
-                    // store (the preceding adds never touch the clock), so
-                    // gating on it then assigning it is bit-identical.
-                    let next = blade.clock + cost;
-                    if next >= horizon.end_gate_s {
-                        break;
-                    }
-                    if let Some((last, cd)) = horizon.cooldown {
-                        // Stretch only while the autoscaler stays in
-                        // cooldown (matching the per-step `now - last <
-                        // cooldown` guard bit-for-bit; NaN parks).
-                        let in_cooldown = next - last < cd;
-                        if !in_cooldown {
-                            break;
-                        }
                     }
                     blade.decode_time_s += cost;
                     blade.batch_time_weighted += weighted;
                     blade.busy_s += cost;
-                    blade.clock = next;
+                    blade.clock += cost;
                     $($notify;)?
                     done += 1;
                 }
@@ -1126,8 +1086,7 @@ struct Run {
     /// The plan is out of date: the loop stepped the blade, or the plan
     /// ran out. The next call plans afresh.
     stale: bool,
-    /// This call's round-start gate: the member's own merged with the
-    /// shared one.
+    /// This call's round-start gate.
     gate_s: f64,
     /// Rounds this call advanced under `plan`; `done == max_iters` means
     /// the plan ran out and was committed.
@@ -1167,12 +1126,13 @@ impl Run {
 
     /// Pass 1: the earlier of `cut`, the earliest stop among the members
     /// walked so far, and this member's stop — its first round start from
-    /// its clock on that the leapfrog may not run: gated, parked, or past
-    /// the end of its plan. The walk quits once it reaches `cut`. It
-    /// repeats pass 2's clock additions without touching state, and
-    /// resumes where it last ended, since the gates are frozen for the
-    /// whole [`leapfrog_decode`] call; only a re-plan restarts it.
-    fn stop(&mut self, cut: Option<Stop>) -> Option<Stop> {
+    /// its clock on that the leapfrog may not run: gated at its start or
+    /// by `end_gate` at its end, parked, or past the end of its plan. The
+    /// walk quits once it reaches `cut`. It repeats pass 2's clock
+    /// additions without touching state, and resumes where it last ended,
+    /// since the gates are frozen for the whole [`leapfrog_decode`] call;
+    /// only a re-plan restarts it.
+    fn stop(&mut self, cut: Option<Stop>, end_gate: &impl Fn(f64) -> bool) -> Option<Stop> {
         let blade = self.blade;
         let before = |c: f64| cut.is_none_or(|(key, _)| round_order(&(c, blade), &key).is_lt());
         if self.stopped.is_none() {
@@ -1183,10 +1143,10 @@ impl Run {
                     if !before(c) {
                         return cut;
                     }
-                    // A round ending at +∞ parks the member (no round may
-                    // end there).
+                    // A round whose end the end gate refuses parks the
+                    // member: the loop must run it to take its decision.
                     let next = c + plan.cost;
-                    if self.gate_s <= c || next == f64::INFINITY {
+                    if self.gate_s <= c || !end_gate(next) {
                         replan = false;
                         break;
                     }
@@ -1298,16 +1258,18 @@ impl Leapfrog {
 /// per-step loop's rounds in their global `(clock, blade index)` order,
 /// and returns the `(clock, blade)`-minimal member after it.
 ///
-/// Each member's round-start gate is `start_gate_s` merged with its own,
-/// `member_gate` of its blade. Each skipped round touches only its own
-/// blade's state, and every gate is frozen for the call, so the global
-/// order decides only where the fast-forward *stops*. Two passes find
-/// and reach that point:
+/// Each member's round-start gate is `member_gate` of its blade, and
+/// `end_gate` says whether any member's skipped round may end at a given
+/// clock (a round ending at +∞ never may). Each
+/// skipped round touches only its own blade's state, and every gate is
+/// frozen for the call, so the global order decides only where the
+/// fast-forward *stops*. Two passes find and reach that point:
 ///
 /// 1. Each member walks its clock through its current plan, without
-///    touching state, to its first round start that is gated (the
-///    shared `start_gate_s` or its own), parked (no plan), or past the
-///    end of its plan. The cut is the minimal such stop by [`RoundKey`].
+///    touching state, to its first round that is gated (at its start by
+///    its member gate, or at its end by `end_gate`), parked (no plan), or
+///    past the end of its plan. The cut is the minimal such stop by
+///    [`RoundKey`].
 /// 2. Every member advances, on its own, through its rounds before the
 ///    cut.
 ///
@@ -1330,8 +1292,8 @@ pub(crate) fn leapfrog_decode(
     trace: &[RequestSpec],
     states: &mut [BladeState],
     lf: &mut Leapfrog,
-    start_gate_s: f64,
     member_gate: impl Fn(&BladeState) -> f64,
+    end_gate: impl Fn(f64) -> bool,
     obs: &mut dyn SimObserver,
 ) -> Option<RoundKey> {
     let _span = profile::span(profile::Phase::Leapfrog);
@@ -1354,10 +1316,10 @@ pub(crate) fn leapfrog_decode(
             DecodeStretch::plan(ctx, trace, blade),
             "blade {b}: stored plan is stale"
         );
-        run.gate_s = start_gate_s.min(member_gate(blade));
+        run.gate_s = member_gate(blade);
         run.done = 0;
         run.rewalk(blade.clock);
-        stop = run.stop(stop);
+        stop = run.stop(stop, &end_gate);
     }
     let cut = loop {
         let Some((key, replan)) = stop else {
@@ -1372,7 +1334,9 @@ pub(crate) fn leapfrog_decode(
         run.plan = DecodeStretch::plan(ctx, trace, blade);
         run.done = 0;
         run.rewalk(blade.clock);
-        stop = members.iter().fold(None, |cut, &m| runs[m].stop(cut));
+        stop = members
+            .iter()
+            .fold(None, |cut, &m| runs[m].stop(cut, &end_gate));
     };
     for &b in members.iter() {
         let (run, blade) = (&mut runs[b], &mut states[b]);

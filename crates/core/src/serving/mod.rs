@@ -649,6 +649,8 @@ mod tests {
             mk().slo_classes(vec![SloClass::new("bad", f64::NAN, 0.1)]),
             mk().slo_classes(vec![SloClass::interactive().with_weight(0.0)]),
             mk().classify(|_| 7),
+            // A negative arrival, which a CSV trace refuses too.
+            mk().requests(vec![RequestSpec::new(0, -1.0, 10, 10)]),
             // Degenerate control planes: shed floor outside (0, 1], a
             // strict class the table doesn't have, inverted autoscale
             // watermarks, and a zero-blade floor.

@@ -19,7 +19,8 @@ use serde::{Deserialize, Serialize};
 pub struct RequestSpec {
     /// Stable request id (trace order).
     pub id: u32,
-    /// Arrival time (s).
+    /// Arrival time (s): finite and non-negative. A replay rejects any
+    /// other with a typed error.
     pub arrival_s: f64,
     /// Prompt length (tokens).
     pub prompt_tokens: u32,

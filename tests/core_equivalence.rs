@@ -597,10 +597,13 @@ fn cluster_observer_event_streams_are_identical_between_cores() {
 /// Replays a central-dispatch fleet of `blades` blades under both cores,
 /// at 2 req/s per blade on a fast diurnal cycle, and checks the reports
 /// and the recorded event streams agree for each `(layout, pricing)`.
+/// With `autoscale`, the fleet is autoscaled too, and the run must scale
+/// both up and down.
 fn assert_central_fleet_matches_per_step(
     blades: u32,
     requests: u32,
     variants: &[(KvLayout, DecodePricing)],
+    autoscale: Option<AutoscaleConfig>,
 ) {
     let model = ModelZoo::llama_405b();
     let par = Parallelism::pure_tp(64).unwrap();
@@ -616,7 +619,7 @@ fn assert_central_fleet_matches_per_step(
     for &(layout, pricing) in variants {
         let label = format!("{blades} blades, {layout:?} {pricing:?}");
         let build = || {
-            Scenario::on_estimator(SpeedupStudy::paper_baseline().scd_inference())
+            let scenario = Scenario::on_estimator(SpeedupStudy::paper_baseline().scd_inference())
                 .model(&model)
                 .parallelism(&par)
                 .max_batch(32)
@@ -624,7 +627,11 @@ fn assert_central_fleet_matches_per_step(
                 .dispatch(DispatchMode::Central)
                 .kv_layout(layout)
                 .pricing(pricing)
-                .trace(&trace)
+                .trace(&trace);
+            match autoscale {
+                Some(a) => scenario.control(ControlPlane::new().autoscale(a)),
+                None => scenario,
+            }
         };
         let record = |core: SimCore| {
             let mut events = Vec::new();
@@ -643,6 +650,18 @@ fn assert_central_fleet_matches_per_step(
         let passive = passive.run().unwrap();
         assert_eq!(passive, step_report, "{label}: reports");
         assert!(passive.stretch.stretched_iterations > 0, "{label}");
+        if autoscale.is_some() {
+            let up = count(
+                &step_events,
+                |k| matches!(k, EventKind::Scale { active_from, active_to } if active_to > active_from),
+            );
+            let down = count(
+                &step_events,
+                |k| matches!(k, EventKind::Scale { active_from, active_to } if active_to < active_from),
+            );
+            assert!(up > 0 && down > 0, "{label}: scales both ways");
+            assert!(passive.stretch.stretches > 0, "{label}");
+        }
         let (event_report, event_events) = record(SimCore::EventDriven);
         assert_eq!(event_report, step_report, "{label}: observed reports");
         assert_eq!(
@@ -667,7 +686,7 @@ fn fleet_scale_central_leapfrog_matches_per_step() {
             variants.push((layout, pricing));
         }
     }
-    assert_central_fleet_matches_per_step(16, 1_000, &variants);
+    assert_central_fleet_matches_per_step(16, 1_000, &variants, None);
 }
 
 #[test]
@@ -680,7 +699,112 @@ fn fleet64_central_leapfrog_matches_per_step() {
         KvLayout::Paged { block_tokens: 16 },
         DecodePricing::ExactPerSequence,
     )];
-    assert_central_fleet_matches_per_step(64, 2_000, &variants);
+    assert_central_fleet_matches_per_step(64, 2_000, &variants, None);
+}
+
+/// A scaling autoscaler over the whole fleet: watermarks low enough that
+/// a diurnal peak scales up and a trough scales back down, with warm-ups
+/// and cooldowns short against the 10 s cycle.
+fn scaling(blades: u32) -> AutoscaleConfig {
+    AutoscaleConfig::new(1, blades)
+        .with_watermarks(0, 2)
+        .with_warmup(0.05)
+        .with_cooldown(0.2)
+}
+
+#[test]
+fn autoscaled_central_fleets_leapfrog_like_per_step() {
+    let variants = [(
+        KvLayout::Paged { block_tokens: 16 },
+        DecodePricing::ExactPerSequence,
+    )];
+    assert_central_fleet_matches_per_step(16, 1_000, &variants, Some(scaling(16)));
+    assert_central_fleet_matches_per_step(64, 2_000, &variants, Some(scaling(64)));
+}
+
+#[test]
+fn central_leapfrog_under_kv_pressure_agrees() {
+    // Preemption victims re-enter off the arrival axis. A full blade
+    // whose rounds the leapfrog skips partitions the queue in each of
+    // them, moving a victim not yet ready behind the ready requests; the
+    // next real round may start after the victim is ready. With an
+    // autoscaler, the scaler's depth signal counts victims too.
+    let system = MultiBladeSystem::new(4).unwrap();
+    let model = ModelZoo::llama2_7b();
+    let par = Parallelism::new(1, 1, 1).unwrap();
+    let per_token = per_token_bytes(&system, &model);
+    let trace = TraceConfig {
+        seed: 1,
+        requests: 40,
+        arrival_rate_per_s: 150.0,
+        prompt_tokens: (32, 384),
+        output_tokens: (8, 64),
+    };
+    let scaled = ControlPlane::new().autoscale(
+        AutoscaleConfig::new(1, 4)
+            .with_watermarks(0, 3)
+            .with_warmup(0.05),
+    );
+    for (label, max_batch, control) in [
+        ("central", 2, ControlPlane::new()),
+        ("autoscaled central", 4, scaled),
+    ] {
+        let base = || {
+            Scenario::new(&system)
+                .model(&model)
+                .parallelism(&par)
+                .max_batch(max_batch)
+                .kv_capacity_bytes(per_token * 384.0 * 1.7)
+                .dispatch(DispatchMode::Central)
+                .control(control)
+                .poisson(trace)
+        };
+        for r in [
+            assert_cores_agree(label, base),
+            assert_cores_agree(label, || base().policy(SjfPolicy)),
+            assert_cores_agree(label, || base().policy(MaxWaitGuardPolicy::new(0.25))),
+        ] {
+            let evictions: u32 = r.per_blade.iter().map(|b| b.evictions).sum();
+            assert!(evictions > 0, "{label}: {evictions} evictions");
+            assert_eq!(r.scale_events > 0, control.autoscale.is_some(), "{label}");
+        }
+    }
+}
+
+#[test]
+fn pinned_autoscaler_reports_like_no_autoscaler_at_64_blades() {
+    // At `min == max` the scaler never fires, so the run is the unscaled
+    // one; the leapfrog's round-end gate must not change that.
+    let model = ModelZoo::llama_405b();
+    let par = Parallelism::pure_tp(64).unwrap();
+    let trace = DiurnalTraceConfig {
+        seed: 5,
+        requests: 2_000,
+        mean_rate_per_s: 128.0,
+        amplitude: 0.9,
+        period_s: 10.0,
+        prompt_tokens: (32, 128),
+        output_tokens: (16, 64),
+    };
+    let build = || {
+        Scenario::on_estimator(SpeedupStudy::paper_baseline().scd_inference())
+            .model(&model)
+            .parallelism(&par)
+            .max_batch(32)
+            .topology(Topology::mixed(64))
+            .dispatch(DispatchMode::Central)
+            .trace(&trace)
+    };
+    let unscaled = build().compile().unwrap().run().unwrap();
+    let pinned = build()
+        .control(ControlPlane::new().autoscale(AutoscaleConfig::new(64, 64)))
+        .compile()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(pinned.scale_events, 0);
+    assert_eq!(pinned, unscaled);
+    assert_eq!(pinned.stretch, unscaled.stretch, "the same leapfrogs");
 }
 
 /// A random sorted trace over exact (dyadic) arrival times.
