@@ -206,7 +206,8 @@ impl HandoffLink {
 /// (per-blade dispatch only; central dispatch has no routing decision).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RoutingPolicy {
-    /// Request `i` goes to blade `i mod N` regardless of load.
+    /// The `i`-th arrival (0-based, ties in trace order) goes to blade
+    /// `i mod N` regardless of load.
     RoundRobin,
     /// Join-shortest-queue: the blade with the fewest requests still in
     /// flight (estimated via a deterministic fluid model of each blade's
@@ -407,8 +408,16 @@ impl fmt::Display for ClusterReport {
 /// Routes every request to a blade at its arrival instant, using a
 /// deterministic fluid model of blade service: each blade holds the
 /// estimated finish times of its in-flight requests; entries past the
-/// current arrival are drained before the routing decision.
-fn route(ctx: &EngineCtx<'_>, cluster: ClusterConfig, trace: &[RequestSpec]) -> Vec<u32> {
+/// current arrival are drained before the routing decision. Requests are
+/// routed in `order`, the trace's arrival order, whatever order the trace
+/// lists them in; round-robin deals by arrival rank. Returns each trace
+/// index's blade.
+fn route(
+    ctx: &EngineCtx<'_>,
+    cluster: ClusterConfig,
+    trace: &[RequestSpec],
+    order: &VecDeque<usize>,
+) -> Vec<u32> {
     let _span = profile::span(profile::Phase::Routing);
     let blades = cluster.blades as usize;
     let (cfg, table) = (ctx.config, ctx.table);
@@ -435,8 +444,9 @@ fn route(ctx: &EngineCtx<'_>, cluster: ClusterConfig, trace: &[RequestSpec]) -> 
         )),
         _ => None,
     };
-    let mut assignment = Vec::with_capacity(trace.len());
-    for (i, r) in trace.iter().enumerate() {
+    let mut assignment = vec![0; trace.len()];
+    for (rank, &i) in order.iter().enumerate() {
+        let r = &trace[i];
         for fl in &mut in_flight {
             while fl.front().is_some_and(|&(t, _)| t <= r.arrival_s) {
                 fl.pop_front();
@@ -445,7 +455,7 @@ fn route(ctx: &EngineCtx<'_>, cluster: ClusterConfig, trace: &[RequestSpec]) -> 
         let chain = residency.as_ref().and(ctx.chains.get(i));
         let jsq = |in_flight: &[VecDeque<(f64, u64)>]| first_min(blades, |b| in_flight[b].len());
         let blade = match cluster.routing {
-            RoutingPolicy::RoundRobin => i % blades,
+            RoutingPolicy::RoundRobin => rank % blades,
             RoutingPolicy::JoinShortestQueue => jsq(&in_flight),
             RoutingPolicy::LeastLoadedKv => first_min(blades, |b| {
                 in_flight[b].iter().map(|&(_, kv)| kv).sum::<u64>()
@@ -472,7 +482,7 @@ fn route(ctx: &EngineCtx<'_>, cluster: ClusterConfig, trace: &[RequestSpec]) -> 
         let finish = start + service_s(r);
         last_finish[blade] = finish;
         in_flight[blade].push_back((finish, r.full_tokens()));
-        assignment.push(blade as u32);
+        assignment[i] = blade as u32;
     }
     assignment
 }
@@ -501,9 +511,10 @@ fn run_per_blade(
     obs: &mut dyn SimObserver,
 ) -> (Vec<BladeState>, Vec<Outcome>) {
     let blades = cluster.blades as usize;
-    let assignment = route(ctx, cluster, trace);
+    let order = arrival_queue(trace);
+    let assignment = route(ctx, cluster, trace, &order);
     let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); blades];
-    for i in arrival_queue(trace) {
+    for i in order {
         queues[assignment[i] as usize].push_back(i);
     }
     // Each blade replays into a whole-trace scratch ledger (the engine
@@ -584,25 +595,22 @@ fn run_central_dispatch<D: Discipline>(
     let mut states: Vec<BladeState> = (0..blades)
         .map(|b| BladeState::new(b as u32, 0.0, ctx.config.prefix))
         .collect();
-    let mut victims: Vec<usize> = Vec::new();
     let mut fleet = FleetIndex::new(&states, 0..active(scale.as_deref()));
     // The next action, once the previous round's leapfrog found it.
     let mut next: Option<RoundKey> = None;
-    let mut served = 0u32;
-    while served < trace.len() as u32 {
-        let next_ready = pool.next_ready();
-        let waiting = (!pool.is_empty()).then_some(next_ready);
+    loop {
+        let waiting = pool.waiting();
         let scan = || next_action(&states, 0..active(scale.as_deref()), waiting);
         let found = if D::EXHAUSTIVE {
             scan()
         } else {
-            // Only the first round finds no leapfrog answer: every blade
-            // is idle then.
+            // The first round has no leapfrog answer (every blade is idle
+            // then), nor does the last (none can act).
             next.take().or_else(|| fleet.next_action(&states, waiting))
         };
         debug_assert_eq!(found, scan(), "the next action is stale");
+        // No blade can act once the queue and every batch are empty.
         let Some((at, b)) = found else {
-            debug_assert!(false, "cluster idle with work pending");
             break;
         };
         let blade = &mut states[b];
@@ -610,24 +618,12 @@ fn run_central_dispatch<D: Discipline>(
             blade.clock = blade.clock.max(at);
         }
         pool.prepare(blade.clock, trace, ctx.policy);
-        victims.clear();
-        served += ctx.step(
-            trace,
-            &mut pool,
-            blade,
-            &mut outcomes,
-            Some(&mut victims),
-            ctl.as_mut(),
-            obs,
-        );
+        ctx.step(trace, &mut pool, blade, &mut outcomes, ctl.as_mut(), obs);
         let now = states[b].clock;
-        for &v in &victims {
-            // The victim re-enters once the preempting iteration has
-            // completed; its KV is not free (nor the decision known
-            // elsewhere) any earlier.
-            pool.ready[v] = now;
-        }
-        pool.settle(&victims);
+        // A victim re-enters once the preempting iteration has completed;
+        // its KV is not free (nor the decision known elsewhere) any
+        // earlier.
+        pool.settle(|_| now);
         let scaled = scale.as_deref_mut().is_some_and(|sc| {
             let depth = pool.scaler_depth(now);
             autoscale_round(sc, &mut states, b, now, depth, obs)
@@ -859,8 +855,7 @@ fn leapfrog_pool<D: Discipline>(
     pool: &mut Pool<D>,
     obs: &mut dyn SimObserver,
 ) -> Option<RoundKey> {
-    let next_ready = pool.next_ready();
-    let waiting = (!pool.is_empty()).then_some(next_ready);
+    let waiting = pool.waiting();
     let idle_next = fleet.idle_action(waiting);
     let scan = || fleet.pool.iter().copied();
     debug_assert_eq!(
@@ -924,9 +919,9 @@ fn leapfrog_pool<D: Discipline>(
         // one at `x` would. The per-step loop took that partition before
         // the next real round. A real round before the transition takes
         // the same one itself, but this cut may start past it. Take it
-        // once, in a round that admits nothing.
+        // once, in a round that admits (and evicts) nothing.
         pool.prepare(x, trace, ctx.policy);
-        pool.settle(&[]);
+        pool.settle(|_| x);
     }
     earlier(idle_next, cut)
 }
@@ -1126,19 +1121,16 @@ fn disaggregated<const E: bool, const R: bool>(
     // prefilled sequences, eviction + re-stream for preempted ones.
     let mut pool = Pool::handoff(trace, new(VecDeque::new()));
     let mut outcomes = vec![Outcome::default(); trace.len()];
-    let mut victims: Vec<usize> = Vec::new();
     let mut fleet = FleetIndex::new(&states, decoders.iter().copied());
     let stream_s =
         |idx: usize| link.transfer_s(f64::from(trace[idx].prompt_tokens) * ctx.kv_bytes_per_token);
-    let mut served = 0u32;
-    while served < trace.len() as u32 {
+    loop {
         let prefill_action = next_action(
             &states,
             prefillers.iter().copied(),
             prompts.next_arrival(trace),
         );
-        let next_ready = pool.next_ready();
-        let waiting = (!pool.is_empty()).then_some(next_ready);
+        let waiting = pool.waiting();
         let decode_action = if E {
             next_action(&states, decoders.iter().copied(), waiting)
         } else {
@@ -1162,14 +1154,12 @@ fn disaggregated<const E: bool, const R: bool>(
                 };
                 prefill_round(ctx, trace, idx, blade, &mut outcomes[idx], obs);
                 let transfer = stream_s(idx);
-                pool.ready[idx] = blade.clock + transfer;
-                outcomes[idx].streamed = true;
                 let kind = EventKind::Handoff {
                     request: trace[idx],
                     transfer_s: transfer,
                 };
                 obs.emit(blade.id, blade.clock, kind);
-                pool.push(idx);
+                pool.push(idx, blade.clock + transfer);
             }
             (None, Some((at, b))) => {
                 let blade = &mut states[b];
@@ -1177,22 +1167,11 @@ fn disaggregated<const E: bool, const R: bool>(
                     blade.clock = blade.clock.max(at);
                 }
                 pool.prepare(blade.clock, trace, ctx.policy);
-                victims.clear();
-                served += ctx.step(
-                    trace,
-                    &mut pool,
-                    blade,
-                    &mut outcomes,
-                    Some(&mut victims),
-                    None,
-                    obs,
-                );
-                for &v in &victims {
-                    // The victim's KV must be re-streamed from the prefill
-                    // tier before it can restart anywhere.
-                    pool.ready[v] = states[b].clock + stream_s(v);
-                }
-                pool.settle(&victims);
+                ctx.step(trace, &mut pool, blade, &mut outcomes, None, obs);
+                // A victim's KV must be re-streamed from the prefill tier
+                // before it can restart anywhere.
+                let now = states[b].clock;
+                pool.settle(|v| now + stream_s(v));
                 if !E {
                     fleet.stepped(b, &states[b]);
                     let prefill_gate = prefill_action.map_or(f64::INFINITY, |(tp, _)| tp);
@@ -1200,10 +1179,9 @@ fn disaggregated<const E: bool, const R: bool>(
                     leapfrog_pool(ctx, trace, &mut states, &mut fleet, gate, &mut pool, obs);
                 }
             }
-            (None, None) => {
-                debug_assert!(false, "disaggregated loop idle with work pending");
-                break;
-            }
+            // No blade can act once every prompt, the decode pool and
+            // every batch are empty.
+            (None, None) => break,
         }
     }
     assemble(ctx, trace, &states, &outcomes, roles, None)

@@ -166,18 +166,9 @@ impl ServingConfig {
             });
         }
         Ok(Self {
-            max_batch,
             kv_capacity_bytes,
-            kv_convention: KvConvention::Gqa,
-            ttft_slo_s: 10.0,
-            tpot_slo_s: 0.1,
             kv_bucket_tokens: 32,
-            kv_layout: KvLayout::Contiguous,
-            prefill_chunk_tokens: 0,
-            decode_pricing: DecodePricing::BucketizedMean,
-            prefix: None,
-            core: SimCore::EventDriven,
-            admission: None,
+            ..Self::unconstrained(max_batch)
         })
     }
 
@@ -301,14 +292,11 @@ pub(crate) enum Fate {
     Shed,
 }
 
-/// The replay's one per-request ledger: the request's fate, whether its
-/// KV was streamed in from a prefill blade (disaggregated replays only),
-/// and the prefill work prefix-cache hits avoided, summed across
-/// attempts.
+/// The replay's one per-request ledger: the request's fate and the
+/// prefill work prefix-cache hits avoided, summed across attempts.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Outcome {
     pub(crate) fate: Fate,
-    pub(crate) streamed: bool,
     pub(crate) prefix_saved_tokens: u64,
 }
 
@@ -608,38 +596,35 @@ impl EngineCtx<'_> {
 
     /// One engine iteration on `blade`: admit from the (policy-ordered)
     /// queue, preempt on KV overflow, price the joint prefill + decode
-    /// step, emit one token per decoding sequence. Returns the number of
-    /// requests completed this step.
+    /// step, emit one token per decoding sequence.
     ///
     /// The queue gives the instant each request may (re-)enter a batch
     /// ([`AdmissionQueue::ready_at`]): its arrival for fresh requests, the
     /// eviction instant for preempted ones (a shared queue tracks this so
     /// a victim cannot restart on another blade before it was evicted;
     /// single-blade queues report plain arrivals — one clock can't
-    /// violate causality). `outcomes` is the ledger the step writes fates
-    /// to; a request it marks [`Outcome::streamed`] already has its KV
-    /// (streamed from a prefill blade) and enters the decode batch at
-    /// full prompt length with no prefill cost. `evicted`, when given,
-    /// collects the trace indices preempted this step so the caller can
-    /// stamp their re-entry time. `ctl`, when given, is the
-    /// admission-control gate: best-effort requests are shed at the
-    /// instant they would otherwise be admitted, and strict-class
-    /// completions feed the gate's attainment window (shed requests count
-    /// toward the step's returned total so callers' served counters
-    /// terminate). `obs` receives the iteration's events; it is read-only
-    /// and never perturbs the float stream.
-    #[allow(clippy::too_many_arguments)] // one call site per replay loop
+    /// violate causality). Victims go back through
+    /// [`AdmissionQueue::requeue_victim`], where a shared queue records
+    /// them to stamp their re-entry. Members of a
+    /// [`AdmissionQueue::streamed`] queue already have their KV and enter
+    /// the decode batch at full prompt length with no prefill cost.
+    /// `outcomes` is the ledger the step writes fates to. `ctl`, when
+    /// given, is the admission-control gate: best-effort requests are
+    /// shed at the instant they would otherwise be admitted, and
+    /// strict-class completions feed the gate's attainment window. `obs`
+    /// receives the iteration's events; it is read-only and never
+    /// perturbs the float stream.
     pub(crate) fn step<Q: AdmissionQueue>(
         &self,
         trace: &[RequestSpec],
         queue: &mut Q,
         blade: &mut BladeState,
         outcomes: &mut [Outcome],
-        mut evicted: Option<&mut Vec<usize>>,
         mut ctl: Option<&mut ControlState>,
         obs: &mut dyn SimObserver,
-    ) -> u32 {
+    ) {
         let cfg = self.config;
+        let streamed = queue.streamed();
 
         // Admission against batch slots and projected KV growth (every
         // decoding sequence appends one token this iteration). `projected`
@@ -672,7 +657,6 @@ impl EngineCtx<'_> {
                     sheds += 1;
                     continue;
                 }
-                let streamed = outcomes[idx].streamed;
                 let Some(adm) = self.try_admit(trace, idx, streamed, &mut projected, blade, obs)
                 else {
                     break;
@@ -687,7 +671,6 @@ impl EngineCtx<'_> {
             obs.emit(blade.id, blade.clock, EventKind::Admission { request: *r });
             let prompt = r.prompt_tokens;
             let mut skip = skip;
-            let streamed = outcomes[idx].streamed;
             if cfg.prefix.is_some() && r.prefix.is_some() && !streamed {
                 obs.emit(blade.id, blade.clock, EventKind::prefix_lookup(*r, skip));
                 outcomes[idx].prefix_saved_tokens += u64::from(skip);
@@ -764,10 +747,7 @@ impl EngineCtx<'_> {
                 wasted_tokens: victim.produced,
             };
             obs.emit(blade.id, blade.clock, kind);
-            self.release_chain(&victim, outcomes[victim.idx].streamed, blade);
-            if let Some(out) = evicted.as_deref_mut() {
-                out.push(victim.idx);
-            }
+            self.release_chain(&victim, streamed, blade);
             queue.requeue_victim(victim.idx);
         }
 
@@ -777,7 +757,7 @@ impl EngineCtx<'_> {
             // shared queue first, or when the shedding gate dropped the
             // whole ready prefix of the queue).
             blade.served += sheds;
-            return sheds;
+            return;
         }
 
         // Chunked prefill: each prefilling sequence advances one chunk.
@@ -917,14 +897,12 @@ impl EngineCtx<'_> {
             }
             // The finisher's shared blocks stay resident (warm for
             // the next arrival) but lose its references.
-            self.release_chain(r, out.streamed, blade);
+            self.release_chain(r, streamed, blade);
             completions += 1;
             false
         });
         blade.running = running;
         blade.served += completions + sheds;
-
-        completions + sheds
     }
 
     /// Drives blade `blade_id` until every request in `queue` (arrival
@@ -967,7 +945,8 @@ impl EngineCtx<'_> {
     /// arrival; each round brings the queue's order up to date and runs
     /// one [`Self::step`]. Outside the reference discipline, pure-decode
     /// iterations up to the next event are then advanced in closed form
-    /// by [`Self::advance_decode_stretch`] instead of one `step` each.
+    /// by a [`DecodeStretch`] instead of one `step` each: the loop's only
+    /// decision point is its own admission gate.
     fn drive_queue<D: Discipline>(
         &self,
         trace: &[RequestSpec],
@@ -984,15 +963,7 @@ impl EngineCtx<'_> {
                 }
             }
             queue.prepare(blade.clock, trace, self.policy);
-            self.step(
-                trace,
-                &mut queue,
-                &mut blade,
-                outcomes,
-                None,
-                ctl.as_mut(),
-                obs,
-            );
+            self.step(trace, &mut queue, &mut blade, outcomes, ctl.as_mut(), obs);
             if D::EXHAUSTIVE {
                 continue;
             }
@@ -1011,38 +982,20 @@ impl EngineCtx<'_> {
                         Gate::Blocked(at) => at,
                     }
                 };
-                if self.advance_decode_stretch(trace, &mut blade, gate, obs) == 0 {
+                // A gate already due leaves nothing to advance: skip the
+                // plan (the profiler counts every one).
+                if gate <= blade.clock {
+                    break;
+                }
+                let Some(stretch) = DecodeStretch::plan(self, trace, &blade) else {
+                    break;
+                };
+                if stretch.advance(&mut blade, gate, obs) == 0 {
                     break;
                 }
             }
         }
         blade
-    }
-
-    /// Advances `blade` through consecutive pure-decode iterations whose
-    /// cost is provably constant and event-free — no admission (the gate
-    /// stays in the future), no completion, no first token, no
-    /// preemption, no cost-bucket crossing — replicating the per-step
-    /// loop's float operations exactly. Returns the iterations advanced;
-    /// 0 means the caller must fall back to a full `step`.
-    ///
-    /// Thin wrapper over the planner in [`super::events`]: the
-    /// single-blade loop's only decision point is its own admission gate;
-    /// the cluster loops leapfrog the same [`DecodeStretch`] plans.
-    fn advance_decode_stretch(
-        &self,
-        trace: &[RequestSpec],
-        blade: &mut BladeState,
-        gate_s: f64,
-        obs: &mut dyn SimObserver,
-    ) -> u64 {
-        if gate_s <= blade.clock {
-            return 0;
-        }
-        match DecodeStretch::plan(self, trace, blade) {
-            Some(stretch) => stretch.advance(blade, gate_s, obs),
-            None => 0,
-        }
     }
 }
 

@@ -164,6 +164,12 @@ pub(crate) trait AdmissionQueue {
     fn ready_at(&self, trace: &[RequestSpec], idx: usize) -> f64 {
         trace[idx].arrival_s
     }
+    /// Whether every member's KV was streamed in from a prefill blade: it
+    /// enters the decode batch at full prompt length with no prefill and
+    /// never touches the prefix cache. True only for a handoff pool.
+    fn streamed(&self) -> bool {
+        false
+    }
 }
 
 /// What the single-blade loop may do at the queue head right now.
@@ -571,10 +577,14 @@ impl Discipline for KeyedQueue {
 #[derive(Debug)]
 pub(crate) struct Pool<D> {
     pub(crate) queue: D,
-    /// Ready time per trace index.
-    pub(crate) ready: Vec<f64>,
+    /// Ready time per trace index, stamped only by the pool: at a
+    /// handoff ([`Self::push`]) and when a victim re-enters
+    /// ([`Self::settle`]).
+    ready: Vec<f64>,
     /// Indices the current step admitted (or shed).
     admitted: Vec<usize>,
+    /// Indices the current step preempted, in eviction order.
+    victims: Vec<usize>,
     in_queue: Vec<bool>,
     /// Members whose ready time is off the arrival axis, listed, and each
     /// one's place in the list by trace index (`NOT_LISTED` for others).
@@ -620,6 +630,7 @@ impl<D: Discipline> Pool<D> {
             off_axis_at: vec![NOT_LISTED; trace.len()],
             ready,
             admitted: Vec::new(),
+            victims: Vec::new(),
             off_axis_list: Vec::new(),
             left_axis: 0,
             window,
@@ -635,6 +646,7 @@ impl<D: Discipline> Pool<D> {
             queue,
             ready: trace.iter().map(|r| r.arrival_s).collect(),
             admitted: Vec::new(),
+            victims: Vec::new(),
             in_queue: vec![false; trace.len()],
             off_axis_at: vec![NOT_LISTED; trace.len()],
             off_axis_list: Vec::new(),
@@ -651,9 +663,13 @@ impl<D: Discipline> Pool<D> {
         self.queue.is_empty()
     }
 
-    /// The earliest ready time of any member (`f64::MAX` when empty).
-    pub(crate) fn next_ready(&mut self) -> f64 {
-        D::next_ready(self)
+    /// The earliest ready time of any member, `None` when the pool is
+    /// empty. The discipline is asked even then: its ready window drops
+    /// stale entries as it answers, and the profiler counts those heap
+    /// operations.
+    pub(crate) fn waiting(&mut self) -> Option<f64> {
+        let next = D::next_ready(self);
+        (!self.is_empty()).then_some(next)
     }
 
     /// Orders and partitions the queue for a round stepped at `clock`.
@@ -668,10 +684,9 @@ impl<D: Discipline> Pool<D> {
     }
 
     /// Closes a round: the step's admissions leave the pool before its
-    /// `victims` — whose ready times the caller has already moved —
-    /// re-enter it (an admit-then-evict round ends with the victim
-    /// counted back in).
-    pub(crate) fn settle(&mut self, victims: &[usize]) {
+    /// victims re-enter it, each ready at `reentry(victim)` (an
+    /// admit-then-evict round ends with the victim counted back in).
+    pub(crate) fn settle(&mut self, reentry: impl Fn(usize) -> f64) {
         if !D::EXHAUSTIVE {
             for &i in &self.admitted {
                 self.in_queue[i] = false;
@@ -685,10 +700,15 @@ impl<D: Discipline> Pool<D> {
                     self.left_axis += 1;
                 }
             }
-            for &v in victims {
+        }
+        let mut victims = std::mem::take(&mut self.victims);
+        for v in victims.drain(..) {
+            self.ready[v] = reentry(v);
+            if !D::EXHAUSTIVE {
                 self.enter(v);
             }
         }
+        self.victims = victims;
         self.admitted.clear();
         self.queue.restore();
     }
@@ -754,8 +774,9 @@ impl<D: Discipline> Pool<D> {
 }
 
 impl<const E: bool, const R: bool> Pool<Deque<E, R>> {
-    /// Hands `idx` to the pool, ready at `self.ready[idx]`.
-    pub(crate) fn push(&mut self, idx: usize) {
+    /// Hands `idx` to the pool, ready at `at`.
+    pub(crate) fn push(&mut self, idx: usize, at: f64) {
+        self.ready[idx] = at;
         self.queue.0.push_back(idx);
         if !E {
             self.enter(idx);
@@ -776,11 +797,16 @@ impl<D: Discipline> AdmissionQueue for Pool<D> {
     }
 
     fn requeue_victim(&mut self, idx: usize) {
+        self.victims.push(idx);
         self.queue.requeue_victim(idx);
     }
 
     fn ready_at(&self, _trace: &[RequestSpec], idx: usize) -> f64 {
         self.ready[idx]
+    }
+
+    fn streamed(&self) -> bool {
+        self.handoff
     }
 }
 
@@ -1475,7 +1501,7 @@ mod tests {
         q.admitted.clear();
         // 0 is evicted; it re-enters at t=5.0, ahead of its tie 1 for now.
         q.requeue_victim(0);
-        q.ready[0] = 5.0;
+        q.settle(|_| 5.0);
         assert_eq!(q.peek(), Some(0));
         // At t=1.0 the victim is blocked: extraction hides it from the
         // scan, restore demotes it behind tie 1.
@@ -1510,7 +1536,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_records_admissions_only() {
+    fn pool_records_admissions_and_victims() {
         let trace = vec![
             RequestSpec::new(0, 0.0, 8, 4),
             RequestSpec::new(1, 0.0, 8, 4),
@@ -1521,7 +1547,12 @@ mod tests {
         pool.requeue_victim(0);
         assert_eq!(pool.peek(), Some(0));
         assert_eq!(pool.admitted, vec![0]);
+        assert_eq!(pool.victims, vec![0]);
         assert_eq!(pool.queue.0, VecDeque::from([0, 1]));
+        // Settling stamps the victim's re-entry and forgets the round.
+        pool.settle(|_| 2.5);
+        assert_eq!(pool.ready_at(&trace, 0), 2.5);
+        assert!(pool.admitted.is_empty() && pool.victims.is_empty());
     }
 
     #[test]
@@ -1537,16 +1568,15 @@ mod tests {
         assert!(!pool.partition_observable());
         pool.pop();
         pool.requeue_victim(0);
-        pool.ready[0] = 1.5;
-        pool.settle(&[0]);
+        pool.settle(|_| 1.5);
         assert_eq!(pool.next_transition(0.0), 1.5);
         assert!(pool.partition_observable());
         // A handoff pool has no axis: only its members' ready times count.
         let mut handoff = Pool::handoff(&trace, Fcfs::new(VecDeque::new()));
         assert_eq!(handoff.next_transition(0.0), f64::INFINITY);
-        handoff.ready[1] = 4.0;
-        handoff.push(1);
+        handoff.push(1, 4.0);
         assert_eq!(handoff.next_transition(0.0), 4.0);
-        assert_eq!(handoff.next_ready(), 4.0);
+        assert_eq!(handoff.waiting(), Some(4.0));
+        assert!(handoff.streamed() && !pool.streamed());
     }
 }

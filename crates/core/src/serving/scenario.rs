@@ -96,22 +96,17 @@ pub struct Scenario<'a> {
     topology: Option<Topology>,
     routing: RoutingPolicy,
     dispatch: DispatchMode,
-    max_batch: u32,
+    /// The engine configuration. [`Self::compile`] sets its KV capacity
+    /// and cost-table bucket from `kv` and `kv_bucket` (the model and plan
+    /// size a system's KV), and its admission gate from `control`.
+    config: ServingConfig,
     kv: KvSizing,
-    kv_convention: KvConvention,
     kv_bucket: Option<u32>,
-    layout: KvLayout,
-    chunk_tokens: u32,
-    pricing: DecodePricing,
-    prefix: Option<PrefixCachingConfig>,
     eviction: Option<CacheEviction>,
     global: Option<GlobalCacheConfig>,
-    ttft_slo_s: f64,
-    tpot_slo_s: f64,
     classes: Option<Vec<SloClass>>,
     classifier: Option<Classifier>,
     policy: Box<dyn SchedulerPolicy>,
-    core: SimCore,
     control: Option<ControlPlane>,
     telemetry: Option<TelemetryConfig>,
 }
@@ -121,9 +116,8 @@ impl fmt::Debug for Scenario<'_> {
         f.debug_struct("Scenario")
             .field("default_blades", &self.default_blades)
             .field("topology", &self.topology)
-            .field("max_batch", &self.max_batch)
+            .field("config", &self.config)
             .field("kv", &self.kv)
-            .field("layout", &self.layout)
             .field("classes", &self.classes)
             .finish_non_exhaustive()
     }
@@ -167,22 +161,14 @@ impl<'a> Scenario<'a> {
             topology: None,
             routing: RoutingPolicy::JoinShortestQueue,
             dispatch: DispatchMode::PerBlade,
-            max_batch: 8,
+            config: ServingConfig::unconstrained(8),
             kv: KvSizing::ForSystem,
-            kv_convention: KvConvention::Gqa,
             kv_bucket: None,
-            layout: KvLayout::Contiguous,
-            chunk_tokens: 0,
-            pricing: DecodePricing::BucketizedMean,
-            prefix: None,
             eviction: None,
             global: None,
-            ttft_slo_s: 10.0,
-            tpot_slo_s: 0.1,
             classes: None,
             classifier: None,
             policy: Box::new(FcfsPolicy),
-            core: SimCore::EventDriven,
             control: None,
             telemetry: None,
         }
@@ -240,14 +226,14 @@ impl<'a> Scenario<'a> {
     /// Maximum concurrent sequences per blade.
     #[must_use]
     pub fn max_batch(mut self, max_batch: u32) -> Self {
-        self.max_batch = max_batch;
+        self.config.max_batch = max_batch;
         self
     }
 
     /// KV capacity accounting: contiguous or paged.
     #[must_use]
     pub fn kv_layout(mut self, layout: KvLayout) -> Self {
-        self.layout = layout;
+        self.config.kv_layout = layout;
         self
     }
 
@@ -274,7 +260,7 @@ impl<'a> Scenario<'a> {
     /// Head-count convention for KV sizing.
     #[must_use]
     pub fn kv_convention(mut self, convention: KvConvention) -> Self {
-        self.kv_convention = convention;
+        self.config.kv_convention = convention;
         self
     }
 
@@ -291,14 +277,14 @@ impl<'a> Scenario<'a> {
     /// its admission iteration, exactly as if this were never called.
     #[must_use]
     pub fn chunked_prefill(mut self, chunk_tokens: u32) -> Self {
-        self.chunk_tokens = chunk_tokens;
+        self.config.prefill_chunk_tokens = chunk_tokens;
         self
     }
 
     /// Iteration-cost pricing mode.
     #[must_use]
     pub fn pricing(mut self, pricing: DecodePricing) -> Self {
-        self.pricing = pricing;
+        self.config.decode_pricing = pricing;
         self
     }
 
@@ -308,7 +294,7 @@ impl<'a> Scenario<'a> {
     /// what the equivalence suite checks them against.
     #[must_use]
     pub fn core(mut self, core: SimCore) -> Self {
-        self.core = core;
+        self.config.core = core;
         self
     }
 
@@ -323,7 +309,7 @@ impl<'a> Scenario<'a> {
     /// pre-prefix-cache engine.
     #[must_use]
     pub fn prefix_caching(mut self, block_tokens: u32) -> Self {
-        self.prefix = Some(PrefixCachingConfig {
+        self.config.prefix = Some(PrefixCachingConfig {
             block_tokens,
             eviction: CacheEviction::default(),
         });
@@ -362,8 +348,8 @@ impl<'a> Scenario<'a> {
     /// explicit [`Self::slo_classes`] are given.
     #[must_use]
     pub fn slo(mut self, ttft_slo_s: f64, tpot_slo_s: f64) -> Self {
-        self.ttft_slo_s = ttft_slo_s;
-        self.tpot_slo_s = tpot_slo_s;
+        self.config.ttft_slo_s = ttft_slo_s;
+        self.config.tpot_slo_s = tpot_slo_s;
         self
     }
 
@@ -477,24 +463,22 @@ impl<'a> Scenario<'a> {
                 r.class = assign(r);
             }
         }
-        let mut config = match self.kv {
+        let max_batch = self.config.max_batch;
+        let sized = match self.kv {
             KvSizing::ForSystem => {
-                ServingConfig::for_system(&self.estimator, model, par, self.max_batch)?
+                ServingConfig::for_system(&self.estimator, model, par, max_batch)?
             }
-            KvSizing::Unconstrained => ServingConfig::unconstrained(self.max_batch),
+            KvSizing::Unconstrained => ServingConfig::unconstrained(max_batch),
             KvSizing::Bytes(bytes) => ServingConfig {
                 kv_capacity_bytes: bytes,
-                ..ServingConfig::unconstrained(self.max_batch)
+                ..ServingConfig::unconstrained(max_batch)
             },
         };
-        config.kv_convention = self.kv_convention;
-        if let Some(bucket) = self.kv_bucket {
-            config.kv_bucket_tokens = bucket;
-        }
-        config.kv_layout = self.layout;
-        config.prefill_chunk_tokens = self.chunk_tokens;
-        config.decode_pricing = self.pricing;
-        config.prefix = self.prefix;
+        let mut config = ServingConfig {
+            kv_capacity_bytes: sized.kv_capacity_bytes,
+            kv_bucket_tokens: self.kv_bucket.unwrap_or(sized.kv_bucket_tokens),
+            ..self.config
+        };
         if let Some(eviction) = self.eviction {
             match &mut config.prefix {
                 Some(pc) => pc.eviction = eviction,
@@ -507,9 +491,6 @@ impl<'a> Scenario<'a> {
                 }
             }
         }
-        config.ttft_slo_s = self.ttft_slo_s;
-        config.tpot_slo_s = self.tpot_slo_s;
-        config.core = self.core;
 
         let topology = self
             .topology

@@ -80,7 +80,6 @@ use super::observer::{EventKind, SimEvent, SimObserver};
 use super::report::SloClass;
 use super::traces::RequestSpec;
 use crate::error::OptimusError;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 pub use profile::ProfileReport;
@@ -337,11 +336,6 @@ pub struct TailSummary {
     pub count: u64,
 }
 
-/// Request lifecycle states for the derived ready-queue-depth gauge.
-const WAITING: u8 = 0;
-const RUNNING: u8 = 1;
-const DONE: u8 = 2;
-
 /// One window of one scope (a blade, or the cluster), all fields
 /// mergeable so pairwise coalescing can halve the resolution.
 #[derive(Debug, Clone, Copy)]
@@ -538,7 +532,9 @@ pub struct WindowRow {
     /// decode work).
     pub mean_batch: f64,
     /// Ready-queue depth at the last event in the window (arrived,
-    /// not yet running; forward-filled).
+    /// not yet running; forward-filled). Derived from event kinds alone:
+    /// an arrival or an eviction adds one, an admission or a shed removes
+    /// one, so request ids — labels that may repeat — never enter it.
     pub queue_depth: u32,
     /// Active blade count (forward-filled).
     pub active_blades: u32,
@@ -628,11 +624,7 @@ pub struct Telemetry {
     run: [[P2Sketch; 3]; 3],
     arrivals: Vec<f64>,
     next_arrival: usize,
-    /// Request lifecycle states indexed by id, sized by the trace when
-    /// its ids are the dense `0..n` and empty otherwise.
-    state: Vec<u8>,
-    /// Lifecycle states of the requests `state` does not index.
-    sparse_state: HashMap<u32, u8>,
+    /// Requests arrived and not running: the queue-depth gauge.
     waiting: u64,
     active: u32,
     initial_active: u32,
@@ -667,8 +659,6 @@ impl Telemetry {
             run: [sketches(), sketches(), sketches()],
             arrivals: Vec::new(),
             next_arrival: 0,
-            state: Vec::new(),
-            sparse_state: HashMap::new(),
             waiting: 0,
             active: blades,
             initial_active: blades,
@@ -694,14 +684,6 @@ impl Telemetry {
         self.arrivals = trace.iter().map(|r| r.arrival_s).collect();
         self.arrivals.sort_by(f64::total_cmp);
         self.next_arrival = 0;
-        // Sized by the trace, not by its largest id.
-        let dense = trace.iter().all(|r| (r.id as usize) < trace.len());
-        self.state = if dense {
-            vec![WAITING; trace.len()]
-        } else {
-            Vec::new()
-        };
-        self.sparse_state.clear();
     }
 
     /// Absorbs every arrival not yet passed by the replay clock and
@@ -839,30 +821,6 @@ impl Telemetry {
             let i = self.window_index(ta);
             self.cluster_mut(i).frame.arrivals += 1;
             self.stamp_cluster(i, ta);
-        }
-    }
-
-    fn state_mut(&mut self, r: &RequestSpec) -> &mut u8 {
-        match self.state.get_mut(r.id as usize) {
-            Some(s) => s,
-            None => self.sparse_state.entry(r.id).or_insert(WAITING),
-        }
-    }
-
-    fn leave_queue(&mut self, r: &RequestSpec, next: u8) {
-        let s = self.state_mut(r);
-        let was_waiting = *s == WAITING;
-        *s = next;
-        if was_waiting {
-            self.waiting = self.waiting.saturating_sub(1);
-        }
-    }
-
-    fn enter_queue(&mut self, r: &RequestSpec) {
-        let s = self.state_mut(r);
-        if *s == RUNNING {
-            *s = WAITING;
-            self.waiting += 1;
         }
     }
 
@@ -1258,28 +1216,27 @@ impl SimObserver for Telemetry {
             _ => self.window_index(t),
         };
         match kind {
-            EventKind::Admission { request } => {
-                self.leave_queue(&request, RUNNING);
+            // The queue depth moves by event kind: admissions and sheds
+            // leave the queue, evictions re-enter it, and a handoff keeps
+            // its request waiting (from arrival to its decode admission).
+            EventKind::Admission { .. } => {
+                self.waiting = self.waiting.saturating_sub(1);
                 self.bump(blade, i, |f| &mut f.admissions);
             }
-            EventKind::Eviction { request, .. } => {
-                self.enter_queue(&request);
+            EventKind::Eviction { .. } => {
+                self.waiting += 1;
                 self.bump(blade, i, |f| &mut f.evictions);
             }
-            EventKind::Handoff { request, .. } => {
-                self.enter_queue(&request);
-                self.bump(blade, i, |f| &mut f.handoffs);
-            }
+            EventKind::Handoff { .. } => self.bump(blade, i, |f| &mut f.handoffs),
             EventKind::Completion {
                 request,
                 first_token_s,
             } => {
-                self.leave_queue(&request, DONE);
                 self.bump(blade, i, |f| &mut f.completions);
                 self.record_outcome(blade, i, t, &request, first_token_s);
             }
-            EventKind::Shed { request } => {
-                self.leave_queue(&request, DONE);
+            EventKind::Shed { .. } => {
+                self.waiting = self.waiting.saturating_sub(1);
                 self.bump(blade, i, |f| &mut f.sheds);
             }
             EventKind::Scale { active_to, .. } => {
@@ -1896,12 +1853,10 @@ mod tests {
             first_token_s: 0.7,
         };
         send(&mut t, 0, 0.9, done);
-        // A request the trace never listed is tracked on the side.
+        // A request the trace never listed cannot drive the depth below 0.
         let stray = RequestSpec::new(5, 0.0, 16, 4);
         send(&mut t, 0, 0.9, EventKind::Admission { request: stray });
         t.finish();
-        assert!(t.state.is_empty());
-        assert_eq!(t.sparse_state.len(), 2);
         let w = t.cluster_windows();
         assert_eq!(w.iter().map(|w| w.arrivals).sum::<u64>(), 1);
         assert_eq!(w.iter().map(|w| w.completions).sum::<u64>(), 1);

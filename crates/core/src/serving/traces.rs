@@ -17,7 +17,9 @@ use serde::{Deserialize, Serialize};
 /// One request of a serving trace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RequestSpec {
-    /// Stable request id (trace order).
+    /// Request id: a label for reports and error messages. Ids may
+    /// repeat and need not follow trace order; the replay tells requests
+    /// apart by their place in the trace, never by id.
     pub id: u32,
     /// Arrival time (s): finite and non-negative. A replay rejects any
     /// other with a typed error.

@@ -595,3 +595,115 @@ fn disaggregated_telemetry_csv_keeps_its_pin() {
         );
     }
 }
+
+/// Request ids are labels: a trace whose requests all carry id 0
+/// replays, and exports its telemetry, exactly like the same trace
+/// numbered `0..n`, under central dispatch with evictions and under the
+/// disaggregated handoff.
+#[test]
+fn repeated_request_ids_leave_reports_and_telemetry_unchanged() {
+    let system = MultiBladeSystem::new(2).unwrap();
+    let model = ModelZoo::llama2_7b();
+    let par = Parallelism::new(1, 1, 1).unwrap();
+    let numbered = TraceConfig {
+        seed: 11,
+        requests: 200,
+        arrival_rate_per_s: 60.0,
+        prompt_tokens: (32, 384),
+        output_tokens: (8, 64),
+    }
+    .synthesize()
+    .unwrap();
+    let repeated: Vec<RequestSpec> = numbered
+        .iter()
+        .map(|r| RequestSpec { id: 0, ..*r })
+        .collect();
+    let run = |topology: Topology, dispatch: DispatchMode, requests: &[RequestSpec]| {
+        Scenario::new(&system)
+            .model(&model)
+            .parallelism(&par)
+            .max_batch(4)
+            .kv_capacity_bytes(1_200.0 * 524_288.0)
+            .topology(topology)
+            .dispatch(dispatch)
+            .telemetry(TelemetryConfig {
+                window_s: 0.5,
+                max_windows: 512,
+            })
+            .requests(requests.to_vec())
+            .compile()
+            .unwrap()
+            .run_with_telemetry()
+            .unwrap()
+    };
+    for (name, topology, dispatch) in [
+        ("central", Topology::mixed(2), DispatchMode::Central),
+        (
+            "1P+1D",
+            Topology::disaggregated(1, 1),
+            DispatchMode::PerBlade,
+        ),
+    ] {
+        let (report, telemetry) = run(topology.clone(), dispatch, &numbered);
+        let (same_report, same_telemetry) = run(topology, dispatch, &repeated);
+        assert!(report.report.evictions > 0, "{name}: no eviction exercised");
+        assert_eq!(same_report, report, "{name}: reports");
+        assert_eq!(same_telemetry.to_csv(), telemetry.to_csv(), "{name}: CSV");
+    }
+}
+
+/// The replay follows arrival time, not the order the trace lists its
+/// requests in: a permuted FCFS trace with distinct arrivals reports
+/// exactly like the sorted one under every routing policy of per-blade
+/// dispatch, under central dispatch and under 1P+3D.
+#[test]
+fn permuted_trace_replays_like_the_sorted_one() {
+    let system = MultiBladeSystem::new(4).unwrap();
+    let model = ModelZoo::llama2_7b();
+    let par = Parallelism::new(1, 1, 1).unwrap();
+    let sorted: Vec<RequestSpec> = TraceConfig {
+        seed: 3,
+        requests: 200,
+        arrival_rate_per_s: 120.0,
+        prompt_tokens: (32, 384),
+        output_tokens: (8, 64),
+    }
+    .synthesize()
+    .unwrap()
+    .into_iter()
+    .map(|r| match r.id % 3 {
+        0 if r.prompt_tokens > 64 => r.with_prefix(1, 64),
+        1 if r.prompt_tokens > 96 => r.with_prefix(2, 96),
+        _ => r,
+    })
+    .collect();
+    assert!(sorted.windows(2).all(|w| w[0].arrival_s < w[1].arrival_s));
+    // 37 is coprime to 200: position `i` holds request `37 i mod 200`.
+    let n = sorted.len();
+    let permuted: Vec<RequestSpec> = (0..n).map(|i| sorted[(37 * i) % n]).collect();
+    let base = |requests: &[RequestSpec]| {
+        Scenario::new(&system)
+            .model(&model)
+            .parallelism(&par)
+            .max_batch(4)
+            .kv_capacity_bytes(1_600.0 * 524_288.0)
+            .prefix_caching(16)
+            .requests(requests.to_vec())
+    };
+    for name in ["JSQ", "round-robin", "cache-aware", "central", "1P+3D"] {
+        let run = |requests: &[RequestSpec]| {
+            let s = base(requests);
+            let s = match name {
+                "JSQ" => s.routing(RoutingPolicy::JoinShortestQueue),
+                "round-robin" => s.routing(RoutingPolicy::RoundRobin),
+                "cache-aware" => s.routing(RoutingPolicy::CacheAware),
+                "central" => s.dispatch(DispatchMode::Central),
+                _ => s.topology(Topology::disaggregated(1, 3)),
+            };
+            s.compile().unwrap().run().unwrap()
+        };
+        let want = run(&sorted);
+        assert_eq!(want.report.completed, 200, "{name}");
+        assert_eq!(run(&permuted), want, "{name}");
+    }
+}
