@@ -13,6 +13,10 @@
 //!   has room, which is work-conserving but serializes the blades through
 //!   the shared queue (replayed as one coupled event loop).
 //!
+//! The disaggregated prefill→decode topology runs the same coupled loop:
+//! its decode pool is central dispatch's shared queue, fed by a tier of
+//! prefill blades instead of by arrivals.
+//!
 //! The report carries the merged tail percentiles plus per-blade load and
 //! the utilization skew that separates good routing from bad.
 
@@ -20,8 +24,8 @@ use super::control::{AutoscaleConfig, ScaleState};
 use super::coord::{ResidencyModel, CACHE_AWARE_MAX_IMBALANCE};
 use super::engine::{arrival_queue, finalize, BladeState, EngineCtx, Outcome, SimCore};
 use super::events::{
-    leapfrog_decode, round_order, Deque, Discipline, Exhaustive, Fcfs, KeyedQueue, Leapfrog, Pool,
-    Resort, RoundKey,
+    leapfrog_decode, round_order, AdmissionQueue, Deque, Discipline, Exhaustive, Fcfs, KeyedQueue,
+    Leapfrog, Pool, Resort, RoundKey,
 };
 use super::observer::{EventKind, NoopObserver, SimObserver};
 use super::policy::OrderingContract;
@@ -561,55 +565,74 @@ fn run_per_blade(
     (states, outcomes)
 }
 
-/// Central dispatch: one shared queue, blades coupled through it. The
-/// blade whose next action comes earliest steps next (ties broken by
-/// blade index), pulling admissions from the shared queue. Under an
-/// autoscaler only the active prefix of the blades competes, and the
-/// scaler is evaluated at the end of every round.
+/// The coupled replay loop of central dispatch and of the disaggregated
+/// topology: the decode-capable blades of `roles` share one `pool`, which
+/// a prefill `tier` feeds when there is one. The earliest action runs
+/// next: the tier's next prefill round or the pool's next round, prefill
+/// first on clock ties, then the lower blade index. Under an autoscaler
+/// (central dispatch only) only the active prefix of the blades competes,
+/// and the scaler is evaluated at the end of every pool round. Returns
+/// the blade states and the outcomes: the caller assembles the report
+/// once the pool is dropped, so the pool's ready-time heaps are freed
+/// before `finalize` allocates its percentile vectors.
 ///
 /// Unlike single-blade replay, time is not one clock here, so a
 /// preempted request must not restart on a blade whose clock trails
 /// the eviction instant: the pool tracks each request's re-entry time
-/// (arrival for fresh requests, the evicting iteration's end for
-/// victims), which gates admission inside [`EngineCtx::step`], and
-/// the discipline keeps not-yet-ready requests behind ready ones so
-/// head-of-line blocking never wedges the loop. The reference
-/// discipline rescans the active blades for every round's action.
-/// Every other one ends each round with a [`leapfrog_pool`], which also
-/// finds the next round's action: the loop files the stepped blade, and
-/// the blade a scale event adds or retires, in the [`FleetIndex`], so no
-/// round scans the fleet. The scaler's round-end evaluations bound the
-/// leapfrog through [`ScaleState::end_gate`].
-fn run_central_dispatch<D: Discipline>(
+/// (arrival or handoff for fresh requests, the evicting iteration's end
+/// for victims, plus the KV re-stream behind a tier), which gates
+/// admission inside [`EngineCtx::step`], and the discipline keeps
+/// not-yet-ready requests behind ready ones so head-of-line blocking
+/// never wedges the loop. The reference discipline rescans the active
+/// blades for every round's action. Every other one ends each pool round
+/// with a [`leapfrog_pool`], which also finds the pool's next action: the
+/// loop files the stepped blade, and the blade a scale event adds or
+/// retires, in the [`FleetIndex`], so no round scans the pool. The tier's
+/// next round gates the leapfrog's starts, and the scaler's round-end
+/// evaluations its ends (see [`ScaleState::end_gate`]).
+fn coupled_loop<D: Discipline>(
     ctx: &EngineCtx<'_>,
-    cluster: ClusterConfig,
     trace: &[RequestSpec],
+    roles: &[BladeRole],
     mut pool: Pool<D>,
+    mut tier: impl Tier<D>,
     mut scale: Option<&mut ScaleState>,
     obs: &mut dyn SimObserver,
 ) -> (Vec<BladeState>, Vec<Outcome>) {
-    let blades = cluster.blades as usize;
-    let active = |scale: Option<&ScaleState>| scale.map_or(blades, |s| s.active() as usize);
+    let decoders: Vec<usize> = (0..roles.len())
+        .filter(|&b| roles[b].can_decode())
+        .collect();
+    let active = |scale: Option<&ScaleState>| {
+        let active = scale.map_or(decoders.len(), |s| s.active() as usize);
+        decoders[..active].iter().copied()
+    };
     let mut ctl = ctx.control_state();
     let mut outcomes = vec![Outcome::default(); trace.len()];
-    let mut states: Vec<BladeState> = (0..blades)
+    let mut states: Vec<BladeState> = (0..roles.len())
         .map(|b| BladeState::new(b as u32, 0.0, ctx.config.prefix))
         .collect();
-    let mut fleet = FleetIndex::new(&states, 0..active(scale.as_deref()));
-    // The next action, once the previous round's leapfrog found it.
+    let mut fleet = FleetIndex::new(&states, active(scale.as_deref()));
+    // The pool's next action, once the previous round's leapfrog found it.
     let mut next: Option<RoundKey> = None;
     loop {
         let waiting = pool.waiting();
-        let scan = || next_action(&states, 0..active(scale.as_deref()), waiting);
+        let scan = || next_action(&states, active(scale.as_deref()), waiting);
         let found = if D::EXHAUSTIVE {
             scan()
         } else {
             // The first round has no leapfrog answer (every blade is idle
-            // then), nor does the last (none can act).
+            // then), nor does the last (none can act) or one after a
+            // prefill round (its handoff can bring an idle blade's
+            // admission forward).
             next.take().or_else(|| fleet.next_action(&states, waiting))
         };
-        debug_assert_eq!(found, scan(), "the next action is stale");
-        // No blade can act once the queue and every batch are empty.
+        debug_assert_eq!(found, scan(), "the pool's next action is stale");
+        let Some(prefill_gate) = tier.round(found, &mut states, &mut pool, &mut outcomes, obs)
+        else {
+            continue;
+        };
+        // No blade can act once every prompt, the pool and every batch
+        // are empty.
         let Some((at, b)) = found else {
             break;
         };
@@ -620,10 +643,7 @@ fn run_central_dispatch<D: Discipline>(
         pool.prepare(blade.clock, trace, ctx.policy);
         ctx.step(trace, &mut pool, blade, &mut outcomes, ctl.as_mut(), obs);
         let now = states[b].clock;
-        // A victim re-enters once the preempting iteration has completed;
-        // its KV is not free (nor the decision known elsewhere) any
-        // earlier.
-        pool.settle(|_| now);
+        pool.settle(|v| tier.reentry(now, v));
         let scaled = scale.as_deref_mut().is_some_and(|sc| {
             let depth = pool.scaler_depth(now);
             autoscale_round(sc, &mut states, b, now, depth, obs)
@@ -631,16 +651,52 @@ fn run_central_dispatch<D: Discipline>(
         if !D::EXHAUSTIVE {
             fleet.stepped(b, &states[b]);
             if scaled {
-                fleet.rescale(&states, active(scale.as_deref()));
+                fleet.rescale(&states, active(scale.as_deref()).len());
             }
-            let gate = LoopGate::Scaler(scale.as_deref());
+            let gate = LoopGate {
+                start: prefill_gate,
+                scale: scale.as_deref(),
+            };
             next = leapfrog_pool(ctx, trace, &mut states, &mut fleet, gate, &mut pool, obs);
         }
     }
     (states, outcomes)
 }
 
-/// One end-of-round autoscaler evaluation of the central-dispatch loop:
+/// What feeds a coupled loop's pool (discipline `D`) besides its own
+/// queue: a [`PrefillTier`], which only deque pools accept, or nothing
+/// ([`NoTier`], the defaults) under central dispatch.
+trait Tier<D> {
+    /// Runs the tier's next round, handing the prefilled sequence to
+    /// `pool`, if it starts no later than the pool's next action (prefill
+    /// wins ties), and returns `None`. Otherwise returns that round's
+    /// start, or +∞: the pool's round goes first, and its leapfrog's gate.
+    fn round(
+        &mut self,
+        _pool_next: Option<RoundKey>,
+        _states: &mut [BladeState],
+        _pool: &mut Pool<D>,
+        _outcomes: &mut [Outcome],
+        _obs: &mut dyn SimObserver,
+    ) -> Option<f64> {
+        Some(f64::INFINITY)
+    }
+
+    /// The instant `trace[idx]`, preempted by a pool round ending at
+    /// `now`, may re-enter the pool: once its KV is free (nor is the
+    /// decision known elsewhere any earlier) and the tier re-streamed it.
+    fn reentry(&self, now: f64, _idx: usize) -> f64 {
+        now
+    }
+}
+
+/// Central dispatch's feed: none.
+struct NoTier;
+
+impl<D> Tier<D> for NoTier {}
+
+/// One end-of-round autoscaler evaluation of central dispatch's coupled
+/// loop:
 /// watermark check against the ready queue depth at stepped blade `b`'s
 /// clock, scale-down gated on the top active blade being idle, and a
 /// scale-up's fresh blade frozen until `now + warmup`. Returns whether a
@@ -818,13 +874,13 @@ impl FleetIndex {
 /// The decisions the loop around a blade pool takes between the pool's
 /// rounds, which a [`leapfrog_pool`] over it must not skip.
 #[derive(Debug, Clone, Copy)]
-enum LoopGate<'a> {
-    /// The loop's next round outside the pool (the disaggregated prefill
-    /// tier's) starts at this instant: a start gate for every member.
-    Start(f64),
-    /// The central loop's autoscaler, when one is mounted, evaluated at
-    /// every round's end: an end gate for every member.
-    Scaler(Option<&'a ScaleState>),
+struct LoopGate<'a> {
+    /// The loop's next round outside the pool (the prefill tier's), or
+    /// +∞: a start gate for every member.
+    start: f64,
+    /// The autoscaler, when one is mounted, evaluated at every round's
+    /// end: an end gate for every member.
+    scale: Option<&'a ScaleState>,
 }
 
 /// Replays the pure-decode future of the pool's running blades — the
@@ -836,12 +892,12 @@ enum LoopGate<'a> {
 /// check `fleet` against a fresh scan.
 ///
 /// Start gates: an idle blade's next admission instant (it could win
-/// the blade race and mutate the queue) and `gate`'s own. Per member, the
+/// the blade race and mutate the queue) and `gate.start`. Per member, the
 /// next queued ready time while a batch slot is open (an admission
 /// round), and — batch full, when skipped partitions are observable — the
 /// next ready-time transition, before which every skipped round takes
 /// the same partition; the loop takes it once after the leapfrog. End
-/// gate: `gate`'s autoscaler (see [`ScaleState::end_gate`]). Transitions
+/// gate: `gate.scale` (see [`ScaleState::end_gate`]). Transitions
 /// are measured from the minimal member clock, so they lower-bound every
 /// member's own (a member already past one parks, conservatively). All
 /// gates are frozen across the leapfrog: nothing is admitted, evicted or
@@ -876,11 +932,8 @@ fn leapfrog_pool<D: Discipline>(
     let Some(member_next) = earliest_member(states, fleet.lf.members()) else {
         return idle_next;
     };
-    let (loop_gate, scale) = match gate {
-        LoopGate::Start(t) => (t, None),
-        LoopGate::Scaler(scale) => (f64::INFINITY, scale),
-    };
-    let idle_gate = idle_next.map_or(loop_gate, |(t, _)| loop_gate.min(t));
+    let LoopGate { start, scale } = gate;
+    let idle_gate = idle_next.map_or(start, |(t, _)| start.min(t));
     if idle_gate <= member_next.0 {
         return earlier(idle_next, Some(member_next));
     }
@@ -1028,37 +1081,12 @@ pub(crate) fn run_mixed(
     parallel: bool,
     obs: &mut dyn SimObserver,
 ) -> ClusterReport {
+    let roles = vec![BladeRole::Mixed; cluster.blades as usize];
     let mut scale = cluster.autoscale.map(ScaleState::new);
     let (states, outcomes) = match cluster.dispatch {
         DispatchMode::PerBlade => run_per_blade(ctx, cluster, trace, parallel, obs),
-        DispatchMode::Central => {
-            let order = arrival_queue(trace);
-            let scaler = scale.as_mut();
-            match (ctx.config.core, ctx.policy.ordering()) {
-                (SimCore::PerStep, _) => {
-                    let pool = Pool::central(trace, order, Exhaustive::new);
-                    run_central_dispatch(ctx, cluster, trace, pool, scaler, obs)
-                }
-                (SimCore::EventDriven, OrderingContract::Fcfs) => {
-                    let pool = Pool::central(trace, order, Fcfs::new);
-                    run_central_dispatch(ctx, cluster, trace, pool, scaler, obs)
-                }
-                (
-                    SimCore::EventDriven,
-                    OrderingContract::StaticKey | OrderingContract::TraceRank,
-                ) => {
-                    let pool =
-                        Pool::central(trace, order, |q| KeyedQueue::new(ctx.policy, trace, q));
-                    run_central_dispatch(ctx, cluster, trace, pool, scaler, obs)
-                }
-                (SimCore::EventDriven, OrderingContract::ClockDependent) => {
-                    let pool = Pool::central(trace, order, Resort::new);
-                    run_central_dispatch(ctx, cluster, trace, pool, scaler, obs)
-                }
-            }
-        }
+        DispatchMode::Central => run_coupled(ctx, trace, &roles, None, scale.as_mut(), obs),
     };
-    let roles = vec![BladeRole::Mixed; cluster.blades as usize];
     assemble(ctx, trace, &states, &outcomes, &roles, scale.as_ref())
 }
 
@@ -1069,11 +1097,6 @@ pub(crate) fn run_mixed(
 /// (central-dispatch semantics). An evicted sequence keeps its prefilled
 /// status — its KV is re-streamed from the prefill tier (paying `link`
 /// again) instead of being recomputed.
-///
-/// Picks the queue discipline for the configured [`SimCore`]: the
-/// per-step reference, or FCFS / re-sorting event disciplines (handoff
-/// ready times follow no arrival order, so static-key and trace-rank
-/// policies re-sort here too).
 pub(crate) fn run_disaggregated(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
@@ -1081,110 +1104,128 @@ pub(crate) fn run_disaggregated(
     link: &HandoffLink,
     obs: &mut dyn SimObserver,
 ) -> ClusterReport {
-    match (ctx.config.core, ctx.policy.ordering()) {
-        (SimCore::PerStep, _) => disaggregated(ctx, trace, roles, link, obs, Exhaustive::new),
-        (SimCore::EventDriven, OrderingContract::Fcfs) => {
-            disaggregated(ctx, trace, roles, link, obs, Fcfs::new)
-        }
-        (SimCore::EventDriven, _) => disaggregated(ctx, trace, roles, link, obs, Resort::new),
-    }
+    let (states, outcomes) = run_coupled(ctx, trace, roles, Some(link), None, obs);
+    assemble(ctx, trace, &states, &outcomes, roles, None)
 }
 
-/// The disaggregated replay loop over a [`Deque`] discipline, built by
-/// `new` for both the prompt queue and the decode pool.
-///
-/// The loop is serial and deterministic: the next action is always the
-/// earliest-clock blade, prefill before decode on ties, lower blade
-/// index last. Outside the reference discipline, every decode round ends
-/// with a [`leapfrog_pool`] over the decode pool, gated by the prefill
-/// tier's next action (prefill wins clock ties), and the decode pool's
-/// next action comes from the same [`FleetIndex`] rather than a scan of
-/// the decoders.
-fn disaggregated<const E: bool, const R: bool>(
+/// Replays a coupled topology — central dispatch, or a prefill tier
+/// feeding the decode pool over `link` — on the queue discipline that the
+/// configured [`SimCore`] and the policy's [`OrderingContract`] pick: the
+/// per-step reference, or the FCFS, keyed or re-sorting event
+/// disciplines. Handoff ready times follow no arrival order, so static-key
+/// and trace-rank policies re-sort behind a prefill tier.
+fn run_coupled(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
     roles: &[BladeRole],
-    link: &HandoffLink,
+    link: Option<&HandoffLink>,
+    scale: Option<&mut ScaleState>,
+    obs: &mut dyn SimObserver,
+) -> (Vec<BladeState>, Vec<Outcome>) {
+    match (ctx.config.core, ctx.policy.ordering()) {
+        (SimCore::PerStep, _) => on_deque(ctx, trace, roles, link, scale, obs, Exhaustive::new),
+        (SimCore::EventDriven, OrderingContract::Fcfs) => {
+            on_deque(ctx, trace, roles, link, scale, obs, Fcfs::new)
+        }
+        (SimCore::EventDriven, OrderingContract::StaticKey | OrderingContract::TraceRank)
+            if link.is_none() =>
+        {
+            let keyed = |q| KeyedQueue::new(ctx.policy, trace, q);
+            let pool = Pool::central(trace, arrival_queue(trace), keyed);
+            coupled_loop(ctx, trace, roles, pool, NoTier, scale, obs)
+        }
+        (SimCore::EventDriven, _) => on_deque(ctx, trace, roles, link, scale, obs, Resort::new),
+    }
+}
+
+/// [`run_coupled`] on a [`Deque`] discipline built by `new` for the
+/// central queue, or for both the prompt queue of the prefill tier behind
+/// `link` and the decode pool it feeds.
+fn on_deque<const E: bool, const R: bool>(
+    ctx: &EngineCtx<'_>,
+    trace: &[RequestSpec],
+    roles: &[BladeRole],
+    link: Option<&HandoffLink>,
+    scale: Option<&mut ScaleState>,
     obs: &mut dyn SimObserver,
     new: fn(VecDeque<usize>) -> Deque<E, R>,
-) -> ClusterReport {
-    let blades_with = |keep: fn(BladeRole) -> bool| -> Vec<usize> {
-        (0..roles.len()).filter(|&b| keep(roles[b])).collect()
+) -> (Vec<BladeState>, Vec<Outcome>) {
+    let order = arrival_queue(trace);
+    let Some(link) = link else {
+        let pool = Pool::central(trace, order, new);
+        return coupled_loop(ctx, trace, roles, pool, NoTier, scale, obs);
     };
-    let prefillers = blades_with(|r| r == BladeRole::Prefill);
-    let decoders = blades_with(BladeRole::can_decode);
-    let mut states: Vec<BladeState> = (0..roles.len())
-        .map(|b| BladeState::new(b as u32, 0.0, ctx.config.prefix))
-        .collect();
-    let mut prompts = new(arrival_queue(trace));
-    // Re-entry instant per request: the handoff completion for freshly
-    // prefilled sequences, eviction + re-stream for preempted ones.
-    let mut pool = Pool::handoff(trace, new(VecDeque::new()));
-    let mut outcomes = vec![Outcome::default(); trace.len()];
-    let mut fleet = FleetIndex::new(&states, decoders.iter().copied());
-    let stream_s =
-        |idx: usize| link.transfer_s(f64::from(trace[idx].prompt_tokens) * ctx.kv_bytes_per_token);
-    loop {
-        let prefill_action = next_action(
-            &states,
-            prefillers.iter().copied(),
-            prompts.next_arrival(trace),
-        );
-        let waiting = pool.waiting();
-        let decode_action = if E {
-            next_action(&states, decoders.iter().copied(), waiting)
-        } else {
-            fleet.next_action(&states, waiting)
-        };
-        debug_assert_eq!(
-            decode_action,
-            next_action(&states, decoders.iter().copied(), waiting),
-            "the decode pool's index or members are stale"
-        );
-        let prefill_first =
-            prefill_action.filter(|&(tp, _)| decode_action.is_none_or(|(td, _)| tp <= td));
-        match (prefill_first, decode_action) {
-            (Some((tp, b)), _) => {
-                let blade = &mut states[b];
-                blade.clock = blade.clock.max(tp);
-                prompts.prepare(blade.clock, trace, ctx.policy);
-                let Some(idx) = prompts.pop_front() else {
-                    debug_assert!(false, "a prefill action implies a queued prompt");
-                    break;
-                };
-                prefill_round(ctx, trace, idx, blade, &mut outcomes[idx], obs);
-                let transfer = stream_s(idx);
-                let kind = EventKind::Handoff {
-                    request: trace[idx],
-                    transfer_s: transfer,
-                };
-                obs.emit(blade.id, blade.clock, kind);
-                pool.push(idx, blade.clock + transfer);
-            }
-            (None, Some((at, b))) => {
-                let blade = &mut states[b];
-                if blade.running.is_empty() {
-                    blade.clock = blade.clock.max(at);
-                }
-                pool.prepare(blade.clock, trace, ctx.policy);
-                ctx.step(trace, &mut pool, blade, &mut outcomes, None, obs);
-                // A victim's KV must be re-streamed from the prefill tier
-                // before it can restart anywhere.
-                let now = states[b].clock;
-                pool.settle(|v| now + stream_s(v));
-                if !E {
-                    fleet.stepped(b, &states[b]);
-                    let prefill_gate = prefill_action.map_or(f64::INFINITY, |(tp, _)| tp);
-                    let gate = LoopGate::Start(prefill_gate);
-                    leapfrog_pool(ctx, trace, &mut states, &mut fleet, gate, &mut pool, obs);
-                }
-            }
-            // No blade can act once every prompt, the decode pool and
-            // every batch are empty.
-            (None, None) => break,
-        }
+    let tier = PrefillTier {
+        ctx,
+        trace,
+        link,
+        blades: (0..roles.len())
+            .filter(|&b| roles[b] == BladeRole::Prefill)
+            .collect(),
+        prompts: new(order),
+    };
+    let pool = Pool::handoff(trace, new(VecDeque::new()));
+    coupled_loop(ctx, trace, roles, pool, tier, scale, obs)
+}
+
+/// The prefill tier of a disaggregated replay: its blades take the
+/// queued prompts in policy order, one whole-prompt pass each, and
+/// stream each finished prefill's KV over `link` into the decode pool.
+struct PrefillTier<'a, const E: bool, const R: bool> {
+    ctx: &'a EngineCtx<'a>,
+    trace: &'a [RequestSpec],
+    link: &'a HandoffLink,
+    /// The prefill blades, ascending.
+    blades: Vec<usize>,
+    /// The prompts not yet prefilled.
+    prompts: Deque<E, R>,
+}
+
+impl<const E: bool, const R: bool> PrefillTier<'_, E, R> {
+    /// The time to stream `trace[idx]`'s prompt KV into the decode pool.
+    fn stream_s(&self, idx: usize) -> f64 {
+        let bytes = f64::from(self.trace[idx].prompt_tokens) * self.ctx.kv_bytes_per_token;
+        self.link.transfer_s(bytes)
     }
-    assemble(ctx, trace, &states, &outcomes, roles, None)
+}
+
+impl<const E: bool, const R: bool> Tier<Deque<E, R>> for PrefillTier<'_, E, R> {
+    fn round(
+        &mut self,
+        pool_next: Option<RoundKey>,
+        states: &mut [BladeState],
+        pool: &mut Pool<Deque<E, R>>,
+        outcomes: &mut [Outcome],
+        obs: &mut dyn SimObserver,
+    ) -> Option<f64> {
+        let (ctx, trace) = (self.ctx, self.trace);
+        let arrival = self.prompts.next_arrival(trace);
+        let next = next_action(states, self.blades.iter().copied(), arrival);
+        let Some((at, b)) = next.filter(|&(t, _)| pool_next.is_none_or(|(pt, _)| t <= pt)) else {
+            return Some(next.map_or(f64::INFINITY, |(t, _)| t));
+        };
+        let blade = &mut states[b];
+        blade.clock = blade.clock.max(at);
+        self.prompts.prepare(blade.clock, trace, ctx.policy);
+        let Some(idx) = self.prompts.peek() else {
+            debug_assert!(false, "a prefill round implies a queued prompt");
+            return None;
+        };
+        self.prompts.pop();
+        prefill_round(ctx, trace, idx, blade, &mut outcomes[idx], obs);
+        let transfer = self.stream_s(idx);
+        let kind = EventKind::Handoff {
+            request: trace[idx],
+            transfer_s: transfer,
+        };
+        obs.emit(blade.id, blade.clock, kind);
+        pool.push(idx, blade.clock + transfer);
+        None
+    }
+
+    fn reentry(&self, now: f64, idx: usize) -> f64 {
+        now + self.stream_s(idx)
+    }
 }
 
 /// One prefill-tier round on `blade` for `trace[idx]`: a whole-prompt

@@ -4,12 +4,13 @@
 //! bookkeeping `Pool`), and the closed-form decode fast-forwards
 //! (`DecodeStretch`, `leapfrog_decode`).
 //!
-//! There is one replay loop per topology — single blade, central
-//! dispatch, disaggregated — in [`super::engine`] and [`super::cluster`].
-//! Each runs either the per-step reference discipline (`Exhaustive`:
-//! plain scans, a full re-sort and partition every round, no
-//! fast-forward) or an event-driven one. The design constraint is
-//! *bit-for-bit* equivalence between the two: every structure here
+//! There are two replay loops: the single-blade drive in
+//! [`super::engine`], and the coupled loop in [`super::cluster`] that
+//! central dispatch and the disaggregated topology share. Each runs
+//! either the per-step reference discipline (`Exhaustive`: plain scans,
+//! a full re-sort and partition every round, no fast-forward) or an
+//! event-driven one. The design constraint is *bit-for-bit* equivalence
+//! between the two: every structure here
 //! either reproduces the exact sequence of heads / minima the reference's
 //! O(n)-per-round scans produce, or is only consulted at points where the
 //! reference's answer is provably unchanged (see the contracts on
@@ -186,8 +187,8 @@ pub(crate) enum Gate {
 
 /// A replay loop's queue discipline: everything the per-step reference
 /// and the event-driven fast paths differ in. Each replay loop — the
-/// single-blade drive, the central-dispatch loop and the disaggregated
-/// loop — exists once, generic over this trait, and
+/// single-blade drive, and the coupled loop of central dispatch and the
+/// disaggregated topology — exists once, generic over this trait, and
 /// [`SimCore`](super::engine::SimCore) is the only switch that picks a
 /// discipline:
 ///
@@ -282,11 +283,6 @@ impl<const E: bool, const R: bool> Deque<E, R> {
         } else {
             self.0.front().map(|&i| trace[i].arrival_s)
         }
-    }
-
-    /// Removes and returns the head.
-    pub(crate) fn pop_front(&mut self) -> Option<usize> {
-        self.0.pop_front()
     }
 }
 

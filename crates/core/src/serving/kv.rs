@@ -10,7 +10,6 @@
 
 use crate::error::OptimusError;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// How KV-cache capacity is accounted during admission and growth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,166 +50,6 @@ impl KvLayout {
     }
 }
 
-/// A standalone block-granular KV allocator, the bookkeeping core of the
-/// paged layout: tracks per-sequence block allocations against a fixed
-/// block budget and exposes fragmentation.
-///
-/// The engine drives the same arithmetic through [`KvLayout`] (it never
-/// needs per-sequence maps on its hot path); this allocator exists so the
-/// paged invariants — no double allocation, free-everything drains to
-/// zero, fragmentation bounded by capacity — are independently testable
-/// and reusable by future block-sharing work (prefix caching, copy-on-write
-/// forks).
-#[derive(Debug, Clone)]
-pub struct PagedKvAllocator {
-    block_tokens: u32,
-    capacity_blocks: u64,
-    allocated_blocks: u64,
-    /// Per-sequence state: blocks held and tokens actually cached.
-    seqs: BTreeMap<u32, (u64, u64)>,
-}
-
-impl PagedKvAllocator {
-    /// Creates an allocator of `capacity_blocks` blocks of `block_tokens`
-    /// tokens each.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimusError::Serving`] for a zero block size or zero
-    /// capacity.
-    pub fn new(block_tokens: u32, capacity_blocks: u64) -> Result<Self, OptimusError> {
-        if block_tokens == 0 || capacity_blocks == 0 {
-            return Err(OptimusError::Serving {
-                reason: format!(
-                    "paged allocator needs positive geometry (block {block_tokens} tokens × {capacity_blocks} blocks)"
-                ),
-            });
-        }
-        Ok(Self {
-            block_tokens,
-            capacity_blocks,
-            allocated_blocks: 0,
-            seqs: BTreeMap::new(),
-        })
-    }
-
-    fn blocks_for(&self, tokens: u64) -> u64 {
-        tokens.div_ceil(u64::from(self.block_tokens))
-    }
-
-    /// Admits sequence `seq` with `tokens` cached tokens.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimusError::Serving`] if `seq` is already resident
-    /// (double allocation) or the blocks don't fit.
-    pub fn allocate(&mut self, seq: u32, tokens: u64) -> Result<(), OptimusError> {
-        if self.seqs.contains_key(&seq) {
-            return Err(OptimusError::Serving {
-                reason: format!("sequence {seq} is already allocated"),
-            });
-        }
-        let need = self.blocks_for(tokens.max(1));
-        if self.allocated_blocks + need > self.capacity_blocks {
-            return Err(OptimusError::Serving {
-                reason: format!(
-                    "sequence {seq} needs {need} blocks but only {} of {} are free",
-                    self.capacity_blocks - self.allocated_blocks,
-                    self.capacity_blocks
-                ),
-            });
-        }
-        self.allocated_blocks += need;
-        self.seqs.insert(seq, (need, tokens));
-        Ok(())
-    }
-
-    /// Grows sequence `seq` to `tokens` cached tokens, claiming new blocks
-    /// only when the tail block spills.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimusError::Serving`] for an unknown sequence, a
-    /// shrinking length, or when the spill block doesn't fit.
-    pub fn grow(&mut self, seq: u32, tokens: u64) -> Result<(), OptimusError> {
-        let need = self.blocks_for(tokens.max(1));
-        let Some(&(held, cached)) = self.seqs.get(&seq) else {
-            return Err(OptimusError::Serving {
-                reason: format!("sequence {seq} is not allocated"),
-            });
-        };
-        if tokens < cached {
-            return Err(OptimusError::Serving {
-                reason: format!("sequence {seq} cannot shrink from {cached} to {tokens} tokens"),
-            });
-        }
-        let extra = need.saturating_sub(held);
-        if self.allocated_blocks + extra > self.capacity_blocks {
-            return Err(OptimusError::Serving {
-                reason: format!(
-                    "growing sequence {seq} needs {extra} more blocks but only {} are free",
-                    self.capacity_blocks - self.allocated_blocks
-                ),
-            });
-        }
-        self.allocated_blocks += extra;
-        self.seqs.insert(seq, (held + extra, tokens));
-        Ok(())
-    }
-
-    /// Releases sequence `seq`, returning the blocks it held.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimusError::Serving`] for an unknown sequence.
-    pub fn free(&mut self, seq: u32) -> Result<u64, OptimusError> {
-        let Some((held, _)) = self.seqs.remove(&seq) else {
-            return Err(OptimusError::Serving {
-                reason: format!("sequence {seq} is not allocated"),
-            });
-        };
-        self.allocated_blocks -= held;
-        Ok(held)
-    }
-
-    /// Tokens per block.
-    #[must_use]
-    pub fn block_tokens(&self) -> u32 {
-        self.block_tokens
-    }
-
-    /// Total block budget.
-    #[must_use]
-    pub fn capacity_blocks(&self) -> u64 {
-        self.capacity_blocks
-    }
-
-    /// Blocks currently allocated across all sequences.
-    #[must_use]
-    pub fn allocated_blocks(&self) -> u64 {
-        self.allocated_blocks
-    }
-
-    /// Tokens actually cached across all sequences.
-    #[must_use]
-    pub fn used_tokens(&self) -> u64 {
-        self.seqs.values().map(|&(_, cached)| cached).sum()
-    }
-
-    /// Internal fragmentation: tokens reserved in allocated blocks but not
-    /// cached (always `< block_tokens` per resident sequence).
-    #[must_use]
-    pub fn fragmentation_tokens(&self) -> u64 {
-        self.allocated_blocks * u64::from(self.block_tokens) - self.used_tokens()
-    }
-
-    /// Resident sequence count.
-    #[must_use]
-    pub fn sequences(&self) -> usize {
-        self.seqs.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,35 +63,5 @@ mod tests {
         assert_eq!(paged.charged_tokens(0), 0);
         assert!(KvLayout::Paged { block_tokens: 0 }.validate().is_err());
         assert!(paged.validate().is_ok());
-    }
-
-    #[test]
-    fn allocator_lifecycle() {
-        let mut a = PagedKvAllocator::new(16, 10).unwrap();
-        a.allocate(0, 20).unwrap(); // 2 blocks
-        a.allocate(1, 1).unwrap(); // 1 block
-        assert_eq!(a.allocated_blocks(), 3);
-        assert_eq!(a.fragmentation_tokens(), 48 - 21);
-        a.grow(0, 32).unwrap(); // still 2 blocks
-        assert_eq!(a.allocated_blocks(), 3);
-        a.grow(0, 33).unwrap(); // spills into a 3rd block
-        assert_eq!(a.allocated_blocks(), 4);
-        assert_eq!(a.free(0).unwrap(), 3);
-        assert_eq!(a.free(1).unwrap(), 1);
-        assert_eq!(a.allocated_blocks(), 0);
-        assert_eq!(a.fragmentation_tokens(), 0);
-    }
-
-    #[test]
-    fn allocator_rejects_misuse() {
-        let mut a = PagedKvAllocator::new(16, 4).unwrap();
-        a.allocate(7, 16).unwrap();
-        assert!(a.allocate(7, 1).is_err(), "double allocation");
-        assert!(a.allocate(8, 100).is_err(), "over capacity");
-        assert!(a.grow(9, 5).is_err(), "unknown sequence");
-        assert!(a.grow(7, 8).is_err(), "shrink");
-        assert!(a.free(9).is_err(), "unknown free");
-        assert!(PagedKvAllocator::new(0, 4).is_err());
-        assert!(PagedKvAllocator::new(16, 0).is_err());
     }
 }

@@ -16,8 +16,8 @@
 //!   order + eviction victim) with FCFS, SJF and max-waiting-time-guard
 //!   implementations.
 //! * [`kv`] — how capacity is charged: contiguous token-granular
-//!   accounting or vLLM-style block-granular paging
-//!   ([`PagedKvAllocator`]) with fragmentation tracking.
+//!   accounting or vLLM-style block-granular paging ([`KvLayout`]) with
+//!   fragmentation tracking.
 //! * [`engine`] — the engine step and the single-blade replay loop
 //!   ([`ServingConfig`]): iteration-level admission, recompute-style
 //!   preemption, chunked prefill, and decode pricing from a roofline
@@ -64,13 +64,13 @@
 //! [`scenario`]: one fluent chain describes the system, workload, policy,
 //! KV layout, SLO classes and blade topology, and compiles into a
 //! validated [`CompiledScenario`] holding the engine it built. Its run
-//! methods replay the mixed cluster's per-blade or central-dispatch loop
-//! (a single blade is a 1-blade cluster) or the DistServe-style
-//! disaggregated prefill→decode loop ([`BladeRole`]-typed blades
-//! streaming finished prefills over the system fabric). The
-//! [`SimObserver`] seam exposes per-iteration events (admission,
-//! eviction, chunk dispatch, handoff, completion) without reaching into
-//! engine internals.
+//! methods replay the mixed cluster's per-blade queues (a single blade is
+//! a 1-blade cluster) or its one coupled loop: central dispatch, or the
+//! same loop fed by the DistServe-style disaggregated prefill tier
+//! ([`BladeRole`]-typed blades streaming finished prefills over the
+//! system fabric). The [`SimObserver`] seam exposes per-iteration events
+//! (admission, eviction, chunk dispatch, handoff, completion) without
+//! reaching into engine internals.
 //!
 //! Replay is exactly reproducible. Every replay rebuilds its
 //! iteration-cost table, one batch row at a time from reused kernel
@@ -212,7 +212,7 @@ pub use control::{AdmissionControl, AutoscaleConfig, ControlPlane};
 pub use coord::{GlobalCacheConfig, CACHE_AWARE_MAX_IMBALANCE};
 pub use engine::{DecodePricing, RunningSeq, ServingConfig, SimCore};
 pub use events::EventHeap;
-pub use kv::{KvLayout, PagedKvAllocator};
+pub use kv::KvLayout;
 pub use observer::{
     first_divergence, CallbackCounts, CountingObserver, Divergence, EventKind, NoopObserver,
     SimEvent, SimObserver,

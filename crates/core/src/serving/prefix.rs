@@ -45,8 +45,7 @@
 //! when its sequence leaves. [`PrefixCache::touch`] is lease, commit and
 //! release in one pass, for writers that hold nothing.
 //!
-//! The cache is deliberately a standalone structure (like
-//! [`PagedKvAllocator`](super::kv::PagedKvAllocator)) so its invariants —
+//! The cache is deliberately a standalone structure so its invariants —
 //! refcounts never underflow, resident blocks never exceed what commits
 //! put there, eviction only touches unreferenced leaves, releasing every
 //! holder drains refcounts to zero — are independently proptestable.

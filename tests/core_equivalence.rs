@@ -1,8 +1,9 @@
-//! Each topology has one replay loop, generic over a queue discipline;
-//! `SimCore` picks the discipline. The event-driven disciplines must be
-//! *bit-identical* to the per-step reference discipline on every
-//! workload: same reports, same per-blade accounting, same observer event
-//! streams. The reference re-sorts and partitions the queue in full every
+//! Each replay loop (the single-blade drive, and the coupled loop that
+//! central dispatch and the disaggregated topology share) is generic over
+//! a queue discipline; `SimCore` picks the discipline. The event-driven
+//! disciplines must be *bit-identical* to the per-step reference
+//! discipline on every workload: same reports, same per-blade accounting,
+//! same observer event streams. The reference re-sorts and partitions the queue in full every
 //! round, scans for ready times and never fast-forwards, so this suite
 //! checks the incremental orders, the skipped partitions, keyed
 //! extraction and the decode stretches and leapfrogs against it — across
@@ -17,12 +18,13 @@ use llm_workload::model::{ModelZoo, TransformerConfig};
 use llm_workload::Parallelism;
 use optimus::serving::{
     first_divergence, AdmissionControl, AutoscaleConfig, ClusterReport, ControlPlane,
-    DecodePricing, DispatchMode, DiurnalTraceConfig, EventHeap, EventKind, KvLayout,
+    DecodePricing, DispatchMode, DiurnalTraceConfig, EventHeap, EventKind, HandoffLink, KvLayout,
     MaxWaitGuardPolicy, RequestSpec, RoutingPolicy, Scenario, SharedPrefixTraceConfig, SimCore,
     SimEvent, SjfPolicy, SloClass, StrictPriorityPolicy, Topology, TraceConfig, WeightedFairPolicy,
 };
 use optimus::{MultiBladeSystem, SpeedupStudy};
 use proptest::prelude::*;
+use scd_tech::units::Bandwidth;
 
 /// KV bytes for one token of `model` at the system's serving precision.
 fn per_token_bytes(system: &MultiBladeSystem, model: &TransformerConfig) -> f64 {
@@ -810,22 +812,35 @@ fn pinned_autoscaler_reports_like_no_autoscaler_at_64_blades() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// KV-pressured central dispatch, where preemption victims re-enter
-    /// off the arrival axis while full blades skip rounds: the leapfrog's
-    /// catch-up partition must leave the queue as the per-step loop's
-    /// skipped rounds would. `cores_agree_on_random_scenarios` rarely
-    /// fills a batch on one blade while a victim waits for another's
-    /// round. With the catch-up partition removed, 9 of these 192 cases
-    /// diverge.
+    /// KV-pressured pools, where preemption victims re-enter off the
+    /// arrival axis while full blades skip rounds: central dispatch at 2
+    /// and 4 blades, and decode pools behind 1 or 2 prefill blades. The
+    /// leapfrog's catch-up partition must leave the queue as the per-step
+    /// loop's skipped rounds would. `cores_agree_on_random_scenarios`
+    /// rarely fills a batch on one blade while a victim waits for
+    /// another's round. Behind a prefill tier the trace is sparser, the
+    /// outputs shorter and the handoff link slow (5 GB/s), so the decode
+    /// pool often drains while a long prompt's KV is still in flight and a
+    /// short prompt's handoff overtakes it: a prefill round must drop the
+    /// pool's next action that the last leapfrog found. With the catch-up
+    /// partition removed, 4 of these 192 cases diverge (all central); with
+    /// the next action kept across prefill rounds, 38 (all disaggregated).
     #[test]
-    fn central_cores_agree_under_kv_pressure(
+    fn pool_cores_agree_under_kv_pressure(
         seed in any::<u64>(),
-        four_blades in any::<bool>(),
+        topology in 0usize..4,
         batch in 0usize..3,
         tight in any::<bool>(),
         policy in 0usize..3,
     ) {
-        let system = MultiBladeSystem::new(if four_blades { 4 } else { 2 }).unwrap();
+        let slow = HandoffLink::new(Bandwidth::from_gbps(5.0), 2e-6);
+        let (topology, link, rate, output) = match topology {
+            0 => (Topology::mixed(2), None, 150.0, 64),
+            1 => (Topology::mixed(4), None, 150.0, 64),
+            2 => (Topology::disaggregated(1, 3), Some(slow), 50.0, 16),
+            _ => (Topology::disaggregated(2, 2), Some(slow), 50.0, 16),
+        };
+        let system = MultiBladeSystem::new(topology.blades()).unwrap();
         let model = ModelZoo::llama2_7b();
         let par = Parallelism::new(1, 1, 1).unwrap();
         // Room for ~1.7 or ~3 worst-case requests.
@@ -836,15 +851,20 @@ proptest! {
                 .parallelism(&par)
                 .max_batch([1, 2, 4][batch])
                 .kv_capacity_bytes(kv)
+                .topology(topology.clone())
                 .dispatch(DispatchMode::Central)
                 .poisson(TraceConfig {
                     seed,
                     requests: 30,
-                    arrival_rate_per_s: 150.0,
+                    arrival_rate_per_s: rate,
                     prompt_tokens: (32, 384),
-                    output_tokens: (8, 64),
+                    output_tokens: (8, output),
                 })
                 .core(core);
+            let s = match link {
+                Some(link) => s.handoff(link),
+                None => s,
+            };
             let s = match policy {
                 0 => s,
                 1 => s.policy(SjfPolicy),

@@ -609,49 +609,6 @@ proptest! {
         }
     }
 
-    /// Paged-KV allocator invariants: no double allocation, blocks in use
-    /// never exceed capacity, fragmentation stays below one block per
-    /// resident sequence (and thus below capacity), and freeing every
-    /// sequence drains the allocator to zero.
-    #[test]
-    fn paged_allocator_invariants(
-        block_pow in 0u32..7,
-        capacity_blocks in 1u64..64,
-        seeds in prop::collection::vec((1u64..512, 1u64..512), 1..24),
-    ) {
-        use optimus::serving::PagedKvAllocator;
-        let block = 1u32 << block_pow;
-        let mut a = PagedKvAllocator::new(block, capacity_blocks).expect("valid geometry");
-        let mut resident: Vec<u32> = Vec::new();
-        for (seq, &(tokens, grow)) in seeds.iter().enumerate() {
-            let seq = seq as u32;
-            if a.allocate(seq, tokens).is_ok() {
-                resident.push(seq);
-                // Double allocation of a resident sequence must fail.
-                prop_assert!(a.allocate(seq, 1).is_err());
-                // Growth either succeeds or leaves state unchanged.
-                let before = a.allocated_blocks();
-                if a.grow(seq, tokens + grow).is_err() {
-                    prop_assert_eq!(a.allocated_blocks(), before);
-                }
-            }
-            prop_assert!(a.allocated_blocks() <= a.capacity_blocks());
-            prop_assert!(
-                a.fragmentation_tokens() < a.sequences() as u64 * u64::from(block)
-                    || a.sequences() == 0
-            );
-            prop_assert!(
-                a.fragmentation_tokens() <= a.capacity_blocks() * u64::from(block)
-            );
-        }
-        for seq in resident {
-            a.free(seq).expect("resident sequence frees");
-        }
-        prop_assert_eq!(a.allocated_blocks(), 0);
-        prop_assert_eq!(a.used_tokens(), 0);
-        prop_assert_eq!(a.fragmentation_tokens(), 0);
-    }
-
     /// Prefix-cache invariants under random workloads: refcounts never
     /// underflow (misuse is a typed error, not a panic), LRU eviction
     /// never touches a referenced block, and releasing every holder
