@@ -8,9 +8,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use llm_workload::{ModelZoo, Parallelism};
 use optimus::serving::{
-    CacheEviction, DispatchMode, HandoffLink, PrefixBlock, PrefixCache, PrefixCachingConfig,
-    RoutingPolicy, Scenario, SharedPrefix, SharedPrefixTraceConfig, SimCore, SimEvent, SimObserver,
-    SloClass, Telemetry, TelemetryConfig, Topology, TraceConfig,
+    CacheEviction, DispatchMode, HandoffLink, Interest, PrefixBlock, PrefixCache,
+    PrefixCachingConfig, RoutingPolicy, Scenario, SharedPrefix, SharedPrefixTraceConfig, SimCore,
+    SimEvent, SimObserver, SloClass, Telemetry, TelemetryConfig, Topology, TraceConfig,
 };
 use optimus::{InferenceEstimator, MultiBladeSystem, SpeedupStudy};
 use scd_arch::Blade;
@@ -183,22 +183,22 @@ fn bench_prefix_touch(c: &mut Criterion) {
     });
 }
 
-/// Records the event stream a passive observer receives — the stream
-/// the telemetry collector folds.
-struct PassiveRecorder(Vec<SimEvent>);
+/// Records the event stream an observer of [`Interest::Summaries`]
+/// receives — the stream the telemetry collector folds.
+struct SummaryRecorder(Vec<SimEvent>);
 
-impl SimObserver for PassiveRecorder {
+impl SimObserver for SummaryRecorder {
     fn on_event(&mut self, event: &SimEvent) {
         self.0.push(*event);
     }
 
-    fn is_passive(&self) -> bool {
-        true
+    fn interest(&self) -> Interest {
+        Interest::Summaries
     }
 }
 
-/// The telemetry fold alone, without the replay: one passive event
-/// stream of a 2P+2D replay (2000 Poisson requests, two SLO classes,
+/// The telemetry fold alone, without the replay: one summary-reading
+/// event stream of a 2P+2D replay (2000 Poisson requests, two SLO classes,
 /// 0.1 s windows) is recorded once, then folded into a fresh collector
 /// per iteration — arrivals registered, every event folded, finished.
 /// Prints ns per iteration and, on a second line, ns per event.
@@ -229,7 +229,7 @@ fn bench_telemetry_fold(c: &mut Criterion) {
         })
         .compile()
         .unwrap();
-    let mut recorder = PassiveRecorder(Vec::new());
+    let mut recorder = SummaryRecorder(Vec::new());
     compiled.run_observed(&mut recorder).unwrap();
     let events = recorder.0;
     let fold = || {

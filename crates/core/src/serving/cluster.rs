@@ -637,6 +637,7 @@ fn coupled_loop<D: Discipline>(
             break;
         };
         let blade = &mut states[b];
+        fleet.lf.settle(b, blade);
         if blade.running.is_empty() {
             blade.clock = blade.clock.max(at);
         }
@@ -660,6 +661,10 @@ fn coupled_loop<D: Discipline>(
             next = leapfrog_pool(ctx, trace, &mut states, &mut fleet, gate, &mut pool, obs);
         }
     }
+    debug_assert!(
+        fleet.lf.settled(),
+        "a leapfrog member holds uncommitted rounds"
+    );
     (states, outcomes)
 }
 
@@ -892,16 +897,19 @@ struct LoopGate<'a> {
 /// check `fleet` against a fresh scan.
 ///
 /// Start gates: an idle blade's next admission instant (it could win
-/// the blade race and mutate the queue) and `gate.start`. Per member, the
-/// next queued ready time while a batch slot is open (an admission
+/// the blade race and mutate the queue) and `gate.start`. When either
+/// comes no later than every member's clock, every member is gated at
+/// its own clock and the cut is the earliest member's round. Per member,
+/// the next queued ready time while a batch slot is open (an admission
 /// round), and — batch full, when skipped partitions are observable — the
 /// next ready-time transition, before which every skipped round takes
 /// the same partition; the loop takes it once after the leapfrog. End
 /// gate: `gate.scale` (see [`ScaleState::end_gate`]). Transitions
 /// are measured from the minimal member clock, so they lower-bound every
-/// member's own (a member already past one parks, conservatively). All
-/// gates are frozen across the leapfrog: nothing is admitted, evicted or
-/// scaled.
+/// member's own (a member already past one parks, conservatively). That
+/// clock takes a scan of the members, made only when a full-member
+/// partition or the scaler needs it. All gates are frozen across the
+/// leapfrog: nothing is admitted, evicted or scaled.
 fn leapfrog_pool<D: Discipline>(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
@@ -929,27 +937,36 @@ fn leapfrog_pool<D: Discipline>(
             .eq(fleet.lf.members().iter().copied()),
         "the leapfrog members are stale"
     );
-    let Some(member_next) = earliest_member(states, fleet.lf.members()) else {
+    let lf = &mut fleet.lf;
+    if lf.members().is_empty() {
         return idle_next;
-    };
+    }
     let LoopGate { start, scale } = gate;
     let idle_gate = idle_next.map_or(start, |(t, _)| start.min(t));
-    if idle_gate <= member_next.0 {
-        return earlier(idle_next, Some(member_next));
-    }
-    let x = member_next.0;
     let max_batch = ctx.config.max_batch as usize;
     let full = |s: &BladeState| s.running.len() >= max_batch;
     let observed_full_rounds = pool
         .partition_observable()
-        .then(|| full_rounds(states, fleet.lf.members(), max_batch))
+        .then(|| lf.full_rounds(states, max_batch))
         .flatten();
-    let full_gate = observed_full_rounds.map_or(f64::INFINITY, |_| pool.next_transition(x));
+    // The minimal member clock, which transitions are measured from.
+    let x = (observed_full_rounds.is_some() || scale.is_some())
+        .then(|| earliest_member(states, lf.members()))
+        .flatten()
+        .map(|(t, _)| t);
+    let full_gate = match (observed_full_rounds, x) {
+        (Some(_), Some(x)) => pool.next_transition(x),
+        _ => f64::INFINITY,
+    };
     let open_gate = waiting.unwrap_or(f64::INFINITY);
     let member_gate = |s: &BladeState| idle_gate.min(if full(s) { full_gate } else { open_gate });
-    let lf = &mut fleet.lf;
-    let cut = match scale {
-        None => leapfrog_decode(
+    let cut = match (scale, x) {
+        (Some(sc), Some(x)) => {
+            let top_idle = states[sc.active() as usize - 1].running.is_empty();
+            let end_gate = sc.end_gate(pool.scaler_depth(x), top_idle, pool.next_transition(x));
+            leapfrog_decode(ctx, trace, states, lf, member_gate, end_gate, obs)
+        }
+        _ => leapfrog_decode(
             ctx,
             trace,
             states,
@@ -958,15 +975,10 @@ fn leapfrog_pool<D: Discipline>(
             |t| t < f64::INFINITY,
             obs,
         ),
-        Some(sc) => {
-            let top_idle = states[sc.active() as usize - 1].running.is_empty();
-            let end_gate = sc.end_gate(pool.scaler_depth(x), top_idle, pool.next_transition(x));
-            leapfrog_decode(ctx, trace, states, lf, member_gate, end_gate, obs)
-        }
     };
-    let skipped_full = observed_full_rounds
-        .is_some_and(|r| full_rounds(states, fleet.lf.members(), max_batch) != Some(r));
-    if skipped_full && cut.is_none_or(|(c, _)| c >= full_gate) {
+    let skipped_full =
+        observed_full_rounds.is_some_and(|r| lf.full_rounds(states, max_batch) != Some(r));
+    if let Some(x) = x.filter(|_| skipped_full && cut.is_none_or(|(c, _)| c >= full_gate)) {
         // Each round a full member skipped partitioned the queue at a
         // clock before the next ready-time transition after `x`, just as
         // one at `x` would. The per-step loop took that partition before
@@ -977,18 +989,6 @@ fn leapfrog_pool<D: Discipline>(
         pool.settle(|_| x);
     }
     earlier(idle_next, cut)
-}
-
-/// The decode rounds run so far by the blades among `members` whose
-/// batch is full, or `None` when none is.
-fn full_rounds(states: &[BladeState], members: &[usize], max_batch: usize) -> Option<u64> {
-    let mut full = members
-        .iter()
-        .map(|&b| &states[b])
-        .filter(|s| s.running.len() >= max_batch)
-        .peekable();
-    full.peek()?;
-    Some(full.map(|s| s.decode_iterations).sum())
 }
 
 /// The `(clock, blade)`-minimal next round among the running `members`.

@@ -18,7 +18,7 @@
 
 use super::engine::{BladeState, DecodePricing, EngineCtx};
 use super::kv::KvLayout;
-use super::observer::{EventKind, SimEvent, SimObserver};
+use super::observer::{EventKind, Interest, SimEvent, SimObserver};
 use super::policy::{OrderingContract, SchedulerPolicy};
 use super::telemetry::profile;
 use super::traces::RequestSpec;
@@ -969,8 +969,10 @@ impl DecodeStretch {
     /// per-round step. Truncating early is always safe; only
     /// over-stretching could break bit-identity.
     ///
-    /// Non-passive observers still get one `Step` event per iteration —
-    /// batching changes the loop shape, never the event stream. `Shed`
+    /// Observers of [`Interest::Rounds`] still get one `Step` event per
+    /// iteration — batching changes the loop shape, never the event
+    /// stream; observers of [`Interest::Summaries`] get one `Stretch`
+    /// summary, and those of [`Interest::Nothing`] no event. `Shed`
     /// events need no replay here: sheds fire only at round-start
     /// admission instants, which the gate excludes. The multi-blade
     /// loops, whose gates also cover round-end decisions, advance through
@@ -999,15 +1001,8 @@ impl DecodeStretch {
                 }
             };
         }
-        if obs.is_passive() {
-            stretch_loop!();
-            self.commit(blade, done);
-            // One closed-form summary replaces the skipped per-iteration
-            // stream (telemetry window-buckets it; see `EventKind::Stretch`).
-            if done > 0 {
-                obs.emit(blade.id, blade.clock, self.stretch_event(done));
-            }
-        } else {
+        let interest = obs.interest();
+        if interest == Interest::Rounds {
             stretch_loop!({
                 // At notify, `done` completed iterations precede this one,
                 // so the charged footprint matches the per-step loop's
@@ -1015,6 +1010,14 @@ impl DecodeStretch {
                 obs.emit(blade.id, blade.clock, self.step_event(done));
             });
             self.commit(blade, done);
+        } else {
+            stretch_loop!();
+            self.commit(blade, done);
+            // One closed-form summary replaces the skipped per-iteration
+            // stream (telemetry window-buckets it; see `EventKind::Stretch`).
+            if interest == Interest::Summaries && done > 0 {
+                obs.emit(blade.id, blade.clock, self.stretch_event(done));
+            }
         }
         done
     }
@@ -1096,30 +1099,73 @@ pub(crate) fn round_order(a: &RoundKey, b: &RoundKey) -> Ordering {
 /// continue from there).
 type Stop = (RoundKey, bool);
 
+/// The floats a decode round adds to: a blade's clock and its three
+/// time accumulators.
+#[derive(Debug, Clone, Copy, Default)]
+struct Clocks {
+    clock: f64,
+    decode_time_s: f64,
+    batch_time_weighted: f64,
+    busy_s: f64,
+}
+
+impl Clocks {
+    /// `blade`'s clocks.
+    fn of(blade: &BladeState) -> Self {
+        Self {
+            clock: blade.clock,
+            decode_time_s: blade.decode_time_s,
+            batch_time_weighted: blade.batch_time_weighted,
+            busy_s: blade.busy_s,
+        }
+    }
+
+    /// One decode round of `cost` seconds, `weighted` being `cost` times
+    /// the batch, with the per-step loop's float operations in its order
+    /// (its `step_cost = 0.0 + c` equals `c` bitwise for positive costs).
+    fn round(&mut self, cost: f64, weighted: f64) {
+        self.decode_time_s += cost;
+        self.batch_time_weighted += weighted;
+        self.busy_s += cost;
+        self.clock += cost;
+    }
+
+    /// Writes the clocks back to `blade`.
+    fn store(self, blade: &mut BladeState) {
+        blade.clock = self.clock;
+        blade.decode_time_s = self.decode_time_s;
+        blade.batch_time_weighted = self.batch_time_weighted;
+        blade.busy_s = self.busy_s;
+    }
+}
+
 /// One running blade's membership in a cluster-wide leapfrog: its plan,
-/// kept across [`leapfrog_decode`] calls, and its progress through the
-/// current call.
+/// kept across [`leapfrog_decode`] calls with the rounds advanced under
+/// it, and its progress through the current call.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     blade: usize,
-    /// The member's plan (`None`: parked, its next round is a real step),
-    /// rebased past the rounds earlier calls committed.
+    /// The plan for the blade's committed state (`None`: parked, its next
+    /// round is a real step, or stale). Rounds advanced but not yet
+    /// committed leave that state, and so the plan, as they were.
     plan: Option<DecodeStretch>,
     /// The plan is out of date: the loop stepped the blade, or the plan
-    /// ran out. The next call plans afresh.
+    /// ran out. The next call that can advance the member plans afresh.
     stale: bool,
     /// This call's round-start gate.
     gate_s: f64,
-    /// Rounds this call advanced under `plan`; `done == max_iters` means
-    /// the plan ran out and was committed.
+    /// Rounds advanced under `plan` and not yet committed: the blade's
+    /// clocks include them, its integer bookkeeping does not yet.
     done: u64,
-    /// Pass 1's walk: the rounds of `plan` it has cleared and the start
-    /// clock of the next one. It runs ahead of the blade's clock, which
-    /// pass 2 moves only up to each cut.
+    /// Pass 1's walk: the rounds of `plan` it has cleared, the blade's
+    /// clocks after them, and the start of the last one (−∞ before the
+    /// first). It runs ahead of the blade, which pass 2 moves only up to
+    /// each cut.
     walked: u64,
-    walk_s: f64,
-    /// Whether the walk has ended at its stop, round `walk_s`, and if so
-    /// whether that round is past the end of the plan.
+    walk: Clocks,
+    last_s: f64,
+    /// Whether the walk has ended at its stop, round `walk.clock`, and if
+    /// so whether that round is past the end of the plan.
     stopped: Option<bool>,
 }
 
@@ -1133,16 +1179,18 @@ impl Run {
             gate_s: f64::INFINITY,
             done: 0,
             walked: 0,
-            walk_s: 0.0,
+            walk: Clocks::default(),
+            last_s: f64::NEG_INFINITY,
             stopped: None,
         }
     }
 
-    /// Restarts pass 1's walk at `clock`, the blade's clock after `done`
-    /// rounds of `plan`.
-    fn rewalk(&mut self, clock: f64) {
+    /// Restarts pass 1's walk at `blade`, which `done` rounds of `plan`
+    /// have advanced.
+    fn rewalk(&mut self, blade: &BladeState) {
         self.walked = self.done;
-        self.walk_s = clock;
+        self.walk = Clocks::of(blade);
+        self.last_s = f64::NEG_INFINITY;
         self.stopped = None;
     }
 
@@ -1150,89 +1198,124 @@ impl Run {
     /// walked so far, and this member's stop — its first round start from
     /// its clock on that the leapfrog may not run: gated at its start or
     /// by `end_gate` at its end, parked, or past the end of its plan. The
-    /// walk quits once it reaches `cut`. It repeats pass 2's clock
-    /// additions without touching state, and resumes where it last ended,
-    /// since the gates are frozen for the whole [`leapfrog_decode`] call;
-    /// only a re-plan restarts it.
+    /// walk quits once it reaches `cut`. It makes pass 2's float
+    /// additions without touching the blade, and resumes where it last
+    /// ended, since the gates are frozen for the whole
+    /// [`leapfrog_decode`] call; only a re-plan restarts it.
     fn stop(&mut self, cut: Option<Stop>, end_gate: &impl Fn(f64) -> bool) -> Option<Stop> {
         let blade = self.blade;
         let before = |c: f64| cut.is_none_or(|(key, _)| round_order(&(c, blade), &key).is_lt());
         if self.stopped.is_none() {
             let mut replan = self.plan.is_some();
             if let Some(plan) = self.plan {
+                let weighted = plan.cost * f64::from(plan.batch);
+                let mut walk = self.walk;
                 while self.walked < plan.max_iters {
-                    let c = self.walk_s;
+                    let c = walk.clock;
                     if !before(c) {
+                        self.walk = walk;
                         return cut;
                     }
                     // A round whose end the end gate refuses parks the
                     // member: the loop must run it to take its decision.
-                    let next = c + plan.cost;
-                    if self.gate_s <= c || !end_gate(next) {
+                    let mut next = walk;
+                    next.round(plan.cost, weighted);
+                    if self.gate_s <= c || !end_gate(next.clock) {
                         replan = false;
                         break;
                     }
-                    self.walk_s = next;
+                    walk = next;
+                    self.last_s = c;
                     self.walked += 1;
                 }
+                self.walk = walk;
             }
             self.stopped = Some(replan);
         }
         match self.stopped {
-            Some(replan) if before(self.walk_s) => Some(((self.walk_s, blade), replan)),
+            Some(replan) if before(self.walk.clock) => Some(((self.walk.clock, blade), replan)),
             _ => cut,
         }
     }
 
-    /// Pass 2: advances the member through its rounds before `cut` with
-    /// the per-step loop's float operations, buffering each round's
-    /// events under its key. A plan that runs out commits at once, its
-    /// `Stretch` summary keyed by its last round.
+    /// Pass 2: advances the member through its rounds before `cut`. When
+    /// every round the walk cleared starts before `cut` (the walk itself
+    /// never stops before it), the walk's clocks are the advanced
+    /// blade's; otherwise the rounds run again from the blade's own,
+    /// with the per-step loop's float operations. An observer of
+    /// [`Interest::Rounds`] needs each round's event, so its rounds
+    /// always run again, buffering each event under its round's key. A
+    /// plan that runs out commits at once, its `Stretch` summary keyed by
+    /// its last round.
     fn advance(
         &mut self,
         blade: &mut BladeState,
         cut: RoundKey,
-        passive: bool,
+        interest: Interest,
         events: &mut Vec<(RoundKey, SimEvent)>,
     ) {
         let Some(plan) = self.plan else { return };
-        let weighted = plan.cost * f64::from(plan.batch);
-        while self.done < plan.max_iters && round_order(&(blade.clock, self.blade), &cut).is_lt() {
-            let start = blade.clock;
-            blade.decode_time_s += plan.cost;
-            blade.batch_time_weighted += weighted;
-            blade.busy_s += plan.cost;
-            blade.clock = start + plan.cost;
-            let (blade_id, clock_s) = (blade.id, blade.clock);
-            let event = |kind| {
-                let event = SimEvent {
-                    blade: blade_id,
-                    clock_s,
-                    kind,
-                };
-                ((start, self.blade), event)
-            };
-            if !passive {
-                // `done` completed rounds of this plan precede this one,
-                // matching the per-step loop's charged footprint.
-                events.push(event(plan.step_event(self.done)));
-            }
-            self.done += 1;
-            if self.done == plan.max_iters {
-                plan.commit(blade, self.done);
-                if passive {
-                    events.push(event(plan.stretch_event(self.done)));
+        let mut last = self.last_s;
+        if interest != Interest::Rounds && round_order(&(last, self.blade), &cut).is_lt() {
+            self.walk.store(blade);
+            self.done = self.walked;
+        } else {
+            let weighted = plan.cost * f64::from(plan.batch);
+            let mut clocks = Clocks::of(blade);
+            while self.done < plan.max_iters
+                && round_order(&(clocks.clock, self.blade), &cut).is_lt()
+            {
+                last = clocks.clock;
+                clocks.round(plan.cost, weighted);
+                if interest == Interest::Rounds {
+                    // `done` completed rounds of this plan precede this
+                    // one, matching the per-step loop's charged footprint.
+                    let event = SimEvent {
+                        blade: blade.id,
+                        clock_s: clocks.clock,
+                        kind: plan.step_event(self.done),
+                    };
+                    events.push(((last, self.blade), event));
                 }
+                self.done += 1;
             }
+            clocks.store(blade);
         }
+        if self.done == plan.max_iters {
+            plan.commit(blade, self.done);
+            if interest == Interest::Summaries {
+                let event = SimEvent {
+                    blade: blade.id,
+                    clock_s: blade.clock,
+                    kind: plan.stretch_event(self.done),
+                };
+                events.push(((last, self.blade), event));
+            }
+            self.plan = None;
+            self.stale = true;
+            self.done = 0;
+        }
+    }
+
+    /// Commits the rounds advanced under the plan since its last commit,
+    /// rebasing the plan past them, and returns their `Stretch` summary
+    /// (`None` when there were none).
+    fn commit(&mut self, blade: &mut BladeState) -> Option<EventKind> {
+        let plan = self.plan.filter(|_| self.done > 0)?;
+        plan.commit(blade, self.done);
+        let summary = plan.stretch_event(self.done);
+        self.plan = Some(plan.rebase(self.done));
+        self.done = 0;
+        Some(summary)
     }
 }
 
 /// A replay loop's leapfrog state over one blade pool, reused across its
 /// [`leapfrog_decode`] calls so no call allocates: one run per running
-/// blade of the pool (the members), each holding its blade's plan, and
-/// the event buffer. A run joins, re-plans or leaves only when the loop
-/// steps its blade ([`Self::stepped`]).
+/// blade of the pool (the members), each holding its blade's plan and
+/// the rounds advanced under it, and the event buffer. A run joins,
+/// re-plans or leaves only when the loop steps its blade
+/// ([`Self::stepped`]), which it settles first ([`Self::settle`]).
 #[derive(Debug)]
 pub(crate) struct Leapfrog {
     /// Per blade of the replay: its run, live while the blade is a member.
@@ -1253,9 +1336,20 @@ impl Leapfrog {
         }
     }
 
-    /// Files `blade` of the pool after the loop stepped it: a member, to
-    /// plan afresh, while it holds running work; otherwise not one.
+    /// Commits the rounds the leapfrog advanced `blade` by and has not
+    /// committed yet, so that the loop can read and step it.
+    pub(crate) fn settle(&mut self, blade: usize, state: &mut BladeState) {
+        self.runs[blade].commit(state);
+    }
+
+    /// Files `blade` of the pool after the loop settled and stepped it: a
+    /// member, to plan afresh, while it holds running work; otherwise not
+    /// one.
     pub(crate) fn stepped(&mut self, blade: usize, state: &BladeState) {
+        debug_assert_eq!(
+            self.runs[blade].done, 0,
+            "blade {blade} was stepped unsettled"
+        );
         let at = self.members.binary_search(&blade);
         if state.running.is_empty() {
             if let Ok(at) = at {
@@ -1266,34 +1360,59 @@ impl Leapfrog {
         if let Err(at) = at {
             self.members.insert(at, blade);
         }
-        self.runs[blade].stale = true;
+        let run = &mut self.runs[blade];
+        run.stale = true;
+        run.plan = None;
     }
 
     /// The members' blades, ascending: the pool's running blades.
     pub(crate) fn members(&self) -> &[usize] {
         &self.members
     }
+
+    /// The decode rounds run so far, committed or not, by the members
+    /// whose batch holds `max_batch` sequences, or `None` when none does.
+    pub(crate) fn full_rounds(&self, states: &[BladeState], max_batch: usize) -> Option<u64> {
+        let mut full = self
+            .members
+            .iter()
+            .filter(|&&b| states[b].running.len() >= max_batch)
+            .peekable();
+        full.peek()?;
+        Some(
+            full.map(|&b| states[b].decode_iterations + self.runs[b].done)
+                .sum(),
+        )
+    }
+
+    /// Whether every round the leapfrog advanced is committed.
+    pub(crate) fn settled(&self) -> bool {
+        self.runs.iter().all(|run| run.done == 0)
+    }
 }
 
 /// Fast-forwards the members of `lf` — the pool's running blades —
 /// through their pure-decode futures, bit-identical to running the
 /// per-step loop's rounds in their global `(clock, blade index)` order,
-/// and returns the `(clock, blade)`-minimal member after it.
+/// and returns the `(clock, blade)`-minimal member round after it.
 ///
 /// Each member's round-start gate is `member_gate` of its blade, and
 /// `end_gate` says whether any member's skipped round may end at a given
 /// clock (a round ending at +∞ never may). Each
 /// skipped round touches only its own blade's state, and every gate is
 /// frozen for the call, so the global order decides only where the
-/// fast-forward *stops*. Two passes find and reach that point:
+/// fast-forward *stops*. Two passes find and reach that point, each one
+/// pass over the members:
 ///
-/// 1. Each member walks its clock through its current plan, without
-///    touching state, to its first round that is gated (at its start by
-///    its member gate, or at its end by `end_gate`), parked (no plan), or
-///    past the end of its plan. The cut is the minimal such stop by
-///    [`RoundKey`].
+/// 1. Each member walks its clocks through its current plan, without
+///    touching its blade, to its first round that is gated (at its start
+///    by its member gate, or at its end by `end_gate`), parked (no plan),
+///    or past the end of its plan. The cut is the minimal such stop by
+///    [`RoundKey`]. A stale member gated at its own clock stays
+///    unplanned: it could advance no round.
 /// 2. Every member advances, on its own, through its rounds before the
-///    cut.
+///    cut: it stores its walk's clocks when every round the walk cleared
+///    starts before the cut, and runs the rounds again otherwise.
 ///
 /// When the cut is a plan running out, that member alone advances to it
 /// and re-plans (a bucket crossing just changes the constant cost), and
@@ -1301,14 +1420,23 @@ impl Leapfrog {
 /// re-planned member walks from its clock again. Cuts only grow, so the
 /// other members advance once, to the last cut. A gate or a park ends
 /// the call — the parked member's real round is the cluster's next
-/// action. Plans persist across calls in their runs, rebased past what
-/// each call committed, until the loop steps the blade or the plan runs
+/// action.
+///
+/// A member commits its advanced rounds — its integer bookkeeping, the
+/// `stretches` counter — only when something reads them: the loop
+/// settles a blade before it steps it ([`Leapfrog::settle`]), a plan
+/// that runs out commits at once, and an observer of
+/// [`Interest::Summaries`] reads every member's summary at the end of
+/// each call. Until then its plan stays that of its committed state, and
+/// persists across calls until the loop steps the blade or the plan runs
 /// out.
 ///
-/// Events are buffered with their round key and sent in key order: a
-/// non-passive observer gets one `Step` per round, in per-step order; a
-/// passive one gets the run-out plans' `Stretch` summaries in key order,
-/// then the remaining plans' in member order as they commit at the end.
+/// Events are buffered with their round key and sent in key order: an
+/// observer of [`Interest::Rounds`] gets one `Step` per round, in
+/// per-step order; one of [`Interest::Summaries`] gets the run-out
+/// plans' `Stretch` summaries in key order, then the remaining plans' in
+/// member order as they commit at the end. One of [`Interest::Nothing`]
+/// gets none, and none is built.
 pub(crate) fn leapfrog_decode(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
@@ -1319,7 +1447,7 @@ pub(crate) fn leapfrog_decode(
     obs: &mut dyn SimObserver,
 ) -> Option<RoundKey> {
     let _span = profile::span(profile::Phase::Leapfrog);
-    let passive = obs.is_passive();
+    let interest = obs.interest();
     let Leapfrog {
         runs,
         members,
@@ -1329,18 +1457,16 @@ pub(crate) fn leapfrog_decode(
     let mut stop = None;
     for &b in members.iter() {
         let (run, blade) = (&mut runs[b], &states[b]);
-        if run.stale {
+        run.gate_s = member_gate(blade);
+        if run.stale && run.gate_s > blade.clock {
             run.plan = DecodeStretch::plan(ctx, trace, blade);
             run.stale = false;
         }
-        debug_assert_eq!(
-            run.plan,
-            DecodeStretch::plan(ctx, trace, blade),
+        debug_assert!(
+            run.stale || run.plan == DecodeStretch::plan(ctx, trace, blade),
             "blade {b}: stored plan is stale"
         );
-        run.gate_s = member_gate(blade);
-        run.done = 0;
-        run.rewalk(blade.clock);
+        run.rewalk(blade);
         stop = run.stop(stop, &end_gate);
     }
     let cut = loop {
@@ -1352,10 +1478,10 @@ pub(crate) fn leapfrog_decode(
         }
         let b = key.1;
         let (run, blade) = (&mut runs[b], &mut states[b]);
-        run.advance(blade, key, passive, events);
+        run.advance(blade, key, interest, events);
         run.plan = DecodeStretch::plan(ctx, trace, blade);
-        run.done = 0;
-        run.rewalk(blade.clock);
+        run.stale = false;
+        run.rewalk(blade);
         stop = members
             .iter()
             .fold(None, |cut, &m| runs[m].stop(cut, &end_gate));
@@ -1363,25 +1489,19 @@ pub(crate) fn leapfrog_decode(
     for &b in members.iter() {
         let (run, blade) = (&mut runs[b], &mut states[b]);
         if let Some(cut) = cut {
-            run.advance(blade, cut, passive, events);
+            run.advance(blade, cut, interest, events);
         }
-        match run.plan {
-            Some(plan) if run.done == plan.max_iters => run.stale = true,
-            Some(plan) => {
-                plan.commit(blade, run.done);
-                if passive && run.done > 0 {
-                    // No round starts at +∞, so the summary follows every
-                    // round's event, in member order.
-                    let event = SimEvent {
-                        blade: blade.id,
-                        clock_s: blade.clock,
-                        kind: plan.stretch_event(run.done),
-                    };
-                    events.push(((f64::INFINITY, b), event));
-                }
-                run.plan = Some(plan.rebase(run.done));
+        if interest == Interest::Summaries {
+            if let Some(kind) = run.commit(blade) {
+                // No round starts at +∞, so the summary follows every
+                // round's event, in member order.
+                let event = SimEvent {
+                    blade: blade.id,
+                    clock_s: blade.clock,
+                    kind,
+                };
+                events.push(((f64::INFINITY, b), event));
             }
-            None => {}
         }
     }
     events.sort_unstable_by(|a, b| round_order(&a.0, &b.0));

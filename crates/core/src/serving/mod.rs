@@ -53,7 +53,7 @@
 //!   rank the queue by the bound SLO-class table.
 //! * [`report`] — TTFT/TPOT/latency percentiles, throughput, goodput,
 //!   eviction and fragmentation accounting ([`ServingReport`]).
-//! * [`telemetry`] — passive time-resolved observability mounted with
+//! * [`telemetry`] — read-only time-resolved observability mounted with
 //!   [`Scenario::telemetry`]: bounded-memory windowed time-series per
 //!   blade and cluster-wide, P² streaming tail sketches
 //!   ([`telemetry::P2Sketch`]), Prometheus/CSV exporters, and
@@ -214,8 +214,8 @@ pub use engine::{DecodePricing, RunningSeq, ServingConfig, SimCore};
 pub use events::EventHeap;
 pub use kv::KvLayout;
 pub use observer::{
-    first_divergence, CallbackCounts, CountingObserver, Divergence, EventKind, NoopObserver,
-    SimEvent, SimObserver,
+    first_divergence, CallbackCounts, CountingObserver, Divergence, EventKind, Interest,
+    NoopObserver, SimEvent, SimObserver,
 };
 pub use policy::{
     FcfsPolicy, MaxWaitGuardPolicy, OrderingContract, SchedulerPolicy, SjfPolicy,

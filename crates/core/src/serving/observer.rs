@@ -135,11 +135,11 @@ pub enum EventKind {
     /// The event-driven core advanced the blade through a batched decode
     /// stretch: `iterations` uniform rounds of `step_s` seconds each with
     /// `decoding` sequences, ending at `clock_s` with `kv_tokens`
-    /// charged. Sent **only to passive observers**
-    /// ([`SimObserver::is_passive`]) in place of the per-iteration
-    /// [`Self::Step`] stream the stretch skipped — a closed-form summary
-    /// the [`telemetry`](super::telemetry) layer window-buckets without
-    /// forcing the fast path off.
+    /// charged. Sent **only to observers whose
+    /// [`SimObserver::interest`] is [`Interest::Summaries`]**, in place of
+    /// the per-iteration [`Self::Step`] stream the stretch skipped — a
+    /// closed-form summary the [`telemetry`](super::telemetry) layer
+    /// window-buckets without forcing the fast path off.
     Stretch {
         /// Rounds advanced.
         iterations: u64,
@@ -208,24 +208,45 @@ impl SimEvent {
     }
 }
 
+/// What an observer reads of the decode rounds the event-driven core
+/// fast-forwards ([`SimObserver::interest`]). Every other event kind
+/// reaches every observer, whatever its interest. Ordered by how much
+/// the observer reads: `Nothing < Summaries < Rounds`, so an observer
+/// that forwards to several takes the greatest of their interests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Interest {
+    /// No round events at all: the core builds, sorts and sends none.
+    Nothing,
+    /// One [`EventKind::Stretch`] summary per batched decode stretch, in
+    /// place of the per-round [`EventKind::Step`] stream it skipped. A
+    /// cluster-wide leapfrog commits every member's rounds, and sends
+    /// their summaries, at the end of each call; under the other
+    /// interests a member commits only when the replay next reads its
+    /// blade.
+    Summaries,
+    /// One [`EventKind::Step`] per decode round, in true global order,
+    /// on both cores: the event-driven core's batching changes the loop
+    /// shape, never the stream. The default.
+    Rounds,
+}
+
 /// A read-only listener for the engine's [`SimEvent`] stream.
 pub trait SimObserver {
     /// Receives one event, in engine order.
     fn on_event(&mut self, event: &SimEvent);
 
-    /// Whether this observer skips the per-iteration stream. The
-    /// event-driven core skips per-iteration dispatch inside batched
-    /// decode stretches — including the cluster-wide leapfrog's replayed
-    /// rounds — for passive observers, sending them one
-    /// [`EventKind::Stretch`] summary per stretch instead; real
-    /// observers (returning `false`, the default) receive the identical
-    /// event stream on both cores, one [`EventKind::Step`] per decode
-    /// round in true global order, with [`EventKind::Shed`] and
-    /// [`EventKind::Scale`] interleaved exactly where the per-step loop
-    /// would send them (stretches are truncated at every control-plane
-    /// decision instant).
-    fn is_passive(&self) -> bool {
-        false
+    /// What this observer reads of fast-forwarded decode rounds (see
+    /// [`Interest`]). The default, [`Interest::Rounds`], gets the
+    /// identical event stream on both cores: one [`EventKind::Step`]
+    /// per decode round in true global order, with [`EventKind::Shed`]
+    /// and [`EventKind::Scale`] interleaved exactly where the per-step
+    /// loop would send them (stretches are truncated at every
+    /// control-plane decision instant). [`Interest::Summaries`] gets one
+    /// [`EventKind::Stretch`] per stretch instead, and
+    /// [`Interest::Nothing`] no round events at all. No interest changes
+    /// the replay's result.
+    fn interest(&self) -> Interest {
+        Interest::Rounds
     }
 }
 
@@ -295,8 +316,8 @@ pub struct NoopObserver;
 impl SimObserver for NoopObserver {
     fn on_event(&mut self, _: &SimEvent) {}
 
-    fn is_passive(&self) -> bool {
-        true
+    fn interest(&self) -> Interest {
+        Interest::Nothing
     }
 }
 
@@ -322,8 +343,9 @@ pub struct CallbackCounts {
     pub completions: u64,
     /// Engine iterations.
     pub steps: u64,
-    /// Batched decode-stretch summaries (passive observers only, so
-    /// always 0 for a mounted `CountingObserver`).
+    /// Batched decode-stretch summaries: sent only to observers of
+    /// [`Interest::Summaries`], so always 0 for a mounted
+    /// `CountingObserver`, which reads [`Interest::Rounds`].
     pub stretches: u64,
     /// Prefix-cache hits.
     pub cache_hits: u64,

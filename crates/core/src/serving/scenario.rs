@@ -47,7 +47,7 @@ use super::control::ControlPlane;
 use super::coord::{plan_global_tier, CoordPlan, GlobalCacheConfig};
 use super::engine::{DecodePricing, ServingConfig, ServingSimulator, SimCore};
 use super::kv::KvLayout;
-use super::observer::{NoopObserver, SimEvent, SimObserver};
+use super::observer::{Interest, NoopObserver, SimEvent, SimObserver};
 use super::policy::{FcfsPolicy, SchedulerPolicy};
 use super::prefix::{CacheEviction, ChainTable, PrefixCachingConfig};
 use super::report::{FrontierPoint, SloClass};
@@ -387,7 +387,7 @@ impl<'a> Scenario<'a> {
         self
     }
 
-    /// Mounts the passive [`Telemetry`] layer
+    /// Mounts the read-only [`Telemetry`] layer
     /// ([`super::telemetry`]): windowed time-series, streaming tail
     /// sketches and optional self-profiling, collected by
     /// [`CompiledScenario::run_with_telemetry`]. Mounting telemetry
@@ -701,9 +701,9 @@ impl CompiledScenario<'_> {
     /// Runs the scenario with the mounted [`Telemetry`] layer
     /// ([`Scenario::telemetry`]) collecting windowed series and tail
     /// sketches, returning the report alongside the finished collector.
-    /// The collector is the replay's only observer, and it is passive,
-    /// so the report is bit-identical to [`Self::run`] /
-    /// [`Self::run_serial`].
+    /// The collector is the replay's only observer, and it reads
+    /// stretch summaries only ([`Interest::Summaries`]), so the report is
+    /// bit-identical to [`Self::run`] / [`Self::run_serial`].
     ///
     /// # Errors
     ///
@@ -715,7 +715,8 @@ impl CompiledScenario<'_> {
 
     /// [`Self::run_with_telemetry`] with an additional user observer
     /// riding the same replay (both see every event; the replay batches
-    /// decode stretches only when `observer` is passive too).
+    /// decode stretches only when `observer` reads no more than
+    /// [`Interest::Summaries`]).
     ///
     /// # Errors
     ///
@@ -871,9 +872,10 @@ impl CompiledScenario<'_> {
 }
 
 /// Forwards every engine event to the telemetry collector and a user
-/// observer riding the same replay. Passive only when the user side is
-/// (telemetry itself always is), so a passive user observer keeps the
-/// event core's batched fast paths.
+/// observer riding the same replay. It reads what either side reads:
+/// telemetry's [`Interest::Summaries`], or the user's
+/// [`Interest::Rounds`], so a user observer that reads no more than
+/// summaries keeps the event core's batched fast paths.
 struct Tee<'t, 'o> {
     tel: &'t mut Telemetry,
     user: &'o mut dyn SimObserver,
@@ -885,8 +887,8 @@ impl SimObserver for Tee<'_, '_> {
         self.user.on_event(event);
     }
 
-    fn is_passive(&self) -> bool {
-        self.user.is_passive()
+    fn interest(&self) -> Interest {
+        self.tel.interest().max(self.user.interest())
     }
 }
 
@@ -1480,7 +1482,7 @@ mod tests {
         );
         assert!(counts.admissions >= 32);
         assert!(counts.steps > 0);
-        assert_eq!(counts.stretches, 0, "summaries are for passive observers");
+        assert_eq!(counts.stretches, 0, "summaries are for summary readers");
     }
 
     #[test]

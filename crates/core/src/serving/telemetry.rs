@@ -30,13 +30,16 @@
 //!   runtime only between [`profile::start`] and [`profile::stop`],
 //!   which the caller wraps around the replay it wants profiled.
 //!
-//! Telemetry is *passive* ([`SimObserver::is_passive`] is `true`): the
-//! event-driven core keeps batching decode stretches with the collector
-//! mounted and sends it closed-form [`EventKind::Stretch`] summaries
-//! instead of per-iteration [`EventKind::Step`] events, so mounting
-//! telemetry never changes the replay — reports stay bit-identical to
-//! an unobserved run (proptested across the policy × topology × core
-//! matrix).
+//! Telemetry reads stretch summaries ([`SimObserver::interest`] is
+//! [`Interest::Summaries`]): the event-driven core keeps batching decode
+//! stretches with the collector mounted and sends it closed-form
+//! [`EventKind::Stretch`] summaries instead of per-iteration
+//! [`EventKind::Step`] events, so mounting telemetry never changes the
+//! replay — reports stay bit-identical to an unobserved run (proptested
+//! across the policy × topology × core matrix). A cluster-wide leapfrog
+//! commits every member's skipped rounds at the end of each call for
+//! it, where an unobserved replay commits them only when it next reads
+//! the blade; only the stretch diagnostics tell the two apart.
 //!
 //! Exporters: [`Telemetry::to_csv`] renders one wide row per window (one
 //! column per series, plottable by anything), and
@@ -76,7 +79,7 @@
 //! # }
 //! ```
 
-use super::observer::{EventKind, SimEvent, SimObserver};
+use super::observer::{EventKind, Interest, SimEvent, SimObserver};
 use super::report::SloClass;
 use super::traces::RequestSpec;
 use crate::error::OptimusError;
@@ -605,7 +608,7 @@ pub struct BladeWindowRow {
     pub cache_misses: u64,
 }
 
-/// The passive telemetry collector: a [`SimObserver`] aggregating the
+/// The telemetry collector: a read-only [`SimObserver`] aggregating the
 /// replay into bounded-memory windowed series and streaming quantile
 /// sketches (see the [module docs](self) for the full picture).
 ///
@@ -1275,8 +1278,8 @@ impl SimObserver for Telemetry {
     /// Telemetry never needs the per-iteration stream: the event core
     /// keeps batching decode stretches and sends
     /// [`EventKind::Stretch`] summaries instead.
-    fn is_passive(&self) -> bool {
-        true
+    fn interest(&self) -> Interest {
+        Interest::Summaries
     }
 }
 

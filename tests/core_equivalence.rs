@@ -20,7 +20,8 @@ use optimus::serving::{
     first_divergence, AdmissionControl, AutoscaleConfig, ClusterReport, ControlPlane,
     DecodePricing, DispatchMode, DiurnalTraceConfig, EventHeap, EventKind, HandoffLink, KvLayout,
     MaxWaitGuardPolicy, RequestSpec, RoutingPolicy, Scenario, SharedPrefixTraceConfig, SimCore,
-    SimEvent, SjfPolicy, SloClass, StrictPriorityPolicy, Topology, TraceConfig, WeightedFairPolicy,
+    SimEvent, SjfPolicy, SloClass, StretchStats, StrictPriorityPolicy, TelemetryConfig, Topology,
+    TraceConfig, WeightedFairPolicy,
 };
 use optimus::{MultiBladeSystem, SpeedupStudy};
 use proptest::prelude::*;
@@ -73,6 +74,42 @@ fn assert_cores_agree<'a>(label: &str, build: impl Fn() -> Scenario<'a>) -> Clus
         "{label}: decode time bits"
     );
     event
+}
+
+/// Replays `build()` on the event core twice and asserts both report
+/// alike over the same decode rounds: unobserved, where no events are
+/// built and a leapfrog member commits its rounds only when the loop
+/// reads its blade, and with telemetry mounted, where every member
+/// commits at the end of every leapfrog call. The unobserved replay
+/// commits no more often. Returns its report.
+fn assert_commits_agree<'a>(label: &str, build: impl Fn() -> Scenario<'a>) -> ClusterReport {
+    let event = || build().core(SimCore::EventDriven);
+    let lazy = event().compile().unwrap().run().unwrap();
+    let (eager, _) = event()
+        .telemetry(TelemetryConfig::default())
+        .compile()
+        .unwrap()
+        .run_with_telemetry()
+        .unwrap();
+    assert_eq!(lazy, eager, "{label}: reports with telemetry");
+    let (lazy_s, eager_s) = (lazy.stretch, eager.stretch);
+    let decode_iterations = |s: StretchStats| s.stretched_iterations + s.single_steps;
+    assert_eq!(
+        decode_iterations(lazy_s),
+        decode_iterations(eager_s),
+        "{label}: decode iterations"
+    );
+    assert_eq!(
+        lazy_s.stretched_iterations, eager_s.stretched_iterations,
+        "{label}: stretched iterations"
+    );
+    assert!(
+        lazy_s.stretches <= eager_s.stretches,
+        "{label}: {} commits unobserved, {} with telemetry",
+        lazy_s.stretches,
+        eager_s.stretches
+    );
+    lazy
 }
 
 #[test]
@@ -493,8 +530,8 @@ fn coordinated_cluster_cores_agree() {
 
 #[test]
 fn observer_event_streams_are_identical_between_cores() {
-    // A non-passive observer forces the event core's decode stretches
-    // onto their per-iteration event path: the full event stream (not
+    // An observer of `Interest::Rounds` forces the event core's decode
+    // stretches onto their per-iteration event path: the full event stream (not
     // just the report) must match the per-step core's.
     let system = MultiBladeSystem::new(1).unwrap();
     let model = ModelZoo::llama2_7b();
@@ -534,8 +571,8 @@ fn observer_event_streams_are_identical_between_cores() {
 #[test]
 fn cluster_observer_event_streams_are_identical_between_cores() {
     // The cluster leapfrog and the disaggregated decoder-pool leapfrog
-    // replay skipped rounds in true global order, so even with a
-    // non-passive observer attached the per-step event stream — one
+    // replay skipped rounds in true global order, so even with an
+    // observer of `Interest::Rounds` attached the per-step event stream — one
     // `Step` event per decode round, in execution order — must be
     // reproduced exactly. Shedding keeps the control plane live on the
     // central variant while the observer watches.
@@ -647,11 +684,9 @@ fn assert_central_fleet_matches_per_step(
         let (step_report, step_events) = record(SimCore::PerStep);
         assert_eq!(step_report.stretch.stretches, 0, "{label}");
         assert_eq!(step_report.report.completed, requests, "{label}");
-        // Unobserved, stretches take the passive path.
-        let passive = build().core(SimCore::EventDriven).compile().unwrap();
-        let passive = passive.run().unwrap();
-        assert_eq!(passive, step_report, "{label}: reports");
-        assert!(passive.stretch.stretched_iterations > 0, "{label}");
+        let lazy = assert_commits_agree(&label, build);
+        assert_eq!(lazy, step_report, "{label}: reports");
+        assert!(lazy.stretch.stretched_iterations > 0, "{label}");
         if autoscale.is_some() {
             let up = count(
                 &step_events,
@@ -662,7 +697,7 @@ fn assert_central_fleet_matches_per_step(
                 |k| matches!(k, EventKind::Scale { active_from, active_to } if active_to < active_from),
             );
             assert!(up > 0 && down > 0, "{label}: scales both ways");
-            assert!(passive.stretch.stretches > 0, "{label}");
+            assert!(lazy.stretch.stretches > 0, "{label}");
         }
         let (event_report, event_events) = record(SimCore::EventDriven);
         assert_eq!(event_report, step_report, "{label}: observed reports");
@@ -747,6 +782,11 @@ fn central_leapfrog_under_kv_pressure_agrees() {
             .with_watermarks(0, 3)
             .with_warmup(0.05),
     );
+    fn check<'a>(label: &str, build: &dyn Fn() -> Scenario<'a>) -> ClusterReport {
+        let r = assert_cores_agree(label, build);
+        assert_eq!(assert_commits_agree(label, build), r, "{label}");
+        r
+    }
     for (label, max_batch, control) in [
         ("central", 2, ControlPlane::new()),
         ("autoscaled central", 4, scaled),
@@ -762,15 +802,73 @@ fn central_leapfrog_under_kv_pressure_agrees() {
                 .poisson(trace)
         };
         for r in [
-            assert_cores_agree(label, base),
-            assert_cores_agree(label, || base().policy(SjfPolicy)),
-            assert_cores_agree(label, || base().policy(MaxWaitGuardPolicy::new(0.25))),
+            check(label, &base),
+            check(label, &|| base().policy(SjfPolicy)),
+            check(label, &|| base().policy(MaxWaitGuardPolicy::new(0.25))),
         ] {
             let evictions: u32 = r.per_blade.iter().map(|b| b.evictions).sum();
             assert!(evictions > 0, "{label}: {evictions} evictions");
             assert_eq!(r.scale_events > 0, control.autoscale.is_some(), "{label}");
         }
     }
+}
+
+#[test]
+fn fleet64_central_leapfrog_under_kv_pressure_agrees() {
+    // The 64-blade fleet at 16 req/s per blade, batches of 4 and room for
+    // 300 KV tokens per blade: the diurnal peak preempts, so victims
+    // re-enter off the arrival axis, and full members' skipped rounds
+    // partition the queue, while leapfrog members carry uncommitted
+    // rounds across calls.
+    let model = ModelZoo::llama_405b();
+    let par = Parallelism::pure_tp(64).unwrap();
+    let estimator = SpeedupStudy::paper_baseline().scd_inference();
+    let per_token = KvCache {
+        batch: 1,
+        seq_len: 1,
+        precision: estimator.precision(),
+    }
+    .bytes(&model, KvConvention::Gqa);
+    let trace = DiurnalTraceConfig {
+        seed: 5,
+        requests: 1_000,
+        mean_rate_per_s: 16.0 * 64.0,
+        amplitude: 0.9,
+        period_s: 10.0,
+        prompt_tokens: (32, 128),
+        output_tokens: (16, 64),
+    };
+    let build = || {
+        Scenario::on_estimator(estimator.clone())
+            .model(&model)
+            .parallelism(&par)
+            .max_batch(4)
+            .topology(Topology::mixed(64))
+            .dispatch(DispatchMode::Central)
+            .kv_capacity_bytes(per_token * 300.0)
+            .kv_bucket(32)
+            .trace(&trace)
+    };
+    let label = "64 blades under KV pressure";
+    let report = assert_cores_agree(label, build);
+    assert_eq!(assert_commits_agree(label, build), report, "{label}");
+    let evictions: u32 = report.per_blade.iter().map(|b| b.evictions).sum();
+    assert!(evictions > 0, "{label}: {evictions} evictions");
+    let record = |core: SimCore| {
+        let mut events = Vec::new();
+        build()
+            .core(core)
+            .compile()
+            .unwrap()
+            .run_observed(&mut events)
+            .unwrap();
+        events
+    };
+    assert_eq!(
+        first_divergence(&record(SimCore::EventDriven), &record(SimCore::PerStep)),
+        None,
+        "{label}: event streams"
+    );
 }
 
 #[test]
@@ -825,6 +923,9 @@ proptest! {
     /// pool's next action that the last leapfrog found. With the catch-up
     /// partition removed, 4 of these 192 cases diverge (all central); with
     /// the next action kept across prefill rounds, 38 (all disaggregated).
+    /// Each case replays again with 32-token cost buckets: there plans
+    /// outlast a leapfrog call, so a full member's skipped rounds may
+    /// still be uncommitted when the loop checks whether it skipped any.
     #[test]
     fn pool_cores_agree_under_kv_pressure(
         seed in any::<u64>(),
@@ -845,7 +946,7 @@ proptest! {
         let par = Parallelism::new(1, 1, 1).unwrap();
         // Room for ~1.7 or ~3 worst-case requests.
         let kv = per_token_bytes(&system, &model) * 384.0 * if tight { 1.7 } else { 3.0 };
-        let run = |core: SimCore| {
+        let run = |core: SimCore, bucket: Option<u32>| {
             let s = Scenario::new(&system)
                 .model(&model)
                 .parallelism(&par)
@@ -870,12 +971,19 @@ proptest! {
                 1 => s.policy(SjfPolicy),
                 _ => s.policy(MaxWaitGuardPolicy::new(0.25)),
             };
+            let s = match bucket {
+                Some(tokens) => s.kv_bucket(tokens),
+                None => s,
+            };
             s.compile().unwrap().run().unwrap()
         };
-        let (event, per_step) = (run(SimCore::EventDriven), run(SimCore::PerStep));
-        prop_assert_eq!(&event, &per_step);
-        prop_assert_eq!(per_step.stretch.stretches, 0);
-        prop_assert_eq!(event.report.completed, 30);
+        for bucket in [None, Some(32)] {
+            let event = run(SimCore::EventDriven, bucket);
+            let per_step = run(SimCore::PerStep, bucket);
+            prop_assert_eq!(&event, &per_step);
+            prop_assert_eq!(per_step.stretch.stretches, 0);
+            prop_assert_eq!(event.report.completed, 30);
+        }
     }
 }
 

@@ -427,11 +427,20 @@ proptest! {
         prop_assert_eq!(&plain, &fair);
     }
 
-    /// Telemetry inertness: mounting the passive telemetry collector at
-    /// any resolution leaves the report bit-identical AND the event
-    /// stream a co-mounted observer sees unchanged, across the
+    /// Telemetry inertness: mounting the telemetry collector at any
+    /// resolution leaves the report bit-identical AND the event stream a
+    /// co-mounted observer sees unchanged, across the
     /// policy × topology × core matrix. The collector itself must agree
     /// with the report on conserved totals and honor its memory bound.
+    /// It reads every leapfrog call's stretch summaries, so central
+    /// dispatch commits each member's rounds per call with it mounted,
+    /// and only when the loop reads the blade without: the decode rounds
+    /// must agree, in no more commits unobserved. The central case's 48
+    /// requests and 32-token cost buckets let plans outlast a call. Over
+    /// 144 event-core cases of its seeds, rates and policies, members
+    /// carried uncommitted rounds across calls in 95; with 16 requests,
+    /// in 11; with the default 1-token buckets, every plan runs out after
+    /// one round, so in none.
     #[test]
     fn telemetry_mounting_is_bit_inert(
         seed in 0u64..16,
@@ -454,6 +463,7 @@ proptest! {
             window_s: 0.0625 * f64::powi(2.0, window_exp),
             max_windows: 32,
         };
+        let central = topology == 1;
         let mk = || {
             let mut s = Scenario::new(&system)
                 .model(&model)
@@ -463,7 +473,7 @@ proptest! {
                 .core(core)
                 .poisson(TraceConfig {
                     seed,
-                    requests: 16,
+                    requests: if central { 48 } else { 16 },
                     arrival_rate_per_s: rate,
                     prompt_tokens: (16, 192),
                     output_tokens: (4, 32),
@@ -473,9 +483,12 @@ proptest! {
                 // The autoscaler keeps the control plane exercised and
                 // needs central dispatch; control planes don't compose
                 // with the disaggregated loop.
-                1 => s.dispatch(DispatchMode::Central).control(ControlPlane::new().autoscale(
-                    AutoscaleConfig::new(1, 4).with_watermarks(1, 4).with_warmup(0.1),
-                )),
+                1 => s
+                    .dispatch(DispatchMode::Central)
+                    .kv_bucket(32)
+                    .control(ControlPlane::new().autoscale(
+                        AutoscaleConfig::new(1, 4).with_watermarks(1, 4).with_warmup(0.1),
+                    )),
                 _ => s.topology(Topology::disaggregated(1, 3)),
             };
             match policy {
@@ -492,6 +505,10 @@ proptest! {
             .run_with_telemetry()
             .expect("replays");
         prop_assert_eq!(&plain, &mounted);
+        let (lazy, eager) = (plain.stretch, mounted.stretch);
+        prop_assert_eq!(lazy.stretched_iterations, eager.stretched_iterations);
+        prop_assert_eq!(lazy.single_steps, eager.single_steps);
+        prop_assert!(lazy.stretches <= eager.stretches);
         // The event stream a user observer sees is also untouched.
         let mut solo = Vec::new();
         mk().compile().expect("valid").run_observed(&mut solo).expect("replays");

@@ -553,8 +553,8 @@ fn text_digest(text: &str) -> u64 {
 /// The telemetry CSV of a small 2P+2D replay with a 1.0 s window,
 /// pinned by digest: once at full resolution and once with the window
 /// bound at 2, so the series is downsampled twice on the way. Mounting
-/// the collector alone and teeing it with a passive observer must
-/// export the same CSV.
+/// the collector alone and teeing it with an observer of
+/// `Interest::Nothing` must export the same CSV.
 #[test]
 fn disaggregated_telemetry_csv_keeps_its_pin() {
     let system = MultiBladeSystem::new(4).unwrap();
