@@ -20,7 +20,7 @@ pins_for() {
   case "$1" in
     fleet64_central) echo "engine.admission_rounds=120000 engine.decode_iterations=2398723
       events.stretches=129148 events.stretched_iterations=2278723 events.single_steps=120000
-      events.leapfrogs=119989 events.heap_ops=180000 events.stretch_plans<=189148" ;;
+      events.leapfrogs=119989 events.heap_ops=0 events.stretch_plans<=189148" ;;
     prefix_cache_aware) echo "engine.admission_rounds=52576 engine.decode_iterations=83718
       events.stretches=31142 events.stretched_iterations=31142 events.single_steps=52576
       kv.evictions=1323 kv.wasted_tokens=11498 prefix.hits=13854 prefix.misses=3174
@@ -29,7 +29,7 @@ pins_for() {
       coord.cache_residency_skew=1453326336 policy.key_calls=20000 cluster.routing_calls=1" ;;
     disagg_telemetry) echo "engine.admission_rounds=87943 engine.decode_iterations=314303
       events.stretches=75101 events.stretched_iterations=226360 events.single_steps=87943
-      events.leapfrogs=85525 events.heap_ops=160000 events.stretch_plans<=78221" ;;
+      events.leapfrogs=85525 events.heap_ops=0 events.stretch_plans<=78221" ;;
     wfq_overload) echo "engine.admission_rounds=7551 engine.decode_iterations=65294
       events.stretches=5212 events.stretched_iterations=57743 events.single_steps=7551
       events.stretch_plans<=8884 policy.order_calls<=1" ;;

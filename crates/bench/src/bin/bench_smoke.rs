@@ -86,7 +86,7 @@ fn main() -> Result<(), optimus::OptimusError> {
         );
         // Self-profile phase counters ride along informationally — the
         // gate stays on req_per_s alone, and rows without them (legacy
-        // baselines, profiler compiled out) are equally fine.
+        // baselines) are equally fine.
         if let Some(p) = &measured.profile {
             println!(
                 "bench_smoke: {label} profile: {} heap ops, {} stretch plans \

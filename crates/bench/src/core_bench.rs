@@ -2,8 +2,8 @@
 //! cores on a multi-hour diurnal workload.
 //!
 //! The event-driven core ([`SimCore::EventDriven`]) replays the same
-//! traces bit-identically to the per-step reference loop but schedules
-//! work off a time-ordered event heap: idle gaps jump straight to the
+//! traces bit-identically to the per-step reference loop but skips the
+//! rounds that provably change nothing: idle gaps jump straight to the
 //! next arrival and pure-decode stretches advance in one closed-form
 //! hop instead of one loop iteration per token. This module measures
 //! that difference where it matters — million-request, multi-hour
@@ -43,9 +43,8 @@ pub struct CoreBenchRow {
     pub wall_ms: f64,
     /// Simulator throughput: requests replayed per wall-clock second.
     pub req_per_s: f64,
-    /// Self-profile of one extra instrumented pass (`None` when the
-    /// `self-profile` feature is compiled out, and in every trajectory
-    /// row written before the profiler existed).
+    /// Self-profile of one extra instrumented pass (`None` in every
+    /// trajectory row written before the profiler existed).
     pub profile: Option<RowProfile>,
 }
 
@@ -54,7 +53,8 @@ pub struct CoreBenchRow {
 /// carry. Times are milliseconds to match `wall_ms`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowProfile {
-    /// Event-heap pushes + pops + stale-entry discards.
+    /// Event-heap pushes + pops + stale-entry discards in rows measured
+    /// while the replay loops kept one; 0 since.
     pub heap_ops: u64,
     /// Closed-form decode-stretch plans built.
     pub stretch_plans: u64,
@@ -314,7 +314,7 @@ pub fn measure_scenario(
         requests,
         wall_ms: best,
         req_per_s: f64::from(requests) / (best / 1e3),
-        profile: (!profiled.is_empty()).then(|| RowProfile::from(profiled)),
+        profile: Some(RowProfile::from(profiled)),
     })
 }
 
@@ -428,8 +428,7 @@ pub struct BenchSnapshot {
 
 /// Renders one row as a flat one-line JSON object; the profile keys are
 /// appended only when the row carries a [`RowProfile`], so rows written
-/// before the profiler existed and rows measured without the
-/// `self-profile` feature keep the legacy four-key shape.
+/// before the profiler existed keep the legacy four-key shape.
 fn row_json(r: &CoreBenchRow) -> String {
     let mut obj = format!(
         "{{\"scenario\": \"{}\", \"requests\": {}, \"wall_ms\": {:.3}, \"req_per_s\": {:.1}",
@@ -858,9 +857,9 @@ mod tests {
         for r in [&event, &per_step] {
             assert_eq!(r.requests, 500);
             assert!(r.wall_ms > 0.0 && r.req_per_s > 0.0);
-            // The default build carries the self-profiler; every engine
-            // iteration scans admission, so the extra pass counted some.
-            let p = r.profile.expect("self-profile feature is default-on");
+            // Every engine iteration scans admission, so the extra pass
+            // counted some.
+            let p = r.profile.expect("every measured row is profiled");
             assert!(p.admission_rounds > 0 && p.admission_ms >= 0.0);
         }
         assert_eq!(event.scenario, "event");

@@ -982,8 +982,7 @@ pub struct TelemetryStudy {
     pub sketch_p99_s: f64,
     /// Exact nearest-rank p99 request latency from the report (s).
     pub exact_p99_s: f64,
-    /// Self-profile of the autoscaled replay (all-zero when the
-    /// `self-profile` feature is compiled out).
+    /// Self-profile of the autoscaled replay.
     pub profile: ProfileReport,
     /// Windowed series of the autoscaled phase.
     pub windows: Vec<WindowRow>,
@@ -1208,31 +1207,27 @@ pub fn render_telemetry(study: &TelemetryStudy) -> String {
         (study.sketch_p99_s / study.exact_p99_s - 1.0) * 100.0,
     );
     let p = &study.profile;
-    if p.is_empty() {
-        out.push_str("\nSelf-profile: compiled out (self-profile feature off)\n");
-    } else {
-        out.push_str(&format!(
-            "\nSelf-profile of the autoscaled replay:\n\
-             phase            calls      wall(ms)\n\
-             admission   {:>10}{:>12.1}\n\
-             routing     {:>10}{:>12.1}\n\
-             stretch-plan{:>10}{:>12.1}\n\
-             leapfrog    {:>10}{:>12.1}\n\
-             cost-table  {:>10}{:>12.1}\n\
-             heap-ops    {:>10}\n",
-            p.admission_rounds,
-            p.admission_s * 1e3,
-            p.routing_calls,
-            p.routing_s * 1e3,
-            p.stretch_plans,
-            p.stretch_plan_s * 1e3,
-            p.leapfrogs,
-            p.leapfrog_s * 1e3,
-            p.cost_table_builds,
-            p.cost_table_s * 1e3,
-            p.heap_ops,
-        ));
-    }
+    out.push_str(&format!(
+        "\nSelf-profile of the autoscaled replay:\n\
+         phase            calls      wall(ms)\n\
+         admission   {:>10}{:>12.1}\n\
+         routing     {:>10}{:>12.1}\n\
+         stretch-plan{:>10}{:>12.1}\n\
+         leapfrog    {:>10}{:>12.1}\n\
+         cost-table  {:>10}{:>12.1}\n\
+         heap-ops    {:>10}\n",
+        p.admission_rounds,
+        p.admission_s * 1e3,
+        p.routing_calls,
+        p.routing_s * 1e3,
+        p.stretch_plans,
+        p.stretch_plan_s * 1e3,
+        p.leapfrogs,
+        p.leapfrog_s * 1e3,
+        p.cost_table_builds,
+        p.cost_table_s * 1e3,
+        p.heap_ops,
+    ));
     out.push_str(&format!(
         "\nExports: {} CSV rows ({} windows), {} Prometheus lines\n",
         study.csv.lines().count().saturating_sub(1),
@@ -1611,9 +1606,8 @@ mod tests {
         assert!(s.csv.starts_with("window_start_s,"));
         assert_eq!(s.csv.lines().count(), s.windows.len() + 1);
         assert!(s.prometheus.contains("# TYPE"));
-        // The default build carries the self-profiler; every engine
-        // iteration scans admission (central dispatch pulls from the
-        // shared queue without per-blade routing calls).
+        // Every engine iteration scans admission (central dispatch pulls
+        // from the shared queue without per-blade routing calls).
         assert!(!s.profile.is_empty());
         assert!(s.profile.admission_rounds > 0);
         let rendered = render_telemetry(&s);

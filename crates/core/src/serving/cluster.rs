@@ -573,8 +573,8 @@ fn run_per_blade(
 /// (central dispatch only) only the active prefix of the blades competes,
 /// and the scaler is evaluated at the end of every pool round. Returns
 /// the blade states and the outcomes: the caller assembles the report
-/// once the pool is dropped, so the pool's ready-time heaps are freed
-/// before `finalize` allocates its percentile vectors.
+/// once the pool is dropped, so the pool's per-request bookkeeping is
+/// freed before `finalize` allocates its percentile vectors.
 ///
 /// Unlike single-blade replay, time is not one clock here, so a
 /// preempted request must not restart on a blade whose clock trails

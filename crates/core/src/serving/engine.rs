@@ -55,8 +55,9 @@ pub enum DecodePricing {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SimCore {
     /// Event-driven disciplines (the default): the policy order is kept
-    /// incrementally, ready times come off lazy heaps, eligibility
-    /// partitions that are provably the identity are skipped, idle gaps
+    /// incrementally, ready times are read off the shared queue's
+    /// arrival axis, eligibility partitions that are provably the
+    /// identity are skipped, idle gaps
     /// are jumped in O(1), and pure-decode rounds are fast-forwarded in
     /// closed form (stretches, and leapfrogs across coupled blades).
     #[default]

@@ -1,7 +1,8 @@
-//! Event-scheduling primitives of the replay loops: a lazy-deletion
-//! time-ordered heap ([`EventHeap`]), the queue disciplines the loops are
-//! generic over (`Discipline`, crate-internal, with the shared-queue
-//! bookkeeping `Pool`), and the closed-form decode fast-forwards
+//! Event-scheduling primitives of the replay loops: the queue
+//! disciplines the loops are generic over (`Discipline`, crate-internal,
+//! with the shared-queue bookkeeping `Pool`, which reads its members'
+//! ready times off its sorted arrival axis and an exact list of the
+//! members off it), and the closed-form decode fast-forwards
 //! (`DecodeStretch`, `leapfrog_decode`).
 //!
 //! There are two replay loops: the single-blade drive in
@@ -22,133 +23,9 @@ use super::observer::{EventKind, Interest, SimEvent, SimObserver};
 use super::policy::{OrderingContract, SchedulerPolicy};
 use super::telemetry::profile;
 use super::traces::RequestSpec;
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
-
-/// One pending event: a timestamp ordered by `f64::total_cmp`, with the
-/// payload index breaking ties so the pop order is fully deterministic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Entry {
-    time: f64,
-    idx: usize,
-}
-
-impl Eq for Entry {}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.idx.cmp(&other.idx))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A time-ordered min-heap of `(time, index)` events with lazy deletion:
-/// superseded entries stay in the heap and are discarded when they
-/// surface, so updates are O(log n) pushes instead of O(n) rebuilds.
-///
-/// Ordering is `f64::total_cmp` on the timestamp with the index as the
-/// deterministic tie-break — two heaps fed the same events always pop
-/// the same sequence, which the equivalence suites rely on.
-#[derive(Debug, Default)]
-pub struct EventHeap {
-    heap: BinaryHeap<Reverse<Entry>>,
-}
-
-impl EventHeap {
-    /// An empty heap.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules event `idx` at `time`.
-    pub fn push(&mut self, time: f64, idx: usize) {
-        profile::heap_op();
-        self.heap.push(Reverse(Entry { time, idx }));
-    }
-
-    /// Pops the earliest event (ties broken by lowest index).
-    pub fn pop(&mut self) -> Option<(f64, usize)> {
-        profile::heap_op();
-        self.heap.pop().map(|Reverse(e)| (e.time, e.idx))
-    }
-
-    /// Returns the earliest event for which `valid(time, idx)` holds,
-    /// permanently discarding the stale entries surfacing before it.
-    /// Callers re-push an event whenever its timestamp changes, so a
-    /// discarded entry is always superseded by a live one.
-    pub fn peek_valid(
-        &mut self,
-        mut valid: impl FnMut(f64, usize) -> bool,
-    ) -> Option<(f64, usize)> {
-        while let Some(&Reverse(e)) = self.heap.peek() {
-            if valid(e.time, e.idx) {
-                return Some((e.time, e.idx));
-            }
-            profile::heap_op();
-            self.heap.pop();
-        }
-        None
-    }
-
-    /// Entries currently stored (live and stale alike).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no entries are stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-/// Lazy min *and* max over the ready times of a queue's members, used by
-/// the cluster event loops to answer "is every queued request eligible /
-/// is none" in O(log n) amortized instead of re-scanning the queue. The
-/// max side stores negated times — an exact (sign-bit) transform — in a
-/// second min-heap.
-#[derive(Debug, Default)]
-pub(crate) struct ReadyWindow {
-    lo: EventHeap,
-    hi: EventHeap,
-}
-
-impl ReadyWindow {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers (or re-registers, after a ready-time change) member
-    /// `idx` with ready time `time`.
-    pub(crate) fn push(&mut self, time: f64, idx: usize) {
-        self.lo.push(time, idx);
-        self.hi.push(-time, idx);
-    }
-
-    /// The smallest ready time among live members (`in_queue[idx]` with
-    /// `ready[idx]` bit-equal to the registered time).
-    pub(crate) fn min(&mut self, in_queue: &[bool], ready: &[f64]) -> Option<f64> {
-        self.lo
-            .peek_valid(|t, i| in_queue[i] && ready[i].to_bits() == t.to_bits())
-            .map(|(t, _)| t)
-    }
-
-    /// The largest ready time among live members.
-    pub(crate) fn max(&mut self, in_queue: &[bool], ready: &[f64]) -> Option<f64> {
-        self.hi
-            .peek_valid(|t, i| in_queue[i] && ready[i].to_bits() == (-t).to_bits())
-            .map(|(t, _)| -t)
-    }
-}
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, VecDeque};
+use std::ops::Range;
 
 /// The queue operations one engine iteration performs, abstracted so
 /// [`EngineCtx::step`](super::engine::EngineCtx) runs unchanged over every
@@ -200,9 +77,9 @@ pub(crate) enum Gate {
 /// - [`Fcfs`], [`Resort`] and [`KeyedQueue`] (`SimCore::EventDriven`,
 ///   chosen by the policy's [`OrderingContract`]) never re-sort FCFS,
 ///   re-sort clock-dependent orders, or keep static keys and trace
-///   ranks in an ordered set; they read ready times off a
-///   [`ReadyWindow`], skip partitions that are provably the identity,
-///   and let the loops fast-forward pure-decode rounds.
+///   ranks in an ordered set; they read ready times off the [`Pool`]'s
+///   bookkeeping, skip partitions that are provably the identity, and
+///   let the loops fast-forward pure-decode rounds.
 pub(crate) trait Discipline: AdmissionQueue + Sized {
     /// The per-step reference (see the trait docs).
     const EXHAUSTIVE: bool;
@@ -213,6 +90,9 @@ pub(crate) trait Discipline: AdmissionQueue + Sized {
     /// Whether any request is still waiting.
     fn is_empty(&self) -> bool;
 
+    /// Every waiting request, in no particular order.
+    fn members(&self) -> impl Iterator<Item = usize> + '_;
+
     /// Brings the order up to date at `clock` — the moment the per-step
     /// loop re-sorts before stepping.
     fn prepare(&mut self, clock: f64, trace: &[RequestSpec], policy: &dyn SchedulerPolicy);
@@ -222,7 +102,9 @@ pub(crate) trait Discipline: AdmissionQueue + Sized {
     fn idle_target(&self, trace: &[RequestSpec]) -> Option<f64>;
 
     /// Members ready at `now` (the autoscaler's depth signal).
-    fn ready_depth(&self, ready: &[f64], now: f64) -> usize;
+    fn ready_depth(&self, ready: &[f64], now: f64) -> usize {
+        self.members().filter(|&i| ready[i] <= now).count()
+    }
 
     /// The round's eligibility partition at the stepping blade's `clock`:
     /// afterwards the admission scan meets every eligible member (in
@@ -231,13 +113,6 @@ pub(crate) trait Discipline: AdmissionQueue + Sized {
 
     /// Ends the round's partition once the step has run.
     fn restore(&mut self) {}
-
-    /// The earliest ready time of any member (`f64::MAX` when empty).
-    fn next_ready(pool: &mut Pool<Self>) -> f64 {
-        pool.window
-            .min(&pool.in_queue, &pool.ready)
-            .unwrap_or(f64::MAX)
-    }
 
     /// Classifies the queue head for the single-blade stretch gate at
     /// `clock`. Must be called after [`Self::prepare`] at the same clock.
@@ -308,6 +183,10 @@ impl<const E: bool, const R: bool> Discipline for Deque<E, R> {
         self.0.is_empty()
     }
 
+    fn members(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().copied()
+    }
+
     fn prepare(&mut self, clock: f64, trace: &[RequestSpec], policy: &dyn SchedulerPolicy) {
         if R {
             policy.order_queue(clock, trace, &mut self.0);
@@ -326,10 +205,6 @@ impl<const E: bool, const R: bool> Discipline for Deque<E, R> {
         }
     }
 
-    fn ready_depth(&self, ready: &[f64], now: f64) -> usize {
-        self.0.iter().filter(|&&i| ready[i] <= now).count()
-    }
-
     /// A stable partition, skipped (outside the reference) when it is the
     /// identity: every member already eligible, or none; or — central
     /// dispatch, never re-sorted, no member off the arrival axis — the
@@ -337,14 +212,7 @@ impl<const E: bool, const R: bool> Discipline for Deque<E, R> {
     fn partition(pool: &mut Pool<Self>, clock: f64) {
         let skip = !E
             && ((!R && !pool.handoff && pool.off_axis_list.is_empty())
-                || pool
-                    .window
-                    .max(&pool.in_queue, &pool.ready)
-                    .is_none_or(|t| t <= clock)
-                || pool
-                    .window
-                    .min(&pool.in_queue, &pool.ready)
-                    .is_none_or(|t| t > clock));
+                || pool.all_or_none_ready(clock));
         if !skip {
             let ready = &pool.ready;
             let waiting = &mut pool.scratch;
@@ -357,20 +225,6 @@ impl<const E: bool, const R: bool> Discipline for Deque<E, R> {
                 eligible
             });
             queue.extend(waiting.drain(..));
-        }
-    }
-
-    fn next_ready(pool: &mut Pool<Self>) -> f64 {
-        if E {
-            pool.queue
-                .0
-                .iter()
-                .map(|&i| pool.ready[i])
-                .fold(f64::MAX, f64::min)
-        } else {
-            pool.window
-                .min(&pool.in_queue, &pool.ready)
-                .unwrap_or(f64::MAX)
         }
     }
 }
@@ -514,6 +368,11 @@ impl Discipline for KeyedQueue {
         self.arrived.is_empty() && self.future.is_empty() && self.blocked.is_empty()
     }
 
+    fn members(&self) -> impl Iterator<Item = usize> + '_ {
+        let arrived = self.arrived.iter().chain(&self.blocked).map(|e| e.2);
+        arrived.chain(self.future.iter().copied())
+    }
+
     /// Absorbs arrivals up to `clock` — the arrived prefix the
     /// reference's sort would have ordered this round.
     fn prepare(&mut self, clock: f64, trace: &[RequestSpec], _policy: &dyn SchedulerPolicy) {
@@ -570,6 +429,12 @@ impl Discipline for KeyedQueue {
 /// which any member's eligibility can change is therefore the next
 /// arrival on the axis or the earliest future off-axis ready time
 /// ([`Self::next_transition`]), which bounds every fast-forward.
+///
+/// A request leaves the axis for good once admitted or shed, so the
+/// members still on it span a range of the axis whose ends only move
+/// inward: the earliest and latest ready time on the axis are that
+/// range's ends, and off it a scan of the off-axis members. The
+/// reference keeps none of this bookkeeping and scans its queue instead.
 #[derive(Debug)]
 pub(crate) struct Pool<D> {
     pub(crate) queue: D,
@@ -581,18 +446,21 @@ pub(crate) struct Pool<D> {
     admitted: Vec<usize>,
     /// Indices the current step preempted, in eviction order.
     victims: Vec<usize>,
-    in_queue: Vec<bool>,
-    /// Members whose ready time is off the arrival axis, listed, and each
-    /// one's place in the list by trace index (`NOT_LISTED` for others).
+    /// Members whose ready time is off the arrival axis, listed.
     off_axis_list: Vec<usize>,
-    off_axis_at: Vec<u32>,
+    /// Each request's place by trace index: its position in
+    /// `off_axis_list`, [`ON_AXIS`] or [`GONE`].
+    place: Vec<u32>,
     /// Requests that left the arrival axis: admitted or shed from it,
     /// whether or not they re-entered off it since.
     left_axis: usize,
-    /// Ready times of the members (not kept by the reference).
-    window: ReadyWindow,
-    /// The sorted arrival axis (empty for a handoff pool).
+    /// The sorted arrival axis (empty for a handoff pool), and the trace
+    /// index at each of its positions.
     arrivals: Vec<f64>,
+    axis: Vec<usize>,
+    /// The positions on the axis from its earliest to its latest member
+    /// still on it (empty once none is).
+    on_axis: Range<usize>,
     /// Members enter by handoff, at instants that follow no queue order.
     handoff: bool,
     /// Reused buffer for the members a deque partition moves behind the
@@ -600,8 +468,11 @@ pub(crate) struct Pool<D> {
     scratch: Vec<usize>,
 }
 
-/// The [`Pool::off_axis_at`] entry of a request not off the axis.
-const NOT_LISTED: u32 = u32::MAX;
+/// The [`Pool::place`] of a member waiting on the arrival axis.
+const ON_AXIS: u32 = u32::MAX;
+/// The [`Pool::place`] of a request that is not a member: admitted or
+/// shed and not back, or not yet handed to a handoff pool.
+const GONE: u32 = u32::MAX - 1;
 
 impl<D: Discipline> Pool<D> {
     /// The central-dispatch queue: every request, waiting from its
@@ -614,23 +485,18 @@ impl<D: Discipline> Pool<D> {
     ) -> Self {
         let ready: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
         let arrivals: Vec<f64> = order.iter().map(|&i| ready[i]).collect();
-        let mut window = ReadyWindow::new();
-        if !D::EXHAUSTIVE {
-            for &i in &order {
-                window.push(ready[i], i);
-            }
-        }
+        let axis: Vec<usize> = order.iter().copied().collect();
         Self {
             queue: queue(order),
-            in_queue: vec![true; trace.len()],
-            off_axis_at: vec![NOT_LISTED; trace.len()],
+            place: vec![ON_AXIS; trace.len()],
             ready,
             admitted: Vec::new(),
             victims: Vec::new(),
             off_axis_list: Vec::new(),
             left_axis: 0,
-            window,
+            on_axis: 0..axis.len(),
             arrivals,
+            axis,
             handoff: false,
             scratch: Vec::new(),
         }
@@ -643,12 +509,12 @@ impl<D: Discipline> Pool<D> {
             ready: trace.iter().map(|r| r.arrival_s).collect(),
             admitted: Vec::new(),
             victims: Vec::new(),
-            in_queue: vec![false; trace.len()],
-            off_axis_at: vec![NOT_LISTED; trace.len()],
+            place: vec![GONE; trace.len()],
             off_axis_list: Vec::new(),
             left_axis: 0,
-            window: ReadyWindow::new(),
             arrivals: Vec::new(),
+            axis: Vec::new(),
+            on_axis: 0..0,
             handoff: true,
             scratch: Vec::new(),
         }
@@ -660,12 +526,44 @@ impl<D: Discipline> Pool<D> {
     }
 
     /// The earliest ready time of any member, `None` when the pool is
-    /// empty. The discipline is asked even then: its ready window drops
-    /// stale entries as it answers, and the profiler counts those heap
-    /// operations.
-    pub(crate) fn waiting(&mut self) -> Option<f64> {
-        let next = D::next_ready(self);
-        (!self.is_empty()).then_some(next)
+    /// empty: a fold over the queue for the reference, read off the
+    /// bookkeeping otherwise (debug builds check it against a scan).
+    pub(crate) fn waiting(&self) -> Option<f64> {
+        let scan = || self.queue.members().map(|i| self.ready[i]);
+        if D::EXHAUSTIVE {
+            return (!self.is_empty()).then(|| scan().fold(f64::MAX, f64::min));
+        }
+        let next = self.ready_range().map(|(lo, _)| lo);
+        debug_assert_eq!(
+            next.map(f64::to_bits),
+            scan().min_by(f64::total_cmp).map(f64::to_bits),
+            "the earliest ready time is stale"
+        );
+        next
+    }
+
+    /// The earliest and latest ready time of any member by
+    /// `f64::total_cmp`, `None` when the pool is empty: the ends of the
+    /// members' range on the (`total_cmp`-sorted) arrival axis, and a
+    /// scan of the off-axis members. Not kept by the reference.
+    fn ready_range(&self) -> Option<(f64, f64)> {
+        let on_axis = &self.on_axis;
+        let ends = (!on_axis.is_empty())
+            .then(|| (self.arrivals[on_axis.start], self.arrivals[on_axis.end - 1]));
+        self.off_axis_list.iter().fold(ends, |range, &v| {
+            let t = self.ready[v];
+            Some(range.map_or((t, t), |(lo, hi)| {
+                let lo = std::cmp::min_by(lo, t, f64::total_cmp);
+                (lo, std::cmp::max_by(hi, t, f64::total_cmp))
+            }))
+        })
+    }
+
+    /// Whether every member is ready at `clock`, or none is: then a
+    /// partition at `clock` is the identity.
+    fn all_or_none_ready(&self, clock: f64) -> bool {
+        self.ready_range()
+            .is_none_or(|(lo, hi)| hi <= clock || lo > clock)
     }
 
     /// Orders and partitions the queue for a round stepped at `clock`.
@@ -685,16 +583,23 @@ impl<D: Discipline> Pool<D> {
     pub(crate) fn settle(&mut self, reentry: impl Fn(usize) -> f64) {
         if !D::EXHAUSTIVE {
             for &i in &self.admitted {
-                self.in_queue[i] = false;
-                let at = std::mem::replace(&mut self.off_axis_at[i], NOT_LISTED);
-                if at != NOT_LISTED {
+                let at = std::mem::replace(&mut self.place[i], GONE);
+                if at == ON_AXIS {
+                    self.left_axis += 1;
+                } else {
+                    debug_assert_ne!(at, GONE, "request {i} was admitted while not waiting");
                     self.off_axis_list.swap_remove(at as usize);
                     if let Some(&moved) = self.off_axis_list.get(at as usize) {
-                        self.off_axis_at[moved] = at;
+                        self.place[moved] = at;
                     }
-                } else {
-                    self.left_axis += 1;
                 }
+            }
+            let left = |p: usize| self.place[self.axis[p]] != ON_AXIS;
+            while !self.on_axis.is_empty() && left(self.on_axis.start) {
+                self.on_axis.start += 1;
+            }
+            while !self.on_axis.is_empty() && left(self.on_axis.end - 1) {
+                self.on_axis.end -= 1;
             }
         }
         let mut victims = std::mem::take(&mut self.victims);
@@ -709,14 +614,12 @@ impl<D: Discipline> Pool<D> {
         self.queue.restore();
     }
 
-    /// Registers member `idx` at its (off-axis) ready time.
+    /// Lists member `idx`, ready off the arrival axis.
     fn enter(&mut self, idx: usize) {
-        self.in_queue[idx] = true;
-        if self.off_axis_at[idx] == NOT_LISTED {
-            self.off_axis_at[idx] = self.off_axis_list.len() as u32;
+        if self.place[idx] == GONE {
+            self.place[idx] = self.off_axis_list.len() as u32;
             self.off_axis_list.push(idx);
         }
-        self.window.push(self.ready[idx], idx);
     }
 
     /// Members ready at `now`, by a scan of the queue.
@@ -1514,56 +1417,122 @@ pub(crate) fn leapfrog_decode(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::policy::SjfPolicy;
+    use crate::serving::engine::arrival_queue;
+    use crate::serving::policy::{FcfsPolicy, MaxWaitGuardPolicy, SjfPolicy};
+    use proptest::prelude::*;
 
-    #[test]
-    fn heap_pops_in_time_then_index_order() {
-        let mut h = EventHeap::new();
-        h.push(2.0, 1);
-        h.push(1.0, 7);
-        h.push(1.0, 3);
-        h.push(0.5, 9);
-        assert_eq!(h.len(), 4);
-        assert_eq!(h.pop(), Some((0.5, 9)));
-        assert_eq!(h.pop(), Some((1.0, 3)));
-        assert_eq!(h.pop(), Some((1.0, 7)));
-        assert_eq!(h.pop(), Some((2.0, 1)));
-        assert_eq!(h.pop(), None);
-        assert!(h.is_empty());
-    }
+    /// The instants [`pool_reads_ready_times_like_a_scan`] draws arrivals,
+    /// handoffs, round clocks and re-entries from: coarse, so that ties
+    /// are common, and with both zeros, so that a ±0 tie must read the
+    /// bits `f64::total_cmp` picks.
+    const TIMES: [f64; 6] = [-0.0, 0.0, 0.5, 1.0, 1.5, 3.0];
 
-    #[test]
-    fn heap_lazy_deletion_discards_stale_entries() {
-        let mut h = EventHeap::new();
-        h.push(1.0, 0);
-        h.push(2.0, 1);
-        // Entry 0 was superseded: its live time is now 3.0.
-        h.push(3.0, 0);
-        let live = [3.0f64, 2.0];
-        assert_eq!(
-            h.peek_valid(|t, i| live[i].to_bits() == t.to_bits()),
-            Some((2.0, 1))
-        );
-        assert_eq!(h.len(), 2, "the stale entry was discarded");
-    }
+    /// One step of a pool drive: `(kind, time, admissions, evictions)`.
+    /// Kind 0 hands the next request to a handoff pool at `TIMES[time]`;
+    /// anything else (and any kind on a central pool) runs a round at that
+    /// clock: up to `admissions` ready heads leave, then the `evictions`
+    /// youngest admitted requests re-enter at instants drawn from `TIMES`.
+    type Op = (usize, usize, usize, usize);
 
-    #[test]
-    fn ready_window_tracks_min_and_max_of_live_members() {
-        let mut w = ReadyWindow::new();
-        let ready = [1.0, 5.0, 3.0];
-        let mut in_queue = [true, true, true];
-        for (i, &t) in ready.iter().enumerate() {
-            w.push(t, i);
+    /// Drives `pool` through `ops` beside a plain record of its members
+    /// (each waiting request's ready time, and whether it waits off the
+    /// arrival axis), and checks after every step that the pool's ready
+    /// times, partition shortcut and next transition equal a scan of that
+    /// record. `push` hands a request to a handoff pool.
+    fn drive<D: Discipline>(
+        trace: &[RequestSpec],
+        mut pool: Pool<D>,
+        policy: &dyn SchedulerPolicy,
+        push: Option<fn(&mut Pool<D>, usize, f64)>,
+        ops: &[Op],
+    ) -> Result<(), TestCaseError> {
+        let axis: Vec<f64> = match push {
+            Some(_) => Vec::new(),
+            None => trace.iter().map(|r| r.arrival_s).collect(),
+        };
+        let mut waiting: Vec<Option<(f64, bool)>> =
+            axis.iter().map(|&a| Some((a, false))).collect();
+        waiting.resize(trace.len(), None);
+        let (mut running, mut handed) = (Vec::new(), 0);
+        for &(kind, t, admissions, evictions) in ops {
+            let clock = TIMES[t];
+            match push {
+                Some(push) if kind == 0 => {
+                    if handed < trace.len() {
+                        push(&mut pool, handed, clock);
+                        waiting[handed] = Some((clock, true));
+                        handed += 1;
+                    }
+                }
+                _ => {
+                    pool.prepare(clock, trace, policy);
+                    for _ in 0..admissions {
+                        match pool.peek() {
+                            Some(i) if pool.ready_at(trace, i) <= clock => {
+                                pool.pop();
+                                waiting[i] = None;
+                                running.push(i);
+                            }
+                            _ => break,
+                        }
+                    }
+                    let victims = running.split_off(running.len().saturating_sub(evictions));
+                    for (j, &v) in victims.iter().enumerate() {
+                        pool.requeue_victim(v);
+                        waiting[v] = Some((TIMES[(t + j + evictions) % TIMES.len()], true));
+                    }
+                    pool.settle(|v| waiting[v].map_or(f64::NAN, |(at, _)| at));
+                }
+            }
+            let scan = || waiting.iter().flatten();
+            let lo = scan().map(|m| m.0).min_by(f64::total_cmp);
+            let hi = scan().map(|m| m.0).max_by(f64::total_cmp);
+            let bits = |r: Option<(f64, f64)>| r.map(|(a, b)| (a.to_bits(), b.to_bits()));
+            prop_assert_eq!(pool.is_empty(), lo.is_none());
+            prop_assert_eq!(pool.waiting().map(f64::to_bits), lo.map(f64::to_bits));
+            prop_assert_eq!(bits(pool.ready_range()), bits(lo.zip(hi)));
+            for c in TIMES.into_iter().chain([0.25, 2.0, 4.0]) {
+                let uniform = scan().all(|m| m.0 <= c) || scan().all(|m| m.0 > c);
+                prop_assert!(
+                    pool.all_or_none_ready(c) == uniform,
+                    "partition shortcut at {c}"
+                );
+                let off_axis = scan().filter(|m| m.1).map(|m| m.0);
+                let next = axis.iter().copied().chain(off_axis).filter(|&a| a > c);
+                let next = next.fold(f64::INFINITY, f64::min);
+                prop_assert!(pool.next_transition(c) == next, "next transition after {c}");
+            }
         }
-        assert_eq!(w.min(&in_queue, &ready), Some(1.0));
-        assert_eq!(w.max(&in_queue, &ready), Some(5.0));
-        in_queue[1] = false;
-        assert_eq!(w.max(&in_queue, &ready), Some(3.0));
-        in_queue[0] = false;
-        assert_eq!(w.min(&in_queue, &ready), Some(3.0));
-        in_queue[2] = false;
-        assert_eq!(w.min(&in_queue, &ready), None);
-        assert_eq!(w.max(&in_queue, &ready), None);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Central FCFS, re-sorting and keyed pools and FCFS and
+        /// re-sorting handoff pools, driven through random admissions,
+        /// victims re-entering at random instants, and handoffs: the
+        /// bookkeeping answers as a scan of the members does.
+        #[test]
+        fn pool_reads_ready_times_like_a_scan(
+            arrivals in prop::collection::vec(0usize..TIMES.len(), 1..10),
+            ops in prop::collection::vec((0usize..3, 0usize..TIMES.len(), 0usize..4, 0usize..3), 0..40),
+        ) {
+            let trace: Vec<RequestSpec> = (0u32..)
+                .zip(&arrivals)
+                .map(|(id, &a)| RequestSpec::new(id, TIMES[a], 8 + id % 3, 4 + id % 5))
+                .collect();
+            let order = || arrival_queue(&trace);
+            let max_wait = MaxWaitGuardPolicy::new(1.0);
+            drive(&trace, Pool::central(&trace, order(), Fcfs::new), &FcfsPolicy, None, &ops)?;
+            drive(&trace, Pool::central(&trace, order(), Resort::new), &max_wait, None, &ops)?;
+            let keyed = Pool::central(&trace, order(), |q| KeyedQueue::new(&SjfPolicy, &trace, q));
+            drive(&trace, keyed, &SjfPolicy, None, &ops)?;
+            let handoff = Pool::handoff(&trace, Fcfs::new(VecDeque::new()));
+            drive(&trace, handoff, &FcfsPolicy, Some(Pool::push), &ops)?;
+            let handoff = Pool::handoff(&trace, Resort::new(VecDeque::new()));
+            drive(&trace, handoff, &max_wait, Some(Pool::push), &ops)?;
+        }
     }
 
     #[test]

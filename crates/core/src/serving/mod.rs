@@ -25,14 +25,14 @@
 //!   kernel buffers (bucketized-mean fast path or exact per-sequence
 //!   spans). Every replay loop is generic over a queue
 //!   discipline, and [`SimCore`] picks it: the event-driven default
-//!   (incremental queue order, heap-tracked ready times, batched decode
-//!   stretches) or the per-step reference, bit-identical by
-//!   construction.
-//! * [`events`] — the queue disciplines and their machinery: the
-//!   lazy-deletion [`EventHeap`], incremental ready-time windows,
-//!   policy-ordered queues built on the [`OrderingContract`] each
-//!   [`SchedulerPolicy`] declares, and the closed-form decode
-//!   fast-forwards.
+//!   (incremental queue order, ready times read off the shared queue's
+//!   arrival axis, batched decode stretches) or the per-step reference,
+//!   bit-identical by construction.
+//! * [`events`] — the queue disciplines and their machinery: the shared
+//!   queue's ready-time bookkeeping (its sorted arrival axis and the
+//!   members off it), policy-ordered queues built on the
+//!   [`OrderingContract`] each [`SchedulerPolicy`] declares, and the
+//!   closed-form decode fast-forwards.
 //! * [`cluster`] — the two multi-blade replays. Mixed clusters
 //!   ([`ClusterConfig`]) route round-robin / join-shortest-queue /
 //!   least-loaded-KV / cache-aware into per-blade queues, or share one
@@ -57,8 +57,8 @@
 //!   [`Scenario::telemetry`]: bounded-memory windowed time-series per
 //!   blade and cluster-wide, P² streaming tail sketches
 //!   ([`telemetry::P2Sketch`]), Prometheus/CSV exporters, and
-//!   feature-gated simulator self-profiling
-//!   ([`telemetry::profile`]). Bit-inert by construction.
+//!   simulator self-profiling ([`telemetry::profile`]). Bit-inert by
+//!   construction.
 //!
 //! The one way to run a scenario is the [`Scenario`] builder in
 //! [`scenario`]: one fluent chain describes the system, workload, policy,
@@ -211,7 +211,6 @@ pub use cluster::{
 pub use control::{AdmissionControl, AutoscaleConfig, ControlPlane};
 pub use coord::{GlobalCacheConfig, CACHE_AWARE_MAX_IMBALANCE};
 pub use engine::{DecodePricing, RunningSeq, ServingConfig, SimCore};
-pub use events::EventHeap;
 pub use kv::KvLayout;
 pub use observer::{
     first_divergence, CallbackCounts, CountingObserver, Divergence, EventKind, Interest,

@@ -244,6 +244,10 @@ impl<'a> Scenario<'a> {
     }
 
     /// Lifts the KV capacity constraint (admission never binds).
+    ///
+    /// Unless [`Self::kv_bucket`] sets one, this also prices decode with
+    /// 1-token cost-table buckets (every KV length exactly), where the
+    /// system-sized default uses 32-token buckets.
     #[must_use]
     pub fn unconstrained_kv(mut self) -> Self {
         self.kv = KvSizing::Unconstrained;
@@ -251,6 +255,10 @@ impl<'a> Scenario<'a> {
     }
 
     /// An explicit KV byte budget (whole blade).
+    ///
+    /// Unless [`Self::kv_bucket`] sets one, this also prices decode with
+    /// 1-token cost-table buckets (every KV length exactly), where the
+    /// system-sized default uses 32-token buckets.
     #[must_use]
     pub fn kv_capacity_bytes(mut self, bytes: f64) -> Self {
         self.kv = KvSizing::Bytes(bytes);
@@ -265,6 +273,10 @@ impl<'a> Scenario<'a> {
     }
 
     /// KV-length quantization of the iteration-cost table (tokens).
+    ///
+    /// Without it the bucket follows the KV sizing: 32 tokens for the
+    /// system-sized default, 1 under [`Self::unconstrained_kv`] and
+    /// [`Self::kv_capacity_bytes`].
     #[must_use]
     pub fn kv_bucket(mut self, tokens: u32) -> Self {
         self.kv_bucket = Some(tokens);
@@ -930,6 +942,31 @@ mod tests {
             .max_batch(6)
             .unconstrained_kv()
             .poisson(prefill_heavy_trace())
+    }
+
+    #[test]
+    fn kv_bucket_defaults_follow_the_kv_sizing() {
+        let (system, model, par) = parts();
+        for (sizing, default) in [("system", 32), ("unconstrained", 1), ("bytes", 1)] {
+            for bucket in [None, Some(8)] {
+                let s = Scenario::new(&system)
+                    .model(&model)
+                    .parallelism(&par)
+                    .poisson(prefill_heavy_trace());
+                let s = match sizing {
+                    "system" => s,
+                    "unconstrained" => s.unconstrained_kv(),
+                    _ => s.kv_capacity_bytes(1e12),
+                };
+                let s = match bucket {
+                    Some(n) => s.kv_bucket(n),
+                    None => s,
+                };
+                let compiled = s.compile().unwrap();
+                let want = bucket.unwrap_or(default);
+                assert_eq!(compiled.config().kv_bucket_tokens, want, "{sizing} sizing");
+            }
+        }
     }
 
     #[test]

@@ -23,12 +23,10 @@
 //!   exact nearest-rank percentiles in [`super::report`] stay
 //!   authoritative; the sketch is validated against them.
 //! * **Self-profiling** — wall-clock phase counters over the simulator's
-//!   own hot paths (event-heap ops, stretch planning, leapfrog replay,
-//!   admission, routing, the iteration-cost table build) in
-//!   [`profile`], compiled in behind the
-//!   `self-profile` cargo feature (on by default) and captured at
-//!   runtime only between [`profile::start`] and [`profile::stop`],
-//!   which the caller wraps around the replay it wants profiled.
+//!   own hot paths (stretch planning, leapfrog replay, admission,
+//!   routing, the iteration-cost table build) in [`profile`], captured
+//!   only between [`profile::start`] and [`profile::stop`], which the
+//!   caller wraps around the replay it wants profiled.
 //!
 //! Telemetry reads stretch summaries ([`SimObserver::interest`] is
 //! [`Interest::Summaries`]): the event-driven core keeps batching decode
@@ -1285,27 +1283,26 @@ impl SimObserver for Telemetry {
 
 pub mod profile {
     //! Simulator self-profiling: wall-clock phase counters over the
-    //! event core's hot paths — event-heap operations, decode-stretch
-    //! planning, leapfrog replay, admission rounds and arrival routing —
-    //! and over the iteration-cost table each replay builds before its
-    //! loop starts.
+    //! event core's hot paths — decode-stretch planning, leapfrog
+    //! replay, admission rounds and arrival routing — and over the
+    //! iteration-cost table each replay builds before its loop starts.
     //!
-    //! The instrumentation is compiled in behind the `self-profile`
-    //! cargo feature (on by default; disable it for an
-    //! instrumentation-free build) and costs one relaxed atomic load
-    //! per site until [`start`] arms it. Captures are process-global:
+    //! Each instrumented site costs one relaxed atomic load until
+    //! [`start`] arms the profiler. Captures are process-global:
     //! concurrent replays accumulate into the same counters, so scope a
     //! [`start`]/[`stop`] pair around the one replay you mean to
     //! profile. Phases nest (leapfrog replay plans stretches inside),
     //! so phase times overlap and do not sum to wall time.
 
     use serde::{Deserialize, Serialize};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+    use std::time::Instant;
 
     /// Wall-clock totals captured between [`start`] and [`stop`].
-    /// All-zero when the `self-profile` feature is compiled out.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
     pub struct ProfileReport {
-        /// Event-heap pushes, pops and lazy-deletion discards.
+        /// Always 0: the replay loops keep no event heap. Kept so that
+        /// readers of the report keep their shape.
         pub heap_ops: u64,
         /// Decode-stretch planning calls (including rejected plans).
         pub stretch_plans: u64,
@@ -1331,8 +1328,7 @@ pub mod profile {
     }
 
     impl ProfileReport {
-        /// Whether nothing was captured (profiling disarmed or
-        /// compiled out).
+        /// Whether nothing was captured (profiling disarmed).
         #[must_use]
         pub fn is_empty(&self) -> bool {
             self == &Self::default()
@@ -1349,139 +1345,89 @@ pub mod profile {
         CostTable,
     }
 
-    #[cfg(feature = "self-profile")]
-    mod imp {
-        use super::{Phase, ProfileReport};
-        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-        use std::time::Instant;
+    static ENABLED: AtomicBool = AtomicBool::new(false);
+    static PLAN_CALLS: AtomicU64 = AtomicU64::new(0);
+    static PLAN_NS: AtomicU64 = AtomicU64::new(0);
+    static LEAP_CALLS: AtomicU64 = AtomicU64::new(0);
+    static LEAP_NS: AtomicU64 = AtomicU64::new(0);
+    static ADM_CALLS: AtomicU64 = AtomicU64::new(0);
+    static ADM_NS: AtomicU64 = AtomicU64::new(0);
+    static ROUTE_CALLS: AtomicU64 = AtomicU64::new(0);
+    static ROUTE_NS: AtomicU64 = AtomicU64::new(0);
+    static TABLE_CALLS: AtomicU64 = AtomicU64::new(0);
+    static TABLE_NS: AtomicU64 = AtomicU64::new(0);
 
-        static ENABLED: AtomicBool = AtomicBool::new(false);
-        static HEAP_OPS: AtomicU64 = AtomicU64::new(0);
-        static PLAN_CALLS: AtomicU64 = AtomicU64::new(0);
-        static PLAN_NS: AtomicU64 = AtomicU64::new(0);
-        static LEAP_CALLS: AtomicU64 = AtomicU64::new(0);
-        static LEAP_NS: AtomicU64 = AtomicU64::new(0);
-        static ADM_CALLS: AtomicU64 = AtomicU64::new(0);
-        static ADM_NS: AtomicU64 = AtomicU64::new(0);
-        static ROUTE_CALLS: AtomicU64 = AtomicU64::new(0);
-        static ROUTE_NS: AtomicU64 = AtomicU64::new(0);
-        static TABLE_CALLS: AtomicU64 = AtomicU64::new(0);
-        static TABLE_NS: AtomicU64 = AtomicU64::new(0);
-
-        fn cells(phase: Phase) -> (&'static AtomicU64, &'static AtomicU64) {
-            match phase {
-                Phase::StretchPlan => (&PLAN_CALLS, &PLAN_NS),
-                Phase::Leapfrog => (&LEAP_CALLS, &LEAP_NS),
-                Phase::Admission => (&ADM_CALLS, &ADM_NS),
-                Phase::Routing => (&ROUTE_CALLS, &ROUTE_NS),
-                Phase::CostTable => (&TABLE_CALLS, &TABLE_NS),
-            }
+    fn cells(phase: Phase) -> (&'static AtomicU64, &'static AtomicU64) {
+        match phase {
+            Phase::StretchPlan => (&PLAN_CALLS, &PLAN_NS),
+            Phase::Leapfrog => (&LEAP_CALLS, &LEAP_NS),
+            Phase::Admission => (&ADM_CALLS, &ADM_NS),
+            Phase::Routing => (&ROUTE_CALLS, &ROUTE_NS),
+            Phase::CostTable => (&TABLE_CALLS, &TABLE_NS),
         }
+    }
 
-        /// An RAII phase timer; records on drop when armed.
-        #[derive(Debug)]
-        pub(crate) struct Span(Option<(Phase, Instant)>);
+    /// An RAII phase timer; records on drop when armed.
+    #[derive(Debug)]
+    pub(crate) struct Span(Option<(Phase, Instant)>);
 
-        impl Drop for Span {
-            fn drop(&mut self) {
-                if let Some((phase, t0)) = self.0.take() {
-                    let (calls, nanos) = cells(phase);
-                    calls.fetch_add(1, Relaxed);
-                    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    nanos.fetch_add(ns, Relaxed);
-                }
-            }
-        }
-
-        #[inline]
-        pub(crate) fn span(phase: Phase) -> Span {
-            if ENABLED.load(Relaxed) {
-                Span(Some((phase, Instant::now())))
-            } else {
-                Span(None)
-            }
-        }
-
-        #[inline]
-        pub(crate) fn heap_op() {
-            if ENABLED.load(Relaxed) {
-                HEAP_OPS.fetch_add(1, Relaxed);
-            }
-        }
-
-        pub(super) fn start() {
-            for c in [
-                &HEAP_OPS,
-                &PLAN_CALLS,
-                &PLAN_NS,
-                &LEAP_CALLS,
-                &LEAP_NS,
-                &ADM_CALLS,
-                &ADM_NS,
-                &ROUTE_CALLS,
-                &ROUTE_NS,
-                &TABLE_CALLS,
-                &TABLE_NS,
-            ] {
-                c.store(0, Relaxed);
-            }
-            ENABLED.store(true, Relaxed);
-        }
-
-        pub(super) fn stop() -> ProfileReport {
-            ENABLED.store(false, Relaxed);
-            let s = |ns: &AtomicU64| ns.load(Relaxed) as f64 * 1e-9;
-            ProfileReport {
-                heap_ops: HEAP_OPS.load(Relaxed),
-                stretch_plans: PLAN_CALLS.load(Relaxed),
-                stretch_plan_s: s(&PLAN_NS),
-                leapfrogs: LEAP_CALLS.load(Relaxed),
-                leapfrog_s: s(&LEAP_NS),
-                admission_rounds: ADM_CALLS.load(Relaxed),
-                admission_s: s(&ADM_NS),
-                routing_calls: ROUTE_CALLS.load(Relaxed),
-                routing_s: s(&ROUTE_NS),
-                cost_table_builds: TABLE_CALLS.load(Relaxed),
-                cost_table_s: s(&TABLE_NS),
+    impl Drop for Span {
+        fn drop(&mut self) {
+            if let Some((phase, t0)) = self.0.take() {
+                let (calls, nanos) = cells(phase);
+                calls.fetch_add(1, Relaxed);
+                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                nanos.fetch_add(ns, Relaxed);
             }
         }
     }
 
-    #[cfg(not(feature = "self-profile"))]
-    mod imp {
-        use super::{Phase, ProfileReport};
-
-        /// The no-op span of an instrumentation-free build.
-        #[derive(Debug)]
-        pub(crate) struct Span(());
-
-        #[inline]
-        pub(crate) fn span(_phase: Phase) -> Span {
-            Span(())
-        }
-
-        #[inline]
-        pub(crate) fn heap_op() {}
-
-        pub(super) fn start() {}
-
-        pub(super) fn stop() -> ProfileReport {
-            ProfileReport::default()
+    #[inline]
+    pub(crate) fn span(phase: Phase) -> Span {
+        if ENABLED.load(Relaxed) {
+            Span(Some((phase, Instant::now())))
+        } else {
+            Span(None)
         }
     }
-
-    pub(crate) use imp::{heap_op, span};
 
     /// Arms the profiler: zeroes every counter and starts recording.
-    /// A no-op (recording nothing) without the `self-profile` feature.
     pub fn start() {
-        imp::start();
+        for c in [
+            &PLAN_CALLS,
+            &PLAN_NS,
+            &LEAP_CALLS,
+            &LEAP_NS,
+            &ADM_CALLS,
+            &ADM_NS,
+            &ROUTE_CALLS,
+            &ROUTE_NS,
+            &TABLE_CALLS,
+            &TABLE_NS,
+        ] {
+            c.store(0, Relaxed);
+        }
+        ENABLED.store(true, Relaxed);
     }
 
     /// Disarms the profiler and returns the totals captured since
-    /// [`start`]. All-zero without the `self-profile` feature.
+    /// [`start`].
     pub fn stop() -> ProfileReport {
-        imp::stop()
+        ENABLED.store(false, Relaxed);
+        let s = |ns: &AtomicU64| ns.load(Relaxed) as f64 * 1e-9;
+        ProfileReport {
+            heap_ops: 0,
+            stretch_plans: PLAN_CALLS.load(Relaxed),
+            stretch_plan_s: s(&PLAN_NS),
+            leapfrogs: LEAP_CALLS.load(Relaxed),
+            leapfrog_s: s(&LEAP_NS),
+            admission_rounds: ADM_CALLS.load(Relaxed),
+            admission_s: s(&ADM_NS),
+            routing_calls: ROUTE_CALLS.load(Relaxed),
+            routing_s: s(&ROUTE_NS),
+            cost_table_builds: TABLE_CALLS.load(Relaxed),
+            cost_table_s: s(&TABLE_NS),
+        }
     }
 }
 
@@ -1872,16 +1818,10 @@ mod tests {
         {
             let _span = profile::span(profile::Phase::Admission);
         }
-        profile::heap_op();
         let report = profile::stop();
-        #[cfg(feature = "self-profile")]
-        {
-            assert!(report.admission_rounds >= 1);
-            assert!(report.heap_ops >= 1);
-            assert!(!report.is_empty());
-        }
-        #[cfg(not(feature = "self-profile"))]
-        assert!(report.is_empty());
+        assert!(report.admission_rounds >= 1);
+        assert_eq!(report.heap_ops, 0);
+        assert!(!report.is_empty());
         // Disarmed sites record nothing into the next capture.
         {
             let _span = profile::span(profile::Phase::Routing);

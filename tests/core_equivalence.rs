@@ -18,7 +18,7 @@ use llm_workload::model::{ModelZoo, TransformerConfig};
 use llm_workload::Parallelism;
 use optimus::serving::{
     first_divergence, AdmissionControl, AutoscaleConfig, ClusterReport, ControlPlane,
-    DecodePricing, DispatchMode, DiurnalTraceConfig, EventHeap, EventKind, HandoffLink, KvLayout,
+    DecodePricing, DispatchMode, DiurnalTraceConfig, EventKind, HandoffLink, KvLayout,
     MaxWaitGuardPolicy, RequestSpec, RoutingPolicy, Scenario, SharedPrefixTraceConfig, SimCore,
     SimEvent, SjfPolicy, SloClass, StretchStats, StrictPriorityPolicy, TelemetryConfig, Topology,
     TraceConfig, WeightedFairPolicy,
@@ -1139,72 +1139,5 @@ proptest! {
             event.report.makespan_s.to_bits(),
             per_step.report.makespan_s.to_bits()
         );
-    }
-
-    /// Heap invariant: pops come out nondecreasing in (time, idx) and no
-    /// entry is lost or duplicated.
-    #[test]
-    fn event_heap_pops_sorted_and_lossless(times in prop::collection::vec(0u32..1000, 1..200)) {
-        let mut heap = EventHeap::new();
-        let mut expected: Vec<(f64, usize)> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (f64::from(t) * 0.125, i))
-            .collect();
-        for &(t, i) in &expected {
-            heap.push(t, i);
-        }
-        prop_assert_eq!(heap.len(), expected.len());
-        expected.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut popped = Vec::new();
-        while let Some(e) = heap.pop() {
-            popped.push(e);
-        }
-        prop_assert!(heap.is_empty());
-        prop_assert_eq!(popped.len(), expected.len());
-        for (&(pt, pi), &(et, ei)) in popped.iter().zip(&expected) {
-            prop_assert_eq!(pt.to_bits(), et.to_bits());
-            prop_assert_eq!(pi, ei);
-        }
-    }
-
-    /// Lazy deletion: after arbitrary requeues, the valid head is always
-    /// the live minimum, and draining yields each index exactly once.
-    #[test]
-    fn event_heap_lazy_deletion_tracks_live_minimum(
-        n in 1usize..24,
-        updates in prop::collection::vec((any::<prop::sample::Index>(), 0u32..1000), 0..64),
-    ) {
-        let mut heap = EventHeap::new();
-        let ids: Vec<usize> = (0..n).collect();
-        let mut live: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        for (i, &t) in live.iter().enumerate() {
-            heap.push(t, i);
-        }
-        for (pick, t) in updates {
-            let i = *pick.get(&ids);
-            live[i] = f64::from(t) * 0.25;
-            heap.push(live[i], i);
-        }
-        let mut alive = vec![true; n];
-        for _ in 0..n {
-            let head = heap
-                .peek_valid(|t, i| alive[i] && live[i].to_bits() == t.to_bits())
-                .expect("live entries remain");
-            let want = (0..n)
-                .filter(|&i| alive[i])
-                .map(|i| (live[i], i))
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                .expect("someone is alive");
-            prop_assert_eq!(head.0.to_bits(), want.0.to_bits());
-            prop_assert_eq!(head.1, want.1);
-            // peek_valid leaves the valid head on top; consume it.
-            let popped = heap.pop().expect("head stays queued");
-            prop_assert_eq!(popped.1, want.1);
-            alive[want.1] = false;
-        }
-        prop_assert!(heap
-            .peek_valid(|t, i| alive[i] && live[i].to_bits() == t.to_bits())
-            .is_none());
     }
 }
