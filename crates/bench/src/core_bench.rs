@@ -136,6 +136,8 @@ pub enum CoreScenario {
     /// [`Self::ClusterEvent`] at 64 blades, its 2 req/s per blade kept:
     /// the fleet of perfbench's `fleet64_central`.
     ClusterEvent64,
+    /// [`Self::ClusterEvent`] at 256 blades, its 2 req/s per blade kept.
+    ClusterEvent256,
     /// [`Self::ClusterEvent64`] under an autoscaler that scales between
     /// 1 and 64 blades (watermarks 0 and 2, default warm-up and
     /// cooldown), so its rows read what scaling adds per request.
@@ -159,6 +161,7 @@ impl CoreScenario {
             Self::ClusterEvent => "cluster_event",
             Self::ClusterEvent16 => "cluster_event_16",
             Self::ClusterEvent64 => "cluster_event_64",
+            Self::ClusterEvent256 => "cluster_event_256",
             Self::ClusterAutoscaled64 => "cluster_autoscaled_64",
             Self::DisaggEvent => "disagg_event",
             Self::ClusterCache => "cluster_cache",
@@ -173,6 +176,7 @@ impl CoreScenario {
             Self::ClusterEvent | Self::DisaggEvent | Self::ClusterCache => 4,
             Self::ClusterEvent16 => 16,
             Self::ClusterEvent64 | Self::ClusterAutoscaled64 => 64,
+            Self::ClusterEvent256 => 256,
         }
     }
 }
@@ -197,8 +201,8 @@ pub fn shared_prefix_workload(requests: u32) -> SharedPrefixTraceConfig {
 }
 
 /// Replays the diurnal workload (the shared-prefix one for
-/// [`CoreScenario::ClusterCache`], and for the 16- and 64-blade central
-/// fleets, autoscaled or not, one scaled to their blades) once through
+/// [`CoreScenario::ClusterCache`], and for the 16-, 64- and 256-blade
+/// central fleets, autoscaled or not, one scaled to their blades) once through
 /// `scenario` and returns
 /// the wall-clock milliseconds of the replay alone (trace synthesis and
 /// scenario compilation excluded).
@@ -224,7 +228,8 @@ pub fn scenario_wall_ms(scenario: CoreScenario, requests: u32) -> Result<f64, Op
         CoreScenario::PerStep => builder.core(SimCore::PerStep),
         CoreScenario::ClusterEvent
         | CoreScenario::ClusterEvent16
-        | CoreScenario::ClusterEvent64 => builder
+        | CoreScenario::ClusterEvent64
+        | CoreScenario::ClusterEvent256 => builder
             .core(SimCore::EventDriven)
             .topology(Topology::mixed(scenario.blades()))
             .dispatch(DispatchMode::Central),
@@ -254,6 +259,7 @@ pub fn scenario_wall_ms(scenario: CoreScenario, requests: u32) -> Result<f64, Op
         scenario,
         CoreScenario::ClusterEvent16
             | CoreScenario::ClusterEvent64
+            | CoreScenario::ClusterEvent256
             | CoreScenario::ClusterAutoscaled64
     ) {
         // The 4-blade cluster's 2 req/s per blade, scaled to the fleet.
@@ -335,7 +341,7 @@ pub fn measure_point(core: SimCore, requests: u32) -> Result<CoreBenchRow, Optim
 }
 
 /// The full scaling study: the event core — single-blade, central
-/// dispatch at 4, 16 and 64 blades and autoscaled at 64, 2P+2D
+/// dispatch at 4, 16, 64 and 256 blades and autoscaled at 64, 2P+2D
 /// disaggregated and the cache-coordinated cluster — at 10k/100k/1M
 /// requests and the per-step
 /// reference at 10k/100k. The central fleets carry 2 req/s per blade, so
@@ -350,12 +356,13 @@ pub fn measure_point(core: SimCore, requests: u32) -> Result<CoreBenchRow, Optim
 ///
 /// Propagates simulation failures.
 pub fn core_scaling_study() -> Result<Vec<CoreBenchRow>, OptimusError> {
-    let points: [(CoreScenario, &[u32]); 8] = [
+    let points: [(CoreScenario, &[u32]); 9] = [
         (CoreScenario::Event, &[10_000, 100_000, 1_000_000]),
         (CoreScenario::PerStep, &[10_000, 100_000]),
         (CoreScenario::ClusterEvent, &[10_000, 100_000, 1_000_000]),
         (CoreScenario::ClusterEvent16, &[10_000, 100_000, 1_000_000]),
         (CoreScenario::ClusterEvent64, &[10_000, 100_000, 1_000_000]),
+        (CoreScenario::ClusterEvent256, &[10_000, 100_000, 1_000_000]),
         (
             CoreScenario::ClusterAutoscaled64,
             &[10_000, 100_000, 1_000_000],
@@ -872,11 +879,14 @@ mod tests {
         for scenario in [
             CoreScenario::ClusterEvent16,
             CoreScenario::ClusterEvent64,
+            CoreScenario::ClusterEvent256,
             CoreScenario::ClusterAutoscaled64,
         ] {
             assert!(scenario_wall_ms(scenario, 300).unwrap() > 0.0);
         }
         assert_eq!(CoreScenario::ClusterEvent64.label(), "cluster_event_64");
+        assert_eq!(CoreScenario::ClusterEvent256.label(), "cluster_event_256");
+        assert_eq!(CoreScenario::ClusterEvent256.blades(), 256);
         assert_eq!(
             CoreScenario::ClusterAutoscaled64.label(),
             "cluster_autoscaled_64"

@@ -24,8 +24,8 @@ use super::control::{AutoscaleConfig, ScaleState};
 use super::coord::{ResidencyModel, CACHE_AWARE_MAX_IMBALANCE};
 use super::engine::{arrival_queue, finalize, BladeState, EngineCtx, Outcome, SimCore};
 use super::events::{
-    leapfrog_decode, round_order, AdmissionQueue, Deque, Discipline, Exhaustive, Fcfs, KeyedQueue,
-    Leapfrog, Pool, Resort, RoundKey,
+    leapfrog_decode, round_order, AdmissionQueue, Deque, Discipline, Exhaustive, Fcfs, Gates,
+    KeyedQueue, Leapfrog, Pool, Resort, RoundKey, Tournament, NEVER,
 };
 use super::observer::{EventKind, NoopObserver, SimObserver};
 use super::policy::OrderingContract;
@@ -616,7 +616,10 @@ fn coupled_loop<D: Discipline>(
     let mut next: Option<RoundKey> = None;
     loop {
         let waiting = pool.waiting();
-        let scan = || next_action(&states, active(scale.as_deref()), waiting);
+        // A leapfrog member's blade holds its skipped rounds only once
+        // settled: the scan walks them aside.
+        let clock = |b, s: &BladeState| fleet.lf.clock(b, s);
+        let scan = || next_action(&states, active(scale.as_deref()), waiting, clock);
         let found = if D::EXHAUSTIVE {
             scan()
         } else {
@@ -624,7 +627,7 @@ fn coupled_loop<D: Discipline>(
             // then), nor does the last (none can act) or one after a
             // prefill round (its handoff can bring an idle blade's
             // admission forward).
-            next.take().or_else(|| fleet.next_action(&states, waiting))
+            next.take().or_else(|| fleet.next_action(waiting))
         };
         debug_assert_eq!(found, scan(), "the pool's next action is stale");
         let Some(prefill_gate) = tier.round(found, &mut states, &mut pool, &mut outcomes, obs)
@@ -662,7 +665,7 @@ fn coupled_loop<D: Discipline>(
         }
     }
     debug_assert!(
-        fleet.lf.settled(),
+        fleet.lf.settled(&states),
         "a leapfrog member holds uncommitted rounds"
     );
     (states, outcomes)
@@ -731,63 +734,59 @@ fn autoscale_round(
     scaled.is_some()
 }
 
-/// The instant blade `s` could next act: its own clock while it holds
-/// running work, else — when `waiting` gives the earliest ready time of
-/// its queue — the moment it could admit.
-fn action_at(s: &BladeState, waiting: Option<f64>) -> Option<f64> {
+/// The instant blade `s`, whose clock is `clock`, could next act: its
+/// clock while it holds running work, else — when `waiting` gives the
+/// earliest ready time of its queue — the moment it could admit.
+fn action_at(s: &BladeState, clock: f64, waiting: Option<f64>) -> Option<f64> {
     if s.running.is_empty() {
-        waiting.map(|t| s.clock.max(t))
+        waiting.map(|t| clock.max(t))
     } else {
-        Some(s.clock)
+        Some(clock)
     }
 }
 
 /// The blade among `blades` whose next action comes earliest, ties broken
-/// by blade index.
+/// by blade index; `clock(b, &states[b])` is blade `b`'s clock.
 fn next_action(
     states: &[BladeState],
     blades: impl Iterator<Item = usize>,
     waiting: Option<f64>,
+    clock: impl Fn(usize, &BladeState) -> f64,
 ) -> Option<RoundKey> {
     blades
-        .filter_map(|b| action_at(&states[b], waiting).map(|t| (t, b)))
+        .filter_map(|b| {
+            let s = &states[b];
+            action_at(s, clock(b, s), waiting).map(|t| (t, b))
+        })
         .min_by(round_order)
 }
 
 /// One blade pool of an event-core replay loop, indexed so that no round
-/// scans it: its idle blades as a min tournament tree over their
-/// `(clock, blade)` in [`round_order`], and its running blades as the
-/// members of its [`Leapfrog`]. The loop files only the blade it just
-/// stepped ([`Self::stepped`]), and the blade a scale event adds to or
-/// retires from an autoscaled pool ([`Self::rescale`]). Running blades,
-/// and blades outside the pool, sit at a sentinel leaf that sorts after
-/// every idle one. The tree answers the pool's next idle admission in
-/// O(log n), bit-identical to [`next_action`] over the idle blades.
+/// scans it: its idle blades in a min [`Tournament`] over their
+/// `(clock, blade)`, and its running blades as the members of its
+/// [`Leapfrog`], which files their stops in a tournament of its own. The
+/// loop files only the blade it just stepped ([`Self::stepped`]), and the
+/// blade a scale event adds to or retires from an autoscaled pool
+/// ([`Self::rescale`]). Running blades, and blades outside the pool, have
+/// no idle leaf. The idle tree answers the pool's next idle admission in
+/// O(log n), bit-identical to [`next_action`] over the idle blades, and
+/// the last leapfrog's answer bounds the running blades' next rounds.
 #[derive(Debug)]
 struct FleetIndex {
     /// The pool's blades, ascending.
     pool: Vec<usize>,
-    /// Leaves per level: the replay's blade count, rounded up to a power
-    /// of two.
-    width: usize,
-    /// Node `k` holds the minimum of nodes `2k` and `2k + 1`; blade `b`'s
-    /// leaf is node `width + b` (node 0 is unused).
-    tree: Vec<RoundKey>,
+    /// The idle blades of the pool, at their clocks.
+    idle: Tournament,
     /// The pool's running blades, whose runs persist across leapfrogs.
     lf: Leapfrog,
 }
 
-/// A [`FleetIndex`] leaf with no idle blade.
-const NOT_IDLE: RoundKey = (f64::INFINITY, usize::MAX);
-
 impl FleetIndex {
     /// The index over the blades of `pool` among `states`.
     fn new(states: &[BladeState], pool: impl Iterator<Item = usize>) -> Self {
-        let width = states.len().next_power_of_two();
         let mut index = Self {
             pool: Vec::new(),
-            width,
-            tree: vec![NOT_IDLE; 2 * width],
+            idle: Tournament::new(states.len()),
             lf: Leapfrog::new(states.len()),
         };
         for b in pool {
@@ -797,16 +796,16 @@ impl FleetIndex {
         index
     }
 
-    /// Files pool blade `b` after the loop stepped it: its leaf is its
-    /// clock while it is idle, else the sentinel, and it is a leapfrog
-    /// member, to plan afresh, while it holds running work.
+    /// Files pool blade `b` after the loop stepped it: its idle leaf is
+    /// its clock while it is idle, and it is a leapfrog member, to plan
+    /// afresh, while it holds running work.
     fn stepped(&mut self, b: usize, s: &BladeState) {
         let leaf = if s.running.is_empty() {
             (s.clock, b)
         } else {
-            NOT_IDLE
+            NEVER
         };
-        self.file(b, leaf);
+        self.idle.file(b, leaf);
         self.lf.stepped(b, s);
     }
 
@@ -821,23 +820,9 @@ impl FleetIndex {
             self.stepped(b, &states[b]);
         } else if let Some(b) = self.pool.pop() {
             debug_assert!(states[b].running.is_empty(), "a retired blade is idle");
-            self.file(b, NOT_IDLE);
+            self.idle.file(b, NEVER);
         }
         debug_assert_eq!(self.pool.len(), active);
-    }
-
-    /// Sets blade `b`'s leaf and the minima above it.
-    fn file(&mut self, b: usize, leaf: RoundKey) {
-        let mut k = self.width + b;
-        if round_order(&leaf, &self.tree[k]).is_eq() {
-            return;
-        }
-        self.tree[k] = leaf;
-        while k > 1 {
-            k /= 2;
-            let (l, r) = (self.tree[2 * k], self.tree[2 * k + 1]);
-            self.tree[k] = if round_order(&r, &l).is_lt() { r } else { l };
-        }
     }
 
     /// The `(clock, blade)`-minimal idle admission when `waiting` gives
@@ -845,34 +830,24 @@ impl FleetIndex {
     /// blade whose clock is at most `t`, or else the earliest idle blade.
     fn idle_action(&self, waiting: Option<f64>) -> Option<RoundKey> {
         let t = waiting?;
-        let (clock, b) = self.tree[1];
-        if b == NOT_IDLE.1 {
+        let (clock, b) = self.idle.min();
+        if b == NEVER.1 {
             return None;
         }
         if clock > t {
             return Some((clock, b));
         }
-        // Descend to the leftmost leaf with an idle clock at most `t`:
-        // every such blade admits at `t`, so the lowest index wins.
-        let mut k = 1;
-        while k < self.width {
-            k *= 2;
-            let (c, b) = self.tree[k];
-            if b == NOT_IDLE.1 || c > t {
-                k += 1;
-            }
-        }
-        let (c, b) = self.tree[k];
+        // Every idle blade whose clock is at most `t` admits at `t`, so
+        // the lowest index wins.
+        let (c, b) = self.idle.leftmost_until(t);
         Some((c.max(t), b))
     }
 
-    /// The pool's next action: the earlier of its next idle admission
-    /// and its earliest running blade's round.
-    fn next_action(&self, states: &[BladeState], waiting: Option<f64>) -> Option<RoundKey> {
-        earlier(
-            self.idle_action(waiting),
-            earliest_member(states, self.lf.members()),
-        )
+    /// The pool's next action when no blade was stepped since the last
+    /// leapfrog: the earlier of its next idle admission and its running
+    /// blades' earliest round.
+    fn next_action(&self, waiting: Option<f64>) -> Option<RoundKey> {
+        earlier(self.idle_action(waiting), self.lf.next())
     }
 }
 
@@ -894,22 +869,31 @@ struct LoopGate<'a> {
 /// blades afterwards: the earlier of the idle blades' next admission,
 /// which `fleet` answers, and the leapfrog's cut. Neither takes a scan of
 /// the pool: the caller files each blade it steps, and debug builds
-/// check `fleet` against a fresh scan.
+/// check `fleet` against a fresh scan, whose member clocks are walked
+/// aside.
 ///
 /// Start gates: an idle blade's next admission instant (it could win
-/// the blade race and mutate the queue) and `gate.start`. When either
-/// comes no later than every member's clock, every member is gated at
-/// its own clock and the cut is the earliest member's round. Per member,
+/// the blade race and mutate the queue) and `gate.start`. Per member,
 /// the next queued ready time while a batch slot is open (an admission
 /// round), and — batch full, when skipped partitions are observable — the
 /// next ready-time transition, before which every skipped round takes
 /// the same partition; the loop takes it once after the leapfrog. End
 /// gate: `gate.scale` (see [`ScaleState::end_gate`]). Transitions
 /// are measured from the minimal member clock, so they lower-bound every
-/// member's own (a member already past one parks, conservatively). That
-/// clock takes a scan of the members, made only when a full-member
-/// partition or the scaler needs it. All gates are frozen across the
-/// leapfrog: nothing is admitted, evicted or scaled.
+/// member's own (a member already past one parks, conservatively). All
+/// gates are frozen across the leapfrog: nothing is admitted, evicted or
+/// scaled.
+///
+/// When every member's gate is the idle admission's instant and nothing
+/// decides at round ends — central dispatch whose queue holds no ready
+/// request — the call visits only the members that can act before that
+/// admission, and leaves their skipped rounds owed. Reading the minimal
+/// member clock, or the rounds full members ran, first writes every
+/// member's owed rounds to its blade. The call writes them up to its
+/// answer when full members' rounds are read again after it, and when a
+/// prefill tier may run before the next pool round: that round's handoff
+/// can bring the next action before the answer, which owed rounds must
+/// not pass.
 fn leapfrog_pool<D: Discipline>(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
@@ -927,76 +911,62 @@ fn leapfrog_pool<D: Discipline>(
         next_action(
             states,
             scan().filter(|&b| states[b].running.is_empty()),
-            waiting
+            waiting,
+            |b, s| fleet.lf.clock(b, s)
         ),
         "the idle index is stale"
     );
     debug_assert!(
         scan()
             .filter(|&b| !states[b].running.is_empty())
-            .eq(fleet.lf.members().iter().copied()),
+            .eq(fleet.lf.members()),
         "the leapfrog members are stale"
     );
     let lf = &mut fleet.lf;
-    if lf.members().is_empty() {
+    if lf.is_empty() {
         return idle_next;
     }
     let LoopGate { start, scale } = gate;
     let idle_gate = idle_next.map_or(start, |(t, _)| start.min(t));
     let max_batch = ctx.config.max_batch as usize;
-    let full = |s: &BladeState| s.running.len() >= max_batch;
-    let observed_full_rounds = pool
-        .partition_observable()
-        .then(|| lf.full_rounds(states, max_batch))
+    let observed_full =
+        pool.partition_observable() && lf.members().any(|b| states[b].running.len() >= max_batch);
+    // The minimal member clock, which transitions are measured from,
+    // once the members' owed rounds are written.
+    let x = (observed_full || scale.is_some())
+        .then(|| lf.write_clocks(states))
         .flatten();
-    // The minimal member clock, which transitions are measured from.
-    let x = (observed_full_rounds.is_some() || scale.is_some())
-        .then(|| earliest_member(states, lf.members()))
-        .flatten()
-        .map(|(t, _)| t);
-    let full_gate = match (observed_full_rounds, x) {
-        (Some(_), Some(x)) => pool.next_transition(x),
+    let full_rounds = observed_full.then(|| lf.full_rounds(states, max_batch));
+    let full_gate = match (observed_full, x) {
+        (true, Some(x)) => pool.next_transition(x),
         _ => f64::INFINITY,
     };
-    let open_gate = waiting.unwrap_or(f64::INFINITY);
-    let member_gate = |s: &BladeState| idle_gate.min(if full(s) { full_gate } else { open_gate });
-    let cut = match (scale, x) {
+    let gates = Gates {
+        idle: idle_next,
+        open: idle_gate.min(waiting.unwrap_or(f64::INFINITY)),
+        full: idle_gate.min(full_gate),
+        settle: observed_full || start < f64::INFINITY,
+    };
+    let next = match (scale, x) {
         (Some(sc), Some(x)) => {
             let top_idle = states[sc.active() as usize - 1].running.is_empty();
             let end_gate = sc.end_gate(pool.scaler_depth(x), top_idle, pool.next_transition(x));
-            leapfrog_decode(ctx, trace, states, lf, member_gate, end_gate, obs)
+            leapfrog_decode(ctx, trace, states, lf, gates, Some(end_gate), obs)
         }
-        _ => leapfrog_decode(
-            ctx,
-            trace,
-            states,
-            lf,
-            member_gate,
-            |t| t < f64::INFINITY,
-            obs,
-        ),
+        _ => leapfrog_decode(ctx, trace, states, lf, gates, None::<fn(f64) -> bool>, obs),
     };
-    let skipped_full =
-        observed_full_rounds.is_some_and(|r| lf.full_rounds(states, max_batch) != Some(r));
-    if let Some(x) = x.filter(|_| skipped_full && cut.is_none_or(|(c, _)| c >= full_gate)) {
+    let skipped_full = full_rounds.is_some_and(|r| lf.full_rounds(states, max_batch) != r);
+    if let Some(x) = x.filter(|_| skipped_full && next.is_none_or(|(c, _)| c >= full_gate)) {
         // Each round a full member skipped partitioned the queue at a
         // clock before the next ready-time transition after `x`, just as
         // one at `x` would. The per-step loop took that partition before
         // the next real round. A real round before the transition takes
-        // the same one itself, but this cut may start past it. Take it
+        // the same one itself, but this one may start past it. Take it
         // once, in a round that admits (and evicts) nothing.
         pool.prepare(x, trace, ctx.policy);
         pool.settle(|_| x);
     }
-    earlier(idle_next, cut)
-}
-
-/// The `(clock, blade)`-minimal next round among the running `members`.
-fn earliest_member(states: &[BladeState], members: &[usize]) -> Option<RoundKey> {
-    members
-        .iter()
-        .map(|&b| (states[b].clock, b))
-        .min_by(round_order)
+    next
 }
 
 /// The earlier of two optional rounds in [`round_order`].
@@ -1200,7 +1170,7 @@ impl<const E: bool, const R: bool> Tier<Deque<E, R>> for PrefillTier<'_, E, R> {
     ) -> Option<f64> {
         let (ctx, trace) = (self.ctx, self.trace);
         let arrival = self.prompts.next_arrival(trace);
-        let next = next_action(states, self.blades.iter().copied(), arrival);
+        let next = next_action(states, self.blades.iter().copied(), arrival, |_, s| s.clock);
         let Some((at, b)) = next.filter(|&(t, _)| pool_next.is_none_or(|(pt, _)| t <= pt)) else {
             return Some(next.map_or(f64::INFINITY, |(t, _)| t));
         };
@@ -1612,7 +1582,7 @@ mod tests {
         for waiting in waits {
             assert_eq!(
                 index.idle_action(waiting),
-                next_action(states, idle(), waiting),
+                next_action(states, idle(), waiting, |_, s| s.clock),
                 "pool {pool:?}, waiting {waiting:?}"
             );
         }

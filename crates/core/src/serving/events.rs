@@ -5,6 +5,16 @@
 //! members off it), and the closed-form decode fast-forwards
 //! (`DecodeStretch`, `leapfrog_decode`).
 //!
+//! The multi-blade fast-forward, `leapfrog_decode`, visits only the
+//! running blades that can act before its answer. Each member's plan is
+//! walked once, when it is made, to where it runs out; that stop is filed
+//! in a min `Tournament` tree, and a call pops only the stops before its
+//! cut. A member's rounds before the answer are written to its blade
+//! only when something reads it. Whether a member's round ties an idle
+//! blade's admission instant is screened in closed form, without walking
+//! (conservative lookahead, as in Chandy and Misra's parallel
+//! discrete-event simulation; stops re-filed as in a kinetic tournament).
+//!
 //! There are two replay loops: the single-blade drive in
 //! [`super::engine`], and the coupled loop in [`super::cluster`] that
 //! central dispatch and the disaggregated topology share. Each runs
@@ -997,14 +1007,180 @@ pub(crate) fn round_order(a: &RoundKey, b: &RoundKey) -> Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
-/// Where a member's pass-1 walk stops: the round it may not run, and
-/// whether that round is past the end of its plan (so a re-plan may
-/// continue from there).
-type Stop = (RoundKey, bool);
+/// The key after every round: a [`Tournament`] leaf with nothing filed.
+pub(crate) const NEVER: RoundKey = (f64::INFINITY, usize::MAX);
+
+/// The [`Leapfrog`] horizon while no member owes a round: no round's key
+/// precedes it.
+const SETTLED: RoundKey = (f64::NEG_INFINITY, 0);
+
+/// A min tournament tree over one [`RoundKey`] per blade in
+/// [`round_order`]: filing a blade's key re-files the minima above its
+/// leaf in O(log n), and the root is the minimum. A blade with nothing
+/// filed sits at [`NEVER`].
+#[derive(Debug)]
+pub(crate) struct Tournament {
+    /// Leaves per level: the blade count, rounded up to a power of two.
+    width: usize,
+    /// Node `k` holds the minimum of nodes `2k` and `2k + 1`; blade `b`'s
+    /// leaf is node `width + b` (node 0 is unused). Keys are
+    /// [packed](Self::pack), so that one integer comparison orders them.
+    nodes: Vec<u128>,
+}
+
+impl Tournament {
+    /// Nothing filed, for `blades` blades.
+    pub(crate) fn new(blades: usize) -> Self {
+        let width = blades.next_power_of_two();
+        Self {
+            width,
+            nodes: vec![Self::pack(NEVER); 2 * width],
+        }
+    }
+
+    /// `key` as an integer that orders as [`round_order`] does: the clock's
+    /// bits mapped to `f64::total_cmp` order above the blade index.
+    fn pack((clock, b): RoundKey) -> u128 {
+        let bits = clock.to_bits();
+        let ordered = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
+        (u128::from(ordered) << 64) | b as u128
+    }
+
+    /// The key `packed` holds.
+    fn unpack(packed: u128) -> RoundKey {
+        let ordered = (packed >> 64) as u64;
+        let bits = if ordered >> 63 == 1 {
+            ordered ^ (1 << 63)
+        } else {
+            !ordered
+        };
+        (f64::from_bits(bits), packed as u64 as usize)
+    }
+
+    /// Files `key` at blade `b`'s leaf.
+    pub(crate) fn file(&mut self, b: usize, key: RoundKey) {
+        let mut k = self.width + b;
+        let mut min = Self::pack(key);
+        if self.nodes[k] == min {
+            return;
+        }
+        self.nodes[k] = min;
+        // A node whose minimum holds leaves every node above it as it was.
+        while k > 1 {
+            min = min.min(self.nodes[k ^ 1]);
+            k /= 2;
+            if self.nodes[k] == min {
+                break;
+            }
+            self.nodes[k] = min;
+        }
+    }
+
+    /// The minimal key filed, [`NEVER`] when none is.
+    pub(crate) fn min(&self) -> RoundKey {
+        Self::unpack(self.nodes[1])
+    }
+
+    /// Whether some filed key comes before `key`.
+    fn any_before(&self, key: RoundKey) -> bool {
+        self.nodes[1] < Self::pack(key)
+    }
+
+    /// The key of the leftmost blade whose filed clock is at most `t`;
+    /// the minimum's must be. Packed keys order clocks as `total_cmp`,
+    /// which puts `+0.0` above `-0.0`, so a zero `t` compares as `+0.0`:
+    /// then a packed key is at most `limit` exactly when its blade is
+    /// filed and its clock is at most `t`.
+    pub(crate) fn leftmost_until(&self, t: f64) -> RoundKey {
+        let t = if t == 0.0 { 0.0 } else { t };
+        let limit = Self::pack((t, NEVER.1 - 1));
+        let mut k = 1;
+        while k < self.width {
+            k *= 2;
+            k += usize::from(self.nodes[k] > limit);
+        }
+        Self::unpack(self.nodes[k])
+    }
+}
+
+/// A set of blade indices as a bitmap: O(1) insertion and removal, and
+/// iteration in ascending order.
+#[derive(Debug)]
+struct BladeSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl BladeSet {
+    /// The empty set, for `blades` blades.
+    fn new(blades: usize) -> Self {
+        Self {
+            words: vec![0; blades.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    /// Adds `b`, if absent.
+    fn insert(&mut self, b: usize) {
+        let (word, bit) = (&mut self.words[b / 64], 1u64 << (b % 64));
+        self.len += usize::from(*word & bit == 0);
+        *word |= bit;
+    }
+
+    /// Removes `b`, if present.
+    fn remove(&mut self, b: usize) {
+        let (word, bit) = (&mut self.words[b / 64], 1u64 << (b % 64));
+        self.len -= usize::from(*word & bit != 0);
+        *word &= !bit;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The blades, ascending.
+    fn iter(&self) -> BladeIter<'_> {
+        self.iter_from(0)
+    }
+
+    /// The blades from `lo` on, ascending.
+    fn iter_from(&self, lo: usize) -> BladeIter<'_> {
+        let at = lo / 64;
+        let word = self.words.get(at).map_or(0, |w| w & (!0 << (lo % 64)));
+        BladeIter {
+            words: &self.words,
+            at,
+            word,
+        }
+    }
+}
+
+/// The blades of a [`BladeSet`], ascending.
+struct BladeIter<'a> {
+    words: &'a [u64],
+    /// The word `word` came from.
+    at: usize,
+    /// Its blades not yet yielded.
+    word: u64,
+}
+
+impl Iterator for BladeIter<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            self.at += 1;
+            self.word = *self.words.get(self.at)?;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.at * 64 + bit)
+    }
+}
 
 /// The floats a decode round adds to: a blade's clock and its three
 /// time accumulators.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Clocks {
     clock: f64,
     decode_time_s: f64,
@@ -1042,157 +1218,318 @@ impl Clocks {
     }
 }
 
+impl DecodeStretch {
+    /// Walks blade `m`'s rounds of this plan from round `k`, `clocks`
+    /// being the blade's before it, to its first round before `bound` that
+    /// a leapfrog may not skip: from `from` on (the rounds before it were
+    /// skipped already), the first that starts at or after `gate_s` or
+    /// whose end `end_gate` refuses; a round ending at +∞ always is.
+    /// Returns that round, if any, and where the walk stopped: there, or
+    /// at the first round from `bound` on, or where the plan runs out.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_to_stop<E: Fn(f64) -> bool>(
+        &self,
+        k: u64,
+        clocks: Clocks,
+        m: usize,
+        gate_s: f64,
+        end_gate: Option<&E>,
+        from: RoundKey,
+        bound: RoundKey,
+    ) -> (Option<RoundKey>, Reach) {
+        let mut last = f64::NEG_INFINITY;
+        let (round, clocks) = self.walk(k, clocks, |_, s, e| {
+            let key = (s, m);
+            let go = round_order(&key, &bound).is_lt()
+                && (round_order(&key, &from).is_lt() || (s < gate_s && ends(e, end_gate)));
+            if go {
+                last = s;
+            }
+            go
+        });
+        let key = (clocks.clock, m);
+        let stop = (round < self.max_iters && round_order(&key, &bound).is_lt()).then_some(key);
+        let reach = Reach {
+            round,
+            clocks,
+            last,
+        };
+        (stop, reach)
+    }
+
+    /// Walks this plan's rounds from round `k`, `clocks` being a blade's
+    /// before it, with the per-step loop's float operations in order: runs
+    /// round `k`, which starts at clock `s` and would end at `e`, while
+    /// `go(k, s, e)`, up to the plan's last round. Returns the round it
+    /// stopped at (the plan's length when it ran out) and the clocks
+    /// before that round.
+    fn walk(
+        &self,
+        mut k: u64,
+        mut clocks: Clocks,
+        mut go: impl FnMut(u64, f64, f64) -> bool,
+    ) -> (u64, Clocks) {
+        let weighted = self.cost * f64::from(self.batch);
+        while k < self.max_iters {
+            let mut next = clocks;
+            next.round(self.cost, weighted);
+            if !go(k, clocks.clock, next.clock) {
+                break;
+            }
+            clocks = next;
+            k += 1;
+        }
+        (k, clocks)
+    }
+}
+
+/// Whether a skipped round may end at `e`: `end_gate` admits it, and it
+/// is finite.
+fn ends<E: Fn(f64) -> bool>(e: f64, end_gate: Option<&E>) -> bool {
+    e < f64::INFINITY && end_gate.is_none_or(|gate| gate(e))
+}
+
+/// A closed-form screen of a plan's round starts. Round `k` of a plan
+/// walked from clock `c` starts at `c + k·cost` up to the walk's summation
+/// error: at most `k·u` times the largest partial sum, `u` being the unit
+/// roundoff (Higham, *Accuracy and Stability of Numerical Algorithms*,
+/// ch. 4). For `n` rounds every partial sum is at most `|c| + n·cost`, so
+/// eight times `(n + 2)·u` of that, in rounds, bounds the error of every
+/// round start, and the screen's own rounding with it.
+#[derive(Debug, Clone, Copy)]
+struct Starts {
+    /// The blade's clock when the plan was made.
+    clock: f64,
+    /// The reciprocal of the plan's cost (its cost until first screened).
+    per_s: f64,
+    /// How many rounds from `clock + k·cost` round `k` may start: less
+    /// than half a round, or +∞ where nothing can be ruled out (NaN until
+    /// first screened).
+    slack: f64,
+    /// The plan's last round (−1 without a plan).
+    last: f64,
+}
+
+impl Starts {
+    /// No plan: no round starts.
+    const NONE: Self = Self {
+        clock: 0.0,
+        per_s: 0.0,
+        slack: 0.0,
+        last: -1.0,
+    };
+
+    /// The screen of `plan`, walked from `clock` to `end`, worked out when
+    /// first screened: plans that never are cost no division.
+    fn new(plan: &DecodeStretch, clock: f64, end: f64) -> Self {
+        let slack = if end < f64::INFINITY {
+            f64::NAN
+        } else {
+            f64::INFINITY
+        };
+        Self {
+            clock,
+            per_s: plan.cost,
+            slack,
+            last: plan.max_iters as f64 - 1.0,
+        }
+    }
+
+    /// Whether a round of the plan may start at exactly `t`: whether the
+    /// round nearest `q`, `t`'s place in rounds, lies within the slack of
+    /// it (the slack is under half a round, so no other can) and within
+    /// the plan. `false` rules a tie out; a screen that can rule nothing
+    /// out — an infinite end, or a cost so small that the slack reaches
+    /// half a round — says `true`.
+    fn may_hold(&mut self, t: f64) -> bool {
+        // Adding and taking away 1.5·2^52 rounds to the nearest integer
+        // while |q| < 2^51; a farther `q` lies far outside the plan.
+        const ROUND: f64 = 6_755_399_441_055_744.0;
+        if self.slack.is_nan() {
+            let (n, cost) = (self.last + 1.0, self.per_s);
+            self.per_s = cost.recip();
+            let span = self.clock.abs() + n * cost;
+            let slack = 4.0 * (n + 2.0) * f64::EPSILON * span * self.per_s;
+            self.slack = if slack < 0.5 { slack } else { f64::INFINITY };
+        }
+        let q = (t - self.clock) * self.per_s;
+        let near = (q + ROUND) - ROUND;
+        let d = (q - near).abs();
+        self.slack == f64::INFINITY || (d <= self.slack && near >= 0.0 && near <= self.last)
+    }
+}
+
+/// Where a walk of a member's plan stopped: at `round`, the blade's
+/// clocks being `clocks` there, after a last round that started at `last`
+/// (−∞ when it ran none).
+#[derive(Debug, Clone, Copy)]
+struct Reach {
+    round: u64,
+    clocks: Clocks,
+    last: f64,
+}
+
 /// One running blade's membership in a cluster-wide leapfrog: its plan,
-/// kept across [`leapfrog_decode`] calls with the rounds advanced under
-/// it, and its progress through the current call.
+/// walked once when made. The rounds before the leapfrog's horizon are
+/// advanced, but reach the blade only when something reads it.
 #[derive(Debug, Clone, Copy)]
 struct Run {
-    blade: usize,
     /// The plan for the blade's committed state (`None`: parked, its next
-    /// round is a real step, or stale). Rounds advanced but not yet
+    /// round is a real step, or stale). Rounds written but not yet
     /// committed leave that state, and so the plan, as they were.
     plan: Option<DecodeStretch>,
     /// The plan is out of date: the loop stepped the blade, or the plan
-    /// ran out. The next call that can advance the member plans afresh.
+    /// ran out. A call that reaches the member plans afresh.
     stale: bool,
-    /// This call's round-start gate.
-    gate_s: f64,
-    /// Rounds advanced under `plan` and not yet committed: the blade's
+    /// Rounds of `plan` written to the blade and not yet committed: its
     /// clocks include them, its integer bookkeeping does not yet.
     done: u64,
-    /// Pass 1's walk: the rounds of `plan` it has cleared, the blade's
-    /// clocks after them, and the start of the last one (−∞ before the
-    /// first). It runs ahead of the blade, which pass 2 moves only up to
-    /// each cut.
-    walked: u64,
-    walk: Clocks,
-    last_s: f64,
-    /// Whether the walk has ended at its stop, round `walk.clock`, and if
-    /// so whether that round is past the end of the plan.
-    stopped: Option<bool>,
+    /// The blade's clocks after every round of `plan`: where it runs out.
+    end: Clocks,
+    /// The start of the plan's last round.
+    last: f64,
 }
 
 impl Run {
-    /// A blade's run before it first joins.
-    fn new(blade: usize) -> Self {
-        Self {
-            blade,
-            plan: None,
-            stale: true,
-            gate_s: f64::INFINITY,
-            done: 0,
-            walked: 0,
-            walk: Clocks::default(),
-            last_s: f64::NEG_INFINITY,
-            stopped: None,
-        }
+    /// A blade's run while it is no member.
+    const NONE: Self = Self {
+        plan: None,
+        stale: true,
+        done: 0,
+        end: Clocks {
+            clock: 0.0,
+            decode_time_s: 0.0,
+            batch_time_weighted: 0.0,
+            busy_s: 0.0,
+        },
+        last: 0.0,
+    };
+
+    /// Member `m`'s stop, `blade` being its committed state: the round
+    /// its plan runs out at, or its clock when it has none.
+    fn stop(&self, m: usize, blade: &BladeState) -> RoundKey {
+        let clock = if self.plan.is_some() {
+            self.end.clock
+        } else {
+            blade.clock
+        };
+        (clock, m)
     }
 
-    /// Restarts pass 1's walk at `blade`, which `done` rounds of `plan`
-    /// have advanced.
-    fn rewalk(&mut self, blade: &BladeState) {
-        self.walked = self.done;
-        self.walk = Clocks::of(blade);
-        self.last_s = f64::NEG_INFINITY;
-        self.stopped = None;
+    /// Plans member `m` afresh for `blade` and walks the plan once: to its
+    /// first round before `bound` that the call may not skip (see
+    /// [`Self::gated`]), and on to where it runs out. Returns the screen of
+    /// its round starts, and that round with where the walk passed it.
+    #[allow(clippy::too_many_arguments)]
+    fn replan<E: Fn(f64) -> bool>(
+        &mut self,
+        ctx: &EngineCtx<'_>,
+        trace: &[RequestSpec],
+        m: usize,
+        blade: &BladeState,
+        gate_s: f64,
+        end_gate: Option<&E>,
+        bound: RoundKey,
+    ) -> (Starts, Option<(Option<RoundKey>, Reach)>) {
+        self.plan = DecodeStretch::plan(ctx, trace, blade);
+        self.stale = false;
+        self.done = 0;
+        let Some(plan) = self.plan else {
+            return (Starts::NONE, None);
+        };
+        let (stop, reach) =
+            plan.walk_to_stop(0, Clocks::of(blade), m, gate_s, end_gate, SETTLED, bound);
+        let mut last = reach.last;
+        let (_, end) = plan.walk(reach.round, reach.clocks, |_, s, _| {
+            last = s;
+            true
+        });
+        (self.end, self.last) = (end, last);
+        (
+            Starts::new(&plan, blade.clock, end.clock),
+            Some((stop, reach)),
+        )
     }
 
-    /// Pass 1: the earlier of `cut`, the earliest stop among the members
-    /// walked so far, and this member's stop — its first round start from
-    /// its clock on that the leapfrog may not run: gated at its start or
-    /// by `end_gate` at its end, parked, or past the end of its plan. The
-    /// walk quits once it reaches `cut`. It makes pass 2's float
-    /// additions without touching the blade, and resumes where it last
-    /// ended, since the gates are frozen for the whole
-    /// [`leapfrog_decode`] call; only a re-plan restarts it.
-    fn stop(&mut self, cut: Option<Stop>, end_gate: &impl Fn(f64) -> bool) -> Option<Stop> {
-        let blade = self.blade;
-        let before = |c: f64| cut.is_none_or(|(key, _)| round_order(&(c, blade), &key).is_lt());
-        if self.stopped.is_none() {
-            let mut replan = self.plan.is_some();
-            if let Some(plan) = self.plan {
-                let weighted = plan.cost * f64::from(plan.batch);
-                let mut walk = self.walk;
-                while self.walked < plan.max_iters {
-                    let c = walk.clock;
-                    if !before(c) {
-                        self.walk = walk;
-                        return cut;
-                    }
-                    // A round whose end the end gate refuses parks the
-                    // member: the loop must run it to take its decision.
-                    let mut next = walk;
-                    next.round(plan.cost, weighted);
-                    if self.gate_s <= c || !end_gate(next.clock) {
-                        replan = false;
-                        break;
-                    }
-                    walk = next;
-                    self.last_s = c;
-                    self.walked += 1;
-                }
-                self.walk = walk;
-            }
-            self.stopped = Some(replan);
-        }
-        match self.stopped {
-            Some(replan) if before(self.walk.clock) => Some(((self.walk.clock, blade), replan)),
-            _ => cut,
-        }
+    /// Member `m`'s first round before `bound` that the call may not
+    /// skip within its plan, walked from `blade`'s clocks (see
+    /// [`DecodeStretch::walk_to_stop`]), and where the walk stopped.
+    fn gated<E: Fn(f64) -> bool>(
+        &self,
+        m: usize,
+        blade: &BladeState,
+        gate_s: f64,
+        end_gate: Option<&E>,
+        from: RoundKey,
+        bound: RoundKey,
+    ) -> Option<(Option<RoundKey>, Reach)> {
+        let plan = self.plan?;
+        let clocks = Clocks::of(blade);
+        Some(plan.walk_to_stop(self.done, clocks, m, gate_s, end_gate, from, bound))
     }
 
-    /// Pass 2: advances the member through its rounds before `cut`. When
-    /// every round the walk cleared starts before `cut` (the walk itself
-    /// never stops before it), the walk's clocks are the advanced
-    /// blade's; otherwise the rounds run again from the blade's own,
-    /// with the per-step loop's float operations. An observer of
-    /// [`Interest::Rounds`] needs each round's event, so its rounds
-    /// always run again, buffering each event under its round's key. A
-    /// plan that runs out commits at once, its `Stretch` summary keyed by
-    /// its last round.
+    /// Advances member `m` through the rounds of its plan before `until`,
+    /// writing their clocks to `blade`. An observer of [`Interest::Rounds`]
+    /// gets each round's `Step` event, keyed by the round.
     fn advance(
         &mut self,
+        m: usize,
         blade: &mut BladeState,
-        cut: RoundKey,
+        until: RoundKey,
         interest: Interest,
         events: &mut Vec<(RoundKey, SimEvent)>,
     ) {
         let Some(plan) = self.plan else { return };
-        let mut last = self.last_s;
-        if interest != Interest::Rounds && round_order(&(last, self.blade), &cut).is_lt() {
-            self.walk.store(blade);
-            self.done = self.walked;
-        } else {
-            let weighted = plan.cost * f64::from(plan.batch);
-            let mut clocks = Clocks::of(blade);
-            while self.done < plan.max_iters
-                && round_order(&(clocks.clock, self.blade), &cut).is_lt()
-            {
-                last = clocks.clock;
-                clocks.round(plan.cost, weighted);
+        let id = blade.id;
+        let mut last = f64::NEG_INFINITY;
+        let (round, clocks) = plan.walk(self.done, Clocks::of(blade), |k, s, e| {
+            let go = round_order(&(s, m), &until).is_lt();
+            if go {
+                last = s;
                 if interest == Interest::Rounds {
-                    // `done` completed rounds of this plan precede this
-                    // one, matching the per-step loop's charged footprint.
+                    // `k` completed rounds of this plan precede this one,
+                    // matching the per-step loop's charged footprint.
                     let event = SimEvent {
-                        blade: blade.id,
-                        clock_s: clocks.clock,
-                        kind: plan.step_event(self.done),
+                        blade: id,
+                        clock_s: e,
+                        kind: plan.step_event(k),
                     };
-                    events.push(((last, self.blade), event));
+                    events.push(((s, m), event));
                 }
-                self.done += 1;
             }
-            clocks.store(blade);
-        }
-        if self.done == plan.max_iters {
-            plan.commit(blade, self.done);
+            go
+        });
+        let reach = Reach {
+            round,
+            clocks,
+            last,
+        };
+        self.reach(m, blade, reach, interest, events);
+    }
+
+    /// Writes a walk of member `m`'s plan that stopped at `reach` to
+    /// `blade`. A plan that runs out commits at once, its `Stretch` summary
+    /// keyed by its last round.
+    fn reach(
+        &mut self,
+        m: usize,
+        blade: &mut BladeState,
+        reach: Reach,
+        interest: Interest,
+        events: &mut Vec<(RoundKey, SimEvent)>,
+    ) {
+        let Some(plan) = self.plan else { return };
+        reach.clocks.store(blade);
+        self.done = reach.round;
+        if reach.round == plan.max_iters {
+            plan.commit(blade, reach.round);
             if interest == Interest::Summaries {
                 let event = SimEvent {
                     blade: blade.id,
                     clock_s: blade.clock,
-                    kind: plan.stretch_event(self.done),
+                    kind: plan.stretch_event(reach.round),
                 };
-                events.push(((last, self.blade), event));
+                events.push(((reach.last, m), event));
             }
             self.plan = None;
             self.stale = true;
@@ -1200,7 +1537,37 @@ impl Run {
         }
     }
 
-    /// Commits the rounds advanced under the plan since its last commit,
+    /// Advances member `m` through every round of its plan, which runs
+    /// out before the call's cut: straight to the clocks its walk ended
+    /// at, unless an observer needs each round's event.
+    fn finish(
+        &mut self,
+        m: usize,
+        blade: &mut BladeState,
+        interest: Interest,
+        events: &mut Vec<(RoundKey, SimEvent)>,
+    ) {
+        match self.plan {
+            Some(plan) if interest != Interest::Rounds => {
+                self.end.store(blade);
+                plan.commit(blade, plan.max_iters);
+                if interest == Interest::Summaries {
+                    let event = SimEvent {
+                        blade: blade.id,
+                        clock_s: blade.clock,
+                        kind: plan.stretch_event(plan.max_iters),
+                    };
+                    events.push(((self.last, m), event));
+                }
+                self.plan = None;
+                self.stale = true;
+                self.done = 0;
+            }
+            _ => self.advance(m, blade, NEVER, interest, events),
+        }
+    }
+
+    /// Commits the rounds written under the plan since its last commit,
     /// rebasing the plan past them, and returns their `Stretch` summary
     /// (`None` when there were none).
     fn commit(&mut self, blade: &mut BladeState) -> Option<EventKind> {
@@ -1215,16 +1582,37 @@ impl Run {
 
 /// A replay loop's leapfrog state over one blade pool, reused across its
 /// [`leapfrog_decode`] calls so no call allocates: one run per running
-/// blade of the pool (the members), each holding its blade's plan and
-/// the rounds advanced under it, and the event buffer. A run joins,
-/// re-plans or leaves only when the loop steps its blade
-/// ([`Self::stepped`]), which it settles first ([`Self::settle`]).
+/// blade of the pool (the members), each holding its blade's plan, the
+/// members' stops in a [`Tournament`], the horizon before which their
+/// rounds are advanced, and the event buffer. A run joins, re-plans or
+/// leaves only when the loop steps its blade ([`Self::stepped`]), which
+/// it settles first ([`Self::settle`]).
 #[derive(Debug)]
 pub(crate) struct Leapfrog {
     /// Per blade of the replay: its run, live while the blade is a member.
     runs: Vec<Run>,
-    /// The members' blades, ascending.
-    members: Vec<usize>,
+    /// Per blade: the screen of its run's latest plan, which its rounds
+    /// since are part of.
+    starts: Vec<Starts>,
+    /// The members' blades.
+    members: BladeSet,
+    /// Each member's [stop](Run::stop): no call passes it without
+    /// reaching the member.
+    stops: Tournament,
+    /// `(t, b)`: no member below blade `b` has a round of its current plan
+    /// that its screen places at `t`. Calls that tie-screen at the same
+    /// `t`, as every call does until the queue's head changes, screen
+    /// only the members from `b` on.
+    clear: RoundKey,
+    /// Every member's rounds before this key are advanced; each reaches
+    /// its blade when something reads it ([`SETTLED`]: none is owed).
+    /// Every stop is at or after it.
+    horizon: RoundKey,
+    /// The last call's answer, which no member's next round precedes.
+    last: Option<RoundKey>,
+    /// Per blade, within a call that writes its members' rounds: where the
+    /// member's walk for its gated round stopped, while its plan holds.
+    reached: Vec<Option<Reach>>,
     /// The call's events, keyed by their round.
     events: Vec<(RoundKey, SimEvent)>,
 }
@@ -1233,106 +1621,190 @@ impl Leapfrog {
     /// No members yet, for a replay over `blades` blades.
     pub(crate) fn new(blades: usize) -> Self {
         Self {
-            runs: (0..blades).map(Run::new).collect(),
-            members: Vec::with_capacity(blades),
+            runs: vec![Run::NONE; blades],
+            starts: vec![Starts::NONE; blades],
+            members: BladeSet::new(blades),
+            stops: Tournament::new(blades),
+            clear: (f64::NAN, 0),
+            horizon: SETTLED,
+            last: None,
+            reached: vec![None; blades],
             events: Vec::new(),
         }
     }
 
-    /// Commits the rounds the leapfrog advanced `blade` by and has not
-    /// committed yet, so that the loop can read and step it.
+    /// Writes the rounds the leapfrog advanced `blade` by to its state and
+    /// commits them, so that the loop can read and step it.
     pub(crate) fn settle(&mut self, blade: usize, state: &mut BladeState) {
+        if !self.owes_nothing(blade, state) {
+            let (horizon, run) = (self.horizon, &mut self.runs[blade]);
+            run.advance(blade, state, horizon, Interest::Nothing, &mut self.events);
+        }
         self.runs[blade].commit(state);
+    }
+
+    /// Writes every member's advanced rounds to its blade's clocks, and
+    /// returns the earliest member clock. Only a plan that runs out
+    /// commits, so the members commit as often as unread ones do.
+    pub(crate) fn write_clocks(&mut self, states: &mut [BladeState]) -> Option<f64> {
+        let Self {
+            runs,
+            members,
+            horizon,
+            events,
+            ..
+        } = self;
+        for m in members.iter() {
+            runs[m].advance(m, &mut states[m], *horizon, Interest::Nothing, events);
+        }
+        *horizon = SETTLED;
+        members
+            .iter()
+            .map(|m| states[m].clock)
+            .min_by(f64::total_cmp)
     }
 
     /// Files `blade` of the pool after the loop settled and stepped it: a
     /// member, to plan afresh, while it holds running work; otherwise not
     /// one.
     pub(crate) fn stepped(&mut self, blade: usize, state: &BladeState) {
-        debug_assert_eq!(
-            self.runs[blade].done, 0,
+        debug_assert!(
+            self.owes_nothing(blade, state) && self.runs[blade].done == 0,
             "blade {blade} was stepped unsettled"
         );
-        let at = self.members.binary_search(&blade);
-        if state.running.is_empty() {
-            if let Ok(at) = at {
-                self.members.remove(at);
-            }
-            return;
-        }
-        if let Err(at) = at {
-            self.members.insert(at, blade);
-        }
         let run = &mut self.runs[blade];
-        run.stale = true;
-        run.plan = None;
+        (run.plan, run.stale) = (None, true);
+        self.starts[blade] = Starts::NONE;
+        if state.running.is_empty() {
+            self.members.remove(blade);
+            self.stops.file(blade, NEVER);
+        } else {
+            self.members.insert(blade);
+            self.stops.file(blade, (state.clock, blade));
+        }
     }
 
     /// The members' blades, ascending: the pool's running blades.
-    pub(crate) fn members(&self) -> &[usize] {
-        &self.members
+    pub(crate) fn members(&self) -> impl Iterator<Item = usize> + '_ {
+        self.members.iter()
     }
 
-    /// The decode rounds run so far, committed or not, by the members
-    /// whose batch holds `max_batch` sequences, or `None` when none does.
-    pub(crate) fn full_rounds(&self, states: &[BladeState], max_batch: usize) -> Option<u64> {
-        let mut full = self
-            .members
+    /// Whether the pool has no running blade.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
+    /// The decode rounds written so far, committed or not, by the
+    /// members whose batch holds `max_batch` sequences (write their
+    /// clocks first).
+    pub(crate) fn full_rounds(&self, states: &[BladeState], max_batch: usize) -> u64 {
+        self.members
             .iter()
-            .filter(|&&b| states[b].running.len() >= max_batch)
-            .peekable();
-        full.peek()?;
-        Some(
-            full.map(|&b| states[b].decode_iterations + self.runs[b].done)
-                .sum(),
-        )
+            .filter(|&b| states[b].running.len() >= max_batch)
+            .map(|b| states[b].decode_iterations + self.runs[b].done)
+            .sum()
     }
 
-    /// Whether every round the leapfrog advanced is committed.
-    pub(crate) fn settled(&self) -> bool {
-        self.runs.iter().all(|run| run.done == 0)
+    /// The earliest member round, while no blade was stepped since the
+    /// last call: that call's answer when it came from a member. When it
+    /// was an idle admission instead, every member round comes after it,
+    /// and a prefill round since can only bring that admission forward.
+    pub(crate) fn next(&self) -> Option<RoundKey> {
+        self.last.filter(|_| !self.members.is_empty())
     }
+
+    /// Blade `b`'s clock as the per-step loop has it, with `state` its
+    /// committed state: past the rounds advanced and not yet written to
+    /// it, walked aside without touching it.
+    pub(crate) fn clock(&self, b: usize, state: &BladeState) -> f64 {
+        let run = &self.runs[b];
+        let before = |s: f64| round_order(&(s, b), &self.horizon).is_lt();
+        match run.plan {
+            Some(plan) => {
+                let (_, clocks) = plan.walk(run.done, Clocks::of(state), |_, s, _| before(s));
+                clocks.clock
+            }
+            None => state.clock,
+        }
+    }
+
+    /// Whether blade `b`, whose clocks are `state`'s, has every round the
+    /// leapfrog advanced it by written to them.
+    fn owes_nothing(&self, b: usize, state: &BladeState) -> bool {
+        self.runs[b].plan.is_none() || round_order(&(state.clock, b), &self.horizon).is_ge()
+    }
+
+    /// Whether every round the leapfrog advanced is written and committed.
+    pub(crate) fn settled(&self, states: &[BladeState]) -> bool {
+        let settled = |m: usize| self.owes_nothing(m, &states[m]) && self.runs[m].done == 0;
+        self.members.iter().all(settled)
+    }
+}
+
+/// The start gates of one [`leapfrog_decode`] call: the decisions the
+/// loop around the pool takes between the pool's rounds, frozen for the
+/// call.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Gates {
+    /// The pool's next idle admission, if any. Its blade could win the
+    /// race and change the queue, so it bounds both gates below, and the
+    /// call answers it unless a member's round comes first.
+    pub(crate) idle: Option<RoundKey>,
+    /// The round-start gate of members with a free batch slot: a member
+    /// may skip no round that starts at or after it.
+    pub(crate) open: f64,
+    /// The round-start gate of members whose batch is full.
+    pub(crate) full: f64,
+    /// Write every member's advanced rounds to its blade before
+    /// returning, as an observer's events always do.
+    pub(crate) settle: bool,
 }
 
 /// Fast-forwards the members of `lf` — the pool's running blades —
 /// through their pure-decode futures, bit-identical to running the
 /// per-step loop's rounds in their global `(clock, blade index)` order,
-/// and returns the `(clock, blade)`-minimal member round after it.
+/// and returns the `(clock, blade)`-minimal next action: the first member
+/// round the call may not skip, or `gates.idle` when that comes first.
 ///
-/// Each member's round-start gate is `member_gate` of its blade, and
-/// `end_gate` says whether any member's skipped round may end at a given
-/// clock (a round ending at +∞ never may). Each
-/// skipped round touches only its own blade's state, and every gate is
-/// frozen for the call, so the global order decides only where the
-/// fast-forward *stops*. Two passes find and reach that point, each one
-/// pass over the members:
+/// A member may not skip a round that starts at or after its gate
+/// (`gates.open` or `gates.full`, by whether its batch is full), or
+/// whose end `end_gate` refuses; nor may it run a round its plan does
+/// not cover. Each skipped round touches only its own blade's state, and
+/// every gate is frozen for the call, so the global order decides only
+/// where the fast-forward *stops*: the cut, the minimal such round. Every
+/// member round before the cut is skipped, and since every gate is at
+/// most the idle admission's instant, no member round lies between that
+/// admission and a later cut.
 ///
-/// 1. Each member walks its clocks through its current plan, without
-///    touching its blade, to its first round that is gated (at its start
-///    by its member gate, or at its end by `end_gate`), parked (no plan),
-///    or past the end of its plan. The cut is the minimal such stop by
-///    [`RoundKey`]. A stale member gated at its own clock stays
-///    unplanned: it could advance no round.
-/// 2. Every member advances, on its own, through its rounds before the
-///    cut: it stores its walk's clocks when every round the walk cleared
-///    starts before the cut, and runs the rounds again otherwise.
+/// The call visits only the members that can act before the cut:
 ///
-/// When the cut is a plan running out, that member alone advances to it
-/// and re-plans (a bucket crossing just changes the constant cost), and
-/// pass 1 repeats: every other walk resumes where it ended, and only the
-/// re-planned member walks from its clock again. Cuts only grow, so the
-/// other members advance once, to the last cut. A gate or a park ends
-/// the call — the parked member's real round is the cluster's next
-/// action.
+/// 1. Members ascend by blade. A member's first gated round within its
+///    plan is walked for, except when nothing decides at round ends and
+///    the cut starts no later than the member's gate — as when every gate
+///    is the idle admission's instant `t`. Then only a round starting at
+///    exactly `t`, by a member below the idle blade, comes first: a
+///    closed-form screen rules that out without walking, and the members
+///    above the idle blade are not visited at all. Until the queue's head
+///    changes, `t` repeats, and the members already screened at it are
+///    not visited again.
+/// 2. Each member's stop — where its plan runs out, or its clock while it
+///    is parked (its next round a real step) or stale — is filed in the
+///    [`Tournament`] `lf.stops`. The call pops only the stops before the
+///    cut, earliest first: a plan that runs out there commits, re-plans
+///    (a bucket crossing just changes the constant cost), walks its new
+///    plan once — to its end, noting its first gated round on the way —
+///    and is filed again in O(log n); a parked member, or a stale one
+///    gated at its own clock, is the cut.
 ///
-/// A member commits its advanced rounds — its integer bookkeeping, the
-/// `stretches` counter — only when something reads them: the loop
-/// settles a blade before it steps it ([`Leapfrog::settle`]), a plan
-/// that runs out commits at once, and an observer of
-/// [`Interest::Summaries`] reads every member's summary at the end of
-/// each call. Until then its plan stays that of its committed state, and
+/// The members' rounds before the answer are then owed: they reach a
+/// blade only when something reads it — the loop settles a blade before
+/// it steps it ([`Leapfrog::settle`]), and a plan that runs out commits.
+/// Until then the member's plan stays that of its committed state, and
 /// persists across calls until the loop steps the blade or the plan runs
-/// out.
+/// out. Each member's float sequence is its own, so deferring it changes
+/// no bit. With `gates.settle`, or an observer that reads events, the
+/// call writes every member's rounds up to the answer to its blade
+/// before returning, reusing a step-1 walk that stopped at the cut.
 ///
 /// Events are buffered with their round key and sent in key order: an
 /// observer of [`Interest::Rounds`] gets one `Step` per round, in
@@ -1340,78 +1812,150 @@ impl Leapfrog {
 /// plans' `Stretch` summaries in key order, then the remaining plans' in
 /// member order as they commit at the end. One of [`Interest::Nothing`]
 /// gets none, and none is built.
-pub(crate) fn leapfrog_decode(
+pub(crate) fn leapfrog_decode<E: Fn(f64) -> bool>(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
     states: &mut [BladeState],
     lf: &mut Leapfrog,
-    member_gate: impl Fn(&BladeState) -> f64,
-    end_gate: impl Fn(f64) -> bool,
+    gates: Gates,
+    end_gate: Option<E>,
     obs: &mut dyn SimObserver,
 ) -> Option<RoundKey> {
     let _span = profile::span(profile::Phase::Leapfrog);
     let interest = obs.interest();
     let Leapfrog {
         runs,
+        starts,
         members,
+        stops,
+        clear,
+        horizon,
+        last,
+        reached,
         events,
     } = lf;
-    // Set up each member for the call, and fold it into the first pass 1.
-    let mut stop = None;
-    for &b in members.iter() {
-        let (run, blade) = (&mut runs[b], &states[b]);
-        run.gate_s = member_gate(blade);
-        if run.stale && run.gate_s > blade.clock {
-            run.plan = DecodeStretch::plan(ctx, trace, blade);
-            run.stale = false;
+    debug_assert!(
+        members.iter().all(|m| {
+            let run = &runs[m];
+            run.stale || run.plan == DecodeStretch::plan(ctx, trace, &states[m])
+        }),
+        "a stored plan is stale"
+    );
+    let max_batch = ctx.config.max_batch as usize;
+    let gate = |s: &BladeState| {
+        if gates.open == gates.full || s.running.len() < max_batch {
+            gates.open
+        } else {
+            gates.full
         }
-        debug_assert!(
-            run.stale || run.plan == DecodeStretch::plan(ctx, trace, blade),
-            "blade {b}: stored plan is stale"
-        );
-        run.rewalk(blade);
-        stop = run.stop(stop, &end_gate);
-    }
-    let cut = loop {
-        let Some((key, replan)) = stop else {
-            break None;
-        };
-        if !replan {
-            break Some(key);
-        }
-        let b = key.1;
-        let (run, blade) = (&mut runs[b], &mut states[b]);
-        run.advance(blade, key, interest, events);
-        run.plan = DecodeStretch::plan(ctx, trace, blade);
-        run.stale = false;
-        run.rewalk(blade);
-        stop = members
-            .iter()
-            .fold(None, |cut, &m| runs[m].stop(cut, &end_gate));
     };
-    for &b in members.iter() {
-        let (run, blade) = (&mut runs[b], &mut states[b]);
-        if let Some(cut) = cut {
-            run.advance(blade, cut, interest, events);
+    let end_gate = end_gate.as_ref();
+    // When nothing decides at round ends and the cut starts no later than
+    // every gate, only a round starting at exactly the cut's instant (a
+    // tie), by a member below the cut's blade, can come before it: the
+    // member's screen rules one out without walking.
+    let floor = end_gate.map_or(gates.open.min(gates.full), |_| f64::NEG_INFINITY);
+    let screened = |m: usize, cut: RoundKey, starts: &mut [Starts]| {
+        cut.0 <= floor && (m >= cut.1 || !starts[m].may_hold(cut.0))
+    };
+    let from = *horizon;
+    let settle = gates.settle || interest != Interest::Nothing;
+    let mut cut = gates.idle.unwrap_or(NEVER);
+    let t = cut.0;
+    let tie_screen = t <= floor;
+    let lo = if tie_screen && clear.0 == t {
+        clear.1
+    } else {
+        0
+    };
+    for m in members.iter_from(lo) {
+        if cut.0 <= floor && m >= cut.1 {
+            break;
         }
-        if interest == Interest::Summaries {
-            if let Some(kind) = run.commit(blade) {
-                // No round starts at +∞, so the summary follows every
-                // round's event, in member order.
-                let event = SimEvent {
-                    blade: blade.id,
-                    clock_s: blade.clock,
-                    kind,
-                };
-                events.push(((f64::INFINITY, b), event));
+        if screened(m, cut, starts) {
+            continue;
+        }
+        let (run, blade) = (&runs[m], &states[m]);
+        let gate_s = gate(blade);
+        if end_gate.is_none() && run.last < gate_s && run.end.clock < f64::INFINITY {
+            // Every round of its plan starts before its gate.
+            continue;
+        }
+        if let Some((stop, reach)) = run.gated(m, blade, gate_s, end_gate, from, cut) {
+            cut = stop.unwrap_or(cut);
+            if settle {
+                reached[m] = Some(reach);
             }
         }
     }
+    if tie_screen {
+        // Every member below the cut's blade screened clear at `t`.
+        *clear = (t, lo.max(cut.1));
+    }
+    while stops.any_before(cut) {
+        let (clock, m) = stops.min();
+        let (run, blade) = (&mut runs[m], &mut states[m]);
+        reached[m] = None;
+        if run.plan.is_some() {
+            run.finish(m, blade, interest, events);
+        } else if !run.stale || gate(blade) <= blade.clock {
+            cut = (clock, m);
+            break;
+        }
+        let (fresh, found) = run.replan(ctx, trace, m, blade, gate(blade), end_gate, cut);
+        starts[m] = fresh;
+        stops.file(m, run.stop(m, blade));
+        // The member's screen changed, so the members from it on screen
+        // again.
+        clear.1 = clear.1.min(m);
+        if let Some((stop, reach)) = found {
+            cut = stop.unwrap_or(cut);
+            if settle {
+                reached[m] = Some(reach);
+            }
+        }
+    }
+    if settle {
+        // A plan that runs out here keeps its stop: the blade's clock is
+        // where it ran out. A walk whose every round came before the cut
+        // stopped at it, so its clocks are the ones to write, unless an
+        // observer needs each round's event.
+        for m in members.iter() {
+            let (run, blade) = (&mut runs[m], &mut states[m]);
+            match reached[m].take() {
+                Some(reach)
+                    if interest != Interest::Rounds
+                        && round_order(&(reach.last, m), &cut).is_lt() =>
+                {
+                    run.reach(m, blade, reach, interest, events);
+                }
+                _ => run.advance(m, blade, cut, interest, events),
+            }
+            if interest == Interest::Summaries {
+                if let Some(kind) = run.commit(blade) {
+                    // No round starts at +∞, so the summary follows every
+                    // round's event, in member order.
+                    let event = SimEvent {
+                        blade: blade.id,
+                        clock_s: blade.clock,
+                        kind,
+                    };
+                    events.push(((f64::INFINITY, m), event));
+                }
+            }
+        }
+        *horizon = SETTLED;
+    } else {
+        debug_assert!(round_order(&from, &cut).is_le(), "the horizon went back");
+        *horizon = cut;
+    }
+    let next = (cut.1 != NEVER.1).then_some(cut);
+    *last = next;
     events.sort_unstable_by(|a, b| round_order(&a.0, &b.0));
     for (_, event) in events.drain(..) {
         obs.on_event(&event);
     }
-    cut
+    next
 }
 
 #[cfg(test)]

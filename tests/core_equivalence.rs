@@ -21,7 +21,7 @@ use optimus::serving::{
     DecodePricing, DispatchMode, DiurnalTraceConfig, EventKind, HandoffLink, KvLayout,
     MaxWaitGuardPolicy, RequestSpec, RoutingPolicy, Scenario, SharedPrefixTraceConfig, SimCore,
     SimEvent, SjfPolicy, SloClass, StretchStats, StrictPriorityPolicy, TelemetryConfig, Topology,
-    TraceConfig, WeightedFairPolicy,
+    TraceConfig, TraceSource, WeightedFairPolicy,
 };
 use optimus::{MultiBladeSystem, SpeedupStudy};
 use proptest::prelude::*;
@@ -905,6 +905,135 @@ fn pinned_autoscaler_reports_like_no_autoscaler_at_64_blades() {
     assert_eq!(pinned.scale_events, 0);
     assert_eq!(pinned, unscaled);
     assert_eq!(pinned.stretch, unscaled.stretch, "the same leapfrogs");
+}
+
+/// The start clock and blade of each round in a recorded per-step stream
+/// that its blade starts busy: where its previous round ended with
+/// sequences still running. A round's completions follow its `Step`
+/// event, so the blade's count is read once they are in.
+fn busy_round_starts(events: &[SimEvent], blades: usize) -> Vec<(f64, usize)> {
+    let mut running = vec![0usize; blades];
+    let mut starts = Vec::new();
+    for (i, e) in events.iter().enumerate() {
+        let b = e.blade as usize;
+        match e.kind {
+            EventKind::Admission { .. } => running[b] += 1,
+            EventKind::Eviction { .. } | EventKind::Completion { .. } => running[b] -= 1,
+            _ => {}
+        }
+        let round_ends = matches!(
+            e.kind,
+            EventKind::Step { .. } | EventKind::Completion { .. }
+        );
+        let completes =
+            |n: &SimEvent| n.blade == e.blade && matches!(n.kind, EventKind::Completion { .. });
+        if round_ends && !events.get(i + 1).is_some_and(completes) && running[b] > 0 {
+            starts.push((e.clock_s, b));
+        }
+    }
+    starts
+}
+
+/// Whether `request` was admitted at exactly its arrival in the recorded
+/// per-step stream `events`, and if so by a blade already running work
+/// (a member whose round started then) rather than an idle one.
+fn admitted_on_arrival(events: &[SimEvent], blades: usize, request: u32) -> Option<bool> {
+    let mut running = vec![0usize; blades];
+    for e in events {
+        let b = e.blade as usize;
+        match e.kind {
+            EventKind::Admission { request: r } if r.id == request => {
+                return (e.clock_s == r.arrival_s).then_some(running[b] > 0);
+            }
+            EventKind::Admission { .. } => running[b] += 1,
+            EventKind::Eviction { .. } | EventKind::Completion { .. } => running[b] -= 1,
+            _ => {}
+        }
+    }
+    None
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Exact ties between an arrival and a running member's round start,
+    /// on central FCFS fleets of 4, 16 and 64 blades with 32-token cost
+    /// buckets (so a plan lasts several rounds and a leapfrog call meets
+    /// its members mid-plan). A per-step replay's busy round starts are
+    /// real round starts, and a round that starts at `t` is unchanged by
+    /// an arrival at `t`: each replay inserts one arrival at such an
+    /// instant. When no idle blade of a lower index can admit it first,
+    /// the member's round does (a tie below the idle blade); otherwise an
+    /// idle blade does, ahead of the member (a tie above it). The event
+    /// core must agree with the per-step loop on the unobserved report and
+    /// on the recorded stream. Every case must hit ties of both kinds, so
+    /// the property cannot hold vacuously.
+    #[test]
+    fn arrival_ties_with_member_rounds_agree(
+        seed in any::<u64>(),
+        picks in prop::collection::vec(any::<prop::sample::Index>(), 3),
+    ) {
+        let model = ModelZoo::llama_405b();
+        let par = Parallelism::pure_tp(64).unwrap();
+        let (mut below, mut above) = (0, 0);
+        for blades in [4u32, 16, 64] {
+            let base = DiurnalTraceConfig {
+                seed,
+                requests: 4 * blades,
+                mean_rate_per_s: 2.0 * f64::from(blades),
+                amplitude: 0.9,
+                period_s: 10.0,
+                prompt_tokens: (32, 128),
+                output_tokens: (16, 64),
+            }
+            .requests()
+            .unwrap();
+            let build = |trace: &[RequestSpec], core: SimCore| {
+                Scenario::on_estimator(SpeedupStudy::paper_baseline().scd_inference())
+                    .model(&model)
+                    .parallelism(&par)
+                    .max_batch(32)
+                    .kv_bucket(32)
+                    .topology(Topology::mixed(blades))
+                    .dispatch(DispatchMode::Central)
+                    .requests(trace.to_vec())
+                    .core(core)
+                    .compile()
+                    .unwrap()
+            };
+            let record = |trace: &[RequestSpec], core: SimCore| {
+                let mut events = Vec::new();
+                let report = build(trace, core).run_observed(&mut events).unwrap();
+                (report, events)
+            };
+            let (_, base_events) = record(&base, SimCore::PerStep);
+            let starts = busy_round_starts(&base_events, blades as usize);
+            prop_assert!(!starts.is_empty(), "{} blades: no busy round", blades);
+            for pick in &picks {
+                let (t, _) = *pick.get(&starts);
+                let id = 4 * blades;
+                let mut trace = base.clone();
+                trace.push(RequestSpec::new(id, t, 64, 24));
+                let (step_report, step_events) = record(&trace, SimCore::PerStep);
+                match admitted_on_arrival(&step_events, blades as usize, id) {
+                    Some(true) => below += 1,
+                    Some(false) => above += 1,
+                    None => {}
+                }
+                let event = build(&trace, SimCore::EventDriven).run().unwrap();
+                prop_assert!(event == step_report, "{} blades, arrival at {}", blades, t);
+                let (observed, event_events) = record(&trace, SimCore::EventDriven);
+                prop_assert_eq!(&observed, &step_report);
+                prop_assert_eq!(first_divergence(&event_events, &step_events), None);
+            }
+        }
+        prop_assert!(
+            below > 0 && above > 0,
+            "ties below the idle blade: {}, above it: {}",
+            below,
+            above
+        );
+    }
 }
 
 proptest! {
