@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use llm_workload::{ModelZoo, Parallelism};
 use optimus::serving::{
-    CacheEviction, DispatchMode, HandoffLink, Interest, PrefixBlock, PrefixCache,
+    CacheEviction, DispatchMode, HandoffLink, Interest, NoopObserver, PrefixBlock, PrefixCache,
     PrefixCachingConfig, RoutingPolicy, Scenario, SharedPrefix, SharedPrefixTraceConfig, SimCore,
     SimEvent, SimObserver, SloClass, Telemetry, TelemetryConfig, Topology, TraceConfig,
 };
@@ -197,11 +197,18 @@ impl SimObserver for SummaryRecorder {
     }
 }
 
+/// Alternating pairs timed by [`bench_telemetry_fold`] for the mounted
+/// replay's overhead.
+const OVERHEAD_PAIRS: usize = 31;
+
 /// The telemetry fold alone, without the replay: one summary-reading
 /// event stream of a 2P+2D replay (2000 Poisson requests, two SLO classes,
 /// 0.1 s windows) is recorded once, then folded into a fresh collector
 /// per iteration — arrivals registered, every event folded, finished.
-/// Prints ns per iteration and, on a second line, ns per event.
+/// Prints ns per iteration and, on a second line, ns per event. A third
+/// line prints what mounting the collector adds to the replay:
+/// `run_with_telemetry()` minus `run_observed(&mut NoopObserver)`, timed
+/// in alternating pairs, as the median of the pairs' differences.
 fn bench_telemetry_fold(c: &mut Criterion) {
     let system = MultiBladeSystem::new(4).unwrap();
     let model = ModelZoo::llama2_7b();
@@ -262,6 +269,34 @@ fn bench_telemetry_fold(c: &mut Criterion) {
         "serving/telemetry_fold",
         spent.as_secs_f64() * 1e9 / (f64::from(folds) * events.len() as f64),
         events.len()
+    );
+    let time = |replay: &dyn Fn()| {
+        let started = Instant::now();
+        replay();
+        started.elapsed().as_secs_f64()
+    };
+    let mounted = || {
+        black_box(compiled.run_with_telemetry().unwrap());
+    };
+    let bare = || {
+        black_box(compiled.run_observed(&mut NoopObserver).unwrap());
+    };
+    let mut overheads: Vec<f64> = (0..OVERHEAD_PAIRS)
+        .map(|pair| {
+            if pair % 2 == 0 {
+                let m = time(&mounted);
+                m - time(&bare)
+            } else {
+                let b = time(&bare);
+                time(&mounted) - b
+            }
+        })
+        .collect();
+    overheads.sort_by(f64::total_cmp);
+    println!(
+        "bench {:<40} {:>12.1} us/replay (median of {OVERHEAD_PAIRS} paired differences)",
+        "serving/telemetry_mounted_overhead",
+        overheads[OVERHEAD_PAIRS / 2] * 1e6
     );
 }
 

@@ -61,6 +61,9 @@ use llm_workload::model::TransformerConfig;
 use llm_workload::parallelism::Parallelism;
 use rayon::prelude::*;
 use std::fmt;
+use std::mem;
+use std::sync::mpsc;
+use std::thread;
 
 /// How the KV-cache capacity requests are admitted against is sized.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -713,22 +716,37 @@ impl CompiledScenario<'_> {
     /// Runs the scenario with the mounted [`Telemetry`] layer
     /// ([`Scenario::telemetry`]) collecting windowed series and tail
     /// sketches, returning the report alongside the finished collector.
-    /// The collector is the replay's only observer, and it reads
-    /// stretch summaries only ([`Interest::Summaries`]), so the report is
-    /// bit-identical to [`Self::run`] / [`Self::run_serial`].
+    /// It is [`Self::run_observed_with_telemetry`] with a
+    /// [`NoopObserver`]: the collector folds the replay's events on a
+    /// second thread, beside the replay, in the order the replay sends
+    /// them. It reads stretch summaries only ([`Interest::Summaries`]),
+    /// so the report is bit-identical to [`Self::run`] /
+    /// [`Self::run_serial`], and the collector to one driven inline
+    /// through [`Self::run_observed`].
     ///
     /// # Errors
     ///
-    /// Returns [`OptimusError::Serving`] when no telemetry was mounted;
-    /// otherwise as for [`Self::run`].
+    /// Returns [`OptimusError::Serving`] when no telemetry was mounted
+    /// or the folding thread cannot be started; otherwise as for
+    /// [`Self::run`].
     pub fn run_with_telemetry(&self) -> Result<(ClusterReport, Telemetry), OptimusError> {
-        self.replay_with_telemetry(|tel| self.run_on(&self.trace, false, tel))
+        self.run_observed_with_telemetry(&mut NoopObserver)
     }
 
     /// [`Self::run_with_telemetry`] with an additional user observer
-    /// riding the same replay (both see every event; the replay batches
+    /// riding the same replay. Both see every event; the replay batches
     /// decode stretches only when `observer` reads no more than
-    /// [`Interest::Summaries`]).
+    /// [`Interest::Summaries`].
+    ///
+    /// The replay and `observer` run on the calling thread, so
+    /// `observer` need not be `Send`. The collector runs on a scoped
+    /// worker thread: the replay copies each event into a batch of 256
+    /// events and hands full batches over a pipe that holds at most
+    /// eight, so the memory in flight stays small and bounded. The
+    /// collector folds every batch in order, so it sees exactly the
+    /// event sequence an inline fold would, and its exports are the same
+    /// bytes. A panic on either thread reaches the caller once both have
+    /// stopped.
     ///
     /// # Errors
     ///
@@ -736,21 +754,6 @@ impl CompiledScenario<'_> {
     pub fn run_observed_with_telemetry(
         &self,
         observer: &mut dyn SimObserver,
-    ) -> Result<(ClusterReport, Telemetry), OptimusError> {
-        self.replay_with_telemetry(|tel| {
-            let mut tee = Tee {
-                tel,
-                user: observer,
-            };
-            self.run_on(&self.trace, false, &mut tee)
-        })
-    }
-
-    /// Builds the mounted collector, lets `replay` drive it, and
-    /// finishes it.
-    fn replay_with_telemetry(
-        &self,
-        replay: impl FnOnce(&mut Telemetry) -> Result<ClusterReport, OptimusError>,
     ) -> Result<(ClusterReport, Telemetry), OptimusError> {
         let cfg = self.telemetry.ok_or_else(|| OptimusError::Serving {
             reason: "no telemetry mounted: build the scenario with \
@@ -765,8 +768,48 @@ impl CompiledScenario<'_> {
             }) => a.min_blades,
             _ => blades,
         });
+        // On the fold thread the arrival axis would land in a fresh
+        // allocator arena and raise the peak RSS.
         tel.observe_arrivals(&self.trace);
-        let report = replay(&mut tel)?;
+        let interest = tel.interest().max(observer.interest());
+        let (full, batches) = mpsc::sync_channel::<Vec<SimEvent>>(RELAY_DEPTH);
+        let (recycle, empty) = mpsc::channel();
+        let collector = &mut tel;
+        let report = thread::scope(|scope| {
+            let fold = thread::Builder::new()
+                .name("telemetry-fold".to_owned())
+                .spawn_scoped(scope, move || {
+                    for mut batch in batches {
+                        for event in &batch {
+                            collector.on_event(event);
+                        }
+                        batch.clear();
+                        // Fails only once the replay has ended.
+                        let _ = recycle.send(batch);
+                    }
+                })
+                .map_err(|e| OptimusError::Serving {
+                    reason: format!("cannot start the telemetry fold thread: {e}"),
+                })?;
+            let mut tee = Tee {
+                relay: Relay {
+                    batch: Vec::with_capacity(RELAY_BATCH),
+                    full,
+                    empty,
+                },
+                user: observer,
+                interest,
+            };
+            let report = self.run_on(&self.trace, false, &mut tee);
+            tee.relay.flush();
+            // Closing the pipe ends the fold; a panic in the user
+            // observer closes it the same way, as `tee` unwinds.
+            drop(tee);
+            if let Err(panic) = fold.join() {
+                std::panic::resume_unwind(panic);
+            }
+            report
+        })?;
         tel.finish();
         Ok((report, tel))
     }
@@ -883,24 +926,68 @@ impl CompiledScenario<'_> {
     }
 }
 
-/// Forwards every engine event to the telemetry collector and a user
+/// Events per batch the replay hands the telemetry fold. Small batches
+/// keep the fold in step with the replay: 1024-event batches measured a
+/// few percent slower end to end than 256-event ones.
+const RELAY_BATCH: usize = 256;
+
+/// Full batches the pipe holds before the replay waits for the fold:
+/// about half a millisecond of replay, 160 KiB of events. A pipe of two
+/// stalled the replay whenever the host took the fold's core away for
+/// longer than that.
+const RELAY_DEPTH: usize = 8;
+
+/// The replay's end of the telemetry pipe: copies each event into the
+/// current batch and sends full batches to the fold, refilling from the
+/// batches the fold sends back emptied.
+struct Relay {
+    batch: Vec<SimEvent>,
+    full: mpsc::SyncSender<Vec<SimEvent>>,
+    empty: mpsc::Receiver<Vec<SimEvent>>,
+}
+
+impl Relay {
+    fn push(&mut self, event: SimEvent) {
+        self.batch.push(event);
+        if self.batch.len() == RELAY_BATCH {
+            self.flush();
+        }
+    }
+
+    /// Sends the current batch, if it holds any event.
+    fn flush(&mut self) {
+        if self.batch.is_empty() {
+            return;
+        }
+        let next = self
+            .empty
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(RELAY_BATCH));
+        // Fails only when the fold has panicked; joining it re-raises
+        // that panic.
+        let _ = self.full.send(mem::replace(&mut self.batch, next));
+    }
+}
+
+/// Forwards every engine event to the telemetry fold and a user
 /// observer riding the same replay. It reads what either side reads:
 /// telemetry's [`Interest::Summaries`], or the user's
 /// [`Interest::Rounds`], so a user observer that reads no more than
 /// summaries keeps the event core's batched fast paths.
-struct Tee<'t, 'o> {
-    tel: &'t mut Telemetry,
+struct Tee<'o> {
+    relay: Relay,
     user: &'o mut dyn SimObserver,
+    interest: Interest,
 }
 
-impl SimObserver for Tee<'_, '_> {
+impl SimObserver for Tee<'_> {
     fn on_event(&mut self, event: &SimEvent) {
-        self.tel.on_event(event);
+        self.relay.push(*event);
         self.user.on_event(event);
     }
 
     fn interest(&self) -> Interest {
-        self.tel.interest().max(self.user.interest())
+        self.interest
     }
 }
 
@@ -1601,5 +1688,145 @@ mod tests {
             })
             .compile();
         assert!(matches!(bad, Err(OptimusError::Serving { .. })));
+    }
+
+    /// Folds every event into `tel` inline, counting them.
+    struct Inline<'t> {
+        tel: &'t mut Telemetry,
+        events: usize,
+    }
+
+    impl SimObserver for Inline<'_> {
+        fn on_event(&mut self, event: &SimEvent) {
+            self.events += 1;
+            self.tel.on_event(event);
+        }
+
+        fn interest(&self) -> Interest {
+            self.tel.interest()
+        }
+    }
+
+    #[test]
+    fn telemetry_folded_beside_the_replay_equals_the_inline_fold() {
+        let (system, model, par) = parts();
+        let cfg = TelemetryConfig {
+            window_s: 0.05,
+            max_windows: 64,
+        };
+        // The blades active at t = 0: the autoscaler starts at its floor.
+        for (name, active) in [("one blade", 1), ("autoscaled central", 1), ("2P+2D", 4)] {
+            // One trace inside a single batch, one spanning several
+            // batches and a partial last one.
+            for (requests, small) in [(3, true), (160, false)] {
+                let base = scenario(&system, &model, &par);
+                let compiled = match name {
+                    "one blade" => base.topology(Topology::mixed(1)),
+                    "autoscaled central" => base.dispatch(DispatchMode::Central).control(
+                        ControlPlane::new()
+                            .autoscale(AutoscaleConfig::new(1, 4).with_watermarks(0, 2)),
+                    ),
+                    _ => base.topology(Topology::disaggregated(2, 2)),
+                }
+                .poisson(TraceConfig {
+                    requests,
+                    ..prefill_heavy_trace()
+                })
+                .telemetry(cfg)
+                .compile()
+                .unwrap();
+                let (report, piped) = compiled.run_with_telemetry().unwrap();
+                let mut tel =
+                    Telemetry::new(&cfg, compiled.topology.blades(), &compiled.sim.classes)
+                        .unwrap();
+                tel.set_active_blades(active);
+                tel.observe_arrivals(compiled.trace());
+                let mut inline = Inline {
+                    tel: &mut tel,
+                    events: 0,
+                };
+                let observed = compiled.run_observed(&mut inline).unwrap();
+                let events = inline.events;
+                tel.finish();
+                let case = format!("{name}, {requests} requests, {events} events");
+                if name == "autoscaled central" && !small {
+                    let scales: u64 = piped.cluster_windows().iter().map(|w| w.scale_events).sum();
+                    assert!(scales > 0, "{case}: the autoscaler never scaled");
+                }
+                if small {
+                    assert!(events < RELAY_BATCH, "{case}");
+                } else {
+                    assert!(
+                        events > 2 * RELAY_BATCH && !events.is_multiple_of(RELAY_BATCH),
+                        "{case}"
+                    );
+                }
+                assert_eq!(report, observed, "{case}: report");
+                assert_eq!(piped.to_csv(), tel.to_csv(), "{case}: CSV");
+                assert_eq!(
+                    piped.to_prometheus(),
+                    tel.to_prometheus(),
+                    "{case}: Prometheus"
+                );
+                for metric in [TailMetric::Ttft, TailMetric::Tpot, TailMetric::Latency] {
+                    assert_eq!(piped.tail(metric), tel.tail(metric), "{case}: {metric:?}");
+                }
+            }
+        }
+    }
+
+    /// Panics at its `n`th event.
+    struct Bails(usize);
+
+    impl SimObserver for Bails {
+        fn on_event(&mut self, _: &SimEvent) {
+            self.0 -= 1;
+            assert!(self.0 > 0, "the user observer bails out");
+        }
+    }
+
+    #[test]
+    fn a_user_observer_panic_reaches_the_caller_without_a_hang() {
+        // The replay runs on a thread of its own, so a deadlocked pipe
+        // fails this test at the timeout instead of hanging it.
+        let (done, outcome) = mpsc::channel();
+        thread::spawn(move || {
+            let (system, model, par) = parts();
+            let compiled = scenario(&system, &model, &par)
+                .topology(Topology::disaggregated(2, 2))
+                .poisson(TraceConfig {
+                    requests: 320,
+                    ..prefill_heavy_trace()
+                })
+                .telemetry(TelemetryConfig::default())
+                .compile()
+                .unwrap();
+            // At the first event, before any batch is sent, and past
+            // more batches than the pipe holds.
+            for n in [1, (RELAY_DEPTH + 2) * RELAY_BATCH + 5] {
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    compiled.run_observed_with_telemetry(&mut Bails(n))
+                }));
+                let message = caught.err().map_or_else(
+                    || "no panic".to_owned(),
+                    |p| {
+                        p.downcast_ref::<&str>()
+                            .map(|m| (*m).to_owned())
+                            .or_else(|| p.downcast_ref::<String>().cloned())
+                            .unwrap_or_default()
+                    },
+                );
+                let _ = done.send((n, message));
+            }
+        });
+        for _ in 0..2 {
+            let (n, message) = outcome
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("the replay returned within a minute");
+            assert!(
+                message.contains("the user observer bails out"),
+                "event {n}: caught {message:?}"
+            );
+        }
     }
 }

@@ -2,12 +2,19 @@
 //! online quantile sketches, and simulator self-profiling.
 //!
 //! A [`Telemetry`] collector is an ordinary [`SimObserver`] folding the
-//! replay's [`SimEvent`] stream — mount it on a scenario with
+//! replay's [`SimEvent`] stream. Mount it on a scenario with
 //! [`Scenario::telemetry`](super::scenario::Scenario::telemetry) and run
-//! [`CompiledScenario::run_with_telemetry`](super::scenario::CompiledScenario::run_with_telemetry),
-//! or construct one directly and pass it to
-//! [`CompiledScenario::run_observed`](super::scenario::CompiledScenario::run_observed).
-//! Three cooperating pieces:
+//! [`CompiledScenario::run_with_telemetry`](super::scenario::CompiledScenario::run_with_telemetry):
+//! the collector then folds on a second thread, beside the replay. The
+//! replay copies its events into small fixed-size batches and hands them
+//! over a bounded pipe; the collector folds them in the order the replay
+//! sent them, so it ends exactly as an inline fold would. A user
+//! observer co-mounted with
+//! [`CompiledScenario::run_observed_with_telemetry`](super::scenario::CompiledScenario::run_observed_with_telemetry)
+//! stays on the calling thread with the replay. A collector constructed
+//! directly and passed to
+//! [`CompiledScenario::run_observed`](super::scenario::CompiledScenario::run_observed)
+//! folds inline. Three cooperating pieces:
 //!
 //! * **Windowed time-series** — fixed-interval counters and gauges
 //!   (ready-queue depth, active batch size, KV and shared-block
@@ -937,11 +944,10 @@ impl Telemetry {
         let blades: Vec<Vec<BladeWindowRow>> = (0..self.blades.len())
             .map(|b| self.blade_windows(b as u32))
             .collect();
-        let opt = |v: Option<f64>| v.map_or_else(String::new, |x| format!("{x:.6}"));
         for (i, w) in self.cluster_windows().iter().enumerate() {
             let _ = write!(
                 out,
-                "{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.6},{:.3},{},{},{},{},{},{},{},{},{},{}",
+                "{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.6},{:.3},{},{},{},{}",
                 w.start_s,
                 w.arrivals,
                 w.admissions,
@@ -963,13 +969,21 @@ impl Telemetry {
                 w.active_blades,
                 w.kv_tokens,
                 w.shared_tokens,
-                opt(w.cache_hit_rate()),
-                opt(w.shed_rate()),
-                opt(w.attainment()),
-                opt(w.ttft_p99_s),
-                opt(w.tpot_p99_s),
-                opt(w.latency_p99_s),
             );
+            // Optional cells are left empty when the window has no value.
+            for v in [
+                w.cache_hit_rate(),
+                w.shed_rate(),
+                w.attainment(),
+                w.ttft_p99_s,
+                w.tpot_p99_s,
+                w.latency_p99_s,
+            ] {
+                out.push(',');
+                if let Some(x) = v {
+                    let _ = write!(out, "{x:.6}");
+                }
+            }
             for cw in &w.classes {
                 let _ = write!(out, ",{},{}", cw.completions, cw.attained);
             }
