@@ -8,9 +8,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use llm_workload::{ModelZoo, Parallelism};
 use optimus::serving::{
-    CacheEviction, DispatchMode, HandoffLink, Interest, NoopObserver, PrefixBlock, PrefixCache,
-    PrefixCachingConfig, RoutingPolicy, Scenario, SharedPrefix, SharedPrefixTraceConfig, SimCore,
-    SimEvent, SimObserver, SloClass, Telemetry, TelemetryConfig, Topology, TraceConfig,
+    BlockInterner, CacheEviction, DispatchMode, HandoffLink, Interest, NoopObserver, PrefixBlock,
+    PrefixCache, PrefixCachingConfig, RoutingPolicy, Scenario, SharedPrefix,
+    SharedPrefixTraceConfig, SimCore, SimEvent, SimObserver, SloClass, Telemetry, TelemetryConfig,
+    Topology, TraceConfig,
 };
 use optimus::{InferenceEstimator, MultiBladeSystem, SpeedupStudy};
 use scd_arch::Blade;
@@ -138,11 +139,12 @@ fn bench_prefix_caching(c: &mut Criterion) {
 fn bench_prefix_touch(c: &mut Criterion) {
     const PROMPTS: usize = 64;
     const BUDGET_TOKENS: u64 = 8192;
+    let mut ids = BlockInterner::new();
     let chains: Vec<Vec<PrefixBlock>> = (0..PROMPTS as u64)
         .map(|id| {
             let spread = ((id + 1) as f64 * 0.618_033_988_749_895).fract();
             let tokens = 256 + (spread * 768.0) as u32;
-            SharedPrefix { id, tokens }.block_chain(16)
+            ids.chain(SharedPrefix { id, tokens }, 16)
         })
         .collect();
     // Zipf picks by inverse CDF over a xorshift stream.

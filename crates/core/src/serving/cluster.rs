@@ -22,14 +22,16 @@
 
 use super::control::{AutoscaleConfig, ScaleState};
 use super::coord::{ResidencyModel, CACHE_AWARE_MAX_IMBALANCE};
-use super::engine::{arrival_queue, finalize, BladeState, EngineCtx, Outcome, SimCore};
+use super::engine::{
+    arrival_queue, finalize, BladeLedger, BladeState, EngineCtx, Outcome, SimCore,
+};
 use super::events::{
     leapfrog_decode, round_order, AdmissionQueue, Deque, Discipline, Exhaustive, Fcfs, Gates,
     KeyedQueue, Leapfrog, Pool, Resort, RoundKey, Tournament, NEVER,
 };
 use super::observer::{EventKind, NoopObserver, SimObserver};
 use super::policy::OrderingContract;
-use super::prefix::PrefixCache;
+use super::prefix::{PrefixBlock, PrefixCache};
 use super::report::ServingReport;
 use super::telemetry::profile;
 use super::traces::RequestSpec;
@@ -518,32 +520,42 @@ fn run_per_blade(
     let order = arrival_queue(trace);
     let assignment = route(ctx, cluster, trace, &order);
     let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); blades];
+    // Per trace index: its position in its blade's queue, which is its
+    // slot in the blade's ledger.
+    let mut slot = vec![0u32; trace.len()];
     for i in order {
-        queues[assignment[i] as usize].push_back(i);
+        let queue = &mut queues[assignment[i] as usize];
+        slot[i] = queue.len() as u32;
+        queue.push_back(i);
     }
-    // Each blade replays into a whole-trace scratch ledger (the engine
-    // indexes outcomes by trace index) and hands back only its own
-    // requests' outcomes, so a ledger lives only while its blade runs.
+    // Each blade replays into a ledger of its own requests only, and
+    // drops its cache once drained, so neither outlives the blade's run.
     let drive_one = |b: usize,
                      queue: VecDeque<usize>,
                      obs: &mut dyn SimObserver|
-     -> (BladeState, Vec<(usize, Outcome)>) {
+     -> (BladeState, Vec<Outcome>) {
         if queue.is_empty() {
             return (
                 BladeState::new(b as u32, 0.0, ctx.config.prefix),
                 Vec::new(),
             );
         }
-        let members: Vec<usize> = queue.iter().copied().collect();
-        let mut outcomes = vec![Outcome::default(); trace.len()];
-        let state = ctx.drive_blade(b as u32, trace, queue, &mut outcomes, obs);
-        (
-            state,
-            members.into_iter().map(|i| (i, outcomes[i])).collect(),
-        )
+        let mut ledger = BladeLedger {
+            outcomes: vec![Outcome::default(); queue.len()],
+            slot: &slot,
+        };
+        let mut state = ctx.drive_blade(b as u32, trace, queue, &mut ledger, obs);
+        // Every sequence has left the blade: a leaked reference shows
+        // here. `assemble` reads nothing else of the cache.
+        debug_assert!(state
+            .cache
+            .as_ref()
+            .is_none_or(PrefixCache::is_unreferenced));
+        state.cache = None;
+        (state, ledger.outcomes)
     };
     let indexed: Vec<(usize, VecDeque<usize>)> = queues.into_iter().enumerate().collect();
-    let per_blade: Vec<(BladeState, Vec<(usize, Outcome)>)> = if parallel {
+    let per_blade: Vec<(BladeState, Vec<Outcome>)> = if parallel {
         indexed
             .into_par_iter()
             .map(|(b, queue)| drive_one(b, queue, &mut NoopObserver))
@@ -554,14 +566,10 @@ fn run_per_blade(
             .map(|(b, queue)| drive_one(b, queue, obs))
             .collect()
     };
-    let mut outcomes = vec![Outcome::default(); trace.len()];
-    let mut states = Vec::with_capacity(blades);
-    for (state, blade_outcomes) in per_blade {
-        for (i, o) in blade_outcomes {
-            outcomes[i] = o;
-        }
-        states.push(state);
-    }
+    let (states, ledgers): (Vec<BladeState>, Vec<Vec<Outcome>>) = per_blade.into_iter().unzip();
+    let outcomes = (0..trace.len())
+        .map(|i| ledgers[assignment[i] as usize][slot[i] as usize])
+        .collect();
     (states, outcomes)
 }
 
@@ -645,7 +653,14 @@ fn coupled_loop<D: Discipline>(
             blade.clock = blade.clock.max(at);
         }
         pool.prepare(blade.clock, trace, ctx.policy);
-        ctx.step(trace, &mut pool, blade, &mut outcomes, ctl.as_mut(), obs);
+        ctx.step(
+            trace,
+            &mut pool,
+            blade,
+            &mut outcomes[..],
+            ctl.as_mut(),
+            obs,
+        );
         let now = states[b].clock;
         pool.settle(|v| tier.reentry(now, v));
         let scaled = scale.as_deref_mut().is_some_and(|sc| {
@@ -1222,7 +1237,7 @@ fn prefill_round(
     {
         let block_tokens = cache.config().block_tokens;
         let hits = cache.touch(chain);
-        skip = chain[..hits].iter().map(|b| b.tokens).sum();
+        skip = chain[..hits].iter().map(PrefixBlock::tokens).sum();
         obs.emit(blade.id, start, EventKind::prefix_lookup(*r, skip));
         let budget = (ctx.config.kv_capacity_bytes / ctx.kv_bytes_per_token) as u64;
         let evicted = cache.evict_to_budget(budget);

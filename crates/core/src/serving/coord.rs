@@ -126,7 +126,7 @@ pub(crate) fn plan_global_tier(
             continue;
         };
         let hits = tier.touch(chain);
-        covered[idx] = chain[..hits].iter().map(|b| b.tokens).sum();
+        covered[idx] = chain[..hits].iter().map(PrefixBlock::tokens).sum();
         tier.evict_to_budget(global.budget_tokens);
     }
     CoordPlan { covered, link }
@@ -198,7 +198,8 @@ impl ResidencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::prefix::{CacheEviction, SharedPrefix};
+    use crate::serving::prefix::tests::id_colliding_at;
+    use crate::serving::prefix::{BlockInterner, CacheEviction, SharedPrefix};
     use scd_tech::units::Bandwidth;
 
     fn tagged(id: u32, arrival_s: f64, prefix_id: u64, tokens: u32) -> RequestSpec {
@@ -318,15 +319,16 @@ mod tests {
     fn residency_model_prefers_longest_match_and_prunes_to_budget() {
         let prefix = cfg(CacheEviction::Lru);
         let mut model = ResidencyModel::new(2, prefix, 1024);
-        let a = SharedPrefix { id: 1, tokens: 48 }.block_chain(16);
-        let b = SharedPrefix { id: 2, tokens: 48 }.block_chain(16);
+        let mut ids = BlockInterner::new();
+        let a = ids.chain(SharedPrefix { id: 1, tokens: 48 }, 16);
+        let b = ids.chain(SharedPrefix { id: 2, tokens: 48 }, 16);
         assert_eq!(model.best_blade(&a), None, "cold model has no affinity");
         model.admit(0, &a);
         model.admit(1, &b);
         assert_eq!(model.best_blade(&a), Some((0, 3)));
         assert_eq!(model.best_blade(&b), Some((1, 3)));
         // A shorter prefix of `a` still matches blade 0 on its two blocks.
-        let short = SharedPrefix { id: 1, tokens: 32 }.block_chain(16);
+        let short = ids.chain(SharedPrefix { id: 1, tokens: 32 }, 16);
         assert_eq!(model.best_blade(&short), Some((0, 2)));
         // A tight per-blade budget prunes older residency away.
         let mut tight = ResidencyModel::new(1, prefix, 48);
@@ -357,13 +359,11 @@ mod tests {
         // leading blocks and some are shorter than the best match so far;
         // a tight budget leaves partial chains and empty models; six
         // blades at few ids make ties common.
+        let mut ids = BlockInterner::new();
         let chains: Vec<Vec<PrefixBlock>> = (0..24u64)
             .map(|i| {
-                SharedPrefix {
-                    id: i % 4,
-                    tokens: 8 + 16 * (i as u32 % 6),
-                }
-                .block_chain(16)
+                let tokens = 8 + 16 * (i as u32 % 6);
+                ids.chain(SharedPrefix { id: i % 4, tokens }, 16)
             })
             .chain([Vec::new()])
             .collect();
@@ -411,14 +411,21 @@ mod tests {
 
     #[test]
     fn best_blade_walks_a_probed_blade_from_block_zero() {
-        // Colliding hashes: blade 1 holds the query's second block under
-        // another parent, so it passes the probe at `floor` = 1 but
-        // matches nothing from block 0.
-        let block = |hash| PrefixBlock { hash, tokens: 16 };
+        // Colliding hashes: blade 1 holds the query's second block as
+        // another chain's third, so it passes the probe at `floor` = 1
+        // but matches nothing from block 0.
+        let mut ids = BlockInterner::new();
+        let query = ids.chain(SharedPrefix { id: 1, tokens: 48 }, 16);
+        let head = ids.chain(SharedPrefix { id: 1, tokens: 16 }, 16);
+        let crafted = SharedPrefix {
+            id: id_colliding_at(query[1].hash(), 2),
+            tokens: 48,
+        };
+        let other = ids.chain(crafted, 16);
+        assert_eq!(other[2], query[1], "the crafted chain collides");
         let mut model = ResidencyModel::new(2, cfg(CacheEviction::Lru), 1024);
-        model.admit(0, &[block(1)]);
-        model.admit(1, &[block(9), block(2)]);
-        let query = [block(1), block(2), block(3)];
+        model.admit(0, &head);
+        model.admit(1, &other);
         assert_eq!(model.best_blade(&query), Some((0, 1)));
         assert_eq!(
             model.best_blade(&query),

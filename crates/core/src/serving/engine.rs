@@ -316,6 +316,35 @@ impl Outcome {
     }
 }
 
+/// Where a replay loop writes each request's [`Outcome`], by trace
+/// index: a whole-trace ledger, or a [`BladeLedger`] holding only one
+/// blade's requests.
+pub(crate) trait Ledger {
+    /// The outcome of `trace[idx]`.
+    fn at(&mut self, idx: usize) -> &mut Outcome;
+}
+
+impl Ledger for [Outcome] {
+    fn at(&mut self, idx: usize) -> &mut Outcome {
+        &mut self[idx]
+    }
+}
+
+/// One blade's ledger under per-blade dispatch: an outcome per request
+/// routed there, in the order of the blade's queue, found through a
+/// whole-trace map of each request's position in its blade's queue.
+pub(crate) struct BladeLedger<'a> {
+    pub(crate) outcomes: Vec<Outcome>,
+    /// Per trace index: its position in its blade's queue.
+    pub(crate) slot: &'a [u32],
+}
+
+impl Ledger for BladeLedger<'_> {
+    fn at(&mut self, idx: usize) -> &mut Outcome {
+        &mut self.outcomes[self.slot[idx] as usize]
+    }
+}
+
 /// Mutable per-blade replay state: the running batch, the blade clock and
 /// the accumulated counters. One instance per blade; the cluster couples
 /// several against a shared queue.
@@ -615,12 +644,12 @@ impl EngineCtx<'_> {
     /// strict-class completions feed the gate's attainment window. `obs`
     /// receives the iteration's events; it is read-only and never
     /// perturbs the float stream.
-    pub(crate) fn step<Q: AdmissionQueue>(
+    pub(crate) fn step<Q: AdmissionQueue, L: Ledger + ?Sized>(
         &self,
         trace: &[RequestSpec],
         queue: &mut Q,
         blade: &mut BladeState,
-        outcomes: &mut [Outcome],
+        outcomes: &mut L,
         mut ctl: Option<&mut ControlState>,
         obs: &mut dyn SimObserver,
     ) {
@@ -651,7 +680,7 @@ impl EngineCtx<'_> {
                     .as_deref()
                     .is_some_and(|c| c.should_shed(trace[idx].class))
                 {
-                    outcomes[idx].fate = Fate::Shed;
+                    outcomes.at(idx).fate = Fate::Shed;
                     let request = trace[idx];
                     obs.emit(blade.id, blade.clock, EventKind::Shed { request });
                     queue.pop();
@@ -674,11 +703,11 @@ impl EngineCtx<'_> {
             let mut skip = skip;
             if cfg.prefix.is_some() && r.prefix.is_some() && !streamed {
                 obs.emit(blade.id, blade.clock, EventKind::prefix_lookup(*r, skip));
-                outcomes[idx].prefix_saved_tokens += u64::from(skip);
+                outcomes.at(idx).prefix_saved_tokens += u64::from(skip);
                 if let Some((transfer, covered)) =
                     self.race_global_tier(trace, idx, skip, blade.clock, blade, obs)
                 {
-                    outcomes[idx].prefix_saved_tokens += u64::from(covered - skip);
+                    outcomes.at(idx).prefix_saved_tokens += u64::from(covered - skip);
                     step_cost += transfer;
                     skip = covered;
                 }
@@ -876,12 +905,17 @@ impl EngineCtx<'_> {
             }
             r.produced += 1;
             r.kv_len += 1;
-            let out = &mut outcomes[r.idx];
-            let first = out.first_token(blade.clock);
             let spec = &trace[r.idx];
             if r.produced < spec.output_tokens {
+                // Past its first token this attempt, the request's
+                // ledger entry has nothing to record until it finishes.
+                if r.produced == 1 {
+                    outcomes.at(r.idx).first_token(blade.clock);
+                }
                 return true;
             }
+            let out = outcomes.at(r.idx);
+            let first = out.first_token(blade.clock);
             out.fate = Fate::Completed(first, blade.clock);
             let kind = EventKind::Completion {
                 request: *spec,
@@ -908,8 +942,8 @@ impl EngineCtx<'_> {
 
     /// Drives blade `blade_id` until every request in `queue` (arrival
     /// ordered) has completed or been shed, behind the blade's own
-    /// shedding gate when one is configured. `outcomes` spans the whole
-    /// trace; only the queued indices are written. Picks the queue
+    /// shedding gate when one is configured, writing the queued requests'
+    /// outcomes to the blade's own ledger. Picks the queue
     /// discipline for the configured [`SimCore`] and the policy's
     /// ordering contract.
     pub(crate) fn drive_blade(
@@ -917,7 +951,7 @@ impl EngineCtx<'_> {
         blade_id: u32,
         trace: &[RequestSpec],
         queue: VecDeque<usize>,
-        outcomes: &mut [Outcome],
+        outcomes: &mut BladeLedger<'_>,
         obs: &mut dyn SimObserver,
     ) -> BladeState {
         let first_arrival = queue
@@ -953,7 +987,7 @@ impl EngineCtx<'_> {
         trace: &[RequestSpec],
         mut queue: D,
         mut blade: BladeState,
-        outcomes: &mut [Outcome],
+        outcomes: &mut BladeLedger<'_>,
         obs: &mut dyn SimObserver,
     ) -> BladeState {
         let mut ctl = self.control_state();

@@ -221,7 +221,8 @@ pub use policy::{
     StrictPriorityPolicy, WeightedFairPolicy,
 };
 pub use prefix::{
-    CacheEviction, Lease, PrefixBlock, PrefixCache, PrefixCachingConfig, SharedPrefix,
+    BlockInterner, CacheEviction, Lease, PrefixBlock, PrefixCache, PrefixCachingConfig,
+    SharedPrefix,
 };
 pub use report::{FrontierPoint, Percentiles, ServingReport, SloClass, SloClassReport};
 pub use scenario::{CompiledScenario, Scenario};

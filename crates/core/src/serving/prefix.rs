@@ -9,15 +9,21 @@
 //! each block is named by a deterministic hash chained through its
 //! ancestors (so equal hashes imply equal *positions within equal
 //! prefixes*), and resident blocks carry a reference count of the
-//! sequences using them. The cache is a radix tree over block hashes, but
-//! a logical one: each resident block records its parent's hash and its
-//! count of resident children, and the blocks themselves live in a flat
-//! hash index keyed by block hash, so every probe costs O(1) per block.
-//! The index folds a per-cache random key into its bucket hash (see
-//! `BlockHasher`): block hashes are an invertible function of
-//! trace-supplied prefix ids, so an unkeyed index could be driven into
-//! one bucket by a crafted trace. Nothing iterates the index in an order
-//! that reaches a result; reclamation runs off an ordered free list.
+//! sequences using them. The cache is a radix tree over blocks, but a
+//! logical one: each resident block records its parent and its count of
+//! resident children.
+//!
+//! Hashes name blocks only once per replay. A [`BlockInterner`] gives
+//! every distinct block hash a dense id as the replay's chains are cut,
+//! and a cache keeps its blocks in an array indexed by that id, so a
+//! probe is one bounds-checked load and no cache operation hashes
+//! anything. Block hashes are an invertible function of trace-supplied
+//! prefix ids; the interner's map draws its key from [`RandomState`], so
+//! a crafted trace cannot drive it into one bucket, and blocks with
+//! equal hashes share one id exactly as they would share one hash-map
+//! entry. Nothing orders by id in a way that reaches a result:
+//! reclamation runs off an ordered free list whose keys are unique
+//! without it.
 //!
 //! Three mechanisms follow:
 //!
@@ -55,7 +61,6 @@ use crate::error::OptimusError;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{HashMap, RandomState};
 use std::collections::BTreeSet;
-use std::hash::{BuildHasher, Hasher};
 
 /// Reclamation order for unreferenced cache blocks.
 ///
@@ -114,6 +119,9 @@ pub struct SharedPrefix {
     pub tokens: u32,
 }
 
+/// Seeds a prefix's hash chain from its id.
+const CHAIN_SEED: u64 = 0xa076_1d64_78bd_642f;
+
 /// splitmix64 finalizer: the deterministic mixer block hashes chain
 /// through. Good avalanche, no allocation, stable across platforms.
 fn mix(mut x: u64) -> u64 {
@@ -123,15 +131,37 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One block of a prefix chain: its position-chained hash and the tokens
-/// it actually holds (`block_tokens` for full blocks, the remainder for a
-/// partial tail).
+/// One block of a prefix chain: its position-chained hash, the dense id
+/// its [`BlockInterner`] gave that hash, and the tokens it actually
+/// holds (`block_tokens` for full blocks, the remainder for a partial
+/// tail). Only an interner makes blocks, so every id is one it handed
+/// out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixBlock {
-    /// Chained block hash (names the block in the cache's radix index).
-    pub hash: u64,
+    hash: u64,
+    id: u32,
+    tokens: u32,
+}
+
+impl PrefixBlock {
+    /// Chained block hash: equal hashes name the same block.
+    #[must_use]
+    pub fn hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// Dense id of the block's hash within its interner: the index a
+    /// [`PrefixCache`] keeps the block at.
+    #[must_use]
+    pub fn id(&self) -> u32 {
+        self.id
+    }
+
     /// Tokens cached in this block.
-    pub tokens: u32,
+    #[must_use]
+    pub fn tokens(&self) -> u32 {
+        self.tokens
+    }
 }
 
 impl SharedPrefix {
@@ -143,31 +173,69 @@ impl SharedPrefix {
         (self.tokens / block_tokens) * block_tokens
     }
 
-    /// The prefix as a chain of hashed blocks: one node per full block
-    /// plus, when the length is not block-aligned, a final partial tail
-    /// node. Each hash chains through its parent's, so chains for
-    /// different prefixes (or different depths) never alias.
-    #[must_use]
-    pub fn block_chain(&self, block_tokens: u32) -> Vec<PrefixBlock> {
-        let full = (self.tokens / block_tokens) as usize;
+    /// The prefix's blocks as `(hash, tokens)`: one per full block plus,
+    /// when the length is not block-aligned, a final partial tail. Each
+    /// hash chains through its parent's, and the tail's also through its
+    /// length, so chains for different prefixes (or different depths)
+    /// never alias.
+    fn hashed_blocks(self, block_tokens: u32) -> impl Iterator<Item = (u64, u32)> {
+        let full = self.tokens / block_tokens;
         let tail = self.tokens % block_tokens;
-        let mut chain = Vec::with_capacity(full + usize::from(tail > 0));
-        let mut h = mix(self.id ^ 0xa076_1d64_78bd_642f);
-        for i in 0..full {
-            h = mix(h ^ (i as u64 + 1));
-            chain.push(PrefixBlock {
-                hash: h,
-                tokens: block_tokens,
-            });
-        }
-        if tail > 0 {
-            h = mix(h ^ (full as u64 + 1) ^ (u64::from(tail) << 32));
-            chain.push(PrefixBlock {
-                hash: h,
-                tokens: tail,
-            });
-        }
+        (0..full + u32::from(tail > 0)).scan(mix(self.id ^ CHAIN_SEED), move |h, i| {
+            let (tokens, salt) = if i < full {
+                (block_tokens, 0)
+            } else {
+                (tail, u64::from(tail) << 32)
+            };
+            *h = mix(*h ^ (u64::from(i) + 1) ^ salt);
+            Some((*h, tokens))
+        })
+    }
+}
+
+/// Dense ids for the prefix blocks of one family of caches: the first
+/// distinct block hash it sees gets id 0, the next id 1, and so on, and
+/// a hash seen again gets its id back. A [`PrefixCache`] indexes its
+/// blocks by these ids, so every chain one cache sees must come from
+/// one interner; a replay cuts all its chains through one, once.
+///
+/// The map is keyed by [`RandomState`]: block hashes are a public
+/// function of the trace's prefix ids, and an unkeyed map could be
+/// driven into one bucket by a crafted trace. The ids themselves are
+/// assigned in first-seen order, whatever the key.
+#[derive(Debug, Clone, Default)]
+pub struct BlockInterner {
+    ids: HashMap<u64, u32, RandomState>,
+}
+
+impl BlockInterner {
+    /// An interner that has handed out no id yet.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// `prefix` cut into blocks of `block_tokens` (≥ 1), each carrying
+    /// its id.
+    pub fn chain(&mut self, prefix: SharedPrefix, block_tokens: u32) -> Vec<PrefixBlock> {
+        let mut chain = Vec::new();
+        self.extend_chain(prefix, block_tokens, &mut chain);
         chain
+    }
+
+    /// Appends `prefix`'s blocks to `out` (see [`Self::chain`]).
+    fn extend_chain(
+        &mut self,
+        prefix: SharedPrefix,
+        block_tokens: u32,
+        out: &mut Vec<PrefixBlock>,
+    ) {
+        for (hash, tokens) in prefix.hashed_blocks(block_tokens) {
+            // No interner in memory nears 2^32 distinct blocks.
+            let next = self.ids.len() as u32;
+            let id = *self.ids.entry(hash).or_insert(next);
+            out.push(PrefixBlock { hash, id, tokens });
+        }
     }
 }
 
@@ -175,7 +243,8 @@ impl SharedPrefix {
 /// distinct `(id, tokens)` tag of the trace, stored back to back in one
 /// flat block list, plus each request's slot in it. Routing, the global
 /// tier's plan, admission, release and the prefill tier all borrow from
-/// here instead of re-cutting a request's chain at every use.
+/// here instead of re-cutting a request's chain at every use, and their
+/// caches all index the block ids one [`BlockInterner`] gave out here.
 ///
 /// Keyed by length as well as id: a recorded trace may reuse an id with
 /// another prefix length, and the two chains share only their leading
@@ -193,21 +262,23 @@ pub(crate) struct ChainTable {
 impl ChainTable {
     const UNTAGGED: u32 = u32::MAX;
 
-    /// Cuts the chains of `trace` at the configured block size; an empty
-    /// table (every lookup `None`) when prefix caching is off.
+    /// Cuts and interns the chains of `trace` at the configured block
+    /// size; an empty table (every lookup `None`) when prefix caching is
+    /// off.
     pub(crate) fn new(trace: &[RequestSpec], config: Option<PrefixCachingConfig>) -> Self {
         let Some(config) = config else {
             return Self::default();
         };
         let mut blocks = Vec::new();
         let mut bounds = vec![0];
+        let mut ids = BlockInterner::new();
         let mut interned: HashMap<(u64, u32), u32> = HashMap::new();
         let slot = trace
             .iter()
             .map(|r| {
                 r.prefix.map_or(Self::UNTAGGED, |p| {
                     *interned.entry((p.id, p.tokens)).or_insert_with(|| {
-                        blocks.extend(p.block_chain(config.block_tokens));
+                        ids.extend_chain(p, config.block_tokens, &mut blocks);
                         bounds.push(blocks.len());
                         // At most one chain per request, and no trace
                         // in memory nears 2^32 requests.
@@ -232,70 +303,17 @@ impl ChainTable {
     }
 }
 
-/// Builds the hashers of a [`PrefixCache`]'s block index: each cache
-/// draws one random key from [`RandomState`] and buckets a block hash `h`
-/// by `mix(h ^ key)`. Without the key, bucket positions would be a public
-/// function of the trace's prefix ids; with it, they are unpredictable,
-/// while a probe still costs one multiply-xorshift round instead of a
-/// full SipHash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BlockHasher {
-    key: u64,
-}
-
-impl BlockHasher {
-    fn new() -> Self {
-        Self {
-            key: RandomState::new().hash_one(0x5eed_u64),
-        }
-    }
-}
-
-impl BuildHasher for BlockHasher {
-    type Hasher = KeyedMix;
-
-    fn build_hasher(&self) -> KeyedMix {
-        KeyedMix {
-            key: self.key,
-            state: 0,
-        }
-    }
-}
-
-/// The [`BlockHasher`]'s per-probe state: one `mix` round per written
-/// word, each keyed.
-#[derive(Debug)]
-struct KeyedMix {
-    key: u64,
-    state: u64,
-}
-
-impl Hasher for KeyedMix {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.state = mix(self.state ^ x ^ self.key);
-    }
-
-    fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-/// One resident block of the cache's radix index.
+/// One slot of a cache's block array: a resident block of the radix
+/// tree, or an absent one (`tokens == 0`; every block holds a token).
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    /// Parent block hash (`None` for a chain's first block).
-    parent: Option<u64>,
+    /// Parent block id ([`Node::ROOT`] for a chain's first block).
+    parent: u32,
     /// Resident children (a block is only evictable as a leaf).
     children: u32,
     /// Sequences currently holding a reference.
     refcount: u32,
-    /// Tokens cached in this block.
+    /// Tokens cached in this block; 0 while the block is absent.
     tokens: u32,
     /// Logical LRU stamp of the last lease or commit touching it.
     last_use: u64,
@@ -304,36 +322,64 @@ struct Node {
     hits: u64,
 }
 
-/// Position of an unreferenced leaf in the reclamation order. The last
-/// element is always the block hash, so eviction can recover the victim
-/// regardless of mode.
-fn free_key(eviction: CacheEviction, node: &Node, hash: u64) -> (u64, u64, u64) {
-    match eviction {
-        CacheEviction::Lru => (node.last_use, 0, hash),
-        CacheEviction::Lfu => (node.hits, node.last_use, hash),
+impl Node {
+    /// The parent of a chain's first block.
+    const ROOT: u32 = u32::MAX;
+
+    /// An absent block's slot.
+    const ABSENT: Self = Self {
+        parent: Self::ROOT,
+        children: 0,
+        refcount: 0,
+        tokens: 0,
+        last_use: 0,
+        hits: 0,
+    };
+
+    fn is_resident(&self) -> bool {
+        self.tokens != 0
     }
 }
 
-/// Ref-counted shared-block cache: a logical radix tree over chained
-/// block hashes (parent links in a keyed hash index) with LRU reclamation
-/// of unreferenced blocks.
+/// The resident block `id` of `nodes`, if any.
+fn resident_mut(nodes: &mut [Node], id: u32) -> Option<&mut Node> {
+    nodes.get_mut(id as usize).filter(|n| n.is_resident())
+}
+
+/// Position of an unreferenced leaf in the reclamation order. Every stamp
+/// takes a fresh tick, so `last_use` alone makes the key unique and the
+/// trailing block id never decides the order; it lets eviction recover
+/// the victim regardless of mode.
+fn free_key(eviction: CacheEviction, node: &Node, id: u32) -> (u64, u64, u32) {
+    match eviction {
+        CacheEviction::Lru => (node.last_use, 0, id),
+        CacheEviction::Lfu => (node.hits, node.last_use, id),
+    }
+}
+
+/// Ref-counted shared-block cache: a logical radix tree over interned
+/// blocks (parent links in an array indexed by block id) with LRU
+/// reclamation of unreferenced blocks.
 ///
 /// The engine holds one per blade (KV is per-blade memory); the
-/// standalone API is the proptest surface. The cache owns its
+/// standalone API is the proptest surface. Every chain a cache sees must
+/// come from one [`BlockInterner`]. The cache owns its
 /// [`PrefixCachingConfig`], and references follow the
 /// [module's protocol](self): lease → commit (or drop), release, touch.
 /// All bookkeeping is integer, so cache decisions never perturb the
 /// engine's audited float stream.
 #[derive(Debug, Clone)]
 pub struct PrefixCache {
-    /// Resident blocks by block hash. Probed only, never iterated in an
-    /// order that reaches a result.
-    nodes: HashMap<u64, Node, BlockHasher>,
+    /// Every block by id, resident or absent; grown to the highest id
+    /// ever inserted.
+    nodes: Vec<Node>,
     /// Unreferenced leaves in reclamation order (see [`free_key`]): the
     /// next victim is always `free.first()`.
-    free: BTreeSet<(u64, u64, u64)>,
+    free: BTreeSet<(u64, u64, u32)>,
     /// Logical clock for LRU stamps.
     tick: u64,
+    /// Resident blocks.
+    resident: u64,
     /// Tokens actually cached across resident blocks.
     resident_tokens: u64,
     /// Block granularity and reclamation order.
@@ -345,9 +391,10 @@ impl PrefixCache {
     #[must_use]
     pub fn new(config: PrefixCachingConfig) -> Self {
         Self {
-            nodes: HashMap::with_hasher(BlockHasher::new()),
+            nodes: Vec::new(),
             free: BTreeSet::new(),
             tick: 0,
+            resident: 0,
             resident_tokens: 0,
             config,
         }
@@ -362,7 +409,7 @@ impl PrefixCache {
     /// Resident blocks (referenced or LRU-reclaimable).
     #[must_use]
     pub fn resident_blocks(&self) -> u64 {
-        self.nodes.len() as u64
+        self.resident
     }
 
     /// Tokens actually cached across resident blocks (a partial tail
@@ -388,22 +435,21 @@ impl PrefixCache {
     /// Whether no resident block is referenced (every holder has
     /// released): the state a drained replay must leave behind.
     pub(crate) fn is_unreferenced(&self) -> bool {
-        self.nodes.values().all(|n| n.refcount == 0)
+        self.nodes.iter().all(|n| n.refcount == 0)
     }
 
     /// Leading blocks of `chain` that are resident, without touching
     /// refcounts or LRU order — the admission-planning probe.
     #[must_use]
     pub fn peek(&self, chain: &[PrefixBlock]) -> usize {
-        chain
-            .iter()
-            .take_while(|b| self.nodes.contains_key(&b.hash))
-            .count()
+        chain.iter().take_while(|b| self.holds(b)).count()
     }
 
-    /// Whether `block` is resident: one index probe.
+    /// Whether `block` is resident: one array load.
     pub(crate) fn holds(&self, block: &PrefixBlock) -> bool {
-        self.nodes.contains_key(&block.hash)
+        self.nodes
+            .get(block.id as usize)
+            .is_some_and(Node::is_resident)
     }
 
     /// Pins the resident leading blocks of `chain` (the hits) in a
@@ -435,7 +481,7 @@ impl PrefixCache {
         let mut unfiled = None;
         let mut hits = 0;
         for b in chain {
-            let Some(node) = self.nodes.get_mut(&b.hash) else {
+            let Some(node) = resident_mut(&mut self.nodes, b.id) else {
                 break;
             };
             // A resident next block leaves the previous hit's children
@@ -445,13 +491,13 @@ impl PrefixCache {
             }
             let leaf = node.refcount == 0 && node.children == 0;
             if leaf {
-                self.free.remove(&free_key(eviction, node, b.hash));
+                self.free.remove(&free_key(eviction, node, b.id));
             }
             self.tick += 1;
             node.last_use = self.tick;
             node.hits += 1;
             if leaf {
-                unfiled = Some(free_key(eviction, node, b.hash));
+                unfiled = Some(free_key(eviction, node, b.id));
             }
             hits += 1;
         }
@@ -466,14 +512,14 @@ impl PrefixCache {
         // for good: it gains a child.
         if let Some(pn) = hits
             .checked_sub(1)
-            .and_then(|p| self.nodes.get_mut(&chain[p].hash))
+            .and_then(|p| resident_mut(&mut self.nodes, chain[p].id))
         {
             pn.children += 1;
         }
         for (i, b) in chain.iter().enumerate().skip(hits) {
             self.tick += 1;
             let node = Node {
-                parent: i.checked_sub(1).map(|p| chain[p].hash),
+                parent: i.checked_sub(1).map_or(Node::ROOT, |p| chain[p].id),
                 // Every inserted block but the last has the next one
                 // inserted below it.
                 children: u32::from(i < last),
@@ -483,11 +529,9 @@ impl PrefixCache {
                 hits: 0,
             };
             if i == last {
-                self.free.insert(free_key(eviction, &node, b.hash));
+                self.free.insert(free_key(eviction, &node, b.id));
             }
-            let prev = self.nodes.insert(b.hash, node);
-            debug_assert!(prev.is_none(), "inserted block was already resident");
-            self.resident_tokens += u64::from(b.tokens);
+            self.place(b.id, node);
         }
         hits
     }
@@ -525,7 +569,9 @@ impl PrefixCache {
 
     /// Whether `block` is resident and referenced.
     fn is_held(&self, block: &PrefixBlock) -> bool {
-        self.nodes.get(&block.hash).is_some_and(|n| n.refcount > 0)
+        self.nodes
+            .get(block.id as usize)
+            .is_some_and(|n| n.is_resident() && n.refcount > 0)
     }
 
     /// Reclaims the first unreferenced leaf block in the configured
@@ -536,25 +582,27 @@ impl PrefixCache {
     pub fn evict_lru(&mut self) -> Option<u32> {
         // Free entries name resident, unreferenced leaves, and a resident
         // block's parent is resident: `pin`, `insert_suffix`, `unpin`,
-        // `touch` and this function keep the list and the index in step.
-        let (_, _, hash) = self.free.pop_first()?;
-        let node = self.nodes.remove(&hash);
+        // `touch` and this function keep the list and the array in step.
+        let (_, _, id) = self.free.pop_first()?;
+        let node = resident_mut(&mut self.nodes, id).map(|n| std::mem::replace(n, Node::ABSENT));
         debug_assert!(
             node.is_some_and(|n| n.refcount == 0 && n.children == 0),
-            "free entry {hash:#018x} is not a resident unreferenced leaf"
+            "free entry {id} is not a resident unreferenced leaf"
         );
         let node = node?;
+        self.resident -= 1;
         self.resident_tokens -= u64::from(node.tokens);
-        let parent = node.parent.and_then(|p| Some((p, self.nodes.get_mut(&p)?)));
+        let parent = resident_mut(&mut self.nodes, node.parent);
         debug_assert_eq!(
             parent.is_some(),
-            node.parent.is_some(),
+            node.parent != Node::ROOT,
             "an evicted block's parent is resident"
         );
-        if let Some((p, pn)) = parent {
+        if let Some(pn) = parent {
             pn.children -= 1;
             if pn.refcount == 0 && pn.children == 0 {
-                self.free.insert(free_key(self.config.eviction, pn, p));
+                self.free
+                    .insert(free_key(self.config.eviction, pn, node.parent));
             }
         }
         Some(node.tokens)
@@ -577,13 +625,13 @@ impl PrefixCache {
     fn pin(&mut self, chain: &[PrefixBlock]) -> usize {
         let mut hits = 0;
         for b in chain {
-            let Some(node) = self.nodes.get_mut(&b.hash) else {
+            let Some(node) = resident_mut(&mut self.nodes, b.id) else {
                 break;
             };
             if node.refcount == 0 && node.children == 0 {
                 // The block stops being an evictable leaf.
                 self.free
-                    .remove(&free_key(self.config.eviction, node, b.hash));
+                    .remove(&free_key(self.config.eviction, node, b.id));
             }
             self.tick += 1;
             node.last_use = self.tick;
@@ -600,15 +648,15 @@ impl PrefixCache {
     /// parent.
     fn insert_suffix(&mut self, chain: &[PrefixBlock], from: usize) {
         for (i, b) in chain.iter().enumerate().skip(from) {
-            let parent = i.checked_sub(1).map(|p| chain[p].hash);
+            let parent = i.checked_sub(1).map_or(Node::ROOT, |p| chain[p].id);
             // The parent is held (a pinned hit or the block just
             // inserted), so it is never on the free list.
-            if let Some(pn) = parent.and_then(|p| self.nodes.get_mut(&p)) {
+            if let Some(pn) = resident_mut(&mut self.nodes, parent) {
                 pn.children += 1;
             }
             self.tick += 1;
-            let prev = self.nodes.insert(
-                b.hash,
+            self.place(
+                b.id,
                 Node {
                     parent,
                     children: 0,
@@ -618,9 +666,19 @@ impl PrefixCache {
                     hits: 0,
                 },
             );
-            debug_assert!(prev.is_none(), "inserted block was already resident");
-            self.resident_tokens += u64::from(b.tokens);
         }
+    }
+
+    /// Makes `node` the block at `id`, growing the array to reach it.
+    fn place(&mut self, id: u32, node: Node) {
+        let i = id as usize;
+        if i >= self.nodes.len() {
+            self.nodes.resize(i + 1, Node::ABSENT);
+        }
+        let prev = std::mem::replace(&mut self.nodes[i], node);
+        debug_assert!(!prev.is_resident(), "inserted block was already resident");
+        self.resident += u64::from(!prev.is_resident());
+        self.resident_tokens += u64::from(node.tokens);
     }
 
     /// Drops one reference on each of `blocks`, all of them held; blocks
@@ -628,12 +686,11 @@ impl PrefixCache {
     fn unpin(&mut self, blocks: &[PrefixBlock]) {
         for b in blocks {
             // Held blocks are never evicted, so every one is resident.
-            if let Some(node) = self.nodes.get_mut(&b.hash) {
+            if let Some(node) = resident_mut(&mut self.nodes, b.id) {
                 debug_assert!(node.refcount > 0, "unpinned an unheld block");
                 node.refcount -= 1;
                 if node.refcount == 0 && node.children == 0 {
-                    self.free
-                        .insert(free_key(self.config.eviction, node, b.hash));
+                    self.free.insert(free_key(self.config.eviction, node, b.id));
                 }
             }
         }
@@ -696,11 +753,37 @@ impl Drop for Lease<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn chain(id: u64, tokens: u32, block: u32) -> Vec<PrefixBlock> {
-        SharedPrefix { id, tokens }.block_chain(block)
+    /// Inverse of `x ^ (x >> s)`.
+    fn unshift(y: u64, s: u32) -> u64 {
+        (0..64 / s).fold(y, |x, _| y ^ (x >> s))
+    }
+
+    /// The multiplicative inverse of odd `a` modulo 2^64 (Newton's
+    /// iteration doubles the correct low bits, from 3).
+    fn inverse(a: u64) -> u64 {
+        (0..5).fold(a, |inv, _| {
+            inv.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(inv)))
+        })
+    }
+
+    /// Inverse of [`mix`]: block hashes are an invertible function of
+    /// prefix ids, which is how a crafted trace makes them collide.
+    fn unmix(mut x: u64) -> u64 {
+        x = unshift(x, 31).wrapping_mul(inverse(0x94d0_49bb_1331_11eb));
+        x = unshift(x, 27).wrapping_mul(inverse(0xbf58_476d_1ce4_e5b9));
+        unshift(x, 30).wrapping_sub(0x9e37_79b9_7f4a_7c15)
+    }
+
+    /// A prefix id whose full block at `depth` hashes to `target`: a
+    /// crafted collision with whichever block already has that hash.
+    pub(crate) fn id_colliding_at(target: u64, depth: u32) -> u64 {
+        let start = (0..=depth)
+            .rev()
+            .fold(target, |h, i| unmix(h) ^ (u64::from(i) + 1));
+        unmix(start) ^ CHAIN_SEED
     }
 
     fn cache(eviction: CacheEviction) -> PrefixCache {
@@ -710,28 +793,61 @@ mod tests {
         })
     }
 
+    /// Chains of 16-token blocks, all cut by one interner.
+    #[derive(Default)]
+    struct Chains(BlockInterner);
+
+    impl Chains {
+        fn get(&mut self, id: u64, tokens: u32) -> Vec<PrefixBlock> {
+            self.0.chain(SharedPrefix { id, tokens }, 16)
+        }
+    }
+
     #[test]
     fn block_chain_shape_and_determinism() {
+        let mut chains = Chains::default();
         let p = SharedPrefix { id: 7, tokens: 40 };
-        let c = p.block_chain(16);
+        let c = chains.get(7, 40);
         assert_eq!(c.len(), 3, "two full blocks + one tail");
-        assert_eq!(c[0].tokens, 16);
-        assert_eq!(c[1].tokens, 16);
-        assert_eq!(c[2].tokens, 8);
+        assert_eq!(c[0].tokens(), 16);
+        assert_eq!(c[1].tokens(), 16);
+        assert_eq!(c[2].tokens(), 8);
         assert_eq!(p.shared_tokens(16), 32);
-        assert_eq!(c, p.block_chain(16), "chains are pure functions");
+        let ids: Vec<u32> = c.iter().map(PrefixBlock::id).collect();
+        assert_eq!(ids, [0, 1, 2], "dense ids in first-seen order");
+        assert_eq!(c, chains.get(7, 40), "chains are pure functions");
+        assert_eq!(
+            c,
+            BlockInterner::new().chain(p, 16),
+            "whatever the interner's key"
+        );
+        assert_eq!(chains.0.ids.len(), 3);
         // Distinct ids and distinct depths never alias.
-        let other = chain(8, 40, 16);
+        let other = chains.get(8, 40);
         assert!(c.iter().all(|b| other.iter().all(|o| o.hash != b.hash)));
-        let aligned = SharedPrefix { id: 7, tokens: 32 }.block_chain(16);
+        assert!(c.iter().all(|b| other.iter().all(|o| o.id != b.id)));
+        let aligned = chains.get(7, 32);
         assert_eq!(aligned.len(), 2);
-        assert_eq!(&c[..2], &aligned[..], "shared ancestry has equal hashes");
+        assert_eq!(&c[..2], &aligned[..], "shared ancestry has equal blocks");
+        assert_eq!(chains.0.ids.len(), 6);
+    }
+
+    #[test]
+    fn crafted_collisions_share_one_id() {
+        let mut chains = Chains::default();
+        // Equal hashes at equal depths mean equal ids (the chain is a
+        // bijection), so a collision pairs blocks at different depths.
+        let q = chains.get(3, 48);
+        let p = chains.get(id_colliding_at(q[1].hash, 2), 48);
+        assert_eq!(p[2].hash, q[1].hash, "crafted to collide");
+        assert_eq!(p[2].id, q[1].id, "equal hashes share one id");
+        assert_eq!(chains.0.ids.len(), 5);
     }
 
     #[test]
     fn lease_commit_release_lifecycle() {
         let mut cache = cache(CacheEviction::Lru);
-        let c = chain(1, 40, 16); // 3 blocks (16+16+8 tokens)
+        let c = Chains::default().get(1, 40); // 3 blocks (16+16+8 tokens)
         assert_eq!(cache.peek(&c), 0);
         let lease = cache.lease(&c);
         assert_eq!(lease.hits(), 0, "cold cache misses");
@@ -771,10 +887,11 @@ mod tests {
     #[test]
     fn partial_hit_leases_prefix_only() {
         let mut cache = cache(CacheEviction::Lru);
-        let long = chain(3, 64, 16); // 4 full blocks
+        let mut chains = Chains::default();
+        let long = chains.get(3, 64); // 4 full blocks
         assert_eq!(cache.touch(&long), 0);
         // A shorter prefix of the same id shares the leading blocks.
-        let short = chain(3, 32, 16);
+        let short = chains.get(3, 32);
         assert_eq!(cache.peek(&short), 2);
         let lease = cache.lease(&short);
         assert_eq!(lease.hits(), 2);
@@ -789,8 +906,9 @@ mod tests {
     #[test]
     fn dropped_lease_leaves_its_chain_reclaimable() {
         let mut cache = cache(CacheEviction::Lru);
-        let a = chain(1, 32, 16);
-        let b = chain(2, 16, 16);
+        let mut chains = Chains::default();
+        let a = chains.get(1, 32);
+        let b = chains.get(2, 16);
         cache.touch(&a);
         cache.touch(&b);
         {
@@ -818,7 +936,8 @@ mod tests {
     #[test]
     fn release_misuse_is_typed_and_state_preserving() {
         let mut cache = cache(CacheEviction::Lru);
-        let c = chain(5, 32, 16);
+        let mut chains = Chains::default();
+        let c = chains.get(5, 32);
         cache.lease(&c).commit();
         cache.release(&c).unwrap();
         // Underflow: every block already at refcount 0.
@@ -828,16 +947,16 @@ mod tests {
         ));
         assert_eq!(cache.resident_blocks(), 2, "failed release changed nothing");
         // Releasing a never-resident chain is typed too.
-        let other = chain(6, 16, 16);
+        let other = chains.get(6, 16);
         assert!(matches!(
             cache.release(&other),
             Err(OptimusError::Serving { .. })
         ));
         // A partly resident chain fails before touching its resident
         // blocks.
-        let held = chain(7, 16, 16);
+        let held = chains.get(7, 16);
         cache.lease(&held).commit();
-        let deep = chain(7, 48, 16);
+        let deep = chains.get(7, 48);
         assert!(matches!(
             cache.release(&deep),
             Err(OptimusError::Serving { .. })
@@ -849,8 +968,9 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used_first() {
         let mut cache = cache(CacheEviction::Lru);
-        let a = chain(10, 16, 16);
-        let b = chain(11, 16, 16);
+        let mut chains = Chains::default();
+        let a = chains.get(10, 16);
+        let b = chains.get(11, 16);
         cache.touch(&a);
         cache.touch(&b);
         // Touch `a` again: `b` becomes the LRU victim.
@@ -864,8 +984,9 @@ mod tests {
     #[test]
     fn evict_to_budget_stops_at_referenced_blocks() {
         let mut cache = cache(CacheEviction::Lru);
-        let a = chain(20, 48, 16); // 3 blocks, stays referenced
-        let b = chain(21, 48, 16); // 3 blocks, released
+        let mut chains = Chains::default();
+        let a = chains.get(20, 48); // 3 blocks, stays referenced
+        let b = chains.get(21, 48); // 3 blocks, released
         cache.lease(&a).commit();
         cache.touch(&b);
         let evicted = cache.evict_to_budget(0);
@@ -900,8 +1021,9 @@ mod tests {
             [(CacheEviction::Lru, false), (CacheEviction::Lfu, true)]
         {
             let mut cache = cache(eviction);
-            let hot = chain(1, 16, 16);
-            let cold = chain(2, 16, 16);
+            let mut chains = Chains::default();
+            let hot = chains.get(1, 16);
+            let cold = chains.get(2, 16);
             assert_eq!(cache.touch(&hot), 0);
             for _ in 0..5 {
                 assert_eq!(cache.touch(&hot), 1);
@@ -941,12 +1063,16 @@ mod tests {
             .collect();
         let config = cache(CacheEviction::Lfu).config();
         let table = ChainTable::new(&trace, Some(config));
+        // The table interns in trace order, as one interner fed the
+        // tags in that order would.
+        let mut ids = BlockInterner::new();
         for (i, r) in trace.iter().enumerate() {
-            let want = r.prefix.map(|p| p.block_chain(config.block_tokens));
+            let want = r.prefix.map(|p| ids.chain(p, config.block_tokens));
             assert_eq!(table.get(i), want.as_deref(), "request {i}");
         }
         assert_eq!(table.get(trace.len()), None, "past the trace");
         assert_eq!(table.blocks.len(), 3 + 4 + 1, "one copy per distinct tag");
+        assert_eq!(ids.ids.len(), 3 + 2 + 1, "one id per distinct block");
         assert_eq!(table.get(0).unwrap()[..2], table.get(1).unwrap()[..2]);
         assert_ne!(table.get(0).unwrap()[2], table.get(1).unwrap()[2]);
         let off = ChainTable::new(&trace, None);
@@ -954,13 +1080,28 @@ mod tests {
     }
 
     #[test]
-    fn the_index_key_never_reaches_a_result() {
-        // Two caches draw different index keys; one random workload of
-        // leases (committed or dropped), touches, releases and evictions
-        // must leave them indistinguishable at every step.
-        let chains: Vec<Vec<PrefixBlock>> = (0..12u64)
-            .map(|i| chain(i % 5, 8 + 13 * (i as u32 % 7), 8))
+    fn the_block_ids_never_reach_a_result() {
+        // Two interners cut the same chains in opposite orders, so the
+        // twin caches see every block under another id; one random
+        // workload of leases (committed or dropped), touches, releases
+        // and evictions must leave them indistinguishable at every step.
+        let tags: Vec<SharedPrefix> = (0..12u64)
+            .map(|i| SharedPrefix {
+                id: i % 5,
+                tokens: 8 + 13 * (i as u32 % 7),
+            })
             .collect();
+        let cut = |order: &mut dyn Iterator<Item = usize>| {
+            let mut ids = BlockInterner::new();
+            let mut chains = vec![Vec::new(); tags.len()];
+            for c in order {
+                chains[c] = ids.chain(tags[c], 8);
+            }
+            chains
+        };
+        let chains_a = cut(&mut (0..tags.len()));
+        let chains_b = cut(&mut (0..tags.len()).rev());
+        assert_ne!(chains_a, chains_b, "the ids differ");
         for eviction in [CacheEviction::Lru, CacheEviction::Lfu] {
             let config = PrefixCachingConfig {
                 block_tokens: 8,
@@ -968,17 +1109,16 @@ mod tests {
             };
             let mut a = PrefixCache::new(config);
             let mut b = PrefixCache::new(config);
-            assert_ne!(a.nodes.hasher(), b.nodes.hasher(), "independent keys");
             let mut held: Vec<usize> = Vec::new();
             let mut victims = 0;
             let mut rng = 0x2545_f491_4f6c_dd1d_u64;
             for step in 0..4000 {
                 rng = mix(rng);
-                let c = (rng >> 8) as usize % chains.len();
-                let chain = &chains[c];
+                let c = (rng >> 8) as usize % tags.len();
+                let (ca, cb) = (&chains_a[c], &chains_b[c]);
                 match rng % 5 {
                     op @ (0 | 1) => {
-                        let (la, lb) = (a.lease(chain), b.lease(chain));
+                        let (la, lb) = (a.lease(ca), b.lease(cb));
                         assert_eq!(la.hits(), lb.hits(), "step {step}: lease hits");
                         if op == 0 {
                             la.commit();
@@ -986,11 +1126,11 @@ mod tests {
                             held.push(c);
                         }
                     }
-                    2 => assert_eq!(a.touch(chain), b.touch(chain), "step {step}: touch"),
+                    2 => assert_eq!(a.touch(ca), b.touch(cb), "step {step}: touch"),
                     3 if !held.is_empty() => {
                         let c = held.swap_remove((rng >> 32) as usize % held.len());
-                        a.release(&chains[c]).unwrap();
-                        b.release(&chains[c]).unwrap();
+                        a.release(&chains_a[c]).unwrap();
+                        b.release(&chains_b[c]).unwrap();
                     }
                     _ => {
                         for _ in 0..(rng >> 40) % 4 {
@@ -1006,14 +1146,14 @@ mod tests {
                     b.reclaimable_blocks(),
                     "step {step}"
                 );
-                for other in &chains {
-                    assert_eq!(a.peek(other), b.peek(other), "step {step}: peek");
+                for (oa, ob) in chains_a.iter().zip(&chains_b) {
+                    assert_eq!(a.peek(oa), b.peek(ob), "step {step}: peek");
                 }
             }
             assert!(victims > 100, "{eviction:?}: the workload reclaims");
             for c in held {
-                a.release(&chains[c]).unwrap();
-                b.release(&chains[c]).unwrap();
+                a.release(&chains_a[c]).unwrap();
+                b.release(&chains_b[c]).unwrap();
             }
             assert!(a.is_unreferenced() && b.is_unreferenced());
         }

@@ -5,6 +5,7 @@ use llm_workload::kvcache::{KvCache, KvConvention};
 use llm_workload::model::{ModelZoo, Precision};
 use llm_workload::parallelism::Parallelism;
 use llm_workload::taskgraph::{decode_step, training_step};
+use optimus::serving::PrefixBlock;
 use optimus::Roofline;
 use proptest::prelude::*;
 use scd_arch::Blade;
@@ -640,15 +641,18 @@ proptest! {
         ),
         block_pow in 2u32..7,
     ) {
-        use optimus::serving::{CacheEviction, PrefixCache, PrefixCachingConfig, SharedPrefix};
+        use optimus::serving::{
+            BlockInterner, CacheEviction, PrefixCache, PrefixCachingConfig, SharedPrefix,
+        };
         let block = 1u32 << block_pow;
         let mut cache = PrefixCache::new(PrefixCachingConfig {
             block_tokens: block,
             eviction: CacheEviction::Lru,
         });
+        let mut ids = BlockInterner::new();
         let mut held: Vec<Vec<optimus::serving::PrefixBlock>> = Vec::new();
         for &(id, tokens, evict, other_id, other_tokens, touch) in &holders {
-            let chain = SharedPrefix { id, tokens }.block_chain(block);
+            let chain = ids.chain(SharedPrefix { id, tokens }, block);
             let charged = cache.charged_tokens();
             let lease = cache.lease(&chain);
             prop_assert!(lease.hits() <= chain.len());
@@ -661,7 +665,7 @@ proptest! {
             held.push(chain);
             // A writer holding nothing (`other_tokens == 0`: none).
             if other_tokens > 0 {
-                let other = SharedPrefix { id: other_id, tokens: other_tokens }.block_chain(block);
+                let other = ids.chain(SharedPrefix { id: other_id, tokens: other_tokens }, block);
                 if touch {
                     prop_assert!(cache.touch(&other) <= other.len());
                     prop_assert_eq!(cache.peek(&other), other.len());
@@ -728,13 +732,16 @@ proptest! {
         lfu in any::<bool>(),
         block_pow in 2u32..6,
     ) {
-        use optimus::serving::{CacheEviction, PrefixCache, PrefixCachingConfig, SharedPrefix};
+        use optimus::serving::{
+            BlockInterner, CacheEviction, PrefixCache, PrefixCachingConfig, SharedPrefix,
+        };
         let block = 1u32 << block_pow;
         let config = PrefixCachingConfig {
             block_tokens: block,
             eviction: if lfu { CacheEviction::Lfu } else { CacheEviction::Lru },
         };
         let (mut one_pass, mut three_calls) = (PrefixCache::new(config), PrefixCache::new(config));
+        let mut ids = BlockInterner::new();
         let mut held: Vec<Vec<optimus::serving::PrefixBlock>> = Vec::new();
         fn sizes(c: &PrefixCache) -> [u64; 4] {
             [c.resident_blocks(), c.resident_tokens(), c.charged_tokens(), c.reclaimable_blocks()]
@@ -743,7 +750,7 @@ proptest! {
             std::iter::from_fn(|| c.evict_lru()).collect()
         }
         for (step, &(op, id, tokens, arg)) in ops.iter().enumerate() {
-            let chain = SharedPrefix { id, tokens }.block_chain(block);
+            let chain = ids.chain(SharedPrefix { id, tokens }, block);
             match op {
                 0..=2 => {
                     let hits = one_pass.touch(&chain);
@@ -1194,5 +1201,289 @@ proptest! {
     ) {
         percentiles_match_sorted_reference(&values)?;
         percentiles_match_sorted_reference(&short)?;
+    }
+}
+
+/// One resident block of [`CacheModel`].
+#[derive(Debug, Clone, Copy)]
+struct ModelBlock {
+    id: u32,
+    parent: Option<u32>,
+    refcount: u32,
+    tokens: u32,
+    last_use: u64,
+    hits: u64,
+}
+
+/// Brute-force reference for `PrefixCache`: the resident blocks in a
+/// plain `Vec`, every query a linear scan. Its victim is the minimum
+/// reclamation key among unreferenced resident leaves: `(last_use, 0,
+/// id)` under LRU, `(hits, last_use, id)` under LFU.
+struct CacheModel {
+    blocks: Vec<ModelBlock>,
+    tick: u64,
+    lfu: bool,
+    block_tokens: u32,
+}
+
+impl CacheModel {
+    fn resident(&self, id: u32) -> Option<usize> {
+        self.blocks.iter().position(|m| m.id == id)
+    }
+
+    fn peek(&self, chain: &[PrefixBlock]) -> usize {
+        chain
+            .iter()
+            .take_while(|b| self.resident(b.id()).is_some())
+            .count()
+    }
+
+    /// Stamps, counts and references the resident leading blocks.
+    fn pin(&mut self, chain: &[PrefixBlock]) -> usize {
+        let hits = self.peek(chain);
+        for b in &chain[..hits] {
+            self.tick += 1;
+            let i = self.resident(b.id()).unwrap();
+            let m = &mut self.blocks[i];
+            m.last_use = self.tick;
+            m.refcount += 1;
+            m.hits += 1;
+        }
+        hits
+    }
+
+    /// Inserts `chain[from..]`, each block referenced once.
+    fn commit(&mut self, chain: &[PrefixBlock], from: usize) {
+        for i in from..chain.len() {
+            self.tick += 1;
+            self.blocks.push(ModelBlock {
+                id: chain[i].id(),
+                parent: i.checked_sub(1).map(|p| chain[p].id()),
+                refcount: 1,
+                tokens: chain[i].tokens(),
+                last_use: self.tick,
+                hits: 0,
+            });
+        }
+    }
+
+    fn unpin(&mut self, blocks: &[PrefixBlock]) {
+        for b in blocks {
+            let i = self.resident(b.id()).unwrap();
+            self.blocks[i].refcount -= 1;
+        }
+    }
+
+    /// Whether the release succeeds; a failed one changes nothing.
+    fn release(&mut self, chain: &[PrefixBlock]) -> bool {
+        let held = chain.iter().all(|b| {
+            self.resident(b.id())
+                .is_some_and(|i| self.blocks[i].refcount > 0)
+        });
+        if held {
+            self.unpin(chain);
+        }
+        held
+    }
+
+    fn touch(&mut self, chain: &[PrefixBlock]) -> usize {
+        let hits = self.pin(chain);
+        self.commit(chain, hits);
+        self.unpin(chain);
+        hits
+    }
+
+    fn is_leaf(&self, m: &ModelBlock) -> bool {
+        m.refcount == 0 && !self.blocks.iter().any(|c| c.parent == Some(m.id))
+    }
+
+    fn key(&self, m: &ModelBlock) -> (u64, u64, u32) {
+        if self.lfu {
+            (m.hits, m.last_use, m.id)
+        } else {
+            (m.last_use, 0, m.id)
+        }
+    }
+
+    /// Evicts the minimum-key unreferenced leaf: its id and tokens.
+    fn evict(&mut self) -> Option<(u32, u32)> {
+        let victim = (0..self.blocks.len())
+            .filter(|&i| self.is_leaf(&self.blocks[i]))
+            .min_by_key(|&i| self.key(&self.blocks[i]))?;
+        let m = self.blocks.swap_remove(victim);
+        Some((m.id, m.tokens))
+    }
+
+    fn charged(&self) -> u64 {
+        self.blocks.len() as u64 * u64::from(self.block_tokens)
+    }
+
+    fn evict_to_budget(&mut self, budget: u64) -> u64 {
+        let mut evicted = 0;
+        while self.charged() > budget && self.evict().is_some() {
+            evicted += 1;
+        }
+        evicted
+    }
+
+    fn sizes(&self) -> [u64; 4] {
+        let tokens = self.blocks.iter().map(|m| u64::from(m.tokens)).sum();
+        let leaves = self.blocks.iter().filter(|m| self.is_leaf(m)).count();
+        [
+            self.blocks.len() as u64,
+            tokens,
+            self.charged(),
+            leaves as u64,
+        ]
+    }
+}
+
+/// splitmix64's finalizer and its inverse: block hashes chain through
+/// `mix`, seeded by `mix(id ^ CHAIN_SEED)`, which is how a crafted trace
+/// inverts them into colliding prefix ids.
+const CHAIN_SEED: u64 = 0xa076_1d64_78bd_642f;
+
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+fn unmix(mut x: u64) -> u64 {
+    let unshift = |y: u64, s: u32| (0..64 / s).fold(y, |x, _| y ^ (x >> s));
+    let inverse = |a: u64| {
+        (0..5).fold(a, |inv: u64, _| {
+            inv.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(inv)))
+        })
+    };
+    x = unshift(x, 31).wrapping_mul(inverse(0x94d0_49bb_1331_11eb));
+    x = unshift(x, 27).wrapping_mul(inverse(0xbf58_476d_1ce4_e5b9));
+    unshift(x, 30).wrapping_sub(0x9e37_79b9_7f4a_7c15)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `PrefixCache` equals [`CacheModel`] under LRU and LFU: random
+    /// leases (committed, or dropped after reclaiming through them),
+    /// touches, releases (of held chains and of any chain, misuse
+    /// included), evictions and budget evictions agree on every return
+    /// value, on every size after each op, and on which blocks stay
+    /// resident, so the victim order is the model's. Ids recur at
+    /// several lengths, so chains share leading blocks, and a crafted
+    /// pair collides: a one-block chain whose partial tail hashes to
+    /// another chain's first full block.
+    #[test]
+    fn prefix_cache_matches_a_brute_force_model(
+        tags in prop::collection::vec((0u64..4, 1u32..120), 1..8),
+        ops in prop::collection::vec((0u8..7, any::<prop::sample::Index>(), 0u64..64), 1..120),
+        lfu in any::<bool>(),
+        block_pow in 2u32..5,
+    ) {
+        use optimus::serving::{
+            BlockInterner, CacheEviction, PrefixCache, PrefixCachingConfig, SharedPrefix,
+        };
+        let block = 1u32 << block_pow;
+        let mut ids = BlockInterner::new();
+        let mut chains: Vec<Vec<PrefixBlock>> = tags
+            .iter()
+            .map(|&(id, tokens)| ids.chain(SharedPrefix { id, tokens }, block))
+            .collect();
+        // The crafted pair: `mix(b ^ CHAIN_SEED)` is chosen so that the
+        // tail's salt cancels out of its hash.
+        let full = SharedPrefix { id: 17, tokens: 2 * block + 1 };
+        let tail = block / 2;
+        let salt = u64::from(tail) << 32;
+        let crafted = SharedPrefix {
+            id: unmix(mix(full.id ^ CHAIN_SEED) ^ salt) ^ CHAIN_SEED,
+            tokens: tail,
+        };
+        let (long, short) = (ids.chain(full, block), ids.chain(crafted, block));
+        prop_assert_eq!(short.len(), 1);
+        // The crafted pair collides: one hash, one id, two token counts.
+        prop_assert_eq!(short[0].hash(), long[0].hash());
+        prop_assert_eq!(short[0].id(), long[0].id());
+        prop_assert_ne!(short[0].tokens(), long[0].tokens());
+        chains.extend([long, short, Vec::new()]);
+
+        let eviction = if lfu { CacheEviction::Lfu } else { CacheEviction::Lru };
+        let mut cache = PrefixCache::new(PrefixCachingConfig { block_tokens: block, eviction });
+        let mut model = CacheModel { blocks: Vec::new(), tick: 0, lfu, block_tokens: block };
+        let mut held: Vec<usize> = Vec::new();
+        for (step, &(op, pick, arg)) in ops.iter().enumerate() {
+            let c = pick.index(chains.len());
+            let chain = &chains[c];
+            match op {
+                0 | 1 => {
+                    let mut lease = cache.lease(chain);
+                    let hits = model.pin(chain);
+                    prop_assert_eq!((step, lease.hits()), (step, hits));
+                    let missing = (chain.len() - hits) as u64;
+                    prop_assert_eq!(
+                        lease.charged_after_commit(),
+                        model.charged() + missing * u64::from(block)
+                    );
+                    for _ in 0..arg % 3 {
+                        let want = model.evict().map(|(_, tokens)| tokens);
+                        prop_assert_eq!((step, lease.evict_lru()), (step, want));
+                    }
+                    if op == 0 {
+                        lease.commit();
+                        model.commit(chain, hits);
+                        held.push(c);
+                    } else {
+                        drop(lease);
+                        model.unpin(&chain[..hits]);
+                    }
+                }
+                2 => prop_assert_eq!((step, cache.touch(chain)), (step, model.touch(chain))),
+                3 => {
+                    // A held chain when there is one, else any chain:
+                    // releasing what nobody holds is a typed error.
+                    let chain = match held.len() {
+                        0 => chain,
+                        n => &chains[held.swap_remove(arg as usize % n)],
+                    };
+                    let want = model.release(chain);
+                    prop_assert_eq!((step, cache.release(chain).is_ok()), (step, want));
+                }
+                4 => {
+                    let want = model.release(chain);
+                    prop_assert_eq!((step, cache.release(chain).is_ok()), (step, want));
+                }
+                5 => {
+                    let want = model.evict().map(|(_, tokens)| tokens);
+                    prop_assert_eq!((step, cache.evict_lru()), (step, want));
+                }
+                _ => {
+                    let budget = arg * u64::from(block);
+                    let want = model.evict_to_budget(budget);
+                    prop_assert_eq!((step, cache.evict_to_budget(budget)), (step, want));
+                }
+            }
+            let sizes = [
+                cache.resident_blocks(),
+                cache.resident_tokens(),
+                cache.charged_tokens(),
+                cache.reclaimable_blocks(),
+            ];
+            prop_assert_eq!((step, sizes), (step, model.sizes()));
+            // Residency seen through every chain: a different victim
+            // shows here, since a resident block's ancestors are.
+            for other in &chains {
+                prop_assert_eq!((step, cache.peek(other)), (step, model.peek(other)));
+            }
+        }
+        // Release what is still held, then drain in the model's order.
+        for c in held {
+            let want = model.release(&chains[c]);
+            prop_assert_eq!(cache.release(&chains[c]).is_ok(), want);
+        }
+        while let Some((_, tokens)) = model.evict() {
+            prop_assert_eq!(cache.evict_lru(), Some(tokens));
+        }
+        prop_assert_eq!(cache.evict_lru(), None);
+        prop_assert_eq!(cache.resident_blocks(), model.blocks.len() as u64);
     }
 }
