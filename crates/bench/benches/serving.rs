@@ -44,11 +44,8 @@ fn bench_serving(c: &mut Criterion) {
         .compile()
         .unwrap();
 
-    c.bench_function("serving/replay_parallel_table", |b| {
+    c.bench_function("serving/replay_single_blade", |b| {
         b.iter(|| black_box(&compiled).run().unwrap())
-    });
-    c.bench_function("serving/replay_serial_table", |b| {
-        b.iter(|| black_box(&compiled).run_serial().unwrap())
     });
 }
 
@@ -212,6 +209,11 @@ const OVERHEAD_PAIRS: usize = 31;
 /// `run_with_telemetry()` minus `run_observed(&mut NoopObserver)`, timed
 /// in alternating pairs, as the median of the pairs' differences.
 fn bench_telemetry_fold(c: &mut Criterion) {
+    let fold_row = c.selected("serving/telemetry_fold");
+    let overhead_row = c.selected("serving/telemetry_mounted_overhead");
+    if !fold_row && !overhead_row {
+        return;
+    }
     let system = MultiBladeSystem::new(4).unwrap();
     let model = ModelZoo::llama2_7b();
     let par = Parallelism::new(1, 1, 1).unwrap();
@@ -266,12 +268,17 @@ fn bench_telemetry_fold(c: &mut Criterion) {
             telemetry
         })
     });
-    println!(
-        "bench {:<40} {:>12.1} ns/event ({} events)",
-        "serving/telemetry_fold",
-        spent.as_secs_f64() * 1e9 / (f64::from(folds) * events.len() as f64),
-        events.len()
-    );
+    if fold_row {
+        println!(
+            "bench {:<40} {:>12.1} ns/event ({} events)",
+            "serving/telemetry_fold",
+            spent.as_secs_f64() * 1e9 / (f64::from(folds) * events.len() as f64),
+            events.len()
+        );
+    }
+    if !overhead_row {
+        return;
+    }
     let time = |replay: &dyn Fn()| {
         let started = Instant::now();
         replay();

@@ -1214,7 +1214,7 @@ pub fn render_telemetry(study: &TelemetryStudy) -> String {
          routing     {:>10}{:>12.1}\n\
          stretch-plan{:>10}{:>12.1}\n\
          leapfrog    {:>10}{:>12.1}\n\
-         cost-table  {:>10}{:>12.1}\n\
+         table-chunks{:>10}{:>12.1}\n\
          heap-ops    {:>10}\n",
         p.admission_rounds,
         p.admission_s * 1e3,

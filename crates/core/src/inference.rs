@@ -183,10 +183,10 @@ impl InferenceEstimator {
     /// [`Self::decode_step_time`] at cache length `kv_len(i)`, bit for
     /// bit, and the row fails with the error that call would return.
     ///
-    /// The first cell is one full `decode_step_time` call, which runs
-    /// every check; the later cells refill one pair of kernel buffers
-    /// and re-time only the kernels whose shape changed from the
-    /// previous cell (at a fixed batch, the three attention kernels).
+    /// One full `decode_step_time` call checks the row; the cells then
+    /// refill one pair of kernel buffers and re-time only the kernels
+    /// whose shape changed from the previous cell (at a fixed batch, the
+    /// three attention kernels).
     ///
     /// # Errors
     ///
@@ -199,15 +199,11 @@ impl InferenceEstimator {
         kv_len: impl Fn(usize) -> u32,
         row: &mut [f64],
     ) -> Result<(), OptimusError> {
-        self.price_row(
-            par,
-            row,
-            kv_len,
-            |kv| self.decode_step_time(model, par, batch, kv),
-            |kv, kernels, comms| {
-                decode_step_into(model, par, batch, kv, self.precision, kernels, comms);
-            },
-        )
+        check_row(row, &kv_len, |kv| {
+            self.decode_step_time(model, par, batch, kv)
+        })?;
+        self.decode_cells(model, par, batch, kv_len, row);
+        Ok(())
     }
 
     /// Prices a row of prefill passes at one batch: `row[i]` becomes
@@ -225,40 +221,59 @@ impl InferenceEstimator {
         input_tokens: impl Fn(usize) -> u32,
         row: &mut [f64],
     ) -> Result<(), OptimusError> {
-        self.price_row(
-            par,
-            row,
-            input_tokens,
-            |tokens| self.prefill_time(model, par, batch, tokens),
-            |tokens, kernels, comms| {
-                prefill_into(model, par, batch, tokens, self.precision, kernels, comms);
-            },
-        )
+        check_row(row, &input_tokens, |tokens| {
+            self.prefill_time(model, par, batch, tokens)
+        })?;
+        self.prefill_cells(model, par, batch, input_tokens, row);
+        Ok(())
     }
 
-    /// The row pricer behind [`Self::decode_row`] and
-    /// [`Self::prefill_row`]. Cell `i` is `full(len(i))`, the checked
-    /// per-cell call, for the first cell and for a zero length, so a
-    /// failing row fails with that call's error. Every other cell
-    /// appends its graph to reused buffers with `fill`.
-    fn price_row(
+    /// [`Self::decode_row`] without its checks, for a model and plan
+    /// that one [`Self::decode_step_time`] call has accepted: every
+    /// check behind that call is the same for each batch and length of
+    /// at least 1, so `row[i]` equals the call at `kv_len(i)` bit for
+    /// bit.
+    pub(crate) fn decode_cells(
+        &self,
+        model: &TransformerConfig,
+        par: &Parallelism,
+        batch: u32,
+        kv_len: impl Fn(usize) -> u32,
+        row: &mut [f64],
+    ) {
+        self.price_cells(par, row, kv_len, |kv, kernels, comms| {
+            decode_step_into(model, par, batch, kv, self.precision, kernels, comms);
+        });
+    }
+
+    /// [`Self::prefill_row`] without its checks, under the same terms as
+    /// [`Self::decode_cells`].
+    pub(crate) fn prefill_cells(
+        &self,
+        model: &TransformerConfig,
+        par: &Parallelism,
+        batch: u32,
+        input_tokens: impl Fn(usize) -> u32,
+        row: &mut [f64],
+    ) {
+        self.price_cells(par, row, input_tokens, |tokens, kernels, comms| {
+            prefill_into(model, par, batch, tokens, self.precision, kernels, comms);
+        });
+    }
+
+    /// The pricer behind the row and cell methods: cell `i` appends the
+    /// graph at `len(i)` to reused buffers with `fill`.
+    fn price_cells(
         &self,
         par: &Parallelism,
         row: &mut [f64],
         len: impl Fn(usize) -> u32,
-        full: impl Fn(u32) -> Result<f64, OptimusError>,
         fill: impl Fn(u32, &mut Vec<Kernel>, &mut Vec<CommOp>),
-    ) -> Result<(), OptimusError> {
+    ) {
         let mut pricer = GraphPricer::new(self, par.tp() as usize);
         for (i, cell) in row.iter_mut().enumerate() {
-            let n = len(i);
-            *cell = if i == 0 || n == 0 {
-                full(n)?
-            } else {
-                pricer.price(|kernels, comms| fill(n, kernels, comms))
-            };
+            *cell = pricer.price(|kernels, comms| fill(len(i), kernels, comms));
         }
-        Ok(())
     }
 
     fn roofline(&self) -> Roofline<'_> {
@@ -413,6 +428,23 @@ impl InferenceEstimator {
             per_token,
         )
     }
+}
+
+/// Runs the checked per-cell call `full` at the first length of a row
+/// and at every zero length, so a failing row fails with that call's
+/// error: at nonzero lengths the checks do not depend on the length.
+fn check_row(
+    row: &[f64],
+    len: impl Fn(usize) -> u32,
+    full: impl Fn(u32) -> Result<f64, OptimusError>,
+) -> Result<(), OptimusError> {
+    for i in 0..row.len() {
+        let n = len(i);
+        if i == 0 || n == 0 {
+            full(n)?;
+        }
+    }
+    Ok(())
 }
 
 /// Prices a sequence of graphs refilled into the same buffers. A kernel

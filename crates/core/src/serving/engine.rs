@@ -26,9 +26,9 @@ use llm_workload::kvcache::{KvCache, KvConvention};
 use llm_workload::model::TransformerConfig;
 use llm_workload::parallelism::Parallelism;
 use llm_workload::taskgraph::weights_per_unit_bytes;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// How a decode iteration is priced from the memoized cost table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -203,32 +203,99 @@ impl ServingConfig {
     }
 }
 
+/// Cells per lazily priced chunk of a cost-table row.
+const CHUNK: usize = 16;
+
+/// One chunk of a cost-table row, priced on its first read.
+type Chunk = OnceLock<[f64; CHUNK]>;
+
 /// Iteration-cost lookup: decode cost per (batch, bucketized KV length)
-/// and batch-1 prefill cost per bucketized prompt length. Rebuilt on
-/// every replay, one batch row at a time from reused kernel buffers
-/// ([`InferenceEstimator::decode_row`]) — rows in parallel or serially,
-/// bit-identically — so the simulation loop itself is pure table
-/// lookups.
+/// and batch-1 prefill cost per bucketized prompt length. A replay
+/// prices only the cells it reads: each row is cut into [`CHUNK`]-cell
+/// chunks, and the first read of a cell prices its whole chunk from
+/// reused kernel buffers ([`InferenceEstimator::decode_cells`]). Every
+/// cell equals the per-cell estimator call bit for bit, whichever
+/// thread reads it first, so replays on rayon workers share one table.
 #[derive(Debug)]
-pub(crate) struct CostTable {
+pub(crate) struct CostTable<'s> {
+    estimator: &'s InferenceEstimator,
+    model: &'s TransformerConfig,
+    par: &'s Parallelism,
     bucket: u32,
+    /// Cells in a decode row and in the prefill row.
     max_kv_idx: usize,
-    /// `decode[(b-1) * max_kv_idx + (idx-1)]` = decode step cost at batch
-    /// `b`, KV length `idx * bucket`.
-    decode: Vec<f64>,
-    /// `prefill[idx-1]` = batch-1 prefill cost at prompt `idx * bucket`.
-    prefill: Vec<f64>,
+    max_prompt_idx: usize,
+    /// Chunks in a decode row.
+    row_chunks: usize,
+    /// `decode[(b-1) * row_chunks + (idx-1) / CHUNK]` holds the decode
+    /// step cost at batch `b`, KV length `idx * bucket`.
+    decode: Box<[Chunk]>,
+    /// `prefill[(idx-1) / CHUNK]` holds the batch-1 prefill cost at
+    /// prompt `idx * bucket`.
+    prefill: Box<[Chunk]>,
 }
 
-impl CostTable {
+impl CostTable<'_> {
     pub(crate) fn decode_cost(&self, batch: u32, kv_len: u32) -> f64 {
-        let idx = (kv_len.div_ceil(self.bucket) as usize).max(1);
-        self.decode[(batch as usize - 1) * self.max_kv_idx + (idx - 1)]
+        let col = self.column(kv_len);
+        debug_assert!(
+            col < self.max_kv_idx,
+            "KV length {kv_len} is past the table"
+        );
+        let slot = &self.decode[(batch as usize - 1) * self.row_chunks + col / CHUNK];
+        let cells = match slot.get() {
+            Some(cells) => cells,
+            None => self.price(slot, col / CHUNK, self.max_kv_idx, |len, cells| {
+                self.estimator
+                    .decode_cells(self.model, self.par, batch, len, cells);
+            }),
+        };
+        cells[col % CHUNK]
     }
 
     pub(crate) fn prefill_cost(&self, prompt: u32) -> f64 {
-        let idx = (prompt.div_ceil(self.bucket) as usize).max(1);
-        self.prefill[idx - 1]
+        let col = self.column(prompt);
+        debug_assert!(
+            col < self.max_prompt_idx,
+            "prompt {prompt} is past the table"
+        );
+        let slot = &self.prefill[col / CHUNK];
+        let cells = match slot.get() {
+            Some(cells) => cells,
+            None => self.price(slot, col / CHUNK, self.max_prompt_idx, |len, cells| {
+                self.estimator
+                    .prefill_cells(self.model, self.par, 1, len, cells);
+            }),
+        };
+        cells[col % CHUNK]
+    }
+
+    /// The cell of `tokens` along a row: its bucket index, from 0.
+    fn column(&self, tokens: u32) -> usize {
+        (tokens.div_ceil(self.bucket) as usize).max(1) - 1
+    }
+
+    /// Prices chunk `chunk` of a row of `row_len` cells into `slot`,
+    /// once: `cells` fills cell `i` at length `len(i)`, and a concurrent
+    /// reader waits for that price. The last chunk of a row prices only
+    /// the cells the row has. Kept out of line, off the read path.
+    #[cold]
+    #[inline(never)]
+    fn price<'c>(
+        &self,
+        slot: &'c Chunk,
+        chunk: usize,
+        row_len: usize,
+        cells: impl FnOnce(&dyn Fn(usize) -> u32, &mut [f64]),
+    ) -> &'c [f64; CHUNK] {
+        slot.get_or_init(|| {
+            let _span = profile::span(profile::Phase::CostTable);
+            let first = chunk * CHUNK;
+            let mut out = [0.0; CHUNK];
+            let n = CHUNK.min(row_len.saturating_sub(first));
+            cells(&|i| (first + i + 1) as u32 * self.bucket, &mut out[..n]);
+            out
+        })
     }
 
     /// Bucket width of the KV/prompt length axes.
@@ -238,7 +305,7 @@ impl CostTable {
 
     /// Largest batch the table covers.
     pub(crate) fn max_batch(&self) -> u32 {
-        (self.decode.len() / self.max_kv_idx) as u32
+        (self.decode.len() / self.row_chunks) as u32
     }
 
     /// Largest KV length the table covers.
@@ -451,7 +518,7 @@ pub(crate) struct EngineCtx<'a> {
     pub(crate) policy: &'a dyn SchedulerPolicy,
     /// SLO classes indexed by [`RequestSpec::class`].
     pub(crate) classes: &'a [SloClass],
-    pub(crate) table: &'a CostTable,
+    pub(crate) table: &'a CostTable<'a>,
     pub(crate) kv_bytes_per_token: f64,
     /// The trace's prefix chains, cut once per replay (empty with prefix
     /// caching off).
@@ -1274,7 +1341,7 @@ impl<'a> ServingSimulator<'a> {
     /// under the global-tier plan `coord` when the scenario enables one.
     pub(crate) fn ctx<'t>(
         &'t self,
-        table: &'t CostTable,
+        table: &'t CostTable<'t>,
         chains: &'t ChainTable,
         coord: Option<&'t CoordPlan>,
     ) -> EngineCtx<'t> {
@@ -1372,51 +1439,36 @@ impl<'a> ServingSimulator<'a> {
         Ok(())
     }
 
-    /// Builds the iteration-cost table covering every (batch, KV-bucket)
-    /// state a [checked](Self::check_trace) trace can reach. Each batch
-    /// is one row priced by [`InferenceEstimator::decode_row`] into its
-    /// slice of the one preallocated table (rows on rayon workers when
-    /// `parallel`), and prefill is one more row; every cell equals the
-    /// per-cell estimator call bit for bit, and a failing table returns
-    /// that call's error.
-    pub(crate) fn cost_table(
-        &self,
-        trace: &[RequestSpec],
-        parallel: bool,
-    ) -> Result<CostTable, OptimusError> {
-        let _span = profile::span(profile::Phase::CostTable);
+    /// The iteration-cost table covering every (batch, KV-bucket) state
+    /// a [checked](Self::check_trace) trace can reach, with no cell
+    /// priced yet ([`CostTable`] prices a chunk of a row on its first
+    /// read). One checked decode call and one checked prefill call, at
+    /// batch 1 and one bucket, run every check behind the cells, so a
+    /// failing estimator fails here with that call's error.
+    pub(crate) fn cost_table(&self, trace: &[RequestSpec]) -> Result<CostTable<'_>, OptimusError> {
         let bucket = self.config.kv_bucket_tokens;
+        self.estimator
+            .decode_step_time(self.model, self.par, 1, bucket)?;
+        self.estimator
+            .prefill_time(self.model, self.par, 1, bucket)?;
         let (max_kv, max_prompt) = trace.iter().fold((0, 0), |(kv, prompt), r| {
             (kv.max(r.full_tokens() - 1), prompt.max(r.prompt_tokens))
         });
         let max_kv_idx = max_kv.div_ceil(u64::from(bucket)) as usize;
         let max_prompt_idx = max_prompt.div_ceil(bucket) as usize;
         let max_batch = self.config.max_batch.min(trace.len() as u32) as usize;
-
-        // Row-major: one row per batch, priced from reused kernel buffers.
-        let mut decode = vec![0.0; max_batch * max_kv_idx];
-        let mut prefill = vec![0.0; max_prompt_idx];
-        let length = |idx: usize| (idx + 1) as u32 * bucket;
-        let decode_row = |(b, row): (usize, &mut [f64])| {
-            self.estimator
-                .decode_row(self.model, self.par, b as u32 + 1, length, row)
-        };
-        let mut rows = decode.chunks_mut(max_kv_idx.max(1)).enumerate();
-        if parallel {
-            rows.collect::<Vec<_>>()
-                .into_par_iter()
-                .map(decode_row)
-                .collect::<Result<(), _>>()?;
-        } else {
-            rows.try_for_each(decode_row)?;
-        }
-        self.estimator
-            .prefill_row(self.model, self.par, 1, length, &mut prefill)?;
+        let row_chunks = max_kv_idx.div_ceil(CHUNK);
+        let chunks = |n: usize| (0..n).map(|_| OnceLock::new()).collect();
         Ok(CostTable {
+            estimator: &self.estimator,
+            model: self.model,
+            par: self.par,
             bucket,
             max_kv_idx,
-            decode,
-            prefill,
+            max_prompt_idx,
+            row_chunks,
+            decode: chunks(max_batch * row_chunks),
+            prefill: chunks(max_prompt_idx.div_ceil(CHUNK)),
         })
     }
 }
@@ -1442,8 +1494,15 @@ mod tests {
         ServingSimulator::from_parts(estimator.clone(), model, par, config, policy, None).unwrap()
     }
 
+    /// Reads every cell of a fresh table from four concurrent readers,
+    /// each in its own random order and at a random length inside the
+    /// cell's bucket, and checks each read against the per-cell
+    /// estimator call bit for bit. Both rows end in a partial chunk.
     #[test]
-    fn cost_table_rows_equal_per_cell_estimator_calls() {
+    fn lazy_cells_equal_per_cell_estimator_calls() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
         let blade = Blade::baseline();
         let estimator = InferenceEstimator::new(blade.accelerator(), blade.interconnect());
         let model = ModelZoo::llama_70b();
@@ -1454,28 +1513,61 @@ mod tests {
             RequestSpec::new(2, 0.2, 7, 3),
             RequestSpec::new(3, 0.3, 12, 9),
         ];
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for bucket in [1, 16] {
             let sim = simulator(&estimator, &model, &par, bucket);
             sim.check_trace(&trace).unwrap();
-            let parallel = sim.cost_table(&trace, true).unwrap();
-            let serial = sim.cost_table(&trace, false).unwrap();
-            assert_eq!(bits(&parallel.decode), bits(&serial.decode));
-            assert_eq!(bits(&parallel.prefill), bits(&serial.prefill));
-            assert_eq!(serial.max_batch(), 3);
-            assert_eq!(serial.max_kv(), 339u32.div_ceil(bucket) * bucket);
-            assert_eq!(serial.prefill.len(), 300usize.div_ceil(bucket as usize));
-            for batch in 1..=serial.max_batch() {
-                for kv in (bucket..=serial.max_kv()).step_by(bucket as usize) {
-                    let want = estimator.decode_step_time(&model, &par, batch, kv).unwrap();
-                    assert_eq!(serial.decode_cost(batch, kv).to_bits(), want.to_bits());
+            let table = sim.cost_table(&trace).unwrap();
+            assert_eq!(table.max_batch(), 3);
+            assert_eq!(table.max_kv(), 339u32.div_ceil(bucket) * bucket);
+            let prompt_cells = 300u32.div_ceil(bucket);
+            assert_ne!(table.max_kv_idx % CHUNK, 0);
+            assert_ne!(prompt_cells as usize % CHUNK, 0);
+            assert!(table
+                .decode
+                .iter()
+                .chain(&*table.prefill)
+                .all(|c| c.get().is_none()));
+
+            // (batch, bucket top, want); batch 0 is the prefill row.
+            let mut cells = Vec::new();
+            for idx in 1..=prompt_cells {
+                let want = estimator.prefill_time(&model, &par, 1, idx * bucket);
+                cells.push((0, idx * bucket, want.unwrap().to_bits()));
+            }
+            for batch in 1..=table.max_batch() {
+                for kv in (bucket..=table.max_kv()).step_by(bucket as usize) {
+                    let want = estimator.decode_step_time(&model, &par, batch, kv);
+                    cells.push((batch, kv, want.unwrap().to_bits()));
                 }
             }
-            for (idx, &cell) in serial.prefill.iter().enumerate() {
-                let prompt = (idx as u32 + 1) * bucket;
-                let want = estimator.prefill_time(&model, &par, 1, prompt).unwrap();
-                assert_eq!(cell.to_bits(), want.to_bits(), "prompt {prompt}");
-            }
+            let read = |seed: u64| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut order = cells.clone();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.gen_range(0..=i));
+                }
+                for (batch, top, want) in order {
+                    let len = top - rng.gen_range(0..bucket);
+                    let got = match batch {
+                        0 => table.prefill_cost(len),
+                        b => table.decode_cost(b, len),
+                    };
+                    assert_eq!(
+                        got.to_bits(),
+                        want,
+                        "bucket {bucket} batch {batch} len {len}"
+                    );
+                }
+            };
+            rayon::join(
+                || rayon::join(|| read(bucket.into()), || read(7)),
+                || rayon::join(|| read(11), || read(13)),
+            );
+            assert!(table
+                .decode
+                .iter()
+                .chain(&*table.prefill)
+                .all(|c| c.get().is_some()));
         }
     }
 
@@ -1489,9 +1581,7 @@ mod tests {
         let par = Parallelism::pure_tp(64).unwrap();
         let trace = [RequestSpec::new(0, 0.0, 30, 4)];
         let want = estimator.decode_step_time(&model, &par, 1, 1).unwrap_err();
-        for parallel in [true, false] {
-            let sim = simulator(&estimator, &model, &par, 1);
-            assert_eq!(sim.cost_table(&trace, parallel).unwrap_err(), want);
-        }
+        let sim = simulator(&estimator, &model, &par, 1);
+        assert_eq!(sim.cost_table(&trace).unwrap_err(), want);
     }
 }

@@ -21,9 +21,9 @@
 //! * [`engine`] — the engine step and the single-blade replay loop
 //!   ([`ServingConfig`]): iteration-level admission, recompute-style
 //!   preemption, chunked prefill, and decode pricing from a roofline
-//!   cost table rebuilt on every replay, priced row by row from reused
-//!   kernel buffers (bucketized-mean fast path or exact per-sequence
-//!   spans). Every replay loop is generic over a queue
+//!   cost table made for every replay, whose cells are priced in
+//!   chunks when the replay first reads them (bucketized-mean fast path
+//!   or exact per-sequence spans). Every replay loop is generic over a queue
 //!   discipline, and [`SimCore`] picks it: the event-driven default
 //!   (incremental queue order, ready times read off the shared queue's
 //!   arrival axis, batched decode stretches) or the per-step reference,
@@ -72,13 +72,15 @@
 //! (admission, eviction, chunk dispatch, handoff, completion) without
 //! reaching into engine internals.
 //!
-//! Replay is exactly reproducible. Every replay rebuilds its
-//! iteration-cost table, one batch row at a time from reused kernel
-//! buffers, each cell bit-identical to a per-cell
+//! Replay is exactly reproducible. Every replay makes its own
+//! iteration-cost table and prices a chunk of a row, from reused kernel
+//! buffers, when it first reads a cell of it; each cell is bit-identical
+//! to a per-cell
 //! [`InferenceEstimator::decode_step_time`](crate::InferenceEstimator::decode_step_time)
-//! call. [`CompiledScenario::run`] prices the rows on rayon workers
-//! while [`CompiledScenario::run_serial`] prices them on one thread,
-//! and the two reports are bit-identical (enforced by the
+//! call, whichever thread prices it. [`CompiledScenario::run`] replays
+//! the blades of a mixed per-blade topology on rayon workers while
+//! [`CompiledScenario::run_serial`] replays them on one thread, and the
+//! two reports are bit-identical (enforced by the
 //! `parallel_equivalence` suite, like every other parallel path in this
 //! workspace). The default configuration — FCFS, contiguous KV,
 //! whole-prompt prefill, bucketized-mean pricing, one default SLO class

@@ -7,7 +7,7 @@
 //! two recorded streams compare element by element. Observers are
 //! strictly read-only: the engine never lets an observer perturb its
 //! float stream, so an observed replay is bit-identical to an
-//! unobserved one (the observed paths run the serial cost table; see
+//! unobserved one (the observed paths replay serially; see
 //! [`CompiledScenario::run_observed`](super::scenario::CompiledScenario::run_observed)).
 //!
 //! Beyond the lifecycle events, the [`EventKind::Completion`] latency

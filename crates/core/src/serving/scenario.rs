@@ -665,7 +665,7 @@ impl CompiledScenario<'_> {
     ) -> Result<ClusterReport, OptimusError> {
         let chains = ChainTable::new(trace, self.sim.config.prefix);
         let coord = self.coord(trace, &chains);
-        let table = self.sim.cost_table(trace, parallel)?;
+        let table = self.sim.cost_table(trace)?;
         let ctx = self.sim.ctx(&table, &chains, coord.as_ref());
         Ok(match &self.layout {
             Layout::Mixed(cluster) => run_mixed(&ctx, *cluster, trace, parallel, obs),
@@ -675,10 +675,10 @@ impl CompiledScenario<'_> {
         })
     }
 
-    /// Runs the scenario with the iteration-cost table's batch rows
-    /// priced on rayon workers (and, for mixed per-blade topologies,
-    /// blades replayed concurrently). Bit-identical to
-    /// [`Self::run_serial`].
+    /// Runs the scenario, replaying the blades of a mixed per-blade
+    /// topology concurrently on rayon workers, which share one
+    /// iteration-cost table priced lazily, a chunk of a row on the first
+    /// read of one of its cells. Bit-identical to [`Self::run_serial`].
     ///
     /// # Errors
     ///
@@ -815,9 +815,10 @@ impl CompiledScenario<'_> {
     }
 
     /// Replays the scenario's trace under several routing/dispatch
-    /// variants of its (mixed) topology, building the iteration-cost
-    /// table once — it depends only on the per-blade engine and the
-    /// trace, not on routing — and replaying the variants concurrently
+    /// variants of its (mixed) topology, sharing one iteration-cost
+    /// table — it depends only on the per-blade engine and the trace,
+    /// not on routing, and each chunk of it is priced once, by the first
+    /// variant that reads it — and replaying the variants concurrently
     /// on rayon workers. Each report is bit-identical to a standalone
     /// [`Self::run`] of a scenario with that variant and to
     /// [`Self::run_each_serial`].
@@ -873,7 +874,7 @@ impl CompiledScenario<'_> {
             .collect::<Result<Vec<_>, _>>()?;
         let chains = ChainTable::new(&self.trace, self.sim.config.prefix);
         let coord = self.coord(&self.trace, &chains);
-        let table = self.sim.cost_table(&self.trace, parallel)?;
+        let table = self.sim.cost_table(&self.trace)?;
         let ctx = self.sim.ctx(&table, &chains, coord.as_ref());
         let replay = |&cluster: &ClusterConfig| {
             run_mixed(&ctx, cluster, &self.trace, parallel, &mut NoopObserver)

@@ -31,7 +31,7 @@
 //!   authoritative; the sketch is validated against them.
 //! * **Self-profiling** — wall-clock phase counters over the simulator's
 //!   own hot paths (stretch planning, leapfrog replay, admission,
-//!   routing, the iteration-cost table build) in [`profile`], captured
+//!   routing, iteration-cost table pricing) in [`profile`], captured
 //!   only between [`profile::start`] and [`profile::stop`], which the
 //!   caller wraps around the replay it wants profiled.
 //!
@@ -1299,7 +1299,8 @@ pub mod profile {
     //! Simulator self-profiling: wall-clock phase counters over the
     //! event core's hot paths — decode-stretch planning, leapfrog
     //! replay, admission rounds and arrival routing — and over the
-    //! iteration-cost table each replay builds before its loop starts.
+    //! pricing of the iteration-cost table, one chunk of a row at a
+    //! time, wherever a replay first reads a cell of that chunk.
     //!
     //! Each instrumented site costs one relaxed atomic load until
     //! [`start`] arms the profiler. Captures are process-global:
@@ -1335,9 +1336,10 @@ pub mod profile {
         pub routing_calls: u64,
         /// Wall-clock seconds routing arrivals.
         pub routing_s: f64,
-        /// Iteration-cost table builds (one per replay).
+        /// Iteration-cost table chunks priced (each once per replay,
+        /// on its first read).
         pub cost_table_builds: u64,
-        /// Wall-clock seconds building iteration-cost tables.
+        /// Wall-clock seconds pricing iteration-cost table chunks.
         pub cost_table_s: f64,
     }
 

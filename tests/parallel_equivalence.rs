@@ -166,9 +166,8 @@ fn cluster_replay_parallel_matches_serial_bit_for_bit() {
             assert_eq!(p.report.completed, 48);
         }
     }
-    // The disaggregated prefill→decode loop is serial by construction,
-    // but the parallel path still builds its cost table on rayon
-    // workers: both paths must agree bit-for-bit too.
+    // The disaggregated prefill→decode loop is serial by construction;
+    // both paths must still agree bit-for-bit.
     let disagg = Scenario::new(&system)
         .model(&model)
         .parallelism(&par)
@@ -253,8 +252,8 @@ fn run_each_sweep_parallel_matches_serial_bit_for_bit() {
 #[test]
 fn prefix_cached_replay_parallel_matches_serial_bit_for_bit() {
     // Prefix caching adds per-blade shared-block state to the replay;
-    // like every other serving path, the rayon-built cost table must not
-    // perturb a single bit of it — single blade, the central-queue
+    // like every other serving path, replaying blades on rayon workers
+    // must not perturb a single bit of it — single blade, the central-queue
     // cluster, and the disaggregated prefill tier alike.
     use optimus::serving::{
         DispatchMode, RoutingPolicy, Scenario, SharedPrefixTraceConfig, Topology,
